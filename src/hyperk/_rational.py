@@ -17,6 +17,8 @@ import math
 import os
 from fractions import Fraction
 
+from .errors import InvalidInputError
+
 _requested = os.environ.get("HYPERK_BACKEND", "").strip().lower()
 
 if _requested in ("", "gmpy2"):
@@ -82,8 +84,10 @@ def q_from_str(text: str):
     """Parse 'p', 'p/q', or a decimal literal into an exact rational."""
     text = text.strip()
     if "/" in text:
-        num, den = text.split("/", 1)
-        return Q(int(num), int(den))
+        num, den = (int(v) for v in text.split("/", 1))
+        if den == 0:
+            raise InvalidInputError(f"zero denominator in {text!r}")
+        return Q(num, den)
     if any(ch in text for ch in ".eE"):
         return Q(Fraction(text))
     return Q(int(text))

@@ -116,6 +116,14 @@ def _parse_number(text: str, inexact: bool):
     )
 
 
+def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
+    """Split a comma-separated flag value into exactly `count` fields."""
+    parts = (text or "").split(",")
+    if len(parts) != count:
+        raise InvalidInputError(f"{usage} expected, got {text!r}")
+    return parts
+
+
 def _curve_from_args(args, out_inexact: bool) -> Curve:
     chosen = [
         name
@@ -212,23 +220,17 @@ def cmd_construct(args, out: _Output) -> int:
             )
         return EXIT_OK
     if what == "pinch":
-        h0 = make_horocycle(
-            _parse_boundary(args.first.split(",")[0]),
-            _parse_number(args.first.split(",")[1], args.inexact),
-        )
-        h1 = make_horocycle(
-            _parse_boundary(args.second.split(",")[0]),
-            _parse_number(args.second.split(",")[1], args.inexact),
-        )
+        c0, s0 = _fields(args.first, 2, "--first center,size")
+        c1, s1 = _fields(args.second, 2, "--second center,size")
+        h0 = make_horocycle(_parse_boundary(c0), _parse_number(s0, args.inexact))
+        h1 = make_horocycle(_parse_boundary(c1), _parse_number(s1, args.inexact))
         a, b = pinch_pair(h0, h1)
         for w in (a, b):
             out.emit(w.to_text(), w.to_record())
         return EXIT_OK
     if what == "equidistant":
-        g = make_geodesic(
-            _parse_boundary(args.first.split(",")[0]),
-            _parse_boundary(args.first.split(",")[1]),
-        )
+        p, q = _fields(args.first, 2, "--first p,q")
+        g = make_geodesic(_parse_boundary(p), _parse_boundary(q))
         lo, hi = equidistant_pair(g, float(args.distance))
         for w in (lo, hi):
             out.emit(w.to_text(), w.to_record())
@@ -337,9 +339,9 @@ def cmd_family(args, out: _Output) -> int:
         fam = fixed_endpoint_family(3.0, 1.5)
         probes = [fam.declared_limit.curve]
     else:
-        hc, hs = args.horocycle.split(",")
+        hc, hs = _fields(args.horocycle, 2, "--horocycle center,size")
         h = make_horocycle(_parse_boundary(hc), q_from_str(hs))
-        hp_parts = args.hypercycle.split(",")
+        hp_parts = _fields(args.hypercycle, 4, "--hypercycle p,q,x,y")
         hp = make_hypercycle(
             _parse_boundary(hp_parts[0]),
             _parse_boundary(hp_parts[1]),

@@ -12,16 +12,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import permutations
-from typing import Dict, List, Optional, Sequence, Tuple
+from itertools import product
+from typing import List, Optional, Sequence, Tuple
 
 from .errors import HyperkError, InvalidInputError
 from .model import (
+    INFINITY,
     BoundaryPoint,
     Curve,
     CurveKind,
     Isometry,
     triple_normalizer,
+    two_point_normalizer,
 )
 from .predicates import intersection_pattern, linked
 
@@ -192,67 +194,100 @@ def _boundary_data(curve: Curve) -> List[BoundaryPoint]:
     return list(curve.endpoints)
 
 
+def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, BoundaryPoint]]:
+    """Up to three distinct boundary points of the configuration, each
+    tagged with its curve index.  Horocycle centers come first (one possible
+    image each), then endpoints curve by curve, so that both endpoints of a
+    curve share their two images."""
+    tagged = sorted(
+        ((i, p) for i, c in enumerate(src_curves) for p in _boundary_data(c)),
+        key=lambda t: src_curves[t[0]].kind is not CurveKind.HOROCYCLE,
+    )
+    frame: List[Tuple[int, BoundaryPoint]] = []
+    for i, p in tagged:
+        if all(p != q for _, q in frame):
+            frame.append((i, p))
+            if len(frame) == 3:
+                break
+    return frame
+
+
 def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curve]):
-    """Isometries sending some boundary-data triple of the source
-    configuration to boundary data of the corresponding target curves.  An
-    isometry is determined by three boundary points, so if any isometry maps
-    curve i to target i for all i, it appears among these candidates."""
-    n = len(src_curves)
-    src_points: List[Tuple[int, BoundaryPoint]] = []
-    dst_points: List[List[BoundaryPoint]] = []
-    for i in range(n):
-        for p in _boundary_data(src_curves[i]):
-            src_points.append((i, p))
-        dst_points.append(_boundary_data(dst_curves[i]))
+    """At most 8 isometries, one of which maps curve i to target i for all
+    i if any isometry does.
 
-    # choose three distinct source boundary points; their images must be
-    # boundary data of the corresponding image curves
-    m = len(src_points)
-    seen = set()
-    for ai in range(m):
-        for bi in range(ai + 1, m):
-            for ci in range(bi + 1, m):
-                triple = (src_points[ai], src_points[bi], src_points[ci])
-                pts = [t[1] for t in triple]
-                if len({(p.value) for p in pts}) != 3:
-                    continue
-                img_choices = [dst_points[t[0]] for t in triple]
-                for img in _product_distinct(img_choices):
-                    key = (tuple(pts), tuple(img))
-                    if key in seen:
-                        continue
-                    seen.add(key)
-                    try:
-                        yield triple_normalizer(pts, list(img))
-                    except (HyperkError, ZeroDivisionError):
-                        continue
-
-
-def _product_distinct(choices: List[List[BoundaryPoint]]):
-    def rec(k, acc):
-        if k == len(choices):
-            yield tuple(acc)
-            return
-        for p in choices[k]:
-            if any(p == q for q in acc):
+    Such an isometry sends every boundary datum of src_curves[i] to one of
+    dst_curves[i] (endpoint to endpoint, center to center).  So the images
+    of a fixed source frame of three distinct points are boundary data of
+    the matching target curves, at most 2 choices each, and the frame and
+    its images determine the isometry.  A configuration with fewer than
+    three distinct boundary points gets its third frame point from metric
+    data (see _completed_frames)."""
+    frame = _source_frame(src_curves)
+    points = [p for _, p in frame]
+    for images in product(*(_boundary_data(dst_curves[i]) for i, _ in frame)):
+        if len(set(images)) < len(images):
+            continue  # an isometry is injective on the boundary
+        if len(frame) == 3:
+            triples = [(points, list(images))]
+        else:
+            triples = _completed_frames(src_curves, dst_curves, points, list(images))
+        for src, dst in triples:
+            try:
+                yield triple_normalizer(src, dst)
+            except HyperkError:
                 continue
-            acc.append(p)
-            yield from rec(k + 1, acc)
-            acc.pop()
 
-    yield from rec(0, [])
+
+def _completed_frames(src_curves, dst_curves, points, images):
+    """Two frames (source triple, target triple) for a configuration with
+    one or two distinct boundary points whose images are fixed.
+
+    Rational isometries a and b move the points to oo and 0 (a lone point
+    gets an arbitrary partner, harmless because the curves then are
+    horocycles at oo, which every translation fixes).  An isometry matching
+    the configurations is then b^-1 . h . a with h(z) = lam z or
+    h(z) = -lam conj(z): lam is the size ratio of the first horocycle, or 1
+    when there is none (every h fixes curves ending at 0 and oo).  Each
+    frame is (a^-1 oo, a^-1 0, a^-1 1) -> (b^-1 oo, b^-1 0, b^-1 h(1))."""
+    if len(points) == 1:
+        points = points + [_partner(points[0])]
+        images = images + [_partner(images[0])]
+    a = two_point_normalizer(points[0], points[1])
+    b = two_point_normalizer(images[0], images[1])
+    lam = 1
+    for s, t in zip(src_curves, dst_curves):
+        if s.kind is CurveKind.HOROCYCLE:
+            lam = b.apply_curve(t).size / a.apply_curve(s).size
+            break
+    third = a.inverse().apply_boundary(BoundaryPoint.finite(1))
+    b_inv = b.inverse()
+    return [
+        (points + [third], images + [b_inv.apply_boundary(BoundaryPoint.finite(sign * lam))])
+        for sign in (1, -1)
+    ]
+
+
+def _partner(p: BoundaryPoint) -> BoundaryPoint:
+    return BoundaryPoint.finite(0) if p.is_infinity else INFINITY
 
 
 def isometry_matching(
     src_curves: Sequence[Curve], dst_curves: Sequence[Curve]
 ) -> Optional[Isometry]:
     """An isometry mapping src_curves[i] to dst_curves[i] for every i, or
-    None.  Candidates come from boundary-data triples of the configurations
-    themselves (complete, because an isometry is determined by three
-    boundary points) and are verified exactly on every curve."""
+    None.  Complete: isometries preserve curve kind, so a kind mismatch
+    answers None at once; otherwise the candidates are the at most 8
+    isometries sending a fixed frame of three source boundary points to
+    boundary data of the matching target curves (completed from horocycle
+    sizes when the source has fewer than three distinct boundary points),
+    and each is verified exactly on every curve.  Curves with irrational
+    endpoints raise InvalidInputError."""
     if len(src_curves) != len(dst_curves):
         raise InvalidInputError("source and target curve lists differ in length")
     n = len(src_curves)
+    if any(src_curves[i].kind is not dst_curves[i].kind for i in range(n)):
+        return None
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
         return Isometry.identity()
     for cand in _candidate_isometries(src_curves, dst_curves):

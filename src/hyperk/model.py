@@ -11,14 +11,14 @@ tolerance instead of exact signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from functools import reduce
 from typing import Optional, Tuple, Union
 
 from ._rational import Q, denom, isqrt_exact, is_rational, numer, q_from_str, q_str
-from .errors import DegenerateResultError, InvalidInputError
+from .errors import DegenerateResultError, HyperkError, InvalidInputError
 
 #: Tolerance for all inexact (float-coefficient) predicates and for
 #: reported intersection-point coordinates.
@@ -661,7 +661,11 @@ class Isometry:
 
     def apply_curve(self, curve: Curve) -> Curve:
         image = Curve(self.apply_circle(curve.circle))
-        assert image.kind is curve.kind, "isometries preserve curve kind"
+        if image.kind is not curve.kind:
+            raise DegenerateResultError(
+                f"isometry image of a {curve.kind.value} classifies as {image.kind.value}",
+                image,
+            )
         return image
 
 
@@ -746,7 +750,8 @@ def triple_normalizer(src, dst) -> Isometry:
         # by negating the first matrix column
         iso = Isometry(-m[0], m[1], -m[2], m[3], reversing=True)
     for s, t in zip(src, dst):
-        assert iso.apply_boundary(s) == t
+        if iso.apply_boundary(s) != t:
+            raise HyperkError(f"triple normalizer {iso!r} does not send {s!r} to {t!r}")
     return iso
 
 

@@ -143,3 +143,25 @@ class TestGraphCommand:
         code, out, _ = run(capsys, "graph", "--curves", str(f), "--autos")
         assert code == 0
         assert "2 automorphisms" in out
+
+
+MALFORMED = [
+    ("classify", "--coeffs", "1/0,0,-1,0"),
+    ("classify", "--horocycle", "1/0,2"),
+    ("classify", "--geodesic", "0"),
+    ("intersect", "--first-geodesic", "0,1"),
+    ("construct", "pinch", "--first", "0", "--second", "1,1"),
+    ("construct", "equidistant", "--first", "0"),
+    ("earthquake", "--fault", "0,oo", "--shear", "1/0", "apply", "1"),
+    ("family", "--horocycle", "0,1", "--hypercycle", "1,2"),
+    ("family", "--horocycle", "0,1"),
+    ("family", "--horocycle", "0,1/0", "--hypercycle", "4,8,5,2"),
+    ("verify", "order", "--seed", "x"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2_without_traceback(capsys, argv):
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert "Traceback" not in err

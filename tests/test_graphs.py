@@ -1,11 +1,17 @@
+import random
+from itertools import product
+
 import pytest
 
 from hyperk import (
     INFINITY,
     BoundaryPoint,
+    CurveKind,
     GraphAutomorphism,
+    Isometry,
     LinkCheckResult,
     Q,
+    UHPPoint,
     automorphisms,
     build_graph,
     induced_permutation,
@@ -14,8 +20,12 @@ from hyperk import (
     link_preserving_check,
     make_geodesic,
     make_horocycle,
+    make_hypercycle,
 )
-from hyperk.errors import InvalidInputError
+from hyperk import graphs
+from hyperk.errors import HyperkError, InvalidInputError
+from hyperk.model import triple_normalizer
+from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry
 
 F = BoundaryPoint.finite
 
@@ -90,6 +100,184 @@ class TestRealization:
             make_geodesic(F(2), F(3)),
         ]
         assert isometry_matching(gs1, gs2) is None
+
+    def test_kind_mismatch_is_none(self):
+        src = [make_geodesic(F(0), F(1)), make_horocycle(F(2), 1)]
+        dst = [make_horocycle(F(2), 1), make_geodesic(F(0), F(1))]
+        assert isometry_matching(src, dst) is None
+
+
+def _maps_exactly(iso, src, dst):
+    return all(iso.apply_curve(s) == t for s, t in zip(src, dst))
+
+
+class TestFewBoundaryPoints:
+    """Configurations with fewer than three distinct boundary points, where
+    the frame is completed from horocycle sizes (scale 1 without one)."""
+
+    def test_two_horocycles_swapped_by_inversion(self):
+        src = [make_horocycle(F(0), Q(1, 2)), make_horocycle(INFINITY, 1)]
+        dst = [make_horocycle(INFINITY, 1), make_horocycle(F(0), Q(1, 2))]
+        iso = isometry_matching(src, dst)
+        assert iso is not None and _maps_exactly(iso, src, dst)
+        g = build_graph(src)
+        assert isometry_realizing(g, GraphAutomorphism((1, 0))) is not None
+
+    def test_single_geodesic(self):
+        src = [make_geodesic(F(0), F(1))]
+        dst = [make_geodesic(F(-3), INFINITY)]
+        iso = isometry_matching(src, dst)
+        assert iso is not None and _maps_exactly(iso, src, dst)
+
+    def test_single_horocycle(self):
+        finite, infinite = make_horocycle(F(2), Q(1, 3)), make_horocycle(INFINITY, 7)
+        other = make_horocycle(F(-1), Q(5, 2))
+        for src, dst in ((finite, other), (finite, infinite), (infinite, finite)):
+            iso = isometry_matching([src], [dst])
+            assert iso is not None and _maps_exactly(iso, [src], [dst])
+
+    def test_reflection_when_horocycle_pins_the_ends(self):
+        # z -> -conj(z) is the only isometry: the horocycle fixes 0, hence oo
+        h = make_horocycle(F(0), 1)
+        src = [h, make_hypercycle(F(0), INFINITY, UHPPoint(1, 1))]
+        dst = [h, make_hypercycle(F(0), INFINITY, UHPPoint(-1, 1))]
+        iso = isometry_matching(src, dst)
+        assert iso is not None and iso.reversing and _maps_exactly(iso, src, dst)
+
+    def test_concentric_horocycles_need_equal_size_ratio(self):
+        src = [make_horocycle(F(2), Q(1, 3)), make_horocycle(F(2), Q(1, 5))]
+        hit = [make_horocycle(F(-1), Q(5, 2)), make_horocycle(F(-1), Q(3, 2))]
+        miss = [make_horocycle(F(-1), Q(5, 2)), make_horocycle(F(-1), Q(5, 6))]
+        iso = isometry_matching(src, hit)
+        assert iso is not None and _maps_exactly(iso, src, hit)
+        assert isometry_matching(src, miss) is None
+
+    def test_hypercycle_sharing_ends_with_geodesic(self):
+        g = make_geodesic(F(0), F(2))
+        hyp = make_hypercycle(F(0), F(2), UHPPoint(1, 2))
+        k = Isometry(2, 1, 1, 3, reversing=True)
+        src = [g, hyp]
+        dst = [k.apply_curve(g), k.apply_curve(hyp)]
+        iso = isometry_matching(src, dst)
+        assert iso is not None and _maps_exactly(iso, src, dst)
+        other = make_hypercycle(F(0), F(2), UHPPoint(1, 3))
+        assert isometry_matching(src, [dst[0], k.apply_curve(other)]) is None
+
+
+# -- differential test against the all-triples enumerator --------------------
+
+
+def _oracle_matching(src_curves, dst_curves):
+    """Reference matcher: every triple of distinct source boundary points
+    against every choice of image boundary data, each candidate verified
+    exactly.  Complete whenever the source has three distinct boundary
+    points; O(m^3) candidates for m boundary points."""
+    def data(c):
+        return [c.center] if c.kind is CurveKind.HOROCYCLE else list(c.endpoints)
+
+    n = len(src_curves)
+    if all(src_curves[i] == dst_curves[i] for i in range(n)):
+        return Isometry.identity()
+    src_points = [(i, p) for i in range(n) for p in data(src_curves[i])]
+    dst_points = [data(c) for c in dst_curves]
+    m = len(src_points)
+    seen = set()
+    for ai in range(m):
+        for bi in range(ai + 1, m):
+            for ci in range(bi + 1, m):
+                triple = (src_points[ai], src_points[bi], src_points[ci])
+                pts = [t[1] for t in triple]
+                if len({p.value for p in pts}) != 3:
+                    continue
+                for img in product(*(dst_points[t[0]] for t in triple)):
+                    if len(set(img)) != 3:
+                        continue
+                    key = (tuple(pts), tuple(img))
+                    if key in seen:
+                        continue
+                    seen.add(key)
+                    try:
+                        cand = triple_normalizer(pts, list(img))
+                    except (HyperkError, ZeroDivisionError):
+                        continue
+                    if _maps_exactly(cand, src_curves, dst_curves):
+                        return cand
+    return None
+
+
+_MAKERS = (rand_geodesic, rand_horocycle, rand_hypercycle)
+
+
+def _mixed_configuration(rng):
+    n = rng.randint(3, 5)
+    curves = []
+    while len(curves) < n:
+        c = rng.choice(_MAKERS)(rng)
+        if c not in curves:
+            curves.append(c)
+    return curves
+
+
+def _orbit_configuration(rng):
+    """Orbit of two curves under a conjugate h of z -> -1/z or z -> -1/(z+1),
+    and the relabelling h induces: perm[i] is the index of h(curves[i])."""
+    gen, order = rng.choice(((Isometry(0, -1, 1, 0), 2), (Isometry(0, -1, 1, 1), 3)))
+    g = rand_isometry(rng)
+    h = g.compose(gen).compose(g.inverse())
+    curves = []
+    for maker in rng.sample(_MAKERS, 2):
+        c = maker(rng)
+        for _ in range(order):
+            curves.append(c)
+            c = h.apply_curve(c)
+    if len(set(curves)) != len(curves):
+        return _orbit_configuration(rng)
+    perm = [i - i % order + (i + 1) % order for i in range(len(curves))]
+    return curves, perm
+
+
+def _transposed_targets(rng, curves, image):
+    """The image relabelled by transpositions of two same-kind curves."""
+    n = len(curves)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n) if curves[i].kind is curves[j].kind]
+    for i, j in rng.sample(pairs, min(2, len(pairs))):
+        swapped = list(image)
+        swapped[i], swapped[j] = image[j], image[i]
+        yield swapped
+
+
+def test_frame_matching_agrees_with_all_triples_oracle(monkeypatch):
+    calls = []
+
+    def counted(src, dst):
+        calls.append(1)
+        return triple_normalizer(src, dst)
+
+    monkeypatch.setattr(graphs, "triple_normalizer", counted)
+    rng = random.Random(20240527)
+    found = missed = 0
+    for index in range(24):
+        if index % 2:
+            curves, perm = _orbit_configuration(rng)
+        else:
+            curves, perm = _mixed_configuration(rng), None
+        g = rand_isometry(rng)
+        image = [g.apply_curve(c) for c in curves]
+        targets = [image, *_transposed_targets(rng, curves, image)]
+        if perm is not None:
+            # image relabelled by the symmetry: realized by g . h
+            targets.append([image[j] for j in perm])
+        for target in targets:
+            del calls[:]
+            iso = isometry_matching(curves, target)
+            assert len(calls) <= 8
+            assert (iso is None) == (_oracle_matching(curves, target) is None)
+            if iso is None:
+                missed += 1
+            else:
+                found += 1
+                assert _maps_exactly(iso, curves, target)
+    assert found == 24 + 12 and missed > 0
 
 
 class TestLinkChecks:

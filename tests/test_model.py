@@ -20,7 +20,7 @@ from hyperk import (
     triple_normalizer,
     two_point_normalizer,
 )
-from hyperk.errors import DegenerateResultError, InvalidInputError
+from hyperk.errors import DegenerateResultError, HyperkError, InvalidInputError
 
 F = BoundaryPoint.finite
 
@@ -110,6 +110,13 @@ class TestIsometry:
         ):
             assert m.apply_curve(c).kind is c.kind
 
+    def test_kind_change_raises_without_assert(self, monkeypatch):
+        # a faulty circle action that turns a geodesic into a horocycle
+        horocycle = make_horocycle(F(0), 1).circle
+        monkeypatch.setattr(Isometry, "apply_circle", lambda self, circle: horocycle)
+        with pytest.raises(DegenerateResultError):
+            Isometry.identity().apply_curve(make_geodesic(F(0), F(1)))
+
     def test_reversing_isometry(self):
         r = Isometry.reflection()
         assert r.reversing
@@ -126,6 +133,11 @@ class TestIsometry:
         n = triple_normalizer(src, dst)
         for s, d in zip(src, dst):
             assert n.apply_boundary(s) == d
+
+    def test_triple_normalizer_self_check_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(Isometry, "apply_boundary", lambda self, p: INFINITY)
+        with pytest.raises(HyperkError):
+            triple_normalizer((F(0), F(1), INFINITY), (F(-1), F(0), F(1)))
 
 
 class TestSampling:
