@@ -3,8 +3,7 @@ in the upper half-plane, with simple earthquakes, disjointness graphs,
 continuous-family limits, and an SVG renderer.
 
 All classification predicates and counts run in exact rational arithmetic;
-floats appear only in coordinates and rendering.  Set ``HYPERK_BACKEND`` to
-``gmpy2`` or ``python`` to choose the rational backend.
+floats appear only in coordinates and rendering.
 """
 
 from ._rational import Q, q_from_str, q_str

@@ -1,71 +1,27 @@
-"""Exact rational arithmetic backend.
+"""Exact rational numbers: the stdlib ``fractions.Fraction`` type.
 
-Two interchangeable backends provide the rational number type used by every
-exact computation in the package:
-
-* ``gmpy2.mpq`` -- GMP-backed, compiled; picked by default when gmpy2 is
-  importable.
-* ``fractions.Fraction`` -- pure-Python stdlib fallback.
-
-Set ``HYPERK_BACKEND=python`` or ``HYPERK_BACKEND=gmpy2`` before import to
-force a choice.  ``benchmarks/bench_backends.py`` compares the two.
+Every exact computation in the package builds its rationals with ``Q``.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from fractions import Fraction
 
 from .errors import InvalidInputError
 
-_requested = os.environ.get("HYPERK_BACKEND", "").strip().lower()
-
-if _requested in ("", "gmpy2"):
-    try:
-        import gmpy2 as _gmpy2
-
-        BACKEND = "gmpy2"
-    except ImportError:  # pragma: no cover - gmpy2 present in CI image
-        if _requested == "gmpy2":
-            raise
-        _gmpy2 = None
-        BACKEND = "python"
-else:
-    if _requested != "python":
-        raise ValueError(f"unknown HYPERK_BACKEND {_requested!r}")
-    _gmpy2 = None
-    BACKEND = "python"
+BACKEND = "python"
 
 
-if BACKEND == "gmpy2":
-    _mpq = _gmpy2.mpq
-
-    def Q(numerator=0, denominator=None):
-        """Exact rational from ints, strings like '3/4', floats, or rationals."""
-        if denominator is not None:
-            return _mpq(numerator, denominator)
-        if isinstance(numerator, float):
-            return _mpq(*numerator.as_integer_ratio())
-        return _mpq(numerator)
-
-    def is_rational(x) -> bool:
-        return isinstance(x, (int, type(_mpq(0)), Fraction))
-
-else:
-
-    def Q(numerator=0, denominator=None):
-        """Exact rational from ints, strings like '3/4', floats, or rationals."""
-        if denominator is not None:
-            return Fraction(numerator, denominator)
-        return Fraction(numerator)
-
-    def is_rational(x) -> bool:
-        return isinstance(x, (int, Fraction))
+def Q(numerator=0, denominator=None):
+    """Exact rational from ints, strings like '3/4', floats, or rationals."""
+    if denominator is not None:
+        return Fraction(numerator, denominator)
+    return Fraction(numerator)
 
 
-ZERO = Q(0)
-ONE = Q(1)
+def is_rational(x) -> bool:
+    return isinstance(x, (int, Fraction))
 
 
 def numer(q) -> int:
@@ -74,10 +30,6 @@ def numer(q) -> int:
 
 def denom(q) -> int:
     return int(q.denominator)
-
-
-def q_to_float(q) -> float:
-    return float(q)
 
 
 def q_from_str(text: str):

@@ -494,8 +494,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="emit a deterministic SVG scene")
-    p.add_argument("--preset", choices=("dyadic", "figure-one", "empty"))
-    p.add_argument("--curves", help="file of curve text lines")
+    scene = p.add_mutually_exclusive_group()
+    scene.add_argument("--preset", choices=("dyadic", "figure-one", "empty"))
+    scene.add_argument("--curves", help="file of curve text lines")
     p.add_argument("--x-min", type=float, default=-3.0)
     p.add_argument("--x-max", type=float, default=3.0)
     p.add_argument("--height", type=float, default=3.0)

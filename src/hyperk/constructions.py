@@ -18,6 +18,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from ._rational import Q, q_str, sqrt_exact
 from .errors import (
     DegenerateResultError,
+    HyperkError,
     IndeterminateLimitError,
     InvalidInputError,
     NoSolutionError,
@@ -486,7 +487,8 @@ def disj_family(h: Curve, hprime: Curve) -> ContinuousFamily:
     psi = phi.inverse()
 
     a2, b2, c2, d2 = (Q(v) for v in hp2.circle.coeffs())
-    assert b2 == 0
+    if b2 != 0:
+        raise HyperkError(f"normalized hypercycle {hp2!r} is not centered on the axis")
     # endpoints +-b, apex y0 (upper root of a y^2 + c y + d at x = 0)
     b_sq = -d2 / a2
     if not b_sq > 0:
@@ -974,8 +976,11 @@ def normalizer_from_images(img_h0: Curve, img_hinf: Curve) -> Isometry:
     if not contact.exact:
         raise InvalidInputError("tangency point must be exact")
     moved = phi1.apply_point(contact)
-    assert moved.x == 0, "tangency of centered horocycles lies on the axis"
+    if moved.x != 0:
+        raise HyperkError(f"tangency of centered horocycles off the axis: {moved!r}")
     j = Isometry.scaling(1 / moved.y).compose(phi1)
-    assert j.apply_curve(img_h0) == make_horocycle(BoundaryPoint.finite(0), Q(1, 2))
-    assert j.apply_curve(img_hinf) == make_horocycle(INFINITY, 1)
+    if j.apply_curve(img_h0) != make_horocycle(BoundaryPoint.finite(0), Q(1, 2)):
+        raise HyperkError(f"normalizer {j!r} does not send {img_h0!r} to h(0, 1/2)")
+    if j.apply_curve(img_hinf) != make_horocycle(INFINITY, 1):
+        raise HyperkError(f"normalizer {j!r} does not send {img_hinf!r} to h(oo, 1)")
     return j

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from functools import reduce
 from typing import Optional, Tuple, Union
 
 from ._rational import Q, denom, isqrt_exact, is_rational, numer, q_from_str, q_str
@@ -115,8 +114,16 @@ class UHPPoint:
 # ---------------------------------------------------------------------------
 
 
-def _gcd_all(values):
-    return reduce(math.gcd, values)
+def _coprime_ints(values):
+    """The projective class of rational `values` as coprime integers: clear
+    denominators, divide by the gcd, make the first nonzero entry positive."""
+    qs = [Q(v) for v in values]
+    lcm = math.lcm(*(denom(q) for q in qs))
+    ints = [numer(q) * (lcm // denom(q)) for q in qs]
+    g = math.gcd(*ints) or 1
+    if next((v for v in ints if v), 0) < 0:
+        g = -g
+    return [v // g for v in ints]
 
 
 class GeneralizedCircle:
@@ -133,21 +140,9 @@ class GeneralizedCircle:
         if exact is None:
             exact = all(is_rational(v) for v in (a, b, c, d))
         if exact:
-            qa, qb, qc, qd = Q(a), Q(b), Q(c), Q(d)
-            # clear denominators, then reduce to coprime integers
-            lcm = 1
-            for v in (qa, qb, qc, qd):
-                lcm = lcm * denom(v) // math.gcd(lcm, denom(v))
-            ia, ib, ic, id_ = (numer(v * lcm) for v in (qa, qb, qc, qd))
-            g = _gcd_all([abs(ia), abs(ib), abs(ic), abs(id_)])
-            if g > 1:
-                ia, ib, ic, id_ = ia // g, ib // g, ic // g, id_ // g
-            lead = ia if ia != 0 else (ib if ib != 0 else ic)
-            if lead == 0:
+            self.a, self.b, self.c, self.d = _coprime_ints((a, b, c, d))
+            if self.a == self.b == self.c == 0:
                 raise DegenerateResultError("degenerate circle: a = b = c = 0")
-            if lead < 0:
-                ia, ib, ic, id_ = -ia, -ib, -ic, -id_
-            self.a, self.b, self.c, self.d = ia, ib, ic, id_
         else:
             fa, fb, fc, fd = float(a), float(b), float(c), float(d)
             # pre-scale by the largest magnitude so the norm cannot overflow
@@ -446,70 +441,48 @@ def make_geodesic(p: BoundaryPoint, q: BoundaryPoint) -> Curve:
 
 def make_horocycle(center: BoundaryPoint, size) -> Curve:
     """Horocycle at `center` of Euclidean radius `size` (line height if center oo)."""
-    size = Q(size) if is_rational(size) else size
+    exact = is_rational(size)
+    size = Q(size) if exact else float(size)
     if not size > 0:
         raise InvalidInputError("horocycle size must be positive")
     if center.is_infinity:
-        if is_rational(size):
-            return curve_from_coeffs(0, 0, 1, -size)
-        return curve_from_coeffs(0.0, 0.0, 1.0, -float(size), exact=False)
+        return curve_from_coeffs(0, 0, 1, -size, exact=exact)
     p = center.value
-    if is_rational(size):
-        return curve_from_coeffs(1, -2 * p, -2 * size, p * p)
-    return curve_from_coeffs(
-        1.0, -2.0 * float(p), -2.0 * float(size), float(p) ** 2, exact=False
-    )
+    return curve_from_coeffs(1, -2 * p, -2 * size, p * p, exact=exact)
 
 
 def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Curve:
     """The unique hypercycle through boundary points p, q and interior point through."""
     if p == q:
         raise InvalidInputError("hypercycle needs two distinct endpoints")
-    if not through.exact:
-        return _make_hypercycle_float(p, q, through)
+    exact = through.exact
+    tol = 0 if exact else EPS
     x0, y0 = through.x, through.y
     if p.is_infinity or q.is_infinity:
         e = (q if p.is_infinity else p).value
         # line through (e, 0) and (x0, y0)
-        if x0 == e:
+        if abs(x0 - e) <= tol:
             raise DegenerateResultError(
                 "through-point lies on the vertical geodesic",
                 make_geodesic(p, q),
             )
-        circle = GeneralizedCircle(0, y0, -(x0 - e), -e * y0)
+        circle = GeneralizedCircle(0, y0, -(x0 - e), -e * y0, exact=exact)
     else:
         b = -(p.value + q.value)
         d = p.value * q.value
         c = -(x0 * x0 + y0 * y0 + b * x0 + d) / y0
-        if c == 0:
+        if abs(c) <= tol:
             raise DegenerateResultError(
                 "through-point lies on the spanning geodesic",
                 make_geodesic(p, q),
             )
-        circle = GeneralizedCircle(1, b, c, d)
+        circle = GeneralizedCircle(1, b, c, d, exact=exact)
     curve = Curve(circle)
-    assert curve.kind is CurveKind.HYPERCYCLE
-    return curve
-
-
-def _make_hypercycle_float(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Curve:
-    x0, y0 = through.as_floats()
-    if p.is_infinity or q.is_infinity:
-        e = float((q if p.is_infinity else p).value)
-        if abs(x0 - e) <= EPS:
-            raise DegenerateResultError(
-                "through-point lies on the vertical geodesic", make_geodesic(p, q)
-            )
-        return curve_from_coeffs(0.0, y0, -(x0 - e), -e * y0, exact=False)
-    pf, qf = float(p.value), float(q.value)
-    b = -(pf + qf)
-    d = pf * qf
-    c = -(x0 * x0 + y0 * y0 + b * x0 + d) / y0
-    if abs(c) <= EPS:
+    if curve.kind is not CurveKind.HYPERCYCLE:
         raise DegenerateResultError(
-            "through-point lies on the spanning geodesic", make_geodesic(p, q)
+            f"hypercycle construction classifies as {curve.kind.value}", curve
         )
-    return curve_from_coeffs(1.0, b, c, d, exact=False)
+    return curve
 
 
 # ---------------------------------------------------------------------------
@@ -531,18 +504,7 @@ class Isometry:
         det = m00 * m11 - m01 * m10
         if not det > 0:
             raise InvalidInputError("isometry matrix must have positive determinant")
-        # normalize the projective representative: clear denominators,
-        # divide by gcd, make the first nonzero entry positive
-        lcm = 1
-        for v in (m00, m01, m10, m11):
-            lcm = lcm * denom(v) // math.gcd(lcm, denom(v))
-        ints = [numer(v * lcm) for v in (m00, m01, m10, m11)]
-        g = _gcd_all([abs(v) for v in ints])
-        if g > 1:
-            ints = [v // g for v in ints]
-        lead = next(v for v in ints if v != 0)
-        if lead < 0:
-            ints = [-v for v in ints]
+        ints = _coprime_ints((m00, m01, m10, m11))
         self.m00, self.m01, self.m10, self.m11 = (Q(v) for v in ints)
         self.reversing = bool(reversing)
 
@@ -628,20 +590,16 @@ class Isometry:
 
     def apply_point(self, z: UHPPoint) -> UHPPoint:
         a, b, c, d = self.matrix()
+        det = self.det()  # exact: a float a*d - b*c can cancel to 0
         x, y = z.x, z.y
         if self.reversing:
             x = -x
-        if z.exact:
-            den_ = (c * x + d) ** 2 + c * c * y * y
-            nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
-            ny = (a * d - b * c) * y / den_
-            return UHPPoint(nx, ny)
-        af, bf, cf, df = (float(v) for v in (a, b, c, d))
-        xf, yf = float(x), float(y)
-        den_ = (cf * xf + df) ** 2 + cf * cf * yf * yf
-        nx = (af * cf * (xf * xf + yf * yf) + (af * df + bf * cf) * xf + bf * df) / den_
-        ny = (af * df - bf * cf) * yf / den_
-        return UHPPoint(nx, ny, exact=False)
+        if not z.exact:
+            a, b, c, d, det = (float(v) for v in (a, b, c, d, det))
+        den_ = (c * x + d) ** 2 + c * c * y * y
+        nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
+        ny = det * y / den_
+        return UHPPoint(nx, ny, exact=z.exact)
 
     def apply_circle(self, circle: GeneralizedCircle) -> GeneralizedCircle:
         a, b, c, d = circle.coeffs()
@@ -807,11 +765,16 @@ def equidistant_pair(g: Curve, d, sinh_d=None):
     a, b, _, d0 = g.circle.coeffs()
     disc = b * b - 4 * a * d0
     root = isqrt_exact(disc)
-    assert root is not None, "geodesics with exact endpoints have square disc"
+    if root is None:
+        raise InvalidInputError("equidistant_pair needs a geodesic with rational endpoints")
     shift = sinh_d * root
     plus = curve_from_coeffs(a, b, shift, d0)
     minus = curve_from_coeffs(a, b, -shift, d0)
-    assert plus.kind is CurveKind.HYPERCYCLE and minus.kind is CurveKind.HYPERCYCLE
+    for c in (minus, plus):
+        if c.kind is not CurveKind.HYPERCYCLE:
+            raise DegenerateResultError(
+                f"equidistant curve classifies as {c.kind.value}", c
+            )
     return (minus, plus)
 
 

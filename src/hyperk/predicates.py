@@ -4,9 +4,12 @@ Intersection counts, tangency, shared boundary endpoints, the hypercycle
 pair taxonomy, the horocycle partial order, linkedness of boundary pairs,
 and betweenness of mutually tangent curves are all decided by integer or
 rational sign tests for exact curves.  Only the coordinates of reported
-intersection points may fall back to floats (when the points are
-irrational); the counts never do.  Inexact (float) curves use the same
-algorithms with tolerance EPS.
+intersection points may be floats (when the points are irrational); the
+counts never are.  Inexact (float) curves run the same algorithms: every
+sign test takes tolerance 0 for a pair of exact curves and EPS otherwise.
+A shared finite endpoint is a meeting point of the two full circles at
+height 0, so one sign test on heights counts interior points and shared
+endpoints alike.
 """
 
 from __future__ import annotations
@@ -14,16 +17,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Optional, Tuple
+from typing import Tuple
 
-from ._rational import Q, sqrt_exact
-from .errors import InvalidInputError
+from ._rational import Q
+from .errors import HyperkError, InvalidInputError
 from .model import (
     EPS,
     BoundaryPoint,
     Curve,
     CurveKind,
-    INFINITY,
     UHPPoint,
 )
 
@@ -73,261 +75,151 @@ class IntersectionPattern:
 
 
 def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
-    """Exact interior intersection data for a pair of curves.
+    """Interior intersection data for a pair of curves, exact when both are.
 
     Equal curves yield a distinguished pattern with equal=True rather than
     an error.
     """
     if c1 == c2:
         return IntersectionPattern(0, False, 0, (), c1.exact, equal=True)
+    k1, k2, tol = _pair_coeffs(c1, c2)
+    count, tangent, points, on_axis = _meet(k1, k2, tol)
+    # a shared finite endpoint is a meeting point at height 0; two lines
+    # also share infinity
+    shared = on_axis + (k1[0] == 0 and k2[0] == 0)
+    return IntersectionPattern(count, tangent, shared, points, tol == 0)
+
+
+def _pair_coeffs(c1: Curve, c2: Curve):
+    """Coefficients of both circles and the tolerance of every sign test.
+
+    Two exact curves keep their integers and tolerance 0.  Otherwise the
+    coefficients become floats, a circle with |a| <= EPS is taken as the
+    line it is within tolerance, and the tolerance is EPS.
+    """
     if c1.exact and c2.exact:
-        count, tangent, points = _interior_meet_exact(c1, c2)
-        shared = _shared_endpoints_exact(c1, c2)
-        return IntersectionPattern(count, tangent, shared, points, True)
-    count, tangent, points = _interior_meet_float(c1, c2)
-    shared = _shared_endpoints_float(c1, c2)
-    return IntersectionPattern(count, tangent, shared, points, False)
+        return c1.circle.coeffs(), c2.circle.coeffs(), 0
+    k1, k2 = ([float(v) for v in c.circle.coeffs()] for c in (c1, c2))
+    for k in (k1, k2):
+        if abs(k[0]) <= EPS:
+            k[0] = 0.0
+    return k1, k2, EPS
 
 
-def _interior_meet_exact(c1: Curve, c2: Curve):
-    a1, b1, c1_, d1 = (Q(v) for v in c1.circle.coeffs())
-    a2, b2, c2_, d2 = (Q(v) for v in c2.circle.coeffs())
+def _number(m, n, disc, w):
+    """(m + n sqrt(disc)) / w for disc >= 0.
+
+    Integer arguments give an exact rational when disc is a square.
+    Otherwise the value is a float; for integers the square root is taken
+    as an integer scaled by 2^64, and a sum whose terms would cancel is
+    replaced by its conjugate quotient, so neither a discriminant beyond the
+    float range nor cancellation costs precision.
+    """
+    if not isinstance(w, int):
+        return (m + n * math.sqrt(max(disc, 0.0))) / w
+    r = math.isqrt(disc)
+    if r * r == disc:
+        return Q(m + n * r, w)
+    r = math.isqrt(disc << 128)
+    if (m >= 0) == (n >= 0):
+        return ((m << 64) + n * r) / (w << 64)
+    return ((m * m - n * n * disc) << 64) / (w * ((m << 64) - n * r))
+
+
+def _meet(k1, k2, tol):
+    """How the two full circles meet: (count of meeting points above height
+    tol, tangent, those points, count of meeting points within tol of
+    height 0)."""
+    a1, b1, c1, d1 = k1
+    a2, b2, c2, d2 = k2
     if a1 == 0 and a2 == 0:
-        return _line_line_exact((b1, c1_, d1), (b2, c2_, d2))
+        return _line_line((b1, c1, d1), (b2, c2, d2), tol)
     if a1 == 0:
-        return _line_circle_exact((b1, c1_, d1), (a2, b2, c2_, d2))
+        return _line_circle((b1, c1, d1), k2, tol)
     if a2 == 0:
-        return _line_circle_exact((b2, c2_, d2), (a1, b1, c1_, d1))
+        return _line_circle((b2, c2, d2), k1, tol)
     # radical line: a2*C1 - a1*C2 vanishes on every common point
-    line = (a2 * b1 - a1 * b2, a2 * c1_ - a1 * c2_, a2 * d1 - a1 * d2)
-    if line == (0, 0, 0):  # proportional circles, excluded by c1 != c2
+    line = (a2 * b1 - a1 * b2, a2 * c1 - a1 * c2, a2 * d1 - a1 * d2)
+    if not any(line):  # proportional circles, excluded by c1 != c2
         raise InvalidInputError("curves lie on the same circle")
-    return _line_circle_exact(line, (a1, b1, c1_, d1))
+    return _line_circle(line, k1, tol)
 
 
-def _line_line_exact(l1, l2):
+def _line_line(l1, l2, tol):
     (B1, C1, D1), (B2, C2, D2) = l1, l2
     det = B1 * C2 - B2 * C1
-    if det == 0:
-        return 0, False, ()
-    x = (C1 * D2 - C2 * D1) / det
-    y = (B2 * D1 - B1 * D2) / det
-    if y > 0:
-        return 1, False, (UHPPoint(x, y),)
-    return 0, False, ()
+    if abs(det) <= tol:
+        return 0, False, (), 0
+    y = _number(B2 * D1 - B1 * D2, 0, 0, det)
+    if y <= tol:
+        return 0, False, (), int(y >= -tol)
+    return 1, False, (UHPPoint(_number(C1 * D2 - C2 * D1, 0, 0, det), y),), 0
 
 
-def _line_circle_exact(line, circle):
-    """Meet of line Bx+Cy+D=0 with circle a(x^2+y^2)+bx+cy+d=0 (a != 0), y>0."""
+def _heights(q2, q1, q0, h):
+    """How many of the two real roots of q2 y^2 + q1 y + q0 (q2 > 0) lie
+    above h, and how many equal h: sign tests on the product and sum of the
+    roots of the same quadratic in y - h."""
+    s1, s0 = q1 + 2 * h * q2, q0 + h * (q1 + h * q2)
+    if s0 < 0:
+        return 1, 0
+    if s0 == 0:
+        return (1, 1) if s1 < 0 else (0, 2 if s1 == 0 else 1)
+    return (2 if s1 < 0 else 0), 0
+
+
+def _line_circle(line, circle, tol):
+    """Meet of line Bx+Cy+D=0 with circle a(x^2+y^2)+bx+cy+d=0 (a > 0).
+
+    The counts and tangency come from sign tests alone: the discriminant of
+    the quadratic the meeting points solve, then the heights of the points
+    against tol and -tol.
+    """
     B, C, D = line
     a, b, c, d = circle
-    if B == 0 and C == 0:
-        return 0, False, ()  # radical line at infinity: concentric circles
-    if C == 0:
-        # vertical line x = x0; quadratic a y^2 + c y + E = 0
-        x0 = -D / B
-        E = a * x0 * x0 + b * x0 + d
-        disc = c * c - 4 * a * E
-        if disc < 0:
-            return 0, False, ()
-        if disc == 0:
-            y_star = -c / (2 * a)
-            if y_star > 0:
-                return 1, True, (UHPPoint(x0, y_star),)
-            return 0, False, ()
-        # two distinct roots; count the positive ones by sign of product/sum
-        points = _positive_roots_points(a, c, E, x0)
-        return len(points), False, points
-    # substitute y = -(Bx+D)/C; multiply by C^2
-    p2 = a * (B * B + C * C)
-    p1 = 2 * a * B * D + b * C * C - c * B * C
-    p0 = a * D * D - c * C * D + d * C * C
-    disc = p1 * p1 - 4 * p2 * p0
-    if disc < 0:
-        return 0, False, ()
-    if disc == 0:
-        x_star = -p1 / (2 * p2)
-        y_star = -(B * x_star + D) / C
-        if y_star > 0:
-            return 1, True, (UHPPoint(x_star, y_star),)
-        return 0, False, ()
-    # two distinct roots x1 < x2 of P; y_i = -B(x_i - x0)/C with x0 = -D/B,
-    # decided without taking the square root
-    root = sqrt_exact(disc)
-    if B == 0:
-        y_const = -D / C
-        if y_const <= 0:
-            return 0, False, ()
-        n_pos = 2
+    L = B * B + C * C
+    if L == 0:
+        return 0, False, (), 0  # radical line at infinity: concentric circles
+    # the meeting points' heights solve q2 y^2 + q1 y + q0 = 0 and their
+    # abscissas q2 x^2 + p1 x + p0 = 0; the points are parametrised by the
+    # coordinate t the line spreads along (x when |B| <= |C|), the other
+    # coordinate u = -(beta t + D) / gamma is read off the line
+    q2 = a * L
+    q1 = 2 * a * C * D + c * B * B - b * B * C
+    q0 = a * D * D - b * B * D + d * B * B
+    along_x = abs(B) <= abs(C)
+    if along_x:
+        t1 = 2 * a * B * D + b * C * C - c * B * C
+        t0 = a * D * D - c * C * D + d * C * C
+        beta, gamma = B, C
     else:
-        x0 = -D / B
-        s = 1 if -B * C > 0 else -1  # y_i > 0  iff  s*(x_i - x0) > 0
-        val = p2 * x0 * x0 + p1 * x0 + p0  # sign of P at x0 (p2 > 0)
-        if val < 0:
-            n_pos = 1  # x0 strictly between the roots
-        elif val > 0:
-            vertex = -p1 / (2 * p2)
-            both_side = 1 if x0 < vertex else -1  # side of both roots w.r.t. x0
-            n_pos = 2 if s == both_side else 0
-        else:
-            other = -p1 / p2 - x0  # second root (x0 itself gives y = 0)
-            n_pos = 1 if s * (other - x0) > 0 else 0
-    if n_pos == 0:
-        return 0, False, ()
+        t1, t0, beta, gamma = q1, q0, C, B
+    disc = t1 * t1 - 4 * q2 * t0
+    slack = tol * max(t1 * t1, abs(4 * q2 * t0))
+    if disc < -slack:
+        return 0, False, (), 0
+    tangent = disc <= slack
+    falling = B * C > 0  # y falls as x grows along the line
+    if tangent:  # one double point, at height -q1 / (2 q2)
+        on_axis = int(abs(q1) <= 2 * tol * q2)
+        n = int(q1 + 2 * tol * q2 < 0)
+        disc, roots = 0, (0,)
+    else:
+        n = _heights(q2, q1, q0, tol)[0]
+        on_axis = sum(_heights(q2, q1, q0, -tol)) - n
+        # t = (-t1 + s sqrt(disc)) / (2 q2) ascends with s (q2 > 0); a lone
+        # point is the higher one
+        roots = (-1, 1) if n == 2 else (-1,) if along_x and falling else (1,)
+    if n == 0:
+        return 0, False, (), on_axis
     points = []
-    if root is not None:
-        xs = ((-p1 - root) / (2 * p2), (-p1 + root) / (2 * p2))
-        for x in xs:
-            y = -(B * x + D) / C
-            if y > 0:
-                points.append(UHPPoint(x, y))
-    else:
-        fr = math.sqrt(float(disc))
-        for x in ((-float(p1) - fr) / (2 * float(p2)), (-float(p1) + fr) / (2 * float(p2))):
-            y = -(float(B) * x + float(D)) / float(C)
-            if y > EPS:
-                points.append(UHPPoint(x, y, exact=False))
-    assert len(points) == n_pos or root is None
-    return n_pos, False, tuple(points)
-
-
-def _positive_roots_points(a, c, E, x0):
-    """Points (x0, y) with a y^2 + c y + E = 0, y > 0, two distinct roots."""
-    disc = c * c - 4 * a * E
-    root = sqrt_exact(disc)
-    prod = E / a
-    tot = -c / a
-    if prod > 0:
-        n_pos = 2 if tot > 0 else 0
-    elif prod < 0:
-        n_pos = 1
-    else:
-        n_pos = 1 if tot > 0 else 0
-    if n_pos == 0:
-        return ()
-    if root is not None:
-        ys = ((-c - root) / (2 * a), (-c + root) / (2 * a))
-        return tuple(UHPPoint(x0, y) for y in sorted(ys) if y > 0)
-    fr = math.sqrt(float(disc))
-    ys = ((-float(c) - fr) / (2 * float(a)), (-float(c) + fr) / (2 * float(a)))
-    return tuple(UHPPoint(float(x0), y, exact=False) for y in sorted(ys) if y > EPS)
-
-
-# -- shared endpoints --------------------------------------------------------
-
-
-def _has_infinite_endpoint(curve: Curve) -> bool:
-    a, b = curve.circle.a, curve.circle.b
-    tol = 0 if curve.exact else EPS
-    return abs(a) <= tol
-
-
-def _shared_endpoints_exact(c1: Curve, c2: Curve) -> int:
-    a1, b1, d1 = c1.circle.a, c1.circle.b, c1.circle.d
-    a2, b2, d2 = c2.circle.a, c2.circle.b, c2.circle.d
-    if a1 != 0 and a2 != 0:
-        if (a1 * b2 == a2 * b1) and (a1 * d2 == a2 * d1):
-            # identical real-axis trace: all endpoints shared
-            return 2 if b1 * b1 - 4 * a1 * d1 > 0 else 1
-        res = (a1 * d2 - a2 * d1) ** 2 - (a1 * b2 - a2 * b1) * (b1 * d2 - b2 * d1)
-        return 1 if res == 0 else 0
-    if a1 == 0 and a2 == 0:
-        shared = 1  # both lines pass through infinity
-        if b1 != 0 and b2 != 0 and b1 * d2 == b2 * d1:
-            shared = 2  # same finite foot as well
-        if b1 == 0 or b2 == 0:
-            # a horizontal line's only endpoint is infinity
-            shared = 1
-        return shared
-    line, circ = (c1, c2) if a1 == 0 else (c2, c1)
-    if line.circle.b == 0:
-        return 0  # horizontal line: endpoint only at infinity
-    x = Q(-line.circle.d) / Q(line.circle.b)
-    a, b, d = circ.circle.a, circ.circle.b, circ.circle.d
-    return 1 if a * x * x + b * x + d == 0 else 0
-
-
-def _shared_endpoints_float(c1: Curve, c2: Curve) -> int:
-    e1 = c1.endpoint_floats()
-    e2 = c2.endpoint_floats()
-    # a horocycle's single boundary point is its center, which counts
-    shared = 0
-    used = set()
-    for u in e1:
-        for j, v in enumerate(e2):
-            if j in used:
-                continue
-            if (math.isinf(u) and math.isinf(v)) or (
-                not math.isinf(u) and not math.isinf(v) and abs(u - v) <= EPS * max(1.0, abs(u))
-            ):
-                shared += 1
-                used.add(j)
-                break
-    return shared
-
-
-# -- float fallback ----------------------------------------------------------
-
-
-def _interior_meet_float(c1: Curve, c2: Curve):
-    a1, b1, c1_, d1 = (float(v) for v in c1.circle.coeffs())
-    a2, b2, c2_, d2 = (float(v) for v in c2.circle.coeffs())
-    if abs(a1) <= EPS and abs(a2) <= EPS:
-        det = b1 * c2_ - b2 * c1_
-        if abs(det) <= EPS:
-            return 0, False, ()
-        x = (c1_ * d2 - c2_ * d1) / det
-        y = (b2 * d1 - b1 * d2) / det
-        return (1, False, (UHPPoint(x, y, exact=False),)) if y > EPS else (0, False, ())
-    if abs(a1) <= EPS:
-        return _line_circle_float((b1, c1_, d1), (a2, b2, c2_, d2))
-    if abs(a2) <= EPS:
-        return _line_circle_float((b2, c2_, d2), (a1, b1, c1_, d1))
-    line = (a2 * b1 - a1 * b2, a2 * c1_ - a1 * c2_, a2 * d1 - a1 * d2)
-    return _line_circle_float(line, (a1, b1, c1_, d1))
-
-
-def _line_circle_float(line, circle):
-    B, C, D = line
-    a, b, c, d = circle
-    scale = max(abs(B), abs(C), abs(D))
-    if scale <= EPS:
-        return 0, False, ()
-    B, C, D = B / scale, C / scale, D / scale
-    if abs(C) <= EPS:
-        x0 = -D / B
-        E = a * x0 * x0 + b * x0 + d
-        disc = c * c - 4 * a * E
-        if disc < -EPS:
-            return 0, False, ()
-        if disc <= EPS:
-            y_star = -c / (2 * a)
-            return (1, True, (UHPPoint(x0, y_star, exact=False),)) if y_star > EPS else (0, False, ())
-        r = math.sqrt(disc)
-        pts = tuple(
-            UHPPoint(x0, y, exact=False)
-            for y in sorted(((-c - r) / (2 * a), (-c + r) / (2 * a)))
-            if y > EPS
-        )
-        return len(pts), False, pts
-    p2 = a * (B * B + C * C)
-    p1 = 2 * a * B * D + b * C * C - c * B * C
-    p0 = a * D * D - c * C * D + d * C * C
-    disc = p1 * p1 - 4 * p2 * p0
-    norm = max(abs(p1 * p1), abs(4 * p2 * p0), 1e-300)
-    if disc < -EPS * norm:
-        return 0, False, ()
-    if disc <= EPS * norm:
-        x_star = -p1 / (2 * p2)
-        y_star = -(B * x_star + D) / C
-        return (1, True, (UHPPoint(x_star, y_star, exact=False),)) if y_star > EPS else (0, False, ())
-    r = math.sqrt(disc)
-    pts = []
-    for x in sorted(((-p1 - r) / (2 * p2), (-p1 + r) / (2 * p2))):
-        y = -(B * x + D) / C
-        if y > EPS:
-            pts.append(UHPPoint(x, y, exact=False))
-    return len(pts), False, tuple(pts)
+    for s in roots:
+        t = _number(-t1, s, disc, 2 * q2)
+        u = _number(beta * t1 - 2 * q2 * D, -s * beta, disc, 2 * q2 * gamma)
+        points.append(UHPPoint(t, u) if along_x else UHPPoint(u, t))
+    if not along_x and falling:
+        points.reverse()  # ascending x
+    return n, tangent, tuple(points), on_axis
 
 
 # ---------------------------------------------------------------------------
@@ -381,23 +273,7 @@ def same_endpoints(c1: Curve, c2: Curve) -> bool:
     for c in (c1, c2):
         if c.kind is CurveKind.HOROCYCLE:
             raise InvalidInputError("same_endpoints needs two-endpoint curves")
-    if c1.exact and c2.exact:
-        a1, b1, d1 = c1.circle.a, c1.circle.b, c1.circle.d
-        a2, b2, d2 = c2.circle.a, c2.circle.b, c2.circle.d
-        if a1 != 0 and a2 != 0:
-            return a1 * b2 == a2 * b1 and a1 * d2 == a2 * d1
-        if a1 == 0 and a2 == 0:
-            if b1 == 0 or b2 == 0:
-                return b1 == 0 and b2 == 0  # horizontal: endpoint set {oo}
-            return b1 * d2 == b2 * d1
-        return False
-    e1, e2 = c1.endpoint_floats(), c2.endpoint_floats()
-    if len(e1) != len(e2):
-        return False
-    return all(
-        (math.isinf(u) and math.isinf(v)) or abs(u - v) <= EPS * max(1.0, abs(u))
-        for u, v in zip(e1, e2)
-    )
+    return c1 == c2 or intersection_pattern(c1, c2).shared_endpoints == 2
 
 
 # ---------------------------------------------------------------------------
@@ -502,7 +378,8 @@ def _signed_curvature_key(curve: Curve, point: UHPPoint, normal):
     ox, oy = -b / (2 * a), -c / (2 * a)
     nx, ny = normal
     side = (ox - point.x) * nx + (oy - point.y) * ny
-    assert side != 0, "tangent circle center cannot lie on the tangent line"
+    if side == 0:
+        raise HyperkError("tangent circle center cannot lie on the tangent line")
     s = 1 if side > 0 else -1
     nondeg = b * b + c * c - 4 * a * d
     return (s, 4 * a * a, nondeg)

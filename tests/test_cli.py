@@ -157,6 +157,7 @@ MALFORMED = [
     ("family", "--horocycle", "0,1"),
     ("family", "--horocycle", "0,1/0", "--hypercycle", "4,8,5,2"),
     ("verify", "order", "--seed", "x"),
+    ("render", "--preset", "dyadic", "--curves", "FILE", "-o", "a.svg"),
 ]
 
 

@@ -1,7 +1,12 @@
 import math
+import os
+import subprocess
+import sys
 
 import pytest
 
+import hyperk
+from hyperk import model
 from hyperk import (
     INFINITY,
     BoundaryPoint,
@@ -15,6 +20,7 @@ from hyperk import (
     make_geodesic,
     make_horocycle,
     make_hypercycle,
+    normalizer_from_images,
     parse_curve_text,
     rational_points,
     triple_normalizer,
@@ -74,6 +80,28 @@ class TestClassification:
         with pytest.raises(DegenerateResultError):
             make_hypercycle(F(-1), F(1), UHPPoint(0, 1))
 
+    def test_inexact_hypercycle_matches_exact_one(self):
+        exact = make_hypercycle(F(-1), F(3), UHPPoint(1, 3))
+        inexact = make_hypercycle(F(-1), F(3), UHPPoint(1.0, 3.0, exact=False))
+        assert not inexact.exact and inexact.kind is CurveKind.HYPERCYCLE
+        assert inexact.circle.coeffs() == pytest.approx(
+            model.GeneralizedCircle(*exact.circle.coeffs(), exact=False).coeffs()
+        )
+        with pytest.raises(DegenerateResultError):
+            make_hypercycle(F(-1), F(1), UHPPoint(0.0, 1.0, exact=False))
+        with pytest.raises(DegenerateResultError):
+            make_hypercycle(F(2), INFINITY, UHPPoint(2.0, 1.0, exact=False))
+
+    def test_inexact_horocycle(self):
+        h = make_horocycle(F(1), 0.5)
+        assert not h.exact and h.center == F(1) and h.size == pytest.approx(0.5)
+        assert make_horocycle(INFINITY, 2.0).size == pytest.approx(2.0)
+
+    def test_hypercycle_kind_check_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(model, "classify_curve", lambda circle: CurveKind.GEODESIC)
+        with pytest.raises(DegenerateResultError):
+            make_hypercycle(F(-1), F(1), UHPPoint(0, 2))
+
 
 class TestRoundTrip:
     def test_text(self):
@@ -116,6 +144,18 @@ class TestIsometry:
         monkeypatch.setattr(Isometry, "apply_circle", lambda self, circle: horocycle)
         with pytest.raises(DegenerateResultError):
             Isometry.identity().apply_curve(make_geodesic(F(0), F(1)))
+
+    def test_inexact_point_image(self):
+        m = Isometry(2, 1, 1, 1)
+        w = m.apply_point(UHPPoint(0.5, 1.5, exact=False))
+        v = m.apply_point(UHPPoint(Q(1, 2), Q(3, 2)))
+        assert not w.exact and v.exact and w == v
+
+    def test_inexact_point_image_under_huge_entries(self):
+        # a*d - b*c taken in floats cancels to 0 for entries near 2^300
+        m = Isometry(2**300 + 1, 1, 2**300, 1)
+        w = m.apply_point(UHPPoint(0.25, 2.0, exact=False))
+        assert w.y > 0
 
     def test_reversing_isometry(self):
         r = Isometry.reflection()
@@ -163,6 +203,17 @@ class TestDistance:
         g = make_geodesic(F(-1), F(1))
         assert distance_to_geodesic(UHPPoint(0, 1), g) == pytest.approx(0, abs=1e-12)
 
+    def test_equidistant_pair_needs_rational_endpoints(self):
+        g = curve_from_coeffs(1, 0, 0, -2)  # endpoints +-sqrt(2)
+        with pytest.raises(InvalidInputError):
+            equidistant_pair(g, 1.0, sinh_d=1)
+
+    def test_equidistant_kind_check_raises_without_assert(self, monkeypatch):
+        g = make_geodesic(F(-1), F(1))
+        monkeypatch.setattr(model, "classify_curve", lambda circle: CurveKind.GEODESIC)
+        with pytest.raises(DegenerateResultError):
+            equidistant_pair(g, 1.0, sinh_d=1)
+
     def test_equidistant_pair_symmetric(self):
         g = make_geodesic(F(0), INFINITY)
         lo, hi = equidistant_pair(g, 1.0)
@@ -170,3 +221,46 @@ class TestDistance:
             assert c.kind is CurveKind.HYPERCYCLE
             for p in rational_points(c, 20):
                 assert distance_to_geodesic(p, g) == pytest.approx(1.0, abs=1e-9)
+
+
+class TestNormalizerFromImages:
+    H0, HINF = make_horocycle(F(0), Q(1, 2)), make_horocycle(INFINITY, 1)
+
+    def test_canonical_pair_is_fixed(self):
+        assert normalizer_from_images(self.H0, self.HINF) == Isometry.identity()
+
+    def test_contact_off_axis_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(Isometry, "apply_point", lambda self, z: UHPPoint(1, 1))
+        with pytest.raises(HyperkError):
+            normalizer_from_images(self.H0, self.HINF)
+
+    def test_wrong_image_of_first_horocycle_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(Isometry, "apply_curve", lambda self, c: TestNormalizerFromImages.HINF)
+        with pytest.raises(HyperkError):
+            normalizer_from_images(self.H0, self.HINF)
+
+    def test_wrong_image_of_second_horocycle_raises_without_assert(self, monkeypatch):
+        monkeypatch.setattr(Isometry, "apply_curve", lambda self, c: TestNormalizerFromImages.H0)
+        with pytest.raises(HyperkError):
+            normalizer_from_images(self.H0, self.HINF)
+
+
+def test_invariant_survives_python_O():
+    # under -O an assert would vanish and the irrational root would surface
+    # later as a TypeError
+    code = (
+        "from hyperk import curve_from_coeffs, equidistant_pair\n"
+        "from hyperk.errors import InvalidInputError\n"
+        "assert False, 'asserts are on'\n"
+        "try:\n"
+        "    equidistant_pair(curve_from_coeffs(1, 0, 0, -2), 1.0, sinh_d=1)\n"
+        "except InvalidInputError:\n"
+        "    print('raised')\n"
+    )
+    src = os.path.dirname(os.path.dirname(hyperk.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "raised"
