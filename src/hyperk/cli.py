@@ -266,6 +266,8 @@ def _read_curves(path: str) -> List[Curve]:
 
 def cmd_graph(args, out: _Output) -> int:
     curves = _read_curves(args.curves)
+    if not curves:
+        raise InvalidInputError(f"{args.curves}: the file has no curves")
     g = build_graph(curves, allow_mixed=args.mixed)
     out.emit(g.to_text(), g.to_record())
     if args.autos:
@@ -430,6 +432,16 @@ def cmd_render(args, out: _Output) -> int:
     return EXIT_OK
 
 
+def _nonnegative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = -1
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hyperk",
@@ -490,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("suite", choices=tuple(SUITES) + ("all",))
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=("small", "full"), default="small")
-    p.add_argument("--depth", type=int, default=6)
+    p.add_argument("--depth", type=_nonnegative_int, default=6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="emit a deterministic SVG scene")

@@ -52,7 +52,9 @@ class BoundaryPoint:
         return self.value == other.value
 
     def __hash__(self):
-        return hash(("bp", self.value))
+        # hash the reduced pair: Fraction.__hash__ takes a modular inverse
+        v = self.value
+        return hash(None if v is None else (v.numerator, v.denominator))
 
     def __repr__(self):
         return "oo" if self.is_infinity else q_str(self.value)
@@ -719,26 +721,31 @@ def triple_normalizer(src, dst) -> Isometry:
 
 
 def distance_to_geodesic(z: UHPPoint, g: Curve) -> float:
-    """Hyperbolic distance from z to the geodesic g: arcsinh(|x|/y) after
-    normalizing g to the imaginary axis."""
+    """Hyperbolic distance from z to the geodesic g.
+
+    Read off the carrier a(x^2+y^2) + bx + d = 0 of g: sinh(dist) =
+    |a(x^2+y^2) + bx + d| / (y sqrt(b^2 - 4ad)).  For an exact point and
+    geodesic, sinh(dist)^2 is formed exactly and rounded once.
+    """
     if g.kind is not CurveKind.GEODESIC:
         raise InvalidInputError("distance_to_geodesic needs a geodesic")
-    p, q = g.endpoints
-    iso = _geodesic_to_axis(p, q)
-    w = iso.apply_point(z)
-    return math.asinh(abs(float(w.x)) / float(w.y))
-
-
-def _geodesic_to_axis(p: BoundaryPoint, q: BoundaryPoint) -> Isometry:
-    """Isometry sending the geodesic (p, q) to the imaginary axis (0, oo)."""
-    if q.is_infinity:
-        return Isometry.translation(-p.value)
-    if p.is_infinity:
-        return Isometry.translation(-q.value)
-    # z -> (z - p)/(q - z): p -> 0, q -> oo; det = q - p
-    if q.value > p.value:
-        return Isometry(1, -p.value, -1, q.value)
-    return Isometry(1, -q.value, -1, p.value)
+    a, b, _, d = g.circle.coeffs()
+    disc = b * b - 4 * a * d
+    if not (z.exact and g.exact):
+        x, y = z.as_floats()
+        a, b, d = float(a), float(b), float(d)
+        return math.asinh(abs(a * (x * x + y * y) + b * x + d) / (y * math.sqrt(disc)))
+    # x = p/q, y = r/s: sinh(dist) = |n| / (q^2 s r sqrt(disc)) with
+    # n = a(p^2 s^2 + r^2 q^2) + b p q s^2 + d q^2 s^2
+    p, q = z.x.numerator, z.x.denominator
+    r, s = z.y.numerator, z.y.denominator
+    qs = q * s
+    n = a * (p * p * s * s + r * r * q * q) + (b * p + d * q) * q * s * s
+    num, den = n * n, qs * qs * q * q * r * r * disc
+    try:
+        return math.asinh(math.sqrt(num / den))
+    except OverflowError:  # sinh(dist) beyond the float range: asinh u ~ log 2u
+        return 0.5 * (math.log(num) - math.log(den)) + math.log(2)
 
 
 def equidistant_pair(g: Curve, d, sinh_d=None):
@@ -804,10 +811,11 @@ def rational_points(curve: Curve, count: int):
     """
     if not curve.exact:
         raise InvalidInputError("rational sampling needs an exact curve")
-    a, b, c, d = (Q(v) for v in curve.circle.coeffs())
+    a, b, c, d = curve.circle.coeffs()
     points = []
     if a == 0:
         # line b x + c y + d = 0
+        b, c, d = Q(b), Q(c), Q(d)
         if c == 0:
             k = 1
             while len(points) < count:
@@ -827,27 +835,34 @@ def rational_points(curve: Curve, count: int):
     x0 = _base_boundary_point(curve)
     # chord of slope t through (x0, 0); the second intersection is rational.
     # Slopes +-p/q are enumerated over all coprime pairs with max(p, q) = k
-    # so the sample set is dense in every sub-arc as count grows.
+    # so the sample set is dense in every sub-arc as count grows.  With
+    # x0 = e/f and t = p/q the second point is ((e a m - q n)/w, -p n/w),
+    # where m = p^2 + q^2, n = q(2ae + bf) + cpf and w = a f m.
+    e, f = x0.numerator, x0.denominator
+    base = 2 * a * e + b * f
+    seen = set()
     k = 1
     while len(points) < count:
         slopes = []
         for den in range(1, k + 1):
             if math.gcd(k, den) != 1:
                 continue
-            slopes.extend((Q(k, den), Q(-k, den)))
+            slopes.extend(((k, den), (-k, den)))
             if den != k:
-                slopes.extend((Q(den, k), Q(-den, k)))
-        for t in slopes:
-            u = -(2 * a * x0 + b + c * t) / (a * (1 + t * t))
-            if u == 0:
-                continue
-            x, y = x0 + u, t * u
-            if y > 0:
-                pt = UHPPoint(x, y)
-                if pt not in points:
-                    points.append(pt)
-                    if len(points) >= count:
-                        break
+                slopes.extend(((den, k), (-den, k)))
+        for p, q in slopes:
+            n = q * base + c * p * f
+            m = p * p + q * q
+            w = a * f * m
+            if n == 0 or (-p * n > 0) != (w > 0):
+                continue  # the base point itself, or below the axis
+            x, y = Fraction(e * a * m - q * n, w), Fraction(-p * n, w)
+            key = (x.numerator, x.denominator, y.numerator, y.denominator)
+            if key not in seen:
+                seen.add(key)
+                points.append(UHPPoint(x, y, exact=True))
+                if len(points) >= count:
+                    break
         k += 1
         if k > 40 * count + 40:
             raise InvalidInputError("could not find enough rational points")

@@ -99,11 +99,23 @@ def _pair_coeffs(c1: Curve, c2: Curve):
     """
     if c1.exact and c2.exact:
         return c1.circle.coeffs(), c2.circle.coeffs(), 0
-    k1, k2 = ([float(v) for v in c.circle.coeffs()] for c in (c1, c2))
+    k1, k2 = (_float_coeffs(c) for c in (c1, c2))
     for k in (k1, k2):
         if abs(k[0]) <= EPS:
             k[0] = 0.0
     return k1, k2, EPS
+
+
+def _float_coeffs(curve: Curve):
+    """The circle's coefficients as floats.  An exact circle's integers are
+    first shifted right by a common power of two, down to 64 bits, so that
+    neither float() nor the products of the sign tests overflow."""
+    k = curve.circle.coeffs()
+    if curve.exact:
+        shift = max(abs(v).bit_length() for v in k) - 64
+        if shift > 0:
+            k = [v >> shift for v in k]
+    return [float(v) for v in k]
 
 
 def _number(m, n, disc, w):
@@ -318,38 +330,25 @@ def linked(pair1, pair2) -> bool:
 
     {a, b} and {c, d} (all distinct) are linked when exactly one of c, d
     lies on each arc determined by a and b.  Pairs sharing a point are not
-    linked.
+    linked.  Decided by order comparisons on R u {oo}, with oo above every
+    real: the arcs cut by a < b are the open interval (a, b) and the rest.
     """
-    p = tuple(pair1)
-    q = tuple(pair2)
-    if len(set(p)) != 2 or len(set(q)) != 2:
+    p, q = tuple(pair1), tuple(pair2)
+    if len(p) != 2 or len(q) != 2 or p[0] == p[1] or q[0] == q[1]:
         raise InvalidInputError("linked needs two pairs of distinct points")
-    if set(p) & set(q):
-        return False
-
-    def inside(point: BoundaryPoint, a: BoundaryPoint, b: BoundaryPoint) -> bool:
-        # is `point` in the finite open interval (a, b)?  (oo is never inside
-        # a finite interval; intervals with an infinite end are the
-        # complementary rays)
-        if a.is_infinity or b.is_infinity:
-            raise AssertionError("handled by caller")
-        lo, hi = min(a.value, b.value), max(a.value, b.value)
-        return (not point.is_infinity) and lo < point.value < hi
-
     a, b = p
     c, d = q
-    if a.is_infinity or b.is_infinity:
-        f = (b if a.is_infinity else a).value
-        # arcs determined by {oo, f} are the rays x < f and x > f
-        if c.is_infinity or d.is_infinity:
-            return False  # ruled out: pairs would share oo
-        return (c.value - f) * (d.value - f) < 0
-    if c.is_infinity or d.is_infinity:
-        fin = (d if c.is_infinity else c)
-        # {c, d} = {oo, fin}: linked iff fin separates from oo's side, i.e.
-        # fin strictly inside (a, b) -- oo is always outside
-        return inside(fin, a, b)
-    return inside(c, a, b) != inside(d, a, b)
+    if c == a or c == b or d == a or d == b:
+        return False
+    if a.is_infinity or (not b.is_infinity and b.value < a.value):
+        a, b = b, a  # now a is finite and a < b
+
+    def inside(point: BoundaryPoint) -> bool:
+        return not point.is_infinity and a.value < point.value and (
+            b.is_infinity or point.value < b.value
+        )
+
+    return inside(c) != inside(d)
 
 
 def geodesics_linked(g1: Curve, g2: Curve) -> bool:

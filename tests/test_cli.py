@@ -157,12 +157,37 @@ MALFORMED = [
     ("family", "--horocycle", "0,1"),
     ("family", "--horocycle", "0,1/0", "--hypercycle", "4,8,5,2"),
     ("verify", "order", "--seed", "x"),
+    ("verify", "dyadic", "--depth", "-1"),
     ("render", "--preset", "dyadic", "--curves", "FILE", "-o", "a.svg"),
+    ("graph", "--curves", "BADTEXT"),
+    ("graph", "--curves", "DUPLICATES"),
+    ("graph", "--curves", "EMPTY"),
+    ("render", "--curves", "BADTEXT", "-o", "a.svg"),
 ]
+
+#: curve files that MALFORMED names by placeholder
+CURVE_FILES = {
+    "BADTEXT": "horocycle a=1 b=0\n",
+    "DUPLICATES": "horocycle a=1 b=0 c=-1 d=0\nhorocycle a=1 b=0 c=-1 d=0\n",
+    "EMPTY": "# no curves\n",
+}
 
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
-def test_malformed_input_exits_2_without_traceback(capsys, argv):
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
+    files = {}
+    for name, text in CURVE_FILES.items():
+        files[name] = tmp_path / name
+        files[name].write_text(text)
+    argv = [str(files.get(a, a)) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert "Traceback" not in err
+
+
+def test_graph_of_empty_file_says_so(capsys, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("")
+    code, _, err = run(capsys, "graph", "--curves", str(f))
+    assert code == 2
+    assert "no curves" in err and "mixed" not in err

@@ -1,5 +1,8 @@
+import itertools
+
 import pytest
 
+from hyperk import constructions
 from hyperk import (
     INFINITY,
     BoundaryPoint,
@@ -15,6 +18,7 @@ from hyperk import (
     four_geodesic_config,
     hyp1_witness,
     intersection_pattern,
+    linked,
     make_geodesic,
     make_horocycle,
     make_hypercycle,
@@ -103,6 +107,51 @@ class TestFourGeodesics:
     def test_rejects_bad_order(self):
         with pytest.raises(InvalidInputError):
             four_geodesic_config(F(0), F(2), F(1), F(3))
+
+    def test_model_is_checked_once(self, monkeypatch):
+        calls = []
+
+        def counting_linked(p, q):
+            calls.append((p, q))
+            return linked(p, q)
+
+        monkeypatch.setattr(constructions, "linked", counting_linked)
+        constructions._check_crossing_model.cache_clear()
+        cfg = four_geodesic_config(F(0), F(1), F(2), F(3))
+        assert len(calls) == 4 + 4 * 66  # property 1, then 66 probes
+        calls.clear()
+        cfg = four_geodesic_config(F(-5), F(Q(1, 3)), INFINITY, F(-7))
+        assert calls == []
+        assert cfg.properties_verified
+        assert cfg.g1 == make_geodesic(F(-5), F(Q(1, 3)))
+        assert cfg.h2 == make_geodesic(F(Q(1, 3)), F(-7))
+        with pytest.raises(InvalidInputError):
+            four_geodesic_config(F(0), F(1), F(0), F(3))
+        with pytest.raises(InvalidInputError):
+            four_geodesic_config(F(0), INFINITY, F(1), F(2))
+        assert calls == []
+
+    def test_accepts_exactly_the_cyclic_orders(self):
+        for pool in ((F(-1), F(0), F(Q(5, 2)), F(7)), (F(-1), F(0), F(2), INFINITY)):
+            for pts in itertools.product(pool, repeat=4):
+                try:
+                    four_geodesic_config(*pts)
+                    accepted = True
+                except InvalidInputError:
+                    accepted = False
+                assert accepted == _oracle_in_cyclic_order(pts), pts
+
+
+def _oracle_in_cyclic_order(points) -> bool:
+    """Distinct points that some rotation lists in increasing order, oo last."""
+    if len(set(points)) != len(points):
+        return False
+    for shift in range(len(points)):
+        rot = points[shift:] + points[:shift]
+        keys = [p.sort_key() for p in rot]
+        if keys == sorted(keys):
+            return True
+    return False
 
 
 class TestCenterSwap:

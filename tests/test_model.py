@@ -1,7 +1,9 @@
 import math
 import os
+import random
 import subprocess
 import sys
+from fractions import Fraction
 
 import pytest
 
@@ -27,6 +29,7 @@ from hyperk import (
     two_point_normalizer,
 )
 from hyperk.errors import DegenerateResultError, HyperkError, InvalidInputError
+from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q
 
 F = BoundaryPoint.finite
 
@@ -188,6 +191,11 @@ class TestSampling:
         for p in pts:
             assert c.circle.contains_point(p.x, p.y)
 
+    def test_rational_points_of_large_count_are_distinct(self):
+        c = make_horocycle(F(Q(1, 3)), Q(5, 4))
+        pts = rational_points(c, 2000)
+        assert len({(p.x, p.y) for p in pts}) == 2000
+
     def test_rational_points_cover_both_sides_of_major_arc(self):
         # circle bulging past its endpoints: samples must reach both
         # extremes of the arc, not only the span between the endpoints
@@ -202,6 +210,26 @@ class TestDistance:
     def test_distance_zero_on_geodesic(self):
         g = make_geodesic(F(-1), F(1))
         assert distance_to_geodesic(UHPPoint(0, 1), g) == pytest.approx(0, abs=1e-12)
+
+    def test_geodesic_with_irrational_endpoints(self):
+        g = curve_from_coeffs(1, 0, 0, -2)  # endpoints +-sqrt(2)
+        # the imaginary axis meets g orthogonally at i sqrt(2)
+        half_log2 = 0.5 * math.log(2)
+        assert distance_to_geodesic(UHPPoint(0, 1), g) == pytest.approx(half_log2, rel=1e-15)
+        assert distance_to_geodesic(UHPPoint(0, 2), g) == pytest.approx(half_log2, rel=1e-15)
+        assert distance_to_geodesic(UHPPoint(1, 1), g) == 0.0
+        assert distance_to_geodesic(UHPPoint(0.0, 1.0), g) == pytest.approx(half_log2, rel=1e-15)
+
+    def test_distance_beyond_float_range_of_sinh(self):
+        # sinh(dist) = 10^200, so its square is past the float range
+        g = make_geodesic(F(1), INFINITY)
+        z = UHPPoint(0, Q(1, 10**200))
+        assert distance_to_geodesic(z, g) == pytest.approx(math.log(2) + 200 * math.log(10))
+
+    def test_huge_coefficients(self):
+        g = Isometry(2**600 + 1, 1, 2**600, 1).apply_curve(make_geodesic(F(-1), F(3)))
+        z = UHPPoint(1, Q(1, 2**600))
+        assert distance_to_geodesic(z, g) == pytest.approx(_oracle_distance_to_geodesic(z, g))
 
     def test_equidistant_pair_needs_rational_endpoints(self):
         g = curve_from_coeffs(1, 0, 0, -2)  # endpoints +-sqrt(2)
@@ -221,6 +249,120 @@ class TestDistance:
             assert c.kind is CurveKind.HYPERCYCLE
             for p in rational_points(c, 20):
                 assert distance_to_geodesic(p, g) == pytest.approx(1.0, abs=1e-9)
+
+
+def _oracle_geodesic_to_axis(p: BoundaryPoint, q: BoundaryPoint) -> Isometry:
+    """The replaced route: an isometry sending the geodesic (p, q) to the
+    imaginary axis (0, oo)."""
+    if q.is_infinity:
+        return Isometry.translation(-p.value)
+    if p.is_infinity:
+        return Isometry.translation(-q.value)
+    if q.value > p.value:
+        return Isometry(1, -p.value, -1, q.value)
+    return Isometry(1, -q.value, -1, p.value)
+
+
+def _oracle_distance_to_geodesic(z: UHPPoint, g) -> float:
+    w = _oracle_geodesic_to_axis(*g.endpoints).apply_point(z)
+    return math.asinh(abs(float(w.x)) / float(w.y))
+
+
+def _oracle_rational_points(curve, count: int):
+    """The replaced sampler: Fraction chords, deduplicated against a list."""
+    a, b, c, d = (Q(v) for v in curve.circle.coeffs())
+    points = []
+    if a == 0:
+        if c == 0:
+            return [UHPPoint(-d / b, Q(k)) for k in range(1, count + 1)]
+        t = 1
+        while len(points) < count:
+            for x in (Q(t), Q(-t), Q(1, t + 1), Q(-1, t + 1)):
+                y = -(b * x + d) / c
+                if y > 0:
+                    points.append(UHPPoint(x, y))
+                    if len(points) >= count:
+                        break
+            t += 1
+        return points
+    x0 = model._base_boundary_point(curve)
+    k = 1
+    while len(points) < count:
+        slopes = []
+        for den in range(1, k + 1):
+            if math.gcd(k, den) != 1:
+                continue
+            slopes.extend((Q(k, den), Q(-k, den)))
+            if den != k:
+                slopes.extend((Q(den, k), Q(-den, k)))
+        for t in slopes:
+            u = -(2 * a * x0 + b + c * t) / (a * (1 + t * t))
+            if u == 0:
+                continue
+            x, y = x0 + u, t * u
+            if y > 0:
+                pt = UHPPoint(x, y)
+                if pt not in points:
+                    points.append(pt)
+                    if len(points) >= count:
+                        break
+        k += 1
+    return points
+
+
+def _sampling_corpus():
+    """Seeded curves of every kind: random curves, their isometry images
+    (oblique lines among them), vertical geodesics, horocycles at oo, and
+    both curves of equidistant pairs."""
+    rng = random.Random(4101)
+    curves = [make_geodesic(F(rand_q(rng)), INFINITY), make_horocycle(INFINITY, Q(3, 2))]
+    curves.append(make_hypercycle(F(1), INFINITY, UHPPoint(Q(-1, 2), 2)))
+    curves.append(make_hypercycle(F(-2), F(3), UHPPoint(Q(1, 2), Q(1, 7))))
+    for _ in range(30):
+        c = rand_curve(rng)
+        curves += [c, rand_isometry(rng).apply_curve(c)]
+    for _ in range(12):
+        g = rand_geodesic(rng)
+        d = rng.uniform(0.1, 2.0)
+        curves += equidistant_pair(g, d)
+        curves += equidistant_pair(g, d, sinh_d=rand_q(rng, 1, 5, 7) + Q(1, 9))
+    return curves
+
+
+def test_rational_points_match_oracle():
+    kinds = set()
+    for c in _sampling_corpus():
+        kinds.add((c.kind, c.circle.a == 0, c.circle.c == 0))
+        pts = rational_points(c, 40)
+        old = _oracle_rational_points(c, 40)
+        assert [(p.x, p.y, p.exact) for p in pts] == [(p.x, p.y, p.exact) for p in old]
+        assert all(isinstance(v, Fraction) for p in pts for v in (p.x, p.y))
+    # circles and lines of every kind, vertical and oblique lines included
+    assert {k for k, _, _ in kinds} == {
+        CurveKind.GEODESIC, CurveKind.HOROCYCLE, CurveKind.HYPERCYCLE
+    }
+    assert (CurveKind.GEODESIC, True, True) in kinds
+    assert (CurveKind.HYPERCYCLE, True, False) in kinds
+
+
+def test_distance_matches_oracle():
+    rng = random.Random(4102)
+    geodesics = [make_geodesic(F(rand_q(rng)), INFINITY) for _ in range(6)]
+    geodesics += [make_geodesic(INFINITY, F(rand_q(rng))) for _ in range(3)]
+    geodesics += [rand_geodesic(rng) for _ in range(30)]
+    checked = 0
+    for g in geodesics:
+        d = rng.uniform(0.05, 3.0)
+        points = [UHPPoint(rand_q(rng), abs(rand_q(rng)) + Q(1, 50)) for _ in range(10)]
+        points += [UHPPoint(rng.uniform(-5, 5), rng.uniform(0.01, 5)) for _ in range(5)]
+        for c in equidistant_pair(g, d):
+            points += rational_points(c, 10)
+        points += rational_points(g, 5)
+        for z in points:
+            new, old = distance_to_geodesic(z, g), _oracle_distance_to_geodesic(z, g)
+            assert new == pytest.approx(old, rel=1e-12, abs=1e-15)
+            checked += 1
+    assert checked > 1000
 
 
 class TestNormalizerFromImages:

@@ -700,3 +700,72 @@ def test_tangency_key_raises_without_assert():
     h = curve_from_coeffs(1, 0, -2, 0)  # horocycle at 0 through (0, 2)
     with pytest.raises(HyperkError):
         predicates._signed_curvature_key(h, UHPPoint(0, 2), (1, 0))
+
+
+def _oracle_linked(pair1, pair2) -> bool:
+    """The replaced `linked`: set operations over the boundary points."""
+    p, q = tuple(pair1), tuple(pair2)
+    if len(set(p)) != 2 or len(set(q)) != 2:
+        raise InvalidInputError("linked needs two pairs of distinct points")
+    if set(p) & set(q):
+        return False
+
+    def inside(point, a, b):
+        lo, hi = min(a.value, b.value), max(a.value, b.value)
+        return (not point.is_infinity) and lo < point.value < hi
+
+    a, b = p
+    c, d = q
+    if a.is_infinity or b.is_infinity:
+        f = (b if a.is_infinity else a).value
+        return (c.value - f) * (d.value - f) < 0
+    if c.is_infinity or d.is_infinity:
+        return inside(d if c.is_infinity else c, a, b)
+    return inside(c, a, b) != inside(d, a, b)
+
+
+def _linked_or_error(linked_fn, p, q):
+    try:
+        return linked_fn(p, q)
+    except InvalidInputError:
+        return "error"
+
+
+def test_linked_matches_oracle_on_every_ordering():
+    pool = (F(-3), F(Q(-1, 2)), F(0), F(Q(7, 3)), F(5), INFINITY)
+    seen = set()
+    for a, b, c, d in itertools.product(pool, repeat=4):
+        # fresh but equal objects, so equality is never identity
+        p = (BoundaryPoint(a.value), BoundaryPoint(b.value))
+        q = (BoundaryPoint(c.value), BoundaryPoint(d.value))
+        got = _linked_or_error(linked, p, q)
+        assert got == _linked_or_error(_oracle_linked, p, q), (p, q)
+        seen.add(got)
+    assert seen == {True, False, "error"}
+
+
+def test_boundary_point_hash_agrees_with_equality():
+    same = [BoundaryPoint(Q(2, 4)), F(Q(1, 2)), BoundaryPoint(Q(-3, -6))]
+    assert len({hash(p) for p in same}) == 1 and len(set(same)) == 1
+    assert len({F(0), F(1), F(-1), INFINITY, BoundaryPoint(None), F(Q(1, 2))}) == 5
+
+
+def test_exact_curve_beyond_float_range_with_inexact_curve():
+    # an exact curve's integers past 2^1024 met by an inexact curve: float()
+    # of the integers overflowed
+    big = Isometry(2**600 + 1, 1, 2**600, 1).apply_curve(make_geodesic(F(-1), F(3)))
+    assert max(abs(v) for v in big.circle.coeffs()).bit_length() > 1100
+    p = intersection_pattern(big, make_horocycle(F(0), 0.5))
+    assert (p.interior_count, p.tangent, p.shared_endpoints, p.exact) == (0, False, 0, False)
+    # a geodesic over (1/3, 2) up to about 2^-1100, whose coefficients are
+    # huge but whose geometry is not, met by the float horocycle at 1
+    q = 2**1100
+    wide = make_geodesic(F(Q(q + 1, 3 * q)), F(Q(2 * q + 1, q)))
+    assert max(abs(v) for v in wide.circle.coeffs()).bit_length() > 2000
+    for h in (make_horocycle(F(1), 0.5), make_horocycle(INFINITY, 0.25)):
+        small = intersection_pattern(make_geodesic(F(Q(1, 3)), F(2)), h)
+        p = intersection_pattern(wide, h)
+        assert (p.interior_count, p.tangent, p.shared_endpoints) == (2, False, 0)
+        assert (small.interior_count, small.tangent, small.shared_endpoints) == (2, False, 0)
+        for u, v in zip(p.interior_points, small.interior_points):
+            assert u == v
