@@ -138,21 +138,29 @@ def _cocircular_exact(points: Sequence[UHPPoint]) -> PointwiseImageResult:
     """Exact rank test: do all points satisfy one generalized-circle
     equation a(x^2+y^2)+bx+cy+d = 0?  Rank of the incidence rows
     [x^2+y^2, x, y, 1] at most 3 iff yes; otherwise four points spanning
-    rank 4 are the witness."""
-    pivots: List[Tuple[List[Q], UHPPoint]] = []
+    rank 4 are the witness.
+
+    Each row is scaled to integers and reduced fraction-free: a step
+    replaces it by a nonzero multiple of what elimination over Q gives, so
+    the pivots and the witness are the same."""
+    pivots: List[Tuple[List[int], int, UHPPoint]] = []
     for pt in points:
         x, y = Q(pt.x), Q(pt.y)
-        row = [x * x + y * y, x, y, Q(1)]
-        for prow, _src in pivots:
-            lead = next(i for i, v in enumerate(prow) if v != 0)
-            if row[lead] != 0:
-                f = row[lead] / prow[lead]
-                row = [r - f * p for r, p in zip(row, prow)]
-        if any(v != 0 for v in row):
-            pivots.append((row, pt))
+        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+        row = [(xn * yd) ** 2 + (yn * xd) ** 2, xn * xd * yd * yd,
+               yn * yd * xd * xd, (xd * yd) ** 2]
+        for prow, lead, _src in pivots:
+            f = row[lead]
+            if f:
+                g = prow[lead]
+                row = [r * g - f * p for r, p in zip(row, prow)]
+        lead = next((i for i, v in enumerate(row) if v), None)
+        if lead is not None:
+            g = math.gcd(*row)
+            pivots.append(([v // g for v in row], lead, pt))
             if len(pivots) == 4:
                 return PointwiseImageResult(
-                    False, tuple(src for _row, src in pivots)
+                    False, tuple(src for _row, _lead, src in pivots)
                 )
     return PointwiseImageResult(True)
 

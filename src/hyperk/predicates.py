@@ -94,28 +94,45 @@ def _pair_coeffs(c1: Curve, c2: Curve):
     """Coefficients of both circles and the tolerance of every sign test.
 
     Two exact curves keep their integers and tolerance 0.  Otherwise the
-    coefficients become floats, a circle with |a| <= EPS is taken as the
-    line it is within tolerance, and the tolerance is EPS.
+    coefficients become floats, an inexact circle with |a| <= EPS is taken
+    as the line it is within tolerance, and the tolerance is EPS.
     """
     if c1.exact and c2.exact:
         return c1.circle.coeffs(), c2.circle.coeffs(), 0
-    k1, k2 = (_float_coeffs(c) for c in (c1, c2))
-    for k in (k1, k2):
-        if abs(k[0]) <= EPS:
+    k1, k2 = (list(c.circle.coeffs()) for c in (c1, c2))
+    for c, k in ((c1, k1), (c2, k2)):
+        if not c.exact and abs(k[0]) <= EPS:
             k[0] = 0.0
+    scale = bool(k1[0] or k2[0])  # not two lines
+    for c, k in ((c1, k1), (c2, k2)):
+        if c.exact:
+            k[:] = _int_floats(k, scale)
     return k1, k2, EPS
 
 
-def _float_coeffs(curve: Curve):
-    """The circle's coefficients as floats.  An exact circle's integers are
-    first shifted right by a common power of two, down to 64 bits, so that
-    neither float() nor the products of the sign tests overflow."""
-    k = curve.circle.coeffs()
-    if curve.exact:
-        shift = max(abs(v).bit_length() for v in k) - 64
-        if shift > 0:
-            k = [v >> shift for v in k]
-    return [float(v) for v in k]
+# The sign tests on a circle multiply at most six coefficients of the exact
+# curve (the inexact curve's are at most 1), so below 2^_FLOAT_BITS every
+# product stays under 2^1010.
+_FLOAT_BITS = 166
+
+
+def _int_floats(k, scale: bool):
+    """The integers k as floats; with `scale`, divided by a common power of
+    two when they are too large for the sign tests on a circle.
+
+    Each quotient is correctly rounded, so it keeps the relative precision
+    float() would give, and every sign test on a circle is homogeneous in
+    the coefficients: the scale changes no answer while nothing underflows.
+    Two lines are not scaled, since their determinant is compared with an
+    absolute tolerance.
+    """
+    shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
+    if shift <= 0:
+        return [float(v) for v in k]
+    floats = [v / (1 << shift) for v in k]
+    if any(v and not f for v, f in zip(k, floats)):
+        raise InvalidInputError("circle coefficients span more than the float range")
+    return floats
 
 
 def _number(m, n, disc, w):

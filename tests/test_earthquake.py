@@ -19,7 +19,9 @@ from hyperk import (
     pointwise_image_is_curve,
     tangency_realizability,
 )
+from hyperk import earthquake
 from hyperk.model import Isometry
+from hyperk.verify import run_suite
 
 F = BoundaryPoint.finite
 
@@ -110,3 +112,56 @@ class TestRealizability:
         )
         for con in res.cycle:
             assert 0 <= con.i < 4 and 0 <= con.j < 4
+
+
+def _oracle_cocircular_exact(points):
+    """The replaced rank test: elimination over Q."""
+    pivots = []
+    for pt in points:
+        x, y = Q(pt.x), Q(pt.y)
+        row = [x * x + y * y, x, y, Q(1)]
+        for prow, _src in pivots:
+            lead = next(i for i, v in enumerate(prow) if v != 0)
+            if row[lead] != 0:
+                f = row[lead] / prow[lead]
+                row = [r - f * p for r, p in zip(row, prow)]
+        if any(v != 0 for v in row):
+            pivots.append((row, pt))
+            if len(pivots) == 4:
+                return earthquake.PointwiseImageResult(
+                    False, tuple(src for _row, src in pivots)
+                )
+    return earthquake.PointwiseImageResult(True)
+
+
+def test_cocircular_rank_test_matches_oracle(monkeypatch):
+    # every point list the earthquake suite tests, plus lines, repeats,
+    # float coordinates and a late outlier
+    lists = []
+    original = earthquake._cocircular_exact
+
+    def spy(points):
+        lists.append(list(points))
+        return original(points)
+
+    monkeypatch.setattr(earthquake, "_cocircular_exact", spy)
+    run_suite("earthquake", seed=5)
+    monkeypatch.undo()
+    line = [UHPPoint(Q(k, 3), Q(2 * k + 1, 5)) for k in range(1, 9)]
+    circle = [UHPPoint(Q(3 * (1 - t * t), 1 + t * t), Q(6 * t, 1 + t * t))
+              for t in (Q(1, 7), Q(1, 2), 1, 2, 3, Q(9, 2))]
+    lists += [
+        line,
+        line + [UHPPoint(1, 1)],
+        circle,
+        circle[:3] + circle[:3] + [UHPPoint(0, Q(1, 2))] + circle[3:],
+        [UHPPoint(0.5, 0.25, exact=False), UHPPoint(1.5, 2.0, exact=False),
+         UHPPoint(-3.0, 0.125, exact=False), UHPPoint(7.0, 1.0, exact=False)],
+        circle[:2],
+    ]
+    results = set()
+    for pts in lists:
+        got, want = earthquake._cocircular_exact(pts), _oracle_cocircular_exact(pts)
+        assert got == want, pts
+        results.add(got.is_curve)
+    assert len(lists) > 200 and results == {True, False}

@@ -769,3 +769,70 @@ def test_exact_curve_beyond_float_range_with_inexact_curve():
         assert (small.interior_count, small.tangent, small.shared_endpoints) == (2, False, 0)
         for u, v in zip(p.interior_points, small.interior_points):
             assert u == v
+
+
+def _float_route_pattern(monkeypatch, c1, c2):
+    """The pattern of a pair with an inexact curve when every exact
+    coefficient goes through float() unscaled."""
+
+    def plain(c1, c2):
+        k1, k2 = ([float(v) for v in c.circle.coeffs()] for c in (c1, c2))
+        for k in (k1, k2):
+            if abs(k[0]) <= EPS:
+                k[0] = 0.0
+        return k1, k2, EPS
+
+    with monkeypatch.context() as m:
+        m.setattr(predicates, "_pair_coeffs", plain)
+        return _pattern(c1, c2)
+
+
+def test_exact_curve_of_wide_coefficients_with_inexact_curve(monkeypatch):
+    # the geodesic over (2^39, 3 2^39) has a = 1 beside d = 3 2^78; a right
+    # shift of the integers to 64 bits made a = 0, a vertical line
+    g = make_geodesic(F(2**39), F(3 * 2**39))
+    for h in (make_horocycle(INFINITY, 1e4), make_horocycle(INFINITY, 1.0)):
+        p = intersection_pattern(g, h)
+        assert (p.interior_count, p.tangent, p.shared_endpoints) == (2, False, 0)
+        xs = [q.as_floats()[0] for q in p.interior_points]
+        assert xs == pytest.approx([2**39, 3 * 2**39])
+    # exact curves with coefficients of very different sizes against inexact
+    # curves of every kind agree with unscaled float(), wherever the
+    # products of the sign tests stay finite with it: below 2^166 for two
+    # circles (six exact factors), far beyond it with a line
+    exact = []
+    for k in (20, 39, 60, 80, 120, 160, 200):
+        exact += [
+            make_geodesic(F(2**k), F(3 * 2**k)),
+            make_geodesic(F(Q(1, 2**k)), F(Q(1, 2 ** (k - 1)))),
+            make_horocycle(F(2**k), Q(2**k, 3)),
+            make_hypercycle(F(2**k), F(3 * 2**k), UHPPoint(2 ** (k + 1), 2 ** (k - 1))),
+            make_geodesic(F(2**k), INFINITY),
+            make_horocycle(INFINITY, Q(1, 2**k)),
+        ]
+    inexact = [
+        make_horocycle(INFINITY, 1e4),
+        make_horocycle(INFINITY, 0.5),
+        curve_from_coeffs(0, 1.0, 0, -0.25, exact=False),  # x = 1/4
+        curve_from_coeffs(0, 1.0, -1.0, 0, exact=False),  # y = x
+        curve_from_coeffs(1.0, 0, 0, -1.0, exact=False),  # |z| = 1
+        make_horocycle(F(0.5), 1.0),
+        make_hypercycle(F(-2.0), F(3.0), UHPPoint(0.5, 1.0, exact=False)),
+    ]
+    assert not any(c.exact for c in inexact)
+    compared = scaled = 0
+    for c1 in exact:
+        bits = max(abs(v).bit_length() for v in c1.circle.coeffs())
+        for c2 in inexact:
+            a1, a2 = c1.circle.a != 0, abs(c2.circle.a) > EPS
+            if a1 and a2 and bits > predicates._FLOAT_BITS:
+                continue
+            want = _float_route_pattern(monkeypatch, c1, c2)
+            assert _pattern(c1, c2) == want, (c1, c2)
+            assert _pattern(c2, c1) == _float_route_pattern(monkeypatch, c2, c1)
+            compared += 1
+            scaled += bits > predicates._FLOAT_BITS and (a1 or a2)
+    assert compared > 150 and scaled > 10, (compared, scaled)
+    # a = 1 beside d near 2^2200: no common scale keeps both in floats
+    with pytest.raises(InvalidInputError):
+        intersection_pattern(make_geodesic(F(2**1100), F(2**1100 + 1)), inexact[0])
