@@ -29,7 +29,6 @@ from .model import (
     BoundaryPoint,
     Curve,
     CurveKind,
-    Isometry,
     UHPPoint,
     curve_from_coeffs,
     equidistant_pair,
@@ -38,15 +37,10 @@ from .model import (
     make_hypercycle,
     parse_curve_text,
 )
-from .predicates import (
-    hypercycle_pair_type,
-    intersection_pattern,
-    pair_type_from_pattern,
-)
+from .predicates import intersection_pattern, pair_type_from_pattern
 from .constructions import (
     FoliatesComponent,
     HorocycleLimit,
-    HypercycleOrGeodesicLimit,
     classify_family_limit,
     disj_family,
     dyadic_family,
@@ -57,11 +51,9 @@ from .constructions import (
 from .earthquake import (
     EarthquakeMap,
     Satisfiable,
-    Unsatisfiable,
     eq_apply,
     eq_geodesic_image,
     instance_from_horocycles,
-    pointwise_image_is_curve,
     tangency_realizability,
 )
 from .graphs import (
@@ -71,7 +63,7 @@ from .graphs import (
     isometry_realizing,
 )
 from .render import SvgScene, render_panels, render_scene, write_svg
-from .verify import SUITES, figure_one_configuration, figure_one_images, run_suite
+from .verify import SUITES, figure_one_configuration, run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -264,10 +256,16 @@ def _read_curves(path: str) -> List[Curve]:
     return [parse_curve_text(ln) for ln in lines]
 
 
-def cmd_graph(args, out: _Output) -> int:
-    curves = _read_curves(args.curves)
+def _read_some_curves(path: str) -> List[Curve]:
+    """The curves of a file that must hold at least one."""
+    curves = _read_curves(path)
     if not curves:
-        raise InvalidInputError(f"{args.curves}: the file has no curves")
+        raise InvalidInputError(f"{path}: the file has no curves")
+    return curves
+
+
+def cmd_graph(args, out: _Output) -> int:
+    curves = _read_some_curves(args.curves)
     g = build_graph(curves, allow_mixed=args.mixed)
     out.emit(g.to_text(), g.to_record())
     if args.autos:
@@ -316,7 +314,7 @@ def cmd_earthquake(args, out: _Output) -> int:
         return EXIT_OK
     if action == "certify":
         if args.curves:
-            hs = _read_curves(args.curves)
+            hs = _read_some_curves(args.curves)
         else:
             hs = figure_one_configuration()
         images = [eq_apply(e, h.center) for h in hs]
@@ -388,8 +386,6 @@ def cmd_verify(args, out: _Output) -> int:
 
 
 def _scene_from_preset(name: str) -> List[SvgScene]:
-    from ._rational import Q as _Q
-
     if name == "dyadic":
         fam = dyadic_family(0, -2, 2)
         scene = SvgScene(x_min=-2.5, x_max=2.5, height=2.0)

@@ -13,12 +13,11 @@ from __future__ import annotations
 import functools
 import math
 from fractions import Fraction
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ._rational import Q, q_str, sqrt_exact
+from ._rational import Q, sqrt_exact
 from .errors import (
-    DegenerateResultError,
     HyperkError,
     IndeterminateLimitError,
     InvalidInputError,
@@ -40,12 +39,7 @@ from .model import (
     rational_points,
     two_point_normalizer,
 )
-from .predicates import (
-    HypercyclePairType,
-    hypercycle_pair_type,
-    intersection_pattern,
-    linked,
-)
+from .predicates import intersection_pattern, linked
 
 #: Default number of sample-grid points for continuous families
 #: (Chebyshev-spaced; escalated twice on indeterminate classifications).

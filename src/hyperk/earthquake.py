@@ -12,19 +12,19 @@ patterns of horocycles under a relabeling of their boundary centers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._rational import Q, is_rational, q_str, sqrt_exact
 from .errors import InvalidInputError
 from .model import (
-    INFINITY,
     BoundaryPoint,
     Curve,
     CurveKind,
     Isometry,
     UHPPoint,
+    _base_boundary_point,
     make_geodesic,
     rational_points,
     two_point_normalizer,
@@ -209,8 +209,6 @@ def _fault_straddling_points(e: EarthquakeMap, c: Curve) -> List[UHPPoint]:
         for dx in (-delta, delta):
             emit(dx, -(b * dx + d) / cc)
         return out
-    from .model import _base_boundary_point
-
     x0 = _base_boundary_point(cp)
     # chord of slope t through (x0, 0) lands at x(t) = 0 iff
     # a x0 t^2 - cc t - (a x0 + b) = 0
@@ -225,12 +223,10 @@ def _fault_straddling_points(e: EarthquakeMap, c: Curve) -> List[UHPPoint]:
             s = math.sqrt(disc)
             roots.extend(((-float(qb) + s) / (2 * float(qa)),
                           (-float(qb) - s) / (2 * float(qa))))
-    from fractions import Fraction
-
     for t_star in roots:
-        tq = Fraction(t_star).limit_denominator(10**9)
+        tq = Q(t_star).limit_denominator(10**9)
         for dt in (-delta, delta):
-            t = Q(tq.numerator, tq.denominator) + dt
+            t = tq + dt
             den = a * (1 + t * t)
             u = -(2 * a * x0 + b + cc * t) / den
             if u == 0:
@@ -327,13 +323,27 @@ def _fmt(v) -> str:
     return f"({s})" if "/" in s or s.startswith("-") else s
 
 
+def _monomial(centers: Sequence[BoundaryPoint], i: int, j: int):
+    """(u, v, s, k) for horocycles i, j at distinct centers: they are
+    tangent iff rho_u * rho_v^s = k, disjoint iff s * (rho_u * rho_v^s - k)
+    < 0, and crossing otherwise.  Finite centers p, q give s = 1 and
+    k = (p - q)^2 / 4; a center at oo is u, with s = -1 and k = 2."""
+    p, q = centers[i], centers[j]
+    if p.is_infinity:
+        return i, j, -1, Q(2)
+    if q.is_infinity:
+        return j, i, -1, Q(2)
+    d = p.value - q.value
+    return i, j, 1, d * d / 4
+
+
 class _RadiusSystem:
     """Union-find over radius variables with multiplicative weights.
 
     Every variable i satisfies rho_i = coef_i * rho_root^(exp_i) with
-    exp_i in {+1, -1} and rational coef_i > 0.  Tangency equalities are
-    product constraints (rho_i * rho_j = K) or ratio constraints
-    (rho_i = K * rho_j); roots may get pinned to rho_root^2 = v.
+    exp_i in {+1, -1} and rational coef_i > 0.  Each tangency is one
+    equation rho_i * rho_j^s = k with s in {+1, -1} and k > 0; roots may
+    get pinned to rho_root^2 = v.
     """
 
     def __init__(self, n: int):
@@ -379,11 +389,6 @@ class _RadiusSystem:
         return c * t if e == 1 else c / t
 
     def _pin_root(self, r: int, v: Q, con: Constraint, i: int, j: int) -> bool:
-        if not v > 0:
-            self.conflict = Unsatisfiable(
-                f"forced rho^2 = {q_str(v)} <= 0", self._cycle(i, j, con)
-            )
-            return False
         old = self.pin.get(r)
         if old is not None and old != v:
             self.conflict = Unsatisfiable(
@@ -394,182 +399,106 @@ class _RadiusSystem:
         self.pin[r] = v
         return True
 
-    def _conflict_equal(self, lhs: Q, prod_or_ratio: str, i: int, j: int, con: Constraint):
-        ri, rj = self.value(i), self.value(j)
-        if prod_or_ratio == "product" and ri is not None and rj is not None:
-            msg = f"{q_str(4 * lhs)} ≠ 4·{_fmt(ri)}·{_fmt(rj)}"
-        elif prod_or_ratio == "ratio" and ri is not None and rj is not None:
-            msg = f"{_fmt(ri)} ≠ {q_str(lhs)}·{_fmt(rj)}"
-        else:
-            msg = f"inconsistent tangency constraint between radii {i} and {j}"
-        self.conflict = Unsatisfiable(msg, self._cycle(i, j, con))
-
-    def add_product(self, i: int, j: int, k: Q, con: Constraint) -> bool:
-        """Impose rho_i * rho_j = k."""
+    def add(self, i: int, j: int, s: int, k: Q, con: Constraint) -> bool:
+        """Impose rho_i * rho_j^s = k."""
         r1, e1, c1 = self.find(i)
         r2, e2, c2 = self.find(j)
+        # the equation reads rho_r1^e1 * rho_r2^(s e2) = q
+        q = k / (c1 * c2 ** s)
         if r1 == r2:
-            if e1 + e2 == 0:
-                if c1 * c2 != k:
-                    self._conflict_equal(k, "product", i, j, con)
-                    return False
-                return True
-            v = k / (c1 * c2)
-            return self._pin_root(r1, v if e1 == 1 else 1 / v, con, i, j)
-        # rho_r2 = (k/(c1 c2))^(e2) * rho_r1^(-e1 e2)
-        q = k / (c1 * c2)
+            if e1 + s * e2 == 0:
+                return True if q == 1 else self._conflict(i, j, s, k, con)
+            return self._pin_root(r1, q ** e1, con, i, j)  # rho_r1^(2 e1) = q
+        # s e2 = +-1 is its own inverse: rho_r2 = q^(s e2) * rho_r1^(-e1 s e2)
         self.parent[r2] = r1
-        self.exp[r2] = -e1 * e2
-        self.coef[r2] = q if e2 == 1 else 1 / q
+        self.exp[r2] = -e1 * s * e2
+        self.coef[r2] = q ** (s * e2)
         self.edge[r2] = con
         pin2 = self.pin.pop(r2, None)
         if pin2 is not None:
             # rho_r2^2 = coef^2 * rho_r1^(2 exp)
             v = pin2 / (self.coef[r2] ** 2)
-            return self._pin_root(r1, v if self.exp[r2] == 1 else 1 / v, con, i, j)
+            return self._pin_root(r1, v ** self.exp[r2], con, i, j)
         return True
 
-    def add_ratio(self, i: int, j: int, k: Q, con: Constraint) -> bool:
-        """Impose rho_i = k * rho_j."""
-        r1, e1, c1 = self.find(i)
-        r2, e2, c2 = self.find(j)
-        if r1 == r2:
-            if e1 == e2:
-                if c1 != k * c2:
-                    self._conflict_equal(k, "ratio", i, j, con)
-                    return False
-                return True
-            v = k * c2 / c1
-            return self._pin_root(r1, v if e1 == 1 else 1 / v, con, i, j)
-        # c1 rho_r1^e1 = k c2 rho_r2^e2
-        q = c1 / (k * c2)
-        self.parent[r2] = r1
-        self.exp[r2] = e1 * e2
-        self.coef[r2] = q if e2 == 1 else 1 / q
-        self.edge[r2] = con
-        pin2 = self.pin.pop(r2, None)
-        if pin2 is not None:
-            v = pin2 / (self.coef[r2] ** 2)
-            return self._pin_root(r1, v if self.exp[r2] == 1 else 1 / v, con, i, j)
-        return True
-
-
-def _pair_gap(p: BoundaryPoint, q: BoundaryPoint):
-    """(kind, K): product constraint rho_i rho_j = K for finite pairs
-    ((p-q)^2 / 4), ratio constraint rho_inf = 2 rho_p when one is oo."""
-    if p.is_infinity or q.is_infinity:
-        return ("ratio", Q(2))
-    d = p.value - q.value
-    return ("product", d * d / 4)
+    def _conflict(self, i: int, j: int, s: int, k: Q, con: Constraint) -> bool:
+        # tangencies at oo (s = -1) come first, and among themselves they
+        # only say that a radius at oo is twice a finite one, which closes no
+        # inconsistent cycle; so a conflict between known radii is a product
+        ri, rj = self.value(i), self.value(j)
+        if s == 1 and ri is not None and rj is not None:
+            msg = f"{q_str(4 * k)} ≠ 4·{_fmt(ri)}·{_fmt(rj)}"
+        else:
+            msg = f"inconsistent tangency constraint between radii {i} and {j}"
+        self.conflict = Unsatisfiable(msg, self._cycle(i, j, con))
+        return False
 
 
 def tangency_realizability(inst: RealizabilityInstance):
     """Decide whether positive radii at the relabeled centers realize the
-    required tangent/disjoint/crossing pattern.  Tangency equalities are
-    solved symbolically in multiplicative (log-linear) form; inequalities
-    are then checked exactly on the solution manifold, with a numeric
-    feasibility search over any remaining free parameters."""
+    required tangent/disjoint/crossing pattern.
+
+    Every pair is one monomial rho_u * rho_v^s compared with k (see
+    `_monomial`); two horocycles at one center are disjoint for any radii.
+    Tangencies are solved exactly in multiplicative form.  Each inequality
+    is then checked exactly with every free root at 1 and, failing that, at
+    a log-space LP solution taken as exact binary fractions."""
     centers = inst.relabeled_centers
+    pattern = inst.required_pattern
     n = len(centers)
     sys = _RadiusSystem(n)
+    forms = {
+        (i, j): _monomial(centers, i, j)
+        for i in range(n) for j in range(i + 1, n)
+        if pattern[i][j] is not None and centers[i] != centers[j]
+    }
 
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if inst.required_pattern[i][j] is not None]
-
-    def tangency_order(pair):
-        i, j = pair
-        # ratio (infinity) constraints first: they keep radii proportional
-        # and let pins resolve to concrete radii before products close cycles
-        has_inf = centers[i].is_infinity or centers[j].is_infinity
-        return (0 if has_inf else 1, i, j)
-
+    # tangencies with a center at oo (s = -1) first: they keep radii
+    # proportional and let pins resolve to concrete radii before products
+    # close cycles
     tangents = sorted(
-        (p for p in pairs if inst.required_pattern[p[0]][p[1]] is PairRequirement.TANGENT),
-        key=tangency_order,
+        (p for p in forms if pattern[p[0]][p[1]] is PairRequirement.TANGENT),
+        key=lambda p: (forms[p][2], p),
     )
-    for i, j in tangents:
-        kind, k = _pair_gap(centers[i], centers[j])
-        if kind == "ratio":
-            # orient so the infinity-center radius is the larger one
-            a, b = (i, j) if centers[i].is_infinity else (j, i)
-            con = Constraint(
-                PairRequirement.TANGENT, a, b,
-                f"rho({centers[a]!r}) = 2 rho({centers[b]!r})",
-            )
-            ok = sys.add_ratio(a, b, k, con)
+    for pair in tangents:
+        u, v, s, k = forms[pair]
+        if s == 1:
+            text = (f"({centers[u]!r} - {centers[v]!r})^2 = {q_str(4 * k)} = "
+                    f"4 rho({centers[u]!r}) rho({centers[v]!r})")
         else:
-            d2 = 4 * k
-            con = Constraint(
-                PairRequirement.TANGENT, i, j,
-                f"({centers[i]!r} - {centers[j]!r})^2 = {q_str(d2)} = "
-                f"4 rho({centers[i]!r}) rho({centers[j]!r})",
-            )
-            ok = sys.add_product(i, j, k, con)
-        if not ok:
+            text = f"rho({centers[u]!r}) = {q_str(k)} rho({centers[v]!r})"
+        if not sys.add(u, v, s, k, Constraint(PairRequirement.TANGENT, u, v, text)):
             return sys.conflict
 
-    # inequality checks on the solution manifold: every comparison of
-    # radii products/ratios squares to a rational once each root carries a
-    # value for rho_root^2, so assign free roots and compare exactly
-    ineqs = [p for p in pairs
-             if inst.required_pattern[p[0]][p[1]] is not PairRequirement.TANGENT]
+    # each inequality on the solution manifold: (rho_u rho_v^s)^2 =
+    # coef^2 * prod (rho_r^2)^e over roots r, and it holds iff
+    # sgn * ((rho_u rho_v^s)^2 - k^2) < 0
+    ineqs = []
+    for (i, j), (u, v, s, k) in forms.items():
+        req = pattern[i][j]
+        if req is PairRequirement.TANGENT:
+            continue
+        r1, e1, c1 = sys.find(u)
+        r2, e2, c2 = sys.find(v)
+        exps = {r1: e1}
+        exps[r2] = exps.get(r2, 0) + s * e2
+        sgn = s if req is PairRequirement.DISJOINT else -s
+        ineqs.append((i, j, sgn, c1 * c2 ** s, exps, k * k))
 
-    def root_data(i):
-        r, e, c = sys.find(i)
-        return r, e, c
-
-    def expr_square(i, j, mode, vals):
-        """(lhs_expr)^2 as a rational: rho_i*rho_j (product mode) or
-        rho_i/rho_j (ratio mode) squared, with rho_root^2 taken from vals."""
-        r1, e1, c1 = root_data(i)
-        r2, e2, c2 = root_data(j)
-        if mode == "ratio":
-            e2, c2 = -e2, 1 / c2
-        sq = (c1 * c2) ** 2
-        for r, e in ((r1, e1), (r2, e2)):
-            v = vals[r]
-            sq = sq * v if e == 1 else sq / v
-        return sq
-
-    free_roots = sorted(
-        {root_data(i)[0] for i in range(n)} - set(sys.pin.keys())
-    )
-
-    def check_all(vals):
-        violations = []
-        for i, j in ineqs:
-            req = inst.required_pattern[i][j]
-            kind, k = _pair_gap(centers[i], centers[j])
-            if kind == "ratio":
-                a, b = (i, j) if centers[i].is_infinity else (j, i)
-                if centers[a] == centers[b]:
-                    raise InvalidInputError("two radii at the same center")
-                lhs_sq = expr_square(a, b, "ratio", vals)  # (rho_a/rho_b)^2
-                target = k * k  # 4
-                # disjoint iff rho(oo) > 2 rho(p)
-                ok = (lhs_sq > target) if req is PairRequirement.DISJOINT else (lhs_sq < target)
-                if not ok:
-                    violations.append((i, j))
-                continue
-            else:
-                if centers[i] == centers[j]:
-                    # same-center horocycles: any two distinct radii are
-                    # disjoint; never tangent or crossing
-                    if req is PairRequirement.DISJOINT:
-                        continue
-                    violations.append((i, j))
-                    continue
-                lhs_sq = expr_square(i, j, "product", vals)  # (rho_i rho_j)^2
-                target = k * k  # ((p-q)^2/4)^2
-            ok = (lhs_sq < target) if req is PairRequirement.DISJOINT else (lhs_sq > target)
-            if not ok:
-                violations.append((i, j))
-        return violations
+    def violated(vals):
+        out = []
+        for i, j, sgn, coef, exps, k2 in ineqs:
+            sq = coef * coef
+            for r, e in exps.items():
+                sq *= vals[r] ** e
+            if not sgn * (sq - k2) < 0:
+                out.append((i, j))
+        return out
 
     def radii_for(vals):
         out, exact = [], True
         for i in range(n):
-            r, e, c = root_data(i)
+            r, e, c = sys.find(i)
             t = sqrt_exact(vals[r])
             if t is not None:
                 out.append(c * t if e == 1 else c / t)
@@ -579,27 +508,25 @@ def tangency_realizability(inst: RealizabilityInstance):
                 exact = False
         return Satisfiable(tuple(out), exact)
 
+    free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
     base_vals = dict(sys.pin)
     for r in free_roots:
         base_vals[r] = Q(1)
-    if not check_all(base_vals):
+    vio = violated(base_vals)
+    if not vio:
         return radii_for(base_vals)
-
     if free_roots:
-        sol = _search_free_values(
-            sys, inst, centers, ineqs, free_roots, dict(sys.pin), root_data
-        )
-        if sol is not None and not check_all(sol):
+        sol = _lp_values(ineqs, free_roots, sys.pin)
+        if sol is not None and not violated(sol):
             return radii_for(sol)
 
     # no assignment works: report the violated inequalities together with
     # the tangency constraints that rigidify the radii
-    vio = check_all(base_vals)
     i, j = vio[0]
-    req = inst.required_pattern[i][j]
+    req = pattern[i][j]
     ri, rj = sys.value(i), sys.value(j)
-    kind, k = _pair_gap(centers[i], centers[j])
-    if kind == "product" and ri is not None and rj is not None:
+    _u, _v, s, k = forms[(i, j)]
+    if s == 1 and ri is not None and rj is not None:
         rel = ">" if req is PairRequirement.DISJOINT else "<"
         msg = (
             f"need ({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} "
@@ -611,82 +538,39 @@ def tangency_realizability(inst: RealizabilityInstance):
     return Unsatisfiable(msg, sys._cycle(i, j, closing))
 
 
-def _search_free_values(sys, inst, centers, ineqs, free_roots, pinned, root_data):
-    """Numeric feasibility search over the free parameters, in log space
-    where every inequality is linear; the result is rationalized and later
-    re-verified exactly by the caller."""
-    try:
-        from scipy.optimize import linprog
-    except Exception:  # pragma: no cover - scipy is a hard dependency
-        return None
+def _lp_values(ineqs, free_roots, pinned):
+    """rho_r^2 for the free roots at the LP point that maximizes the least
+    margin of the inequalities in the variables x_r = ln(rho_r^2), where
+    every inequality is linear.  Each value is the square of the float
+    exp(x_r / 2) read as an exact binary fraction, so the caller's exact
+    re-check sees positive radii however far the LP pushes x_r."""
+    from scipy.optimize import linprog
 
-    idx = {r: k for k, r in enumerate(free_roots)}
+    idx = {r: c for c, r in enumerate(free_roots)}
     nv = len(free_roots)
-    # variables: x_r = ln(rho_root^2) for free roots, plus the margin m
     a_ub, b_ub = [], []
-
-    def add(coeffs: Dict[int, float], const: float, sense: str):
-        # sum coeffs*x + const < 0 (sense "<") or > 0 (sense ">"), with a
-        # positive margin; pinned roots fold into the constant term
-        cst = const
-        for r, c in coeffs.items():
-            if r not in idx:
-                cst += c * math.log(float(pinned[r]))
-        sgn = 1.0 if sense == "<" else -1.0
+    for _i, _j, sgn, coef, exps, k2 in ineqs:
+        # sgn * (sum_r e_r x_r + cst) + margin <= 0; pinned roots fold
+        # into cst
+        cst = 2.0 * math.log(float(coef)) - math.log(float(k2))
         row = [0.0] * (nv + 1)
-        for r, c in coeffs.items():
+        for r, e in exps.items():
             if r in idx:
-                row[idx[r]] = sgn * c
+                row[idx[r]] = sgn * e
+            else:
+                cst += e * math.log(float(pinned[r]))
         row[nv] = 1.0
         a_ub.append(row)
         b_ub.append(-sgn * cst)
-
-    for i, j in ineqs:
-        req = inst.required_pattern[i][j]
-        kind, k = _pair_gap(centers[i], centers[j])
-        if kind == "ratio":
-            a, b = (i, j) if centers[i].is_infinity else (j, i)
-            r1, e1, c1 = root_data(a)
-            r2, e2, c2 = root_data(b)
-            e2, c2 = -e2, 1 / c2
-            target = float(k * k)
-            # disjoint iff rho(oo)/rho(p) > 2
-            sense = ">" if req is PairRequirement.DISJOINT else "<"
-            coeffs: Dict[int, float] = {}
-            for r, e in ((r1, e1), (r2, e2)):
-                coeffs[r] = coeffs.get(r, 0.0) + float(e)
-            const = 2.0 * math.log(float(c1 * c2)) - math.log(target)
-            add(coeffs, const, sense)
-            continue
-        else:
-            if centers[i] == centers[j]:
-                continue
-            r1, e1, c1 = root_data(i)
-            r2, e2, c2 = root_data(j)
-            target = float(k * k)
-        coeffs: Dict[int, float] = {}
-        for r, e in ((r1, e1), (r2, e2)):
-            coeffs[r] = coeffs.get(r, 0.0) + float(e)
-        const = 2.0 * math.log(float(c1 * c2)) - math.log(target) if target > 0 else 0.0
-        if target <= 0:
-            return None
-        sense = "<" if req is PairRequirement.DISJOINT else ">"
-        add(coeffs, const, sense)
 
     c_obj = [0.0] * nv + [-1.0]  # maximize margin
     bounds = [(-60.0, 60.0)] * nv + [(0.0, 10.0)]
     res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
     if not res.success or res.x[nv] <= 1e-9:
         return None
-    from fractions import Fraction
-
     vals = dict(pinned)
     for r in free_roots:
-        x = res.x[idx[r]]
-        t = Fraction(math.exp(x / 2.0)).limit_denominator(10**6)
-        if t <= 0:
-            t = Fraction(1)
-        vals[r] = Q(t.numerator, t.denominator) ** 2
+        vals[r] = Q(math.exp(res.x[idx[r]] / 2.0)) ** 2
     return vals
 
 

@@ -11,10 +11,9 @@ tolerance instead of exact signs.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 from ._rational import Q, denom, isqrt_exact, is_rational, numer, q_from_str, q_str
 from .errors import DegenerateResultError, HyperkError, InvalidInputError

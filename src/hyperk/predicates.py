@@ -128,7 +128,10 @@ def _int_floats(k, scale: bool):
     """
     shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
     if shift <= 0:
-        return [float(v) for v in k]
+        try:
+            return [float(v) for v in k]
+        except OverflowError:  # an unscaled line past the float range
+            raise InvalidInputError("line coefficients exceed the float range") from None
     floats = [v / (1 << shift) for v in k]
     if any(v and not f for v, f in zip(k, floats)):
         raise InvalidInputError("circle coefficients span more than the float range")

@@ -10,10 +10,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from .errors import InvalidInputError
-from .model import Curve, CurveKind, UHPPoint
+from .model import Curve, UHPPoint
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 

@@ -10,16 +10,14 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ._rational import Q
 from .errors import HyperkError, InvalidInputError, NoSolutionError
 from .model import (
-    EPS,
     INFINITY,
     BoundaryPoint,
     Curve,
-    CurveKind,
     Isometry,
     UHPPoint,
     curve_from_coeffs,
@@ -33,13 +31,11 @@ from .model import (
 )
 from .predicates import (
     HorocycleOrder,
-    HypercyclePairType,
     between_tangent,
     horocycle_leq,
     hypercycle_pair_type,
     intersection_pattern,
     linked,
-    pair_type_from_pattern,
 )
 from .constructions import (
     FoliatesComponent,
@@ -50,20 +46,15 @@ from .constructions import (
     dyadic_family,
     fixed_endpoint_family,
     four_geodesic_config,
-    hyp1_witness,
     pinch_pair,
     ray_family,
     sigma_center_swap,
-    witness_family_search,
 )
 from .earthquake import (
     EarthquakeMap,
-    PairRequirement,
-    RealizabilityInstance,
     Satisfiable,
     Unsatisfiable,
     eq_apply,
-    eq_geodesic_image,
     instance_from_horocycles,
     pointwise_image_is_curve,
     tangency_realizability,
@@ -72,10 +63,8 @@ from .graphs import (
     GraphAutomorphism,
     automorphisms,
     build_graph,
-    induced_permutation,
     isometry_matching,
     isometry_realizing,
-    link_preserving_check,
 )
 
 

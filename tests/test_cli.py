@@ -163,6 +163,9 @@ MALFORMED = [
     ("graph", "--curves", "DUPLICATES"),
     ("graph", "--curves", "EMPTY"),
     ("render", "--curves", "BADTEXT", "-o", "a.svg"),
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "certify", "--curves", "EMPTY"),
+    ("--inexact", "intersect", "--first-geodesic", f"{2**1100},oo",
+     "--second-horocycle", "oo,0.5"),
 ]
 
 #: curve files that MALFORMED names by placeholder
@@ -191,3 +194,14 @@ def test_graph_of_empty_file_says_so(capsys, tmp_path):
     code, _, err = run(capsys, "graph", "--curves", str(f))
     assert code == 2
     assert "no curves" in err and "mixed" not in err
+
+
+def test_certify_of_empty_file_says_so(capsys, tmp_path):
+    f = tmp_path / "empty.txt"
+    f.write_text("# no curves\n")
+    code, out, err = run(
+        capsys, "earthquake", "--fault", "0,oo", "--shear", "2", "certify",
+        "--curves", str(f),
+    )
+    assert code == 2
+    assert "no curves" in err and "satisfiable" not in out

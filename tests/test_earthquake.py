@@ -1,9 +1,15 @@
+import collections
+import math
+import random
+from fractions import Fraction
+
 import pytest
 
 from hyperk import (
     INFINITY,
     BoundaryPoint,
     EarthquakeMap,
+    PairRequirement,
     Q,
     Satisfiable,
     UHPPoint,
@@ -20,8 +26,11 @@ from hyperk import (
     tangency_realizability,
 )
 from hyperk import earthquake
+from hyperk._rational import q_str, sqrt_exact
+from hyperk.earthquake import Constraint
+from hyperk.errors import InvalidInputError
 from hyperk.model import Isometry
-from hyperk.verify import run_suite
+from hyperk.verify import rand_isometry, rand_q, run_suite
 
 F = BoundaryPoint.finite
 
@@ -165,3 +174,403 @@ def test_cocircular_rank_test_matches_oracle(monkeypatch):
         assert got == want, pts
         results.add(got.is_curve)
     assert len(lists) > 200 and results == {True, False}
+
+
+# ---------------------------------------------------------------------------
+# the replaced realizability solver, with separate product and ratio forms
+
+
+class _OracleRadiusSystem:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.exp = [1] * n
+        self.coef = [Q(1)] * n
+        self.edge = [None] * n
+        self.pin = {}
+        self.conflict = None
+
+    def find(self, i):
+        e, c = 1, Q(1)
+        while self.parent[i] != i:
+            e2, c2 = self.exp[i], self.coef[i]
+            c = c * (c2 if e == 1 else 1 / c2)
+            e = e * e2
+            i = self.parent[i]
+        return i, e, c
+
+    def _path(self, i):
+        out = []
+        while self.parent[i] != i:
+            out.append(self.edge[i])
+            i = self.parent[i]
+        return out
+
+    def _cycle(self, i, j, closing):
+        seen = []
+        for c in self._path(i) + self._path(j) + [closing]:
+            if c is not None and c not in seen:
+                seen.append(c)
+        return tuple(seen)
+
+    def value(self, i):
+        r, e, c = self.find(i)
+        if r not in self.pin:
+            return None
+        t = sqrt_exact(self.pin[r])
+        if t is None:
+            return None
+        return c * t if e == 1 else c / t
+
+    def _pin_root(self, r, v, con, i, j):
+        if not v > 0:
+            self.conflict = Unsatisfiable(
+                f"forced rho^2 = {q_str(v)} <= 0", self._cycle(i, j, con)
+            )
+            return False
+        old = self.pin.get(r)
+        if old is not None and old != v:
+            self.conflict = Unsatisfiable(
+                f"rho^2 forced to both {q_str(old)} and {q_str(v)}",
+                self._cycle(i, j, con),
+            )
+            return False
+        self.pin[r] = v
+        return True
+
+    def _conflict_equal(self, lhs, prod_or_ratio, i, j, con):
+        ri, rj = self.value(i), self.value(j)
+        if prod_or_ratio == "product" and ri is not None and rj is not None:
+            msg = f"{q_str(4 * lhs)} ≠ 4·{earthquake._fmt(ri)}·{earthquake._fmt(rj)}"
+        elif prod_or_ratio == "ratio" and ri is not None and rj is not None:
+            msg = f"{earthquake._fmt(ri)} ≠ {q_str(lhs)}·{earthquake._fmt(rj)}"
+        else:
+            msg = f"inconsistent tangency constraint between radii {i} and {j}"
+        self.conflict = Unsatisfiable(msg, self._cycle(i, j, con))
+
+    def add_product(self, i, j, k, con):
+        r1, e1, c1 = self.find(i)
+        r2, e2, c2 = self.find(j)
+        if r1 == r2:
+            if e1 + e2 == 0:
+                if c1 * c2 != k:
+                    self._conflict_equal(k, "product", i, j, con)
+                    return False
+                return True
+            v = k / (c1 * c2)
+            return self._pin_root(r1, v if e1 == 1 else 1 / v, con, i, j)
+        q = k / (c1 * c2)
+        self.parent[r2] = r1
+        self.exp[r2] = -e1 * e2
+        self.coef[r2] = q if e2 == 1 else 1 / q
+        self.edge[r2] = con
+        pin2 = self.pin.pop(r2, None)
+        if pin2 is not None:
+            v = pin2 / (self.coef[r2] ** 2)
+            return self._pin_root(r1, v if self.exp[r2] == 1 else 1 / v, con, i, j)
+        return True
+
+    def add_ratio(self, i, j, k, con):
+        r1, e1, c1 = self.find(i)
+        r2, e2, c2 = self.find(j)
+        if r1 == r2:
+            if e1 == e2:
+                if c1 != k * c2:
+                    self._conflict_equal(k, "ratio", i, j, con)
+                    return False
+                return True
+            v = k * c2 / c1
+            return self._pin_root(r1, v if e1 == 1 else 1 / v, con, i, j)
+        q = c1 / (k * c2)
+        self.parent[r2] = r1
+        self.exp[r2] = e1 * e2
+        self.coef[r2] = q if e2 == 1 else 1 / q
+        self.edge[r2] = con
+        pin2 = self.pin.pop(r2, None)
+        if pin2 is not None:
+            v = pin2 / (self.coef[r2] ** 2)
+            return self._pin_root(r1, v if self.exp[r2] == 1 else 1 / v, con, i, j)
+        return True
+
+
+def _oracle_pair_gap(p, q):
+    if p.is_infinity or q.is_infinity:
+        return ("ratio", Q(2))
+    d = p.value - q.value
+    return ("product", d * d / 4)
+
+
+def _oracle_tangency_realizability(inst):
+    centers = inst.relabeled_centers
+    n = len(centers)
+    sys = _OracleRadiusSystem(n)
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)
+             if inst.required_pattern[i][j] is not None]
+
+    def tangency_order(pair):
+        i, j = pair
+        has_inf = centers[i].is_infinity or centers[j].is_infinity
+        return (0 if has_inf else 1, i, j)
+
+    tangents = sorted(
+        (p for p in pairs if inst.required_pattern[p[0]][p[1]] is PairRequirement.TANGENT),
+        key=tangency_order,
+    )
+    for i, j in tangents:
+        kind, k = _oracle_pair_gap(centers[i], centers[j])
+        if kind == "ratio":
+            a, b = (i, j) if centers[i].is_infinity else (j, i)
+            con = Constraint(
+                PairRequirement.TANGENT, a, b,
+                f"rho({centers[a]!r}) = 2 rho({centers[b]!r})",
+            )
+            ok = sys.add_ratio(a, b, k, con)
+        else:
+            con = Constraint(
+                PairRequirement.TANGENT, i, j,
+                f"({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} = "
+                f"4 rho({centers[i]!r}) rho({centers[j]!r})",
+            )
+            ok = sys.add_product(i, j, k, con)
+        if not ok:
+            return sys.conflict
+
+    ineqs = [p for p in pairs
+             if inst.required_pattern[p[0]][p[1]] is not PairRequirement.TANGENT]
+
+    def expr_square(i, j, mode, vals):
+        r1, e1, c1 = sys.find(i)
+        r2, e2, c2 = sys.find(j)
+        if mode == "ratio":
+            e2, c2 = -e2, 1 / c2
+        sq = (c1 * c2) ** 2
+        for r, e in ((r1, e1), (r2, e2)):
+            v = vals[r]
+            sq = sq * v if e == 1 else sq / v
+        return sq
+
+    free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin.keys()))
+
+    def check_all(vals):
+        violations = []
+        for i, j in ineqs:
+            req = inst.required_pattern[i][j]
+            kind, k = _oracle_pair_gap(centers[i], centers[j])
+            if kind == "ratio":
+                a, b = (i, j) if centers[i].is_infinity else (j, i)
+                if centers[a] == centers[b]:
+                    raise InvalidInputError("two radii at the same center")
+                lhs_sq = expr_square(a, b, "ratio", vals)
+                ok = (lhs_sq > k * k) if req is PairRequirement.DISJOINT else (lhs_sq < k * k)
+                if not ok:
+                    violations.append((i, j))
+                continue
+            if centers[i] == centers[j]:
+                if req is not PairRequirement.DISJOINT:
+                    violations.append((i, j))
+                continue
+            lhs_sq = expr_square(i, j, "product", vals)
+            ok = (lhs_sq < k * k) if req is PairRequirement.DISJOINT else (lhs_sq > k * k)
+            if not ok:
+                violations.append((i, j))
+        return violations
+
+    def radii_for(vals):
+        out, exact = [], True
+        for i in range(n):
+            r, e, c = sys.find(i)
+            t = sqrt_exact(vals[r])
+            if t is not None:
+                out.append(c * t if e == 1 else c / t)
+            else:
+                tf = math.sqrt(float(vals[r]))
+                out.append(float(c) * tf if e == 1 else float(c) / tf)
+                exact = False
+        return Satisfiable(tuple(out), exact)
+
+    base_vals = dict(sys.pin)
+    for r in free_roots:
+        base_vals[r] = Q(1)
+    if not check_all(base_vals):
+        return radii_for(base_vals)
+    if free_roots:
+        sol = _oracle_search_free_values(sys, inst, centers, ineqs, free_roots, dict(sys.pin))
+        if sol is not None and not check_all(sol):
+            return radii_for(sol)
+
+    i, j = check_all(base_vals)[0]
+    req = inst.required_pattern[i][j]
+    ri, rj = sys.value(i), sys.value(j)
+    kind, k = _oracle_pair_gap(centers[i], centers[j])
+    if kind == "product" and ri is not None and rj is not None:
+        rel = ">" if req is PairRequirement.DISJOINT else "<"
+        msg = (
+            f"need ({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} "
+            f"{rel} 4·{earthquake._fmt(ri)}·{earthquake._fmt(rj)}"
+        )
+    else:
+        msg = f"required {req.value} pair ({i}, {j}) is violated on the solution manifold"
+    return Unsatisfiable(msg, sys._cycle(i, j, Constraint(req, i, j, msg)))
+
+
+def _oracle_search_free_values(sys, inst, centers, ineqs, free_roots, pinned):
+    from scipy.optimize import linprog
+
+    idx = {r: k for k, r in enumerate(free_roots)}
+    nv = len(free_roots)
+    a_ub, b_ub = [], []
+
+    def add(coeffs, const, sense):
+        cst = const
+        for r, c in coeffs.items():
+            if r not in idx:
+                cst += c * math.log(float(pinned[r]))
+        sgn = 1.0 if sense == "<" else -1.0
+        row = [0.0] * (nv + 1)
+        for r, c in coeffs.items():
+            if r in idx:
+                row[idx[r]] = sgn * c
+        row[nv] = 1.0
+        a_ub.append(row)
+        b_ub.append(-sgn * cst)
+
+    for i, j in ineqs:
+        req = inst.required_pattern[i][j]
+        kind, k = _oracle_pair_gap(centers[i], centers[j])
+        if kind == "ratio":
+            a, b = (i, j) if centers[i].is_infinity else (j, i)
+            r1, e1, c1 = sys.find(a)
+            r2, e2, c2 = sys.find(b)
+            e2, c2 = -e2, 1 / c2
+            sense = ">" if req is PairRequirement.DISJOINT else "<"
+        else:
+            if centers[i] == centers[j]:
+                continue
+            r1, e1, c1 = sys.find(i)
+            r2, e2, c2 = sys.find(j)
+            sense = "<" if req is PairRequirement.DISJOINT else ">"
+        coeffs = {}
+        for r, e in ((r1, e1), (r2, e2)):
+            coeffs[r] = coeffs.get(r, 0.0) + float(e)
+        add(coeffs, 2.0 * math.log(float(c1 * c2)) - math.log(float(k * k)), sense)
+
+    res = linprog([0.0] * nv + [-1.0], A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(-60.0, 60.0)] * nv + [(0.0, 10.0)], method="highs")
+    if not res.success or res.x[nv] <= 1e-9:
+        return None
+    vals = dict(pinned)
+    for r in free_roots:
+        t = Fraction(math.exp(res.x[idx[r]] / 2.0)).limit_denominator(10**6)
+        if t <= 0:
+            t = Fraction(1)
+        vals[r] = Q(t.numerator, t.denominator) ** 2
+    return vals
+
+
+def _realizes(inst, res):
+    """The answer's radii are exact, and horocycles with them at the
+    relabeled centers have the required pattern; pairs at one center are
+    skipped."""
+    if not res.exact or not all(r > 0 for r in res.radii):
+        return False
+    centers = inst.relabeled_centers
+    hs = [make_horocycle(c, r) for c, r in zip(centers, res.radii)]
+    for i in range(len(centers)):
+        for j in range(i + 1, len(centers)):
+            want = inst.required_pattern[i][j]
+            if want is None or centers[i] == centers[j]:
+                continue
+            pat = intersection_pattern(hs[i], hs[j])
+            got = (PairRequirement.TANGENT if pat.tangent else
+                   PairRequirement.DISJOINT if pat.interior_count == 0 else
+                   PairRequirement.CROSSING)
+            if got is not want:
+                return False
+    return True
+
+
+def _tangency_chains(rng, count):
+    """Horocycle configurations in which most horocycles are tangent to an
+    earlier one; every third starts with a horocycle at oo."""
+    for index in range(count):
+        n = 4 + index % 3
+        centers = [INFINITY] if index % 3 == 0 else []
+        while len(centers) < n:
+            c = F(rand_q(rng, -4, 4, 4))
+            if c not in centers:
+                centers.append(c)
+        sizes = []
+        for i, c in enumerate(centers):
+            if i and rng.random() < 0.7:
+                j = rng.randrange(i)
+                if centers[j].is_infinity:
+                    sizes.append(sizes[j] / 2)
+                else:
+                    sizes.append((c.value - centers[j].value) ** 2 / (4 * sizes[j]))
+            else:
+                sizes.append(abs(rand_q(rng, 1, 3, 4)) + 1)
+        yield [make_horocycle(c, s) for c, s in zip(centers, sizes)]
+
+
+def test_realizability_matches_oracle_on_relabelled_chains():
+    rng = random.Random(20241)
+    tally = collections.Counter()
+    for hs in _tangency_chains(rng, 48):
+        centers = [h.center for h in hs]
+        g = rand_isometry(rng)
+        swapped = list(centers)
+        i, j = rng.sample(range(len(centers)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        shuffled = list(centers)
+        rng.shuffle(shuffled)
+        for mode, images in (("isometry", [g.apply_boundary(c) for c in centers]),
+                             ("transposition", swapped), ("shuffle", shuffled)):
+            inst = instance_from_horocycles(hs, images)
+            got, want = tangency_realizability(inst), _oracle_tangency_realizability(inst)
+            sat = isinstance(got, Satisfiable)
+            tally[mode, sat] += 1
+            if sat:
+                assert _realizes(inst, got), (mode, images, got)
+            if mode == "isometry":
+                assert sat, (images, got)
+            if isinstance(want, Satisfiable):
+                assert sat and _realizes(inst, want), (images, got)
+            elif not sat:
+                assert got.to_record() == want.to_record(), images
+            else:
+                tally["mended"] += 1
+    # both answers occur for relabellings that are not isometries, and the
+    # oracle's spurious unsatisfiable answers occur
+    assert tally["transposition", True] and tally["transposition", False]
+    assert tally["shuffle", True] and tally["shuffle", False]
+    assert tally["mended"] >= 1, tally
+
+
+def test_lp_far_from_one_keeps_exact_radii():
+    # the LP pushes the free radius of the chain to the edge of its box,
+    # where rounding exp(-30) to a fraction of denominator 10^6 gave 0
+    specs = [("75/64", "35/512"), ("5/3", "1805/2016"), ("20/13", "280/61009"),
+             ("7/5", "18/125"), ("15/11", "45125/27104")]
+    hs = [make_horocycle(F(Q(c)), Q(r)) for c, r in specs]
+    inst = instance_from_horocycles(hs, [h.center for h in hs])
+    assert isinstance(_oracle_tangency_realizability(inst), Unsatisfiable)
+    res = tangency_realizability(inst)
+    assert isinstance(res, Satisfiable) and res.exact
+    assert _realizes(inst, res)
+
+
+def test_two_relabelled_centers_at_infinity():
+    # 0 and 7 both go to oo: one pair at one center, disjoint for any radii
+    hs = [make_horocycle(F(0), 1), make_horocycle(F(2), 1), make_horocycle(F(7), 1)]
+    inst = instance_from_horocycles(hs, [INFINITY, F(5), INFINITY])
+    T, D = PairRequirement.TANGENT, PairRequirement.DISJOINT
+    assert inst.required_pattern[0][1:] == [T, D] and inst.required_pattern[1][2] is D
+    res = tangency_realizability(inst)
+    assert isinstance(res, Satisfiable) and _realizes(inst, res)
+    rho = res.radii
+    assert rho[0] == 2 * rho[1] and rho[2] > 2 * rho[1]
+    with pytest.raises(InvalidInputError, match="same center"):
+        _oracle_tangency_realizability(inst)
+    # two finite centers at one point get the same rule
+    inst = instance_from_horocycles(hs, [F(3), F(5), F(3)])
+    res = tangency_realizability(inst)
+    assert isinstance(res, Satisfiable) and _realizes(inst, res)

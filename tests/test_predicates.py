@@ -836,3 +836,19 @@ def test_exact_curve_of_wide_coefficients_with_inexact_curve(monkeypatch):
     # a = 1 beside d near 2^2200: no common scale keeps both in floats
     with pytest.raises(InvalidInputError):
         intersection_pattern(make_geodesic(F(2**1100), F(2**1100 + 1)), inexact[0])
+
+
+def test_exact_line_past_float_range_with_inexact_line():
+    # two lines are never scaled, so an exact line whose integers no float
+    # holds is refused instead of overflowing
+    far = make_geodesic(F(2**1100), INFINITY)
+    low = make_horocycle(INFINITY, 0.5)
+    for c1, c2 in ((far, low), (low, far)):
+        with pytest.raises(InvalidInputError, match="float range"):
+            intersection_pattern(c1, c2)
+    # the largest finite float still works, and exact pairs are untouched
+    top = make_geodesic(F(2**1023), INFINITY)
+    pat = intersection_pattern(top, low)
+    assert (pat.interior_count, pat.shared_endpoints) == (1, 1)
+    pat = intersection_pattern(far, make_horocycle(INFINITY, Q(1, 2)))
+    assert pat.exact and pat.interior_points == (UHPPoint(2**1100, Q(1, 2)),)
