@@ -5,6 +5,9 @@ verify, render.  Rational inputs are `p/q` strings; floats are accepted
 only with --inexact, which disables the exact-predicate guarantees and says
 so in the output banner.  Exit codes: 0 success, 2 parse/usage error,
 3 degenerate geometry, 4 unwritable output path.
+
+Each command imports the layers it runs inside its function, so a call
+starts only the modules it needs (`classify` loads no predicates).
 """
 
 from __future__ import annotations
@@ -37,33 +40,6 @@ from .model import (
     make_hypercycle,
     parse_curve_text,
 )
-from .predicates import intersection_pattern, pair_type_from_pattern
-from .constructions import (
-    FoliatesComponent,
-    HorocycleLimit,
-    classify_family_limit,
-    disj_family,
-    dyadic_family,
-    fixed_endpoint_family,
-    pinch_pair,
-    ray_family,
-)
-from .earthquake import (
-    EarthquakeMap,
-    Satisfiable,
-    eq_apply,
-    eq_geodesic_image,
-    instance_from_horocycles,
-    tangency_realizability,
-)
-from .graphs import (
-    GraphAutomorphism,
-    automorphisms,
-    build_graph,
-    isometry_realizing,
-)
-from .render import SvgScene, render_panels, render_scene, write_svg
-from .verify import SUITES, figure_one_configuration, run_suite
 
 EXIT_OK = 0
 EXIT_PARSE = 2
@@ -202,6 +178,8 @@ def cmd_classify(args, out: _Output) -> int:
 def cmd_construct(args, out: _Output) -> int:
     what = args.what
     if what == "dyadic":
+        from .constructions import dyadic_family
+
         fam = dyadic_family(args.level, args.n_min, args.n_max)
         for h in fam.horocycles:
             out.emit(h.to_text(), h.to_record())
@@ -212,6 +190,8 @@ def cmd_construct(args, out: _Output) -> int:
             )
         return EXIT_OK
     if what == "pinch":
+        from .constructions import pinch_pair
+
         c0, s0 = _fields(args.first, 2, "--first center,size")
         c1, s1 = _fields(args.second, 2, "--second center,size")
         h0 = make_horocycle(_parse_boundary(c0), _parse_number(s0, args.inexact))
@@ -231,6 +211,8 @@ def cmd_construct(args, out: _Output) -> int:
 
 
 def cmd_intersect(args, out: _Output) -> int:
+    from .predicates import intersection_pattern, pair_type_from_pattern
+
     class _Args:
         pass
 
@@ -265,6 +247,8 @@ def _read_some_curves(path: str) -> List[Curve]:
 
 
 def cmd_graph(args, out: _Output) -> int:
+    from .graphs import GraphAutomorphism, automorphisms, build_graph, isometry_realizing
+
     curves = _read_some_curves(args.curves)
     g = build_graph(curves, allow_mixed=args.mixed)
     out.emit(g.to_text(), g.to_record())
@@ -284,6 +268,8 @@ def cmd_graph(args, out: _Output) -> int:
 
 
 def cmd_earthquake(args, out: _Output) -> int:
+    from .earthquake import EarthquakeMap, eq_apply, eq_geodesic_image
+
     p, q = (s.strip() for s in args.fault.split(","))
     fault = make_geodesic(_parse_boundary(p), _parse_boundary(q))
     e = EarthquakeMap(fault, q_from_str(args.shear), args.side)
@@ -313,6 +299,13 @@ def cmd_earthquake(args, out: _Output) -> int:
             out.emit(f"{g.to_text()} -> {img.to_text()}", img.to_record())
         return EXIT_OK
     if action == "certify":
+        from .earthquake import (
+            Satisfiable,
+            figure_one_configuration,
+            instance_from_horocycles,
+            tangency_realizability,
+        )
+
         if args.curves:
             hs = _read_some_curves(args.curves)
         else:
@@ -332,6 +325,15 @@ def cmd_earthquake(args, out: _Output) -> int:
 
 
 def cmd_family(args, out: _Output) -> int:
+    from .constructions import (
+        FoliatesComponent,
+        HorocycleLimit,
+        classify_family_limit,
+        disj_family,
+        fixed_endpoint_family,
+        ray_family,
+    )
+
     if args.preset == "ray":
         fam = ray_family()
         probes = [make_geodesic(BoundaryPoint.finite(0), INFINITY)]
@@ -365,6 +367,8 @@ def cmd_family(args, out: _Output) -> int:
 
 
 def cmd_verify(args, out: _Output) -> int:
+    from .verify import run_suite
+
     seed = args.seed
     env_seed = os.environ.get("HYPERK_SEED")
     if env_seed is not None:
@@ -385,8 +389,12 @@ def cmd_verify(args, out: _Output) -> int:
     return EXIT_OK if failed == 0 else 1
 
 
-def _scene_from_preset(name: str) -> List[SvgScene]:
+def _scene_from_preset(name: str):
+    from .render import SvgScene
+
     if name == "dyadic":
+        from .constructions import dyadic_family
+
         fam = dyadic_family(0, -2, 2)
         scene = SvgScene(x_min=-2.5, x_max=2.5, height=2.0)
         scene.add(make_horocycle(INFINITY, 1))
@@ -394,6 +402,8 @@ def _scene_from_preset(name: str) -> List[SvgScene]:
         scene.mark(*fam.tangency_points)
         return [scene]
     if name == "figure-one":
+        from .earthquake import EarthquakeMap, eq_apply, figure_one_configuration
+
         hs = figure_one_configuration()
         before = SvgScene(x_min=-3.0, x_max=3.0, height=2.5)
         before.add(*hs)
@@ -410,6 +420,8 @@ def _scene_from_preset(name: str) -> List[SvgScene]:
 
 
 def cmd_render(args, out: _Output) -> int:
+    from .render import SvgScene, render_panels, render_scene, write_svg
+
     if args.preset:
         scenes = _scene_from_preset(args.preset)
     elif args.curves:
@@ -436,6 +448,16 @@ def _nonnegative_int(text: str) -> int:
     if value < 0:
         raise argparse.ArgumentTypeError(f"expected a nonnegative integer, got {text!r}")
     return value
+
+
+class _SuiteNames:
+    """The `verify` choices, read from the verify module only when argparse
+    checks or prints them."""
+
+    def __iter__(self):
+        from .verify import SUITES
+
+        return iter((*SUITES, "all"))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -495,7 +517,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("verify", help="run a property suite")
-    p.add_argument("suite", choices=tuple(SUITES) + ("all",))
+    # set after add_argument, which would list the choices and so import verify
+    p.add_argument("suite").choices = _SuiteNames()
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--depth", type=_nonnegative_int, default=6)

@@ -19,6 +19,7 @@ from typing import Dict, List, Optional, Sequence, Tuple, Union
 from ._rational import Q, is_rational, q_str, sqrt_exact
 from .errors import InvalidInputError
 from .model import (
+    INFINITY,
     BoundaryPoint,
     Curve,
     CurveKind,
@@ -26,6 +27,7 @@ from .model import (
     UHPPoint,
     _base_boundary_point,
     make_geodesic,
+    make_horocycle,
     rational_points,
     two_point_normalizer,
 )
@@ -601,3 +603,21 @@ def instance_from_horocycles(
                 req = PairRequirement.CROSSING
             pattern[i][j] = pattern[j][i] = req
     return RealizabilityInstance(centers, list(boundary_images), pattern)
+
+
+def figure_one_configuration() -> List[Curve]:
+    """The four horocycles of the paper's figure 1."""
+    F = BoundaryPoint.finite
+    return [
+        make_horocycle(F(-1), 1),
+        make_horocycle(F(1), 1),
+        make_horocycle(F(0), Q(1, 4)),
+        make_horocycle(INFINITY, 2),
+    ]
+
+
+def figure_one_images() -> List[BoundaryPoint]:
+    """Their centres moved by the shear-2 earthquake along (0, oo); no
+    horocycles at these centres have the same tangencies."""
+    F = BoundaryPoint.finite
+    return [F(-2), F(1), F(0), INFINITY]

@@ -102,7 +102,10 @@ class UHPPoint:
         return math.isclose(ax, bx, abs_tol=EPS) and math.isclose(ay, by, abs_tol=EPS)
 
     def __hash__(self):
-        return hash(("uhp", self.as_floats()))
+        if self.exact:
+            return hash(("uhp", self.as_floats()))
+        # equality within EPS is not transitive: only one hash for all agrees with it
+        return hash("uhp~")
 
     def __repr__(self):
         if self.exact:
@@ -125,6 +128,42 @@ def _coprime_ints(values):
     if next((v for v in ints if v), 0) < 0:
         g = -g
     return [v // g for v in ints]
+
+
+# The sign tests on a circle multiply at most six coefficients of the exact
+# curve (the inexact curve's are at most 1), so below 2^_FLOAT_BITS every
+# product stays under 2^1010.
+_FLOAT_BITS = 166
+
+
+def _int_floats(k, scale: bool):
+    """The integers k as floats; with `scale`, divided by a common power of
+    two when they are too large for the sign tests on a circle.
+
+    Each quotient is correctly rounded, so it keeps the relative precision
+    float() would give, and every sign test on a circle is homogeneous in
+    the coefficients: the scale changes no answer while nothing underflows.
+    Two lines are not scaled, since their determinant is compared with an
+    absolute tolerance.  `Curve.float_coeffs` always scales: it feeds only
+    ratios of the coefficients.
+    """
+    shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
+    if shift <= 0:
+        try:
+            return [float(v) for v in k]
+        except OverflowError:  # an unscaled line past the float range
+            raise InvalidInputError("line coefficients exceed the float range") from None
+    floats = [v / (1 << shift) for v in k]
+    if any(v and not f for v, f in zip(k, floats)):
+        raise InvalidInputError("circle coefficients span more than the float range")
+    return floats
+
+
+def _finite(*values):
+    """`values`, which must be floats in range."""
+    if not all(math.isfinite(v) for v in values):
+        raise InvalidInputError("the result is outside the float range")
+    return values
 
 
 class GeneralizedCircle:
@@ -202,7 +241,8 @@ class GeneralizedCircle:
     def __hash__(self):
         if self.exact:
             return hash(("gc", self.coeffs()))
-        return hash(("gc~", tuple(round(v, 6) for v in self.coeffs())))
+        # equality within EPS is not transitive: only one hash for all agrees with it
+        return hash("gc~")
 
     def __repr__(self):
         if self.exact:
@@ -326,37 +366,45 @@ class Curve:
     def has_exact_endpoints(self) -> bool:
         return self._endpoints is not None
 
+    def float_coeffs(self):
+        """The coefficients as floats.  An exact curve's are divided by a
+        common power of two when large, which changes no ratio of them:
+        every float derived from a curve is such a ratio."""
+        k = self.circle.coeffs()
+        return _int_floats(k, True) if self.circle.exact else k
+
     def endpoint_floats(self):
         """Endpoints as floats, with math.inf standing in for infinity."""
-        a, b, c, d = (float(v) for v in self.circle.coeffs())
-        if abs(a) > (0 if self.circle.exact else EPS) and a != 0:
+        tol = 0 if self.circle.exact else EPS
+        a, b, c, d = self.float_coeffs()
+        if abs(a) > tol:
             disc = b * b - 4 * a * d
             if disc <= 0:
-                return (-b / (2 * a),)
+                return _finite(-b / (2 * a))
             r = math.sqrt(disc)
             lo, hi = (-b - r) / (2 * a), (-b + r) / (2 * a)
-            return (min(lo, hi), max(lo, hi))
-        if abs(b) <= (0 if self.circle.exact else EPS):
+            return _finite(min(lo, hi), max(lo, hi))
+        if abs(b) <= tol:
             return (math.inf,)
-        return (-d / b, math.inf)
+        return _finite(-d / b) + (math.inf,)
 
     def euclidean_center_radius(self):
         """(cx, cy, r) floats for circle-type curves, None for lines."""
-        a, b, c, d = (float(v) for v in self.circle.coeffs())
+        a, b, c, d = self.float_coeffs()
         if abs(a) <= (0 if self.circle.exact else EPS):
             return None
         cx, cy = -b / (2 * a), -c / (2 * a)
         r = math.sqrt(max(0.0, (b * b + c * c - 4 * a * d))) / (2 * abs(a))
-        return cx, cy, r
+        return _finite(cx, cy, r)
 
     def apex_height(self) -> float:
         """Height of the curve's highest point (inf for non-horizontal lines)."""
         ecr = self.euclidean_center_radius()
         if ecr is None:
-            b = float(self.circle.b)
-            if abs(b) > EPS:
+            _, b, c, d = self.float_coeffs()
+            if abs(b) > (0 if self.circle.exact else EPS):
                 return math.inf
-            return -float(self.circle.d) / float(self.circle.c)
+            return _finite(-d / c)[0]
         cx, cy, r = ecr
         return cy + r
 
@@ -409,17 +457,6 @@ def parse_curve_text(text: str) -> Curve:
     if curve.kind.value != kind_tag:
         raise InvalidInputError(
             f"curve text tagged {kind_tag} but coefficients classify as {curve.kind.value}"
-        )
-    return curve
-
-
-def curve_from_record(record: dict) -> Curve:
-    curve = curve_from_coeffs(
-        int(record["a"]), int(record["b"]), int(record["c"]), int(record["d"])
-    )
-    if curve.kind.value != record["kind"]:
-        raise InvalidInputError(
-            f"record tagged {record['kind']} but classifies as {curve.kind.value}"
         )
     return curve
 
@@ -626,19 +663,6 @@ class Isometry:
                 image,
             )
         return image
-
-
-def apply_isometry(iso: Isometry, target):
-    """Apply `iso` to a point, boundary point, curve, or generalized circle."""
-    if isinstance(target, UHPPoint):
-        return iso.apply_point(target)
-    if isinstance(target, BoundaryPoint):
-        return iso.apply_boundary(target)
-    if isinstance(target, Curve):
-        return iso.apply_curve(target)
-    if isinstance(target, GeneralizedCircle):
-        return iso.apply_circle(target)
-    raise InvalidInputError(f"cannot apply isometry to {type(target).__name__}")
 
 
 # ---------------------------------------------------------------------------

@@ -27,6 +27,7 @@ from .model import (
     Curve,
     CurveKind,
     UHPPoint,
+    _int_floats,
 )
 
 
@@ -108,34 +109,6 @@ def _pair_coeffs(c1: Curve, c2: Curve):
         if c.exact:
             k[:] = _int_floats(k, scale)
     return k1, k2, EPS
-
-
-# The sign tests on a circle multiply at most six coefficients of the exact
-# curve (the inexact curve's are at most 1), so below 2^_FLOAT_BITS every
-# product stays under 2^1010.
-_FLOAT_BITS = 166
-
-
-def _int_floats(k, scale: bool):
-    """The integers k as floats; with `scale`, divided by a common power of
-    two when they are too large for the sign tests on a circle.
-
-    Each quotient is correctly rounded, so it keeps the relative precision
-    float() would give, and every sign test on a circle is homogeneous in
-    the coefficients: the scale changes no answer while nothing underflows.
-    Two lines are not scaled, since their determinant is compared with an
-    absolute tolerance.
-    """
-    shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
-    if shift <= 0:
-        try:
-            return [float(v) for v in k]
-        except OverflowError:  # an unscaled line past the float range
-            raise InvalidInputError("line coefficients exceed the float range") from None
-    floats = [v / (1 << shift) for v in k]
-    if any(v and not f for v, f in zip(k, floats)):
-        raise InvalidInputError("circle coefficients span more than the float range")
-    return floats
 
 
 def _number(m, n, disc, w):

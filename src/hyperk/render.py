@@ -41,6 +41,8 @@ class SvgScene:
 
 
 def _f(v: float) -> str:
+    if not math.isfinite(v):
+        raise InvalidInputError("a scene coordinate is outside the float range")
     s = f"{v:.6f}"
     return "0.000000" if s == "-0.000000" else s
 
@@ -59,22 +61,24 @@ class _Mapper:
 
 
 def _curve_element(curve: Curve, mapper: _Mapper, color: str) -> str:
-    a, b, c, d = (float(v) for v in curve.circle.coeffs())
+    a, b, c, d = curve.float_coeffs()
+    tol = 0 if curve.exact else 1e-13
     style = f'fill="none" stroke="{color}" stroke-width="1.5"'
-    if abs(a) > 1e-13:
+    if abs(a) > tol:
         cx = -b / (2 * a)
         cy = -c / (2 * a)
-        r2 = cx * cx + cy * cy - d / a
+        # r^2 = b^2 + c^2 - 4ad over (2a)^2, which may overflow when r does not
+        r2 = b * b + c * c - 4 * a * d
         if r2 <= 0:
             return ""
-        r = math.sqrt(r2)
+        r = math.sqrt(r2) / (2 * abs(a))
         px, py = mapper.to_pixel(cx, cy)
         return (
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(r * mapper.scale)}" '
             f'{style} clip-path="url(#uhp)"/>'
         )
     # a line b x + c y + d = 0
-    if abs(c) <= 1e-13:
+    if abs(c) <= tol:
         # vertical line x = -d/b
         x = -d / b
         p0 = mapper.to_pixel(x, 0.0)

@@ -55,6 +55,8 @@ from .earthquake import (
     Satisfiable,
     Unsatisfiable,
     eq_apply,
+    figure_one_configuration,
+    figure_one_images,
     instance_from_horocycles,
     pointwise_image_is_curve,
     tangency_realizability,
@@ -508,21 +510,6 @@ def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
         )
     )
     return out
-
-
-def figure_one_configuration() -> List[Curve]:
-    F = BoundaryPoint.finite
-    return [
-        make_horocycle(F(-1), 1),
-        make_horocycle(F(1), 1),
-        make_horocycle(F(0), Q(1, 4)),
-        make_horocycle(INFINITY, 2),
-    ]
-
-
-def figure_one_images() -> List[BoundaryPoint]:
-    F = BoundaryPoint.finite
-    return [F(-2), F(1), F(0), INFINITY]
 
 
 def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:

@@ -1,5 +1,7 @@
 import json
+import math
 import os
+import re
 
 import pytest
 
@@ -166,6 +168,7 @@ MALFORMED = [
     ("earthquake", "--fault", "0,oo", "--shear", "2", "certify", "--curves", "EMPTY"),
     ("--inexact", "intersect", "--first-geodesic", f"{2**1100},oo",
      "--second-horocycle", "oo,0.5"),
+    ("render", "--curves", "FARLINE", "-o", "a.svg"),
 ]
 
 #: curve files that MALFORMED names by placeholder
@@ -173,6 +176,7 @@ CURVE_FILES = {
     "BADTEXT": "horocycle a=1 b=0\n",
     "DUPLICATES": "horocycle a=1 b=0 c=-1 d=0\nhorocycle a=1 b=0 c=-1 d=0\n",
     "EMPTY": "# no curves\n",
+    "FARLINE": f"geodesic a=0 b=1 c=0 d=-{2**1100}\n",  # x = 2^1100
 }
 
 
@@ -205,3 +209,30 @@ def test_certify_of_empty_file_says_so(capsys, tmp_path):
     )
     assert code == 2
     assert "no curves" in err and "satisfiable" not in out
+
+
+#: x^2 + y^2 = HUGE has the irrational endpoints +-2^600.5; d is no float
+HUGE = 2 * 4**600
+
+
+def test_classify_of_huge_coefficients(capsys):
+    code, out, err = run(capsys, "classify", "--coeffs", f"1,0,0,-{HUGE}")
+    assert code == 0 and err == ""
+    lo, hi = map(float, re.search(r"endpoints ~\((\S+), (\S+)\)", out).groups())
+    assert math.isclose(hi, 2**600.5, rel_tol=1e-15) and lo == -hi
+    assert f"canonical geodesic a=1 b=0 c=0 d=-{HUGE}" in out
+    # endpoints +-2^1050.5 are past the float range
+    code, _, err = run(capsys, "classify", "--coeffs", f"1,0,0,-{2**2101}")
+    assert code == 2 and "float range" in err
+
+
+def test_render_of_huge_coefficients(capsys, tmp_path):
+    f = tmp_path / "huge.txt"
+    f.write_text(f"geodesic a=1 b=0 c=0 d=-{HUGE}\n")
+    svg = tmp_path / "huge.svg"
+    code, _, err = run(capsys, "render", "--curves", str(f), "-o", str(svg))
+    assert code == 0 and err == ""
+    # the window starts at x = -3.25 and a unit is 80 pixels
+    cx, r = re.search(r'<circle cx="(\S+)" cy="\S+" r="(\S+)"', svg.read_text()).groups()
+    assert float(cx) == 3.25 * 80
+    assert math.isclose(float(r) / 80, 2**600.5, rel_tol=1e-15)

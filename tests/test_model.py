@@ -406,3 +406,60 @@ def test_invariant_survives_python_O():
     )
     assert out.returncode == 0, out.stderr
     assert out.stdout.strip() == "raised"
+
+
+def test_equal_inexact_objects_hash_equal():
+    # equality within EPS is not transitive, so no hash finer than one per
+    # type agrees with it; the parent hashed inexact circles on round(v, 6)
+    pairs = [(UHPPoint(0.1 + 0.2, 1), UHPPoint(0.3, 1))]
+    rng = random.Random(20240)
+    straddles = 0
+    for _ in range(2000):
+        x, y = rng.uniform(-5, 5), rng.uniform(0.1, 5)
+        dx, dy = (rng.uniform(-1.5, 1.5) * model.EPS for _ in "xy")
+        pairs.append((UHPPoint(x, y, exact=False), UHPPoint(x + dx, y + dy, exact=False)))
+        # hypercycles: b^2 - 4ad >= 0.02 with the centre above the axis
+        k = [rng.uniform(0.1, 1), rng.uniform(-1, 1), -1.0, rng.uniform(-1, -0.05)]
+        c1 = curve_from_coeffs(*k, exact=False)
+        c2 = curve_from_coeffs(*(v + rng.uniform(-1, 1) * model.EPS for v in k), exact=False)
+        pairs += [(c1, c2), (c1.circle, c2.circle)]
+        if c1 == c2:
+            u, v = c1.circle.coeffs(), c2.circle.coeffs()
+            straddles += any(round(s, 6) != round(t, 6) for s, t in zip(u, v))
+    assert pairs[0][0] == pairs[0][1]
+    equal = [(a, b) for a, b in pairs if a == b]
+    assert len(equal) > 1000 and straddles > 0, (len(equal), straddles)
+    for a, b in equal:
+        assert hash(a) == hash(b), (a, b)
+    # exact objects keep hashes that tell them apart
+    assert hash(UHPPoint(Q(3, 10), 1)) != hash(UHPPoint(Q(1, 3), 1))
+    assert hash(make_geodesic(F(0), F(1))) != hash(make_geodesic(F(0), F(3)))
+
+
+class TestFloatsOfHugeCoefficients:
+    # x^2 + y^2 = 2 * 4^600: no coefficient past a is a float, the endpoints are
+    HUGE = curve_from_coeffs(1, 0, 0, -2 * 4**600)
+
+    def test_endpoints_center_and_apex(self):
+        lo, hi = self.HUGE.endpoint_floats()
+        assert hi == pytest.approx(2**600.5, rel=1e-15) and lo == -hi
+        cx, cy, r = self.HUGE.euclidean_center_radius()
+        assert (cx, cy) == (0.0, 0.0) and r == pytest.approx(2**600.5, rel=1e-15)
+        assert self.HUGE.apex_height() == r
+
+    def test_same_floats_as_small_coefficients(self):
+        # a common power of two leaves every ratio as it was
+        for k in ((1, 0, 0, -2), (3, -5, 0, 1), (2, -3, -7, 1), (0, 1, 0, -5), (0, 0, 1, -3)):
+            small = curve_from_coeffs(*k)
+            big = curve_from_coeffs(*(v * 2**900 + (v > 0) for v in k))
+            for f in ("endpoint_floats", "euclidean_center_radius", "apex_height"):
+                want, got = getattr(small, f)(), getattr(big, f)()
+                assert got == pytest.approx(want, rel=1e-12), (k, f)
+
+    def test_result_past_float_range_raises(self):
+        far_line = curve_from_coeffs(0, 1, 0, -(2**1100))  # x = 2^1100
+        high_line = curve_from_coeffs(0, 0, 1, -(2**1100))  # y = 2^1100
+        with pytest.raises(InvalidInputError, match="float range"):
+            far_line.endpoint_floats()
+        with pytest.raises(InvalidInputError, match="float range"):
+            high_line.apex_height()

@@ -25,7 +25,7 @@ from hyperk import (
     make_hypercycle,
     same_endpoints,
 )
-from hyperk import predicates
+from hyperk import model, predicates
 from hyperk._rational import sqrt_exact
 from hyperk.constructions import (
     classify_family_limit,
@@ -825,13 +825,13 @@ def test_exact_curve_of_wide_coefficients_with_inexact_curve(monkeypatch):
         bits = max(abs(v).bit_length() for v in c1.circle.coeffs())
         for c2 in inexact:
             a1, a2 = c1.circle.a != 0, abs(c2.circle.a) > EPS
-            if a1 and a2 and bits > predicates._FLOAT_BITS:
+            if a1 and a2 and bits > model._FLOAT_BITS:
                 continue
             want = _float_route_pattern(monkeypatch, c1, c2)
             assert _pattern(c1, c2) == want, (c1, c2)
             assert _pattern(c2, c1) == _float_route_pattern(monkeypatch, c2, c1)
             compared += 1
-            scaled += bits > predicates._FLOAT_BITS and (a1 or a2)
+            scaled += bits > model._FLOAT_BITS and (a1 or a2)
     assert compared > 150 and scaled > 10, (compared, scaled)
     # a = 1 beside d near 2^2200: no common scale keeps both in floats
     with pytest.raises(InvalidInputError):

@@ -2,26 +2,119 @@
 modules import."""
 
 import ast
+import importlib
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 import hyperk
 
 PACKAGE = Path(hyperk.__file__).parent
 
 
-def test_import_does_not_load_scipy():
-    # the realizability solver imports linprog only when it needs it
-    code = "import sys, hyperk\nprint('scipy' in sys.modules)\n"
+def _fresh(code):
+    """The last line a fresh interpreter running `code` prints."""
     src = str(PACKAGE.parent)
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip().splitlines()[-1]
+
+
+def _modules_loaded_by(code):
+    """The hyperk modules a fresh interpreter holds after running `code`."""
+    return set(ast.literal_eval(_fresh(
+        code + "\nimport sys\n"
+        "print(sorted(m for m in sys.modules if m == 'hyperk' or m.startswith('hyperk.')))\n"
+    )))
+
+
+def test_import_does_not_load_scipy():
+    # the realizability solver imports linprog only when it needs it
+    assert _fresh("import sys, hyperk\nprint('scipy' in sys.modules)\n") == "False"
+
+
+def test_import_loads_no_layer_module():
+    assert _modules_loaded_by("import hyperk") == {"hyperk"}
+
+
+CLI_BASE = {"hyperk", "hyperk.cli", "hyperk._rational", "hyperk.errors", "hyperk.model"}
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["classify", "--horocycle", "oo,2"], set()),
+    (["construct", "equidistant", "--first", "0,oo"], set()),
+    (["intersect", "--first-geodesic", "-1,1", "--second-geodesic", "0,oo"],
+     {"predicates"}),
+    (["earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1", "1,1"],
+     {"predicates", "earthquake"}),
+    (["earthquake", "--fault", "0,oo", "--shear", "2", "certify"],
+     {"predicates", "earthquake"}),
+    (["render", "--preset", "figure-one", "-o", "FILE"],
+     {"predicates", "earthquake", "render"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
+def test_cli_command_loads_only_its_layers(tmp_path, argv, layers):
+    # cli.main in a fresh interpreter loads what `python -m hyperk.cli` does
+    argv = [str(tmp_path / "out.svg") if a == "FILE" else a for a in argv]
+    loaded = _modules_loaded_by(
+        "import contextlib, io\nfrom hyperk import cli\n"
+        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
+    )
+    assert loaded == CLI_BASE | {f"hyperk.{m}" for m in layers}
+
+
+#: every name the package exported when it imported all its modules, by the
+#: module that defines it
+EXPORTED = {
+    "_rational": "Q q_from_str q_str",
+    "errors": "DegenerateResultError HyperkError IndeterminateLimitError "
+              "InvalidInputError NoSolutionError",
+    "model": "EPS INFINITY BoundaryPoint Curve CurveKind GeneralizedCircle Isometry "
+             "UHPPoint curve_from_circle curve_from_coeffs distance_to_geodesic "
+             "equidistant_pair make_geodesic make_horocycle make_hypercycle "
+             "parse_curve_text rational_points triple_normalizer two_point_normalizer",
+    "predicates": "HorocycleOrder HypercyclePairType IntersectionPattern between_tangent "
+                  "geodesics_linked horocycle_leq hypercycle_pair_type intersection_pattern "
+                  "linked pair_type_from_pattern same_endpoints",
+    "constructions": "CenterSwap ContinuousFamily DyadicFamily FoliatesComponent "
+                     "FourGeodesicConfig HorocycleLimit HypercycleOrGeodesicLimit "
+                     "chebyshev_grid classify_family_limit disj_family dyadic_family "
+                     "fixed_endpoint_family four_geodesic_config hyp1_witness "
+                     "normalizer_from_images pinch_pair ray_family sigma_center_swap "
+                     "witness_family_search",
+    "earthquake": "Constraint EarthquakeMap PairRequirement PointwiseImageResult "
+                  "RealizabilityInstance Satisfiable Unsatisfiable eq_apply "
+                  "eq_geodesic_image figure_one_configuration figure_one_images "
+                  "instance_from_horocycles pointwise_image_is_curve tangency_realizability",
+    "graphs": "DisjointnessGraph GraphAutomorphism GraphClass LinkCheckResult automorphisms "
+              "build_graph induced_permutation isometry_matching isometry_realizing "
+              "link_preserving_check",
+    "render": "SvgScene render_panels render_scene write_svg",
+    "verify": "PropertyResult SUITES run_suite",
+}
+
+
+def test_every_exported_name_resolves_to_its_home_module():
+    homes = {name: module for module, names in EXPORTED.items() for name in names.split()}
+    assert len(homes) == 88
+    assert sorted(hyperk.__all__) == sorted(homes)
+    assert set(homes) <= set(dir(hyperk))
+    for name, module in homes.items():
+        home = importlib.import_module(f"hyperk.{module}")
+        assert getattr(hyperk, name) is vars(home)[name], name
+    assert hyperk.__version__ == "1.0.0"
+
+
+def test_unknown_name_raises_attribute_error():
+    # a typo in the lazy table would surface here, not at import
+    with pytest.raises(AttributeError, match="no_such_name"):
+        hyperk.no_such_name  # noqa: B018
+    assert not hasattr(hyperk, "no_such_name")
 
 
 def _unused_imports(tree):
