@@ -66,10 +66,6 @@ class _Output:
                 print(json.dumps(rec, sort_keys=True))
 
 
-def _parse_boundary(text: str) -> BoundaryPoint:
-    return BoundaryPoint.parse(text)
-
-
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 
 
@@ -92,20 +88,21 @@ def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
     return parts
 
 
-def _curve_from_args(args, out_inexact: bool) -> Curve:
-    chosen = [
-        name
+def _curve_from_args(args, out_inexact: bool, prefix: str = "") -> Curve:
+    """The curve given by the flags whose dest is `prefix` + kind."""
+    values = {
+        name: getattr(args, prefix + name, None)
         for name in ("coeffs", "geodesic", "horocycle", "hypercycle", "curve")
-        if getattr(args, name, None)
-    ]
+    }
+    chosen = [name for name, value in values.items() if value]
     if len(chosen) != 1:
         raise InvalidInputError(
             "specify exactly one of --coeffs/--geodesic/--horocycle/--hypercycle/--curve"
         )
     kind = chosen[0]
     if kind == "curve":
-        return parse_curve_text(args.curve)
-    parts = [p for p in getattr(args, kind).split(",") if p.strip()]
+        return parse_curve_text(values["curve"])
+    parts = [p for p in values[kind].split(",") if p.strip()]
     if kind == "coeffs":
         if len(parts) != 4:
             raise InvalidInputError("--coeffs needs a,b,c,d")
@@ -114,18 +111,18 @@ def _curve_from_args(args, out_inexact: bool) -> Curve:
     if kind == "geodesic":
         if len(parts) != 2:
             raise InvalidInputError("--geodesic needs p,q")
-        return make_geodesic(_parse_boundary(parts[0]), _parse_boundary(parts[1]))
+        return make_geodesic(BoundaryPoint.parse(parts[0]), BoundaryPoint.parse(parts[1]))
     if kind == "horocycle":
         if len(parts) != 2:
             raise InvalidInputError("--horocycle needs center,size")
         return make_horocycle(
-            _parse_boundary(parts[0]), _parse_number(parts[1], out_inexact)
+            BoundaryPoint.parse(parts[0]), _parse_number(parts[1], out_inexact)
         )
     if len(parts) != 4:
         raise InvalidInputError("--hypercycle needs p,q,x,y (a point on the curve)")
     return make_hypercycle(
-        _parse_boundary(parts[0]),
-        _parse_boundary(parts[1]),
+        BoundaryPoint.parse(parts[0]),
+        BoundaryPoint.parse(parts[1]),
         UHPPoint(
             _parse_number(parts[2], out_inexact), _parse_number(parts[3], out_inexact)
         ),
@@ -194,15 +191,15 @@ def cmd_construct(args, out: _Output) -> int:
 
         c0, s0 = _fields(args.first, 2, "--first center,size")
         c1, s1 = _fields(args.second, 2, "--second center,size")
-        h0 = make_horocycle(_parse_boundary(c0), _parse_number(s0, args.inexact))
-        h1 = make_horocycle(_parse_boundary(c1), _parse_number(s1, args.inexact))
+        h0 = make_horocycle(BoundaryPoint.parse(c0), _parse_number(s0, args.inexact))
+        h1 = make_horocycle(BoundaryPoint.parse(c1), _parse_number(s1, args.inexact))
         a, b = pinch_pair(h0, h1)
         for w in (a, b):
             out.emit(w.to_text(), w.to_record())
         return EXIT_OK
     if what == "equidistant":
         p, q = _fields(args.first, 2, "--first p,q")
-        g = make_geodesic(_parse_boundary(p), _parse_boundary(q))
+        g = make_geodesic(BoundaryPoint.parse(p), BoundaryPoint.parse(q))
         lo, hi = equidistant_pair(g, float(args.distance))
         for w in (lo, hi):
             out.emit(w.to_text(), w.to_record())
@@ -213,16 +210,8 @@ def cmd_construct(args, out: _Output) -> int:
 def cmd_intersect(args, out: _Output) -> int:
     from .predicates import intersection_pattern, pair_type_from_pattern
 
-    class _Args:
-        pass
-
-    first, second = _Args(), _Args()
-    for name in ("coeffs", "geodesic", "horocycle", "hypercycle", "curve"):
-        setattr(first, name, getattr(args, f"first_{name}", None))
-        setattr(second, name, getattr(args, f"second_{name}", None))
-    first.inexact = second.inexact = args.inexact
-    c1 = _curve_from_args(first, args.inexact)
-    c2 = _curve_from_args(second, args.inexact)
+    c1 = _curve_from_args(args, args.inexact, "first_")
+    c2 = _curve_from_args(args, args.inexact, "second_")
     pat = intersection_pattern(c1, c2)
     ptype = pair_type_from_pattern(c1, c2)
     out.emit(
@@ -271,7 +260,7 @@ def cmd_earthquake(args, out: _Output) -> int:
     from .earthquake import EarthquakeMap, eq_apply, eq_geodesic_image
 
     p, q = (s.strip() for s in args.fault.split(","))
-    fault = make_geodesic(_parse_boundary(p), _parse_boundary(q))
+    fault = make_geodesic(BoundaryPoint.parse(p), BoundaryPoint.parse(q))
     e = EarthquakeMap(fault, q_from_str(args.shear), args.side)
     action = args.action
     if action == "apply":
@@ -287,14 +276,14 @@ def cmd_earthquake(args, out: _Output) -> int:
                     {"input": token, "image": [str(w.x), str(w.y)]},
                 )
             else:
-                b = _parse_boundary(token)
+                b = BoundaryPoint.parse(token)
                 w = eq_apply(e, b)
                 out.emit(f"{token} -> {w!r}", {"input": token, "image": repr(w)})
         return EXIT_OK
     if action == "image":
         for token in args.values:
             a, b = token.split(",")
-            g = make_geodesic(_parse_boundary(a), _parse_boundary(b))
+            g = make_geodesic(BoundaryPoint.parse(a), BoundaryPoint.parse(b))
             img = eq_geodesic_image(e, g)
             out.emit(f"{g.to_text()} -> {img.to_text()}", img.to_record())
         return EXIT_OK
@@ -342,11 +331,11 @@ def cmd_family(args, out: _Output) -> int:
         probes = [fam.declared_limit.curve]
     else:
         hc, hs = _fields(args.horocycle, 2, "--horocycle center,size")
-        h = make_horocycle(_parse_boundary(hc), q_from_str(hs))
+        h = make_horocycle(BoundaryPoint.parse(hc), q_from_str(hs))
         hp_parts = _fields(args.hypercycle, 4, "--hypercycle p,q,x,y")
         hp = make_hypercycle(
-            _parse_boundary(hp_parts[0]),
-            _parse_boundary(hp_parts[1]),
+            BoundaryPoint.parse(hp_parts[0]),
+            BoundaryPoint.parse(hp_parts[1]),
             UHPPoint(q_from_str(hp_parts[2]), q_from_str(hp_parts[3])),
         )
         fam = disj_family(h, hp)

@@ -5,14 +5,15 @@ configurations, the center-swap relabeling, and image normalizers.
 Universally quantified geometric statements are checked by exact finite
 enumeration where the statement is combinatorial (boundary arc classes),
 and against documented probe sets and deterministic sample grids where it
-is not (family limits).
+is not (family limits).  A witness search certifies a crossing pair by
+exact points of one curve on both sides of the other
+(`model.straddling_points`).
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from fractions import Fraction
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -32,11 +33,11 @@ from .model import (
     INFINITY,
     Isometry,
     UHPPoint,
-    _base_boundary_point,
     curve_from_coeffs,
     make_geodesic,
     make_horocycle,
     rational_points,
+    straddling_points,
     two_point_normalizer,
 )
 from .predicates import intersection_pattern, linked
@@ -163,97 +164,33 @@ def hyp1_witness(h1: Curve, h2: Curve, x: UHPPoint, y: UHPPoint) -> Curve:
     raise NoSolutionError("no disjoint witness found in the search ladder")
 
 
-def _straddle_near_crossing(h1: Curve, h2: Curve, pat) -> Optional[Tuple[UHPPoint, UHPPoint]]:
-    """Exact points of h1 on opposite sides of h2, located by refining
-    rational parameters toward a transversal crossing reported by the
-    (exact) intersection predicate."""
-    a, b, c, d = h1.circle.coeffs()
-
-    def rationalize(v: float) -> Q:
-        fr = Fraction(v).limit_denominator(1 << 30)
-        return Q(fr.numerator, fr.denominator)
-
-    def classify(pt, state):
-        s = h2.circle.evaluate(pt.x, pt.y)
-        if s > 0:
-            state[0] = pt
-        elif s < 0:
-            state[1] = pt
-
-    for q in pat.interior_points:
-        qx, qy = float(q.x), float(q.y)
-        state: List[Optional[UHPPoint]] = [None, None]
-        if a == 0:
-            if c == 0:
-                params = lambda y: UHPPoint(Q(-d, b), y) if y > 0 else None
-                t0 = rationalize(qy)
-            else:
-                params = lambda x: (
-                    UHPPoint(x, -(b * x + d) / c)
-                    if -(b * x + d) / c > 0
-                    else None
-                )
-                t0 = rationalize(qx)
-        else:
-            x0 = _base_boundary_point(h1)
-            if abs(qx - float(x0)) < 1e-12:
-                continue  # vertical chord; try the other crossing
-
-            def params(t, x0=x0):
-                u = -(2 * a * x0 + b + c * t) / (a * (1 + t * t))
-                if u == 0:
-                    return None
-                x, y = x0 + u, t * u
-                return UHPPoint(x, y) if y > 0 else None
-
-            t0 = rationalize(qy / (qx - float(x0)))
-        for j in range(1, 80):
-            eps = Q(1, 2**j)
-            for t in (t0 - eps, t0 + eps):
-                pt = params(t)
-                if pt is not None:
-                    classify(pt, state)
-            if state[0] is not None and state[1] is not None:
-                return state[0], state[1]
-    return None
-
-
 def witness_family_search(h1: Curve, h2: Curve, samples: int = 40):
     """Search for a witness curve through two points of h1, one on each side
     of h1's meeting with h2, that is disjoint from h2.
 
-    Returns (witness, certificate).  When points of h1 on opposite sides of
-    h2's circle exist, no connected witness through such a pair can avoid
-    h2; the certificate names the separated pair and witness is None.  For
-    tangent pairs the ladder search of hyp1_witness is used.
+    Returns (witness, certificate).  When h1 crosses h2, no connected
+    witness through points of h1 on opposite sides of h2's circle can avoid
+    h2: the certificate names such a pair, found near a crossing, and
+    witness is None.  For tangent pairs the ladder search of hyp1_witness
+    runs on `samples` rational points of h1.
     """
-    pts = rational_points(h1, samples)
-    signs = [(pt, h2.circle.evaluate(pt.x, pt.y)) for pt in pts]
-    pos = next((pt for pt, s in signs if s > 0), None)
-    neg = next((pt for pt, s in signs if s < 0), None)
-    if pos is not None and neg is not None:
-        # pos and neg lie in different components of the half-plane cut by
-        # h2, so every connected curve through both crosses h2: exact
-        # impossibility certificate
-        return None, {
-            "separated_pair": (pos, neg),
-            "reason": "points of h1 on opposite sides of h2; any curve "
-            "through both must cross h2",
-        }
     pat = intersection_pattern(h1, h2)
     if not pat.tangent:
-        if pat.interior_count >= 1:
-            refined = _straddle_near_crossing(h1, h2, pat)
-            if refined is not None:
-                return None, {
-                    "separated_pair": refined,
-                    "reason": "points of h1 on opposite sides of h2; any "
-                    "curve through both must cross h2",
-                }
+        pairs = straddling_points(h1, h2.circle, pat.interior_points)
+        if pairs:
+            # the two points lie in different components of the half-plane
+            # cut by h2, so every connected curve through both crosses h2:
+            # exact impossibility certificate
+            return None, {
+                "separated_pair": pairs[0],
+                "reason": "points of h1 on opposite sides of h2; any curve "
+                "through both must cross h2",
+            }
         return None, {"reason": "no straddling pair found and pair not tangent"}
+    pts = rational_points(h1, samples)
     p = pat.interior_points[0]
-    for i, (xi, _) in enumerate(signs):
-        for yj, _ in signs[i + 1:]:
+    for i, xi in enumerate(pts):
+        for yj in pts[i + 1:]:
             if opposite_sides_of_point(h1, p, xi, yj):
                 try:
                     w = hyp1_witness(h1, h2, xi, yj)
@@ -369,9 +306,6 @@ class HypercycleOrGeodesicLimit:
     curve: Curve
 
 
-FamilyLimit = object  # union of the three dataclasses above
-
-
 def chebyshev_grid(n: int, lo: float = 0.0, hi: float = 1.0) -> Tuple[float, ...]:
     """n Chebyshev-Lobatto points on [lo, hi], including both ends."""
     if n < 2:
@@ -413,33 +347,6 @@ class ContinuousFamily:
 
     def members(self, grid: Optional[Sequence[float]] = None) -> List[Curve]:
         return [self.curve_at(t) for t in (self.grid if grid is None else grid)]
-
-    def validate(self, probes: Sequence[Curve] = (), strict_disjoint: bool = True):
-        """Grid-resolution sanity checks: pairwise disjointness of members
-        (when the family is of disjoint type) and monotone betweenness
-        against the probe set on consecutive grid triples."""
-        curves = self.members()
-        if strict_disjoint:
-            for i in range(len(curves)):
-                for j in range(i + 1, len(curves)):
-                    if curves[i] == curves[j]:
-                        continue
-                    pat = intersection_pattern(curves[i], curves[j])
-                    if pat.interior_count != 0:
-                        raise InvalidInputError(
-                            f"family members at grid {i}, {j} intersect"
-                        )
-        for probe in probes:
-            for i in range(1, len(curves) - 1):
-                lo, mid, hi = curves[i - 1], curves[i], curves[i + 1]
-                meets = lambda c: (
-                    c != probe and intersection_pattern(probe, c).interior_count > 0
-                )
-                if meets(lo) and meets(hi) and not (mid == probe or meets(mid)):
-                    raise InvalidInputError(
-                        f"betweenness violated at grid index {i} by a probe"
-                    )
-        return True
 
 
 def disj_family(h: Curve, hprime: Curve) -> ContinuousFamily:

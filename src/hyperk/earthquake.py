@@ -4,9 +4,11 @@ An earthquake acts as the identity on the closed unmoved side of the fault
 and as the hyperbolic translation with axis = fault and multiplier = shear
 on the moved side.  The boundary action is an orientation-preserving circle
 homeomorphism fixing both fault endpoints.  The module also contains the
-obstruction machinery: a rank test showing pointwise images of horocycles
-are not curves, and an exact radius-realizability solver for tangency
-patterns of horocycles under a relabeling of their boundary centers.
+obstruction machinery: a rank test showing pointwise images of curves that
+cross the fault are not curves (its samples include exact points on both
+sides of every crossing, from `model.straddling_points`), and an exact
+radius-realizability solver for tangency patterns of horocycles under a
+relabeling of their boundary centers.
 """
 
 from __future__ import annotations
@@ -25,10 +27,10 @@ from .model import (
     CurveKind,
     Isometry,
     UHPPoint,
-    _base_boundary_point,
     make_geodesic,
     make_horocycle,
     rational_points,
+    straddling_points,
     two_point_normalizer,
 )
 from .predicates import intersection_pattern
@@ -173,8 +175,11 @@ def pointwise_image_is_curve(
     """Map sample_count rational points of c pointwise through e and test
     whether the images are cocircular (lie on one generalized circle).
 
-    ``e`` may be an EarthquakeMap or an Isometry.  On failure the result
-    carries four image points certifying non-cocircularity."""
+    ``e`` may be an EarthquakeMap or an Isometry.  For an earthquake the
+    samples also hold a pair of points on both sides of each transversal
+    crossing of the fault, so a curve that crosses it is not a curve.  On
+    failure the result carries four image points certifying
+    non-cocircularity."""
     if sample_count < 8:
         raise InvalidInputError("sample_count must be at least 8")
     samples = rational_points(c, sample_count)
@@ -183,58 +188,12 @@ def pointwise_image_is_curve(
     if isinstance(e, Isometry):
         return _cocircular_exact([e.apply_point(p) for p in samples])
     # fixed sampling can miss a narrow crossing of the fault entirely, so
-    # add exact points straddling the fault whenever both sides are reachable
-    samples = samples + _fault_straddling_points(e, c)
+    # add exact points on both sides of every crossing
+    pat = intersection_pattern(c, e.fault)
+    crossings = () if pat.tangent else pat.interior_points
+    for pair in straddling_points(c, e.fault.circle, crossings):
+        samples.extend(pair)
     return _cocircular_exact([eq_apply(e, p) for p in samples])
-
-
-def _fault_straddling_points(e: EarthquakeMap, c: Curve) -> List[UHPPoint]:
-    """Rational points of c close to its crossings of the fault, a few on
-    each side.  Works in fault-normalized coordinates (fault = vertical
-    axis), where crossing chord slopes solve a rational quadratic."""
-    e1, e2 = sorted(e.fault.endpoints, key=BoundaryPoint.sort_key)
-    n = two_point_normalizer(e2, e1)  # fault -> the vertical axis x = 0
-    ninv = n.inverse()
-    cp = n.apply_curve(c)
-    a, b, cc, d = (Q(v) for v in cp.circle.coeffs())
-    out: List[UHPPoint] = []
-
-    def emit(x, y):
-        if y > 0:
-            out.append(ninv.apply_point(UHPPoint(x, y)))
-
-    delta = Q(1, 64)
-    if a == 0:
-        if cc == 0 or b == 0:
-            return []  # parallel to or equal to the fault axis
-        # line b x + cc y + d = 0 crosses x = 0 at y = -d/cc
-        for dx in (-delta, delta):
-            emit(dx, -(b * dx + d) / cc)
-        return out
-    x0 = _base_boundary_point(cp)
-    # chord of slope t through (x0, 0) lands at x(t) = 0 iff
-    # a x0 t^2 - cc t - (a x0 + b) = 0
-    qa, qb, qc = a * x0, -cc, -(a * x0 + b)
-    roots: List[float] = []
-    if qa == 0:
-        if qb != 0:
-            roots.append(float(-qc / qb))
-    else:
-        disc = float(qb * qb - 4 * qa * qc)
-        if disc >= 0:
-            s = math.sqrt(disc)
-            roots.extend(((-float(qb) + s) / (2 * float(qa)),
-                          (-float(qb) - s) / (2 * float(qa))))
-    for t_star in roots:
-        tq = Q(t_star).limit_denominator(10**9)
-        for dt in (-delta, delta):
-            t = tq + dt
-            den = a * (1 + t * t)
-            u = -(2 * a * x0 + b + cc * t) / den
-            if u == 0:
-                continue
-            emit(x0 + u, t * u)
-    return out
 
 
 # ---------------------------------------------------------------------------

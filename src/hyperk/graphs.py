@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from itertools import product
+from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
 from .errors import HyperkError, InvalidInputError
@@ -338,15 +338,11 @@ def link_preserving_check(
     map_values = list(map_values)
     if len(points) != len(map_values):
         raise InvalidInputError("points and map values differ in length")
-    if len(set((p.value,) if not p.is_infinity else ("oo",) for p in points)) != len(points):
+    if len(set(points)) != len(points):
         raise InvalidInputError("sample points must be distinct")
-    if len(set((p.value,) if not p.is_infinity else ("oo",) for p in map_values)) != len(
-        map_values
-    ):
+    if len(set(map_values)) != len(map_values):
         raise InvalidInputError("map must be injective on the sample")
     n = len(points)
-    from itertools import combinations
-
     for quad in combinations(range(n), 4):
         a, b, c, d = quad
         # the three pairings of the quadruple into two pairs

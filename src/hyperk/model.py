@@ -5,7 +5,10 @@ circle a(x^2+y^2) + bx + cy + d = 0 with exact integer coefficients in
 canonical form; all classification reduces to integer sign tests.  Curves
 built from irrational data (a few constructions need them) carry float
 coefficients and are flagged inexact; predicates on them use a documented
-tolerance instead of exact signs.
+tolerance instead of exact signs.  Exact curves also yield exact sample
+points: `rational_points` spreads them along the curve, and
+`straddling_points` places them on both sides of another circle near where
+the two meet.
 """
 
 from __future__ import annotations
@@ -102,10 +105,9 @@ class UHPPoint:
         return math.isclose(ax, bx, abs_tol=EPS) and math.isclose(ay, by, abs_tol=EPS)
 
     def __hash__(self):
-        if self.exact:
-            return hash(("uhp", self.as_floats()))
-        # equality within EPS is not transitive: only one hash for all agrees with it
-        return hash("uhp~")
+        # an exact point equals the inexact one at its floats, and equality
+        # within EPS is not transitive: only one hash for all agrees with it
+        return hash("uhp")
 
     def __repr__(self):
         if self.exact:
@@ -776,7 +778,8 @@ def equidistant_pair(g: Curve, d, sinh_d=None):
 
     The pair bounds the distance-d crescent around g.  Pass `sinh_d` as an
     exact rational to get exact output curves; otherwise sinh(d) is taken as
-    the exact rational value of the float.  d = 0 returns (g, g).
+    the exact rational value of the float, which must be finite.  d = 0
+    returns (g, g).
     """
     if g.kind is not CurveKind.GEODESIC:
         raise InvalidInputError("equidistant_pair needs a geodesic")
@@ -785,7 +788,12 @@ def equidistant_pair(g: Curve, d, sinh_d=None):
             if d == 0:
                 return (g, g)
             raise InvalidInputError("distance must be nonnegative")
-        sinh_d = Q(Fraction(math.sinh(d)))
+        try:
+            sinh_d = Q(Fraction(math.sinh(d)))
+        except OverflowError:  # d infinite, or sinh d past the float range
+            raise InvalidInputError(
+                "sinh of the distance is outside the float range"
+            ) from None
     else:
         sinh_d = Q(sinh_d)
         if sinh_d == 0:
@@ -890,3 +898,61 @@ def rational_points(curve: Curve, count: int):
         if k > 40 * count + 40:
             raise InvalidInputError("could not find enough rational points")
     return points
+
+
+def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
+    """Exact points of `curve` on both sides of `circle` near its meetings
+    with it: for each point of `near` where one is found, a pair (pos, neg)
+    with `circle` positive at pos and negative at neg.
+
+    A rational parameter of the curve moves away from the meeting point's
+    parameter in steps of 2^-j: the height on a vertical line, the abscissa
+    on any other line, and on a circle the chord through the base point of
+    `rational_points`, taken by slope dy/dx, or by dx/dy when the chord is
+    steep.  A tangency has no points on both sides, so it gives no pair.
+    """
+    if not curve.exact:
+        raise InvalidInputError("straddling points need an exact curve")
+    a, b, c, d = curve.circle.coeffs()
+    x0 = _base_boundary_point(curve)
+    pairs = []
+    for q in near:
+        x, y = (q.x, q.y) if q.exact else q.as_floats()
+        if a == 0 and c == 0:
+            t0 = y
+
+            def point(t, xv=Q(-d, b)):
+                return xv, t
+        elif a == 0:
+            t0 = x
+
+            def point(t):
+                return t, -(b * t + d) / c
+        elif abs(x - x0) >= y:
+            t0 = y / (x - x0)
+
+            def point(t):
+                # the chord of slope t meets the circle again at x0 + u
+                u = -(2 * a * x0 + b + c * t) / (a * (1 + t * t))
+                return x0 + u, t * u
+        else:
+            t0 = (x - x0) / y
+
+            def point(s):
+                # the chord x = x0 + s y meets the circle again at height v
+                v = -((2 * a * x0 + b) * s + c) / (a * (1 + s * s))
+                return x0 + s * v, v
+        t0 = Q(t0)
+        sides = {}
+        for j in range(1, 80):
+            step = Q(1, 1 << j)
+            for t in (t0 - step, t0 + step):
+                px, py = point(t)
+                if py > 0:
+                    s = circle.evaluate(px, py)
+                    if s:
+                        sides[s > 0] = UHPPoint(px, py, exact=True)
+            if len(sides) == 2:
+                pairs.append((sides[True], sides[False]))
+                break
+    return pairs

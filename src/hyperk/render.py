@@ -61,24 +61,20 @@ class _Mapper:
 
 
 def _curve_element(curve: Curve, mapper: _Mapper, color: str) -> str:
-    a, b, c, d = curve.float_coeffs()
-    tol = 0 if curve.exact else 1e-13
     style = f'fill="none" stroke="{color}" stroke-width="1.5"'
-    if abs(a) > tol:
-        cx = -b / (2 * a)
-        cy = -c / (2 * a)
-        # r^2 = b^2 + c^2 - 4ad over (2a)^2, which may overflow when r does not
-        r2 = b * b + c * c - 4 * a * d
-        if r2 <= 0:
+    circle = curve.euclidean_center_radius()
+    if circle is not None:
+        cx, cy, r = circle
+        if r == 0:
             return ""
-        r = math.sqrt(r2) / (2 * abs(a))
         px, py = mapper.to_pixel(cx, cy)
         return (
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(r * mapper.scale)}" '
             f'{style} clip-path="url(#uhp)"/>'
         )
     # a line b x + c y + d = 0
-    if abs(c) <= tol:
+    _a, b, c, d = curve.float_coeffs()
+    if abs(c) <= (0 if curve.exact else 1e-13):
         # vertical line x = -d/b
         x = -d / b
         p0 = mapper.to_pixel(x, 0.0)

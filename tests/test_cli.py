@@ -154,6 +154,8 @@ MALFORMED = [
     ("intersect", "--first-geodesic", "0,1"),
     ("construct", "pinch", "--first", "0", "--second", "1,1"),
     ("construct", "equidistant", "--first", "0"),
+    ("construct", "equidistant", "--first", "-1,1", "--distance", "inf"),
+    ("construct", "equidistant", "--first", "-1,1", "--distance", "1000"),
     ("earthquake", "--fault", "0,oo", "--shear", "1/0", "apply", "1"),
     ("family", "--horocycle", "0,1", "--hypercycle", "1,2"),
     ("family", "--horocycle", "0,1"),

@@ -1,4 +1,6 @@
 import itertools
+import random
+from fractions import Fraction
 
 import pytest
 
@@ -27,7 +29,10 @@ from hyperk import (
     sigma_center_swap,
     witness_family_search,
 )
+from hyperk import model
 from hyperk.errors import InvalidInputError
+from hyperk.model import straddling_points
+from hyperk.verify import rand_curve, rand_hypercycle
 
 F = BoundaryPoint.finite
 
@@ -69,6 +74,107 @@ class TestWitnesses:
             pos, neg = cert["separated_pair"]
             assert c2.circle.evaluate(pos.x, pos.y) > 0
             assert c2.circle.evaluate(neg.x, neg.y) < 0
+
+
+def _oracle_straddle_near_crossing(h1, h2, pat):
+    """The routine `witness_family_search` used before `straddling_points`:
+    chord slopes only, skipping vertical chords, with float parameters
+    rounded to denominators below 2^30."""
+    a, b, c, d = h1.circle.coeffs()
+
+    def rationalize(v: float) -> Q:
+        fr = Fraction(v).limit_denominator(1 << 30)
+        return Q(fr.numerator, fr.denominator)
+
+    def classify(pt, state):
+        s = h2.circle.evaluate(pt.x, pt.y)
+        if s > 0:
+            state[0] = pt
+        elif s < 0:
+            state[1] = pt
+
+    for q in pat.interior_points:
+        qx, qy = float(q.x), float(q.y)
+        state = [None, None]
+        if a == 0:
+            if c == 0:
+                params = lambda y: UHPPoint(Q(-d, b), y) if y > 0 else None
+                t0 = rationalize(qy)
+            else:
+                params = lambda x: (
+                    UHPPoint(x, -(b * x + d) / c)
+                    if -(b * x + d) / c > 0
+                    else None
+                )
+                t0 = rationalize(qx)
+        else:
+            x0 = model._base_boundary_point(h1)
+            if abs(qx - float(x0)) < 1e-12:
+                continue  # vertical chord; try the other crossing
+
+            def params(t, x0=x0):
+                u = -(2 * a * x0 + b + c * t) / (a * (1 + t * t))
+                if u == 0:
+                    return None
+                x, y = x0 + u, t * u
+                return UHPPoint(x, y) if y > 0 else None
+
+            t0 = rationalize(qy / (qx - float(x0)))
+        for j in range(1, 80):
+            eps = Q(1, 2**j)
+            for t in (t0 - eps, t0 + eps):
+                pt = params(t)
+                if pt is not None:
+                    classify(pt, state)
+            if state[0] is not None and state[1] is not None:
+                return state[0], state[1]
+    return None
+
+
+class TestStraddlingPoints:
+    def test_finds_a_pair_wherever_the_oracle_does(self):
+        rng = random.Random(7)
+        found = 0
+        for _ in range(400):
+            h1, h2 = rand_curve(rng), rand_curve(rng)
+            pat = intersection_pattern(h1, h2)
+            if pat.equal or pat.tangent or pat.interior_count == 0:
+                continue
+            pairs = straddling_points(h1, h2.circle, pat.interior_points)
+            for pos, neg in pairs:
+                assert h2.circle.evaluate(pos.x, pos.y) > 0
+                assert h2.circle.evaluate(neg.x, neg.y) < 0
+            if _oracle_straddle_near_crossing(h1, h2, pat) is not None:
+                found += 1
+                assert pairs, (h1, h2)
+        assert found > 100
+
+    def test_steep_chord_from_the_base_point(self):
+        # the crossing sits right above the base point 0, where a chord
+        # slope is undefined: the oracle skips it, dx/dy does not
+        h1 = make_hypercycle(F(0), F(3), UHPPoint(Q(-1, 100), Q(1, 10)))
+        h2 = make_geodesic(F(0), INFINITY)
+        pat = intersection_pattern(h1, h2)
+        assert _oracle_straddle_near_crossing(h1, h2, pat) is None
+        (pos, neg), = straddling_points(h1, h2.circle, pat.interior_points)
+        assert pos.x > 0 > neg.x
+
+    def test_tangency_gives_no_pair(self):
+        h1, h2 = make_horocycle(F(0), 1), make_horocycle(INFINITY, 2)
+        pat = intersection_pattern(h1, h2)
+        assert pat.tangent
+        assert straddling_points(h1, h2.circle, pat.interior_points) == []
+
+    def test_witness_search_certifies_every_crossing_hypercycle_pair(self):
+        rng = random.Random(600)
+        for _ in range(200):
+            c1, c2 = rand_hypercycle(rng), rand_hypercycle(rng)
+            pat = intersection_pattern(c1, c2)
+            if pat.equal or pat.tangent:
+                continue
+            w, cert = witness_family_search(c1, c2)
+            assert w is None
+            assert ("separated_pair" in cert) == (pat.interior_count > 0)
 
 
 class TestFamilies:

@@ -22,6 +22,7 @@ from hyperk import (
     intersection_pattern,
     make_geodesic,
     make_horocycle,
+    make_hypercycle,
     pointwise_image_is_curve,
     tangency_realizability,
 )
@@ -29,8 +30,8 @@ from hyperk import earthquake
 from hyperk._rational import q_str, sqrt_exact
 from hyperk.earthquake import Constraint
 from hyperk.errors import InvalidInputError
-from hyperk.model import Isometry
-from hyperk.verify import rand_isometry, rand_q, run_suite
+from hyperk.model import Isometry, straddling_points
+from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q, run_suite
 
 F = BoundaryPoint.finite
 
@@ -93,6 +94,50 @@ class TestCocircularity:
     def test_unmoved_horocycle_stays_curve(self, quake):
         h = make_horocycle(F(5), 1)  # entirely on the identity side
         assert pointwise_image_is_curve(quake, h, 12).is_curve
+
+    def test_horizontal_horocycle_across_vertical_fault_breaks(self):
+        # every sample falls on the unmoved side x < 3; the straddling pair
+        # near the one crossing (3, 17/8) puts a point on the moved side
+        e = EarthquakeMap(make_geodesic(F(3), INFINITY), Q(613, 160), "right")
+        h = make_horocycle(INFINITY, Q(17, 8))
+        res = pointwise_image_is_curve(e, h, 12)
+        assert not res.is_curve and res.witness is not None
+
+    @pytest.mark.parametrize("side", ["left", "right"])
+    @pytest.mark.parametrize("through", [
+        (Q(-1, 2), 1), (Q(-1, 100), Q(1, 10)), (Q(-1, 10**6), Q(1, 1000)),
+    ])
+    def test_narrow_hypercycle_crossing_breaks(self, side, through):
+        # the hypercycle over (0, 3) dips left of the fault x = 0 near its
+        # endpoint 0, so its crossing chord from the base point is steep
+        e = EarthquakeMap(make_geodesic(F(0), INFINITY), 3, side)
+        c = make_hypercycle(F(0), F(3), UHPPoint(*through))
+        assert intersection_pattern(c, e.fault).interior_count == 1
+        assert not pointwise_image_is_curve(e, c, 12).is_curve
+
+    def test_every_transversal_crossing_breaks(self):
+        rng = random.Random(12345)
+        crossings = 0
+        for _ in range(600):
+            e = EarthquakeMap(
+                rand_geodesic(rng), abs(rand_q(rng, 1, 4)) + Q(9, 8),
+                rng.choice(["left", "right"]),
+            )
+            c = rand_curve(rng)
+            pat = intersection_pattern(c, e.fault)
+            if pat.interior_count == 0 or pat.tangent or pat.equal:
+                continue
+            crossings += 1
+            pairs = straddling_points(c, e.fault.circle, pat.interior_points)
+            assert len(pairs) == pat.interior_count, (c, e)
+            for pos, neg in pairs:
+                assert pos.exact and neg.exact
+                assert e.fault.circle.evaluate(pos.x, pos.y) > 0
+                assert e.fault.circle.evaluate(neg.x, neg.y) < 0
+                assert c.circle.evaluate(pos.x, pos.y) == 0
+                assert c.circle.evaluate(neg.x, neg.y) == 0
+            assert not pointwise_image_is_curve(e, c, 12).is_curve, (c, e)
+        assert crossings > 200
 
 
 class TestRealizability:

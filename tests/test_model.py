@@ -411,13 +411,16 @@ def test_invariant_survives_python_O():
 def test_equal_inexact_objects_hash_equal():
     # equality within EPS is not transitive, so no hash finer than one per
     # type agrees with it; the parent hashed inexact circles on round(v, 6)
-    pairs = [(UHPPoint(0.1 + 0.2, 1), UHPPoint(0.3, 1))]
+    pairs = [(UHPPoint(0.1 + 0.2, 1), UHPPoint(0.3, 1)),
+             (UHPPoint(Q(3, 10), 1), UHPPoint(0.1 + 0.2, 1))]
     rng = random.Random(20240)
     straddles = 0
     for _ in range(2000):
         x, y = rng.uniform(-5, 5), rng.uniform(0.1, 5)
         dx, dy = (rng.uniform(-1.5, 1.5) * model.EPS for _ in "xy")
         pairs.append((UHPPoint(x, y, exact=False), UHPPoint(x + dx, y + dy, exact=False)))
+        # an exact point against an inexact one within EPS
+        pairs.append((UHPPoint(Q(x), Q(y)), UHPPoint(x + dx, y + dy, exact=False)))
         # hypercycles: b^2 - 4ad >= 0.02 with the centre above the axis
         k = [rng.uniform(0.1, 1), rng.uniform(-1, 1), -1.0, rng.uniform(-1, -0.05)]
         c1 = curve_from_coeffs(*k, exact=False)
@@ -426,13 +429,14 @@ def test_equal_inexact_objects_hash_equal():
         if c1 == c2:
             u, v = c1.circle.coeffs(), c2.circle.coeffs()
             straddles += any(round(s, 6) != round(t, 6) for s, t in zip(u, v))
-    assert pairs[0][0] == pairs[0][1]
+    assert pairs[0][0] == pairs[0][1] and pairs[1][0] == pairs[1][1]
     equal = [(a, b) for a, b in pairs if a == b]
     assert len(equal) > 1000 and straddles > 0, (len(equal), straddles)
     for a, b in equal:
         assert hash(a) == hash(b), (a, b)
-    # exact objects keep hashes that tell them apart
-    assert hash(UHPPoint(Q(3, 10), 1)) != hash(UHPPoint(Q(1, 3), 1))
+    # an exact point equals inexact ones, so points share one hash and only
+    # equality tells exact points apart; exact curves keep distinct hashes
+    assert UHPPoint(Q(3, 10), 1) != UHPPoint(Q(1, 3), 1)
     assert hash(make_geodesic(F(0), F(1))) != hash(make_geodesic(F(0), F(3)))
 
 
