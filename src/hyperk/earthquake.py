@@ -14,12 +14,13 @@ relabeling of their boundary centers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._rational import Q, is_rational, q_str, sqrt_exact
-from .errors import InvalidInputError
+from .errors import HyperkError, InvalidInputError
 from .model import (
     INFINITY,
     BoundaryPoint,
@@ -400,10 +401,14 @@ def tangency_realizability(inst: RealizabilityInstance):
     required tangent/disjoint/crossing pattern.
 
     Every pair is one monomial rho_u * rho_v^s compared with k (see
-    `_monomial`); two horocycles at one center are disjoint for any radii.
-    Tangencies are solved exactly in multiplicative form.  Each inequality
-    is then checked exactly with every free root at 1 and, failing that, at
-    a log-space LP solution taken as exact binary fractions."""
+    `_monomial`).  Tangencies are solved exactly in multiplicative form;
+    every other pair is then a strict inequality in at most two free radii,
+    which `_free_values` decides by the cycle test on its doubled
+    constraint graph.  Two horocycles at one center are disjoint iff their
+    radii differ.  A satisfiable answer carries radii that passed an exact
+    check of every inequality; an unsatisfiable one rests on an exact
+    tangency conflict or on a cycle whose bounds multiply exactly to at
+    most 1."""
     centers = inst.relabeled_centers
     pattern = inst.required_pattern
     n = len(centers)
@@ -446,16 +451,6 @@ def tangency_realizability(inst: RealizabilityInstance):
         sgn = s if req is PairRequirement.DISJOINT else -s
         ineqs.append((i, j, sgn, c1 * c2 ** s, exps, k * k))
 
-    def violated(vals):
-        out = []
-        for i, j, sgn, coef, exps, k2 in ineqs:
-            sq = coef * coef
-            for r, e in exps.items():
-                sq *= vals[r] ** e
-            if not sgn * (sq - k2) < 0:
-                out.append((i, j))
-        return out
-
     def radii_for(vals):
         out, exact = [], True
         for i in range(n):
@@ -470,69 +465,211 @@ def tangency_realizability(inst: RealizabilityInstance):
         return Satisfiable(tuple(out), exact)
 
     free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
-    base_vals = dict(sys.pin)
+    vals = dict(sys.pin)
     for r in free_roots:
-        base_vals[r] = Q(1)
-    vio = violated(base_vals)
-    if not vio:
-        return radii_for(base_vals)
-    if free_roots:
-        sol = _lp_values(ineqs, free_roots, sys.pin)
-        if sol is not None and not violated(sol):
-            return radii_for(sol)
+        vals[r] = Q(1)
+    vio = _violations(ineqs, vals)
+    if vio:
+        vals = _free_values(ineqs, free_roots, sys.pin)
+    if vals is None:
+        # a cycle of bounds proves that no radii work: report the first
+        # inequality violated at the start point together with the tangency
+        # constraints that rigidify the radii
+        i, j = vio[0]
+        req = pattern[i][j]
+        ri, rj = sys.value(i), sys.value(j)
+        _u, _v, s, k = forms[(i, j)]
+        if s == 1 and ri is not None and rj is not None:
+            rel = ">" if req is PairRequirement.DISJOINT else "<"
+            msg = (
+                f"need ({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} "
+                f"{rel} 4·{_fmt(ri)}·{_fmt(rj)}"
+            )
+        else:
+            msg = f"required {req.value} pair ({i}, {j}) is violated on the solution manifold"
+        closing = Constraint(req, i, j, msg)
+        return Unsatisfiable(msg, sys._cycle(i, j, closing))
 
-    # no assignment works: report the violated inequalities together with
-    # the tangency constraints that rigidify the radii
-    i, j = vio[0]
-    req = pattern[i][j]
-    ri, rj = sys.value(i), sys.value(j)
-    _u, _v, s, k = forms[(i, j)]
-    if s == 1 and ri is not None and rj is not None:
-        rel = ">" if req is PairRequirement.DISJOINT else "<"
-        msg = (
-            f"need ({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} "
-            f"{rel} 4·{_fmt(ri)}·{_fmt(rj)}"
-        )
-    else:
-        msg = f"required {req.value} pair ({i}, {j}) is violated on the solution manifold"
-    closing = Constraint(req, i, j, msg)
-    return Unsatisfiable(msg, sys._cycle(i, j, closing))
+    # a pair at one center needs rho_i != rho_j: keep the side of equality
+    # that vals is on, or solve again with one side required.  The
+    # inequalities hold on an open set, so both sides fail only when the
+    # tangencies force the two radii equal.
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pattern[i][j] is None or centers[i] != centers[j]:
+                continue
+            r1, e1, c1 = sys.find(i)
+            r2, e2, c2 = sys.find(j)
+            exps = {r1: e1}
+            exps[r2] = exps.get(r2, 0) - e2
+            # sgn 1: (rho_i / rho_j)^2 < 1; sgn -1: > 1
+            sides = [(i, j, sgn, c1 / c2, exps, Q(1)) for sgn in (1, -1)]
+            side = next((c for c in sides if not _violations([c], vals)), None)
+            if side is None:
+                for c in sides:
+                    found = _free_values(ineqs + [c], free_roots, sys.pin)
+                    if found is not None:
+                        vals, side = found, c
+                        break
+                else:
+                    msg = (f"horocycles {i} and {j} share the center {centers[i]!r}, "
+                           f"but the tangencies force equal radii")
+                    closing = Constraint(PairRequirement.DISJOINT, i, j, msg)
+                    return Unsatisfiable(msg, sys._cycle(i, j, closing))
+            ineqs.append(side)
+    return radii_for(vals)
 
 
-def _lp_values(ineqs, free_roots, pinned):
-    """rho_r^2 for the free roots at the LP point that maximizes the least
-    margin of the inequalities in the variables x_r = ln(rho_r^2), where
-    every inequality is linear.  Each value is the square of the float
-    exp(x_r / 2) read as an exact binary fraction, so the caller's exact
-    re-check sees positive radii however far the LP pushes x_r."""
-    from scipy.optimize import linprog
-
-    idx = {r: c for c, r in enumerate(free_roots)}
-    nv = len(free_roots)
-    a_ub, b_ub = [], []
-    for _i, _j, sgn, coef, exps, k2 in ineqs:
-        # sgn * (sum_r e_r x_r + cst) + margin <= 0; pinned roots fold
-        # into cst
-        cst = 2.0 * math.log(float(coef)) - math.log(float(k2))
-        row = [0.0] * (nv + 1)
+def _violations(ineqs, vals):
+    """The pairs (i, j) whose inequality fails exactly at vals, the value
+    of rho_r^2 for every root r."""
+    out = []
+    for i, j, sgn, coef, exps, k2 in ineqs:
+        sq = coef * coef
         for r, e in exps.items():
-            if r in idx:
-                row[idx[r]] = sgn * e
-            else:
-                cst += e * math.log(float(pinned[r]))
-        row[nv] = 1.0
-        a_ub.append(row)
-        b_ub.append(-sgn * cst)
+            sq *= vals[r] ** e
+        if not sgn * (sq - k2) < 0:
+            out.append((i, j))
+    return out
 
-    c_obj = [0.0] * nv + [-1.0]  # maximize margin
-    bounds = [(-60.0, 60.0)] * nv + [(0.0, 10.0)]
-    res = linprog(c_obj, A_ub=a_ub, b_ub=b_ub, bounds=bounds, method="highs")
-    if not res.success or res.x[nv] <= 1e-9:
-        return None
+
+#: a float cycle weight up to this is checked exactly as a proof candidate
+_CYCLE_TOL = 1e-9
+
+
+def _free_values(ineqs, free_roots, pinned):
+    """rho_r^2 for every root, the pinned ones as given and the free ones
+    chosen so that every inequality holds exactly, or None when a cycle
+    proves that no choice does.
+
+    In x_r = ln(rho_r^2) each inequality reads a x_r + b x_q < ln B over
+    the free roots, with a, b in {-1, 0, 1}, or 2a x_r < ln B; pinned
+    roots fold into the rational bound B > 0.  That is a two-variable-per-
+    inequality ("octagon") system (Lahiri & Musuvathi 2005; Mine 2006).
+    Its doubled graph has nodes 2k for +x_r and 2k + 1 for -x_r, r the
+    k-th free root; a x_r + b x_q < ln B is the arc -b x_q -> a x_r with
+    bound B and its mirror -a x_r -> b x_q, and a x_r < ln B is the arc
+    -a x_r -> a x_r with bound B^2.  The system holds for some real x iff
+    the bounds along every cycle multiply to more than 1.
+
+    Floats only propose.  Floyd-Warshall on the logs either points at a
+    cycle, whose bounds are then multiplied exactly, or yields potentials
+    with a margin, read as short binary fractions and checked exactly.
+    When neither settles it, the same steps run on exact rationals: a
+    cycle product of at most 1 is the proof of None, and otherwise the
+    potentials of the bounds shrunk by a rational margin give radii."""
+    node = {r: 2 * k for k, r in enumerate(free_roots)}
+    bounds = {}  # arc (from, to) -> least bound
+    for _i, _j, sgn, coef, exps, k2 in ineqs:
+        b = k2 / (coef * coef)
+        terms = []
+        for r, e in exps.items():
+            if r not in node:
+                b /= pinned[r] ** e
+            elif e:
+                terms.append((node[r], sgn * e))
+        if sgn < 0:
+            b = 1 / b
+        if not terms:
+            if b <= 1:
+                return None
+            continue
+        (u, a), *rest = terms
+        if rest:
+            (q, c), = rest
+            arcs = ((q + (c > 0), u + (a < 0)), (u + (a > 0), q + (c < 0)))
+        else:
+            arcs = ((u + (a > 0), u + (a < 0)),)
+            if abs(a) == 1:
+                b = b * b
+        for arc in arcs:
+            if arc not in bounds or b < bounds[arc]:
+                bounds[arc] = b
+
+    m = 2 * len(free_roots)
     vals = dict(pinned)
-    for r in free_roots:
-        vals[r] = Q(math.exp(res.x[idx[r]] / 2.0)) ** 2
+    if not m:
+        return vals
+    logs = [[math.inf] * m for _ in range(m)]
+    for (u, v), b in bounds.items():
+        logs[u][v] = math.log(b.numerator) - math.log(b.denominator)
+    d, hop = _closure(logs, operator.add)
+    least, v = min((d[v][v], v) for v in range(m))
+    if least <= _CYCLE_TOL:
+        cycle = _walk_cycle(hop, v)
+        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        if all(a in bounds for a in arcs) and math.prod(bounds[a] for a in arcs) <= 1:
+            return None
+    else:
+        # shrink every arc by eps: a simple cycle has at most m arcs, so it
+        # keeps half its weight, and every inequality keeps slack eps / 2
+        eps = min(1.0, least / (2 * m))
+        d, _hop = _closure([[w - eps for w in row] for row in logs], operator.add)
+        y = [min(0.0, *(row[v] for row in d)) for v in range(m)]
+        # rounding rho_r to `bits` bits moves each inequality's side by at
+        # most 2^(1 - bits) <= eps / 4
+        bits = min(53, math.ceil(math.log2(8 / eps)))
+        for k, r in enumerate(free_roots):
+            log2_rho = (y[2 * k] - y[2 * k + 1]) / (4 * math.log(2))
+            e = math.floor(log2_rho)
+            rho = Q(round(2.0 ** (log2_rho - e + bits))) * Q(2) ** (e - bits)
+            vals[r] = rho * rho
+        if not _violations(ineqs, vals):
+            return vals
+
+    exact = [[bounds.get((u, v), math.inf) for v in range(m)] for u in range(m)]
+    d, _hop = _closure(exact, operator.mul)
+    least = min(d[v][v] for v in range(m))
+    if least <= 1:
+        return None
+    # mu^m <= least, so the bounds divided by mu still close no cycle
+    # below 1, and their potentials leave every inequality slack
+    mu = Q(2) if least == math.inf else 1 + (least - 1) / (m * least)
+    d, _hop = _closure([[w / mu for w in row] for row in exact], operator.mul)
+    y = [min(Q(1), *(row[v] for row in d)) for v in range(m)]
+    for k, r in enumerate(free_roots):
+        t = y[2 * k] / y[2 * k + 1]  # rho_r^4 at the potentials
+        # rho_r = p / 2^b with p = floor((t 2^(4b))^(1/4)) >= 16 / (mu - 1)
+        # gives t / sqrt(mu) < rho_r^4 <= t, close enough to keep the slack
+        q = t * (mu - 1) ** 4
+        b = max(0, -((q.numerator.bit_length() - q.denominator.bit_length() - 17) // 4))
+        p = math.isqrt(math.isqrt((t.numerator << 4 * b) // t.denominator))
+        vals[r] = Q(p, 1 << b) ** 2
+    if _violations(ineqs, vals):
+        raise HyperkError("exact potentials failed the exact check")
     return vals
+
+
+def _closure(w, join):
+    """Floyd-Warshall on the arc matrix w (math.inf where there is no arc):
+    the least `join` of the arcs along a walk of at least one arc between
+    any two nodes, and the first hop of such a walk."""
+    m = len(w)
+    d = [row[:] for row in w]
+    hop = [list(range(m)) for _ in range(m)]
+    for k in range(m):
+        dk = d[k]
+        for u in range(m):
+            duk = d[u][k]
+            if duk == math.inf:
+                continue
+            du, hu, first = d[u], hop[u], hop[u][k]
+            for v in range(m):
+                if dk[v] != math.inf:
+                    c = join(duk, dk[v])
+                    if c < du[v]:
+                        du[v], hu[v] = c, first
+    return d, hop
+
+
+def _walk_cycle(hop, v):
+    """The nodes of the first cycle met by following first hops toward v."""
+    walk = [v]
+    u = hop[v][v]
+    while u not in walk:
+        walk.append(u)
+        u = hop[u][v]
+    return walk[walk.index(u):]
 
 
 def instance_from_horocycles(

@@ -787,6 +787,8 @@ def equidistant_pair(g: Curve, d, sinh_d=None):
         if not d > 0:
             if d == 0:
                 return (g, g)
+            if math.isnan(d):
+                raise InvalidInputError("distance is not a number")
             raise InvalidInputError("distance must be nonnegative")
         try:
             sinh_d = Q(Fraction(math.sinh(d)))

@@ -194,6 +194,16 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("distance, message", [
+    ("nan", "distance is not a number"), ("-1", "distance must be nonnegative"),
+])
+def test_bad_distance_says_which(capsys, distance, message):
+    code, _, err = run(capsys, "construct", "equidistant", "--first", "-1,1",
+                       "--distance", distance)
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
 def test_graph_of_empty_file_says_so(capsys, tmp_path):
     f = tmp_path / "empty.txt"
     f.write_text("")

@@ -1,5 +1,6 @@
 import collections
 import math
+import operator
 import random
 from fractions import Fraction
 
@@ -619,3 +620,251 @@ def test_two_relabelled_centers_at_infinity():
     inst = instance_from_horocycles(hs, [F(3), F(5), F(3)])
     res = tangency_realizability(inst)
     assert isinstance(res, Satisfiable) and _realizes(inst, res)
+
+
+def _oracle_lp_values(ineqs, free_roots, pinned):
+    """The replaced free-radius step: rho_r^2 at the HiGHS LP point that
+    maximizes the least margin in x_r = ln(rho_r^2), as exact binary
+    fractions, or None when the LP finds no positive margin."""
+    from scipy.optimize import linprog
+
+    idx = {r: c for c, r in enumerate(free_roots)}
+    nv = len(free_roots)
+    a_ub, b_ub = [], []
+    for _i, _j, sgn, coef, exps, k2 in ineqs:
+        cst = 2.0 * math.log(float(coef)) - math.log(float(k2))
+        row = [0.0] * (nv + 1)
+        for r, e in exps.items():
+            if r in idx:
+                row[idx[r]] = sgn * e
+            else:
+                cst += e * math.log(float(pinned[r]))
+        row[nv] = 1.0
+        a_ub.append(row)
+        b_ub.append(-sgn * cst)
+    res = linprog([0.0] * nv + [-1.0], A_ub=a_ub, b_ub=b_ub,
+                  bounds=[(-60.0, 60.0)] * nv + [(0.0, 10.0)], method="highs")
+    if not res.success or res.x[nv] <= 1e-9:
+        return None
+    vals = dict(pinned)
+    for r in free_roots:
+        vals[r] = Q(math.exp(res.x[idx[r]] / 2.0)) ** 2
+    return vals
+
+
+def _random_patterns(rng, count):
+    """Instances with random requirements at distinct relabelled centers,
+    one of them oo in every other instance; tangencies close cycles (which
+    pin roots) as often as trees (which leave them free)."""
+    T, D, C = PairRequirement.TANGENT, PairRequirement.DISJOINT, PairRequirement.CROSSING
+    for index in range(count):
+        n = 3 + index % 4
+        centers = [INFINITY] if index % 2 else []
+        while len(centers) < n:
+            c = F(rand_q(rng, -4, 4, 3))
+            if c not in centers:
+                centers.append(c)
+        pattern = [[None] * n for _ in range(n)]
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < 0.85:
+                    pattern[i][j] = pattern[j][i] = rng.choice((T, D, D, C))
+        yield earthquake.RealizabilityInstance(centers, centers, pattern)
+
+
+def _realizability_instances():
+    rng = random.Random(8080)
+    for hs in _tangency_chains(rng, 100):
+        centers = [h.center for h in hs]
+        swapped = list(centers)
+        i, j = rng.sample(range(len(centers)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        shuffled = list(centers)
+        rng.shuffle(shuffled)
+        g = rand_isometry(rng)
+        for images in ([g.apply_boundary(c) for c in centers], swapped, shuffled):
+            yield instance_from_horocycles(hs, images)
+    yield from _random_patterns(rng, 300)
+
+
+def _exact_squares(vals, free_roots):
+    return all(vals[r] > 0 and sqrt_exact(vals[r]) is not None for r in free_roots)
+
+
+def test_free_values_match_lp_oracle(monkeypatch):
+    # the cycle test against the LP it replaced, on every free-radius step
+    # of 600 instances; floats settle each of them without the exact route
+    calls, exact_closures, tally = [], [], collections.Counter()
+    solve, closure = earthquake._free_values, earthquake._closure
+
+    def both(ineqs, free_roots, pinned):
+        got = solve(ineqs, free_roots, pinned)
+        calls.append((ineqs, free_roots, pinned, got))
+        return got
+
+    def counted(w, join):
+        if join is not operator.add:
+            exact_closures.append(w)
+        return closure(w, join)
+
+    monkeypatch.setattr(earthquake, "_free_values", both)
+    monkeypatch.setattr(earthquake, "_closure", counted)
+    answers = []
+    for inst in _realizability_instances():
+        got = tangency_realizability(inst)
+        answers.append((inst, got))
+        if isinstance(got, Satisfiable):
+            assert _realizes(inst, got), (inst, got)
+    assert len(answers) >= 500 and not exact_closures
+    for ineqs, free_roots, pinned, got in calls:
+        want = _oracle_lp_values(ineqs, free_roots, pinned)
+        lp_ok = want is not None and not earthquake._violations(ineqs, want)
+        tally[len(free_roots), bool(pinned), got is not None, lp_ok] += 1
+        if lp_ok:
+            assert got is not None, (ineqs, free_roots, pinned)
+        if got is not None:
+            assert not earthquake._violations(ineqs, got)
+            assert _exact_squares(got, free_roots)
+    # 1-3 free roots, with and without pinned ones, both answers
+    for free in (1, 2, 3):
+        assert any(k[0] == free and k[2] for k in tally), tally
+        assert any(k[0] == free and not k[2] for k in tally), tally
+    assert any(k[1] for k in tally), tally
+
+    # the whole answer with the LP point, kept only if it passes the exact
+    # check, in place of the cycle test: identical where both are
+    # unsatisfiable, and the cycle test is never worse
+    def lp_checked(ineqs, free_roots, pinned):
+        want = _oracle_lp_values(ineqs, free_roots, pinned)
+        return None if want is None or earthquake._violations(ineqs, want) else want
+
+    monkeypatch.setattr(earthquake, "_free_values", lp_checked)
+    for inst, got in answers:
+        want = tangency_realizability(inst)
+        if isinstance(got, Unsatisfiable):
+            assert isinstance(want, Unsatisfiable), (inst, want)
+            assert got.to_record() == want.to_record()
+
+
+def _no_floats(monkeypatch):
+    """Make every float Floyd-Warshall read a zero-weight cycle at each node,
+    which is never an exact proof, so the exact route answers alone."""
+    closure = earthquake._closure
+
+    def no_floats(w, join):
+        if join is operator.add:
+            m = len(w)
+            return [[0.0] * m for _ in range(m)], [list(range(m)) for _ in range(m)]
+        return closure(w, join)
+
+    monkeypatch.setattr(earthquake, "_closure", no_floats)
+
+
+def test_exact_route_alone_gives_the_same_answers(monkeypatch):
+    instances = list(_realizability_instances())[::4]
+    before = [tangency_realizability(inst) for inst in instances]
+    _no_floats(monkeypatch)
+    for inst, was in zip(instances, before):
+        got = tangency_realizability(inst)
+        assert type(got) is type(was), inst
+        if isinstance(got, Satisfiable):
+            assert _realizes(inst, got), (inst, got)
+        else:
+            assert got.to_record() == was.to_record()
+
+
+@pytest.mark.parametrize("floats", [True, False])
+@pytest.mark.parametrize("gap", [Q(0), Q(-1, 2**70), Q(1, 2**70), Q(3, 2**80)])
+def test_cycle_product_decides_below_float_resolution(monkeypatch, gap, floats):
+    # rho_0^2 / rho_1^2 < 3 and rho_1^2 / rho_0^2 < (1 + gap) / 3, with a
+    # pinned root folded into the second bound: the cycle's product is 1 + gap
+    if not floats:
+        _no_floats(monkeypatch)
+    pinned = {2: Q(9, 4)}
+    ineqs = [(0, 1, 1, Q(1), {0: 1, 1: -1}, Q(3)),
+             (1, 0, 1, Q(2, 3), {1: 1, 0: -1, 2: 1}, (1 + gap) / 3)]
+    got = earthquake._free_values(ineqs, [0, 1], pinned)
+    if gap <= 0:
+        assert got is None
+    else:
+        assert got is not None and not earthquake._violations(ineqs, got)
+        assert _exact_squares(got, [0, 1]) and got[2] == Q(9, 4)
+
+
+def test_squared_and_single_radius_bounds():
+    # rho_0^4 < 2 (exponent 2) with rho_0^2 > 1: feasible; rho_0^4 < 1 with
+    # rho_0^2 > 1 is not; a constant inequality at 1 is not either
+    lower = (0, 0, -1, Q(1), {0: 1}, Q(1))
+    got = earthquake._free_values([(0, 0, 1, Q(1), {0: 2}, Q(2)), lower], [0], {})
+    assert got is not None and 1 < got[0] and got[0] ** 2 < 2
+    assert earthquake._free_values([(0, 0, 1, Q(1), {0: 2}, Q(1)), lower], [0], {}) is None
+    assert earthquake._free_values([(0, 1, 1, Q(1), {0: 0}, Q(1))], [0], {}) is None
+
+
+def test_chain_radii_stay_moderate():
+    # the LP put this chain's free radius at the edge of its box
+    specs = [("75/64", "35/512"), ("5/3", "1805/2016"), ("20/13", "280/61009"),
+             ("7/5", "18/125"), ("15/11", "45125/27104")]
+    hs = [make_horocycle(F(Q(c)), Q(r)) for c, r in specs]
+    res = tangency_realizability(instance_from_horocycles(hs, [h.center for h in hs]))
+    assert isinstance(res, Satisfiable) and res.exact
+    for r in res.radii:
+        assert 1e-6 <= r <= 1e6
+        assert r.numerator.bit_length() <= 64 and r.denominator.bit_length() <= 64
+
+
+@pytest.mark.parametrize("count", [2, 4])
+@pytest.mark.parametrize("center", [F(3), INFINITY])
+def test_horocycles_at_one_center_get_distinct_radii(center, count):
+    hs = [make_horocycle(F(5 * k), 1) for k in range(count)]
+    inst = instance_from_horocycles(hs, [center] * count)
+    res = tangency_realizability(inst)
+    assert isinstance(res, Satisfiable) and _realizes(inst, res)
+    assert len(set(res.radii)) == count
+
+
+@pytest.mark.parametrize("images", [(F(3), F(3), F(0)), (INFINITY, INFINITY, F(0)),
+                                    (F(3), F(3), INFINITY)])
+def test_tangencies_forcing_equal_radii_at_one_center(images):
+    # both side horocycles touch the middle one, and both go to one center
+    hs = [make_horocycle(F(-2), 1), make_horocycle(F(2), 1), make_horocycle(F(0), 1)]
+    res = tangency_realizability(instance_from_horocycles(hs, list(images)))
+    assert isinstance(res, Unsatisfiable)
+    assert res.message == (f"horocycles 0 and 1 share the center {images[0]!r}, "
+                           "but the tangencies force equal radii")
+    assert res.cycle[-1].kind is PairRequirement.DISJOINT
+    # one tangency fewer leaves the two radii free to differ
+    hs[1] = make_horocycle(F(5), 1)
+    inst = instance_from_horocycles(hs, list(images))
+    res = tangency_realizability(inst)
+    assert isinstance(res, Satisfiable) and _realizes(inst, res)
+    assert res.radii[0] != res.radii[1]
+
+
+def test_same_center_pairs_in_random_patterns():
+    # two relabelled centers coincide: radii at one center differ, and an
+    # unsatisfiable answer names them only when they are forced equal
+    rng = random.Random(4242)
+    tally = collections.Counter()
+    for inst in _random_patterns(rng, 200):
+        n = len(inst.centers)
+        i, j = rng.sample(range(n), 2)
+        centers = list(inst.relabeled_centers)
+        centers[j] = centers[i]
+        pattern = [row[:] for row in inst.required_pattern]
+        pattern[i][j] = pattern[j][i] = PairRequirement.DISJOINT
+        for a in range(n):
+            for b in range(n):
+                if a != b and centers[a] == centers[b] and pattern[a][b] is not None:
+                    pattern[a][b] = PairRequirement.DISJOINT
+        inst = earthquake.RealizabilityInstance(centers, centers, pattern)
+        res = tangency_realizability(inst)
+        forced = isinstance(res, Unsatisfiable) and "force equal radii" in res.message
+        tally[type(res).__name__, forced] += 1
+        if isinstance(res, Satisfiable):
+            assert _realizes(inst, res) and res.radii[i] != res.radii[j]
+        elif forced:
+            pattern[i][j] = pattern[j][i] = None
+            free = tangency_realizability(earthquake.RealizabilityInstance(centers, centers, pattern))
+            assert isinstance(free, Satisfiable) and free.radii[i] == free.radii[j]
+    assert tally["Satisfiable", False] and tally["Unsatisfiable", True], tally

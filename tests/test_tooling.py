@@ -39,6 +39,49 @@ def test_import_does_not_load_scipy():
     assert _fresh("import sys, hyperk\nprint('scipy' in sys.modules)\n") == "False"
 
 
+def test_free_radii_are_solved_without_scipy_or_numpy():
+    # the 75/64 ... 15/11 chain leaves a free radius, which floats at 1 fail
+    code = (
+        "import sys\n"
+        "from hyperk import (BoundaryPoint, Q, Satisfiable, instance_from_horocycles,\n"
+        "                    make_horocycle, tangency_realizability)\n"
+        "from hyperk import earthquake\n"
+        "specs = [('75/64', '35/512'), ('5/3', '1805/2016'), ('20/13', '280/61009'),\n"
+        "         ('7/5', '18/125'), ('15/11', '45125/27104')]\n"
+        "hs = [make_horocycle(BoundaryPoint.finite(Q(c)), Q(r)) for c, r in specs]\n"
+        "calls = []\n"
+        "solve = earthquake._free_values\n"
+        "earthquake._free_values = lambda *a: calls.append(a) or solve(*a)\n"
+        "res = tangency_realizability(instance_from_horocycles(hs, [h.center for h in hs]))\n"
+        "assert isinstance(res, Satisfiable) and res.exact and calls\n"
+        "print(sorted(m for m in ('scipy', 'numpy') if m in sys.modules))\n"
+    )
+    assert _fresh(code) == "[]"
+
+
+def _imported_top_names(tree):
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name.split(".")[0] for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            names.add(node.module.split(".")[0])
+    return names
+
+
+def test_no_module_imports_scipy_or_numpy():
+    # function-local imports count too
+    found = {
+        p.name: hits
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (hits := _imported_top_names(ast.parse(p.read_text(encoding="utf-8")))
+            & {"scipy", "numpy"})
+    }
+    assert found == {}
+    tree = ast.parse("def f():\n    from scipy.optimize import linprog\n    import numpy as np\n")
+    assert _imported_top_names(tree) == {"scipy", "numpy"}
+
+
 def test_import_loads_no_layer_module():
     assert _modules_loaded_by("import hyperk") == {"hyperk"}
 
