@@ -140,25 +140,60 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
     return DisjointnessGraph(curves, adjacency, graph_class)
 
 
+def _rows(g: DisjointnessGraph) -> List[int]:
+    """Adjacency rows as int bitmasks: bit j of row i is the edge ij."""
+    n = len(g)
+    return [sum(1 << j for j in range(n) if j != i and g.adjacency[i][j]) for i in range(n)]
+
+
+def _equitable_colours(rows: List[int]) -> List[int]:
+    """Colour of each vertex in the coarsest equitable colouring refining the
+    degrees (McKay 1981): repeatedly colour each vertex by its colour and the
+    number of its neighbours in every cell, until no cell splits.  Colours
+    are ranks of those signatures, so every automorphism keeps each cell."""
+    n = len(rows)
+    colour = [r.bit_count() for r in rows]
+    count = 0
+    while True:
+        cells = [0] * n
+        for v in range(n):
+            cells[colour[v]] |= 1 << v
+        signature = [
+            (colour[v],) + tuple((rows[v] & cell).bit_count() for cell in cells if cell)
+            for v in range(n)
+        ]
+        rank = {sig: k for k, sig in enumerate(sorted(set(signature)))}
+        if len(rank) == count:
+            return colour
+        count = len(rank)
+        colour = [rank[sig] for sig in signature]
+
+
 def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorphism]:
     """All adjacency-preserving vertex permutations, in lexicographic order.
 
-    Backtracking with degree refinement; vertex count is guarded at
+    Adjacency rows are int bitmasks.  Colour refinement from the degrees
+    gives the coarsest equitable colouring, whose cells every automorphism
+    preserves; backtracking then maps vertices 0, 1, ... in turn, each to
+    the free vertices of its cell in increasing order, and keeps an image
+    when its neighbours among the used vertices (a bitmask) are exactly the
+    images of the earlier neighbours.  The vertex count is guarded at
     construction time, and exceeding the cap raises with the partial count."""
     n = len(g)
     if n > MAX_VERTICES:
         raise InvalidInputError(f"graph too large ({n} > {MAX_VERTICES})")
-    degrees = [g.degree(i) for i in range(n)]
-    # neighborhood degree multisets refine the degree invariant
-    signature = [
-        (degrees[i], tuple(sorted(degrees[j] for j in range(n) if g.adjacency[i][j])))
-        for i in range(n)
+    rows = _rows(g)
+    colour = _equitable_colours(rows)
+    # per vertex: the (vertex, bit, row) of its cell, and its earlier neighbours
+    cells = [
+        [(v, 1 << v, rows[v]) for v in range(n) if colour[v] == colour[i]] for i in range(n)
     ]
+    earlier = [[j for j in range(i) if rows[i] >> j & 1] for i in range(n)]
     out: List[GraphAutomorphism] = []
     image = [-1] * n
-    used = [False] * n
+    image_bit = [0] * n
 
-    def extend(i: int):
+    def extend(i: int, used: int):
         if i == n:
             out.append(GraphAutomorphism(tuple(image)))
             if len(out) > cap:
@@ -166,21 +201,16 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
                     f"automorphism cap {cap} exceeded (at least {len(out)} found)"
                 )
             return
-        for cand in range(n):
-            if used[cand] or signature[cand] != signature[i]:
+        want = 0
+        for j in earlier[i]:
+            want |= image_bit[j]
+        for cand, bit, row in cells[i]:
+            if used & bit or row & used != want:
                 continue
-            if any(
-                g.adjacency[i][j] != g.adjacency[cand][image[j]]
-                for j in range(i)
-            ):
-                continue
-            image[i] = cand
-            used[cand] = True
-            extend(i + 1)
-            used[cand] = False
-            image[i] = -1
+            image[i], image_bit[i] = cand, bit
+            extend(i + 1, used | bit)
 
-    extend(0)
+    extend(0, 0)
     return out
 
 
@@ -291,7 +321,8 @@ def isometry_matching(
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
         return Isometry.identity()
     for cand in _candidate_isometries(src_curves, dst_curves):
-        if all(cand.apply_curve(src_curves[i]) == dst_curves[i] for i in range(n)):
+        # Curve equality is circle equality: no image Curve is built
+        if all(cand.apply_circle(s.circle) == t.circle for s, t in zip(src_curves, dst_curves)):
             return cand
     return None
 

@@ -13,12 +13,13 @@ the two meet.
 
 from __future__ import annotations
 
+import functools
 import math
 from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from ._rational import Q, denom, isqrt_exact, is_rational, numer, q_from_str, q_str
+from ._rational import Q, isqrt_exact, is_rational, q_from_str, q_str
 from .errors import DegenerateResultError, HyperkError, InvalidInputError
 
 #: Tolerance for all inexact (float-coefficient) predicates and for
@@ -122,10 +123,16 @@ class UHPPoint:
 
 def _coprime_ints(values):
     """The projective class of rational `values` as coprime integers: clear
-    denominators, divide by the gcd, make the first nonzero entry positive."""
-    qs = [Q(v) for v in values]
-    lcm = math.lcm(*(denom(q) for q in qs))
-    ints = [numer(q) * (lcm // denom(q)) for q in qs]
+    denominators, divide by the gcd, make the first nonzero entry positive.
+
+    Ints and Fractions are read through their numerator and denominator;
+    any other value (a float, a '3/4' string) is taken at its exact value."""
+    try:
+        lcm = math.lcm(*(v.denominator for v in values))
+    except AttributeError:
+        values = [Q(v) for v in values]
+        lcm = math.lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (lcm // v.denominator) for v in values]
     g = math.gcd(*ints) or 1
     if next((v for v in ints if v), 0) < 0:
         g = -g
@@ -161,11 +168,45 @@ def _int_floats(k, scale: bool):
     return floats
 
 
+def _number(m, n, disc, w):
+    """(m + n sqrt(disc)) / w for disc >= 0.
+
+    Integer arguments give an exact rational when disc is a square.
+    Otherwise the value is a float; for integers the square root is taken
+    as an integer scaled by 2^64, and a sum whose terms would cancel is
+    replaced by its conjugate quotient, so neither a discriminant beyond the
+    float range nor cancellation costs precision.
+    """
+    if not isinstance(w, int):
+        return (m + n * math.sqrt(max(disc, 0.0))) / w
+    r = math.isqrt(disc)
+    if r * r == disc:
+        return Q(m + n * r, w)
+    r = math.isqrt(disc << 128)
+    if (m >= 0) == (n >= 0):
+        return ((m << 64) + n * r) / (w << 64)
+    return ((m * m - n * n * disc) << 64) / (w * ((m << 64) - n * r))
+
+
 def _finite(*values):
     """`values`, which must be floats in range."""
     if not all(math.isfinite(v) for v in values):
         raise InvalidInputError("the result is outside the float range")
     return values
+
+
+def _within_float_range(method):
+    """`method`, with a quotient past the float range (OverflowError from an
+    int/int division) refused as InvalidInputError."""
+
+    @functools.wraps(method)
+    def wrapped(self):
+        try:
+            return method(self)
+        except OverflowError:
+            raise InvalidInputError("the result is outside the float range") from None
+
+    return wrapped
 
 
 class GeneralizedCircle:
@@ -370,40 +411,45 @@ class Curve:
 
     def float_coeffs(self):
         """The coefficients as floats.  An exact curve's are divided by a
-        common power of two when large, which changes no ratio of them:
-        every float derived from a curve is such a ratio."""
+        common power of two when large, which changes no ratio of them."""
         k = self.circle.coeffs()
         return _int_floats(k, True) if self.circle.exact else k
 
+    # An exact curve's floats below come from its integers: an integer
+    # square root and one correctly rounded division each, so only a result
+    # past the float range is refused.
+
+    @_within_float_range
     def endpoint_floats(self):
         """Endpoints as floats, with math.inf standing in for infinity."""
-        tol = 0 if self.circle.exact else EPS
-        a, b, c, d = self.float_coeffs()
+        circle = self.circle
+        a, b, _, d = circle.coeffs()
+        tol = 0 if circle.exact else EPS
         if abs(a) > tol:
-            disc = b * b - 4 * a * d
+            disc = circle.boundary_disc()
             if disc <= 0:
                 return _finite(-b / (2 * a))
-            r = math.sqrt(disc)
-            lo, hi = (-b - r) / (2 * a), (-b + r) / (2 * a)
-            return _finite(min(lo, hi), max(lo, hi))
+            return _finite(*(float(_number(-b, s, disc, 2 * a)) for s in (-1, 1)))
         if abs(b) <= tol:
             return (math.inf,)
         return _finite(-d / b) + (math.inf,)
 
+    @_within_float_range
     def euclidean_center_radius(self):
         """(cx, cy, r) floats for circle-type curves, None for lines."""
-        a, b, c, d = self.float_coeffs()
-        if abs(a) <= (0 if self.circle.exact else EPS):
+        circle = self.circle
+        a, b, c, _ = circle.coeffs()
+        if abs(a) <= (0 if circle.exact else EPS):
             return None
-        cx, cy = -b / (2 * a), -c / (2 * a)
-        r = math.sqrt(max(0.0, (b * b + c * c - 4 * a * d))) / (2 * abs(a))
-        return _finite(cx, cy, r)
+        w = 2 * a  # a > 0 in canonical form
+        return _finite(-b / w, -c / w, float(_number(0, 1, circle.nondegeneracy(), w)))
 
+    @_within_float_range
     def apex_height(self) -> float:
         """Height of the curve's highest point (inf for non-horizontal lines)."""
         ecr = self.euclidean_center_radius()
         if ecr is None:
-            _, b, c, d = self.float_coeffs()
+            _, b, c, d = self.circle.coeffs()
             if abs(b) > (0 if self.circle.exact else EPS):
                 return math.inf
             return _finite(-d / c)[0]
@@ -540,12 +586,11 @@ class Isometry:
     __slots__ = ("m00", "m01", "m10", "m11", "reversing")
 
     def __init__(self, m00, m01, m10, m11, reversing: bool = False):
-        m00, m01, m10, m11 = Q(m00), Q(m01), Q(m10), Q(m11)
-        det = m00 * m11 - m01 * m10
-        if not det > 0:
+        # a nonzero multiple of the matrix: its determinant keeps its sign
+        a, b, c, d = _coprime_ints((m00, m01, m10, m11))
+        if not a * d - b * c > 0:
             raise InvalidInputError("isometry matrix must have positive determinant")
-        ints = _coprime_ints((m00, m01, m10, m11))
-        self.m00, self.m01, self.m10, self.m11 = (Q(v) for v in ints)
+        self.m00, self.m01, self.m10, self.m11 = Q(a), Q(b), Q(c), Q(d)
         self.reversing = bool(reversing)
 
     # -- group structure ---------------------------------------------------
@@ -619,14 +664,14 @@ class Isometry:
     # -- actions -----------------------------------------------------------
 
     def apply_boundary(self, p: BoundaryPoint) -> BoundaryPoint:
-        a, b, c, d = self.matrix()
-        if p.is_infinity:
-            return INFINITY if c == 0 else BoundaryPoint.finite(a / c)
-        x = -p.value if self.reversing else p.value
-        den_ = c * x + d
-        if den_ == 0:
-            return INFINITY
-        return BoundaryPoint.finite((a * x + b) / den_)
+        """Projectively on integers: p = (x, y) with oo = (1, 0) goes to
+        (a x + b y, c x + d y)."""
+        a, b, c, d = (m.numerator for m in self.matrix())
+        x, y = _projective(p)
+        if self.reversing:
+            x = -x
+        y, x = c * x + d * y, a * x + b * y
+        return INFINITY if y == 0 else BoundaryPoint(Fraction(x, y))
 
     def apply_point(self, z: UHPPoint) -> UHPPoint:
         a, b, c, d = self.matrix()
@@ -689,46 +734,36 @@ def two_point_normalizer(x: BoundaryPoint, y: BoundaryPoint) -> Isometry:
     return Isometry(k, -1 - k * x.value, 1, -x.value)
 
 
+def _projective(p: BoundaryPoint):
+    """p as a coprime integer pair (num, den) with den >= 0; oo is (1, 0)."""
+    v = p.value
+    return (1, 0) if v is None else (v.numerator, v.denominator)
+
+
 def _std_triple_matrix(t):
-    """Matrix sending the triple t to (0, 1, oo); entries rational."""
-    s0, s1, s2 = t
-    if s0.is_infinity:
-        return (Q(0), s1.value - s2.value, Q(1), -s2.value)
-    if s1.is_infinity:
-        return (Q(1), -s0.value, Q(1), -s2.value)
-    if s2.is_infinity:
-        return (Q(1), -s0.value, Q(0), s1.value - s0.value)
-    return (
-        s1.value - s2.value,
-        -s0.value * (s1.value - s2.value),
-        s1.value - s0.value,
-        -s2.value * (s1.value - s0.value),
-    )
+    """Integer matrix sending the triple t to (0, 1, oo)."""
+    (x0, y0), (x1, y1), (x2, y2) = (_projective(p) for p in t)
+    k1 = x1 * y2 - y1 * x2
+    k2 = x1 * y0 - y1 * x0
+    return (k1 * y0, -k1 * x0, k2 * y2, -k2 * x2)
 
 
 def triple_normalizer(src, dst) -> Isometry:
     """The unique isometry mapping the src triple pointwise to the dst triple.
 
     Orientation-preserving when the triples have the same cyclic orientation,
-    reversing otherwise.
+    reversing otherwise.  With every point an integer pair (x, y), oo being
+    (1, 0), the matrix with rows k1 (y0, -x0) and k2 (y2, -x2), where
+    k1 = x1 y2 - y1 x2 and k2 = x1 y0 - y1 x0, sends the triple to
+    (0, 1, oo) with no case for oo; the answer is adj(Md) Ms on integers.
     """
     src, dst = tuple(src), tuple(dst)
     if len(set(src)) != 3 or len(set(dst)) != 3:
         raise InvalidInputError("triples must consist of three distinct points")
-    ms = _std_triple_matrix(src)
-    md = _std_triple_matrix(dst)
-    # M = md^-1 . ms
-    a, b, c, d = md
-    inv = (d, -b, -c, a)
-    e, f, g, h = ms
-    m = (
-        inv[0] * e + inv[1] * g,
-        inv[0] * f + inv[1] * h,
-        inv[2] * e + inv[3] * g,
-        inv[2] * f + inv[3] * h,
-    )
-    det = m[0] * m[3] - m[1] * m[2]
-    if det > 0:
+    e, f, g, h = _std_triple_matrix(src)
+    a, b, c, d = _std_triple_matrix(dst)
+    m = (d * e - b * g, d * f - b * h, a * g - c * e, a * h - c * f)
+    if m[0] * m[3] - m[1] * m[2] > 0:
         iso = Isometry(*m)
     else:
         # the pointwise map is orientation-reversing: precompose with x -> -x

@@ -14,7 +14,6 @@ endpoints alike.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
@@ -28,6 +27,7 @@ from .model import (
     CurveKind,
     UHPPoint,
     _int_floats,
+    _number,
 )
 
 
@@ -109,26 +109,6 @@ def _pair_coeffs(c1: Curve, c2: Curve):
         if c.exact:
             k[:] = _int_floats(k, scale)
     return k1, k2, EPS
-
-
-def _number(m, n, disc, w):
-    """(m + n sqrt(disc)) / w for disc >= 0.
-
-    Integer arguments give an exact rational when disc is a square.
-    Otherwise the value is a float; for integers the square root is taken
-    as an integer scaled by 2^64, and a sum whose terms would cancel is
-    replaced by its conjugate quotient, so neither a discriminant beyond the
-    float range nor cancellation costs precision.
-    """
-    if not isinstance(w, int):
-        return (m + n * math.sqrt(max(disc, 0.0))) / w
-    r = math.isqrt(disc)
-    if r * r == disc:
-        return Q(m + n * r, w)
-    r = math.isqrt(disc << 128)
-    if (m >= 0) == (n >= 0):
-        return ((m << 64) + n * r) / (w << 64)
-    return ((m * m - n * n * disc) << 64) / (w * ((m << 64) - n * r))
 
 
 def _meet(k1, k2, tol):

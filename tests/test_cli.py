@@ -171,6 +171,7 @@ MALFORMED = [
     ("--inexact", "intersect", "--first-geodesic", f"{2**1100},oo",
      "--second-horocycle", "oo,0.5"),
     ("render", "--curves", "FARLINE", "-o", "a.svg"),
+    ("classify", "--coeffs", f"1,0,0,-{2**2101}"),  # endpoints +-2^1050.5
 ]
 
 #: curve files that MALFORMED names by placeholder
@@ -236,6 +237,15 @@ def test_classify_of_huge_coefficients(capsys):
     # endpoints +-2^1050.5 are past the float range
     code, _, err = run(capsys, "classify", "--coeffs", f"1,0,0,-{2**2101}")
     assert code == 2 and "float range" in err
+
+
+def test_classify_of_coefficients_spanning_past_the_float_range(capsys):
+    # a = 1 and d = -2^1901 share no float scale, yet the endpoints
+    # +-2^950.5 are floats
+    code, out, err = run(capsys, "classify", "--coeffs", f"1,0,0,-{2**1901}")
+    assert code == 0 and err == ""
+    lo, hi = map(float, re.search(r"endpoints ~\((\S+), (\S+)\)", out).groups())
+    assert math.isclose(hi, 2**950.5, rel_tol=1e-15) and lo == -hi
 
 
 def test_render_of_huge_coefficients(capsys, tmp_path):

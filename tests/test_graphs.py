@@ -1,5 +1,5 @@
 import random
-from itertools import product
+from itertools import combinations, permutations, product
 
 import pytest
 
@@ -293,3 +293,128 @@ class TestLinkChecks:
         res = link_preserving_check(pts, imgs)
         assert not res.preserved
         assert res.witness is not None
+
+
+# -- differential test against the degree-signature backtracking -------------
+
+
+def _oracle_automorphisms(g, cap=10000):
+    """Reference enumerator: backtracking over every unused vertex with the
+    same degree and neighbour-degree multiset, each checked against every
+    earlier vertex; lexicographic order, the same cap and error text."""
+    n = len(g)
+    degrees = [g.degree(i) for i in range(n)]
+    signature = [
+        (degrees[i], tuple(sorted(degrees[j] for j in range(n) if g.adjacency[i][j])))
+        for i in range(n)
+    ]
+    out = []
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(i):
+        if i == n:
+            out.append(GraphAutomorphism(tuple(image)))
+            if len(out) > cap:
+                raise HyperkError(
+                    f"automorphism cap {cap} exceeded (at least {len(out)} found)"
+                )
+            return
+        for cand in range(n):
+            if used[cand] or signature[cand] != signature[i]:
+                continue
+            if any(g.adjacency[i][j] != g.adjacency[cand][image[j]] for j in range(i)):
+                continue
+            image[i] = cand
+            used[cand] = True
+            extend(i + 1)
+            used[cand] = False
+            image[i] = -1
+
+    extend(0)
+    return out
+
+
+def _labelled_graph(n, edges):
+    adjacency = [[False] * n for _ in range(n)]
+    for i, j in edges:
+        adjacency[i][j] = adjacency[j][i] = True
+    return graphs.DisjointnessGraph([None] * n, adjacency, graphs.GraphClass.GEODESIC)
+
+
+def _outcome(routine, g, cap):
+    """The automorphism list, or the text of the cap error."""
+    try:
+        return routine(g, cap)
+    except HyperkError as err:
+        return str(err)
+
+
+def test_automorphisms_match_oracle_on_every_graph_on_5_vertices():
+    pairs = list(combinations(range(5), 2))
+    for mask in range(1 << len(pairs)):
+        g = _labelled_graph(5, [e for k, e in enumerate(pairs) if mask >> k & 1])
+        assert automorphisms(g) == _oracle_automorphisms(g), mask
+
+
+def _seeded_graphs(rng, count):
+    """Random graphs on 6-16 vertices, sparse to dense, plus unions of
+    cycles and complete bipartite graphs, whose degrees are all alike."""
+    for k in range(count):
+        n = rng.randint(6, 16)
+        if k % 10 == 0:  # two disjoint cycles
+            cut = rng.randint(3, n - 3)
+            edges = [(v, v + 1) for v in range(n - 1) if v + 1 != cut] + [(0, cut - 1), (cut, n - 1)]
+        elif k % 10 == 1:  # complete bipartite, relabelled
+            order = rng.sample(range(n), n)
+            m = rng.randint(1, n - 1)
+            edges = [(order[i], order[j]) for i in range(m) for j in range(m, n)]
+        else:
+            density = rng.choice((0.05, 0.15, 0.3, 0.5, 0.7, 0.85, 0.95))
+            edges = [e for e in combinations(range(n), 2) if rng.random() < density]
+        yield _labelled_graph(n, edges)
+
+
+def test_automorphisms_match_oracle_on_seeded_graphs():
+    rng = random.Random(20261018)
+    capped = nontrivial = 0
+    for g in _seeded_graphs(rng, 320):
+        got = _outcome(automorphisms, g, 500)
+        assert got == _outcome(_oracle_automorphisms, g, 500), g.edges()
+        if isinstance(got, str):
+            capped += 1
+        else:
+            nontrivial += len(got) > 1
+            colour = graphs._equitable_colours(graphs._rows(g))
+            for a in got:
+                assert [colour[a(v)] for v in range(len(g))] == colour
+    assert capped >= 10 and nontrivial >= 50
+
+
+def test_cap_raises_at_the_same_point():
+    empty = _labelled_graph(8, [])
+    message = "automorphism cap 10000 exceeded (at least 10001 found)"
+    assert _outcome(automorphisms, empty, 10000) == message
+    assert _outcome(_oracle_automorphisms, empty, 10000) == message
+    # 8! automorphisms fit a cap of 8!, in lexicographic order
+    every = automorphisms(empty, cap=40320)
+    assert [a.perm for a in every] == list(permutations(range(8)))
+
+
+def test_colour_refinement_splits_what_degrees_do_not():
+    # the path 0-1-2-3-4: degrees put 1, 2, 3 together, their neighbours
+    # split 2 off; the ends stay one cell, so the colouring is the coarsest
+    path = _labelled_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
+    colour = graphs._equitable_colours(graphs._rows(path))
+    assert colour[0] == colour[4] and colour[1] == colour[3]
+    assert len({colour[0], colour[1], colour[2]}) == 3
+    # a cycle is regular: one cell
+    cycle = _labelled_graph(6, [(v, (v + 1) % 6) for v in range(6)])
+    assert len(set(graphs._equitable_colours(graphs._rows(cycle)))) == 1
+
+
+def test_automorphisms_search_only_within_cells(monkeypatch):
+    # a colouring with a cell per vertex leaves only the identity: the
+    # search takes its candidates from the cells it is given
+    monkeypatch.setattr(graphs, "_equitable_colours", lambda rows: list(range(len(rows))))
+    assert [a.perm for a in automorphisms(_labelled_graph(4, []))] == [(0, 1, 2, 3)]

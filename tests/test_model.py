@@ -460,6 +460,29 @@ class TestFloatsOfHugeCoefficients:
                 want, got = getattr(small, f)(), getattr(big, f)()
                 assert got == pytest.approx(want, rel=1e-12), (k, f)
 
+    def test_coefficients_spanning_past_the_float_range(self):
+        # no common power of two makes both a = 1 and d = -2^1901 floats
+        huge = curve_from_coeffs(1, 0, 0, -(2**1901))
+        lo, hi = huge.endpoint_floats()
+        assert hi == pytest.approx(2**950.5, rel=1e-15) and lo == -hi
+        assert huge.euclidean_center_radius() == (0.0, 0.0, hi) and huge.apex_height() == hi
+        # two endpoints near 2^900 (disc 29); roots near 2^500 and 2^-1000
+        # beside ones near -2^1000, where -b + sqrt(disc) cancels (the
+        # conjugate quotient).  The reference takes the square root to 400
+        # bits and forms each root without cancellation: q / a and d / q.
+        for k in (
+            (1, -(2**901 + 1), 0, 2**1800 + 2**900 - 7),
+            (3, 2**1000, -5, -(2**1500)),
+            (1, 2**1000, 0, -1),
+        ):
+            c = curve_from_coeffs(*k)
+            a, b, _, d = c.circle.coeffs()
+            r = Fraction(math.isqrt((b * b - 4 * a * d) << 800), 1 << 400)
+            q = -(b + r if b >= 0 else b - r) / 2
+            want = sorted(float(v) for v in (q / a, d / q))
+            got = c.endpoint_floats()
+            assert all(math.isclose(u, v, rel_tol=1e-15) for u, v in zip(got, want)), (got, want)
+
     def test_result_past_float_range_raises(self):
         far_line = curve_from_coeffs(0, 1, 0, -(2**1100))  # x = 2^1100
         high_line = curve_from_coeffs(0, 0, 1, -(2**1100))  # y = 2^1100
@@ -467,3 +490,129 @@ class TestFloatsOfHugeCoefficients:
             far_line.endpoint_floats()
         with pytest.raises(InvalidInputError, match="float range"):
             high_line.apex_height()
+
+
+# -- differential tests of the integer normalizer and boundary action --------
+
+
+def _oracle_std_triple_matrix(t):
+    """Matrix sending the triple t to (0, 1, oo); entries rational."""
+    s0, s1, s2 = t
+    if s0.is_infinity:
+        return (Q(0), s1.value - s2.value, Q(1), -s2.value)
+    if s1.is_infinity:
+        return (Q(1), -s0.value, Q(1), -s2.value)
+    if s2.is_infinity:
+        return (Q(1), -s0.value, Q(0), s1.value - s0.value)
+    return (
+        s1.value - s2.value,
+        -s0.value * (s1.value - s2.value),
+        s1.value - s0.value,
+        -s2.value * (s1.value - s0.value),
+    )
+
+
+def _oracle_apply_boundary(iso, p):
+    """The boundary action on Fractions, one branch per infinity."""
+    a, b, c, d = iso.matrix()
+    if p.is_infinity:
+        return INFINITY if c == 0 else BoundaryPoint.finite(a / c)
+    x = -p.value if iso.reversing else p.value
+    den = c * x + d
+    if den == 0:
+        return INFINITY
+    return BoundaryPoint.finite((a * x + b) / den)
+
+
+def _oracle_triple_normalizer(src, dst):
+    """md^-1 . ms on Fractions, checked by the Fraction boundary action."""
+    a, b, c, d = _oracle_std_triple_matrix(dst)
+    e, f, g, h = _oracle_std_triple_matrix(src)
+    m = (d * e - b * g, d * f - b * h, a * g - c * e, a * h - c * f)
+    if m[0] * m[3] - m[1] * m[2] > 0:
+        iso = Isometry(*m)
+    else:
+        iso = Isometry(-m[0], m[1], -m[2], m[3], reversing=True)
+    for s, t in zip(src, dst):
+        assert _oracle_apply_boundary(iso, s) == t
+    return iso
+
+
+def _oracle_isometry_matrix(entries):
+    """The Fraction reduction Isometry used to make: Q copies of the
+    entries, denominators cleared, gcd divided out, first nonzero positive."""
+    qs = [Q(v) for v in entries]
+    lcm = math.lcm(*(q.denominator for q in qs))
+    ints = [q.numerator * (lcm // q.denominator) for q in qs]
+    g = math.gcd(*ints)
+    if next(v for v in ints if v) < 0:
+        g = -g
+    return tuple(Q(v // g) for v in ints)
+
+
+def _rand_boundary_point(rng, bits):
+    if rng.random() < 0.15:
+        return INFINITY
+    return F(Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)))
+
+
+def test_triple_normalizer_matches_fraction_oracle():
+    rng = random.Random(6061)
+    seen = set()
+    done = 0
+    while done < 3000:
+        bits = rng.choice((3, 3, 12, 64, 640))
+        src = tuple(_rand_boundary_point(rng, bits) for _ in range(3))
+        dst = tuple(_rand_boundary_point(rng, rng.choice((3, bits))) for _ in range(3))
+        if len(set(src)) < 3 or len(set(dst)) < 3:
+            continue
+        iso = triple_normalizer(src, dst)
+        want = _oracle_triple_normalizer(src, dst)
+        assert iso.matrix() == want.matrix() and iso.reversing == want.reversing
+        assert all(type(v) is Fraction for v in iso.matrix())
+        done += 1
+        for side, triple in (("src", src), ("dst", dst)):
+            seen.update((side, k) for k, p in enumerate(triple) if p.is_infinity)
+        seen.add(("reversing", iso.reversing))
+        seen.add(("big", bits == 640))
+    assert len(seen) == 10  # oo in every slot of both, both orientations, 2^640
+
+
+def test_isometry_entries_match_fraction_reduction():
+    rng = random.Random(6062)
+    for _ in range(1500):
+        bits = rng.choice((3, 40, 700))
+        entries = [
+            rng.choice((rng.randint(-(1 << bits), 1 << bits),
+                        Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits))))
+            for _ in range(4)
+        ]
+        det = entries[0] * entries[3] - entries[1] * entries[2]
+        if det <= 0:
+            with pytest.raises(InvalidInputError, match="positive determinant"):
+                Isometry(*entries)
+            continue
+        iso = Isometry(*entries)
+        assert iso.matrix() == _oracle_isometry_matrix(entries)
+        assert all(type(v) is Fraction for v in iso.matrix())
+    # entries that are neither ints nor Fractions are taken at their exact value
+    assert Isometry(0.5, "3/4", 0, 1).matrix() == (2, 3, 0, 4)
+
+
+def test_apply_boundary_matches_fraction_oracle():
+    rng = random.Random(6063)
+    for k in range(600):
+        if k % 3 == 0:  # deep entries
+            iso = rand_isometry(rng)
+            for _ in range(rng.randint(20, 120)):
+                iso = iso.compose(rand_isometry(rng))
+        else:
+            iso = rand_isometry(rng)
+        a, b, c, d = iso.matrix()
+        points = [INFINITY, F(0)] + [_rand_boundary_point(rng, rng.choice((3, 64, 640))) for _ in range(4)]
+        if c:
+            pole = F(d / c if iso.reversing else -d / c)
+            assert iso.apply_boundary(pole) == INFINITY
+            points.append(pole)
+        for p in points:
+            assert iso.apply_boundary(p) == _oracle_apply_boundary(iso, p), (iso, p)
