@@ -14,9 +14,14 @@ BACKEND = "python"
 
 
 def Q(numerator=0, denominator=None):
-    """Exact rational from ints, strings like '3/4', floats, or rationals."""
+    """Exact rational from ints, strings like '3/4', floats, or rationals.
+
+    A Fraction comes back as it is: it is immutable, and a copy would only
+    repeat the reduction."""
     if denominator is not None:
         return Fraction(numerator, denominator)
+    if type(numerator) is Fraction:
+        return numerator
     return Fraction(numerator)
 
 

@@ -86,6 +86,8 @@ class EarthquakeMap:
 
     def side_sign(self, z: Union[UHPPoint, BoundaryPoint]) -> int:
         """Sign of the fault equation at z (0 on the fault's closure)."""
+        if isinstance(z, UHPPoint) and z.exact:
+            return self.fault.circle.sign_at(z.x, z.y)
         if isinstance(z, BoundaryPoint):
             v = self.fault.circle.evaluate_boundary(z)
         else:

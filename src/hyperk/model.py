@@ -9,6 +9,15 @@ tolerance instead of exact signs.  Exact curves also yield exact sample
 points: `rational_points` spreads them along the curve, and
 `straddling_points` places them on both sides of another circle near where
 the two meet.
+
+Exact points, sign tests and constructors run on integers: a rational
+point (x, y) is read as (X/W, Y/W), a boundary point p as the pair
+(num, den), and a `Fraction` is built only for the value that is stored
+(an image point's coordinates, a boundary point).  `Isometry` keeps its
+entries as denominator-1 `Fraction`s, and `Isometry.apply_circle` still
+does `Fraction` arithmetic on purpose until ROADMAP item 1 lands: made
+integer, it runs the `pairs` benchmark past the 2^18 samples its buffer
+holds, and the buffer's growth shows as a peak-memory regression.
 """
 
 from __future__ import annotations
@@ -139,6 +148,18 @@ def _coprime_ints(values):
     return [v // g for v in ints]
 
 
+def _homogeneous(x, y):
+    """The rational point (x, y) as integers (X, Y, W), x = X/W, y = Y/W, W > 0."""
+    xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
+    return xn * yd, yn * xd, xd * yd
+
+
+def _form_at(k, X, Y, W):
+    """W^2 times a(x^2+y^2) + bx + cy + d at (X/W, Y/W), for k = (a, b, c, d)."""
+    a, b, c, d = k
+    return a * (X * X + Y * Y) + (b * X + c * Y + d * W) * W
+
+
 # The sign tests on a circle multiply at most six coefficients of the exact
 # curve (the inexact curve's are at most 1), so below 2^_FLOAT_BITS every
 # product stays under 2^1010.
@@ -153,8 +174,7 @@ def _int_floats(k, scale: bool):
     float() would give, and every sign test on a circle is homogeneous in
     the coefficients: the scale changes no answer while nothing underflows.
     Two lines are not scaled, since their determinant is compared with an
-    absolute tolerance.  `Curve.float_coeffs` always scales: it feeds only
-    ratios of the coefficients.
+    absolute tolerance.
     """
     shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
     if shift <= 0:
@@ -261,6 +281,12 @@ class GeneralizedCircle:
     def evaluate(self, x, y):
         return self.a * (x * x + y * y) + self.b * x + self.c * y + self.d
 
+    def sign_at(self, x, y) -> int:
+        """Sign (-1, 0 or 1) of the exact circle's equation at the rational
+        point (x, y), on integers: W^2 times the value at (X/W, Y/W)."""
+        v = _form_at(self.coeffs(), *_homogeneous(x, y))
+        return (v > 0) - (v < 0)
+
     def evaluate_boundary(self, p: BoundaryPoint):
         """Sign carrier of the real-axis trace at p (sign of a at infinity)."""
         if p.is_infinity:
@@ -269,6 +295,8 @@ class GeneralizedCircle:
         return self.a * x * x + self.b * x + self.d
 
     def contains_point(self, x, y) -> bool:
+        if self.exact and is_rational(x) and is_rational(y):
+            return self.sign_at(x, y) == 0
         v = self.evaluate(x, y)
         return v == 0 if self.exact else abs(v) <= EPS
 
@@ -409,12 +437,6 @@ class Curve:
     def has_exact_endpoints(self) -> bool:
         return self._endpoints is not None
 
-    def float_coeffs(self):
-        """The coefficients as floats.  An exact curve's are divided by a
-        common power of two when large, which changes no ratio of them."""
-        k = self.circle.coeffs()
-        return _int_floats(k, True) if self.circle.exact else k
-
     # An exact curve's floats below come from its integers: an integer
     # square root and one correctly rounded division each, so only a result
     # past the float range is refused.
@@ -519,10 +541,16 @@ def make_geodesic(p: BoundaryPoint, q: BoundaryPoint) -> Curve:
     if p == q:
         raise InvalidInputError("geodesic needs two distinct endpoints")
     if p.is_infinity or q.is_infinity:
-        finite = q if p.is_infinity else p
-        return curve_from_coeffs(0, 1, 0, -finite.value)  # vertical line x = finite
-    # semicircle with real-axis roots p, q: x^2 - (p+q)x + pq = 0
-    return curve_from_coeffs(1, -(p.value + q.value), 0, p.value * q.value)
+        m, n = _projective(q if p.is_infinity else p)
+        return curve_from_coeffs(0, n, 0, -m)  # vertical line n x - m = 0
+    return curve_from_coeffs(*_geodesic_ints(p, q))
+
+
+def _geodesic_ints(p: BoundaryPoint, q: BoundaryPoint):
+    """Integer (a, b, 0, d) of the semicircle with real-axis roots p = m/n and
+    q = r/s: n s x^2 - (m s + r n) x + m r = 0."""
+    (m, n), (r, s) = _projective(p), _projective(q)
+    return n * s, -(m * s + r * n), 0, m * r
 
 
 def make_horocycle(center: BoundaryPoint, size) -> Curve:
@@ -531,44 +559,72 @@ def make_horocycle(center: BoundaryPoint, size) -> Curve:
     size = Q(size) if exact else float(size)
     if not size > 0:
         raise InvalidInputError("horocycle size must be positive")
+    if not exact:
+        if center.is_infinity:
+            return curve_from_coeffs(0, 0, 1, -size, exact=False)
+        p = center.value
+        return curve_from_coeffs(1, -2 * p, -2 * size, p * p, exact=False)
+    u, v = size.numerator, size.denominator
     if center.is_infinity:
-        return curve_from_coeffs(0, 0, 1, -size, exact=exact)
-    p = center.value
-    return curve_from_coeffs(1, -2 * p, -2 * size, p * p, exact=exact)
+        return curve_from_coeffs(0, 0, v, -u)  # horizontal line v y - u = 0
+    # center p = m/n: n^2 v (x^2 + y^2) - 2 m n v x - 2 u n^2 y + m^2 v = 0
+    m, n = _projective(center)
+    return curve_from_coeffs(n * n * v, -2 * m * n * v, -2 * u * n * n, m * m * v)
 
 
 def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Curve:
     """The unique hypercycle through boundary points p, q and interior point through."""
     if p == q:
         raise InvalidInputError("hypercycle needs two distinct endpoints")
-    exact = through.exact
-    tol = 0 if exact else EPS
-    x0, y0 = through.x, through.y
-    if p.is_infinity or q.is_infinity:
-        e = (q if p.is_infinity else p).value
-        # line through (e, 0) and (x0, y0)
-        if abs(x0 - e) <= tol:
-            raise DegenerateResultError(
-                "through-point lies on the vertical geodesic",
-                make_geodesic(p, q),
-            )
-        circle = GeneralizedCircle(0, y0, -(x0 - e), -e * y0, exact=exact)
-    else:
-        b = -(p.value + q.value)
-        d = p.value * q.value
-        c = -(x0 * x0 + y0 * y0 + b * x0 + d) / y0
-        if abs(c) <= tol:
-            raise DegenerateResultError(
-                "through-point lies on the spanning geodesic",
-                make_geodesic(p, q),
-            )
-        circle = GeneralizedCircle(1, b, c, d, exact=exact)
+    carrier = _hypercycle_ints if through.exact else _hypercycle_floats
+    circle = carrier(p, q, through)
+    if circle is None:
+        where = "vertical" if p.is_infinity or q.is_infinity else "spanning"
+        raise DegenerateResultError(
+            f"through-point lies on the {where} geodesic", make_geodesic(p, q)
+        )
     curve = Curve(circle)
     if curve.kind is not CurveKind.HYPERCYCLE:
         raise DegenerateResultError(
             f"hypercycle construction classifies as {curve.kind.value}", curve
         )
     return curve
+
+
+def _hypercycle_ints(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint):
+    """The exact carrier on integers, with `through` at (X/W, Y/W); None
+    when `through` lies on the geodesic pq."""
+    X, Y, W = _homogeneous(through.x, through.y)
+    if p.is_infinity or q.is_infinity:
+        # the line through (m/n, 0) and (X/W, Y/W)
+        m, n = _projective(q if p.is_infinity else p)
+        if X * n == m * W:
+            return None
+        return GeneralizedCircle(0, Y * n, m * W - X * n, -m * Y)
+    # W Y times the geodesic's carrier k, plus the c y that puts `through`
+    # on it: c = -W^2 k(X/W, Y/W)
+    k = _geodesic_ints(p, q)
+    c = -_form_at(k, X, Y, W)
+    if c == 0:
+        return None
+    a, b, _, d = (v * W * Y for v in k)
+    return GeneralizedCircle(a, b, c, d)
+
+
+def _hypercycle_floats(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint):
+    """The inexact carrier; None when `through` is within EPS of the geodesic pq."""
+    x0, y0 = through.x, through.y
+    if p.is_infinity or q.is_infinity:
+        e = (q if p.is_infinity else p).value
+        if abs(x0 - e) <= EPS:
+            return None
+        return GeneralizedCircle(0, y0, -(x0 - e), -e * y0, exact=False)
+    b = -(p.value + q.value)
+    d = p.value * q.value
+    c = -(x0 * x0 + y0 * y0 + b * x0 + d) / y0
+    if abs(c) <= EPS:
+        return None
+    return GeneralizedCircle(1, b, c, d, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -614,20 +670,21 @@ class Isometry:
         """Reflection across the vertical line x = axis_x: z -> -conj(z) + 2 axis_x."""
         return Isometry(1, 2 * Q(axis_x), 0, 1, reversing=True)
 
-    def det(self):
-        return self.m00 * self.m11 - self.m01 * self.m10
-
     def matrix(self):
         return (self.m00, self.m01, self.m10, self.m11)
 
-    def _twisted(self):
-        # sigma . M = twist(M) . sigma with sigma(z) = -conj(z)
-        return (self.m00, -self.m01, -self.m10, self.m11)
+    def _ints(self):
+        """The matrix entries as ints (they are integers with denominator 1)."""
+        return (self.m00.numerator, self.m01.numerator, self.m10.numerator, self.m11.numerator)
 
     def compose(self, other: "Isometry") -> "Isometry":
         """self after other: (self.compose(other))(z) = self(other(z))."""
-        a, b, c, d = self.matrix()
-        e, f, g, h = other._twisted() if self.reversing else other.matrix()
+        a, b, c, d = self._ints()
+        e, f, g, h = other._ints()
+        if self.reversing:
+            # sigma M = twist(M) sigma for sigma(z) = -conj(z), where twist
+            # negates the off-diagonal entries
+            f, g = -f, -g
         return Isometry(
             a * e + b * g,
             a * f + b * h,
@@ -640,12 +697,12 @@ class Isometry:
         return self.compose(other)
 
     def inverse(self) -> "Isometry":
-        a, b, c, d = self.matrix()
-        inv = (d, -b, -c, a)
+        """The inverse map: adj(M), or for a reversing map M sigma,
+        sigma adj(M) = twist(adj(M)) sigma."""
+        a, b, c, d = self._ints()
         if self.reversing:
-            m = Isometry(*inv)
-            return Isometry(*m._twisted(), reversing=True)
-        return Isometry(*inv)
+            b, c = -b, -c
+        return Isometry(d, -b, -c, a, reversing=self.reversing)
 
     def __eq__(self, other):
         if not isinstance(other, Isometry):
@@ -666,7 +723,7 @@ class Isometry:
     def apply_boundary(self, p: BoundaryPoint) -> BoundaryPoint:
         """Projectively on integers: p = (x, y) with oo = (1, 0) goes to
         (a x + b y, c x + d y)."""
-        a, b, c, d = (m.numerator for m in self.matrix())
+        a, b, c, d = self._ints()
         x, y = _projective(p)
         if self.reversing:
             x = -x
@@ -674,17 +731,25 @@ class Isometry:
         return INFINITY if y == 0 else BoundaryPoint(Fraction(x, y))
 
     def apply_point(self, z: UHPPoint) -> UHPPoint:
-        a, b, c, d = self.matrix()
-        det = self.det()  # exact: a float a*d - b*c can cancel to 0
-        x, y = z.x, z.y
-        if self.reversing:
-            x = -x
+        a, b, c, d = self._ints()
+        det = a * d - b * c  # exact: a float a*d - b*c can cancel to 0
         if not z.exact:
+            x, y = z.x, z.y
+            if self.reversing:
+                x = -x
             a, b, c, d, det = (float(v) for v in (a, b, c, d, det))
-        den_ = (c * x + d) ** 2 + c * c * y * y
-        nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
-        ny = det * y / den_
-        return UHPPoint(nx, ny, exact=z.exact)
+            den_ = (c * x + d) ** 2 + c * c * y * y
+            nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
+            return UHPPoint(nx, det * y / den_, exact=False)
+        # z = (X + iY)/W: (a z + b)(c conj(z) + d) = (u v + a c Y^2 + i det Y W) / W^2
+        # with u = a X + b W, v = c X + d W, and |c z + d|^2 W^2 = v^2 + (c Y)^2
+        X, Y, W = _homogeneous(z.x, z.y)
+        if self.reversing:
+            X = -X
+        u, v = a * X + b * W, c * X + d * W
+        cy = c * Y
+        den_ = v * v + cy * cy
+        return UHPPoint(Fraction(u * v + a * cy * Y, den_), Fraction(det * Y * W, den_), exact=True)
 
     def apply_circle(self, circle: GeneralizedCircle) -> GeneralizedCircle:
         a, b, c, d = circle.coeffs()
@@ -986,7 +1051,7 @@ def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
             for t in (t0 - step, t0 + step):
                 px, py = point(t)
                 if py > 0:
-                    s = circle.evaluate(px, py)
+                    s = circle.sign_at(px, py) if circle.exact else circle.evaluate(px, py)
                     if s:
                         sides[s > 0] = UHPPoint(px, py, exact=True)
             if len(sides) == 2:

@@ -72,23 +72,20 @@ def _curve_element(curve: Curve, mapper: _Mapper, color: str) -> str:
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(r * mapper.scale)}" '
             f'{style} clip-path="url(#uhp)"/>'
         )
-    # a line b x + c y + d = 0
-    _a, b, c, d = curve.float_coeffs()
-    if abs(c) <= (0 if curve.exact else 1e-13):
-        # vertical line x = -d/b
-        x = -d / b
-        p0 = mapper.to_pixel(x, 0.0)
-        p1 = mapper.to_pixel(x, mapper.y1 + 1.0)
-        return (
-            f'<line x1="{_f(p0[0])}" y1="{_f(p0[1])}" x2="{_f(p1[0])}" '
-            f'y2="{_f(p1[1])}" {style} clip-path="url(#uhp)"/>'
-        )
-    def y_at(x):
-        return (-d - b * x) / c
-
-    x_lo, x_hi = mapper.x0, mapper.x1
-    p0 = mapper.to_pixel(x_lo, y_at(x_lo))
-    p1 = mapper.to_pixel(x_hi, y_at(x_hi))
+    # a line b x + c y + d = 0; an exact line's quotients are int / int,
+    # correctly rounded, so it is drawn whenever its position is a float
+    _a, b, c, d = curve.circle.coeffs()
+    try:
+        if abs(c) <= (0 if curve.exact else 1e-13):
+            x = -d / b  # vertical line
+            p0 = mapper.to_pixel(x, 0.0)
+            p1 = mapper.to_pixel(x, mapper.y1 + 1.0)
+        else:
+            y0, slope = -d / c, -b / c
+            p0 = mapper.to_pixel(mapper.x0, y0 + slope * mapper.x0)
+            p1 = mapper.to_pixel(mapper.x1, y0 + slope * mapper.x1)
+    except OverflowError:
+        raise InvalidInputError("a scene coordinate is outside the float range") from None
     return (
         f'<line x1="{_f(p0[0])}" y1="{_f(p0[1])}" x2="{_f(p1[0])}" '
         f'y2="{_f(p1[1])}" {style} clip-path="url(#uhp)"/>'

@@ -171,6 +171,7 @@ MALFORMED = [
     ("--inexact", "intersect", "--first-geodesic", f"{2**1100},oo",
      "--second-horocycle", "oo,0.5"),
     ("render", "--curves", "FARLINE", "-o", "a.svg"),
+    ("render", "--curves", "FAROBLIQUE", "-o", "a.svg"),
     ("classify", "--coeffs", f"1,0,0,-{2**2101}"),  # endpoints +-2^1050.5
 ]
 
@@ -180,6 +181,7 @@ CURVE_FILES = {
     "DUPLICATES": "horocycle a=1 b=0 c=-1 d=0\nhorocycle a=1 b=0 c=-1 d=0\n",
     "EMPTY": "# no curves\n",
     "FARLINE": f"geodesic a=0 b=1 c=0 d=-{2**1100}\n",  # x = 2^1100
+    "FAROBLIQUE": f"hypercycle a=0 b=1 c=1 d=-{2**1100}\n",  # y = 2^1100 - x
 }
 
 
@@ -258,3 +260,23 @@ def test_render_of_huge_coefficients(capsys, tmp_path):
     cx, r = re.search(r'<circle cx="(\S+)" cy="\S+" r="(\S+)"', svg.read_text()).groups()
     assert float(cx) == 3.25 * 80
     assert math.isclose(float(r) / 80, 2**600.5, rel_tol=1e-15)
+
+
+@pytest.mark.parametrize("text, ends", [
+    # x = 3^-800
+    (f"geodesic a=0 b={3**800} c=0 d=-1", (0, 0, 0, 4)),
+    # y = (1 - 3^800 x) / (3^800 + 1), within 3^-800 of y = -x
+    (f"hypercycle a=0 b={3**800} c={3**800 + 1} d=-1", (-3.25, 3.25, 3.25, -3.25)),
+], ids=["vertical", "oblique"])
+def test_render_of_lines_with_huge_coefficients(capsys, tmp_path, text, ends):
+    # the coefficients span more than the float range, the line does not
+    f = tmp_path / "line.txt"
+    f.write_text(text + "\n")
+    svg = tmp_path / "line.svg"
+    code, _, err = run(capsys, "render", "--curves", str(f), "-o", str(svg))
+    assert code == 0 and err == ""
+    x1, y1, x2, y2 = map(float, re.search(
+        r'<line x1="(\S+)" y1="(\S+)" x2="(\S+)" y2="(\S+)" fill="none"', svg.read_text()
+    ).groups())
+    # the window's corner (-3.25, 3.25) is pixel (0, 0), and a unit is 80 pixels
+    assert (x1 / 80 - 3.25, 3.25 - y1 / 80, x2 / 80 - 3.25, 3.25 - y2 / 80) == ends

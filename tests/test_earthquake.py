@@ -31,7 +31,7 @@ from hyperk import earthquake
 from hyperk._rational import q_str, sqrt_exact
 from hyperk.earthquake import Constraint
 from hyperk.errors import InvalidInputError
-from hyperk.model import Isometry, straddling_points
+from hyperk.model import GeneralizedCircle, Isometry, rational_points, straddling_points
 from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q, run_suite
 
 F = BoundaryPoint.finite
@@ -139,6 +139,102 @@ class TestCocircularity:
                 assert c.circle.evaluate(neg.x, neg.y) == 0
             assert not pointwise_image_is_curve(e, c, 12).is_curve, (c, e)
         assert crossings > 200
+
+
+def _oracle_sign(circle, x, y):
+    """The replaced exact sign test: the sign of the Fraction evaluation."""
+    v = circle.evaluate(x, y)
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+def _oracle_side_sign(e, z):
+    """The side test on Fractions: the sign of the fault equation at z."""
+    if isinstance(z, BoundaryPoint):
+        v = e.fault.circle.evaluate_boundary(z)
+        return 0 if v == 0 else (1 if v > 0 else -1)
+    return _oracle_sign(e.fault.circle, z.x, z.y)
+
+
+def _rand_fault(rng):
+    """A fault with small, 2^600+ or infinite endpoints."""
+    bits = rng.choice((3, 40, 620))
+    while True:
+        p, q = (
+            INFINITY if rng.random() < 0.2
+            else F(Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)))
+            for _ in range(2)
+        )
+        if p != q:
+            return make_geodesic(p, q)
+
+
+def test_side_sign_matches_fraction_oracle():
+    rng = random.Random(6117)
+    signs = collections.Counter()
+    for _ in range(400):
+        e = EarthquakeMap(_rand_fault(rng), abs(rand_q(rng, 1, 4)) + Q(9, 8),
+                          rng.choice(["left", "right"]))
+        bits = rng.choice((3, 40, 640))
+        points = [
+            UHPPoint(Fraction(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)),
+                     Fraction(rng.randint(1, 1 << bits), rng.randint(1, 1 << bits)))
+            for _ in range(3)
+        ]
+        points += rational_points(e.fault, 2)  # on the fault
+        points.append(UHPPoint(rng.uniform(-9, 9), rng.uniform(0.1, 9), exact=False))
+        points += [INFINITY, *e.fault.endpoints, F(rand_q(rng))]
+        for z in points:
+            try:
+                want = _oracle_side_sign(e, z)
+            except OverflowError:  # an inexact point, a fault past the float range
+                with pytest.raises(OverflowError):
+                    e.side_sign(z)
+                continue
+            assert e.side_sign(z) == want, (e, z)
+            signs[want] += 1
+    assert sum(signs.values()) >= 2000 and set(signs) == {-1, 0, 1}
+
+
+def test_straddling_points_match_fraction_sign_test(monkeypatch):
+    # the same pairs, and the same rank-test witnesses, with the sign test
+    # taken from the Fraction evaluation
+    rng = random.Random(6118)
+    cases = []
+    while len(cases) < 120:
+        e = EarthquakeMap(_rand_fault(rng), abs(rand_q(rng, 1, 4)) + Q(9, 8),
+                          rng.choice(["left", "right"]))
+        c = rand_curve(rng) if rng.random() < 0.6 else _rand_big_curve(rng)
+        pat = intersection_pattern(c, e.fault)
+        if pat.interior_count and not pat.tangent and not pat.equal:
+            cases.append((e, c, pat.interior_points))
+
+    def run():
+        return [(straddling_points(c, e.fault.circle, near), pointwise_image_is_curve(e, c, 8))
+                for e, c, near in cases]
+
+    got = run()
+    monkeypatch.setattr(GeneralizedCircle, "sign_at", _oracle_sign)
+    assert got == run()
+    assert sum(len(pairs) for pairs, _ in got) >= 120
+
+
+def _rand_big_curve(rng):
+    """A curve whose data has numerators and denominators past 2^600."""
+    def big(positive=False):
+        return Fraction(rng.randint(1 if positive else -(1 << 620), 1 << 620),
+                        rng.randint(1, 1 << 620))
+
+    while True:
+        p, q = F(big()), F(big())
+        if p == q:
+            continue
+        k = rng.randrange(3)
+        if k == 0:
+            return make_geodesic(p, q)
+        if k == 1:
+            return make_horocycle(rng.choice((p, INFINITY)), big(positive=True))
+        lo, hi = sorted((p.value, q.value))
+        return make_hypercycle(p, q, UHPPoint((lo + hi) / 2, big(positive=True)))
 
 
 class TestRealizability:

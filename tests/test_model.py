@@ -1,6 +1,8 @@
+import collections
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 from fractions import Fraction
@@ -616,3 +618,254 @@ def test_apply_boundary_matches_fraction_oracle():
             points.append(pole)
         for p in points:
             assert iso.apply_boundary(p) == _oracle_apply_boundary(iso, p), (iso, p)
+
+
+# -- differential tests of the integer point action, sign test and constructors
+
+
+def test_q_keeps_a_fraction_and_builds_the_rest():
+    f = Fraction(-3, 4)
+    assert Q(f) is f
+    assert [Q(v) for v in (2, "3/4", 0.5, True)] == [2, Fraction(3, 4), Fraction(1, 2), 1]
+    assert all(type(Q(v)) is Fraction for v in (2, "3/4", 0.5, True))
+
+
+def _oracle_apply_point(iso, z):
+    """The point action on Fractions (floats for an inexact point)."""
+    a, b, c, d = iso.matrix()
+    det = a * d - b * c
+    x, y = z.x, z.y
+    if iso.reversing:
+        x = -x
+    if not z.exact:
+        a, b, c, d, det = (float(v) for v in (a, b, c, d, det))
+    den = (c * x + d) ** 2 + c * c * y * y
+    nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den
+    return UHPPoint(nx, det * y / den, exact=z.exact)
+
+
+def _oracle_twisted(iso):
+    return (iso.m00, -iso.m01, -iso.m10, iso.m11)
+
+
+def _oracle_compose(s, o):
+    a, b, c, d = s.matrix()
+    e, f, g, h = _oracle_twisted(o) if s.reversing else o.matrix()
+    return Isometry(a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h,
+                    reversing=s.reversing ^ o.reversing)
+
+
+def _oracle_inverse(iso):
+    a, b, c, d = iso.matrix()
+    if iso.reversing:
+        return Isometry(*_oracle_twisted(Isometry(d, -b, -c, a)), reversing=True)
+    return Isometry(d, -b, -c, a)
+
+
+def _oracle_sign(circle, x, y):
+    v = circle.evaluate(x, y)
+    return 0 if v == 0 else (1 if v > 0 else -1)
+
+
+def _oracle_make_geodesic(p, q):
+    if p.is_infinity or q.is_infinity:
+        return curve_from_coeffs(0, 1, 0, -(q if p.is_infinity else p).value)
+    return curve_from_coeffs(1, -(p.value + q.value), 0, p.value * q.value)
+
+
+def _oracle_make_horocycle(center, size):
+    exact = isinstance(size, (int, Fraction))
+    size = Q(size) if exact else float(size)
+    if center.is_infinity:
+        return curve_from_coeffs(0, 0, 1, -size, exact=exact)
+    p = center.value
+    return curve_from_coeffs(1, -2 * p, -2 * size, p * p, exact=exact)
+
+
+def _oracle_make_hypercycle(p, q, through):
+    """The carrier from Fraction (or float) arithmetic."""
+    exact = through.exact
+    tol = 0 if exact else model.EPS
+    x0, y0 = through.x, through.y
+    if p.is_infinity or q.is_infinity:
+        e = (q if p.is_infinity else p).value
+        if abs(x0 - e) <= tol:
+            raise DegenerateResultError("through-point lies on the vertical geodesic")
+        circle = model.GeneralizedCircle(0, y0, -(x0 - e), -e * y0, exact=exact)
+    else:
+        b, d = -(p.value + q.value), p.value * q.value
+        c = -(x0 * x0 + y0 * y0 + b * x0 + d) / y0
+        if abs(c) <= tol:
+            raise DegenerateResultError("through-point lies on the spanning geodesic")
+        circle = model.GeneralizedCircle(1, b, c, d, exact=exact)
+    curve = model.Curve(circle)
+    if curve.kind is not CurveKind.HYPERCYCLE:
+        raise DegenerateResultError(f"hypercycle construction classifies as {curve.kind.value}")
+    return curve
+
+
+def _outcome(fn, *args):
+    """fn(*args), or the type and text of the package error it raises."""
+    try:
+        return fn(*args)
+    except HyperkError as exc:
+        return type(exc), exc.args[0]
+
+
+def _rand_frac(rng, bits, positive=False):
+    num = rng.randint(1 if positive else -(1 << bits), 1 << bits)
+    return Fraction(num, rng.randint(1, 1 << bits))
+
+
+def _rand_big_isometry(rng, bits):
+    """An isometry with integer entries of about `bits` bits."""
+    while True:
+        m = [rng.randint(-(1 << bits), 1 << bits) for _ in range(4)]
+        det = m[0] * m[3] - m[1] * m[2]
+        if det:
+            if det < 0:
+                m[0], m[1] = -m[0], -m[1]
+            return Isometry(*m, reversing=rng.random() < 0.4)
+
+
+def _isometry_corpus(rng, count):
+    """Small, deep (composed) and 2^600+-entry isometries, many reversing."""
+    out = []
+    for k in range(count):
+        kind = k % 4
+        if kind == 0:
+            iso = rand_isometry(rng)
+        elif kind == 1:
+            iso = _rand_big_isometry(rng, rng.choice((610, 700)))
+        elif kind == 2:
+            iso = rand_isometry(rng)
+            for _ in range(rng.randint(5, 60)):
+                iso = _oracle_compose(iso, rand_isometry(rng))
+        else:
+            iso = _rand_big_isometry(rng, rng.choice((3, 20, 64)))
+        out.append(iso)
+    return out
+
+
+def _rand_point(rng, bits):
+    return UHPPoint(_rand_frac(rng, bits), _rand_frac(rng, bits, positive=True))
+
+
+def test_point_action_matches_fraction_oracle():
+    rng = random.Random(6111)
+    seen = set()
+    done = 0
+    for iso in _isometry_corpus(rng, 800):
+        for bits in (3, 40, rng.choice((610, 650))):
+            z = _rand_point(rng, bits)
+            got, want = iso.apply_point(z), _oracle_apply_point(iso, z)
+            assert got.exact and (got.x, got.y) == (want.x, want.y), (iso, z)
+            assert type(got.x) is Fraction and type(got.y) is Fraction
+            done += 1
+            seen.add(("reversing", iso.reversing))
+            seen.add(("big point", bits > 600))
+            seen.add(("big entries", max(abs(v.numerator) for v in iso.matrix()).bit_length() > 600))
+    assert done >= 2000 and len(seen) == 6
+
+
+def test_inexact_point_action_is_bit_identical():
+    rng = random.Random(6112)
+    done = 0
+    for iso in _isometry_corpus(rng, 1000):
+        z = UHPPoint(rng.uniform(-9, 9), rng.uniform(1e-3, 9), exact=False)
+        try:
+            want = _oracle_apply_point(iso, z)
+        except (OverflowError, ZeroDivisionError) as exc:
+            with pytest.raises(type(exc)):
+                iso.apply_point(z)
+            continue
+        got = iso.apply_point(z)
+        assert not got.exact
+        assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex()), (iso, z)
+        done += 1
+    assert done >= 700
+
+
+def test_compose_and_inverse_match_fraction_oracle():
+    rng = random.Random(6113)
+    isos = _isometry_corpus(rng, 2400)
+    reversing = set()
+    for s, o in zip(isos, isos[1:] + isos[:1]):
+        got, want = s.compose(o), _oracle_compose(s, o)
+        assert (got.matrix(), got.reversing) == (want.matrix(), want.reversing), (s, o)
+        got, want = s.inverse(), _oracle_inverse(s)
+        assert (got.matrix(), got.reversing) == (want.matrix(), want.reversing), s
+        assert all(type(v) is Fraction for v in got.matrix())
+        reversing.add((s.reversing, o.reversing))
+    assert len(reversing) == 4
+
+
+def _circle_corpus(rng, count):
+    """Exact carriers: random curves and their images under small, deep and
+    2^600+-entry isometries, so coefficients reach past 2^1200."""
+    isos = _isometry_corpus(rng, count)
+    return [iso.apply_circle(rand_curve(rng).circle) for iso in isos]
+
+
+def test_sign_at_matches_evaluate():
+    rng = random.Random(6114)
+    signs = collections.Counter()
+    for circle in _circle_corpus(rng, 700):
+        points = [_rand_point(rng, b) for b in (3, 40, 640)]
+        # a point on the circle, from its own sample points
+        curve = model.Curve(circle)
+        points += rational_points(curve, 2)
+        for z in points:
+            want = _oracle_sign(circle, z.x, z.y)
+            assert circle.sign_at(z.x, z.y) == want, (circle, z)
+            assert circle.contains_point(z.x, z.y) == (want == 0)
+            signs[want] += 1
+    assert sum(signs.values()) >= 2000 and set(signs) == {-1, 0, 1}
+
+
+def test_constructors_match_fraction_oracle():
+    rng = random.Random(6115)
+    done = 0
+    seen = set()
+    while done < 2400:
+        bits = rng.choice((3, 3, 20, 620))
+        p, q = _rand_boundary_point(rng, bits), _rand_boundary_point(rng, bits)
+        if p == q:
+            continue
+        assert make_geodesic(p, q) == _oracle_make_geodesic(p, q)
+        size = rng.choice((_rand_frac(rng, bits, positive=True), rng.randint(1, 9)))
+        for center in (p, INFINITY):
+            got, want = make_horocycle(center, size), _oracle_make_horocycle(center, size)
+            assert got == want and (got.center, got.size) == (want.center, want.size)
+        if p.is_infinity and q.is_infinity:
+            continue
+        through = _rand_point(rng, rng.choice((3, bits)))
+        if rng.random() < 0.15:  # on the geodesic pq
+            through = rational_points(make_geodesic(p, q), 1)[0]
+        got = _outcome(make_hypercycle, p, q, through)
+        assert got == _outcome(_oracle_make_hypercycle, p, q, through)
+        done += 1
+        seen.update(("oo", k) for k, v in enumerate((p, q)) if v.is_infinity)
+        seen.add(("big", bits == 620))
+        seen.add(type(got))
+    assert len(seen) == 6  # oo at p and at q, big, curves and degenerate ones
+
+
+def test_inexact_constructors_are_unchanged():
+    rng = random.Random(6116)
+    made = 0
+    for _ in range(300):
+        p, q = (_rand_boundary_point(rng, rng.choice((3, 20))) for _ in range(2))
+        if p == q:
+            continue
+        size = rng.uniform(0.01, 9)
+        for center in (p, INFINITY):
+            got = _outcome(make_horocycle, center, size)
+            assert got == _outcome(_oracle_make_horocycle, center, size)
+        if p.is_infinity and q.is_infinity:
+            continue
+        through = UHPPoint(rng.uniform(-9, 9), rng.uniform(0.01, 9), exact=False)
+        got = _outcome(make_hypercycle, p, q, through)
+        assert got == _outcome(_oracle_make_hypercycle, p, q, through)
+        made += isinstance(got, model.Curve)
+    assert made >= 150

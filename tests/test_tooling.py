@@ -194,3 +194,44 @@ def test_unused_import_check_sees_unused_names():
         "    return x\n"
     )
     assert _unused_imports(tree) == [(2, "os"), (3, "T"), (5, "sqrt")]
+
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+def _benchmark_uses():
+    """(module, attribute) for every name perfbench/*.py imports from hyperk
+    (function-local imports too), and every (module, attribute) in the
+    tracer's TARGETS, read from the sources without running them."""
+    uses = set()
+    for path in sorted(PERFBENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 0 and (
+                    node.module == "hyperk" or node.module.startswith("hyperk.")):
+                uses.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Import):
+                uses.update((alias.name, None) for alias in node.names
+                            if alias.name.split(".")[0] == "hyperk")
+            elif (isinstance(node, ast.Assign) and path.name == "tracing.py"
+                  and any(isinstance(t, ast.Name) and t.id == "TARGETS" for t in node.targets)):
+                uses.update((e.elts[0].value, e.elts[1].value) for e in node.value.elts)
+    return uses
+
+
+def test_every_name_the_benchmark_uses_resolves():
+    uses = _benchmark_uses()
+    # workload imports, tracer targets, and the lazy imports in harness and cli runs
+    assert {("hyperk.model", "Isometry"), ("hyperk.graphs", "automorphisms"),
+            ("hyperk", "_rational"), ("hyperk", "cli")} <= uses
+    for module, attr in sorted(uses, key=str):
+        mod = importlib.import_module(module)
+        if attr is not None and not hasattr(mod, attr):
+            importlib.import_module(f"{module}.{attr}")  # a submodule, as in `from hyperk import cli`
+    from hyperk import _rational
+    from hyperk.model import Isometry
+
+    # the tracer counts calls through _rational.Q, records BACKEND, and
+    # wraps Isometry.apply_curve where the class itself defines it
+    assert callable(_rational.Q) and isinstance(_rational.BACKEND, str)
+    assert callable(Isometry.__dict__["apply_curve"])
