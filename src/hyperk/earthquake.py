@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._rational import Q, is_rational, q_str, sqrt_exact
+from ._rational import Q, is_rational, q_str
 from .errors import HyperkError, InvalidInputError
 from .model import (
     INFINITY,
@@ -28,6 +28,7 @@ from .model import (
     CurveKind,
     Isometry,
     UHPPoint,
+    _projective,
     make_geodesic,
     make_horocycle,
     rational_points,
@@ -282,51 +283,82 @@ class Unsatisfiable:
         }
 
 
-def _fmt(v) -> str:
-    s = q_str(Q(v))
-    return f"({s})" if "/" in s or s.startswith("-") else s
+def _ratio(n: int, d: int) -> Tuple[int, int]:
+    """The positive rational n / d as a reduced pair of ints."""
+    g = math.gcd(n, d)
+    return n // g, d // g
 
 
-def _monomial(centers: Sequence[BoundaryPoint], i: int, j: int):
-    """(u, v, s, k) for horocycles i, j at distinct centers: they are
-    tangent iff rho_u * rho_v^s = k, disjoint iff s * (rho_u * rho_v^s - k)
-    < 0, and crossing otherwise.  Finite centers p, q give s = 1 and
-    k = (p - q)^2 / 4; a center at oo is u, with s = -1 and k = 2."""
-    p, q = centers[i], centers[j]
-    if p.is_infinity:
-        return i, j, -1, Q(2)
-    if q.is_infinity:
-        return j, i, -1, Q(2)
-    d = p.value - q.value
-    return i, j, 1, d * d / 4
+def _text(p: Tuple[int, int]) -> str:
+    n, d = p
+    return str(n) if d == 1 else f"{n}/{d}"
+
+
+def _fmt(p: Tuple[int, int]) -> str:
+    s = _text(p)
+    return f"({s})" if p[1] != 1 else s
+
+
+def _over(k, c1, c2, s: int) -> Tuple[int, int]:
+    """k / (c1 * c2^s) for reduced pairs and s = +-1, reduced."""
+    (n1, d1), (n2, d2) = c1, c2
+    if s == 1:
+        return _ratio(k[0] * d1 * d2, k[1] * n1 * n2)
+    return _ratio(k[0] * d1 * n2, k[1] * n1 * d2)
+
+
+def _monomial(proj: Sequence[Tuple[int, int]], i: int, j: int):
+    """(u, v, s, k) for horocycles i, j at distinct centers, given as
+    projective pairs (oo = (1, 0)): they are tangent iff rho_u * rho_v^s = k,
+    disjoint iff s * (rho_u * rho_v^s - k) < 0, and crossing otherwise.
+    Finite centers p, q give s = 1 and k = (p - q)^2 / 4; a center at oo is
+    u, with s = -1 and k = 2.  k is a reduced int pair."""
+    (x, m), (y, n) = proj[i], proj[j]
+    if not m:
+        return i, j, -1, (2, 1)
+    if not n:
+        return j, i, -1, (2, 1)
+    t = x * n - y * m
+    return i, j, 1, _ratio(t * t, 4 * (m * n) ** 2)
+
+
+def _sqrt(p: Tuple[int, int]) -> Optional[Tuple[int, int]]:
+    """Exact square root of a reduced pair, or None if it is irrational."""
+    n, d = p
+    a, b = math.isqrt(n), math.isqrt(d)
+    return (a, b) if a * a == n and b * b == d else None
 
 
 class _RadiusSystem:
     """Union-find over radius variables with multiplicative weights.
 
     Every variable i satisfies rho_i = coef_i * rho_root^(exp_i) with
-    exp_i in {+1, -1} and rational coef_i > 0.  Each tangency is one
-    equation rho_i * rho_j^s = k with s in {+1, -1} and k > 0; roots may
-    get pinned to rho_root^2 = v.
+    exp_i in {+1, -1} and coef_i > 0.  Each tangency is one equation
+    rho_i * rho_j^s = k with s in {+1, -1} and k > 0; roots may get pinned
+    to rho_root^2 = v.  Every rational here (coef, k, pins) is a reduced
+    pair (n, d) of positive ints.
     """
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.exp = [1] * n  # rho_i = coef * rho_parent^exp
-        self.coef = [Q(1)] * n
+        self.coef = [(1, 1)] * n
         self.edge: List[Optional[Constraint]] = [None] * n
-        self.pin: Dict[int, Q] = {}  # root -> value of rho_root^2
+        self.pin: Dict[int, Tuple[int, int]] = {}  # root -> rho_root^2
         self.conflict: Optional[Unsatisfiable] = None
 
-    def find(self, i: int) -> Tuple[int, int, Q]:
-        e, c = 1, Q(1)
+    def find(self, i: int) -> Tuple[int, int, Tuple[int, int]]:
+        e, n, d = 1, 1, 1
         while self.parent[i] != i:
-            e2, c2 = self.exp[i], self.coef[i]
             # rho = c * (c2 * rho_p^e2)^e = c * c2^e * rho_p^(e*e2)
-            c = c * (c2 if e == 1 else 1 / c2)
-            e = e * e2
+            cn, cd = self.coef[i]
+            if e == 1:
+                n, d = n * cn, d * cd
+            else:
+                n, d = n * cd, d * cn
+            e *= self.exp[i]
             i = self.parent[i]
-        return i, e, c
+        return i, e, _ratio(n, d)
 
     def _path(self, i: int) -> List[Constraint]:
         out = []
@@ -342,56 +374,55 @@ class _RadiusSystem:
                 seen.append(c)
         return tuple(seen)
 
-    def value(self, i: int):
+    def value(self, i: int) -> Optional[Tuple[int, int]]:
         """Exact radius if determined (root pinned to a square), else None."""
-        r, e, c = self.find(i)
-        if r not in self.pin:
-            return None
-        t = sqrt_exact(self.pin[r])
+        r, e, (n, d) = self.find(i)
+        t = _sqrt(self.pin[r]) if r in self.pin else None
         if t is None:
             return None
-        return c * t if e == 1 else c / t
+        return _ratio(n * t[0], d * t[1]) if e == 1 else _ratio(n * t[1], d * t[0])
 
-    def _pin_root(self, r: int, v: Q, con: Constraint, i: int, j: int) -> bool:
+    def _pin_root(self, r: int, v, con: Constraint, i: int, j: int) -> bool:
         old = self.pin.get(r)
         if old is not None and old != v:
             self.conflict = Unsatisfiable(
-                f"rho^2 forced to both {q_str(old)} and {q_str(v)}",
+                f"rho^2 forced to both {_text(old)} and {_text(v)}",
                 self._cycle(i, j, con),
             )
             return False
         self.pin[r] = v
         return True
 
-    def add(self, i: int, j: int, s: int, k: Q, con: Constraint) -> bool:
+    def add(self, i: int, j: int, s: int, k, con: Constraint) -> bool:
         """Impose rho_i * rho_j^s = k."""
         r1, e1, c1 = self.find(i)
         r2, e2, c2 = self.find(j)
         # the equation reads rho_r1^e1 * rho_r2^(s e2) = q
-        q = k / (c1 * c2 ** s)
+        q = _over(k, c1, c2, s)
         if r1 == r2:
             if e1 + s * e2 == 0:
-                return True if q == 1 else self._conflict(i, j, s, k, con)
-            return self._pin_root(r1, q ** e1, con, i, j)  # rho_r1^(2 e1) = q
+                return True if q == (1, 1) else self._conflict(i, j, s, k, con)
+            # rho_r1^(2 e1) = q
+            return self._pin_root(r1, q if e1 == 1 else q[::-1], con, i, j)
         # s e2 = +-1 is its own inverse: rho_r2 = q^(s e2) * rho_r1^(-e1 s e2)
         self.parent[r2] = r1
         self.exp[r2] = -e1 * s * e2
-        self.coef[r2] = q ** (s * e2)
+        c = self.coef[r2] = q if s * e2 == 1 else q[::-1]
         self.edge[r2] = con
         pin2 = self.pin.pop(r2, None)
         if pin2 is not None:
             # rho_r2^2 = coef^2 * rho_r1^(2 exp)
-            v = pin2 / (self.coef[r2] ** 2)
-            return self._pin_root(r1, v ** self.exp[r2], con, i, j)
+            v = _over(pin2, c, c, 1)
+            return self._pin_root(r1, v if self.exp[r2] == 1 else v[::-1], con, i, j)
         return True
 
-    def _conflict(self, i: int, j: int, s: int, k: Q, con: Constraint) -> bool:
+    def _conflict(self, i: int, j: int, s: int, k, con: Constraint) -> bool:
         # tangencies at oo (s = -1) come first, and among themselves they
         # only say that a radius at oo is twice a finite one, which closes no
         # inconsistent cycle; so a conflict between known radii is a product
         ri, rj = self.value(i), self.value(j)
         if s == 1 and ri is not None and rj is not None:
-            msg = f"{q_str(4 * k)} ≠ 4·{_fmt(ri)}·{_fmt(rj)}"
+            msg = f"{_text(_ratio(4 * k[0], k[1]))} ≠ 4·{_fmt(ri)}·{_fmt(rj)}"
         else:
             msg = f"inconsistent tangency constraint between radii {i} and {j}"
         self.conflict = Unsatisfiable(msg, self._cycle(i, j, con))
@@ -410,15 +441,21 @@ def tangency_realizability(inst: RealizabilityInstance):
     radii differ.  A satisfiable answer carries radii that passed an exact
     check of every inequality; an unsatisfiable one rests on an exact
     tangency conflict or on a cycle whose bounds multiply exactly to at
-    most 1."""
+    most 1.
+
+    The centers are read once as projective int pairs, and every rational
+    the solver keeps is a reduced pair (n, d) of positive ints, compared by
+    cross-multiplication; a `Fraction` is built only for the returned radii
+    (and inside the rare exact fallback of `_free_values`)."""
     centers = inst.relabeled_centers
+    proj = [_projective(c) for c in centers]
     pattern = inst.required_pattern
     n = len(centers)
     sys = _RadiusSystem(n)
     forms = {
-        (i, j): _monomial(centers, i, j)
+        (i, j): _monomial(proj, i, j)
         for i in range(n) for j in range(i + 1, n)
-        if pattern[i][j] is not None and centers[i] != centers[j]
+        if pattern[i][j] is not None and proj[i] != proj[j]
     }
 
     # tangencies with a center at oo (s = -1) first: they keep radii
@@ -431,16 +468,16 @@ def tangency_realizability(inst: RealizabilityInstance):
     for pair in tangents:
         u, v, s, k = forms[pair]
         if s == 1:
-            text = (f"({centers[u]!r} - {centers[v]!r})^2 = {q_str(4 * k)} = "
+            text = (f"({centers[u]!r} - {centers[v]!r})^2 = {_text(_ratio(4 * k[0], k[1]))} = "
                     f"4 rho({centers[u]!r}) rho({centers[v]!r})")
         else:
-            text = f"rho({centers[u]!r}) = {q_str(k)} rho({centers[v]!r})"
+            text = f"rho({centers[u]!r}) = {_text(k)} rho({centers[v]!r})"
         if not sys.add(u, v, s, k, Constraint(PairRequirement.TANGENT, u, v, text)):
             return sys.conflict
 
     # each inequality on the solution manifold: (rho_u rho_v^s)^2 =
-    # coef^2 * prod (rho_r^2)^e over roots r, and it holds iff
-    # sgn * ((rho_u rho_v^s)^2 - k^2) < 0
+    # coef^2 * prod (rho_r^2)^e over roots r, so with B = k^2 / coef^2 it
+    # holds iff sgn * (prod (rho_r^2)^e - B) < 0
     ineqs = []
     for (i, j), (u, v, s, k) in forms.items():
         req = pattern[i][j]
@@ -451,25 +488,26 @@ def tangency_realizability(inst: RealizabilityInstance):
         exps = {r1: e1}
         exps[r2] = exps.get(r2, 0) + s * e2
         sgn = s if req is PairRequirement.DISJOINT else -s
-        ineqs.append((i, j, sgn, c1 * c2 ** s, exps, k * k))
+        bn, bd = _over(k, c1, c2, s)  # k / coef
+        ineqs.append((i, j, sgn, exps, (bn * bn, bd * bd)))
 
     def radii_for(vals):
         out, exact = [], True
         for i in range(n):
-            r, e, c = sys.find(i)
-            t = sqrt_exact(vals[r])
+            r, e, (cn, cd) = sys.find(i)
+            t = _sqrt(vals[r])
             if t is not None:
-                out.append(c * t if e == 1 else c / t)
+                out.append(Q(cn * t[0], cd * t[1]) if e == 1 else Q(cn * t[1], cd * t[0]))
             else:
-                tf = math.sqrt(float(vals[r]))
-                out.append(float(c) * tf if e == 1 else float(c) / tf)
+                tf = math.sqrt(vals[r][0] / vals[r][1])
+                out.append(cn / cd * tf if e == 1 else cn / cd / tf)
                 exact = False
         return Satisfiable(tuple(out), exact)
 
     free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
     vals = dict(sys.pin)
     for r in free_roots:
-        vals[r] = Q(1)
+        vals[r] = (1, 1)
     vio = _violations(ineqs, vals)
     if vio:
         vals = _free_values(ineqs, free_roots, sys.pin)
@@ -484,7 +522,7 @@ def tangency_realizability(inst: RealizabilityInstance):
         if s == 1 and ri is not None and rj is not None:
             rel = ">" if req is PairRequirement.DISJOINT else "<"
             msg = (
-                f"need ({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} "
+                f"need ({centers[i]!r} - {centers[j]!r})^2 = {_text(_ratio(4 * k[0], k[1]))} "
                 f"{rel} 4·{_fmt(ri)}·{_fmt(rj)}"
             )
         else:
@@ -498,14 +536,15 @@ def tangency_realizability(inst: RealizabilityInstance):
     # tangencies force the two radii equal.
     for i in range(n):
         for j in range(i + 1, n):
-            if pattern[i][j] is None or centers[i] != centers[j]:
+            if pattern[i][j] is None or proj[i] != proj[j]:
                 continue
             r1, e1, c1 = sys.find(i)
             r2, e2, c2 = sys.find(j)
             exps = {r1: e1}
             exps[r2] = exps.get(r2, 0) - e2
-            # sgn 1: (rho_i / rho_j)^2 < 1; sgn -1: > 1
-            sides = [(i, j, sgn, c1 / c2, exps, Q(1)) for sgn in (1, -1)]
+            # (rho_i / rho_j)^2 against B = (c2 / c1)^2; sgn 1: < B, sgn -1: > B
+            bn, bd = _over((1, 1), c1, c2, -1)
+            sides = [(i, j, sgn, exps, (bn * bn, bd * bd)) for sgn in (1, -1)]
             side = next((c for c in sides if not _violations([c], vals)), None)
             if side is None:
                 for c in sides:
@@ -522,15 +561,23 @@ def tangency_realizability(inst: RealizabilityInstance):
     return radii_for(vals)
 
 
+def _power(p: Tuple[int, int], e: int) -> Tuple[int, int]:
+    """p^e for a reduced pair p and an int e of any sign; it is reduced too."""
+    return (p[0] ** e, p[1] ** e) if e >= 0 else (p[1] ** -e, p[0] ** -e)
+
+
 def _violations(ineqs, vals):
-    """The pairs (i, j) whose inequality fails exactly at vals, the value
-    of rho_r^2 for every root r."""
+    """The pairs (i, j) whose inequality (i, j, sgn, exps, B), which holds
+    iff sgn * (prod (rho_r^2)^e - B) < 0, fails exactly at vals, the value
+    of rho_r^2 for every root r; every rational is a reduced int pair."""
     out = []
-    for i, j, sgn, coef, exps, k2 in ineqs:
-        sq = coef * coef
+    for i, j, sgn, exps, (bn, bd) in ineqs:
+        n = d = 1
         for r, e in exps.items():
-            sq *= vals[r] ** e
-        if not sgn * (sq - k2) < 0:
+            pn, pd = _power(vals[r], e)
+            n, d = n * pn, d * pd
+        lhs, rhs = n * bd, bn * d
+        if not (lhs < rhs if sgn > 0 else lhs > rhs):
             out.append((i, j))
     return out
 
@@ -542,7 +589,7 @@ _CYCLE_TOL = 1e-9
 def _free_values(ineqs, free_roots, pinned):
     """rho_r^2 for every root, the pinned ones as given and the free ones
     chosen so that every inequality holds exactly, or None when a cycle
-    proves that no choice does.
+    proves that no choice does.  Values and bounds are reduced int pairs.
 
     In x_r = ln(rho_r^2) each inequality reads a x_r + b x_q < ln B over
     the free roots, with a, b in {-1, 0, 1}, or 2a x_r < ln B; pinned
@@ -555,25 +602,26 @@ def _free_values(ineqs, free_roots, pinned):
     the bounds along every cycle multiply to more than 1.
 
     Floats only propose.  Floyd-Warshall on the logs either points at a
-    cycle, whose bounds are then multiplied exactly, or yields potentials
-    with a margin, read as short binary fractions and checked exactly.
-    When neither settles it, the same steps run on exact rationals: a
-    cycle product of at most 1 is the proof of None, and otherwise the
-    potentials of the bounds shrunk by a rational margin give radii."""
+    cycle, whose bounds are then multiplied exactly on the ints, or yields
+    potentials with a margin, read as short binary fractions and checked
+    exactly.  When neither settles it, the same steps run on `Fraction`s
+    built from the bounds: a cycle product of at most 1 is the proof of
+    None, and otherwise the potentials of the bounds shrunk by a rational
+    margin give radii."""
     node = {r: 2 * k for k, r in enumerate(free_roots)}
     bounds = {}  # arc (from, to) -> least bound
-    for _i, _j, sgn, coef, exps, k2 in ineqs:
-        b = k2 / (coef * coef)
+    for _i, _j, sgn, exps, (bn, bd) in ineqs:
         terms = []
         for r, e in exps.items():
             if r not in node:
-                b /= pinned[r] ** e
+                pn, pd = _power(pinned[r], e)  # B / pinned^e
+                bn, bd = bn * pd, bd * pn
             elif e:
                 terms.append((node[r], sgn * e))
         if sgn < 0:
-            b = 1 / b
+            bn, bd = bd, bn
         if not terms:
-            if b <= 1:
+            if bn <= bd:
                 return None
             continue
         (u, a), *rest = terms
@@ -583,9 +631,11 @@ def _free_values(ineqs, free_roots, pinned):
         else:
             arcs = ((u + (a > 0), u + (a < 0)),)
             if abs(a) == 1:
-                b = b * b
+                bn, bd = bn * bn, bd * bd
+        b = _ratio(bn, bd)
         for arc in arcs:
-            if arc not in bounds or b < bounds[arc]:
+            old = bounds.get(arc)
+            if old is None or b[0] * old[1] < old[0] * b[1]:
                 bounds[arc] = b
 
     m = 2 * len(free_roots)
@@ -593,14 +643,15 @@ def _free_values(ineqs, free_roots, pinned):
     if not m:
         return vals
     logs = [[math.inf] * m for _ in range(m)]
-    for (u, v), b in bounds.items():
-        logs[u][v] = math.log(b.numerator) - math.log(b.denominator)
+    for (u, v), (bn, bd) in bounds.items():
+        logs[u][v] = math.log(bn) - math.log(bd)
     d, hop = _closure(logs, operator.add)
     least, v = min((d[v][v], v) for v in range(m))
     if least <= _CYCLE_TOL:
         cycle = _walk_cycle(hop, v)
         arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        if all(a in bounds for a in arcs) and math.prod(bounds[a] for a in arcs) <= 1:
+        if all(a in bounds for a in arcs) and (
+                math.prod(bounds[a][0] for a in arcs) <= math.prod(bounds[a][1] for a in arcs)):
             return None
     else:
         # shrink every arc by eps: a simple cycle has at most m arcs, so it
@@ -614,13 +665,15 @@ def _free_values(ineqs, free_roots, pinned):
         for k, r in enumerate(free_roots):
             log2_rho = (y[2 * k] - y[2 * k + 1]) / (4 * math.log(2))
             e = math.floor(log2_rho)
-            rho = Q(round(2.0 ** (log2_rho - e + bits))) * Q(2) ** (e - bits)
-            vals[r] = rho * rho
+            p, e = round(2.0 ** (log2_rho - e + bits)), e - bits  # rho_r = p 2^e
+            rn, rd = (p << e, 1) if e >= 0 else _ratio(p, 1 << -e)
+            vals[r] = (rn * rn, rd * rd)
         if not _violations(ineqs, vals):
             return vals
 
-    exact = [[bounds.get((u, v), math.inf) for v in range(m)] for u in range(m)]
-    d, _hop = _closure(exact, operator.mul)
+    exact = [[Q(*bounds[u, v]) if (u, v) in bounds else math.inf for v in range(m)]
+             for u in range(m)]
+    d, _hop = _closure(exact, operator.mul, stop=1)
     least = min(d[v][v] for v in range(m))
     if least <= 1:
         return None
@@ -636,16 +689,22 @@ def _free_values(ineqs, free_roots, pinned):
         q = t * (mu - 1) ** 4
         b = max(0, -((q.numerator.bit_length() - q.denominator.bit_length() - 17) // 4))
         p = math.isqrt(math.isqrt((t.numerator << 4 * b) // t.denominator))
-        vals[r] = Q(p, 1 << b) ** 2
+        rn, rd = _ratio(p, 1 << b)
+        vals[r] = (rn * rn, rd * rd)
     if _violations(ineqs, vals):
         raise HyperkError("exact potentials failed the exact check")
     return vals
 
 
-def _closure(w, join):
+def _closure(w, join, stop=None):
     """Floyd-Warshall on the arc matrix w (math.inf where there is no arc):
     the least `join` of the arcs along a walk of at least one arc between
-    any two nodes, and the first hop of such a walk."""
+    any two nodes, and the first hop of such a walk.
+
+    With `stop`, it returns after the first pivot that closes a walk of
+    weight at most `stop`, which is then on the diagonal.  Past such a walk
+    the exact weights only shrink around it, and each later pivot can double
+    their size in bits."""
     m = len(w)
     d = [row[:] for row in w]
     hop = [list(range(m)) for _ in range(m)]
@@ -661,6 +720,8 @@ def _closure(w, join):
                     c = join(duk, dk[v])
                     if c < du[v]:
                         du[v], hu[v] = c, first
+        if stop is not None and any(d[v][v] <= stop for v in range(m)):
+            break
     return d, hop
 
 

@@ -382,9 +382,9 @@ class _OracleRadiusSystem:
     def _conflict_equal(self, lhs, prod_or_ratio, i, j, con):
         ri, rj = self.value(i), self.value(j)
         if prod_or_ratio == "product" and ri is not None and rj is not None:
-            msg = f"{q_str(4 * lhs)} ≠ 4·{earthquake._fmt(ri)}·{earthquake._fmt(rj)}"
+            msg = f"{q_str(4 * lhs)} ≠ 4·{_oracle_fmt(ri)}·{_oracle_fmt(rj)}"
         elif prod_or_ratio == "ratio" and ri is not None and rj is not None:
-            msg = f"{earthquake._fmt(ri)} ≠ {q_str(lhs)}·{earthquake._fmt(rj)}"
+            msg = f"{_oracle_fmt(ri)} ≠ {q_str(lhs)}·{_oracle_fmt(rj)}"
         else:
             msg = f"inconsistent tangency constraint between radii {i} and {j}"
         self.conflict = Unsatisfiable(msg, self._cycle(i, j, con))
@@ -547,7 +547,7 @@ def _oracle_tangency_realizability(inst):
         rel = ">" if req is PairRequirement.DISJOINT else "<"
         msg = (
             f"need ({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} "
-            f"{rel} 4·{earthquake._fmt(ri)}·{earthquake._fmt(rj)}"
+            f"{rel} 4·{_oracle_fmt(ri)}·{_oracle_fmt(rj)}"
         )
     else:
         msg = f"required {req.value} pair ({i}, {j}) is violated on the solution manifold"
@@ -721,20 +721,24 @@ def test_two_relabelled_centers_at_infinity():
 def _oracle_lp_values(ineqs, free_roots, pinned):
     """The replaced free-radius step: rho_r^2 at the HiGHS LP point that
     maximizes the least margin in x_r = ln(rho_r^2), as exact binary
-    fractions, or None when the LP finds no positive margin."""
+    fractions in reduced int pairs, or None when the LP finds no positive
+    margin."""
     from scipy.optimize import linprog
+
+    def log(p):
+        return math.log(p[0]) - math.log(p[1])
 
     idx = {r: c for c, r in enumerate(free_roots)}
     nv = len(free_roots)
     a_ub, b_ub = [], []
-    for _i, _j, sgn, coef, exps, k2 in ineqs:
-        cst = 2.0 * math.log(float(coef)) - math.log(float(k2))
+    for _i, _j, sgn, exps, bound in ineqs:
+        cst = -log(bound)
         row = [0.0] * (nv + 1)
         for r, e in exps.items():
             if r in idx:
                 row[idx[r]] = sgn * e
             else:
-                cst += e * math.log(float(pinned[r]))
+                cst += e * log(pinned[r])
         row[nv] = 1.0
         a_ub.append(row)
         b_ub.append(-sgn * cst)
@@ -744,7 +748,8 @@ def _oracle_lp_values(ineqs, free_roots, pinned):
         return None
     vals = dict(pinned)
     for r in free_roots:
-        vals[r] = Q(math.exp(res.x[idx[r]] / 2.0)) ** 2
+        n, d = Fraction(math.exp(res.x[idx[r]] / 2.0)).as_integer_ratio()
+        vals[r] = (n * n, d * d)
     return vals
 
 
@@ -784,7 +789,7 @@ def _realizability_instances():
 
 
 def _exact_squares(vals, free_roots):
-    return all(vals[r] > 0 and sqrt_exact(vals[r]) is not None for r in free_roots)
+    return all(vals[r][0] > 0 and earthquake._sqrt(vals[r]) is not None for r in free_roots)
 
 
 def test_free_values_match_lp_oracle(monkeypatch):
@@ -798,10 +803,10 @@ def test_free_values_match_lp_oracle(monkeypatch):
         calls.append((ineqs, free_roots, pinned, got))
         return got
 
-    def counted(w, join):
+    def counted(w, join, **kw):
         if join is not operator.add:
             exact_closures.append(w)
-        return closure(w, join)
+        return closure(w, join, **kw)
 
     monkeypatch.setattr(earthquake, "_free_values", both)
     monkeypatch.setattr(earthquake, "_closure", counted)
@@ -847,11 +852,11 @@ def _no_floats(monkeypatch):
     which is never an exact proof, so the exact route answers alone."""
     closure = earthquake._closure
 
-    def no_floats(w, join):
+    def no_floats(w, join, **kw):
         if join is operator.add:
             m = len(w)
             return [[0.0] * m for _ in range(m)], [list(range(m)) for _ in range(m)]
-        return closure(w, join)
+        return closure(w, join, **kw)
 
     monkeypatch.setattr(earthquake, "_closure", no_floats)
 
@@ -870,31 +875,36 @@ def test_exact_route_alone_gives_the_same_answers(monkeypatch):
 
 
 @pytest.mark.parametrize("floats", [True, False])
-@pytest.mark.parametrize("gap", [Q(0), Q(-1, 2**70), Q(1, 2**70), Q(3, 2**80)])
+@pytest.mark.parametrize("gap", [(0, 1), (-1, 2**70), (1, 2**70), (3, 2**80)])
 def test_cycle_product_decides_below_float_resolution(monkeypatch, gap, floats):
     # rho_0^2 / rho_1^2 < 3 and rho_1^2 / rho_0^2 < (1 + gap) / 3, with a
     # pinned root folded into the second bound: the cycle's product is 1 + gap
+    # (the second inequality's coefficient 2/3 is folded into its bound
+    # 3 (1 + gap) / 4 = ((1 + gap) / 3) / (2/3)^2)
     if not floats:
         _no_floats(monkeypatch)
-    pinned = {2: Q(9, 4)}
-    ineqs = [(0, 1, 1, Q(1), {0: 1, 1: -1}, Q(3)),
-             (1, 0, 1, Q(2, 3), {1: 1, 0: -1, 2: 1}, (1 + gap) / 3)]
+    pinned = {2: (9, 4)}
+    n, d = gap
+    ineqs = [(0, 1, 1, {0: 1, 1: -1}, (3, 1)),
+             (1, 0, 1, {1: 1, 0: -1, 2: 1}, earthquake._ratio(3 * (d + n), 4 * d))]
     got = earthquake._free_values(ineqs, [0, 1], pinned)
-    if gap <= 0:
+    if n <= 0:
         assert got is None
     else:
         assert got is not None and not earthquake._violations(ineqs, got)
-        assert _exact_squares(got, [0, 1]) and got[2] == Q(9, 4)
+        assert _exact_squares(got, [0, 1]) and got[2] == (9, 4)
 
 
 def test_squared_and_single_radius_bounds():
     # rho_0^4 < 2 (exponent 2) with rho_0^2 > 1: feasible; rho_0^4 < 1 with
     # rho_0^2 > 1 is not; a constant inequality at 1 is not either
-    lower = (0, 0, -1, Q(1), {0: 1}, Q(1))
-    got = earthquake._free_values([(0, 0, 1, Q(1), {0: 2}, Q(2)), lower], [0], {})
-    assert got is not None and 1 < got[0] and got[0] ** 2 < 2
-    assert earthquake._free_values([(0, 0, 1, Q(1), {0: 2}, Q(1)), lower], [0], {}) is None
-    assert earthquake._free_values([(0, 1, 1, Q(1), {0: 0}, Q(1))], [0], {}) is None
+    lower = (0, 0, -1, {0: 1}, (1, 1))
+    got = earthquake._free_values([(0, 0, 1, {0: 2}, (2, 1)), lower], [0], {})
+    assert got is not None
+    n, d = got[0]
+    assert d < n and n * n < 2 * d * d
+    assert earthquake._free_values([(0, 0, 1, {0: 2}, (1, 1)), lower], [0], {}) is None
+    assert earthquake._free_values([(0, 1, 1, {0: 0}, (1, 1))], [0], {}) is None
 
 
 def test_chain_radii_stay_moderate():
@@ -964,3 +974,380 @@ def test_same_center_pairs_in_random_patterns():
             free = tangency_realizability(earthquake.RealizabilityInstance(centers, centers, pattern))
             assert isinstance(free, Satisfiable) and free.radii[i] == free.radii[j]
     assert tally["Satisfiable", False] and tally["Unsatisfiable", True], tally
+
+
+# ---------------------------------------------------------------------------
+# the realizability solver on Fractions, which the int-pair solver replaced:
+# the same steps, with every rational a Fraction and inequality tuples
+# (i, j, sgn, coef, exps, k^2) that hold iff sgn * (coef^2 prod - k^2) < 0
+
+
+def _oracle_fmt(v):
+    s = q_str(Q(v))
+    return f"({s})" if "/" in s or s.startswith("-") else s
+
+
+def _oracle_monomial(centers, i, j):
+    p, q = centers[i], centers[j]
+    if p.is_infinity:
+        return i, j, -1, Q(2)
+    if q.is_infinity:
+        return j, i, -1, Q(2)
+    d = p.value - q.value
+    return i, j, 1, d * d / 4
+
+
+class _OracleFractionSystem:
+    def __init__(self, n):
+        self.parent = list(range(n))
+        self.exp = [1] * n
+        self.coef = [Q(1)] * n
+        self.edge = [None] * n
+        self.pin = {}
+        self.conflict = None
+
+    def find(self, i):
+        e, c = 1, Q(1)
+        while self.parent[i] != i:
+            e2, c2 = self.exp[i], self.coef[i]
+            c = c * (c2 if e == 1 else 1 / c2)
+            e = e * e2
+            i = self.parent[i]
+        return i, e, c
+
+    def _path(self, i):
+        out = []
+        while self.parent[i] != i:
+            out.append(self.edge[i])
+            i = self.parent[i]
+        return out
+
+    def _cycle(self, i, j, closing):
+        seen = []
+        for c in self._path(i) + self._path(j) + [closing]:
+            if c is not None and c not in seen:
+                seen.append(c)
+        return tuple(seen)
+
+    def value(self, i):
+        r, e, c = self.find(i)
+        if r not in self.pin:
+            return None
+        t = sqrt_exact(self.pin[r])
+        if t is None:
+            return None
+        return c * t if e == 1 else c / t
+
+    def _pin_root(self, r, v, con, i, j):
+        old = self.pin.get(r)
+        if old is not None and old != v:
+            self.conflict = Unsatisfiable(
+                f"rho^2 forced to both {q_str(old)} and {q_str(v)}", self._cycle(i, j, con)
+            )
+            return False
+        self.pin[r] = v
+        return True
+
+    def add(self, i, j, s, k, con):
+        r1, e1, c1 = self.find(i)
+        r2, e2, c2 = self.find(j)
+        q = k / (c1 * c2 ** s)
+        if r1 == r2:
+            if e1 + s * e2 == 0:
+                return True if q == 1 else self._conflict(i, j, s, k, con)
+            return self._pin_root(r1, q ** e1, con, i, j)
+        self.parent[r2] = r1
+        self.exp[r2] = -e1 * s * e2
+        self.coef[r2] = q ** (s * e2)
+        self.edge[r2] = con
+        pin2 = self.pin.pop(r2, None)
+        if pin2 is not None:
+            v = pin2 / (self.coef[r2] ** 2)
+            return self._pin_root(r1, v ** self.exp[r2], con, i, j)
+        return True
+
+    def _conflict(self, i, j, s, k, con):
+        ri, rj = self.value(i), self.value(j)
+        if s == 1 and ri is not None and rj is not None:
+            msg = f"{q_str(4 * k)} ≠ 4·{_oracle_fmt(ri)}·{_oracle_fmt(rj)}"
+        else:
+            msg = f"inconsistent tangency constraint between radii {i} and {j}"
+        self.conflict = Unsatisfiable(msg, self._cycle(i, j, con))
+        return False
+
+
+def _oracle_fraction_realizability(inst):
+    centers = inst.relabeled_centers
+    pattern = inst.required_pattern
+    n = len(centers)
+    sys = _OracleFractionSystem(n)
+    forms = {
+        (i, j): _oracle_monomial(centers, i, j)
+        for i in range(n) for j in range(i + 1, n)
+        if pattern[i][j] is not None and centers[i] != centers[j]
+    }
+    tangents = sorted(
+        (p for p in forms if pattern[p[0]][p[1]] is PairRequirement.TANGENT),
+        key=lambda p: (forms[p][2], p),
+    )
+    for pair in tangents:
+        u, v, s, k = forms[pair]
+        if s == 1:
+            text = (f"({centers[u]!r} - {centers[v]!r})^2 = {q_str(4 * k)} = "
+                    f"4 rho({centers[u]!r}) rho({centers[v]!r})")
+        else:
+            text = f"rho({centers[u]!r}) = {q_str(k)} rho({centers[v]!r})"
+        if not sys.add(u, v, s, k, Constraint(PairRequirement.TANGENT, u, v, text)):
+            return sys.conflict
+
+    ineqs = []
+    for (i, j), (u, v, s, k) in forms.items():
+        req = pattern[i][j]
+        if req is PairRequirement.TANGENT:
+            continue
+        r1, e1, c1 = sys.find(u)
+        r2, e2, c2 = sys.find(v)
+        exps = {r1: e1}
+        exps[r2] = exps.get(r2, 0) + s * e2
+        sgn = s if req is PairRequirement.DISJOINT else -s
+        ineqs.append((i, j, sgn, c1 * c2 ** s, exps, k * k))
+
+    def radii_for(vals):
+        out, exact = [], True
+        for i in range(n):
+            r, e, c = sys.find(i)
+            t = sqrt_exact(vals[r])
+            if t is not None:
+                out.append(c * t if e == 1 else c / t)
+            else:
+                tf = math.sqrt(float(vals[r]))
+                out.append(float(c) * tf if e == 1 else float(c) / tf)
+                exact = False
+        return Satisfiable(tuple(out), exact)
+
+    free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
+    vals = dict(sys.pin)
+    for r in free_roots:
+        vals[r] = Q(1)
+    vio = _oracle_violations(ineqs, vals)
+    if vio:
+        vals = _oracle_free_values(ineqs, free_roots, sys.pin)
+    if vals is None:
+        i, j = vio[0]
+        req = pattern[i][j]
+        ri, rj = sys.value(i), sys.value(j)
+        _u, _v, s, k = forms[(i, j)]
+        if s == 1 and ri is not None and rj is not None:
+            rel = ">" if req is PairRequirement.DISJOINT else "<"
+            msg = (f"need ({centers[i]!r} - {centers[j]!r})^2 = {q_str(4 * k)} "
+                   f"{rel} 4·{_oracle_fmt(ri)}·{_oracle_fmt(rj)}")
+        else:
+            msg = f"required {req.value} pair ({i}, {j}) is violated on the solution manifold"
+        return Unsatisfiable(msg, sys._cycle(i, j, Constraint(req, i, j, msg)))
+
+    for i in range(n):
+        for j in range(i + 1, n):
+            if pattern[i][j] is None or centers[i] != centers[j]:
+                continue
+            r1, e1, c1 = sys.find(i)
+            r2, e2, c2 = sys.find(j)
+            exps = {r1: e1}
+            exps[r2] = exps.get(r2, 0) - e2
+            sides = [(i, j, sgn, c1 / c2, exps, Q(1)) for sgn in (1, -1)]
+            side = next((c for c in sides if not _oracle_violations([c], vals)), None)
+            if side is None:
+                for c in sides:
+                    found = _oracle_free_values(ineqs + [c], free_roots, sys.pin)
+                    if found is not None:
+                        vals, side = found, c
+                        break
+                else:
+                    msg = (f"horocycles {i} and {j} share the center {centers[i]!r}, "
+                           f"but the tangencies force equal radii")
+                    closing = Constraint(PairRequirement.DISJOINT, i, j, msg)
+                    return Unsatisfiable(msg, sys._cycle(i, j, closing))
+            ineqs.append(side)
+    return radii_for(vals)
+
+
+def _oracle_violations(ineqs, vals):
+    out = []
+    for i, j, sgn, coef, exps, k2 in ineqs:
+        sq = coef * coef
+        for r, e in exps.items():
+            sq *= vals[r] ** e
+        if not sgn * (sq - k2) < 0:
+            out.append((i, j))
+    return out
+
+
+def _oracle_free_values(ineqs, free_roots, pinned):
+    """The cycle test of `earthquake._free_values` on Fractions; it calls
+    `earthquake._closure` at run time, so `_no_floats` reaches it too."""
+    node = {r: 2 * k for k, r in enumerate(free_roots)}
+    bounds = {}
+    for _i, _j, sgn, coef, exps, k2 in ineqs:
+        b = k2 / (coef * coef)
+        terms = []
+        for r, e in exps.items():
+            if r not in node:
+                b /= pinned[r] ** e
+            elif e:
+                terms.append((node[r], sgn * e))
+        if sgn < 0:
+            b = 1 / b
+        if not terms:
+            if b <= 1:
+                return None
+            continue
+        (u, a), *rest = terms
+        if rest:
+            (q, c), = rest
+            arcs = ((q + (c > 0), u + (a < 0)), (u + (a > 0), q + (c < 0)))
+        else:
+            arcs = ((u + (a > 0), u + (a < 0)),)
+            if abs(a) == 1:
+                b = b * b
+        for arc in arcs:
+            if arc not in bounds or b < bounds[arc]:
+                bounds[arc] = b
+
+    m = 2 * len(free_roots)
+    vals = dict(pinned)
+    if not m:
+        return vals
+    logs = [[math.inf] * m for _ in range(m)]
+    for (u, v), b in bounds.items():
+        logs[u][v] = math.log(b.numerator) - math.log(b.denominator)
+    d, hop = earthquake._closure(logs, operator.add)
+    least, v = min((d[v][v], v) for v in range(m))
+    if least <= earthquake._CYCLE_TOL:
+        cycle = earthquake._walk_cycle(hop, v)
+        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
+        if all(a in bounds for a in arcs) and math.prod(bounds[a] for a in arcs) <= 1:
+            return None
+    else:
+        eps = min(1.0, least / (2 * m))
+        d, _hop = earthquake._closure([[w - eps for w in row] for row in logs], operator.add)
+        y = [min(0.0, *(row[v] for row in d)) for v in range(m)]
+        bits = min(53, math.ceil(math.log2(8 / eps)))
+        for k, r in enumerate(free_roots):
+            log2_rho = (y[2 * k] - y[2 * k + 1]) / (4 * math.log(2))
+            e = math.floor(log2_rho)
+            rho = Q(round(2.0 ** (log2_rho - e + bits))) * Q(2) ** (e - bits)
+            vals[r] = rho * rho
+        if not _oracle_violations(ineqs, vals):
+            return vals
+
+    exact = [[bounds.get((u, v), math.inf) for v in range(m)] for u in range(m)]
+    # stopping at the first closed walk of product <= 1 gives the same least
+    # <= 1; the full closure squares 2,400-bit bounds past it
+    d, _hop = earthquake._closure(exact, operator.mul, stop=1)
+    least = min(d[v][v] for v in range(m))
+    if least <= 1:
+        return None
+    mu = Q(2) if least == math.inf else 1 + (least - 1) / (m * least)
+    d, _hop = earthquake._closure([[w / mu for w in row] for row in exact], operator.mul)
+    y = [min(Q(1), *(row[v] for row in d)) for v in range(m)]
+    for k, r in enumerate(free_roots):
+        t = y[2 * k] / y[2 * k + 1]
+        q = t * (mu - 1) ** 4
+        b = max(0, -((q.numerator.bit_length() - q.denominator.bit_length() - 17) // 4))
+        p = math.isqrt(math.isqrt((t.numerator << 4 * b) // t.denominator))
+        vals[r] = Q(p, 1 << b) ** 2
+    assert not _oracle_violations(ineqs, vals)
+    return vals
+
+
+def _rand_center(rng, bits):
+    """oo, a small rational, or one whose numerator and denominator have
+    `bits` bits."""
+    k = rng.random()
+    if k < 0.15:
+        return INFINITY
+    if k < 0.4:
+        return F(Fraction(rng.randrange(-(1 << bits), 1 << bits), rng.randrange(1, 1 << bits)))
+    return F(rand_q(rng, -4, 4, 4))
+
+
+def _differential_instances(rng, count):
+    """Tangency chains relabelled by an isometry, a transposition or a
+    shuffle, and random patterns; centers are oo, small or 600-bit, and
+    every fourth instance sends two horocycles to one center."""
+    T, D, C = PairRequirement.TANGENT, PairRequirement.DISJOINT, PairRequirement.CROSSING
+    for index in range(count):
+        n = 3 + index % 4
+        bits = 600 if rng.random() < 0.3 else 8
+        centers = []
+        while len(centers) < n:
+            c = _rand_center(rng, bits)
+            if c not in centers:
+                centers.append(c)
+        if index % 2:
+            pattern = [[None] * n for _ in range(n)]
+            for i in range(n):
+                for j in range(i + 1, n):
+                    if rng.random() < 0.85:
+                        pattern[i][j] = pattern[j][i] = rng.choice((T, D, D, C))
+            images = list(centers)
+        else:
+            # every horocycle after the first at oo is tangent to an earlier one
+            centers.sort(key=lambda c: not c.is_infinity)
+            sizes = []
+            for i, c in enumerate(centers):
+                j = rng.randrange(i) if i and rng.random() < 0.7 else None
+                if j is None:
+                    sizes.append(abs(rand_q(rng, 1, 3, 4)) + 1)
+                elif centers[j].is_infinity:
+                    sizes.append(sizes[j] / 2)
+                else:
+                    sizes.append((c.value - centers[j].value) ** 2 / (4 * sizes[j]))
+            hs = [make_horocycle(c, s) for c, s in zip(centers, sizes)]
+            images = list(centers)
+            if index % 6 == 0:
+                g = rand_isometry(rng)
+                images = [g.apply_boundary(c) for c in centers]
+            elif index % 6 == 2:
+                i, j = rng.sample(range(n), 2)
+                images[i], images[j] = images[j], images[i]
+            else:
+                rng.shuffle(images)
+            pattern = instance_from_horocycles(hs, images).required_pattern
+        if index % 4 < 2:
+            i, j = rng.sample(range(n), 2)
+            images[j] = images[i]
+            for a in range(n):
+                for b in range(n):
+                    if a != b and images[a] == images[b] and pattern[a][b] is not None:
+                        pattern[a][b] = D
+        yield earthquake.RealizabilityInstance(centers, images, pattern)
+
+
+@pytest.mark.parametrize("floats", [True, False])
+def test_int_pair_solver_matches_fraction_oracle(monkeypatch, floats):
+    # identical records and radii (value and type) on 2,000 instances, with
+    # the float closure and with the exact route answering alone
+    if not floats:
+        _no_floats(monkeypatch)
+    solve, tally = earthquake._free_values, collections.Counter()
+
+    def counted(ineqs, free_roots, pinned):
+        tally["free roots"] += bool(free_roots)
+        return solve(ineqs, free_roots, pinned)
+
+    monkeypatch.setattr(earthquake, "_free_values", counted)
+    for inst in _differential_instances(random.Random(1212), 2000):
+        got, want = tangency_realizability(inst), _oracle_fraction_realizability(inst)
+        assert got.to_record() == want.to_record(), inst
+        if isinstance(got, Satisfiable):
+            assert [(type(r), r) for r in got.radii] == [(type(r), r) for r in want.radii]
+        centers = inst.relabeled_centers
+        tally[type(got).__name__, got.to_record().get("exact")] += 1
+        tally["oo"] += INFINITY in centers
+        tally["600-bit"] += any(c.value is not None and c.value.denominator >> 500
+                                for c in centers)
+        tally["same center"] += len(set(centers)) < len(centers)
+    # pins are squares (odd tangency cycles multiply squares k, and paths
+    # through oo pass two factors 2), so every radius is rational
+    assert tally["Satisfiable", True] >= 500 and tally["Unsatisfiable", None] >= 500, tally
+    assert min(tally[k] for k in ("oo", "600-bit", "same center", "free roots")) >= 100, tally

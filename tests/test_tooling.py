@@ -196,6 +196,31 @@ def test_unused_import_check_sees_unused_names():
     assert _unused_imports(tree) == [(2, "os"), (3, "T"), (5, "sqrt")]
 
 
+def _asserts(tree):
+    return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+
+
+def test_no_module_checks_an_invariant_with_assert():
+    # `python -O` strips assert statements, so invariants raise instead
+    found = {
+        p.name: lines
+        for p in sorted(PACKAGE.glob("*.py"))
+        if (lines := _asserts(ast.parse(p.read_text(encoding="utf-8"))))
+    }
+    assert found == {}
+
+
+def test_assert_check_sees_nested_asserts():
+    tree = ast.parse(
+        "assert x\n"
+        "def f(y):\n"
+        "    if y:\n"
+        "        assert y > 0, 'positive'\n"
+        "    return [z for z in y if z]\n"
+    )
+    assert _asserts(tree) == [1, 4]
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
