@@ -337,14 +337,21 @@ class _RadiusSystem:
     rho_i * rho_j^s = k with s in {+1, -1} and k > 0; roots may get pinned
     to rho_root^2 = v.  Every rational here (coef, k, pins) is a reduced
     pair (n, d) of positive ints.
+
+    The tangencies that merged two components form a spanning forest of the
+    tangency graph; every other tangency closes a cycle in it, and a pin
+    rests on the cycle of the tangency that made it (`pinned_by`).  A
+    conflict lists the tangencies on those cycles and on the forest paths
+    joining them, so the listed pairs alone are unsatisfiable.
     """
 
     def __init__(self, n: int):
         self.parent = list(range(n))
         self.exp = [1] * n  # rho_i = coef * rho_parent^exp
         self.coef = [(1, 1)] * n
-        self.edge: List[Optional[Constraint]] = [None] * n
+        self.forest: List[List[Tuple[int, Constraint]]] = [[] for _ in range(n)]
         self.pin: Dict[int, Tuple[int, int]] = {}  # root -> rho_root^2
+        self.pinned_by: Dict[int, Constraint] = {}
         self.conflict: Optional[Unsatisfiable] = None
 
     def find(self, i: int) -> Tuple[int, int, Tuple[int, int]]:
@@ -360,19 +367,41 @@ class _RadiusSystem:
             i = self.parent[i]
         return i, e, _ratio(n, d)
 
-    def _path(self, i: int) -> List[Constraint]:
+    def _walk(self, i: int, j: int) -> List[Constraint]:
+        """The tangencies on the forest path from i to j."""
+        prev = {i: None}
+        todo = [i]
+        for u in todo:
+            for v, con in self.forest[u]:
+                if v not in prev:
+                    prev[v] = (u, con)
+                    todo.append(v)
         out = []
-        while self.parent[i] != i:
-            out.append(self.edge[i])
-            i = self.parent[i]
-        return out
+        while j != i:
+            j, con = prev[j]
+            out.append(con)
+        return out[::-1]
 
-    def _cycle(self, i: int, j: int, closing: Constraint) -> Tuple[Constraint, ...]:
+    def _cycle(self, ends, closing: List[Constraint]) -> Tuple[Constraint, ...]:
+        """The tangencies on the forest paths between each pair in ends,
+        then the constraints in closing, each once."""
         seen = []
-        for c in self._path(i) + self._path(j) + [closing]:
-            if c is not None and c not in seen:
+        for c in [c for i, j in ends for c in self._walk(i, j)] + closing:
+            if c not in seen:
                 seen.append(c)
         return tuple(seen)
+
+    def support(self, i: int, j: int, closing: Constraint) -> Tuple[Constraint, ...]:
+        """The tangencies that tie rho_i to rho_j and fix their pinned
+        roots, then closing."""
+        (r1, _e, _c), (r2, _e, _c) = self.find(i), self.find(j)
+        ends, pins = [(i, j)] if r1 == r2 else [], []
+        for r, x in ((r1, i), (r2, j)):
+            c = self.pinned_by.get(r)
+            if c is not None and c not in pins:
+                ends += [(c.i, c.j), (c.i, x)]
+                pins.append(c)
+        return self._cycle(ends, pins + [closing])
 
     def value(self, i: int) -> Optional[Tuple[int, int]]:
         """Exact radius if determined (root pinned to a square), else None."""
@@ -382,15 +411,17 @@ class _RadiusSystem:
             return None
         return _ratio(n * t[0], d * t[1]) if e == 1 else _ratio(n * t[1], d * t[0])
 
-    def _pin_root(self, r: int, v, con: Constraint, i: int, j: int) -> bool:
+    def _pin_root(self, r: int, v, why: Constraint) -> bool:
+        """Pin rho_r^2 = v, which the cycle that `why` closes forces."""
         old = self.pin.get(r)
         if old is not None and old != v:
+            was = self.pinned_by[r]
             self.conflict = Unsatisfiable(
                 f"rho^2 forced to both {_text(old)} and {_text(v)}",
-                self._cycle(i, j, con),
+                self._cycle([(was.i, was.j), (why.i, why.j), (was.i, why.i)], [was, why]),
             )
             return False
-        self.pin[r] = v
+        self.pin[r], self.pinned_by[r] = v, why
         return True
 
     def add(self, i: int, j: int, s: int, k, con: Constraint) -> bool:
@@ -403,17 +434,19 @@ class _RadiusSystem:
             if e1 + s * e2 == 0:
                 return True if q == (1, 1) else self._conflict(i, j, s, k, con)
             # rho_r1^(2 e1) = q
-            return self._pin_root(r1, q if e1 == 1 else q[::-1], con, i, j)
+            return self._pin_root(r1, q if e1 == 1 else q[::-1], con)
         # s e2 = +-1 is its own inverse: rho_r2 = q^(s e2) * rho_r1^(-e1 s e2)
         self.parent[r2] = r1
         self.exp[r2] = -e1 * s * e2
         c = self.coef[r2] = q if s * e2 == 1 else q[::-1]
-        self.edge[r2] = con
+        self.forest[i].append((j, con))
+        self.forest[j].append((i, con))
         pin2 = self.pin.pop(r2, None)
         if pin2 is not None:
             # rho_r2^2 = coef^2 * rho_r1^(2 exp)
             v = _over(pin2, c, c, 1)
-            return self._pin_root(r1, v if self.exp[r2] == 1 else v[::-1], con, i, j)
+            why = self.pinned_by.pop(r2)
+            return self._pin_root(r1, v if self.exp[r2] == 1 else v[::-1], why)
         return True
 
     def _conflict(self, i: int, j: int, s: int, k, con: Constraint) -> bool:
@@ -425,7 +458,7 @@ class _RadiusSystem:
             msg = f"{_text(_ratio(4 * k[0], k[1]))} ≠ 4·{_fmt(ri)}·{_fmt(rj)}"
         else:
             msg = f"inconsistent tangency constraint between radii {i} and {j}"
-        self.conflict = Unsatisfiable(msg, self._cycle(i, j, con))
+        self.conflict = Unsatisfiable(msg, self._cycle([(i, j)], [con]))
         return False
 
 
@@ -528,7 +561,7 @@ def tangency_realizability(inst: RealizabilityInstance):
         else:
             msg = f"required {req.value} pair ({i}, {j}) is violated on the solution manifold"
         closing = Constraint(req, i, j, msg)
-        return Unsatisfiable(msg, sys._cycle(i, j, closing))
+        return Unsatisfiable(msg, sys.support(i, j, closing))
 
     # a pair at one center needs rho_i != rho_j: keep the side of equality
     # that vals is on, or solve again with one side required.  The
@@ -556,7 +589,7 @@ def tangency_realizability(inst: RealizabilityInstance):
                     msg = (f"horocycles {i} and {j} share the center {centers[i]!r}, "
                            f"but the tangencies force equal radii")
                     closing = Constraint(PairRequirement.DISJOINT, i, j, msg)
-                    return Unsatisfiable(msg, sys._cycle(i, j, closing))
+                    return Unsatisfiable(msg, sys.support(i, j, closing))
             ineqs.append(side)
     return radii_for(vals)
 
