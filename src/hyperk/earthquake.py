@@ -259,15 +259,29 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Satisfiable:
+    """Radii that realize the pattern.  ``forced[i]`` says whether the
+    tangencies pinned radius i (else the solver chose it); the record gives
+    each radius's source and, for a rational one, the larger bit length of
+    its numerator and denominator."""
+
     radii: Tuple[object, ...]  # rationals, or floats when irrational
     exact: bool
+    forced: Tuple[bool, ...] = ()
 
     def to_record(self):
-        return {
+        rec = {
             "result": "satisfiable",
             "exact": self.exact,
             "radii": [q_str(r) if is_rational(r) else repr(r) for r in self.radii],
         }
+        if self.forced:
+            rec["provenance"] = [
+                {"source": "forced" if f else "chosen",
+                 "bits": max(r.numerator.bit_length(), r.denominator.bit_length())
+                 if is_rational(r) else None}
+                for f, r in zip(self.forced, self.radii)
+            ]
+        return rec
 
 
 @dataclass(frozen=True)
@@ -525,9 +539,10 @@ def tangency_realizability(inst: RealizabilityInstance):
         ineqs.append((i, j, sgn, exps, (bn * bn, bd * bd)))
 
     def radii_for(vals):
-        out, exact = [], True
+        out, exact, forced = [], True, []
         for i in range(n):
             r, e, (cn, cd) = sys.find(i)
+            forced.append(r in sys.pin)
             t = _sqrt(vals[r])
             if t is not None:
                 out.append(Q(cn * t[0], cd * t[1]) if e == 1 else Q(cn * t[1], cd * t[0]))
@@ -535,7 +550,7 @@ def tangency_realizability(inst: RealizabilityInstance):
                 tf = math.sqrt(vals[r][0] / vals[r][1])
                 out.append(cn / cd * tf if e == 1 else cn / cd / tf)
                 exact = False
-        return Satisfiable(tuple(out), exact)
+        return Satisfiable(tuple(out), exact, tuple(forced))
 
     free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
     vals = dict(sys.pin)

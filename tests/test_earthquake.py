@@ -246,6 +246,10 @@ class TestRealizability:
         assert isinstance(res, Satisfiable)
         assert list(res.radii) == [Q(1), Q(1), Q(1, 4), Q(2)]
         assert res.exact
+        # the tangency cycle -1, 1, 0 pins every radius
+        assert res.to_record()["provenance"] == [
+            {"source": "forced", "bits": b} for b in (1, 1, 3, 2)]
+        assert "provenance" not in Satisfiable(res.radii, True).to_record()
 
     def test_relabeled_instance_unsatisfiable_with_message(self):
         hs = figure_one_configuration()
@@ -919,6 +923,10 @@ def test_chain_radii_stay_moderate():
     for r in res.radii:
         assert 1e-6 <= r <= 1e6
         assert r.numerator.bit_length() <= 64 and r.denominator.bit_length() <= 64
+    # the chain is a tree, so its one root is free and the solver chose it
+    assert res.to_record()["provenance"] == [
+        {"source": "chosen", "bits": max(r.numerator.bit_length(), r.denominator.bit_length())}
+        for r in res.radii]
 
 
 @pytest.mark.parametrize("count", [2, 4])
@@ -1103,9 +1111,10 @@ def _oracle_fraction_realizability(inst):
         ineqs.append((i, j, sgn, c1 * c2 ** s, exps, k * k))
 
     def radii_for(vals):
-        out, exact = [], True
+        out, exact, forced = [], True, []
         for i in range(n):
             r, e, c = sys.find(i)
+            forced.append(r in sys.pin)
             t = sqrt_exact(vals[r])
             if t is not None:
                 out.append(c * t if e == 1 else c / t)
@@ -1113,7 +1122,7 @@ def _oracle_fraction_realizability(inst):
                 tf = math.sqrt(float(vals[r]))
                 out.append(float(c) * tf if e == 1 else float(c) / tf)
                 exact = False
-        return Satisfiable(tuple(out), exact)
+        return Satisfiable(tuple(out), exact, tuple(forced))
 
     free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
     vals = dict(sys.pin)
