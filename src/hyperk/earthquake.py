@@ -86,13 +86,11 @@ class EarthquakeMap:
         self._shift = n.inverse().compose(Isometry.scaling(shear)).compose(n)
 
     def side_sign(self, z: Union[UHPPoint, BoundaryPoint]) -> int:
-        """Sign of the fault equation at z (0 on the fault's closure)."""
-        if isinstance(z, UHPPoint) and z.exact:
-            return self.fault.circle.sign_at(z.x, z.y)
-        if isinstance(z, BoundaryPoint):
-            v = self.fault.circle.evaluate_boundary(z)
-        else:
-            v = self.fault.circle.evaluate(z.x, z.y)
+        """Sign of the fault equation at z (0 on the fault's closure).  An
+        inexact point is decided exactly, at the binary value of its floats."""
+        if isinstance(z, UHPPoint):
+            return self.fault.circle.sign_at(Q(z.x), Q(z.y))
+        v = self.fault.circle.evaluate_boundary(z)
         return 0 if v == 0 else (1 if v > 0 else -1)
 
     def moves(self, z: Union[UHPPoint, BoundaryPoint]) -> bool:

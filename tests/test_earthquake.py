@@ -148,11 +148,12 @@ def _oracle_sign(circle, x, y):
 
 
 def _oracle_side_sign(e, z):
-    """The side test on Fractions: the sign of the fault equation at z."""
+    """The side test on Fractions: the sign of the fault equation at z, at
+    the exact binary value of an inexact point."""
     if isinstance(z, BoundaryPoint):
         v = e.fault.circle.evaluate_boundary(z)
         return 0 if v == 0 else (1 if v > 0 else -1)
-    return _oracle_sign(e.fault.circle, z.x, z.y)
+    return _oracle_sign(e.fault.circle, Fraction(z.x), Fraction(z.y))
 
 
 def _rand_fault(rng):
@@ -184,15 +185,16 @@ def test_side_sign_matches_fraction_oracle():
         points.append(UHPPoint(rng.uniform(-9, 9), rng.uniform(0.1, 9), exact=False))
         points += [INFINITY, *e.fault.endpoints, F(rand_q(rng))]
         for z in points:
-            try:
-                want = _oracle_side_sign(e, z)
-            except OverflowError:  # an inexact point, a fault past the float range
-                with pytest.raises(OverflowError):
-                    e.side_sign(z)
-                continue
+            want = _oracle_side_sign(e, z)
             assert e.side_sign(z) == want, (e, z)
             signs[want] += 1
     assert sum(signs.values()) >= 2000 and set(signs) == {-1, 0, 1}
+    # a fault past the float range once raised OverflowError for an inexact point
+    e = EarthquakeMap(make_geodesic(F(Fraction(3**700 + 1, 3**700)), F(-1)), 2)
+    z = UHPPoint(0.5, 2.0, exact=False)
+    assert e.side_sign(z) == _oracle_side_sign(e, z) == e.side_sign(UHPPoint(Q(1, 2), 2))
+    inside = UHPPoint(0.25, 0.5, exact=False)
+    assert e.moves(z) and not e.moves(inside) and eq_apply(e, inside) is inside
 
 
 def test_straddling_points_match_fraction_sign_test(monkeypatch):
