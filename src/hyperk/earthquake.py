@@ -307,16 +307,13 @@ def _text(p: Tuple[int, int]) -> str:
 
 
 def _fmt(p: Tuple[int, int]) -> str:
-    s = _text(p)
-    return f"({s})" if p[1] != 1 else s
+    return f"({_text(p)})" if p[1] != 1 else _text(p)
 
 
 def _over(k, c1, c2, s: int) -> Tuple[int, int]:
     """k / (c1 * c2^s) for reduced pairs and s = +-1, reduced."""
-    (n1, d1), (n2, d2) = c1, c2
-    if s == 1:
-        return _ratio(k[0] * d1 * d2, k[1] * n1 * n2)
-    return _ratio(k[0] * d1 * n2, k[1] * n1 * d2)
+    (n1, d1), (n2, d2) = c1, c2 if s == 1 else c2[::-1]
+    return _ratio(k[0] * d1 * d2, k[1] * n1 * n2)
 
 
 def _monomial(proj: Sequence[Tuple[int, int]], i: int, j: int):
@@ -381,8 +378,7 @@ class _RadiusSystem:
 
     def _walk(self, i: int, j: int) -> List[Constraint]:
         """The tangencies on the forest path from i to j."""
-        prev = {i: None}
-        todo = [i]
+        prev, todo = {i: None}, [i]
         for u in todo:
             for v, con in self.forest[u]:
                 if v not in prev:
@@ -391,8 +387,8 @@ class _RadiusSystem:
         out = []
         while j != i:
             j, con = prev[j]
-            out.append(con)
-        return out[::-1]
+            out.insert(0, con)
+        return out
 
     def _cycle(self, ends, closing: List[Constraint]) -> Tuple[Constraint, ...]:
         """The tangencies on the forest paths between each pair in ends,
@@ -537,18 +533,16 @@ def tangency_realizability(inst: RealizabilityInstance):
         ineqs.append((i, j, sgn, exps, (bn * bn, bd * bd)))
 
     def radii_for(vals):
-        out, exact, forced = [], True, []
+        # every value is a square: chosen ones by construction, and a pin
+        # closes a tangency cycle whose constants k are squares except the
+        # factors 2 at oo, which come in pairs (a cycle enters and leaves oo)
+        out, forced = [], []
         for i in range(n):
             r, e, (cn, cd) = sys.find(i)
             forced.append(r in sys.pin)
-            t = _sqrt(vals[r])
-            if t is not None:
-                out.append(Q(cn * t[0], cd * t[1]) if e == 1 else Q(cn * t[1], cd * t[0]))
-            else:
-                tf = math.sqrt(vals[r][0] / vals[r][1])
-                out.append(cn / cd * tf if e == 1 else cn / cd / tf)
-                exact = False
-        return Satisfiable(tuple(out), exact, tuple(forced))
+            tn, td = _sqrt(vals[r])
+            out.append(Q(cn * tn, cd * td) if e == 1 else Q(cn * td, cd * tn))
+        return Satisfiable(tuple(out), True, tuple(forced))
 
     free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
     vals = dict(sys.pin)
