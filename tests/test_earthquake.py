@@ -1273,8 +1273,9 @@ def _rand_center(rng, bits):
 
 def _differential_instances(rng, count):
     """Tangency chains relabelled by an isometry, a transposition or a
-    shuffle, and random patterns; centers are oo, small or 600-bit, and
-    every fourth instance sends two horocycles to one center."""
+    shuffle, and random patterns; centers are oo, small or (in about 30% of
+    the instances) 600-bit, and half the instances send two horocycles to
+    one center."""
     T, D, C = PairRequirement.TANGENT, PairRequirement.DISJOINT, PairRequirement.CROSSING
     for index in range(count):
         n = 3 + index % 4
@@ -1354,12 +1355,34 @@ def test_int_pair_solver_matches_fraction_oracle(monkeypatch, floats):
     assert min(tally[k] for k in ("oo", "600-bit", "same center", "free roots")) >= 100, tally
 
 
+def _alone(inst, res):
+    """inst restricted to the pairs res.cycle lists."""
+    n = len(inst.centers)
+    pattern = [[None] * n for _ in range(n)]
+    for c in res.cycle:
+        pattern[c.i][c.j] = pattern[c.j][c.i] = inst.required_pattern[c.i][c.j]
+    return earthquake.RealizabilityInstance(inst.centers, inst.relabeled_centers, pattern)
+
+
 def test_tangency_certificates_alone_are_unsatisfiable():
     # a conflict among tangencies lists every pair it rests on: the instance
     # restricted to the listed pairs is still unsatisfiable
     hs = [make_horocycle(F(-2), 1), make_horocycle(F(2), 1), make_horocycle(F(0), 1)]
     res = tangency_realizability(instance_from_horocycles(hs, [F(3), F(3), F(0)]))
     assert [(c.i, c.j) for c in res.cycle] == [(0, 2), (1, 2), (0, 1)]
+    # two tangent triangles, each pinned by its own cycle, sent to the same
+    # three centers: equal radii at one center rest on both pin cycles
+    T, D = PairRequirement.TANGENT, PairRequirement.DISJOINT
+    pattern = [[None] * 6 for _ in range(6)]
+    for a in range(6):
+        for b in range(6):
+            if a != b:
+                pattern[a][b] = T if a // 3 == b // 3 else D if a % 3 == b % 3 else None
+    images = [F(-1), F(1), F(0)] * 2
+    inst = earthquake.RealizabilityInstance(images, images, pattern)
+    res = tangency_realizability(inst)
+    assert "force equal" in res.message and len(res.cycle) == 7
+    assert isinstance(tangency_realizability(_alone(inst, res)), Unsatisfiable)
     kinds = {"≠": "product", "inconsistent": "product", "forced to both": "pin",
              "force equal": "same center"}
     tally = collections.Counter()
@@ -1367,13 +1390,7 @@ def test_tangency_certificates_alone_are_unsatisfiable():
         res = tangency_realizability(inst)
         kind = isinstance(res, Unsatisfiable) and next(
             (k for key, k in kinds.items() if key in res.message), None)
-        if not kind:
-            continue
-        tally[kind] += 1
-        n = len(inst.centers)
-        pattern = [[None] * n for _ in range(n)]
-        for c in res.cycle:
-            pattern[c.i][c.j] = pattern[c.j][c.i] = inst.required_pattern[c.i][c.j]
-        alone = earthquake.RealizabilityInstance(inst.centers, inst.relabeled_centers, pattern)
-        assert isinstance(tangency_realizability(alone), Unsatisfiable), (inst, res)
+        if kind:
+            tally[kind] += 1
+            assert isinstance(tangency_realizability(_alone(inst, res)), Unsatisfiable), (inst, res)
     assert tally["product"] >= 20 and tally["same center"] >= 20 and tally["pin"] >= 5, tally
