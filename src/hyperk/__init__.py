@@ -19,7 +19,6 @@ _EXPORTS = {
     "errors": (
         "DegenerateResultError",
         "HyperkError",
-        "IndeterminateLimitError",
         "InvalidInputError",
         "NoSolutionError",
     ),
@@ -65,7 +64,6 @@ _EXPORTS = {
         "FourGeodesicConfig",
         "HorocycleLimit",
         "HypercycleOrGeodesicLimit",
-        "chebyshev_grid",
         "classify_family_limit",
         "disj_family",
         "dyadic_family",

@@ -23,7 +23,6 @@ from ._rational import Q, q_from_str, q_str
 from .errors import (
     DegenerateResultError,
     HyperkError,
-    IndeterminateLimitError,
     InvalidInputError,
     NoSolutionError,
 )
@@ -325,10 +324,8 @@ def cmd_family(args, out: _Output) -> int:
 
     if args.preset == "ray":
         fam = ray_family()
-        probes = [make_geodesic(BoundaryPoint.finite(0), INFINITY)]
     elif args.preset == "fixed-endpoint":
-        fam = fixed_endpoint_family(3.0, 1.5)
-        probes = [fam.declared_limit.curve]
+        fam = fixed_endpoint_family(3, Q(3, 2))
     else:
         hc, hs = _fields(args.horocycle, 2, "--horocycle center,size")
         h = make_horocycle(BoundaryPoint.parse(hc), q_from_str(hs))
@@ -339,19 +336,15 @@ def cmd_family(args, out: _Output) -> int:
             UHPPoint(q_from_str(hp_parts[2]), q_from_str(hp_parts[3])),
         )
         fam = disj_family(h, hp)
-        probes = []
-    res = classify_family_limit(fam, probes)
+    res = classify_family_limit(fam)
     if isinstance(res, FoliatesComponent):
         out.emit("limit: foliates its component", {"limit": "foliates"})
         return EXIT_OK
     label = "horocycle" if isinstance(res, HorocycleLimit) else "hypercycle-or-geodesic"
-    if res.curve.exact:
-        out.emit(
-            f"limit: {label} {res.curve.to_text()}",
-            {"limit": label, **res.curve.to_record()},
-        )
-    else:
-        out.emit(f"limit: {label} {res.curve!r}", {"limit": label, "curve": repr(res.curve)})
+    out.emit(
+        f"limit: {label} {res.curve.to_text()}",
+        {"limit": label, **res.curve.to_record()},
+    )
     return EXIT_OK
 
 
@@ -544,7 +537,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateResultError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidInputError, NoSolutionError, IndeterminateLimitError, HyperkError) as exc:
+    except (InvalidInputError, NoSolutionError, HyperkError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except (ValueError, OSError) as exc:

@@ -3,11 +3,12 @@ pinching pairs, continuous families and their limits, four-geodesic
 configurations, the center-swap relabeling, and image normalizers.
 
 Universally quantified geometric statements are checked by exact finite
-enumeration where the statement is combinatorial (boundary arc classes),
-and against documented probe sets and deterministic sample grids where it
-is not (family limits).  A witness search certifies a crossing pair by
-exact points of one curve on both sides of the other
-(`model.straddling_points`).
+enumeration where the statement is combinatorial (boundary arc classes).
+A continuous family has coefficients polynomial in a rational parameter
+s in [0, 1], so its members and its limit at s = 1 are exact curves, and
+the limit is read off the coefficient vector there.  A witness search
+certifies a crossing pair by exact points of one curve on both sides of
+the other (`model.straddling_points`).
 """
 
 from __future__ import annotations
@@ -15,15 +16,10 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Sequence, Tuple
 
 from ._rational import Q, sqrt_exact
-from .errors import (
-    HyperkError,
-    IndeterminateLimitError,
-    InvalidInputError,
-    NoSolutionError,
-)
+from .errors import HyperkError, InvalidInputError, NoSolutionError
 from .model import (
     EPS,
     BoundaryPoint,
@@ -41,15 +37,6 @@ from .model import (
     two_point_normalizer,
 )
 from .predicates import intersection_pattern, linked
-
-#: Default number of sample-grid points for continuous families
-#: (Chebyshev-spaced; escalated twice on indeterminate classifications).
-DEFAULT_GRID_SIZE = 65
-
-#: Endpoint magnitude beyond which a family is treated as having divergent
-#: endpoints (limit horocycle centered at infinity).
-_DIVERGENCE_BOUND = 1e8
-
 
 # ---------------------------------------------------------------------------
 # dyadic horocycle chains
@@ -306,375 +293,113 @@ class HypercycleOrGeodesicLimit:
     curve: Curve
 
 
-def chebyshev_grid(n: int, lo: float = 0.0, hi: float = 1.0) -> Tuple[float, ...]:
-    """n Chebyshev-Lobatto points on [lo, hi], including both ends."""
-    if n < 2:
-        raise InvalidInputError("grid needs at least 2 points")
-    return tuple(
-        lo + (hi - lo) * (1 - math.cos(math.pi * j / (n - 1))) / 2 for j in range(n)
-    )
+def _lorentz(v, w):
+    """<v, w> = b1 b2 + c1 c2 - 2(a1 d2 + a2 d1) for coefficient vectors
+    v, w = (a, b, c, d); <v, v> = b^2 + c^2 - 4ad."""
+    return v[1] * w[1] + v[2] * w[2] - 2 * (v[0] * w[3] + w[0] * v[3])
+
+
+def _at(poly, s):
+    """The polynomial with coefficients `poly` (ascending powers) at s."""
+    value = Q(0)
+    for coeff in reversed(poly):
+        value = value * s + coeff
+    return value
 
 
 class ContinuousFamily:
-    """A one-parameter curve family sampled on a deterministic grid.
+    """A one-parameter curve family whose coefficients a, b, c, d are
+    rational polynomials in s in [0, 1], each given by its coefficients in
+    ascending powers of s.  Members are the curves at s in [0, 1); the
+    limit is the coefficient vector at s = 1."""
 
-    curve_at(t) must be defined for t in [0, t_cap]; the default grid is
-    DEFAULT_GRID_SIZE Chebyshev points on that interval.
-    """
+    def __init__(self, polys):
+        self.polys = tuple(tuple(Q(v) for v in poly) for poly in polys)
+        self.limit = tuple(sum(poly) for poly in self.polys)
 
-    def __init__(
-        self,
-        curve_at: Callable[[float], Curve],
-        t_cap: float = 1.0,
-        grid_size: int = DEFAULT_GRID_SIZE,
-        declared_limit: Optional[object] = None,
-        reparametrized: bool = False,
-    ):
-        self.curve_at = curve_at
-        self.t_cap = t_cap
-        self.grid = chebyshev_grid(grid_size, 0.0, t_cap)
-        self.declared_limit = declared_limit
-        self.reparametrized = reparametrized
-
-    def with_grid(self, grid_size: int) -> "ContinuousFamily":
-        return ContinuousFamily(
-            self.curve_at,
-            t_cap=self.t_cap,
-            grid_size=grid_size,
-            declared_limit=self.declared_limit,
-            reparametrized=self.reparametrized,
-        )
-
-    def members(self, grid: Optional[Sequence[float]] = None) -> List[Curve]:
-        return [self.curve_at(t) for t in (self.grid if grid is None else grid)]
+    def member(self, s) -> Curve:
+        """The exact member at rational s in [0, 1)."""
+        s = Q(s)
+        if not 0 <= s < 1:
+            raise InvalidInputError("family parameter must lie in [0, 1)")
+        return curve_from_coeffs(*(_at(poly, s) for poly in self.polys))
 
 
 def disj_family(h: Curve, hprime: Curve) -> ContinuousFamily:
-    """A continuous family of hypercycles starting at hprime and converging
-    to the disjoint horocycle h.
+    """The pencil (1 - s) v(hprime) + s v(h) of the coefficient vectors of a
+    hypercycle hprime and a horocycle h disjoint from it, with v(h) negated
+    if needed so that <v(hprime), v(h)> > 0 (`_lorentz`).
 
-    Normalization sends h to the horizontal line y=1 with hprime below it,
-    centered on the imaginary axis with endpoints +-b and apex e^(-a); the
-    family member at t has endpoints +-b^(1/(1-t)) and apex e^(a(t-1)),
-    conjugated back to the original frame.  When the normalized b <= 1 the
-    endpoint formula cannot diverge and the family is reparametrized with
-    endpoints b*2^(t/(1-t)) instead (flagged via .reparametrized).
+    Two disjoint circles span a pencil whose members between them are
+    pairwise disjoint (Coxeter, "Inversive distance", 1966).  With
+    D2(v, w) = <v, v><w, w> - <v, w>^2, which is negative exactly when the
+    circles are disjoint:
+
+      - D2(member(s), h) = (1 - s)^2 D2(hprime, h) < 0, and
+        D2(member(s), member(t)) = (s - t)^2 D2(hprime, h) < 0;
+      - b^2 - 4ad > 0 for s < 1, so every member is a hypercycle or a
+        geodesic: it is (1 - s)^2 times hprime's, plus 2s(1 - s) times the
+        polar form on hprime and h, plus s^2 times h's, which is 0; the polar
+        form has the sign of <v(hprime), v(h)> (where h is the line
+        y - 1 = 0 they are 2a' and 2a'(1 - k), for hprime's a' > 0 and
+        centre height k < 1);
+      - member(0) = hprime, and the limit at s = 1 is h.
     """
     if h.kind is not CurveKind.HOROCYCLE:
         raise InvalidInputError("disj_family needs a horocycle as first argument")
     if hprime.kind is not CurveKind.HYPERCYCLE:
         raise InvalidInputError("disj_family needs a hypercycle as second argument")
-    pat = intersection_pattern(h, hprime)
-    if pat.interior_count != 0 or pat.shared_endpoints != 0:
+    if not (h.exact and hprime.exact):
+        raise InvalidInputError("disj_family needs exact curves")
+    v, w = hprime.circle.coeffs(), h.circle.coeffs()
+    vw = _lorentz(v, w)
+    if _lorentz(v, v) * _lorentz(w, w) - vw * vw >= 0:
         raise InvalidInputError("disj_family needs disjoint curves")
-
-    # step 1: send h's center to infinity and scale the line to y = 1
-    if h.center.is_infinity:
-        phi = Isometry.scaling(1 / h.size)
-    else:
-        # z -> -1/(z - c) sends the center c to infinity; h becomes the line
-        # y = 1/(2 size); rescale to y = 1
-        c = h.center.value
-        inv = Isometry(0, -1, 1, -c)
-        height = Q(1, 2) / h.size
-        phi = Isometry.scaling(1 / height).compose(inv)
-    hp1 = phi.apply_curve(hprime)
-    # hprime is now a circle below y = 1; translate its endpoints to +-b
-    a_, b_, c_, d_ = (Q(v) for v in hp1.circle.coeffs())
-    if a_ == 0:
-        raise InvalidInputError("hypercycle is not on the bounded side of the horocycle")
-    mid = -b_ / (2 * a_)
-    phi = Isometry.translation(-mid).compose(phi)
-    hp2 = phi.apply_curve(hprime)
-    psi = phi.inverse()
-
-    a2, b2, c2, d2 = (Q(v) for v in hp2.circle.coeffs())
-    if b2 != 0:
-        raise HyperkError(f"normalized hypercycle {hp2!r} is not centered on the axis")
-    # endpoints +-b, apex y0 (upper root of a y^2 + c y + d at x = 0)
-    b_sq = -d2 / a2
-    if not b_sq > 0:
-        raise InvalidInputError("normalized hypercycle does not meet the boundary")
-    bf = math.sqrt(float(b_sq))
-    discy = float(c2 * c2 - 4 * a2 * d2)
-    y0 = (-float(c2) + math.sqrt(discy)) / (2 * float(a2))
-    if not (0 < y0 < 1):
-        raise InvalidInputError("hypercycle is not below the normalized horocycle")
-    aa = -math.log(y0)  # a > 0
-    reparam = bf <= 1.0
-
-    log_b = math.log(bf) if bf > 0 else 0.0
-
-    def normalized_circle(t: float) -> GeneralizedCircle:
-        if reparam:
-            log_B = log_b + (t / (1 - t)) * math.log(2.0)
-        else:
-            log_B = log_b / (1 - t)
-        apex = math.exp(aa * (t - 1))
-        B2 = math.exp(2 * log_B)
-        k = (apex * apex - B2) / (2 * apex)
-        return GeneralizedCircle(1.0, 0.0, -2 * k, -B2, exact=False)
-
-    def member(t: float) -> Curve:
-        if t <= 0:
-            return hprime  # exact
-        # transform the raw circle: for large t the normalized member is a
-        # near-line whose own classification is ambiguous at float precision,
-        # but the conjugated image classifies cleanly
-        return Curve(psi.apply_circle(normalized_circle(t)))
-
-    # cap the grid below t = 1 so that B^2 (and its coefficient transforms)
-    # stay comfortably within float range
-    max_log_B = 60.0 * math.log(10.0)
-    if reparam:
-        # solve log_b + (t/(1-t)) ln 2 = max_log_B for t
-        u = (max_log_B - log_b) / math.log(2.0)
-        t_cap = u / (1 + u)
-    else:
-        t_cap = 1 - log_b / max_log_B
-    t_cap = min(t_cap, 1 - 1e-9)
-    return ContinuousFamily(
-        member,
-        t_cap=t_cap,
-        declared_limit=HorocycleLimit(h),
-        reparametrized=reparam,
-    )
+    if vw < 0:
+        w = tuple(-x for x in w)
+    return ContinuousFamily([(x, y - x) for x, y in zip(v, w)])
 
 
-def ray_family(alpha0: float = math.pi / 4, alpha1: float = 0.01) -> ContinuousFamily:
-    """Rays through 0 sweeping from angle alpha0 down to alpha1 > 0.
-
-    Each member is the oblique line y = tan(alpha_t) x (an inexact
-    hypercycle with endpoints 0 and infinity).
-    """
-    if not (0 < alpha1 < alpha0 < math.pi / 2):
-        raise InvalidInputError("need 0 < alpha1 < alpha0 < pi/2")
-
-    def member(t: float) -> Curve:
-        alpha = alpha0 * (1 - t) + alpha1 * t
-        return Curve(GeneralizedCircle(0.0, math.tan(alpha), -1.0, 0.0, exact=False))
-
-    return ContinuousFamily(member, declared_limit=FoliatesComponent())
+def ray_family(slope=1) -> ContinuousFamily:
+    """The rays y = slope (1 - s) x for slope > 0: oblique lines, that is
+    hypercycles with endpoints 0 and oo, which foliate the sector below the
+    first one.  Their limit is the real axis (0, 0, 1, 0)."""
+    slope = Q(slope)
+    if not slope > 0:
+        raise InvalidInputError("ray slope must be positive")
+    return ContinuousFamily([(0,), (-slope, slope), (1,), (0,)])
 
 
-def fixed_endpoint_family(apex0: float, apex1: float) -> ContinuousFamily:
-    """Hypercycles with endpoints -1, 1 whose apex height decreases from
-    apex0 to apex1 > 1; the inclination tends to the strictly positive limit
-    of the apex-apex1 curve."""
-    if not (apex0 > apex1 > 1):
+def fixed_endpoint_family(apex0, apex1) -> ContinuousFamily:
+    """Hypercycles with endpoints -1, 1 whose apex A = apex0 (1 - s) + apex1 s
+    falls from apex0 to apex1 > 1: the circles
+    2A (x^2 + y^2) - 2(A^2 - 1) y - 2A = 0.  The limit is the hypercycle of
+    apex apex1."""
+    apex0, apex1 = Q(apex0), Q(apex1)
+    if not apex0 > apex1 > 1:
         raise InvalidInputError("need apex0 > apex1 > 1")
-
-    def member(t: float) -> Curve:
-        apex = apex0 * (1 - t) + apex1 * t
-        k = (apex * apex - 1) / (2 * apex)
-        return Curve(GeneralizedCircle(1.0, 0.0, -2 * k, -1.0, exact=False))
-
-    limit = member(1.0)
-    return ContinuousFamily(member, declared_limit=HypercycleOrGeodesicLimit(limit))
-
-
-def _max_disjoint_horocycle_size(center_x: float, member: Curve) -> Optional[float]:
-    """Size of the largest horocycle at finite center center_x disjoint from
-    the member curve (external tangency bound)."""
-    ecr = member.euclidean_center_radius()
-    if ecr is None:
-        b, c, d = (float(v) for v in member.circle.coeffs()[1:])
-        n = math.hypot(b, c)
-        if n <= EPS:
-            return None
-        # horocycle disk center (x0, s), radius s, tangent to the line:
-        # |b x0 + c s + d| = s * n
-        val = b * center_x + d
-        best = None
-        for sign in (1.0, -1.0):
-            den = sign * n - c
-            if abs(den) > EPS:
-                s = val / den
-                if s > EPS:
-                    best = s if best is None else min(best, s)
-        return best
-    cx, cy, r = ecr
-    num = (center_x - cx) ** 2 + cy * cy - r * r
-    tol = 1e-7 * max(1.0, cy * cy + r * r)
-    if abs(num) <= tol:
-        # member touches the boundary at center_x: horocycles there are
-        # nested inside it, bounded by the member's own size
-        return cy if cy > EPS else None
-    if num > 0:
-        # center_x lies outside the member disk: external tangency bound
-        den = 2 * (r + cy)
-        if abs(den) <= EPS:
-            return None
-        s = num / den
-    else:
-        # center_x lies under the member disk: the horocycle must nest
-        # inside it (internal tangency), which needs the disk to reach
-        # below its own radius
-        den = 2 * (cy - r)
-        if den >= -EPS:
-            return None
-        s = num / den
-    return s if s > EPS else None
+    step = apex1 - apex0
+    return ContinuousFamily([
+        (2 * apex0, 2 * step),
+        (0,),
+        (-2 * (apex0 * apex0 - 1), -4 * apex0 * step, -2 * step * step),
+        (-2 * apex0, -2 * step),
+    ])
 
 
-def classify_family_limit(fam: ContinuousFamily, probes: Sequence[Curve]):
-    """Classify the limiting behavior of a continuous family at grid
-    resolution: FoliatesComponent, HorocycleLimit, or
-    HypercycleOrGeodesicLimit.
-
-    m = sup of lower endpoints and M = inf of upper endpoints over the grid
-    decide the candidate type; candidates are cross-checked against the
-    probe set.  Indeterminate gaps escalate the grid twice before raising.
-    """
-    sizes = [len(fam.grid), 2 * len(fam.grid) - 1, 4 * len(fam.grid) - 3]
-    last_candidates = None
-    for n in sizes:
-        result = _classify_once(fam.with_grid(n), probes)
-        if not isinstance(result, _Indeterminate):
-            return result
-        last_candidates = result.candidates
-    raise IndeterminateLimitError(
-        "family limit indeterminate after grid escalation", last_candidates
-    )
-
-
-class _Indeterminate:
-    def __init__(self, candidates):
-        self.candidates = candidates
-
-
-def _classify_once(fam: ContinuousFamily, probes: Sequence[Curve]):
-    curves = fam.members()
-    h0 = curves[0]
-    lowers, uppers = [], []
-    degenerated_to_line = False
-    for c in curves:
-        eps = c.endpoint_floats()
-        if len(eps) == 1:
-            # a member so wide its circle reads as a horizontal line at
-            # float precision: endpoints have run off both ends
-            if math.isinf(eps[0]):
-                degenerated_to_line = True
-                continue
-            lo = hi = eps[0]
-        else:
-            lo, hi = eps
-        lowers.append(lo)
-        uppers.append(hi)
-    diverges = degenerated_to_line or (
-        lowers
-        and min(lowers) < -_DIVERGENCE_BOUND
-        and max(uppers) > _DIVERGENCE_BOUND
-    )
-    if diverges:
-        # endpoints run off both ends: the limit is a horizontal-line
-        # horocycle at the supremum of the member apex heights
-        height = max(c.apex_height() for c in curves if math.isfinite(c.apex_height()))
-        declared = fam.declared_limit
-        if isinstance(declared, HorocycleLimit) and declared.curve.center.is_infinity:
-            # the members approach the limit line from below, so the sup of
-            # apex heights underestimates the limit; accept the declared
-            # curve within a one-sided band
-            ds = float(declared.curve.size)
-            if -1e-6 * max(1.0, ds) <= ds - height <= 5e-2 * max(1.0, ds):
-                return declared
-        return HorocycleLimit(
-            Curve(GeneralizedCircle(0.0, 0.0, 1.0, -height, exact=False))
-        )
-    # read the limiting endpoint interval off the last member: endpoint
-    # paths may wrap through infinity under conjugation, so sup/inf over
-    # the whole family is not meaningful on the real line
-    eps_last = curves[-1].endpoint_floats()
-    if len(eps_last) == 1:
-        m = M = eps_last[0]
-    else:
-        m, M = eps_last
-    scale = max(1.0, abs(m), abs(M) if not math.isinf(M) else 0.0)
-    gap = M - m
-    if gap <= 1e-6 * scale:
-        # endpoints pinch to a point: horocycle limit centered there
-        center = (m + M) / 2
-        sizes = [
-            s
-            for s in (_max_disjoint_horocycle_size(center, c) for c in curves)
-            if s is not None
-        ]
-        if not sizes:
-            return _Indeterminate((HorocycleLimit, FoliatesComponent))
-        size = min(sizes)
-        declared = fam.declared_limit
-        if isinstance(declared, HorocycleLimit) and not declared.curve.center.is_infinity:
-            dc, ds = float(declared.curve.center.value), float(declared.curve.size)
-            # members nest onto the limit horoball from outside, so the
-            # maximal-disjoint-size estimate overestimates the limit size
-            if (
-                abs(dc - center) <= 1e-5 * max(1.0, abs(dc))
-                and -1e-6 * max(1.0, ds) <= size - ds <= 5e-2 * max(1.0, ds)
-            ):
-                return declared
-        return HorocycleLimit(
-            Curve(
-                GeneralizedCircle(
-                    1.0, -2.0 * center, -2.0 * size, center * center, exact=False
-                )
-            )
-        )
-    if gap <= 1e-4 * scale:
-        return _Indeterminate((HorocycleLimit, HypercycleOrGeodesicLimit))
-    # m < M decisively: a hypercycle/geodesic limit exists iff some curve
-    # with endpoints (m, M) on the family's side is disjoint from every member
-    candidates = list(probes)
-    declared = fam.declared_limit
-    if isinstance(declared, HypercycleOrGeodesicLimit):
-        candidates.insert(0, declared.curve)
-    h_last = curves[-1]
-    side_ref = _representative_point(h0)
-    ref_sign = _eval_sign(h_last, side_ref)
-    for cand in candidates:
-        eps_c = cand.endpoint_floats()
-        if len(eps_c) != 2:
-            continue
-        lo, hi = eps_c
-        tol = 1e-5 * scale
-        matches = (
-            abs(lo - m) <= tol
-            and ((math.isinf(hi) and math.isinf(M)) or abs(hi - M) <= tol)
-        )
-        if not matches:
-            continue
-        # beyond the last member, on the side the family moves toward
-        cp = _representative_point(cand)
-        if cp is None or _eval_sign(h_last, cp) == ref_sign:
-            continue
-        if all(
-            c == cand or intersection_pattern(cand, c).interior_count == 0
-            for c in curves
-        ):
-            if isinstance(declared, HypercycleOrGeodesicLimit) and cand == declared.curve:
-                return declared
-            return HypercycleOrGeodesicLimit(cand)
-    return FoliatesComponent()
-
-
-def _representative_point(curve: Curve):
-    """A float point on the curve (its apex, or a point of a line member)."""
-    ecr = curve.euclidean_center_radius()
-    if ecr is not None:
-        cx, cy, r = ecr
-        return (cx, cy + r)
-    b, c, d = (float(v) for v in curve.circle.coeffs()[1:])
-    if abs(c) <= EPS:
-        return (-d / b, 1.0)
-    for x in (0.0, 1.0, -1.0, 2.0, -2.0, 10.0, -10.0):
-        y = -(b * x + d) / c
-        if y > EPS:
-            return (x, y)
-    return None
-
-
-def _eval_sign(curve: Curve, point) -> int:
-    v = float(curve.circle.evaluate(point[0], point[1]))
-    return 1 if v > 0 else (-1 if v < 0 else 0)
+def classify_family_limit(fam: ContinuousFamily):
+    """The limit of the family at s = 1, read off its coefficient vector
+    there: the real axis (a = b = d = 0) means the members sweep out a
+    component of the complement of member(0) (FoliatesComponent); any
+    other vector is an exact curve, a HorocycleLimit or a
+    HypercycleOrGeodesicLimit by its kind."""
+    a, b, c, d = fam.limit
+    if a == b == d == 0:
+        return FoliatesComponent()
+    curve = curve_from_coeffs(a, b, c, d)
+    if curve.kind is CurveKind.HOROCYCLE:
+        return HorocycleLimit(curve)
+    return HypercycleOrGeodesicLimit(curve)
 
 
 # ---------------------------------------------------------------------------

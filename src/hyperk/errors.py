@@ -24,13 +24,3 @@ class DegenerateResultError(HyperkError):
 class NoSolutionError(HyperkError):
     """A solve step has no real solution for the given configuration."""
 
-
-class IndeterminateLimitError(HyperkError):
-    """Family-limit classification could not separate the candidate cases.
-
-    ``candidates`` holds the competing classifications.
-    """
-
-    def __init__(self, message, candidates=()):
-        super().__init__(message)
-        self.candidates = tuple(candidates)

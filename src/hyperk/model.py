@@ -166,6 +166,12 @@ def _form_at(k, X, Y, W):
 _FLOAT_BITS = 166
 
 
+def _float_shift(k) -> int:
+    """log2 of the power of two `_int_floats` divides the integers k by,
+    when positive."""
+    return max(abs(v).bit_length() for v in k) - _FLOAT_BITS
+
+
 def _int_floats(k, scale: bool):
     """The integers k as floats; with `scale`, divided by a common power of
     two when they are too large for the sign tests on a circle.
@@ -176,7 +182,7 @@ def _int_floats(k, scale: bool):
     Two lines are not scaled, since their determinant is compared with an
     absolute tolerance.
     """
-    shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
+    shift = _float_shift(k) if scale else 0
     if shift <= 0:
         try:
             return [float(v) for v in k]
@@ -737,7 +743,10 @@ class Isometry:
             x, y = z.x, z.y
             if self.reversing:
                 x = -x
-            a, b, c, d, det = (float(v) for v in (a, b, c, d, det))
+            # the image is homogeneous of degree 0 in the entries: divided
+            # by 2^shift as `_int_floats` may divide them, det goes by 2^(2 shift)
+            det /= 1 << 2 * max(_float_shift((a, b, c, d)), 0)
+            a, b, c, d = _int_floats((a, b, c, d), True)
             den_ = (c * x + d) ** 2 + c * c * y * y
             nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
             return UHPPoint(nx, det * y / den_, exact=False)
@@ -757,10 +766,12 @@ class Isometry:
             b = -b  # sigma: x -> -x
         # pull back along the inverse Moebius map (p w + q)/(r w + s)
         m00, m01, m10, m11 = self.matrix()
-        p, q, r, s = m11, -m01, -m10, m00
         if not circle.exact:
             a, b, c, d = float(a), float(b), float(c), float(d)
-            p, q, r, s = (float(v) for v in (p, q, r, s))
+            # the image circle is homogeneous in the entries, so they may
+            # be divided by a common power of two
+            m00, m01, m10, m11 = _int_floats(self._ints(), True)
+        p, q, r, s = m11, -m01, -m10, m00
         na = a * p * p + b * p * r + d * r * r
         nb = 2 * a * p * q + b * (p * s + q * r) + 2 * d * r * s
         nc = c * (p * s - q * r)

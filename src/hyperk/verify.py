@@ -477,8 +477,7 @@ def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
         if pat.interior_count != 0 or pat.shared_endpoints != 0 or pat.tangent:
             continue
         try:
-            fam = disj_family(h, hp)
-            res = classify_family_limit(fam, [])
+            res = classify_family_limit(disj_family(h, hp))
         except HyperkError as exc:
             ok, detail = False, f"{h!r}, {hp!r}: {exc}"
             break
@@ -492,16 +491,14 @@ def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
             detail or f"{done} families classified",
         )
     ]
-    probes = [make_geodesic(BoundaryPoint.finite(0), INFINITY)]
-    res = classify_family_limit(ray_family(), probes)
+    res = classify_family_limit(ray_family())
     out.append(
         PropertyResult(
             "families", "ray sweep foliates its component",
             isinstance(res, FoliatesComponent), "" if isinstance(res, FoliatesComponent) else repr(res),
         )
     )
-    fam = fixed_endpoint_family(3.0, 1.5)
-    res = classify_family_limit(fam, [fam.declared_limit.curve])
+    res = classify_family_limit(fixed_endpoint_family(3, Q(3, 2)))
     out.append(
         PropertyResult(
             "families", "fixed-endpoint family has a hypercycle limit",

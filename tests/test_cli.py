@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+from fractions import Fraction
 
 import pytest
 
@@ -82,6 +83,20 @@ class TestEarthquakeCommand:
         assert code == 0
         assert "1 ≠ 4·(3/2)·(2/3)" in out
 
+    def test_inexact_point_under_a_fault_past_the_float_range(self, capsys):
+        n = 3**700
+        code, out, err = run(
+            capsys, "--inexact", "earthquake", "--fault", f"{n + 1}/{n},-1", "--shear", "2",
+            "apply", "0.5,2.0",
+        )
+        assert code == 0, err
+        x, y = (float(v) for v in out.strip().splitlines()[-1].split(" -> ")[1].split(","))
+        code, out, _ = run(
+            capsys, "earthquake", "--fault", f"{n + 1}/{n},-1", "--shear", "2", "apply", "1/2,2",
+        )
+        exact = [Fraction(v) for v in out.strip().split(" -> ")[1].split(",")]
+        assert math.isclose(x, exact[0], rel_tol=1e-12) and math.isclose(y, exact[1], rel_tol=1e-12)
+
 
 class TestVerifyCommand:
     def test_dyadic_passes(self, capsys):
@@ -131,6 +146,15 @@ class TestFamilyCommand:
         )
         assert code == 0
         assert "limit: horocycle" in out
+
+    def test_fixed_endpoint_limit_is_exact(self, capsys):
+        code, out, _ = run(capsys, "family", "--preset", "fixed-endpoint")
+        assert code == 0
+        assert out.strip() == "limit: hypercycle-or-geodesic hypercycle a=6 b=0 c=-5 d=-6"
+        code, out, _ = run(capsys, "--format", "records", "family", "--preset", "fixed-endpoint")
+        assert code == 0
+        assert json.loads(out) == {"limit": "hypercycle-or-geodesic", "kind": "hypercycle",
+                                   "a": "6", "b": "0", "c": "-5", "d": "-6"}
 
 
 class TestGraphCommand:

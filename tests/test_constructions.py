@@ -11,9 +11,12 @@ from hyperk import (
     FoliatesComponent,
     HorocycleLimit,
     HypercycleOrGeodesicLimit,
+    CurveKind,
+    Isometry,
     Q,
     UHPPoint,
     classify_family_limit,
+    curve_from_coeffs,
     disj_family,
     dyadic_family,
     fixed_endpoint_family,
@@ -32,7 +35,7 @@ from hyperk import (
 from hyperk import model
 from hyperk.errors import InvalidInputError
 from hyperk.model import straddling_points
-from hyperk.verify import rand_curve, rand_hypercycle
+from hyperk.verify import rand_curve, rand_horocycle, rand_hypercycle, rand_isometry
 
 F = BoundaryPoint.finite
 
@@ -177,32 +180,107 @@ class TestStraddlingPoints:
             assert ("separated_pair" in cert) == (pat.interior_count > 0)
 
 
+#: members checked in every disjoint-pair family, up to 1 - 2^-60
+FAMILY_PARAMETERS = (Q(1, 7), Q(1, 2), Q(9, 10), Q(99, 100), 1 - Q(1, 2**60))
+
+
+def _disjoint(c1, c2):
+    pat = intersection_pattern(c1, c2)
+    return pat.interior_count == 0 and pat.shared_endpoints == 0 and not pat.tangent
+
+
+def _disjoint_pairs(rng, count):
+    """Disjoint (horocycle, hypercycle) pairs drawn as in `verify families`,
+    every third one moved by a random isometry and every fifth one by an
+    isometry that sends the horocycle's center to oo."""
+    pairs = []
+    while len(pairs) < count:
+        h, hp = rand_horocycle(rng), rand_hypercycle(rng)
+        if len(pairs) % 3 == 1:
+            iso = rand_isometry(rng)
+            h, hp = iso.apply_curve(h), iso.apply_curve(hp)
+        elif len(pairs) % 5 == 2 and not h.center.is_infinity:
+            iso = Isometry(0, -1, 1, -h.center.value)  # z -> -1/(z - center)
+            h, hp = iso.apply_curve(h), iso.apply_curve(hp)
+        if _disjoint(h, hp):
+            pairs.append((h, hp))
+    return pairs
+
+
 class TestFamilies:
     def test_disj_family_members_disjoint_from_horocycle(self):
         h = make_horocycle(F(0), 1)
         hp = make_hypercycle(F(4), F(8), UHPPoint(5, 2))
         fam = disj_family(h, hp)
-        for t in fam.grid[:5]:
-            m = fam.curve_at(t)
-            pat = intersection_pattern(m, h)
-            assert pat.interior_count == 0
+        for s in FAMILY_PARAMETERS:
+            assert _disjoint(fam.member(s), h)
 
     def test_disj_family_limit_is_horocycle(self):
         h = make_horocycle(F(0), 1)
         hp = make_hypercycle(F(4), F(8), UHPPoint(5, 2))
-        res = classify_family_limit(disj_family(h, hp), [])
+        res = classify_family_limit(disj_family(h, hp))
         assert isinstance(res, HorocycleLimit)
         assert res.curve == h
 
+    def test_disj_family_is_a_pencil_of_disjoint_hypercycles(self):
+        pairs = _disjoint_pairs(random.Random(13), 500)
+        assert sum(h.center.is_infinity for h, _ in pairs) >= 40
+        for h, hp in pairs:
+            fam = disj_family(h, hp)
+            assert classify_family_limit(fam) == HorocycleLimit(h), (h, hp)
+            assert fam.member(0) == hp
+            members = [fam.member(s) for s in FAMILY_PARAMETERS]
+            for m in members:
+                assert m.kind in (CurveKind.HYPERCYCLE, CurveKind.GEODESIC), (h, hp, m)
+                assert _disjoint(m, h) and _disjoint(m, hp), (h, hp, m)
+            for m1, m2 in itertools.combinations(members, 2):
+                assert _disjoint(m1, m2), (h, hp, m1, m2)
+
+    def test_probe_instance_gives_exactly_its_horocycle(self):
+        # a float classifier returned a declared limit of size 97/100 here
+        # and estimated the size as 1.017 (1.0 is true)
+        h = make_horocycle(F(0), 1)
+        hp = make_hypercycle(F(3), F(5), UHPPoint(4, Q(1, 4)))
+        assert classify_family_limit(disj_family(h, hp)) == HorocycleLimit(h)
+        iso = Isometry(0, -1, 1, 0)  # z -> -1/z sends the center to oo
+        h_oo, hp_oo = iso.apply_curve(h), iso.apply_curve(hp)
+        assert h_oo.center == INFINITY and h_oo.size == Q(1, 2)
+        assert classify_family_limit(disj_family(h_oo, hp_oo)) == HorocycleLimit(h_oo)
+
+    def test_disj_family_refuses_meeting_curves(self):
+        h = make_horocycle(F(0), 1)
+        for hp in (
+            make_hypercycle(F(-1), F(3), UHPPoint(0, 1)),  # crosses h
+            make_hypercycle(F(0), F(4), UHPPoint(2, 3)),  # ends at h's center
+        ):
+            with pytest.raises(InvalidInputError, match="disjoint"):
+                disj_family(h, hp)
+
     def test_ray_family_foliates(self):
-        probe = make_geodesic(F(0), INFINITY)
-        res = classify_family_limit(ray_family(), [probe])
-        assert isinstance(res, FoliatesComponent)
+        fam = ray_family()
+        assert fam.limit == (0, 0, 1, 0)
+        assert isinstance(classify_family_limit(fam), FoliatesComponent)
+        assert fam.member(Q(1, 2)) == curve_from_coeffs(0, -1, 2, 0)  # y = x/2
 
     def test_fixed_endpoint_family_limit(self):
-        fam = fixed_endpoint_family(3.0, 1.5)
-        res = classify_family_limit(fam, [fam.declared_limit.curve])
-        assert isinstance(res, HypercycleOrGeodesicLimit)
+        fam = fixed_endpoint_family(3, Q(3, 2))
+        limit = make_hypercycle(F(-1), F(1), UHPPoint(0, Q(3, 2)))
+        assert classify_family_limit(fam) == HypercycleOrGeodesicLimit(limit)
+        assert fam.member(0) == make_hypercycle(F(-1), F(1), UHPPoint(0, 3))
+        assert fam.member(Q(1, 2)) == make_hypercycle(F(-1), F(1), UHPPoint(0, Q(9, 4)))
+
+    @pytest.mark.parametrize("build", [
+        lambda: fixed_endpoint_family(3, 1),
+        lambda: fixed_endpoint_family(2, 3),
+        lambda: ray_family(0),
+        lambda: ray_family(-1),
+        lambda: ray_family().member(1),
+        lambda: ray_family().member(Q(-1, 3)),
+        lambda: fixed_endpoint_family(3, 2).member(Q(3, 2)),
+    ])
+    def test_invalid_family_input_raises(self, build):
+        with pytest.raises(InvalidInputError):
+            build()
 
 
 class TestFourGeodesics:

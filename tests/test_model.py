@@ -768,22 +768,84 @@ def test_point_action_matches_fraction_oracle():
     assert done >= 2000 and len(seen) == 6
 
 
+def _exact_image_floats(iso, z):
+    """The exact image of the inexact point z's value, rounded to floats."""
+    w = iso.apply_point(UHPPoint(Fraction(z.x), Fraction(z.y)))
+    return float(w.x), float(w.y)
+
+
 def test_inexact_point_action_is_bit_identical():
+    # entries past the float range, where the oracle overflows, are divided
+    # by a power of two and agree with the exact image of the float's value
     rng = random.Random(6112)
-    done = 0
+    done = scaled = 0
     for iso in _isometry_corpus(rng, 1000):
         z = UHPPoint(rng.uniform(-9, 9), rng.uniform(1e-3, 9), exact=False)
-        try:
-            want = _oracle_apply_point(iso, z)
-        except (OverflowError, ZeroDivisionError) as exc:
-            with pytest.raises(type(exc)):
-                iso.apply_point(z)
-            continue
         got = iso.apply_point(z)
         assert not got.exact
+        try:
+            want = _oracle_apply_point(iso, z)
+        except OverflowError:
+            wx, wy = _exact_image_floats(iso, z)
+            assert math.isclose(got.x, wx, rel_tol=1e-12), (iso, z)
+            assert math.isclose(got.y, wy, rel_tol=1e-12), (iso, z)
+            scaled += 1
+            continue
         assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex()), (iso, z)
         done += 1
-    assert done >= 700
+    assert done >= 700 and scaled >= 200
+
+
+def _oracle_apply_circle_floats(iso, circle):
+    """The inexact circle action on the entries' floats."""
+    a, b, c, d = circle.coeffs()
+    if iso.reversing:
+        b = -b
+    m00, m01, m10, m11 = (float(v) for v in iso.matrix())
+    p, q, r, s = m11, -m01, -m10, m00
+    na = a * p * p + b * p * r + d * r * r
+    nb = 2 * a * p * q + b * (p * s + q * r) + 2 * d * r * s
+    nc = c * (p * s - q * r)
+    nd = a * q * q + b * q * s + d * s * s
+    return model.GeneralizedCircle(na, nb, nc, nd, exact=False)
+
+
+def _rand_inexact_circle(rng):
+    return model.GeneralizedCircle(*map(float, rand_curve(rng).circle.coeffs()), exact=False)
+
+
+def test_inexact_circle_action_is_bit_identical():
+    rng = random.Random(6119)
+    done = 0
+    for iso in _isometry_corpus(rng, 800):
+        if max(abs(v.numerator) for v in iso.matrix()).bit_length() > 500:
+            continue
+        circle = _rand_inexact_circle(rng)
+        got = _outcome(iso.apply_circle, circle)
+        want = _outcome(_oracle_apply_circle_floats, iso, circle)
+        if isinstance(want, tuple):  # a float image that collapses to a point
+            assert got == want
+            continue
+        assert [v.hex() for v in got.coeffs()] == [v.hex() for v in want.coeffs()], (iso, circle)
+        done += 1
+    assert done >= 400
+
+
+def test_inexact_circle_action_past_the_float_range():
+    # products of 2^700 entries overflow to a NaN circle in the oracle; the
+    # image of the circle's exact value, normalized, agrees with the scaled
+    # float one
+    rng = random.Random(6120)
+    for _ in range(300):
+        iso = _rand_big_isometry(rng, 700)
+        circle = _rand_inexact_circle(rng)
+        assert all(map(math.isnan, _oracle_apply_circle_floats(iso, circle).coeffs()))
+        got = iso.apply_circle(circle).coeffs()
+        exact = iso.apply_circle(model.GeneralizedCircle(*map(Fraction, circle.coeffs())))
+        norm = math.sqrt(sum(float(Fraction(v, max(map(abs, exact.coeffs())))) ** 2
+                             for v in exact.coeffs()))
+        want = [float(Fraction(v, max(map(abs, exact.coeffs())))) / norm for v in exact.coeffs()]
+        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want)), (iso, circle)
 
 
 def test_compose_and_inverse_match_fraction_oracle():

@@ -28,6 +28,7 @@ from hyperk import (
 from hyperk import model, predicates
 from hyperk._rational import sqrt_exact
 from hyperk.constructions import (
+    FoliatesComponent,
     classify_family_limit,
     disj_family,
     fixed_endpoint_family,
@@ -208,7 +209,7 @@ class TestInexactPatterns:
         assert [round(float(z.x), 9) for z in p.interior_points] == [0.5, 0.5]
 
     def test_rays_share_both_endpoints(self):
-        members = ray_family().members()
+        members = _float_members(ray_family())
         p = intersection_pattern(members[0], members[-1])
         assert (p.interior_count, p.shared_endpoints) == (0, 2)
 
@@ -580,9 +581,30 @@ def test_deep_pairs_match_oracle_or_their_small_pair():
     assert seen["overflow"] and seen["undercount"] and seen["agree"], seen
 
 
+def _chebyshev_grid(n=65):
+    """n Chebyshev-Lobatto points on [0, 1], both ends included."""
+    return [(1 - math.cos(math.pi * j / (n - 1))) / 2 for j in range(n)]
+
+
+def _float_copy(curve):
+    return curve_from_coeffs(*(float(v) for v in curve.circle.coeffs()), exact=False)
+
+
+def _float_members(fam):
+    """Float copies of a family's exact curves at the Chebyshev parameters:
+    its members below 1, and at 1 its limit when that is a curve."""
+    curves = [fam.member(t) for t in _chebyshev_grid() if t < 1]
+    limit = classify_family_limit(fam)
+    if not isinstance(limit, FoliatesComponent):
+        curves.append(limit.curve)
+    return [_float_copy(c) for c in curves]
+
+
 def _recorded_inexact_pairs(monkeypatch):
     """Every pair with an inexact curve that the verify suites and the
-    family and pinch constructions hand to the predicates."""
+    pinch construction hand to the predicates, and the float copies of the
+    ray and fixed-endpoint family members against the ray through 0 and
+    the fixed-endpoint limit."""
     pairs = []
     original = predicates._pair_coeffs
 
@@ -601,16 +623,17 @@ def _recorded_inexact_pairs(monkeypatch):
                        make_horocycle(q, abs(rand_q(rng, 1, 3)) + Q(1, 8)))
         except (InvalidInputError, NoSolutionError):
             pass
-    classify_family_limit(ray_family(), [make_geodesic(F(0), INFINITY)])
-    fam = fixed_endpoint_family(3.0, 1.5)
-    classify_family_limit(fam, [fam.declared_limit.curve])
     monkeypatch.undo()
+    *members, limit = _float_members(fixed_endpoint_family(3, Q(3, 2)))
+    pairs += [(limit, m) for m in members]
+    ray = make_geodesic(F(0), INFINITY)
+    pairs += [(ray, m) for m in _float_members(ray_family())]
     return pairs
 
 
 def _constructed_inexact_pairs():
-    """Pairs among the outputs of the pinch and family constructions and
-    their inputs."""
+    """Pairs among the outputs of the pinch construction and their inputs,
+    and among float copies of family members, their inputs and a probe."""
     rng = random.Random(5)
     pairs = []
     for _ in range(120):
@@ -626,22 +649,22 @@ def _constructed_inexact_pairs():
         pairs += [(w, other) for w in (a, b) if not w.exact for other in (h0, h)]
         if a != b and not (a.exact and b.exact):
             pairs.append((a, b))
-    families = [ray_family(), fixed_endpoint_family(3.0, 1.5)]
+    families = [_float_members(ray_family()), _float_members(fixed_endpoint_family(3, Q(3, 2)))]
     while len(families) < 8:
         h, hp = rand_horocycle(rng), rand_hypercycle(rng)
         pat = intersection_pattern(h, hp)
         if pat.interior_count or pat.shared_endpoints or pat.tangent:
             continue
-        try:
-            families.append(disj_family(h, hp))
-        except HyperkError:
-            continue
-        pairs += [(m, c) for m in families[-1].members() for c in (h, hp)]
+        families.append(_float_members(disj_family(h, hp)))
+        pairs += [(m, c) for m in families[-1] for c in (h, hp)]
     probe = make_geodesic(F(0), INFINITY)
-    for fam in families:
-        members = fam.members()
+    for members in families:
         pairs += list(itertools.combinations(members, 2)) + [(probe, m) for m in members]
-    return [(c1, c2) for c1, c2 in pairs if c1 != c2 and not (c1.exact and c2.exact)]
+    # a float copy of an input lies on the input's circle within EPS
+    return [
+        (c1, c2) for c1, c2 in pairs
+        if not (c1.exact and c2.exact) and _float_copy(c1) != _float_copy(c2)
+    ]
 
 
 def _same_center_horocycles(c1, c2):

@@ -98,6 +98,7 @@ CLI_BASE = {"hyperk", "hyperk.cli", "hyperk._rational", "hyperk.errors", "hyperk
      {"predicates", "earthquake"}),
     (["earthquake", "--fault", "0,oo", "--shear", "2", "certify"],
      {"predicates", "earthquake"}),
+    (["family", "--preset", "ray"], {"predicates", "constructions"}),
     (["render", "--preset", "figure-one", "-o", "FILE"],
      {"predicates", "earthquake", "render"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
@@ -115,8 +116,7 @@ def test_cli_command_loads_only_its_layers(tmp_path, argv, layers):
 #: module that defines it
 EXPORTED = {
     "_rational": "Q q_from_str q_str",
-    "errors": "DegenerateResultError HyperkError IndeterminateLimitError "
-              "InvalidInputError NoSolutionError",
+    "errors": "DegenerateResultError HyperkError InvalidInputError NoSolutionError",
     "model": "EPS INFINITY BoundaryPoint Curve CurveKind GeneralizedCircle Isometry "
              "UHPPoint curve_from_circle curve_from_coeffs distance_to_geodesic "
              "equidistant_pair make_geodesic make_horocycle make_hypercycle "
@@ -126,7 +126,7 @@ EXPORTED = {
                   "linked pair_type_from_pattern same_endpoints",
     "constructions": "CenterSwap ContinuousFamily DyadicFamily FoliatesComponent "
                      "FourGeodesicConfig HorocycleLimit HypercycleOrGeodesicLimit "
-                     "chebyshev_grid classify_family_limit disj_family dyadic_family "
+                     "classify_family_limit disj_family dyadic_family "
                      "fixed_endpoint_family four_geodesic_config hyp1_witness "
                      "normalizer_from_images pinch_pair ray_family sigma_center_swap "
                      "witness_family_search",
@@ -144,7 +144,7 @@ EXPORTED = {
 
 def test_every_exported_name_resolves_to_its_home_module():
     homes = {name: module for module, names in EXPORTED.items() for name in names.split()}
-    assert len(homes) == 88
+    assert len(homes) == 86
     assert sorted(hyperk.__all__) == sorted(homes)
     assert set(homes) <= set(dir(hyperk))
     for name, module in homes.items():
