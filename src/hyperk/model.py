@@ -166,12 +166,6 @@ def _form_at(k, X, Y, W):
 _FLOAT_BITS = 166
 
 
-def _float_shift(k) -> int:
-    """log2 of the power of two `_int_floats` divides the integers k by,
-    when positive."""
-    return max(abs(v).bit_length() for v in k) - _FLOAT_BITS
-
-
 def _int_floats(k, scale: bool):
     """The integers k as floats; with `scale`, divided by a common power of
     two when they are too large for the sign tests on a circle.
@@ -182,7 +176,7 @@ def _int_floats(k, scale: bool):
     Two lines are not scaled, since their determinant is compared with an
     absolute tolerance.
     """
-    shift = _float_shift(k) if scale else 0
+    shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
     if shift <= 0:
         try:
             return [float(v) for v in k]
@@ -743,13 +737,23 @@ class Isometry:
             x, y = z.x, z.y
             if self.reversing:
                 x = -x
-            # the image is homogeneous of degree 0 in the entries: divided
-            # by 2^shift as `_int_floats` may divide them, det goes by 2^(2 shift)
-            det /= 1 << 2 * max(_float_shift((a, b, c, d)), 0)
-            a, b, c, d = _int_floats((a, b, c, d), True)
-            den_ = (c * x + d) ** 2 + c * c * y * y
-            nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
-            return UHPPoint(nx, det * y / den_, exact=False)
+            try:
+                a, b, c, d, det = (float(v) for v in (a, b, c, d, det))
+                den_ = (c * x + d) ** 2 + c * c * y * y
+                nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
+                ny = det * y / den_
+            except (OverflowError, ZeroDivisionError):
+                den_ = nx = ny = math.inf
+            if not all(map(math.isfinite, (den_, nx, ny))):
+                # the entries' floats overflowed: round the exact image of z's value
+                w = self.apply_point(UHPPoint(Fraction(z.x), Fraction(z.y)))
+                try:
+                    nx, ny = float(w.x), float(w.y)
+                except OverflowError:
+                    ny = 0.0
+                if not ny:
+                    raise InvalidInputError(f"the image of {z} is outside the float range")
+            return UHPPoint(nx, ny, exact=False)
         # z = (X + iY)/W: (a z + b)(c conj(z) + d) = (u v + a c Y^2 + i det Y W) / W^2
         # with u = a X + b W, v = c X + d W, and |c z + d|^2 W^2 = v^2 + (c Y)^2
         X, Y, W = _homogeneous(z.x, z.y)
@@ -766,17 +770,19 @@ class Isometry:
             b = -b  # sigma: x -> -x
         # pull back along the inverse Moebius map (p w + q)/(r w + s)
         m00, m01, m10, m11 = self.matrix()
-        if not circle.exact:
-            a, b, c, d = float(a), float(b), float(c), float(d)
-            # the image circle is homogeneous in the entries, so they may
-            # be divided by a common power of two
-            m00, m01, m10, m11 = _int_floats(self._ints(), True)
         p, q, r, s = m11, -m01, -m10, m00
-        na = a * p * p + b * p * r + d * r * r
-        nb = 2 * a * p * q + b * (p * s + q * r) + 2 * d * r * s
-        nc = c * (p * s - q * r)
-        nd = a * q * q + b * q * s + d * s * s
-        return GeneralizedCircle(na, nb, nc, nd, exact=circle.exact)
+        if circle.exact:
+            return GeneralizedCircle(*_pullback(a, b, c, d, p, q, r, s), exact=True)
+        try:
+            image = _pullback(a, b, c, d, *(float(v) for v in (p, q, r, s)))
+        except OverflowError:
+            image = (math.inf,)
+        if all(map(math.isfinite, image)):
+            return GeneralizedCircle(*image, exact=False)
+        # the entries' floats overflowed: the exact image of the circle's
+        # value, divided by a power of two to come within the float range
+        image = self.apply_circle(GeneralizedCircle(*map(Fraction, circle.coeffs())))
+        return GeneralizedCircle(*_int_floats(image.coeffs(), True), exact=False)
 
     def apply_curve(self, curve: Curve) -> Curve:
         image = Curve(self.apply_circle(curve.circle))
@@ -786,6 +792,15 @@ class Isometry:
                 image,
             )
         return image
+
+
+def _pullback(a, b, c, d, p, q, r, s):
+    """The circle (a, b, c, d) pulled back along w -> (p w + q)/(r w + s)."""
+    na = a * p * p + b * p * r + d * r * r
+    nb = 2 * a * p * q + b * (p * s + q * r) + 2 * d * r * s
+    nc = c * (p * s - q * r)
+    nd = a * q * q + b * q * s + d * s * s
+    return na, nb, nc, nd
 
 
 # ---------------------------------------------------------------------------

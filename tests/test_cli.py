@@ -97,6 +97,14 @@ class TestEarthquakeCommand:
         exact = [Fraction(v) for v in out.strip().split(" -> ")[1].split(",")]
         assert math.isclose(x, exact[0], rel_tol=1e-12) and math.isclose(y, exact[1], rel_tol=1e-12)
 
+    def test_inexact_image_past_the_float_range_is_refused(self, capsys):
+        code, out, err = run(
+            capsys, "--inexact", "earthquake", "--fault", "0,oo", "--shear", str(2**1100),
+            "apply", "-0.5,2.0",
+        )
+        assert code == 2 and "->" not in out
+        assert "outside the float range" in err and "Traceback" not in err
+
 
 class TestVerifyCommand:
     def test_dyadic_passes(self, capsys):

@@ -775,11 +775,12 @@ def _exact_image_floats(iso, z):
 
 
 def test_inexact_point_action_is_bit_identical():
-    # entries past the float range, where the oracle overflows, are divided
-    # by a power of two and agree with the exact image of the float's value
+    # where the entries' floats overflow the oracle, the image is the exact
+    # image of the float's value, rounded
     rng = random.Random(6112)
-    done = scaled = 0
-    for iso in _isometry_corpus(rng, 1000):
+    done = rounded = 0
+    unbalanced = [Isometry.translation(2**k) for k in (700, 800)] * 20
+    for iso in _isometry_corpus(rng, 1000) + unbalanced:
         z = UHPPoint(rng.uniform(-9, 9), rng.uniform(1e-3, 9), exact=False)
         got = iso.apply_point(z)
         assert not got.exact
@@ -789,11 +790,22 @@ def test_inexact_point_action_is_bit_identical():
             wx, wy = _exact_image_floats(iso, z)
             assert math.isclose(got.x, wx, rel_tol=1e-12), (iso, z)
             assert math.isclose(got.y, wy, rel_tol=1e-12), (iso, z)
-            scaled += 1
+            rounded += 1
             continue
         assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex()), (iso, z)
         done += 1
-    assert done >= 700 and scaled >= 200
+    assert done >= 780 and rounded >= 200
+
+
+def test_inexact_point_image_past_the_float_range():
+    z = UHPPoint(0.5, 1.7, exact=False)
+    w = Isometry.translation(2**800).apply_point(z)
+    assert (w.x, w.y) == (0.5 + 2.0**800, 1.7)
+    # x past the largest float; y below the smallest one
+    n = 3**700
+    for iso in (Isometry.translation(2**1100), Isometry(n + 1, 1, n, 1)):
+        with pytest.raises(InvalidInputError, match="outside the float range"):
+            iso.apply_point(z)
 
 
 def _oracle_apply_circle_floats(iso, circle):
@@ -829,12 +841,26 @@ def test_inexact_circle_action_is_bit_identical():
         assert [v.hex() for v in got.coeffs()] == [v.hex() for v in want.coeffs()], (iso, circle)
         done += 1
     assert done >= 400
+    # lines moved by 2^700 or 2^800 keep the oracle's outcome: the same
+    # horocycle at oo, and a line too far out to normalize; a circle's image
+    # has coefficients 2^1400 apart
+    lines = [model.GeneralizedCircle(0.0, b, c, d, exact=False)
+             for b, c, d in ((0.0, 1.0, -2.0), (0.6, 0.8, 0.3))]
+    for k in (700, 800):
+        iso = Isometry.translation(2**k)
+        got, want = (_outcome(f, iso, lines[0]) for f in (Isometry.apply_circle,
+                                                           _oracle_apply_circle_floats))
+        assert got.coeffs() == want.coeffs() == lines[0].coeffs()
+        got, want = (_outcome(f, iso, lines[1]) for f in (Isometry.apply_circle,
+                                                           _oracle_apply_circle_floats))
+        assert got == want == (DegenerateResultError, "degenerate circle: a = b = c ~ 0")
+        with pytest.raises(InvalidInputError, match="span more than the float range"):
+            iso.apply_circle(_rand_inexact_circle(rng))
 
 
 def test_inexact_circle_action_past_the_float_range():
     # products of 2^700 entries overflow to a NaN circle in the oracle; the
-    # image of the circle's exact value, normalized, agrees with the scaled
-    # float one
+    # image is the normalized exact image of the circle's value
     rng = random.Random(6120)
     for _ in range(300):
         iso = _rand_big_isometry(rng, 700)
