@@ -29,14 +29,6 @@ def is_rational(x) -> bool:
     return isinstance(x, (int, Fraction))
 
 
-def numer(q) -> int:
-    return int(q.numerator)
-
-
-def denom(q) -> int:
-    return int(q.denominator)
-
-
 def q_from_str(text: str):
     """Parse 'p', 'p/q', or a decimal literal into an exact rational."""
     text = text.strip()
@@ -51,7 +43,7 @@ def q_from_str(text: str):
 
 
 def q_str(q) -> str:
-    n, d = numer(q), denom(q)
+    n, d = q.numerator, q.denominator
     return str(n) if d == 1 else f"{n}/{d}"
 
 
@@ -59,7 +51,7 @@ def sqrt_exact(q):
     """Exact square root of a nonnegative rational, or None if irrational."""
     if q < 0:
         raise ValueError("sqrt of negative rational")
-    n, d = numer(q), denom(q)
+    n, d = q.numerator, q.denominator
     rn, rd = math.isqrt(n), math.isqrt(d)
     if rn * rn == n and rd * rd == d:
         return Q(rn, rd)

@@ -8,7 +8,8 @@ A continuous family has coefficients polynomial in a rational parameter
 s in [0, 1], so its members and its limit at s = 1 are exact curves, and
 the limit is read off the coefficient vector there.  A witness search
 certifies a crossing pair by exact points of one curve on both sides of
-the other (`model.straddling_points`).
+the other (`model.straddling_points`); a tangent pair's witness is the
+pencil member that the sign of the Lorentz Gram determinant D2 picks.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .model import (
     curve_from_coeffs,
     make_geodesic,
     make_horocycle,
-    rational_points,
     straddling_points,
     two_point_normalizer,
 )
@@ -76,35 +76,51 @@ def dyadic_family(k: int, n_min: int, n_max: int) -> DyadicFamily:
 # ---------------------------------------------------------------------------
 
 
-def _chord_side(x: UHPPoint, y: UHPPoint, px, py):
-    """Sign of the cross product placing (px, py) relative to the chord x->y."""
-    return (y.x - x.x) * (py - x.y) - (y.y - x.y) * (px - x.x)
+def _normal_geodesic(h: Curve, p: UHPPoint) -> GeneralizedCircle:
+    """The geodesic N through the point p of h orthogonal to h, with
+    <N, h> = 0 (`_lorentz`).  N meets the curve h only at p, so its two
+    sides are the two sides of p along h."""
+    a, b, _c, d = h.circle.coeffs()
+    norm2 = p.x * p.x + p.y * p.y
+    return GeneralizedCircle(-2 * a * p.x - b, 2 * (a * norm2 - d), 0, b * norm2 + 2 * d * p.x)
 
 
 def opposite_sides_of_point(h: Curve, p: UHPPoint, x: UHPPoint, y: UHPPoint) -> bool:
-    """Are x and y on opposite sides of p along the arc of h?  All exact."""
+    """Are x and y on opposite sides of p along the arc of h?  All exact:
+    the sides of the normal geodesic at p (`_normal_geodesic`)."""
     for q in (p, x, y):
         if not q.exact or not h.circle.contains_point(q.x, q.y):
             raise InvalidInputError("points must be exact and lie on the curve")
-    a = h.circle.a
-    if a == 0:
-        return (x.x - p.x) * (y.x - p.x) < 0
-    # p lies between x and y along the y>0 arc iff p and the real-axis chord
-    # midpoint (cx, 0) fall on opposite sides of the chord [x, y]
-    cx = Q(-h.circle.b, 2 * a)
-    sp = _chord_side(x, y, p.x, p.y)
-    sb = _chord_side(x, y, cx, Q(0))
-    return sp != 0 and sb != 0 and (sp > 0) != (sb > 0)
+    n = _normal_geodesic(h, p)
+    return n.sign_at(x.x, x.y) * n.sign_at(y.x, y.y) < 0
+
+
+def _lorentz(v, w):
+    """<v, w> = b1 b2 + c1 c2 - 2(a1 d2 + a2 d1) for coefficient vectors
+    v, w = (a, b, c, d); <v, v> = b^2 + c^2 - 4ad."""
+    return v[1] * w[1] + v[2] * w[2] - 2 * (v[0] * w[3] + w[0] * v[3])
+
+
+def _d2(v, w):
+    """<v, v><w, w> - <v, w>^2: negative exactly when the circles of v and w
+    are disjoint, zero when they touch (Coxeter, "Inversive distance")."""
+    vw = _lorentz(v, w)
+    return _lorentz(v, v) * _lorentz(w, w) - vw * vw
 
 
 def hyp1_witness(h1: Curve, h2: Curve, x: UHPPoint, y: UHPPoint) -> Curve:
-    """A hypercycle through x and y disjoint from h2, for a tangent
-    (Type 1) pair h1, h2 with x, y on h1 on opposite sides of the
-    tangency point.
+    """A hypercycle or geodesic through x and y disjoint from h2, for an
+    exact tangent (Type 1) pair h1, h2 with x, y on h1 on opposite sides of
+    the tangency point p.
 
-    Candidate circles through x and y have centers on the perpendicular
-    bisector of [x, y]; the center is moved away from h2 until exact
-    disjointness is certified.
+    It is m(t) = v(h1) + t v(l), l the line through x and y (the circle on
+    diameter xy when h1 is a line).  As h1 touches h2, D2(m(t), h2) =
+    2t lin + t^2 quad (`_d2`), where lin = <v1, l><v2, v2> - <v1, v2><l, v2>
+    is a nonzero multiple of l at p.  t = -sign(lin) 2^-k for the first k
+    at which D2 < 0 and m(t) is a hypercycle or geodesic.  Such a k exists:
+    near t = 0, b^2 - 4ad stays positive if h1 is a hypercycle or geodesic.
+    If h1 is a horocycle, h2 lies outside h1's horoball: m(t) moves the arc
+    through p into it, which pushes the rest of the circle across the axis.
     """
     pat = intersection_pattern(h1, h2)
     if not pat.tangent or pat.shared_endpoints != 0:
@@ -112,79 +128,50 @@ def hyp1_witness(h1: Curve, h2: Curve, x: UHPPoint, y: UHPPoint) -> Curve:
     p = pat.interior_points[0]
     if not opposite_sides_of_point(h1, p, x, y):
         raise InvalidInputError("x and y must lie on opposite sides of the tangency")
-    mid = ((x.x + y.x) / 2, (x.y + y.y) / 2)
-    # perpendicular direction of the chord, rescaled to unit-ish size and
-    # oriented away from p
-    nx, ny = -(y.y - x.y), (y.x - x.x)
-    scale = max(abs(nx), abs(ny))
-    nx, ny = nx / scale, ny / scale
-    toward_p = nx * (p.x - mid[0]) + ny * (p.y - mid[1])
-    if toward_p > 0:
-        nx, ny = -nx, -ny
-    # candidate centers along the bisector: (1) geometric ladder away from
-    # the tangency, then toward it; (2) perturbations of h1's own center,
-    # which give near-h1 circles that peel off h2 at the tangency in either
-    # nesting orientation
-    anchors = [((mid[0], mid[1]), range(-16, 24))]
-    if h1.circle.a != 0:
-        o1 = (Q(-h1.circle.b, 2 * h1.circle.a), Q(-h1.circle.c, 2 * h1.circle.a))
-        anchors.append((o1, range(-1, -40, -1)))
-    for (ax, ay), exponents in anchors:
-        for dx, dy in ((nx, ny), (-nx, -ny)):
-            for exponent in exponents:
-                s = Q(2) ** exponent if exponent >= 0 else Q(1, 2 ** (-exponent))
-                ox, oy = ax + s * dx, ay + s * dy
-                r2 = (x.x - ox) ** 2 + (x.y - oy) ** 2
-                try:
-                    cand = curve_from_coeffs(
-                        1, -2 * ox, -2 * oy, ox * ox + oy * oy - r2
-                    )
-                except InvalidInputError:
-                    continue
-                if (
-                    cand.kind in (CurveKind.HYPERCYCLE, CurveKind.GEODESIC)
-                    and cand != h1
-                ):
-                    cpat = intersection_pattern(cand, h2)
-                    if cpat.interior_count == 0 and cpat.shared_endpoints == 0:
-                        return cand
-    raise NoSolutionError("no disjoint witness found in the search ladder")
+    v1, v2 = h1.circle.coeffs(), h2.circle.coeffs()
+    if v1[0] == 0:  # the circle (X - x.x)(X - y.x) + (Y - x.y)(Y - y.y) = 0
+        ell = (1, -(x.x + y.x), -(x.y + y.y), x.x * y.x + x.y * y.y)
+    else:  # the line through x and y
+        dx, dy = y.x - x.x, y.y - x.y
+        ell = (0, dy, -dx, dx * x.y - dy * x.x)
+    lin = _lorentz(v1, ell) * _lorentz(v2, v2) - _lorentz(v1, v2) * _lorentz(ell, v2)
+    t = Q(-1 if lin > 0 else 1)
+    while True:
+        m = tuple(u + t * w for u, w in zip(v1, ell))
+        if _d2(m, v2) < 0:
+            witness = curve_from_coeffs(*m)
+            if witness.kind in (CurveKind.HYPERCYCLE, CurveKind.GEODESIC):
+                return witness
+        t /= 2
 
 
-def witness_family_search(h1: Curve, h2: Curve, samples: int = 40):
-    """Search for a witness curve through two points of h1, one on each side
-    of h1's meeting with h2, that is disjoint from h2.
+def witness_family_search(h1: Curve, h2: Curve):
+    """A witness curve through two points of h1, one on each side of h1's
+    meeting with h2, that is disjoint from h2.
 
     Returns (witness, certificate).  When h1 crosses h2, no connected
     witness through points of h1 on opposite sides of h2's circle can avoid
     h2: the certificate names such a pair, found near a crossing, and
-    witness is None.  For tangent pairs the ladder search of hyp1_witness
-    runs on `samples` rational points of h1.
+    witness is None.  For a tangent pair `hyp1_witness` builds the witness
+    through two points straddling the normal geodesic at the tangency
+    (`_normal_geodesic`); where `straddling_points` finds none, it is None.
     """
     pat = intersection_pattern(h1, h2)
-    if not pat.tangent:
-        pairs = straddling_points(h1, h2.circle, pat.interior_points)
-        if pairs:
-            # the two points lie in different components of the half-plane
-            # cut by h2, so every connected curve through both crosses h2:
-            # exact impossibility certificate
-            return None, {
-                "separated_pair": pairs[0],
-                "reason": "points of h1 on opposite sides of h2; any curve "
-                "through both must cross h2",
-            }
-        return None, {"reason": "no straddling pair found and pair not tangent"}
-    pts = rational_points(h1, samples)
-    p = pat.interior_points[0]
-    for i, xi in enumerate(pts):
-        for yj in pts[i + 1:]:
-            if opposite_sides_of_point(h1, p, xi, yj):
-                try:
-                    w = hyp1_witness(h1, h2, xi, yj)
-                    return w, {"through": (xi, yj)}
-                except (NoSolutionError, InvalidInputError):
-                    continue
-    return None, {"reason": "ladder search exhausted"}
+    if pat.tangent:
+        p = pat.interior_points[0]
+        for x, y in straddling_points(h1, _normal_geodesic(h1, p), [p]):
+            return hyp1_witness(h1, h2, x, y), {"through": (x, y)}
+        return None, {"reason": "no straddling pair found"}
+    for pair in straddling_points(h1, h2.circle, pat.interior_points):
+        # the two points lie in different components of the half-plane cut
+        # by h2, so every connected curve through both crosses h2: exact
+        # impossibility certificate
+        return None, {
+            "separated_pair": pair,
+            "reason": "points of h1 on opposite sides of h2; any curve "
+            "through both must cross h2",
+        }
+    return None, {"reason": "no straddling pair found"}
 
 
 # ---------------------------------------------------------------------------
@@ -293,12 +280,6 @@ class HypercycleOrGeodesicLimit:
     curve: Curve
 
 
-def _lorentz(v, w):
-    """<v, w> = b1 b2 + c1 c2 - 2(a1 d2 + a2 d1) for coefficient vectors
-    v, w = (a, b, c, d); <v, v> = b^2 + c^2 - 4ad."""
-    return v[1] * w[1] + v[2] * w[2] - 2 * (v[0] * w[3] + w[0] * v[3])
-
-
 def _at(poly, s):
     """The polynomial with coefficients `poly` (ascending powers) at s."""
     value = Q(0)
@@ -352,10 +333,9 @@ def disj_family(h: Curve, hprime: Curve) -> ContinuousFamily:
     if not (h.exact and hprime.exact):
         raise InvalidInputError("disj_family needs exact curves")
     v, w = hprime.circle.coeffs(), h.circle.coeffs()
-    vw = _lorentz(v, w)
-    if _lorentz(v, v) * _lorentz(w, w) - vw * vw >= 0:
+    if _d2(v, w) >= 0:
         raise InvalidInputError("disj_family needs disjoint curves")
-    if vw < 0:
+    if _lorentz(v, w) < 0:
         w = tuple(-x for x in w)
     return ContinuousFamily([(x, y - x) for x, y in zip(v, w)])
 
@@ -556,13 +536,6 @@ class CenterSwap:
         if h.center == self.q:
             return make_horocycle(self.p, h.size)
         return h
-
-    def boundary_map(self, x: BoundaryPoint) -> BoundaryPoint:
-        if x == self.p:
-            return self.q
-        if x == self.q:
-            return self.p
-        return x
 
 
 def sigma_center_swap(p: BoundaryPoint, q: BoundaryPoint) -> CenterSwap:

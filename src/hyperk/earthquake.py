@@ -99,9 +99,6 @@ class EarthquakeMap:
     def __call__(self, z):
         return eq_apply(self, z)
 
-    def boundary_map(self, p: BoundaryPoint) -> BoundaryPoint:
-        return eq_apply(self, p)
-
     def __repr__(self):
         return (
             f"EarthquakeMap(fault={self.fault!r}, shear={q_str(self.shear)}, "
@@ -171,10 +168,12 @@ def _cocircular_exact(points: Sequence[UHPPoint]) -> PointwiseImageResult:
     return PointwiseImageResult(True)
 
 
-def pointwise_image_is_curve(
-    e, c: Curve, sample_count: int = 12
-) -> PointwiseImageResult:
-    """Map sample_count rational points of c pointwise through e and test
+#: rational points of the curve that `pointwise_image_is_curve` maps
+SAMPLE_COUNT = 12
+
+
+def pointwise_image_is_curve(e, c: Curve) -> PointwiseImageResult:
+    """Map SAMPLE_COUNT rational points of c pointwise through e and test
     whether the images are cocircular (lie on one generalized circle).
 
     ``e`` may be an EarthquakeMap or an Isometry.  For an earthquake the
@@ -182,11 +181,7 @@ def pointwise_image_is_curve(
     crossing of the fault, so a curve that crosses it is not a curve.  On
     failure the result carries four image points certifying
     non-cocircularity."""
-    if sample_count < 8:
-        raise InvalidInputError("sample_count must be at least 8")
-    samples = rational_points(c, sample_count)
-    if len(samples) < 4:
-        raise InvalidInputError("fewer than 4 usable samples on the curve")
+    samples = rational_points(c, SAMPLE_COUNT)
     if isinstance(e, Isometry):
         return _cocircular_exact([e.apply_point(p) for p in samples])
     # fixed sampling can miss a narrow crossing of the fault entirely, so

@@ -84,11 +84,26 @@ def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
     if c1 == c2:
         return IntersectionPattern(0, False, 0, (), c1.exact, equal=True)
     k1, k2, tol = _pair_coeffs(c1, c2)
+    if tol and _same_center_horocycles(c1, c2):
+        # nested horocycles touch only at their common center, a meeting no
+        # float test on heights resolves
+        return IntersectionPattern(0, False, 1, (), False)
     count, tangent, points, on_axis = _meet(k1, k2, tol)
     # a shared finite endpoint is a meeting point at height 0; two lines
     # also share infinity
     shared = on_axis + (k1[0] == 0 and k2[0] == 0)
     return IntersectionPattern(count, tangent, shared, points, tol == 0)
+
+
+def _same_center_horocycles(c1: Curve, c2: Curve) -> bool:
+    """Are both curves horocycles whose centers agree, at oo or as
+    `math.isclose(x1, x2, rel_tol=EPS, abs_tol=EPS)` taken on rationals?"""
+    if not c1.kind is c2.kind is CurveKind.HOROCYCLE:
+        return False
+    p, q = c1.center, c2.center
+    if p.is_infinity or q.is_infinity:
+        return p == q
+    return abs(p.value - q.value) <= Q(EPS) * max(abs(p.value), abs(q.value), 1)
 
 
 def _pair_coeffs(c1: Curve, c2: Curve):

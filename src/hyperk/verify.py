@@ -549,7 +549,7 @@ def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:
         pat = intersection_pattern(h, e.fault)
         if pat.interior_count != 2:
             continue  # need a horocycle properly crossing the fault
-        r = pointwise_image_is_curve(e, h, 12)
+        r = pointwise_image_is_curve(e, h)
         if r.is_curve:
             ok, detail = False, f"{h!r} across {e!r} stayed cocircular"
             break
@@ -564,7 +564,7 @@ def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:
     for _ in range(n):
         iso = rand_isometry(rng)
         c = rand_curve(rng)
-        if not pointwise_image_is_curve(iso, c, 12).is_curve:
+        if not pointwise_image_is_curve(iso, c).is_curve:
             ok, detail = False, f"{c!r} under {iso!r}"
             break
     out.append(

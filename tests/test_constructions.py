@@ -34,8 +34,10 @@ from hyperk import (
 )
 from hyperk import model
 from hyperk.errors import InvalidInputError
-from hyperk.model import straddling_points
-from hyperk.verify import rand_curve, rand_horocycle, rand_hypercycle, rand_isometry
+from hyperk.constructions import opposite_sides_of_point
+from hyperk.model import rational_points, straddling_points
+from hyperk.verify import rand_curve, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
+from test_acceptance import _tangent_hypercycle_pair
 
 F = BoundaryPoint.finite
 
@@ -77,6 +79,129 @@ class TestWitnesses:
             pos, neg = cert["separated_pair"]
             assert c2.circle.evaluate(pos.x, pos.y) > 0
             assert c2.circle.evaluate(neg.x, neg.y) < 0
+
+    def test_every_criterion_4_pair_gets_a_witness(self):
+        rng = random.Random(4)
+        pairs = [_tangent_hypercycle_pair(rng) for _ in range(200)]
+        # the bisector ladder search exhausted itself on this pair
+        pinned = (curve_from_coeffs(6, 29, -24, 13), curve_from_coeffs(304, -465, -68, -81))
+        assert pinned in pairs
+        for h1, h2 in pairs:
+            _check_witness(h1, h2)
+
+    def test_every_horocycle_pair_gets_a_witness(self):
+        pairs = _tangent_horocycle_pairs(random.Random(14), 240)
+        assert {h2.kind for _, h2 in pairs} == {CurveKind.HOROCYCLE, CurveKind.GEODESIC}
+        assert any(h2.center == INFINITY for _, h2 in pairs)
+        for h1, h2 in pairs:
+            _check_witness(h1, h2)
+
+    @pytest.mark.parametrize("h1, h2", [
+        # the x-coordinate side test answered False on every vertical line
+        (make_geodesic(F(1), INFINITY), make_horocycle(F(0), 1)),
+        (make_horocycle(INFINITY, 2), make_horocycle(F(0), 1)),
+    ])
+    def test_lines_get_a_witness(self, h1, h2):
+        _check_witness(h1, h2)
+
+    def test_witness_needs_points_on_both_sides(self):
+        h1, h2 = make_horocycle(F(0), 1), make_horocycle(INFINITY, 2)
+        x, y = UHPPoint(Q(4, 5), Q(8, 5)), UHPPoint(Q(-4, 5), Q(8, 5))
+        assert hyp1_witness(h1, h2, x, y).kind is CurveKind.HYPERCYCLE
+        with pytest.raises(InvalidInputError, match="opposite sides"):
+            hyp1_witness(h1, h2, x, UHPPoint(Q(4, 5), Q(2, 5)))
+        with pytest.raises(InvalidInputError, match="tangent"):
+            hyp1_witness(h1, make_horocycle(INFINITY, 1), x, y)
+
+
+def _check_witness(h1, h2):
+    """`witness_family_search` returns a hypercycle or geodesic disjoint from
+    h2 through two points of h1 on opposite sides of the tangency."""
+    w, cert = witness_family_search(h1, h2)
+    assert w is not None, (h1, h2, cert)
+    assert w.kind in (CurveKind.HYPERCYCLE, CurveKind.GEODESIC), (h1, h2, w)
+    x, y = cert["through"]
+    assert w.circle.contains_point(x.x, x.y) and w.circle.contains_point(y.x, y.y)
+    p = intersection_pattern(h1, h2).interior_points[0]
+    assert opposite_sides_of_point(h1, p, x, y), (h1, h2, x, y)
+    if not _vertical(h1):
+        assert _oracle_opposite_sides(h1, p, x, y), (h1, h2, x, y)
+    assert _disjoint(w, h2), (h1, h2, w)
+
+
+def _tangent_horocycle_pairs(rng, count):
+    """(h1, h2) with h1 a horocycle tangent to h2, which is in turn the
+    horocycle at oo, a finite horocycle and a geodesic; every other pair is
+    moved by a random isometry."""
+    pairs = []
+    while len(pairs) < count:
+        c, r = rand_q(rng), abs(rand_q(rng, 1, 4)) + Q(1, 8)
+        h1 = make_horocycle(F(c), r)
+        kind = len(pairs) % 3
+        if kind == 0:
+            h2 = make_horocycle(INFINITY, 2 * r)
+        elif kind == 1:
+            q = rand_q(rng)
+            if q == c:
+                continue
+            h2 = make_horocycle(F(q), (q - c) ** 2 / (4 * r))
+        else:
+            h2 = make_geodesic(F(c + rng.choice((-r, r))), INFINITY)
+        if len(pairs) % 2:
+            iso = rand_isometry(rng)
+            h1, h2 = iso.apply_curve(h1), iso.apply_curve(h2)
+        pairs.append((h1, h2))
+    return pairs
+
+
+def _vertical(h):
+    return h.circle.a == 0 and h.circle.c == 0
+
+
+def _oracle_opposite_sides(h, p, x, y):
+    """The side test `opposite_sides_of_point` used before the normal
+    geodesic: abscissas on a line, otherwise the sides of the chord [x, y]
+    on which p and the foot (-b/2a, 0) of the centre fall.  It answers
+    False for every vertical line."""
+    def chord_side(px, py):
+        return (y.x - x.x) * (py - x.y) - (y.y - x.y) * (px - x.x)
+
+    a = h.circle.a
+    if a == 0:
+        return (x.x - p.x) * (y.x - p.x) < 0
+    sp = chord_side(p.x, p.y)
+    sb = chord_side(Q(-h.circle.b, 2 * a), Q(0))
+    return sp != 0 and sb != 0 and (sp > 0) != (sb > 0)
+
+
+class TestOppositeSides:
+    def test_matches_the_chord_test_off_vertical_lines(self):
+        rng = random.Random(84)
+        cases = 0
+        while cases < 5000:
+            h = rand_curve(rng)
+            if rng.random() < 0.3:
+                h = rand_isometry(rng).apply_curve(h)
+            if _vertical(h):
+                continue
+            pts = rational_points(h, 12)
+            for _ in range(10):
+                p, x, y = rng.sample(pts, 3)
+                want = _oracle_opposite_sides(h, p, x, y)
+                assert opposite_sides_of_point(h, p, x, y) == want, (h, p, x, y)
+                cases += 1
+
+    def test_vertical_line(self):
+        g = make_geodesic(F(1), INFINITY)
+        p, x, y = UHPPoint(1, 1), UHPPoint(1, 2), UHPPoint(1, Q(1, 2))
+        assert opposite_sides_of_point(g, p, x, y)
+        assert not opposite_sides_of_point(g, p, x, UHPPoint(1, 3))
+        assert not _oracle_opposite_sides(g, p, x, y)
+
+    def test_refuses_points_off_the_curve(self):
+        g = make_geodesic(F(1), INFINITY)
+        with pytest.raises(InvalidInputError):
+            opposite_sides_of_point(g, UHPPoint(1, 1), UHPPoint(1, 2), UHPPoint(2, 1))
 
 
 def _oracle_straddle_near_crossing(h1, h2, pat):

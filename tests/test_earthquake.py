@@ -77,7 +77,7 @@ class TestCocircularity:
     def test_isometry_image_is_curve(self):
         iso = Isometry(2, 1, 1, 1)
         h = make_horocycle(F(0), 1)
-        assert pointwise_image_is_curve(iso, h, 12).is_curve
+        assert pointwise_image_is_curve(iso, h).is_curve
 
     def test_crossing_horocycle_image_not_curve(self, quake):
         h = make_horocycle(F(0), 1)  # crosses the fault x = 0
@@ -88,20 +88,20 @@ class TestCocircularity:
         e = EarthquakeMap(make_geodesic(F(0), INFINITY), 3, "left")
         h = make_horocycle(F(-1), 2)  # crosses x = 0
         if intersection_pattern(h, e.fault).interior_count == 2:
-            res = pointwise_image_is_curve(e, h, 12)
+            res = pointwise_image_is_curve(e, h)
             assert not res.is_curve
             assert res.witness is not None  # four non-cocircular points
 
     def test_unmoved_horocycle_stays_curve(self, quake):
         h = make_horocycle(F(5), 1)  # entirely on the identity side
-        assert pointwise_image_is_curve(quake, h, 12).is_curve
+        assert pointwise_image_is_curve(quake, h).is_curve
 
     def test_horizontal_horocycle_across_vertical_fault_breaks(self):
         # every sample falls on the unmoved side x < 3; the straddling pair
         # near the one crossing (3, 17/8) puts a point on the moved side
         e = EarthquakeMap(make_geodesic(F(3), INFINITY), Q(613, 160), "right")
         h = make_horocycle(INFINITY, Q(17, 8))
-        res = pointwise_image_is_curve(e, h, 12)
+        res = pointwise_image_is_curve(e, h)
         assert not res.is_curve and res.witness is not None
 
     @pytest.mark.parametrize("side", ["left", "right"])
@@ -114,7 +114,7 @@ class TestCocircularity:
         e = EarthquakeMap(make_geodesic(F(0), INFINITY), 3, side)
         c = make_hypercycle(F(0), F(3), UHPPoint(*through))
         assert intersection_pattern(c, e.fault).interior_count == 1
-        assert not pointwise_image_is_curve(e, c, 12).is_curve
+        assert not pointwise_image_is_curve(e, c).is_curve
 
     def test_every_transversal_crossing_breaks(self):
         rng = random.Random(12345)
@@ -137,7 +137,7 @@ class TestCocircularity:
                 assert e.fault.circle.evaluate(neg.x, neg.y) < 0
                 assert c.circle.evaluate(pos.x, pos.y) == 0
                 assert c.circle.evaluate(neg.x, neg.y) == 0
-            assert not pointwise_image_is_curve(e, c, 12).is_curve, (c, e)
+            assert not pointwise_image_is_curve(e, c).is_curve, (c, e)
         assert crossings > 200
 
 
@@ -211,7 +211,7 @@ def test_straddling_points_match_fraction_sign_test(monkeypatch):
             cases.append((e, c, pat.interior_points))
 
     def run():
-        return [(straddling_points(c, e.fault.circle, near), pointwise_image_is_curve(e, c, 8))
+        return [(straddling_points(c, e.fault.circle, near), pointwise_image_is_curve(e, c))
                 for e, c, near in cases]
 
     got = run()

@@ -689,11 +689,25 @@ def test_inexact_pairs_match_oracle(monkeypatch):
             # resolves: the oracle split the trace's double root into two
             # nearby floats and counted 0 or 2 shared endpoints, more than
             # the one boundary point a horocycle has
-            assert new[:2] == old[:2] and new[2] <= 1, (c1, c2)
+            assert new[:2] == old[:2] and new[2] == 1, (c1, c2)
             continue
         assert new[:3] == old[:3], (c1, c2)
         assert len(new[3]) == len(old[3]) and all(p == q for p, q in zip(new[3], old[3])), (c1, c2)
     assert len(kinds) >= 5
+
+
+def test_inexact_horocycles_at_one_center_share_it():
+    # the image's center is 0 up to rounding; the float tests on the heights
+    # counted 0 shared endpoints for k = 8 and 2 for k = 1
+    h0 = make_horocycle(F(0), Q(20, 7))
+    counts = []
+    for k in range(1, 200):
+        h = Isometry(3, 4, -3, 0).apply_curve(make_horocycle(F(Q(-4, 3)), k / 37))
+        assert not h.exact and _same_center_horocycles(h, h0)
+        for pair in ((h, h0), (h0, h)):
+            p = intersection_pattern(*pair)
+            counts.append((p.interior_count, p.tangent, p.shared_endpoints))
+    assert set(counts) == {(0, False, 1)}
 
 
 def test_vertical_radical_line_counts_crossing_below_eps():
