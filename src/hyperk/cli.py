@@ -151,6 +151,15 @@ def _add_curve_flags(p: argparse.ArgumentParser, prefix: str = ""):
     p.add_argument(f"--{prefix}curve", dest=f"{prefix}curve".replace("-", "_"))
 
 
+def _inexact_output(c: Curve):
+    """Text and record of an inexact curve: its unit-norm float coefficients."""
+    a, b, cc, d = c.circle.coeffs()
+    return (
+        f"{_describe_curve(c)}\nunit-norm a={a} b={b} c={cc} d={d}",
+        {"describe": _describe_curve(c), "kind": c.kind.value, "a": a, "b": b, "c": cc, "d": d},
+    )
+
+
 def cmd_classify(args, out: _Output) -> int:
     c = _curve_from_args(args, args.inexact)
     if c.exact:
@@ -159,15 +168,7 @@ def cmd_classify(args, out: _Output) -> int:
             {"describe": _describe_curve(c), **c.to_record()},
         )
     else:
-        a, b, cc, d = c.circle.coeffs()
-        out.emit(
-            f"{_describe_curve(c)}\nunit-norm a={a} b={b} c={cc} d={d}",
-            {
-                "describe": _describe_curve(c),
-                "kind": c.kind.value,
-                "a": a, "b": b, "c": cc, "d": d,
-            },
-        )
+        out.emit(*_inexact_output(c))
     return EXIT_OK
 
 
@@ -192,9 +193,8 @@ def cmd_construct(args, out: _Output) -> int:
         c1, s1 = _fields(args.second, 2, "--second center,size")
         h0 = make_horocycle(BoundaryPoint.parse(c0), _parse_number(s0, args.inexact))
         h1 = make_horocycle(BoundaryPoint.parse(c1), _parse_number(s1, args.inexact))
-        a, b = pinch_pair(h0, h1)
-        for w in (a, b):
-            out.emit(w.to_text(), w.to_record())
+        for w in pinch_pair(h0, h1):
+            out.emit(*((w.to_text(), w.to_record()) if w.exact else _inexact_output(w)))
         return EXIT_OK
     if what == "equidistant":
         p, q = _fields(args.first, 2, "--first p,q")

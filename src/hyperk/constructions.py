@@ -15,11 +15,10 @@ pencil member that the sign of the Lorentz Gram determinant D2 picks.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from ._rational import Q, sqrt_exact
+from ._rational import Q
 from .errors import HyperkError, InvalidInputError, NoSolutionError
 from .model import (
     EPS,
@@ -30,6 +29,10 @@ from .model import (
     INFINITY,
     Isometry,
     UHPPoint,
+    _coprime_ints,
+    _d2,
+    _lorentz,
+    _number,
     curve_from_coeffs,
     make_geodesic,
     make_horocycle,
@@ -93,19 +96,6 @@ def opposite_sides_of_point(h: Curve, p: UHPPoint, x: UHPPoint, y: UHPPoint) -> 
             raise InvalidInputError("points must be exact and lie on the curve")
     n = _normal_geodesic(h, p)
     return n.sign_at(x.x, x.y) * n.sign_at(y.x, y.y) < 0
-
-
-def _lorentz(v, w):
-    """<v, w> = b1 b2 + c1 c2 - 2(a1 d2 + a2 d1) for coefficient vectors
-    v, w = (a, b, c, d); <v, v> = b^2 + c^2 - 4ad."""
-    return v[1] * w[1] + v[2] * w[2] - 2 * (v[0] * w[3] + w[0] * v[3])
-
-
-def _d2(v, w):
-    """<v, v><w, w> - <v, w>^2: negative exactly when the circles of v and w
-    are disjoint, zero when they touch (Coxeter, "Inversive distance")."""
-    vw = _lorentz(v, w)
-    return _lorentz(v, v) * _lorentz(w, w) - vw * vw
 
 
 def hyp1_witness(h1: Curve, h2: Curve, x: UHPPoint, y: UHPPoint) -> Curve:
@@ -184,8 +174,8 @@ def pinch_pair(h0: Curve, h: Curve) -> Tuple[Curve, Curve]:
 
     Returns the two tangency solutions; when the elimination degenerates to
     a single solution (equal sizes at finite centers), that unique horocycle
-    fills both slots.  Solutions with irrational centers are returned as
-    inexact curves.
+    fills both slots.  Solutions with irrational centers, and all solutions
+    for an inexact input, are returned as inexact curves.
     """
     for c in (h0, h):
         if c.kind is not CurveKind.HOROCYCLE:
@@ -198,65 +188,46 @@ def pinch_pair(h0: Curve, h: Curve) -> Tuple[Curve, Curve]:
     sols = _solve_pinch(h0, h)
     if not sols:
         raise NoSolutionError("tangency system has no positive-radius solution")
-    if len(sols) == 1:
-        return (sols[0], sols[0])
     sols.sort(key=lambda c: c.endpoint_floats()[0])
-    return (sols[0], sols[1])
+    return (sols[0], sols[-1])
 
 
 def _solve_pinch(h0: Curve, h: Curve) -> List[Curve]:
-    c0, c1 = h0.center, h.center
-    sols: List[Curve] = []
+    """The horocycles tangent to both h0 and h: their centers p are the roots
+    of an integer quadratic, which `_number` gives exactly when its
+    discriminant is a square and as floats otherwise.
 
-    def add(p, r):
-        if isinstance(p, float):
-            if r > EPS:
-                sols.append(
-                    Curve(
-                        GeneralizedCircle(
-                            1.0, -2.0 * p, -2.0 * float(r), p * p, exact=False
-                        )
-                    )
-                )
-        elif r > 0:
-            sols.append(make_horocycle(BoundaryPoint.finite(p), r))
+    A horocycle at p of radius r touches one at q of radius s iff
+    (p - q)^2 = 4 r s, and the horizontal line y = s iff r = s/2.  With both
+    centers finite, eliminating r leaves A p^2 + B p + C = 0 with A = r1 - r0,
+    which has the single root (q0 + q1)/2 when the sizes agree.
+    """
+    if h0.center.is_infinity or h.center.is_infinity:
+        line, circ = (h0, h) if h0.center.is_infinity else (h, h0)
+        q, r = circ.center.value, line.size / 2
 
-    if c0.is_infinity or c1.is_infinity:
-        line, circ = (h0, h) if c0.is_infinity else (h, h0)
-        r = line.size / 2  # tangent to y = s forces radius s/2
-        q, rq = circ.center.value, circ.size
-        d2 = 4 * r * rq
-        root = sqrt_exact(d2)
-        if root is not None:
-            add(q - root, r)
-            add(q + root, r)
-        else:
-            fr = math.sqrt(float(d2))
-            add(float(q) - fr, float(r))
-            add(float(q) + fr, float(r))
-        return sols
-    q0, r0 = c0.value, h0.size
-    q1, r1 = c1.value, h.size
-    A = r1 - r0
-    B = -2 * (r1 * q0 - r0 * q1)
-    C = r1 * q0 * q0 - r0 * q1 * q1
-    if A == 0:
-        if B == 0:
-            return sols
-        p = -C / B
-        add(p, (p - q0) ** 2 / (4 * r0))
-        return sols
-    disc = B * B - 4 * A * C
-    if disc < 0:
-        return sols
-    root = sqrt_exact(disc)
-    if root is not None:
-        for p in ((-B - root) / (2 * A), (-B + root) / (2 * A)):
-            add(p, (p - q0) ** 2 / (4 * r0))
+        def radius(p):
+            return r
+
+        quadratic = (1, -2 * q, q * q - 4 * r * circ.size)
     else:
-        fr = math.sqrt(float(disc))
-        for p in ((-float(B) - fr) / (2 * float(A)), (-float(B) + fr) / (2 * float(A))):
-            add(p, (p - float(q0)) ** 2 / (4 * float(r0)))
+        q0, r0, q1, r1 = h0.center.value, h0.size, h.center.value, h.size
+
+        def radius(p):
+            return (p - q0) ** 2 / (4 * r0)
+
+        quadratic = (r1 - r0, -2 * (r1 * q0 - r0 * q1), r1 * q0 * q0 - r0 * q1 * q1)
+    A, B, C = _coprime_ints(quadratic)
+    disc = B * B - 4 * A * C  # a square times the product of the sizes: positive
+    roots = [_number(-B, s, disc, 2 * A) for s in (-1, 1)] if A else [Q(-C, B)]
+    exact = h0.exact and h.exact
+    sols: List[Curve] = []
+    for p in roots:
+        r = radius(p)
+        if exact and not isinstance(p, float):
+            sols.append(make_horocycle(BoundaryPoint.finite(p), r))
+        elif r > EPS:
+            sols.append(Curve(GeneralizedCircle(1, -2 * p, -2 * r, p * p, exact=False)))
     return sols
 
 

@@ -5,10 +5,13 @@ circle a(x^2+y^2) + bx + cy + d = 0 with exact integer coefficients in
 canonical form; all classification reduces to integer sign tests.  Curves
 built from irrational data (a few constructions need them) carry float
 coefficients and are flagged inexact; predicates on them use a documented
-tolerance instead of exact signs.  Exact curves also yield exact sample
-points: `rational_points` spreads them along the curve, and
-`straddling_points` places them on both sides of another circle near where
-the two meet.
+tolerance instead of exact signs.  Pairs of circles are read through the
+Lorentz form on coefficient vectors (`_lorentz`, `_d2`).  Exact curves also
+yield exact sample points: `rational_points` spreads them along the curve
+from a rational point on the axis, and `straddling_points` places them on
+both sides of another circle near where the two meet, on chords from an
+exact meeting point itself (so a curve with irrational endpoints needs no
+point on the axis) and at distances relative to the meeting point's height.
 
 Exact points, sign tests and constructors run on integers: a rational
 point (x, y) is read as (X/W, Y/W), a boundary point p as the pair
@@ -319,6 +322,19 @@ class GeneralizedCircle:
         if self.exact:
             return f"Circle(a={self.a}, b={self.b}, c={self.c}, d={self.d})"
         return "Circle~(a={:.6g}, b={:.6g}, c={:.6g}, d={:.6g})".format(*self.coeffs())
+
+
+def _lorentz(v, w):
+    """<v, w> = b1 b2 + c1 c2 - 2(a1 d2 + a2 d1) for coefficient vectors
+    v, w = (a, b, c, d); <v, v> = b^2 + c^2 - 4ad."""
+    return v[1] * w[1] + v[2] * w[2] - 2 * (v[0] * w[3] + w[0] * v[3])
+
+
+def _d2(v, w):
+    """<v, v><w, w> - <v, w>^2: negative exactly when the circles of v and w
+    are disjoint, zero when they touch (Coxeter, "Inversive distance")."""
+    vw = _lorentz(v, w)
+    return _lorentz(v, v) * _lorentz(w, w) - vw * vw
 
 
 # ---------------------------------------------------------------------------
@@ -1033,47 +1049,44 @@ def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
     with it: for each point of `near` where one is found, a pair (pos, neg)
     with `circle` positive at pos and negative at neg.
 
-    A rational parameter of the curve moves away from the meeting point's
-    parameter in steps of 2^-j: the height on a vertical line, the abscissa
-    on any other line, and on a circle the chord through the base point of
-    `rational_points`, taken by slope dy/dx, or by dx/dy when the chord is
-    steep.  A tangency has no points on both sides, so it gives no pair.
+    A rational parameter t of the curve moves away from the meeting point
+    q's parameter t0 in steps of 2^-j, scaled so that a step of 2^-j moves
+    the point by about 2^-j times q's height.  A line is B + t (-c, b), B the
+    foot of the perpendicular through 0 and t0 the parameter of q.  A circle's
+    points are the second meetings of the chords from a rational point B of
+    it in the directions u + t u', u' = u turned by a right angle, t0 = 0:
+    B is q itself and u its tangent when q is exact, and otherwise B is the
+    base point of `rational_points` on the axis and u = q - B.  A tangency
+    has no points on both sides, so it gives no pair.
     """
     if not curve.exact:
         raise InvalidInputError("straddling points need an exact curve")
     a, b, c, d = curve.circle.coeffs()
-    x0 = _base_boundary_point(curve)
     pairs = []
     for q in near:
-        x, y = (q.x, q.y) if q.exact else q.as_floats()
-        if a == 0 and c == 0:
-            t0 = y
-
-            def point(t, xv=Q(-d, b)):
-                return xv, t
-        elif a == 0:
-            t0 = x
+        x, y = (q.x, q.y) if q.exact else map(Q, q.as_floats())
+        if a == 0:
+            n = b * b + c * c
+            bx, by = Q(-b * d, n), Q(-c * d, n)
+            t0, scale = (b * y - c * x) / n, y / (abs(b) + abs(c))
 
             def point(t):
-                return t, -(b * t + d) / c
-        elif abs(x - x0) >= y:
-            t0 = y / (x - x0)
-
-            def point(t):
-                # the chord of slope t meets the circle again at x0 + u
-                u = -(2 * a * x0 + b + c * t) / (a * (1 + t * t))
-                return x0 + u, t * u
+                return bx - c * t, by + b * t
         else:
-            t0 = (x - x0) / y
+            if q.exact:
+                bx, by, ux, uy = x, y, -(2 * a * y + c), 2 * a * x + b
+            else:
+                bx, by = _base_boundary_point(curve), 0
+                ux, uy = x - bx, y
+            t0, scale = 0, y * abs(a) / (math.isqrt(b * b + c * c - 4 * a * d) + 1)
 
-            def point(s):
-                # the chord x = x0 + s y meets the circle again at height v
-                v = -((2 * a * x0 + b) * s + c) / (a * (1 + s * s))
-                return x0 + s * v, v
-        t0 = Q(t0)
+            def point(t):
+                vx, vy = ux - t * uy, uy + t * ux
+                lam = -(vx * (2 * a * bx + b) + vy * (2 * a * by + c)) / (a * (vx * vx + vy * vy))
+                return bx + lam * vx, by + lam * vy
         sides = {}
         for j in range(1, 80):
-            step = Q(1, 1 << j)
+            step = scale / (1 << j)
             for t in (t0 - step, t0 + step):
                 px, py = point(t)
                 if py > 0:

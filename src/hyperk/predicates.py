@@ -14,12 +14,13 @@ endpoints alike.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from enum import Enum
 from typing import Tuple
 
 from ._rational import Q
-from .errors import HyperkError, InvalidInputError
+from .errors import InvalidInputError
 from .model import (
     EPS,
     BoundaryPoint,
@@ -27,6 +28,7 @@ from .model import (
     CurveKind,
     UHPPoint,
     _int_floats,
+    _lorentz,
     _number,
 )
 
@@ -352,87 +354,40 @@ def geodesics_linked(g1: Curve, g2: Curve) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _signed_curvature_key(curve: Curve, point: UHPPoint, normal):
-    """Comparison key for signed Euclidean curvature at the tangency point.
-
-    Key (s, n2, d2) encodes s * sqrt(n2/d2) with s in {-1, 0, 1}; curvature
-    magnitude is 2|a|/sqrt(b^2+c^2-4ad), sign +1 when the center lies on the
-    `normal` side of the point.
-    """
-    a, b, c, d = (Q(v) for v in curve.circle.coeffs())
-    if a == 0:
-        return (0, Q(0), Q(1))
-    ox, oy = -b / (2 * a), -c / (2 * a)
-    nx, ny = normal
-    side = (ox - point.x) * nx + (oy - point.y) * ny
-    if side == 0:
-        raise HyperkError("tangent circle center cannot lie on the tangent line")
-    s = 1 if side > 0 else -1
-    nondeg = b * b + c * c - 4 * a * d
-    return (s, 4 * a * a, nondeg)
-
-
-def _curvature_less(k1, k2) -> bool:
-    s1, n1, d1 = k1
-    s2, n2, d2 = k2
-    if s1 != s2:
-        return s1 < s2
-    if s1 == 0:
-        return False
-    # compare s*sqrt(n1/d1) vs s*sqrt(n2/d2) exactly via cross-multiplied squares
-    lhs, rhs = n1 * d2, n2 * d1
-    if s1 > 0:
-        return lhs < rhs
-    return lhs > rhs
-
-
 def between_tangent(c1: Curve, c2: Curve, c3: Curve) -> int:
     """Of three curves mutually tangent at one interior point, the index
     (0, 1, or 2) of the middle one.
 
-    Near the tangency point the three curves are nested; the middle curve
-    is the one locally between the other two, found by ordering exact signed
-    Euclidean curvatures at the point.
+    All on integers, from the Lorentz Gram matrix g of the coefficient
+    vectors v_i (`_lorentz`): curves i and j touch iff g_ii g_jj = g_ij^2, at
+    the null vector p = g_ij v_i - g_ii v_j, which is an interior point iff
+    p_c (p_a + p_d) < 0.  Oriented along v_0 by the sign of g_0i, circles
+    tangent at one point are nested there in the order of their signed
+    curvatures a_i / sqrt(g_ii) (Coxeter, "Inversive distance"), and the
+    middle curve has the middle one.
     """
     curves = (c1, c2, c3)
     if len({c.circle for c in curves}) != 3:
         raise InvalidInputError("between_tangent needs three distinct curves")
     if not all(c.exact for c in curves):
         raise InvalidInputError("between_tangent needs exact curves")
-    pats = {}
-    for i in range(3):
-        for j in range(i + 1, 3):
-            pat = intersection_pattern(curves[i], curves[j])
-            if not pat.tangent:
-                raise InvalidInputError(
-                    f"curves {i} and {j} are not tangent at an interior point"
-                )
-            pats[(i, j)] = pat
-    point = pats[(0, 1)].interior_points[0]
-    for pat in pats.values():
-        if pat.interior_points[0] != point:
-            raise InvalidInputError("curves are not all tangent at the same point")
-    # reference normal: toward the first circle-type curve's center, or the
-    # line normal (b, c) if only one curve is a circle -- at least two of
-    # three distinct tangent curves are circles, so this always exists
-    normal = None
-    for c in curves:
-        a, b, cc, d = (Q(v) for v in c.circle.coeffs())
-        if a != 0:
-            normal = (-b / (2 * a) - point.x, -cc / (2 * a) - point.y)
-            break
-    keys = [_signed_curvature_key(c, point, normal) for c in curves]
-    order = sorted(range(3), key=lambda i: _CurvKey(keys[i]))
-    return order[1]
+    v = [c.circle.coeffs() for c in curves]
+    g = [[_lorentz(u, w) for w in v] for u in v]
+    points = []
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        p = [g[i][j] * s - g[i][i] * t for s, t in zip(v[i], v[j])]
+        if g[i][i] * g[j][j] != g[i][j] ** 2 or p[2] * (p[0] + p[3]) >= 0:
+            raise InvalidInputError(
+                f"curves {i} and {j} are not tangent at an interior point"
+            )
+        points.append(p)
+    p = points[0]  # p_a != 0 at an interior point, which (p_b, p_c) / p_a fixes
+    if any(p[0] * q[k] != q[0] * p[k] for q in points[1:] for k in (1, 2)):
+        raise InvalidInputError("curves are not all tangent at the same point")
+    a = [u[0] if g[0][i] > 0 else -u[0] for i, u in enumerate(v)]
 
+    def compare(i, j):  # the sign of a_i / sqrt(g_ii) - a_j / sqrt(g_jj)
+        si, sj = (a[i] > 0) - (a[i] < 0), (a[j] > 0) - (a[j] < 0)
+        return si - sj if si != sj else si * (a[i] ** 2 * g[j][j] - a[j] ** 2 * g[i][i])
 
-class _CurvKey:
-    """Orderable wrapper around a signed-curvature key."""
-
-    __slots__ = ("key",)
-
-    def __init__(self, key):
-        self.key = key
-
-    def __lt__(self, other):
-        return _curvature_less(self.key, other.key)
+    return sorted(range(3), key=functools.cmp_to_key(compare))[1]

@@ -54,6 +54,24 @@ class TestClassify:
         assert rec["kind"] == "geodesic"
 
 
+class TestConstruct:
+    def test_pinch_with_irrational_centers(self, capsys):
+        # both pinch horocycles of these inputs have irrational centers
+        code, out, _ = run(capsys, "construct", "pinch", "--first", "0,1", "--second", "5,2")
+        assert code == 0
+        assert out.count("unit-norm a=") == 2 and out.count("Horocycle center") == 2
+        code, out, _ = run(capsys, "--format", "records", "construct", "pinch",
+                           "--first", "0,1", "--second", "5,2")
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        assert code == 0 and [r["kind"] for r in recs] == ["horocycle", "horocycle"]
+        assert all(isinstance(r["a"], float) for r in recs)
+
+    def test_pinch_with_rational_centers(self, capsys):
+        code, out, _ = run(capsys, "construct", "pinch", "--first", "0,1", "--second", "6,1")
+        assert code == 0
+        assert out.splitlines() == ["horocycle a=2 b=-12 c=-9 d=18"] * 2
+
+
 class TestIntersect:
     def test_crossing_geodesics(self, capsys):
         code, out, _ = run(

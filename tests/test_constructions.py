@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -35,9 +36,19 @@ from hyperk import (
 from hyperk import model
 from hyperk.errors import InvalidInputError
 from hyperk.constructions import opposite_sides_of_point
-from hyperk.model import rational_points, straddling_points
-from hyperk.verify import rand_curve, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
+from hyperk._rational import sqrt_exact
+from hyperk.model import EPS, Curve, GeneralizedCircle, rational_points, straddling_points
+from hyperk.verify import (
+    _horocycles_nearly_tangent,
+    rand_curve,
+    rand_distinct_boundary,
+    rand_horocycle,
+    rand_hypercycle,
+    rand_isometry,
+    rand_q,
+)
 from test_acceptance import _tangent_hypercycle_pair
+from test_predicates import _tangent_pencil
 
 F = BoundaryPoint.finite
 
@@ -66,6 +77,76 @@ class TestPinchPair:
         for w in (a, b):
             assert intersection_pattern(w, h0).tangent
             assert intersection_pattern(w, h).tangent
+
+    def test_matches_the_sqrt_exact_and_float_routine(self):
+        rng = random.Random(1516)
+        counts = {True: 0, False: 0}
+        for _ in range(2000):
+            p, q = rand_distinct_boundary(rng, 2)
+            h0 = make_horocycle(p, abs(rand_q(rng, 1, 3)) + Q(1, 8))
+            h = make_horocycle(q, abs(rand_q(rng, 1, 3)) + Q(1, 8))
+            if intersection_pattern(h0, h).interior_count:
+                continue
+            got, want = pinch_pair(h0, h), _oracle_pinch_pair(h0, h)
+            for w, o in zip(got, want):
+                assert w.exact == o.exact, (h0, h)
+                counts[w.exact] += 1
+                if w.exact:
+                    assert w == o, (h0, h)
+                else:  # unit-norm coefficients
+                    assert max(abs(u - v) for u, v in zip(w.circle.coeffs(), o.circle.coeffs())) < 1e-12
+        assert min(counts.values()) >= 200
+
+    def test_inexact_horocycles(self):
+        # the routine on sqrt_exact took the numerator of a float size
+        h0, h = make_horocycle(F(0), 0.5), make_horocycle(F(5), 2)
+        for w in pinch_pair(h0, h):
+            assert not w.exact
+            assert all(_horocycles_nearly_tangent(w, other) for other in (h0, h))
+
+
+def _oracle_pinch_pair(h0, h):
+    """The replaced `pinch_pair` on exact horocycles: each case solved once
+    with `sqrt_exact` and once more in floats when the root is irrational."""
+    c0, c1 = h0.center, h.center
+    sols = []
+
+    def add(p, r):
+        if isinstance(p, float):
+            if r > EPS:
+                sols.append(Curve(GeneralizedCircle(1.0, -2.0 * p, -2.0 * float(r), p * p, exact=False)))
+        elif r > 0:
+            sols.append(make_horocycle(BoundaryPoint.finite(p), r))
+
+    if c0.is_infinity or c1.is_infinity:
+        line, circ = (h0, h) if c0.is_infinity else (h, h0)
+        r = line.size / 2
+        q, rq = circ.center.value, circ.size
+        root = sqrt_exact(4 * r * rq)
+        if root is not None:
+            add(q - root, r)
+            add(q + root, r)
+        else:
+            fr = math.sqrt(float(4 * r * rq))
+            add(float(q) - fr, float(r))
+            add(float(q) + fr, float(r))
+    else:
+        q0, r0, q1, r1 = c0.value, h0.size, c1.value, h.size
+        A, B, C = r1 - r0, -2 * (r1 * q0 - r0 * q1), r1 * q0 * q0 - r0 * q1 * q1
+        if A == 0:
+            p = -C / B
+            add(p, (p - q0) ** 2 / (4 * r0))
+        else:
+            root = sqrt_exact(B * B - 4 * A * C)
+            if root is not None:
+                for p in ((-B - root) / (2 * A), (-B + root) / (2 * A)):
+                    add(p, (p - q0) ** 2 / (4 * r0))
+            else:
+                fr = math.sqrt(float(B * B - 4 * A * C))
+                for p in ((-float(B) - fr) / (2 * float(A)), (-float(B) + fr) / (2 * float(A))):
+                    add(p, (p - float(q0)) ** 2 / (4 * float(r0)))
+    sols.sort(key=lambda c: c.endpoint_floats()[0])
+    return (sols[0], sols[-1])
 
 
 class TestWitnesses:
@@ -103,6 +184,23 @@ class TestWitnesses:
     ])
     def test_lines_get_a_witness(self, h1, h2):
         _check_witness(h1, h2)
+
+    def test_tangent_pencil_pairs_get_a_witness(self):
+        # most h1 have irrational endpoints, so no rational base point on the
+        # axis: the chords start at the tangency itself
+        pairs = _tangent_pencil_pairs(random.Random(15), 300)
+        pairs += [(h2, h1) for h1, h2 in pairs]
+        assert sum(not h1.has_exact_endpoints for h1, _ in pairs) >= 150
+        for h1, h2 in pairs:
+            _check_witness(h1, h2)
+
+    def test_meeting_points_near_the_axis(self):
+        # steps relative to the height reach meeting points at height 2^-100
+        tiny = Q(1, 2**100)
+        g = make_geodesic(F(0), INFINITY)
+        _check_witness(g, make_horocycle(F(tiny), tiny))
+        w, cert = witness_family_search(g, make_geodesic(F(-tiny), F(tiny)))
+        assert w is None and "separated_pair" in cert
 
     def test_witness_needs_points_on_both_sides(self):
         h1, h2 = make_horocycle(F(0), 1), make_horocycle(INFINITY, 2)
@@ -152,6 +250,12 @@ def _tangent_horocycle_pairs(rng, count):
             h1, h2 = iso.apply_curve(h1), iso.apply_curve(h2)
         pairs.append((h1, h2))
     return pairs
+
+
+def _tangent_pencil_pairs(rng, count):
+    """(h1, h2) tangent at a rational point: two members of a pencil of
+    curves tangent there (`test_predicates._tangent_pencil`)."""
+    return [tuple(_tangent_pencil(rng)[:2]) for _ in range(count)]
 
 
 def _vertical(h):

@@ -1,3 +1,5 @@
+import collections
+import functools
 import itertools
 import math
 import random
@@ -732,11 +734,147 @@ def test_deep_pair_beyond_float_range():
         _oracle_pattern(d1, d2)
 
 
-def test_tangency_key_raises_without_assert():
-    # a center on the tangent line is impossible for a true tangency
-    h = curve_from_coeffs(1, 0, -2, 0)  # horocycle at 0 through (0, 2)
-    with pytest.raises(HyperkError):
-        predicates._signed_curvature_key(h, UHPPoint(0, 2), (1, 0))
+def _oracle_between_tangent(c1: Curve, c2: Curve, c3: Curve) -> int:
+    """The replaced `between_tangent`: three `intersection_pattern` calls,
+    then exact signed Euclidean curvatures at the common point, signed by
+    the side of a reference normal on which each circle's centre lies."""
+    curves = (c1, c2, c3)
+    if len({c.circle for c in curves}) != 3:
+        raise InvalidInputError("between_tangent needs three distinct curves")
+    if not all(c.exact for c in curves):
+        raise InvalidInputError("between_tangent needs exact curves")
+    pats = {}
+    for i in range(3):
+        for j in range(i + 1, 3):
+            pat = intersection_pattern(curves[i], curves[j])
+            if not pat.tangent:
+                raise InvalidInputError(
+                    f"curves {i} and {j} are not tangent at an interior point"
+                )
+            pats[(i, j)] = pat
+    point = pats[(0, 1)].interior_points[0]
+    for pat in pats.values():
+        if pat.interior_points[0] != point:
+            raise InvalidInputError("curves are not all tangent at the same point")
+    normal = None
+    for c in curves:
+        a, b, cc, d = (Q(v) for v in c.circle.coeffs())
+        if a != 0:
+            normal = (-b / (2 * a) - point.x, -cc / (2 * a) - point.y)
+            break
+
+    def key(curve):  # (s, n, d) stands for s * sqrt(n / d)
+        a, b, c, d = (Q(v) for v in curve.circle.coeffs())
+        if a == 0:
+            return (0, Q(0), Q(1))
+        side = (-b / (2 * a) - point.x) * normal[0] + (-c / (2 * a) - point.y) * normal[1]
+        if side == 0:
+            raise HyperkError("tangent circle center cannot lie on the tangent line")
+        return (1 if side > 0 else -1, 4 * a * a, b * b + c * c - 4 * a * d)
+
+    def less(k1, k2):
+        (s1, n1, d1), (s2, n2, d2) = k1, k2
+        if s1 != s2:
+            return s1 < s2
+        if s1 == 0:
+            return False
+        return n1 * d2 < n2 * d1 if s1 > 0 else n1 * d2 > n2 * d1
+
+    keys = [key(c) for c in curves]
+    order = sorted(range(3), key=functools.cmp_to_key(
+        lambda i, j: -1 if less(keys[i], keys[j]) else int(less(keys[j], keys[i]))))
+    return order[1]
+
+
+def _tangent_pencil(rng, h=None):
+    """Three distinct curves tangent at one rational point z of the curve h
+    (random if not given): members v(h) + t P(z) of the pencil through z
+    with h's tangent, P(z) = (1, -2x, -2y, x^2 + y^2), taken at t = 0 (h),
+    at the line, the geodesic and the horocycles of the pencil, and at
+    random t."""
+    while True:
+        base = h or rand_curve(rng)
+        z = model.rational_points(base, 12)[rng.randrange(12)]
+        a, b, c, d = base.circle.coeffs()
+        P = (1, -2 * z.x, -2 * z.y, z.x * z.x + z.y * z.y)
+        ts = [Q(0), Q(-a), c / (2 * z.y)]
+        # b^2 - 4ad of the member is -4 y^2 t^2 + 4 c y t + b^2 - 4ad
+        root = sqrt_exact(Q(16 * z.y * z.y * (b * b + c * c - 4 * a * d)))
+        if root is not None:
+            ts += [(4 * c * z.y + s * root) / (8 * z.y * z.y) for s in (-1, 1)]
+        ts += [rand_q(rng, -6, 6, 6) for _ in range(4)]
+        members = set()
+        for t in ts:
+            try:
+                members.add(curve_from_coeffs(*(u + t * p for u, p in zip(base.circle.coeffs(), P))))
+            except (InvalidInputError, DegenerateResultError):
+                pass
+        if len(members) >= 3:
+            return rng.sample(sorted(members, key=repr), 3)
+
+
+def _ford_triple(rng):
+    """Three mutually tangent horocycles touching at three different points:
+    the Ford circles at p/q, r/s with ps - qr = 1 and at their mediant."""
+    p, q = rng.randint(-6, 6), rng.randint(1, 6)
+    while math.gcd(p, q) != 1:
+        p, q = rng.randint(-6, 6), rng.randint(1, 6)
+    r, s = next((r, s) for s in range(1, 2 * q + 1) for r in range(-20, 20) if p * s - q * r == 1)
+    return [make_horocycle(F(Q(m, n)), Q(1, 2 * n * n)) for m, n in ((p, q), (r, s), (p + r, q + s))]
+
+
+def _betweenness_triples(rng, count):
+    """Tangent pencils, their images under random isometries in random
+    order, pencils with one curve moved, pencils with one curve swapped for
+    a curve tangent to another one at a second point, and Ford triples."""
+    triples = []
+    while len(triples) < count:
+        kind = len(triples) % 6
+        curves = _ford_triple(rng) if kind == 4 else _tangent_pencil(rng)
+        if kind == 2:
+            k = rng.randrange(3)
+            curves[k] = rng.choice((rand_isometry(rng).apply_curve(curves[k]), rand_curve(rng)))
+        if kind == 5:
+            curves.sort(key=lambda c: not c.has_exact_endpoints)  # rational points on curves[0]
+            if not curves[0].has_exact_endpoints:
+                continue
+            curves[2] = next(c for c in _tangent_pencil(rng, curves[0]) if c != curves[0])
+        if kind in (1, 3, 4, 5):
+            iso = rand_isometry(rng)
+            curves = [iso.apply_curve(c) for c in curves]
+            rng.shuffle(curves)
+        triples.append(curves)
+    return triples
+
+
+def _between_or_error(fn, curves):
+    try:
+        return fn(*curves)
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def test_between_tangent_matches_oracle(monkeypatch):
+    triples = _betweenness_triples(random.Random(1515), 5000)
+    want = [_between_or_error(_oracle_between_tangent, t) for t in triples]
+
+    def refuse(*args):
+        raise AssertionError("between_tangent called intersection_pattern")
+
+    monkeypatch.setattr(predicates, "intersection_pattern", refuse)
+    got = [_between_or_error(between_tangent, t) for t in triples]
+    for t, w, g in zip(triples, want, got):
+        assert g == w, t
+    outcomes = collections.Counter(w if isinstance(w, str) else "index" for w in want)
+    assert outcomes["index"] >= 2400
+    assert outcomes["curves are not all tangent at the same point"] >= 500
+    # pairs (0, 1) and (0, 2) touch at different points: every tangency is
+    # checked before the common point
+    assert outcomes["curves 1 and 2 are not tangent at an interior point"] >= 100
+    assert sum(n for w, n in outcomes.items() if "not tangent" in w) >= 1000
+    kinds = collections.Counter(c.kind for t in triples for c in t)
+    lines = sum(c.circle.a == 0 for t in triples for c in t)
+    assert min(kinds.values()) >= 1000 and lines >= 500
 
 
 def _oracle_linked(pair1, pair2) -> bool:
