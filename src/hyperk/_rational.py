@@ -47,17 +47,6 @@ def q_str(q) -> str:
     return str(n) if d == 1 else f"{n}/{d}"
 
 
-def sqrt_exact(q):
-    """Exact square root of a nonnegative rational, or None if irrational."""
-    if q < 0:
-        raise ValueError("sqrt of negative rational")
-    n, d = q.numerator, q.denominator
-    rn, rd = math.isqrt(n), math.isqrt(d)
-    if rn * rn == n and rd * rd == d:
-        return Q(rn, rd)
-    return None
-
-
 def isqrt_exact(n: int):
     """Exact integer square root of n >= 0, or None if not a perfect square."""
     if n < 0:

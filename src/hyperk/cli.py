@@ -132,10 +132,9 @@ def _describe_curve(c: Curve) -> str:
     if c.kind is CurveKind.HOROCYCLE:
         if c.center.is_infinity:
             return f"Horocycle center oo height {q_str(Q(c.size)) if c.exact else c.size}"
-        return (
-            f"Horocycle center {c.center!r} radius "
-            f"{q_str(Q(c.size)) if c.exact else c.size}"
-        )
+        if c.exact:
+            return f"Horocycle center {c.center!r} radius {q_str(Q(c.size))}"
+        return f"Horocycle center {float(c.center.value)} radius {c.size}"
     name = c.kind.value.capitalize()
     if c.has_exact_endpoints:
         eps = ", ".join(repr(p) for p in c.endpoints)

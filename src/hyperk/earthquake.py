@@ -14,12 +14,12 @@ relabeling of their boundary centers.
 from __future__ import annotations
 
 import math
-import operator
+from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
-from ._rational import Q, is_rational, q_str
+from ._rational import Q, q_str
 from .errors import HyperkError, InvalidInputError
 from .model import (
     INFINITY,
@@ -252,12 +252,12 @@ class Constraint:
 
 @dataclass(frozen=True)
 class Satisfiable:
-    """Radii that realize the pattern.  ``forced[i]`` says whether the
-    tangencies pinned radius i (else the solver chose it); the record gives
-    each radius's source and, for a rational one, the larger bit length of
-    its numerator and denominator."""
+    """Rational radii that realize the pattern (``exact`` is always True).
+    ``forced[i]`` says whether the tangencies pinned radius i (else the
+    solver chose it); the record gives each radius's source and the larger
+    bit length of its numerator and denominator."""
 
-    radii: Tuple[object, ...]  # rationals, or floats when irrational
+    radii: Tuple[object, ...]
     exact: bool
     forced: Tuple[bool, ...] = ()
 
@@ -265,13 +265,12 @@ class Satisfiable:
         rec = {
             "result": "satisfiable",
             "exact": self.exact,
-            "radii": [q_str(r) if is_rational(r) else repr(r) for r in self.radii],
+            "radii": [q_str(r) for r in self.radii],
         }
         if self.forced:
             rec["provenance"] = [
                 {"source": "forced" if f else "chosen",
-                 "bits": max(r.numerator.bit_length(), r.denominator.bit_length())
-                 if is_rational(r) else None}
+                 "bits": max(r.numerator.bit_length(), r.denominator.bit_length())}
                 for f, r in zip(self.forced, self.radii)
             ]
         return rec
@@ -480,9 +479,9 @@ def tangency_realizability(inst: RealizabilityInstance):
     most 1.
 
     The centers are read once as projective int pairs, and every rational
-    the solver keeps is a reduced pair (n, d) of positive ints, compared by
-    cross-multiplication; a `Fraction` is built only for the returned radii
-    (and inside the rare exact fallback of `_free_values`)."""
+    the solver keeps is a pair (n, d) of positive ints, compared by
+    cross-multiplication; a `Fraction` is built only for the returned
+    radii."""
     centers = inst.relabeled_centers
     proj = [_projective(c) for c in centers]
     pattern = inst.required_pattern
@@ -617,10 +616,6 @@ def _violations(ineqs, vals):
     return out
 
 
-#: a float cycle weight up to this is checked exactly as a proof candidate
-_CYCLE_TOL = 1e-9
-
-
 def _free_values(ineqs, free_roots, pinned):
     """rho_r^2 for every root, the pinned ones as given and the free ones
     chosen so that every inequality holds exactly, or None when a cycle
@@ -634,15 +629,13 @@ def _free_values(ineqs, free_roots, pinned):
     k-th free root; a x_r + b x_q < ln B is the arc -b x_q -> a x_r with
     bound B and its mirror -a x_r -> b x_q, and a x_r < ln B is the arc
     -a x_r -> a x_r with bound B^2.  The system holds for some real x iff
-    the bounds along every cycle multiply to more than 1.
+    the bounds along every cycle multiply to more than 1, which
+    `_potentials` decides.
 
-    Floats only propose.  Floyd-Warshall on the logs either points at a
-    cycle, whose bounds are then multiplied exactly on the ints, or yields
-    potentials with a margin, read as short binary fractions and checked
-    exactly.  When neither settles it, the same steps run on `Fraction`s
-    built from the bounds: a cycle product of at most 1 is the proof of
-    None, and otherwise the potentials of the bounds shrunk by a rational
-    margin give radii."""
+    When they do, the bounds divided by mu = 1 + 2^-j, for j = 1, 2, 4, ...
+    until they have potentials too, give x_r = ln(P_2k / P_2k+1) / 2 with
+    slack mu in every inequality; each rho_r is then rounded down to a
+    short binary fraction inside that slack."""
     node = {r: 2 * k for k, r in enumerate(free_roots)}
     bounds = {}  # arc (from, to) -> least bound
     for _i, _j, sgn, exps, (bn, bd) in ineqs:
@@ -677,53 +670,20 @@ def _free_values(ineqs, free_roots, pinned):
     vals = dict(pinned)
     if not m:
         return vals
-    logs = [[math.inf] * m for _ in range(m)]
-    for (u, v), (bn, bd) in bounds.items():
-        logs[u][v] = math.log(bn) - math.log(bd)
-    d, hop = _closure(logs, operator.add)
-    least, v = min((d[v][v], v) for v in range(m))
-    if least <= _CYCLE_TOL:
-        cycle = _walk_cycle(hop, v)
-        arcs = list(zip(cycle, cycle[1:] + cycle[:1]))
-        if all(a in bounds for a in arcs) and (
-                math.prod(bounds[a][0] for a in arcs) <= math.prod(bounds[a][1] for a in arcs)):
-            return None
-    else:
-        # shrink every arc by eps: a simple cycle has at most m arcs, so it
-        # keeps half its weight, and every inequality keeps slack eps / 2
-        eps = min(1.0, least / (2 * m))
-        d, _hop = _closure([[w - eps for w in row] for row in logs], operator.add)
-        y = [min(0.0, *(row[v] for row in d)) for v in range(m)]
-        # rounding rho_r to `bits` bits moves each inequality's side by at
-        # most 2^(1 - bits) <= eps / 4
-        bits = min(53, math.ceil(math.log2(8 / eps)))
-        for k, r in enumerate(free_roots):
-            log2_rho = (y[2 * k] - y[2 * k + 1]) / (4 * math.log(2))
-            e = math.floor(log2_rho)
-            p, e = round(2.0 ** (log2_rho - e + bits)), e - bits  # rho_r = p 2^e
-            rn, rd = (p << e, 1) if e >= 0 else _ratio(p, 1 << -e)
-            vals[r] = (rn * rn, rd * rd)
-        if not _violations(ineqs, vals):
-            return vals
-
-    exact = [[Q(*bounds[u, v]) if (u, v) in bounds else math.inf for v in range(m)]
-             for u in range(m)]
-    d, _hop = _closure(exact, operator.mul, stop=1)
-    least = min(d[v][v] for v in range(m))
-    if least <= 1:
+    if _potentials(bounds, m) is None:
         return None
-    # mu^m <= least, so the bounds divided by mu still close no cycle
-    # below 1, and their potentials leave every inequality slack
-    mu = Q(2) if least == math.inf else 1 + (least - 1) / (m * least)
-    d, _hop = _closure([[w / mu for w in row] for row in exact], operator.mul)
-    y = [min(Q(1), *(row[v] for row in d)) for v in range(m)]
+    j = 1
+    while (pot := _potentials({a: (bn << j, bd * ((1 << j) + 1))
+                               for a, (bn, bd) in bounds.items()}, m)) is None:
+        j *= 2
     for k, r in enumerate(free_roots):
-        t = y[2 * k] / y[2 * k + 1]  # rho_r^4 at the potentials
-        # rho_r = p / 2^b with p = floor((t 2^(4b))^(1/4)) >= 16 / (mu - 1)
-        # gives t / sqrt(mu) < rho_r^4 <= t, close enough to keep the slack
-        q = t * (mu - 1) ** 4
-        b = max(0, -((q.numerator.bit_length() - q.denominator.bit_length() - 17) // 4))
-        p = math.isqrt(math.isqrt((t.numerator << 4 * b) // t.denominator))
+        (pn, pd, _c), (qn, qd, _c) = pot[2 * k], pot[2 * k + 1]
+        tn, td = pn * qd, pd * qn  # rho_r^4 at the potentials
+        # rho_r = p / 2^b with p = floor((t 2^(4b))^(1/4)) >= 2^(j+4) =
+        # 16 / (mu - 1) gives t / sqrt(mu) < rho_r^4 <= t, which keeps the
+        # slack
+        b = max(0, -((tn.bit_length() - td.bit_length() - 17 - 4 * j) // 4))
+        p = math.isqrt(math.isqrt((tn << 4 * b) // td))
         rn, rd = _ratio(p, 1 << b)
         vals[r] = (rn * rn, rd * rd)
     if _violations(ineqs, vals):
@@ -731,43 +691,43 @@ def _free_values(ineqs, free_roots, pinned):
     return vals
 
 
-def _closure(w, join, stop=None):
-    """Floyd-Warshall on the arc matrix w (math.inf where there is no arc):
-    the least `join` of the arcs along a walk of at least one arc between
-    any two nodes, and the first hop of such a walk.
+def _potentials(bounds, m):
+    """Bellman-Ford on nodes 0 .. m-1 and the arcs u -> v with bounds
+    (n, d) in `bounds`: potentials (n, d, arcs) with P_v <= P_u * B on
+    every arc, from a start of (1, 1) at every node, or None when the bounds
+    along some cycle multiply to at most 1.
 
-    With `stop`, it returns after the first pivot that closes a walk of
-    weight at most `stop`, which is then on the diagonal.  Past such a walk
-    the exact weights only shrink around it, and each later pivot can double
-    their size in bits."""
-    m = len(w)
-    d = [row[:] for row in w]
-    hop = [list(range(m)) for _ in range(m)]
-    for k in range(m):
-        dk = d[k]
-        for u in range(m):
-            duk = d[u][k]
-            if duk == math.inf:
-                continue
-            du, hu, first = d[u], hop[u], hop[u][k]
-            for v in range(m):
-                if dk[v] != math.inf:
-                    c = join(duk, dk[v])
-                    if c < du[v]:
-                        du[v], hu[v] = c, first
-        if stop is not None and any(d[v][v] <= stop for v in range(m)):
-            break
-    return d, hop
-
-
-def _walk_cycle(hop, v):
-    """The nodes of the first cycle met by following first hops toward v."""
-    walk = [v]
-    u = hop[v][v]
-    while u not in walk:
-        walk.append(u)
-        u = hop[u][v]
-    return walk[walk.index(u):]
+    Potentials are unreduced int pairs compared by cross-multiplication.  A
+    tie goes to the walk of more arcs, so a cycle of product exactly 1 keeps
+    improving as one below 1 does.  Without such a cycle every improvement
+    follows a simple walk, so a walk of m arcs proves one.  Before each
+    improvement of v from u the parent pointers are walked back from u:
+    meeting v closes a cycle that improves on itself, which also proves
+    one, and stopping there keeps the potentials from growing around it."""
+    pot = [(1, 1, 0)] * m
+    parent = [None] * m
+    out = [[] for _ in range(m)]
+    for (u, v), (bn, bd) in bounds.items():
+        out[u].append((v, bn, bd))
+    todo, queued = deque(range(m)), [True] * m
+    while todo:
+        u = todo.popleft()
+        queued[u] = False
+        un, ud, uc = pot[u]
+        for v, bn, bd in out[u]:
+            vn, vd, vc = pot[v]
+            lhs, rhs = un * bn * vd, vn * ud * bd
+            if lhs < rhs or lhs == rhs and uc >= vc:
+                w = u
+                while w is not None and w != v:
+                    w = parent[w]
+                if w == v or uc + 1 == m:
+                    return None
+                pot[v], parent[v] = (un * bn, ud * bd, uc + 1), u
+                if not queued[v]:
+                    todo.append(v)
+                    queued[v] = True
+    return pot
 
 
 def instance_from_horocycles(

@@ -44,6 +44,9 @@ class TestClassify:
         code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "0,0.5")
         assert code == 0
         assert "exact-predicate guarantees disabled" in out
+        # an inexact center prints as the float it is, not as its binary fraction
+        code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "0.3,0.5")
+        assert code == 0 and "Horocycle center 0.3 radius 0.5\n" in out
 
     def test_records_format(self, capsys):
         code, out, _ = run(
@@ -59,7 +62,11 @@ class TestConstruct:
         # both pinch horocycles of these inputs have irrational centers
         code, out, _ = run(capsys, "construct", "pinch", "--first", "0,1", "--second", "5,2")
         assert code == 0
-        assert out.count("unit-norm a=") == 2 and out.count("Horocycle center") == 2
+        assert out.count("unit-norm a=") == 2
+        assert [line for line in out.splitlines() if line.startswith("Horocycle")] == [
+            "Horocycle center -12.071067811865477 radius 36.42766952966369",
+            "Horocycle center 2.0710678118654755 radius 1.0723304703363117",
+        ]
         code, out, _ = run(capsys, "--format", "records", "construct", "pinch",
                            "--first", "0,1", "--second", "5,2")
         recs = [json.loads(line) for line in out.strip().splitlines()]

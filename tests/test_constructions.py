@@ -36,7 +36,6 @@ from hyperk import (
 from hyperk import model
 from hyperk.errors import InvalidInputError
 from hyperk.constructions import opposite_sides_of_point
-from hyperk._rational import sqrt_exact
 from hyperk.model import EPS, Curve, GeneralizedCircle, rational_points, straddling_points
 from hyperk.verify import (
     _horocycles_nearly_tangent,
@@ -47,6 +46,7 @@ from hyperk.verify import (
     rand_isometry,
     rand_q,
 )
+from exact_oracles import sqrt_exact
 from test_acceptance import _tangent_hypercycle_pair
 from test_predicates import _tangent_pencil
 

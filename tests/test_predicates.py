@@ -28,7 +28,6 @@ from hyperk import (
     same_endpoints,
 )
 from hyperk import model, predicates
-from hyperk._rational import sqrt_exact
 from hyperk.constructions import (
     FoliatesComponent,
     classify_family_limit,
@@ -54,6 +53,8 @@ from hyperk.verify import (
     rand_q,
     run_suite,
 )
+
+from exact_oracles import sqrt_exact
 
 F = BoundaryPoint.finite
 
