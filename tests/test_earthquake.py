@@ -1339,10 +1339,19 @@ def _differential_instances(rng, count):
         yield earthquake.RealizabilityInstance(centers, images, pattern)
 
 
-def test_int_pair_solver_matches_fraction_oracle(monkeypatch):
-    # the same answers as the Fraction solver on 2,000 instances: identical
-    # records where unsatisfiable, and where satisfiable radii (chosen by
-    # other cycle tests, so they may differ) that realize the pattern
+def _reversed(inst):
+    """inst with its horocycles listed in the opposite order."""
+    return earthquake.RealizabilityInstance(
+        inst.centers[::-1], inst.relabeled_centers[::-1],
+        [row[::-1] for row in inst.required_pattern[::-1]])
+
+
+@pytest.mark.parametrize("reverse", [True, False])
+def test_int_pair_solver_matches_fraction_oracle(monkeypatch, reverse):
+    # the same answers as the Fraction solver on 2,000 instances, listed in
+    # both orders: identical records where unsatisfiable, and where
+    # satisfiable radii (chosen by other cycle tests, so they may differ)
+    # that realize the pattern
     solve, tally = earthquake._free_values, collections.Counter()
 
     def checked(ineqs, free_roots, pinned):
@@ -1354,6 +1363,8 @@ def test_int_pair_solver_matches_fraction_oracle(monkeypatch):
 
     monkeypatch.setattr(earthquake, "_free_values", checked)
     for inst in _differential_instances(random.Random(1212), 2000):
+        if reverse:
+            inst = _reversed(inst)
         got, want = tangency_realizability(inst), _oracle_fraction_realizability(inst)
         assert type(got) is type(want), inst
         centers = inst.relabeled_centers
