@@ -7,13 +7,14 @@ so in the output banner.  Exit codes: 0 success, 2 parse/usage error,
 3 degenerate geometry, 4 unwritable output path.
 
 Each command imports the layers it runs inside its function, so a call
-starts only the modules it needs (`classify` loads no predicates).
+starts only the modules it needs: `classify` loads no predicates, `verify
+order` only the predicates its suite checks, and a usage error no layer.
+Only --format records loads json.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -61,6 +62,8 @@ class _Output:
 
     def flush(self):
         if self.fmt == "records":
+            import json
+
             for rec in self.records:
                 print(json.dumps(rec, sort_keys=True))
 
@@ -85,6 +88,23 @@ def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
     if len(parts) != count:
         raise InvalidInputError(f"{usage} expected, got {text!r}")
     return parts
+
+
+def _checked(parse, text: str, usage: str):
+    """parse(text), or an error that names the value's form `usage` in
+    place of a bare ValueError's."""
+    try:
+        return parse(text)
+    except InvalidInputError:
+        raise
+    except ValueError:
+        raise InvalidInputError(f"{usage} expected, got {text!r}") from None
+
+
+def _geodesic(text: Optional[str], usage: str) -> Curve:
+    """The geodesic between the boundary points of a flag value p,q."""
+    p, q = (_checked(BoundaryPoint.parse, v, usage) for v in _fields(text, 2, usage))
+    return make_geodesic(p, q)
 
 
 def _curve_from_args(args, out_inexact: bool, prefix: str = "") -> Curve:
@@ -196,8 +216,7 @@ def cmd_construct(args, out: _Output) -> int:
             out.emit(*((w.to_text(), w.to_record()) if w.exact else _inexact_output(w)))
         return EXIT_OK
     if what == "equidistant":
-        p, q = _fields(args.first, 2, "--first p,q")
-        g = make_geodesic(BoundaryPoint.parse(p), BoundaryPoint.parse(q))
+        g = _geodesic(args.first, "--first p,q")
         lo, hi = equidistant_pair(g, float(args.distance))
         for w in (lo, hi):
             out.emit(w.to_text(), w.to_record())
@@ -245,7 +264,9 @@ def cmd_graph(args, out: _Output) -> int:
             out.emit(f"automorphism {list(a.perm)}", a.to_record())
         out.emit(f"{len(autos)} automorphisms", {"automorphism_count": len(autos)})
     if args.realize:
-        perm = GraphAutomorphism(tuple(int(x) for x in args.realize.split(",")))
+        perm = GraphAutomorphism(
+            tuple(_checked(int, x, "--realize i,j,...") for x in args.realize.split(","))
+        )
         iso = isometry_realizing(g, perm)
         if iso is None:
             out.emit("no realizing isometry", {"realizing": None})
@@ -257,14 +278,13 @@ def cmd_graph(args, out: _Output) -> int:
 def cmd_earthquake(args, out: _Output) -> int:
     from .earthquake import EarthquakeMap, eq_apply, eq_geodesic_image
 
-    p, q = (s.strip() for s in args.fault.split(","))
-    fault = make_geodesic(BoundaryPoint.parse(p), BoundaryPoint.parse(q))
-    e = EarthquakeMap(fault, q_from_str(args.shear), args.side)
+    fault = _geodesic(args.fault, "--fault p,q")
+    e = EarthquakeMap(fault, _checked(q_from_str, args.shear, "--shear p/q"), args.side)
     action = args.action
     if action == "apply":
         for token in args.values:
             if "," in token:
-                x, y = token.split(",")
+                x, y = _fields(token, 2, "apply x,y")
                 z = UHPPoint(
                     _parse_number(x, args.inexact), _parse_number(y, args.inexact)
                 )
@@ -274,14 +294,13 @@ def cmd_earthquake(args, out: _Output) -> int:
                     {"input": token, "image": [str(w.x), str(w.y)]},
                 )
             else:
-                b = BoundaryPoint.parse(token)
+                b = _checked(BoundaryPoint.parse, token, "apply x,y or p/q or oo")
                 w = eq_apply(e, b)
                 out.emit(f"{token} -> {w!r}", {"input": token, "image": repr(w)})
         return EXIT_OK
     if action == "image":
         for token in args.values:
-            a, b = token.split(",")
-            g = make_geodesic(BoundaryPoint.parse(a), BoundaryPoint.parse(b))
+            g = _geodesic(token, "image p,q")
             img = eq_geodesic_image(e, g)
             out.emit(f"{g.to_text()} -> {img.to_text()}", img.to_record())
         return EXIT_OK
@@ -431,14 +450,12 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
-class _SuiteNames:
-    """The `verify` choices, read from the verify module only when argparse
-    checks or prints them."""
-
-    def __iter__(self):
-        from .verify import SUITES
-
-        return iter((*SUITES, "all"))
+#: the `verify` choices: the names of `verify.SUITES`, kept here so that
+#: parsing a command imports no suite
+VERIFY_SUITES = (
+    "order", "boundary-extension", "dyadic", "pinch", "types", "betweenness", "crescent",
+    "four-geodesics", "links", "families", "earthquake", "graphs", "all",
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -498,8 +515,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_family)
 
     p = sub.add_parser("verify", help="run a property suite")
-    # set after add_argument, which would list the choices and so import verify
-    p.add_argument("suite").choices = _SuiteNames()
+    p.add_argument("suite", choices=VERIFY_SUITES)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--scale", choices=("small", "full"), default="small")
     p.add_argument("--depth", type=_nonnegative_int, default=6)

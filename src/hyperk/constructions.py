@@ -15,10 +15,10 @@ pencil member that the sign of the Lorentz Gram determinant D2 picks.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ._rational import Q
+from ._record import Record
 from .errors import HyperkError, InvalidInputError, NoSolutionError
 from .model import (
     EPS,
@@ -46,16 +46,16 @@ from .predicates import intersection_pattern, linked
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DyadicFamily:
+class DyadicFamily(Record):
     """Horocycles of Euclidean radius 1/2^(k+1) centered at n/2^k,
     consecutive members tangent at (x_n + x_{n+1})/2 + i/2^(k+1)."""
 
-    level: int
-    n_min: int
-    n_max: int
-    horocycles: Tuple[Curve, ...]
-    tangency_points: Tuple[UHPPoint, ...]
+    __slots__ = ("level", "n_min", "n_max", "horocycles", "tangency_points")
+
+    def __init__(self, level: int, n_min: int, n_max: int, horocycles: Tuple[Curve, ...],
+                 tangency_points: Tuple[UHPPoint, ...]):
+        self.level, self.n_min, self.n_max = level, n_min, n_max
+        self.horocycles, self.tangency_points = horocycles, tangency_points
 
 
 def dyadic_family(k: int, n_min: int, n_max: int) -> DyadicFamily:
@@ -236,19 +236,24 @@ def _solve_pinch(h0: Curve, h: Curve) -> List[Curve]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FoliatesComponent:
+class FoliatesComponent(Record):
     """The family sweeps out an entire component of the complement of h_0."""
 
-
-@dataclass(frozen=True)
-class HorocycleLimit:
-    curve: Curve
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class HypercycleOrGeodesicLimit:
-    curve: Curve
+class HorocycleLimit(Record):
+    __slots__ = ("curve",)
+
+    def __init__(self, curve: Curve):
+        self.curve = curve
+
+
+class HypercycleOrGeodesicLimit(Record):
+    __slots__ = ("curve",)
+
+    def __init__(self, curve: Curve):
+        self.curve = curve
 
 
 def _at(poly, s):
@@ -358,17 +363,15 @@ def classify_family_limit(fam: ContinuousFamily):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FourGeodesicConfig:
-    x1: BoundaryPoint
-    x2: BoundaryPoint
-    y1: BoundaryPoint
-    y2: BoundaryPoint
-    g1: Curve
-    g2: Curve
-    h1: Curve
-    h2: Curve
-    properties_verified: bool
+class FourGeodesicConfig(Record):
+    __slots__ = ("x1", "x2", "y1", "y2", "g1", "g2", "h1", "h2", "properties_verified")
+
+    def __init__(self, x1: BoundaryPoint, x2: BoundaryPoint, y1: BoundaryPoint,
+                 y2: BoundaryPoint, g1: Curve, g2: Curve, h1: Curve, h2: Curve,
+                 properties_verified: bool):
+        self.x1, self.x2, self.y1, self.y2 = x1, x2, y1, y2
+        self.g1, self.g2, self.h1, self.h2 = g1, g2, h1, h2
+        self.properties_verified = properties_verified
 
 
 def _in_cyclic_order(points: Sequence[BoundaryPoint]) -> bool:

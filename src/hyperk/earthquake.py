@@ -15,11 +15,11 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from enum import Enum
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from ._rational import Q, q_str
+from ._record import Record
 from .errors import HyperkError, InvalidInputError
 from .model import (
     INFINITY,
@@ -126,12 +126,14 @@ def eq_geodesic_image(e: EarthquakeMap, g: Curve) -> Curve:
     return make_geodesic(eq_apply(e, p), eq_apply(e, q))
 
 
-@dataclass(frozen=True)
-class PointwiseImageResult:
+class PointwiseImageResult(Record):
     """Outcome of the cocircularity rank test on pointwise image samples."""
 
-    is_curve: bool
-    witness: Optional[Tuple[UHPPoint, UHPPoint, UHPPoint, UHPPoint]] = None
+    __slots__ = ("is_curve", "witness")
+
+    def __init__(self, is_curve: bool,
+                 witness: Optional[Tuple[UHPPoint, UHPPoint, UHPPoint, UHPPoint]] = None):
+        self.is_curve, self.witness = is_curve, witness
 
     def __bool__(self):
         return self.is_curve
@@ -203,8 +205,7 @@ class PairRequirement(Enum):
     CROSSING = "crossing"
 
 
-@dataclass
-class RealizabilityInstance:
+class RealizabilityInstance(Record):
     """Do positive radii at the relabeled centers realize the required
     pairwise pattern?
 
@@ -213,11 +214,13 @@ class RealizabilityInstance:
     tangent iff r(oo) = 2 r(p), disjoint iff >, crossing iff <.
     """
 
-    centers: List[BoundaryPoint]
-    relabeled_centers: List[BoundaryPoint]
-    required_pattern: List[List[Optional[PairRequirement]]]
+    __slots__ = ("centers", "relabeled_centers", "required_pattern")
+    __hash__ = None
 
-    def __post_init__(self):
+    def __init__(self, centers: List[BoundaryPoint], relabeled_centers: List[BoundaryPoint],
+                 required_pattern: List[List[Optional[PairRequirement]]]):
+        self.centers, self.relabeled_centers = centers, relabeled_centers
+        self.required_pattern = required_pattern
         n = len(self.relabeled_centers)
         if len(self.centers) != n:
             raise InvalidInputError("centers and relabeled centers differ in length")
@@ -237,29 +240,28 @@ class RealizabilityInstance:
                         )
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     """One processed pairwise requirement, for certificates."""
 
-    kind: PairRequirement
-    i: int
-    j: int
-    text: str
+    __slots__ = ("kind", "i", "j", "text")
+
+    def __init__(self, kind: PairRequirement, i: int, j: int, text: str):
+        self.kind, self.i, self.j, self.text = kind, i, j, text
 
     def to_record(self):
         return {"kind": self.kind.value, "i": self.i, "j": self.j, "text": self.text}
 
 
-@dataclass(frozen=True)
-class Satisfiable:
+class Satisfiable(Record):
     """Rational radii that realize the pattern (``exact`` is always True).
     ``forced[i]`` says whether the tangencies pinned radius i (else the
     solver chose it); the record gives each radius's source and the larger
     bit length of its numerator and denominator."""
 
-    radii: Tuple[object, ...]
-    exact: bool
-    forced: Tuple[bool, ...] = ()
+    __slots__ = ("radii", "exact", "forced")
+
+    def __init__(self, radii: Tuple[object, ...], exact: bool, forced: Tuple[bool, ...] = ()):
+        self.radii, self.exact, self.forced = radii, exact, forced
 
     def to_record(self):
         rec = {
@@ -276,10 +278,11 @@ class Satisfiable:
         return rec
 
 
-@dataclass(frozen=True)
-class Unsatisfiable:
-    message: str
-    cycle: Tuple[Constraint, ...]
+class Unsatisfiable(Record):
+    __slots__ = ("message", "cycle")
+
+    def __init__(self, message: str, cycle: Tuple[Constraint, ...]):
+        self.message, self.cycle = message, cycle
 
     def to_record(self):
         return {

@@ -10,11 +10,11 @@ automorphism, verified exactly on every curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from itertools import combinations, product
 from typing import List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import HyperkError, InvalidInputError
 from .model import (
     INFINITY,
@@ -37,11 +37,13 @@ class GraphClass(Enum):
     MIXED = "mixed"
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
+class GraphAutomorphism(Record):
     """A vertex permutation preserving adjacency; perm[i] is the image of i."""
 
-    perm: Tuple[int, ...]
+    __slots__ = ("perm",)
+
+    def __init__(self, perm: Tuple[int, ...]):
+        self.perm = perm
 
     def __call__(self, i: int) -> int:
         return self.perm[i]
@@ -331,9 +333,12 @@ def isometry_realizing(
     g: DisjointnessGraph, perm: GraphAutomorphism
 ) -> Optional[Isometry]:
     """An isometry mapping curve_i to curve_{perm(i)} for every i, or None."""
+    n = len(g)
+    if len(perm.perm) != n or set(perm.perm) != set(range(n)):
+        raise InvalidInputError(f"{list(perm.perm)} is not a permutation of the {n} vertices")
     if not g.is_automorphism(perm.perm):
         raise InvalidInputError("permutation is not an automorphism of the graph")
-    return isometry_matching(g.curves, [g.curves[perm(i)] for i in range(len(g))])
+    return isometry_matching(g.curves, [g.curves[perm(i)] for i in range(n)])
 
 
 def induced_permutation(g: DisjointnessGraph, iso: Isometry) -> GraphAutomorphism:
@@ -351,10 +356,11 @@ def induced_permutation(g: DisjointnessGraph, iso: Isometry) -> GraphAutomorphis
     return GraphAutomorphism(tuple(perm))
 
 
-@dataclass(frozen=True)
-class LinkCheckResult:
-    preserved: bool
-    witness: Optional[Tuple[BoundaryPoint, ...]] = None
+class LinkCheckResult(Record):
+    __slots__ = ("preserved", "witness")
+
+    def __init__(self, preserved: bool, witness: Optional[Tuple[BoundaryPoint, ...]] = None):
+        self.preserved, self.witness = preserved, witness
 
     def __bool__(self):
         return self.preserved

@@ -169,22 +169,19 @@ def _form_at(k, X, Y, W):
 _FLOAT_BITS = 166
 
 
-def _int_floats(k, scale: bool):
-    """The integers k as floats; with `scale`, divided by a common power of
-    two when they are too large for the sign tests on a circle.
+def _int_floats(k, bits: int = _FLOAT_BITS):
+    """The integers k as floats, divided by a common power of two when the
+    longest is longer than `bits`: by default, too large for the sign tests
+    on a circle.
 
     Each quotient is correctly rounded, so it keeps the relative precision
-    float() would give, and every sign test on a circle is homogeneous in
-    the coefficients: the scale changes no answer while nothing underflows.
-    Two lines are not scaled, since their determinant is compared with an
-    absolute tolerance.
+    float() would give, and every sign test on a circle or a pair of lines
+    is homogeneous in the coefficients: the scale changes no answer while
+    nothing underflows.
     """
-    shift = max(abs(v).bit_length() for v in k) - _FLOAT_BITS if scale else 0
+    shift = max(abs(v).bit_length() for v in k) - bits
     if shift <= 0:
-        try:
-            return [float(v) for v in k]
-        except OverflowError:  # an unscaled line past the float range
-            raise InvalidInputError("line coefficients exceed the float range") from None
+        return [float(v) for v in k]
     floats = [v / (1 << shift) for v in k]
     if any(v and not f for v, f in zip(k, floats)):
         raise InvalidInputError("circle coefficients span more than the float range")
@@ -798,7 +795,7 @@ class Isometry:
         # the entries' floats overflowed: the exact image of the circle's
         # value, divided by a power of two to come within the float range
         image = self.apply_circle(GeneralizedCircle(*map(Fraction, circle.coeffs())))
-        return GeneralizedCircle(*_int_floats(image.coeffs(), True), exact=False)
+        return GeneralizedCircle(*_int_floats(image.coeffs()), exact=False)
 
     def apply_curve(self, curve: Curve) -> Curve:
         image = Curve(self.apply_circle(curve.circle))

@@ -15,11 +15,12 @@ endpoints alike.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import math
 from enum import Enum
 from typing import Tuple
 
 from ._rational import Q
+from ._record import Record
 from .errors import InvalidInputError
 from .model import (
     EPS,
@@ -27,6 +28,8 @@ from .model import (
     Curve,
     CurveKind,
     UHPPoint,
+    _FLOAT_BITS,
+    _finite,
     _int_floats,
     _lorentz,
     _number,
@@ -38,8 +41,7 @@ from .model import (
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IntersectionPattern:
+class IntersectionPattern(Record):
     """How two curves meet inside the open half-plane.
 
     interior_count   number of interior intersection points (tangency counts
@@ -51,12 +53,14 @@ class IntersectionPattern:
     equal            True when the two curves coincide (all other fields void)
     """
 
-    interior_count: int
-    tangent: bool
-    shared_endpoints: int
-    interior_points: Tuple[UHPPoint, ...]
-    exact: bool
-    equal: bool = False
+    __slots__ = ("interior_count", "tangent", "shared_endpoints", "interior_points", "exact",
+                 "equal")
+
+    def __init__(self, interior_count: int, tangent: bool, shared_endpoints: int,
+                 interior_points: Tuple[UHPPoint, ...], exact: bool, equal: bool = False):
+        self.interior_count, self.tangent = interior_count, tangent
+        self.shared_endpoints, self.interior_points = shared_endpoints, interior_points
+        self.exact, self.equal = exact, equal
 
     def describe(self) -> str:
         if self.equal:
@@ -108,12 +112,20 @@ def _same_center_horocycles(c1: Curve, c2: Curve) -> bool:
     return abs(p.value - q.value) <= Q(EPS) * max(abs(p.value), abs(q.value), 1)
 
 
+#: the bit length an exact line keeps beside an inexact line: the
+#: determinant and the meeting point multiply each exact coefficient by one
+#: inexact one, which is at most 1
+_LINE_BITS = 1000
+
+
 def _pair_coeffs(c1: Curve, c2: Curve):
     """Coefficients of both circles and the tolerance of every sign test.
 
     Two exact curves keep their integers and tolerance 0.  Otherwise the
     coefficients become floats, an inexact circle with |a| <= EPS is taken
-    as the line it is within tolerance, and the tolerance is EPS.
+    as the line it is within tolerance, and the tolerance is EPS.  An exact
+    curve's floats are scaled into the range its sign tests need: two lines
+    multiply no two exact coefficients, so they keep up to _LINE_BITS.
     """
     if c1.exact and c2.exact:
         return c1.circle.coeffs(), c2.circle.coeffs(), 0
@@ -121,10 +133,10 @@ def _pair_coeffs(c1: Curve, c2: Curve):
     for c, k in ((c1, k1), (c2, k2)):
         if not c.exact and abs(k[0]) <= EPS:
             k[0] = 0.0
-    scale = bool(k1[0] or k2[0])  # not two lines
+    bits = _FLOAT_BITS if k1[0] or k2[0] else _LINE_BITS
     for c, k in ((c1, k1), (c2, k2)):
         if c.exact:
-            k[:] = _int_floats(k, scale)
+            k[:] = _int_floats(k, bits)
     return k1, k2, EPS
 
 
@@ -150,12 +162,17 @@ def _meet(k1, k2, tol):
 def _line_line(l1, l2, tol):
     (B1, C1, D1), (B2, C2, D2) = l1, l2
     det = B1 * C2 - B2 * C1
-    if abs(det) <= tol:
+    # within tol, the sine of the angle between the normals (B, C) is 0; the
+    # test does not change when a line's coefficients are scaled
+    if abs(det) <= (tol and tol * math.hypot(B1, C1) * math.hypot(B2, C2)):
         return 0, False, (), 0
     y = _number(B2 * D1 - B1 * D2, 0, 0, det)
     if y <= tol:
         return 0, False, (), int(y >= -tol)
-    return 1, False, (UHPPoint(_number(C1 * D2 - C2 * D1, 0, 0, det), y),), 0
+    x = _number(C1 * D2 - C2 * D1, 0, 0, det)
+    if tol:
+        _finite(x, y)
+    return 1, False, (UHPPoint(x, y),), 0
 
 
 def _heights(q2, q1, q0, h):

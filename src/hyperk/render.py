@@ -9,27 +9,31 @@ places.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import List, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
+from ._record import Record
 from .errors import InvalidInputError
 from .model import Curve, UHPPoint
 
 _PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 
 
-@dataclass
-class SvgScene:
+class SvgScene(Record):
     """A real-axis window [x_min, x_max], a height, curves, and marked
     points; rendering clips everything to the open half-plane."""
 
-    x_min: float = -3.0
-    x_max: float = 3.0
-    height: float = 3.0
-    curves: List[Curve] = field(default_factory=list)
-    points: List[UHPPoint] = field(default_factory=list)
-    labels: List[Tuple[float, float, str]] = field(default_factory=list)
-    pixels_per_unit: float = 80.0
+    __slots__ = ("x_min", "x_max", "height", "curves", "points", "labels", "pixels_per_unit")
+    __hash__ = None
+
+    def __init__(self, x_min: float = -3.0, x_max: float = 3.0, height: float = 3.0,
+                 curves: Optional[List[Curve]] = None, points: Optional[List[UHPPoint]] = None,
+                 labels: Optional[List[Tuple[float, float, str]]] = None,
+                 pixels_per_unit: float = 80.0):
+        self.x_min, self.x_max, self.height = x_min, x_max, height
+        self.curves = [] if curves is None else curves
+        self.points = [] if points is None else points
+        self.labels = [] if labels is None else labels
+        self.pixels_per_unit = pixels_per_unit
 
     def add(self, *curves: Curve) -> "SvgScene":
         self.curves.extend(curves)

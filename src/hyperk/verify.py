@@ -2,17 +2,18 @@
 
 Each suite runs randomized / exhaustive checks of the library's invariants
 at a chosen scale and returns one result per property.  The CLI maps these
-to pass/fail lines and the exit code.
+to pass/fail lines and the exit code.  Each suite imports the layers it
+checks, so running one suite loads only those.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from typing import Callable, Dict, List, Tuple
 
 from ._rational import Q
+from ._record import Record
 from .errors import HyperkError, InvalidInputError, NoSolutionError
 from .model import (
     INFINITY,
@@ -29,53 +30,14 @@ from .model import (
     rational_points,
     two_point_normalizer,
 )
-from .predicates import (
-    HorocycleOrder,
-    between_tangent,
-    horocycle_leq,
-    hypercycle_pair_type,
-    intersection_pattern,
-    linked,
-)
-from .constructions import (
-    FoliatesComponent,
-    HorocycleLimit,
-    HypercycleOrGeodesicLimit,
-    classify_family_limit,
-    disj_family,
-    dyadic_family,
-    fixed_endpoint_family,
-    four_geodesic_config,
-    pinch_pair,
-    ray_family,
-    sigma_center_swap,
-)
-from .earthquake import (
-    EarthquakeMap,
-    Satisfiable,
-    Unsatisfiable,
-    eq_apply,
-    figure_one_configuration,
-    figure_one_images,
-    instance_from_horocycles,
-    pointwise_image_is_curve,
-    tangency_realizability,
-)
-from .graphs import (
-    GraphAutomorphism,
-    automorphisms,
-    build_graph,
-    isometry_matching,
-    isometry_realizing,
-)
 
 
-@dataclass
-class PropertyResult:
-    suite: str
-    name: str
-    passed: bool
-    detail: str = ""
+class PropertyResult(Record):
+    __slots__ = ("suite", "name", "passed", "detail")
+    __hash__ = None
+
+    def __init__(self, suite: str, name: str, passed: bool, detail: str = ""):
+        self.suite, self.name, self.passed, self.detail = suite, name, passed, detail
 
     def line(self) -> str:
         status = "pass" if self.passed else "FAIL"
@@ -152,6 +114,8 @@ def rand_isometry(rng: random.Random) -> Isometry:
 
 
 def suite_order(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .predicates import HorocycleOrder, horocycle_leq
+
     n = 200 if scale == "small" else 1000
     out = []
     ok, detail = True, ""
@@ -227,6 +191,9 @@ def suite_boundary_extension(rng: random.Random, scale: str) -> List[PropertyRes
 
 
 def suite_dyadic(rng: random.Random, scale: str, depth: int = 6) -> List[PropertyResult]:
+    from .constructions import dyadic_family
+    from .predicates import intersection_pattern
+
     ok, detail = True, ""
     checks = 0
     for k in range(depth + 1):
@@ -257,6 +224,9 @@ def suite_dyadic(rng: random.Random, scale: str, depth: int = 6) -> List[Propert
 
 
 def suite_pinch(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .constructions import pinch_pair
+    from .predicates import intersection_pattern
+
     n = 100 if scale == "small" else 400
     ok, detail = True, ""
     done = 0
@@ -314,6 +284,8 @@ def _random_hypercycle_pair(rng: random.Random) -> Tuple[Curve, Curve]:
 
 
 def suite_types(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .predicates import hypercycle_pair_type, intersection_pattern
+
     n = 300 if scale == "small" else 2000
     ok, detail = True, ""
     for _ in range(n):
@@ -343,6 +315,8 @@ def suite_types(rng: random.Random, scale: str) -> List[PropertyResult]:
 
 
 def suite_betweenness(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .predicates import between_tangent
+
     n = 100 if scale == "small" else 500
     ok, detail = True, ""
     done = 0
@@ -413,6 +387,8 @@ def suite_crescent(rng: random.Random, scale: str) -> List[PropertyResult]:
 
 
 def suite_four_geodesics(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .constructions import four_geodesic_config
+
     n = 100 if scale == "small" else 1000
     ok, detail = True, ""
     for _ in range(n):
@@ -432,6 +408,9 @@ def suite_four_geodesics(rng: random.Random, scale: str) -> List[PropertyResult]
 
 
 def suite_links(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .earthquake import EarthquakeMap, eq_apply
+    from .predicates import linked
+
     n = 500 if scale == "small" else 10000
     out = []
     ok, detail = True, ""
@@ -465,6 +444,17 @@ def suite_links(rng: random.Random, scale: str) -> List[PropertyResult]:
 
 
 def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .constructions import (
+        FoliatesComponent,
+        HorocycleLimit,
+        HypercycleOrGeodesicLimit,
+        classify_family_limit,
+        disj_family,
+        fixed_endpoint_family,
+        ray_family,
+    )
+    from .predicates import intersection_pattern
+
     cases = 10 if scale == "small" else 100
     ok, detail = True, ""
     done = 0
@@ -510,6 +500,18 @@ def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
 
 
 def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .earthquake import (
+        EarthquakeMap,
+        Satisfiable,
+        Unsatisfiable,
+        figure_one_configuration,
+        figure_one_images,
+        instance_from_horocycles,
+        pointwise_image_is_curve,
+        tangency_realizability,
+    )
+    from .predicates import intersection_pattern
+
     out = []
     hs = figure_one_configuration()
     inst = instance_from_horocycles(hs, [h.center for h in hs])
@@ -576,6 +578,16 @@ def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:
 
 
 def suite_graphs(rng: random.Random, scale: str) -> List[PropertyResult]:
+    from .constructions import sigma_center_swap
+    from .graphs import (
+        GraphAutomorphism,
+        automorphisms,
+        build_graph,
+        isometry_matching,
+        isometry_realizing,
+    )
+    from .predicates import horocycle_leq, intersection_pattern
+
     out = []
     n = 100 if scale == "small" else 1000
     ok, detail = True, ""

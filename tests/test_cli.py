@@ -230,7 +230,32 @@ MALFORMED = [
     ("render", "--curves", "FARLINE", "-o", "a.svg"),
     ("render", "--curves", "FAROBLIQUE", "-o", "a.svg"),
     ("classify", "--coeffs", f"1,0,0,-{2**2101}"),  # endpoints +-2^1050.5
+    ("graph", "--curves", "TWO", "--realize", "0"),
+    ("graph", "--curves", "TWO", "--realize", "0,5"),
+    ("graph", "--curves", "TWO", "--realize", "1,1"),
+    ("graph", "--curves", "TWO", "--realize", "-1,0"),
+    ("graph", "--curves", "TWO", "--realize", "a,b"),
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "image", "1"),
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "abc"),
+    ("earthquake", "--fault", "0", "--shear", "2", "apply", "1"),
+    ("earthquake", "--fault", "0,oo", "--shear", "x", "apply", "1"),
 ]
+
+#: what the error message says, for the rows whose message names the flag
+SAYS = {
+    ("graph", "--curves", "TWO", "--realize", "0"): "[0] is not a permutation of the 2 vertices",
+    ("graph", "--curves", "TWO", "--realize", "0,5"): "[0, 5] is not a permutation",
+    ("graph", "--curves", "TWO", "--realize", "1,1"): "[1, 1] is not a permutation",
+    ("graph", "--curves", "TWO", "--realize", "-1,0"): "[-1, 0] is not a permutation",
+    ("graph", "--curves", "TWO", "--realize", "a,b"): "--realize i,j,... expected, got 'a'",
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "image", "1"):
+        "image p,q expected, got '1'",
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "abc"):
+        "apply x,y or p/q or oo expected, got 'abc'",
+    ("earthquake", "--fault", "0", "--shear", "2", "apply", "1"): "--fault p,q expected, got '0'",
+    ("earthquake", "--fault", "0,oo", "--shear", "x", "apply", "1"):
+        "--shear p/q expected, got 'x'",
+}
 
 #: curve files that MALFORMED names by placeholder
 CURVE_FILES = {
@@ -239,6 +264,7 @@ CURVE_FILES = {
     "EMPTY": "# no curves\n",
     "FARLINE": f"geodesic a=0 b=1 c=0 d=-{2**1100}\n",  # x = 2^1100
     "FAROBLIQUE": f"hypercycle a=0 b=1 c=1 d=-{2**1100}\n",  # y = 2^1100 - x
+    "TWO": "geodesic a=1 b=0 c=0 d=-1\ngeodesic a=0 b=1 c=0 d=0\n",  # crossing: not adjacent
 }
 
 
@@ -248,10 +274,11 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
     for name, text in CURVE_FILES.items():
         files[name] = tmp_path / name
         files[name].write_text(text)
+    says = SAYS.get(argv, "")
     argv = [str(files.get(a, a)) for a in argv]
     code, _, err = run(capsys, *argv)
     assert code == 2
-    assert "Traceback" not in err
+    assert "Traceback" not in err and says in err
 
 
 @pytest.mark.parametrize("distance, message", [

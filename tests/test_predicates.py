@@ -1015,8 +1015,8 @@ def test_exact_curve_of_wide_coefficients_with_inexact_curve(monkeypatch):
 
 
 def test_exact_line_past_float_range_with_inexact_line():
-    # two lines are never scaled, so an exact line whose integers no float
-    # holds is refused instead of overflowing
+    # x = 2^1100 meets y = 1/2 at a point no float holds, so the pair is
+    # refused instead of answered with an infinite coordinate
     far = make_geodesic(F(2**1100), INFINITY)
     low = make_horocycle(INFINITY, 0.5)
     for c1, c2 in ((far, low), (low, far)):
@@ -1028,3 +1028,33 @@ def test_exact_line_past_float_range_with_inexact_line():
     assert (pat.interior_count, pat.shared_endpoints) == (1, 1)
     pat = intersection_pattern(far, make_horocycle(INFINITY, Q(1, 2)))
     assert pat.exact and pat.interior_points == (UHPPoint(2**1100, Q(1, 2)),)
+
+
+def test_exact_line_of_coefficients_past_the_float_range_with_inexact_line():
+    # y = (3^800 x + 7) / (3^800 + 1) meets y = 2x + 1/2 below the axis: the
+    # exact line is scaled, though 7 and 3^800 span more bits than a float
+    exact = curve_from_coeffs(0, 3**800, -3**800 - 1, 7)
+    line = curve_from_coeffs(0, 1.0, -0.5, 0.25, exact=False)
+    for c1, c2 in ((exact, line), (line, exact)):
+        p = intersection_pattern(c1, c2)
+        assert (p.interior_count, p.tangent, p.shared_endpoints, p.exact) == (0, False, 1, False)
+    # y = 3^800 (x + 1) / (3^800 + 1) meets y = 3 - x within 3^-800 of (1, 2)
+    p = intersection_pattern(curve_from_coeffs(0, 3**800, -3**800 - 1, 3**800),
+                             curve_from_coeffs(0, 1.0, 1.0, -3.0, exact=False))
+    assert (p.interior_count, p.shared_endpoints) == (1, 1)
+    assert p.interior_points[0].as_floats() == pytest.approx((1.0, 2.0), rel=1e-15)
+
+
+def test_inexact_lines_far_from_the_origin_are_parallel_only_by_their_angle():
+    # x = 29000, and the line through (29000, 1000) at 17 degrees to it: the
+    # unit-norm normals are about 3.5e-5 long, so their determinant, 3.7e-10,
+    # is below EPS though the lines are far from parallel
+    n = (math.cos(0.3), -math.sin(0.3))
+    slanted = curve_from_coeffs(0, n[0], n[1], -(29000 * n[0] + 1000 * n[1]), exact=False)
+    upright = curve_from_coeffs(0, 1.0, 0, -29000.0, exact=False)
+    b1, c1 = upright.circle.coeffs()[1:3]
+    b2, c2 = slanted.circle.coeffs()[1:3]
+    assert abs(b1 * c2 - b2 * c1) < EPS
+    p = intersection_pattern(upright, slanted)
+    assert (p.interior_count, p.shared_endpoints) == (1, 1)
+    assert p.interior_points[0].as_floats() == pytest.approx((29000.0, 1000.0), rel=1e-9)

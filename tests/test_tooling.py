@@ -26,11 +26,13 @@ def _fresh(code):
     return out.stdout.strip().splitlines()[-1]
 
 
-def _modules_loaded_by(code):
-    """The hyperk modules a fresh interpreter holds after running `code`."""
+def _modules_loaded_by(code, watched=()):
+    """The hyperk modules, and the modules named in `watched`, that a fresh
+    interpreter holds after running `code`."""
     return set(ast.literal_eval(_fresh(
         code + "\nimport sys\n"
-        "print(sorted(m for m in sys.modules if m == 'hyperk' or m.startswith('hyperk.')))\n"
+        "print(sorted(m for m in sys.modules\n"
+        f"             if m == 'hyperk' or m.startswith('hyperk.') or m in {tuple(watched)!r}))\n"
     )))
 
 
@@ -82,34 +84,61 @@ def test_no_module_imports_scipy_or_numpy():
     assert _imported_top_names(tree) == {"scipy", "numpy"}
 
 
+def test_no_module_imports_dataclasses():
+    # dataclasses loads inspect, ast and dis, which cost every CLI call
+    found = [p.name for p in sorted(PACKAGE.glob("*.py"))
+             if "dataclasses" in _imported_top_names(ast.parse(p.read_text(encoding="utf-8")))]
+    assert found == []
+
+
 def test_import_loads_no_layer_module():
     assert _modules_loaded_by("import hyperk") == {"hyperk"}
 
 
 CLI_BASE = {"hyperk", "hyperk.cli", "hyperk._rational", "hyperk.errors", "hyperk.model"}
 
+#: standard modules that no CLI call needs, but for json under --format records
+CLI_WATCHED = ("dataclasses", "inspect", "json")
+
 
 @pytest.mark.parametrize("argv, layers", [
     (["classify", "--horocycle", "oo,2"], set()),
     (["construct", "equidistant", "--first", "0,oo"], set()),
     (["intersect", "--first-geodesic", "-1,1", "--second-geodesic", "0,oo"],
-     {"predicates"}),
+     {"_record", "predicates"}),
     (["earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1", "1,1"],
-     {"predicates", "earthquake"}),
+     {"_record", "predicates", "earthquake"}),
     (["earthquake", "--fault", "0,oo", "--shear", "2", "certify"],
-     {"predicates", "earthquake"}),
-    (["family", "--preset", "ray"], {"predicates", "constructions"}),
+     {"_record", "predicates", "earthquake"}),
+    (["family", "--preset", "ray"], {"_record", "predicates", "constructions"}),
     (["render", "--preset", "figure-one", "-o", "FILE"],
-     {"predicates", "earthquake", "render"}),
+     {"_record", "predicates", "earthquake", "render"}),
+    (["verify", "order"], {"_record", "predicates", "verify"}),
+    (["verify", "dyadic", "--depth", "2"], {"_record", "predicates", "constructions", "verify"}),
+    (["verify", "nosuch"], set()),
+    (["--format", "records", "classify", "--horocycle", "oo,2"], set()),
+    (["--format", "records", "family", "--preset", "ray"],
+     {"_record", "predicates", "constructions"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_command_loads_only_its_layers(tmp_path, argv, layers):
-    # cli.main in a fresh interpreter loads what `python -m hyperk.cli` does
+    # cli.main in a fresh interpreter loads what `python -m hyperk.cli` does;
+    # argparse refuses the unknown suite with exit 2
     argv = [str(tmp_path / "out.svg") if a == "FILE" else a for a in argv]
+    code = 2 if "nosuch" in argv else 0
     loaded = _modules_loaded_by(
         "import contextlib, io\nfrom hyperk import cli\n"
-        f"with contextlib.redirect_stdout(io.StringIO()):\n    assert cli.main({argv!r}) == 0"
+        "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
+        f"    assert cli.main({argv!r}) == {code}",
+        CLI_WATCHED,
     )
-    assert loaded == CLI_BASE | {f"hyperk.{m}" for m in layers}
+    json = {"json"} if argv[:2] == ["--format", "records"] else set()
+    assert loaded == CLI_BASE | {f"hyperk.{m}" for m in layers} | json
+
+
+def test_cli_suite_choices_are_the_verify_suites():
+    from hyperk import cli, verify
+
+    assert cli.VERIFY_SUITES == (*verify.SUITES, "all")
 
 
 #: every name the package exported when it imported all its modules, by the
@@ -260,3 +289,77 @@ def test_every_name_the_benchmark_uses_resolves():
     # wraps Isometry.apply_curve where the class itself defines it
     assert callable(_rational.Q) and isinstance(_rational.BACKEND, str)
     assert callable(Isometry.__dict__["apply_curve"])
+
+
+def _record_instances():
+    """One instance of every record class, with its field names in order,
+    and whether instances are hashable."""
+    from hyperk import (
+        INFINITY, BoundaryPoint, FoliatesComponent, GraphAutomorphism, HorocycleLimit,
+        HypercycleOrGeodesicLimit, Isometry, LinkCheckResult, PropertyResult, Q, SvgScene,
+        dyadic_family, figure_one_configuration, figure_one_images, four_geodesic_config,
+        instance_from_horocycles, intersection_pattern, make_geodesic, make_horocycle,
+        pointwise_image_is_curve, tangency_realizability,
+    )
+
+    F = BoundaryPoint.finite
+    hs = figure_one_configuration()
+    unsat = tangency_realizability(instance_from_horocycles(hs, figure_one_images()))
+    sat = tangency_realizability(instance_from_horocycles(hs, [h.center for h in hs]))
+    h = make_horocycle(F(0), Q(1, 2))
+    return [
+        (intersection_pattern(make_geodesic(F(-1), F(1)), make_geodesic(F(0), INFINITY)),
+         "interior_count tangent shared_endpoints interior_points exact equal", True),
+        (GraphAutomorphism((1, 0, 2)), "perm", True),
+        (LinkCheckResult(False, (F(0), F(1), F(2), INFINITY)), "preserved witness", True),
+        (dyadic_family(0, -1, 1), "level n_min n_max horocycles tangency_points", True),
+        (FoliatesComponent(), "", True),
+        (HorocycleLimit(h), "curve", True),
+        (HypercycleOrGeodesicLimit(make_geodesic(F(0), F(1))), "curve", True),
+        (four_geodesic_config(F(0), F(1), F(2), INFINITY),
+         "x1 x2 y1 y2 g1 g2 h1 h2 properties_verified", True),
+        (pointwise_image_is_curve(Isometry(1, 1, 0, 1), h), "is_curve witness", True),
+        (instance_from_horocycles(hs, figure_one_images()),
+         "centers relabeled_centers required_pattern", False),
+        (unsat.cycle[0], "kind i j text", True),
+        (sat, "radii exact forced", True),
+        (unsat, "message cycle", True),
+        (SvgScene(x_min=-1.0).add(h).mark(*dyadic_family(0, -1, 1).tangency_points),
+         "x_min x_max height curves points labels pixels_per_unit", False),
+        (PropertyResult("order", "a property", False, "why"), "suite name passed detail", False),
+    ]
+
+
+@pytest.mark.parametrize("index", range(15))
+def test_record_classes_keep_constructor_repr_eq_and_hash(index):
+    record, names, hashable = _record_instances()[index]
+    cls, names = type(record), names.split()
+    values = [getattr(record, name) for name in names]
+    shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, values))
+    assert repr(record) == f"{cls.__qualname__}({shown})"
+    assert cls(*values) == record and cls(**dict(zip(names, values))) == record
+    assert record != object() and record.__eq__(object()) is NotImplemented
+    if hashable:
+        assert hash(record) == hash(tuple(values)) == hash(cls(*values))
+    else:
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(record)
+    if names:
+        with pytest.raises(TypeError):
+            cls(*values, None)
+
+
+def test_record_classes_keep_their_defaults():
+    from hyperk import (
+        IntersectionPattern, LinkCheckResult, PointwiseImageResult, PropertyResult,
+        Satisfiable, SvgScene,
+    )
+
+    assert IntersectionPattern(0, False, 0, (), True).equal is False
+    assert LinkCheckResult(True).witness is None and PointwiseImageResult(True).witness is None
+    assert Satisfiable((1,), True).forced == ()
+    assert PropertyResult("order", "a property", True).detail == ""
+    scene, other = SvgScene(), SvgScene()
+    assert (scene.x_min, scene.x_max, scene.height, scene.pixels_per_unit) == (-3.0, 3.0, 3.0, 80.0)
+    assert scene.curves == scene.points == scene.labels == []
+    assert scene.curves is not other.curves
