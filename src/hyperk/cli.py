@@ -1,10 +1,19 @@
 """Command-line front end.
 
 Subcommands: classify, construct, intersect, graph, earthquake, family,
-verify, render.  Rational inputs are `p/q` strings; floats are accepted
-only with --inexact, which disables the exact-predicate guarantees and says
-so in the output banner.  Exit codes: 0 success, 2 parse/usage error,
-3 degenerate geometry, 4 unwritable output path.
+verify, render.  Exit codes: 0 success, 2 parse/usage error, 3 degenerate
+geometry, 4 unwritable output path.
+
+One grammar reads every flag value.  A value is a comma-separated list of
+fields (`_fields`), and `_checked` reads each field by its kind: a number is
+`p` or `p/q`, and a float only with --inexact, which disables the
+exact-predicate guarantees and says so in the output banner
+(`_parse_number`); a boundary point is `oo` or a number, and stays exact
+under --inexact, where a decimal is read as its exact value.  `_curve`
+builds every curve flag from its row of `_CURVES`.  A value that does not parse fails with its
+flag and form ("--geodesic p,q expected, got 'a'"), and one that parses but
+is refused keeps the reason after them ("--horocycle center,size: '0.5' is
+not a rational p/q; pass --inexact to allow floats").
 
 Each command imports the layers it runs inside its function, so a call
 starts only the modules it needs: `classify` loads no predicates, `verify
@@ -21,12 +30,7 @@ import sys
 from typing import List, Optional
 
 from ._rational import Q, q_from_str, q_str
-from .errors import (
-    DegenerateResultError,
-    HyperkError,
-    InvalidInputError,
-    NoSolutionError,
-)
+from .errors import DegenerateResultError, HyperkError, InvalidInputError
 from .model import (
     INFINITY,
     BoundaryPoint,
@@ -69,17 +73,21 @@ class _Output:
 
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
+_INFINITIES = ("oo", "inf", "Inf", "infty", "Infinity", "infinity")
 
 
-def _parse_number(text: str, inexact: bool):
+def _parse_number(text: str, inexact: bool, exact: bool = False):
+    """`p` or `p/q`; with --inexact also a float literal, read as a float,
+    or as its exact decimal value where `exact` asks for one."""
     text = text.strip()
     if _RATIONAL_RE.match(text):
         return q_from_str(text)
-    if inexact:
-        return float(text)
-    raise InvalidInputError(
-        f"{text!r} is not a rational p/q; pass --inexact to allow floats"
-    )
+    value = float(text)  # a ValueError: no number at all
+    if not inexact:
+        raise InvalidInputError(
+            f"{text!r} is not a rational p/q; pass --inexact to allow floats"
+        )
+    return Q(text) if exact else value
 
 
 def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
@@ -90,62 +98,59 @@ def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
     return parts
 
 
-def _checked(parse, text: str, usage: str):
-    """parse(text), or an error that names the value's form `usage` in
-    place of a bare ValueError's."""
+def _checked(code: str, text: str, usage: str, inexact: bool):
+    """One field of a flag value, read as its code says: `n` a number, `q`
+    an exact number, `b` a boundary point (`oo` or an exact number), `i` an
+    int, `f` a float, `t` a curve text line.  A failure names the value's
+    flag and form `usage`: in place of a bare ValueError, and before the
+    reason of an InvalidInputError."""
     try:
-        return parse(text)
-    except InvalidInputError:
-        raise
+        if code == "b" and text.strip() in _INFINITIES:
+            return INFINITY
+        if code in "nqb":
+            value = _parse_number(text, inexact, exact=code != "n")
+            return BoundaryPoint(value) if code == "b" else value
+        return {"i": int, "f": float, "t": parse_curve_text}[code](text)
+    except InvalidInputError as exc:
+        raise InvalidInputError(f"{usage}: {exc}") from None
     except ValueError:
         raise InvalidInputError(f"{usage} expected, got {text!r}") from None
 
 
-def _geodesic(text: Optional[str], usage: str) -> Curve:
-    """The geodesic between the boundary points of a flag value p,q."""
-    p, q = (_checked(BoundaryPoint.parse, v, usage) for v in _fields(text, 2, usage))
-    return make_geodesic(p, q)
+def _parsed(text: Optional[str], codes: str, usage: str, inexact: bool = False) -> list:
+    """The fields of a flag value, one per code, each read by `_checked`."""
+    fields = _fields(text, len(codes), usage)
+    return [_checked(code, f, usage, inexact) for code, f in zip(codes, fields)]
 
 
-def _curve_from_args(args, out_inexact: bool, prefix: str = "") -> Curve:
-    """The curve given by the flags whose dest is `prefix` + kind."""
-    values = {
-        name: getattr(args, prefix + name, None)
-        for name in ("coeffs", "geodesic", "horocycle", "hypercycle", "curve")
-    }
-    chosen = [name for name, value in values.items() if value]
-    if len(chosen) != 1:
+#: each curve flag: its form, the code of each field, and the curve of the values
+_CURVES = {
+    "coeffs": ("a,b,c,d", "nnnn", curve_from_coeffs),
+    "geodesic": ("p,q", "bb", make_geodesic),
+    "horocycle": ("center,size", "bn", make_horocycle),
+    "hypercycle": ("p,q,x,y", "bbnn", lambda p, q, x, y: make_hypercycle(p, q, UHPPoint(x, y))),
+    "curve": ("kind a=A b=B c=C d=D", "t", lambda c: c),
+}
+
+
+def _curve(kind: str, text: Optional[str], flag: str, inexact: bool) -> Curve:
+    """The curve that the value `text` of the flag `flag` gives as a `kind`."""
+    form, codes, build = _CURVES[kind]
+    return build(*_parsed(text, codes, f"{flag} {form}", inexact))
+
+
+def _curve_from_args(args, inexact: bool, prefix: str = "") -> Curve:
+    """The curve given by exactly one of the flags --`prefix`<kind>."""
+    given = [
+        (kind, text) for kind in _CURVES
+        if (text := getattr(args, (prefix + kind).replace("-", "_")))
+    ]
+    if len(given) != 1:
         raise InvalidInputError(
-            "specify exactly one of --coeffs/--geodesic/--horocycle/--hypercycle/--curve"
+            "specify exactly one of " + "/".join(f"--{prefix}{kind}" for kind in _CURVES)
         )
-    kind = chosen[0]
-    if kind == "curve":
-        return parse_curve_text(values["curve"])
-    parts = [p for p in values[kind].split(",") if p.strip()]
-    if kind == "coeffs":
-        if len(parts) != 4:
-            raise InvalidInputError("--coeffs needs a,b,c,d")
-        vals = [_parse_number(p, out_inexact) for p in parts]
-        return curve_from_coeffs(*vals)
-    if kind == "geodesic":
-        if len(parts) != 2:
-            raise InvalidInputError("--geodesic needs p,q")
-        return make_geodesic(BoundaryPoint.parse(parts[0]), BoundaryPoint.parse(parts[1]))
-    if kind == "horocycle":
-        if len(parts) != 2:
-            raise InvalidInputError("--horocycle needs center,size")
-        return make_horocycle(
-            BoundaryPoint.parse(parts[0]), _parse_number(parts[1], out_inexact)
-        )
-    if len(parts) != 4:
-        raise InvalidInputError("--hypercycle needs p,q,x,y (a point on the curve)")
-    return make_hypercycle(
-        BoundaryPoint.parse(parts[0]),
-        BoundaryPoint.parse(parts[1]),
-        UHPPoint(
-            _parse_number(parts[2], out_inexact), _parse_number(parts[3], out_inexact)
-        ),
-    )
+    kind, text = given[0]
+    return _curve(kind, text, f"--{prefix}{kind}", inexact)
 
 
 def _describe_curve(c: Curve) -> str:
@@ -163,11 +168,8 @@ def _describe_curve(c: Curve) -> str:
 
 
 def _add_curve_flags(p: argparse.ArgumentParser, prefix: str = ""):
-    p.add_argument(f"--{prefix}coeffs", dest=f"{prefix}coeffs".replace("-", "_"))
-    p.add_argument(f"--{prefix}geodesic", dest=f"{prefix}geodesic".replace("-", "_"))
-    p.add_argument(f"--{prefix}horocycle", dest=f"{prefix}horocycle".replace("-", "_"))
-    p.add_argument(f"--{prefix}hypercycle", dest=f"{prefix}hypercycle".replace("-", "_"))
-    p.add_argument(f"--{prefix}curve", dest=f"{prefix}curve".replace("-", "_"))
+    for kind in _CURVES:
+        p.add_argument(f"--{prefix}{kind}")
 
 
 def _inexact_output(c: Curve):
@@ -208,17 +210,15 @@ def cmd_construct(args, out: _Output) -> int:
     if what == "pinch":
         from .constructions import pinch_pair
 
-        c0, s0 = _fields(args.first, 2, "--first center,size")
-        c1, s1 = _fields(args.second, 2, "--second center,size")
-        h0 = make_horocycle(BoundaryPoint.parse(c0), _parse_number(s0, args.inexact))
-        h1 = make_horocycle(BoundaryPoint.parse(c1), _parse_number(s1, args.inexact))
+        h0 = _curve("horocycle", args.first, "--first", args.inexact)
+        h1 = _curve("horocycle", args.second, "--second", args.inexact)
         for w in pinch_pair(h0, h1):
             out.emit(*((w.to_text(), w.to_record()) if w.exact else _inexact_output(w)))
         return EXIT_OK
     if what == "equidistant":
-        g = _geodesic(args.first, "--first p,q")
-        lo, hi = equidistant_pair(g, float(args.distance))
-        for w in (lo, hi):
+        g = _curve("geodesic", args.first, "--first", args.inexact)
+        (distance,) = _parsed(args.distance, "f", "--distance d")
+        for w in equidistant_pair(g, distance):
             out.emit(w.to_text(), w.to_record())
         return EXIT_OK
     raise InvalidInputError(f"unknown construction {what!r}")
@@ -227,8 +227,8 @@ def cmd_construct(args, out: _Output) -> int:
 def cmd_intersect(args, out: _Output) -> int:
     from .predicates import intersection_pattern, pair_type_from_pattern
 
-    c1 = _curve_from_args(args, args.inexact, "first_")
-    c2 = _curve_from_args(args, args.inexact, "second_")
+    c1 = _curve_from_args(args, args.inexact, "first-")
+    c2 = _curve_from_args(args, args.inexact, "second-")
     pat = intersection_pattern(c1, c2)
     ptype = pair_type_from_pattern(c1, c2)
     out.emit(
@@ -264,9 +264,8 @@ def cmd_graph(args, out: _Output) -> int:
             out.emit(f"automorphism {list(a.perm)}", a.to_record())
         out.emit(f"{len(autos)} automorphisms", {"automorphism_count": len(autos)})
     if args.realize:
-        perm = GraphAutomorphism(
-            tuple(_checked(int, x, "--realize i,j,...") for x in args.realize.split(","))
-        )
+        ints = "i" * len(args.realize.split(","))
+        perm = GraphAutomorphism(tuple(_parsed(args.realize, ints, "--realize i,j,...")))
         iso = isometry_realizing(g, perm)
         if iso is None:
             out.emit("no realizing isometry", {"realizing": None})
@@ -278,29 +277,27 @@ def cmd_graph(args, out: _Output) -> int:
 def cmd_earthquake(args, out: _Output) -> int:
     from .earthquake import EarthquakeMap, eq_apply, eq_geodesic_image
 
-    fault = _geodesic(args.fault, "--fault p,q")
-    e = EarthquakeMap(fault, _checked(q_from_str, args.shear, "--shear p/q"), args.side)
+    fault = _curve("geodesic", args.fault, "--fault", args.inexact)
+    (shear,) = _parsed(args.shear, "q", "--shear p/q", args.inexact)
+    e = EarthquakeMap(fault, shear, args.side)
     action = args.action
     if action == "apply":
         for token in args.values:
             if "," in token:
-                x, y = _fields(token, 2, "apply x,y")
-                z = UHPPoint(
-                    _parse_number(x, args.inexact), _parse_number(y, args.inexact)
-                )
+                z = UHPPoint(*_parsed(token, "nn", "apply x,y", args.inexact))
                 w = eq_apply(e, z)
                 out.emit(
                     f"{token} -> {w.x},{w.y}",
                     {"input": token, "image": [str(w.x), str(w.y)]},
                 )
             else:
-                b = _checked(BoundaryPoint.parse, token, "apply x,y or p/q or oo")
+                (b,) = _parsed(token, "b", "apply x,y or p/q or oo", args.inexact)
                 w = eq_apply(e, b)
                 out.emit(f"{token} -> {w!r}", {"input": token, "image": repr(w)})
         return EXIT_OK
     if action == "image":
         for token in args.values:
-            g = _geodesic(token, "image p,q")
+            g = _curve("geodesic", token, "image", args.inexact)
             img = eq_geodesic_image(e, g)
             out.emit(f"{g.to_text()} -> {img.to_text()}", img.to_record())
         return EXIT_OK
@@ -312,10 +309,7 @@ def cmd_earthquake(args, out: _Output) -> int:
             tangency_realizability,
         )
 
-        if args.curves:
-            hs = _read_some_curves(args.curves)
-        else:
-            hs = figure_one_configuration()
+        hs = _read_some_curves(args.curves) if args.curves else figure_one_configuration()
         images = [eq_apply(e, h.center) for h in hs]
         inst = instance_from_horocycles(hs, images)
         res = tangency_realizability(inst)
@@ -345,14 +339,8 @@ def cmd_family(args, out: _Output) -> int:
     elif args.preset == "fixed-endpoint":
         fam = fixed_endpoint_family(3, Q(3, 2))
     else:
-        hc, hs = _fields(args.horocycle, 2, "--horocycle center,size")
-        h = make_horocycle(BoundaryPoint.parse(hc), q_from_str(hs))
-        hp_parts = _fields(args.hypercycle, 4, "--hypercycle p,q,x,y")
-        hp = make_hypercycle(
-            BoundaryPoint.parse(hp_parts[0]),
-            BoundaryPoint.parse(hp_parts[1]),
-            UHPPoint(q_from_str(hp_parts[2]), q_from_str(hp_parts[3])),
-        )
+        h = _curve("horocycle", args.horocycle, "--horocycle", args.inexact)
+        hp = _curve("hypercycle", args.hypercycle, "--hypercycle", args.inexact)
         fam = disj_family(h, hp)
     res = classify_family_limit(fam)
     if isinstance(res, FoliatesComponent):
@@ -369,19 +357,15 @@ def cmd_family(args, out: _Output) -> int:
 def cmd_verify(args, out: _Output) -> int:
     from .verify import run_suite
 
-    seed = args.seed
     env_seed = os.environ.get("HYPERK_SEED")
-    if env_seed is not None:
-        seed = int(env_seed)
+    seed = args.seed if env_seed is None else _parsed(env_seed, "i", "HYPERK_SEED integer")[0]
     results = run_suite(args.suite, seed=seed, scale=args.scale, depth=args.depth)
-    failed = 0
     for r in results:
         out.emit(
             r.line(),
             {"suite": r.suite, "property": r.name, "passed": r.passed, "detail": r.detail},
         )
-        if not r.passed:
-            failed += 1
+    failed = sum(not r.passed for r in results)
     out.emit(
         f"{len(results) - failed}/{len(results)} properties passed",
         {"passed": len(results) - failed, "total": len(results)},
@@ -552,10 +536,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateResultError as exc:
         print(f"degenerate: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (InvalidInputError, NoSolutionError, HyperkError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-    except (ValueError, OSError) as exc:
+    except (HyperkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     out.flush()

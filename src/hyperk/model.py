@@ -31,7 +31,7 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from ._rational import Q, isqrt_exact, is_rational, q_from_str, q_str
+from ._rational import Q, isqrt_exact, is_rational, q_str
 from .errors import DegenerateResultError, HyperkError, InvalidInputError
 
 #: Tolerance for all inexact (float-coefficient) predicates and for
@@ -73,13 +73,6 @@ class BoundaryPoint:
 
     def __repr__(self):
         return "oo" if self.is_infinity else q_str(self.value)
-
-    @staticmethod
-    def parse(text: str) -> "BoundaryPoint":
-        text = text.strip()
-        if text in ("oo", "inf", "Inf", "infty", "Infinity", "infinity"):
-            return INFINITY
-        return BoundaryPoint.finite(q_from_str(text))
 
     def sort_key(self):
         # infinity sorts after every finite value
@@ -528,15 +521,16 @@ def curve_from_coeffs(a, b, c, d, exact: Optional[bool] = None) -> Curve:
 
 
 def parse_curve_text(text: str) -> Curve:
-    parts = text.split()
-    if len(parts) != 5:
-        raise InvalidInputError(f"bad curve text {text!r}")
-    kind_tag = parts[0]
-    values = {}
-    for part in parts[1:]:
-        key, _, raw = part.partition("=")
-        values[key] = int(raw)
-    curve = curve_from_coeffs(values["a"], values["b"], values["c"], values["d"])
+    """The curve of a `kind a=A b=B c=C d=D` line, integers A..D."""
+    kind_tag, *fields = text.split() or [""]
+    values = dict(field.partition("=")[::2] for field in fields)
+    try:
+        if len(fields) != 4 or sorted(values) != ["a", "b", "c", "d"]:
+            raise ValueError
+        coeffs = [int(values[key]) for key in "abcd"]
+    except ValueError:
+        raise InvalidInputError(f"bad curve text {text!r}") from None
+    curve = curve_from_coeffs(*coeffs)
     if curve.kind.value != kind_tag:
         raise InvalidInputError(
             f"curve text tagged {kind_tag} but coefficients classify as {curve.kind.value}"

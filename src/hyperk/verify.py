@@ -4,13 +4,19 @@ Each suite runs randomized / exhaustive checks of the library's invariants
 at a chosen scale and returns one result per property.  The CLI maps these
 to pass/fail lines and the exit code.  Each suite imports the layers it
 checks, so running one suite loads only those.
+
+A property is a generator over its cases: it draws a case from the suite's
+`rng`, checks it, and yields None if the case holds or a detail if it fails.
+One runner, `_result`, applies the rule to every property: the first
+failing case decides it, and stops the draws; a property with no failing
+case passes, and its detail may count the cases that held.
 """
 
 from __future__ import annotations
 
 import math
 import random
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, List
 
 from ._rational import Q
 from ._record import Record
@@ -113,113 +119,101 @@ def rand_isometry(rng: random.Random) -> Isometry:
 # suites
 
 
+def _result(suite: str, name: str, outcomes, summary: str = "") -> PropertyResult:
+    """The property's first failing case decides it; if none fails it
+    passes, with `summary` as detail and {} in it replaced by the number of
+    cases that held.  A failure stops the cases, and so their draws."""
+    held = 0
+    for detail in outcomes:
+        if detail is not None:
+            return PropertyResult(suite, name, False, detail)
+        held += 1
+    return PropertyResult(suite, name, True, summary.format(held))
+
+
 def suite_order(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .predicates import HorocycleOrder, horocycle_leq
 
     n = 200 if scale == "small" else 1000
-    out = []
-    ok, detail = True, ""
-    for _ in range(n):
-        c = rand_boundary(rng)
-        s1, s2 = abs(rand_q(rng, 1, 4)) + Q(1, 8), abs(rand_q(rng, 1, 4)) + Q(1, 8)
-        h1, h2 = make_horocycle(c, s1), make_horocycle(c, s2)
-        o = horocycle_leq(h1, h2)
-        if c.is_infinity:
+
+    def same_center():
+        for _ in range(n):
+            c = rand_boundary(rng)
+            s1, s2 = abs(rand_q(rng, 1, 4)) + Q(1, 8), abs(rand_q(rng, 1, 4)) + Q(1, 8)
+            h1, h2 = make_horocycle(c, s1), make_horocycle(c, s2)
+            o = horocycle_leq(h1, h2)
+            # at oo a larger size is a higher, so smaller, horoball
+            inside = s1 > s2 if c.is_infinity else s1 < s2
             want = (
                 HorocycleOrder.EQUAL if s1 == s2
-                else HorocycleOrder.LESS_OR_EQUAL if s1 > s2
+                else HorocycleOrder.LESS_OR_EQUAL if inside
                 else HorocycleOrder.GREATER_OR_EQUAL
             )
-        else:
-            want = (
-                HorocycleOrder.EQUAL if s1 == s2
-                else HorocycleOrder.LESS_OR_EQUAL if s1 < s2
-                else HorocycleOrder.GREATER_OR_EQUAL
-            )
-        if o is not want:
-            ok, detail = False, f"{h1!r} vs {h2!r}: {o} != {want}"
-            break
-    out.append(PropertyResult("order", "same-center horoball containment", ok, detail))
-    ok, detail = True, ""
-    for _ in range(n):
-        h1, h2 = rand_horocycle(rng), rand_horocycle(rng)
-        if h1.center == h2.center:
-            continue
-        if horocycle_leq(h1, h2) is not HorocycleOrder.INCOMPARABLE:
-            ok, detail = False, f"{h1!r} vs {h2!r} comparable across centers"
-            break
-    out.append(PropertyResult("order", "different centers incomparable", ok, detail))
-    return out
+            yield None if o is want else f"{h1!r} vs {h2!r}: {o} != {want}"
+
+    def across_centers():
+        for _ in range(n):
+            h1, h2 = rand_horocycle(rng), rand_horocycle(rng)
+            if h1.center != h2.center and horocycle_leq(h1, h2) is not HorocycleOrder.INCOMPARABLE:
+                yield f"{h1!r} vs {h2!r} comparable across centers"
+
+    return [
+        _result("order", "same-center horoball containment", same_center()),
+        _result("order", "different centers incomparable", across_centers()),
+    ]
 
 
 def suite_boundary_extension(rng: random.Random, scale: str) -> List[PropertyResult]:
     n = 200 if scale == "small" else 1000
-    out = []
-    ok, detail = True, ""
-    for _ in range(n):
-        iso = rand_isometry(rng)
-        p = rand_boundary(rng)
-        img = iso.apply_boundary(p)
-        # boundary image must be the limit of interior images: approach p
-        # vertically and compare against the image curve of a geodesic at p
-        q = rand_boundary(rng)
-        if q == p:
-            continue
-        g = make_geodesic(p, q)
-        gi = iso.apply_curve(g)
-        if img.is_infinity:
-            continue
-        if gi.circle.evaluate_boundary(img) != 0:
-            ok, detail = False, f"{iso!r} at {p!r}"
-            break
-    out.append(
-        PropertyResult(
-            "boundary-extension", "boundary action matches curve images", ok, detail
-        )
-    )
-    ok, detail = True, ""
-    for _ in range(n):
-        x, y = rand_distinct_boundary(rng, 2)
-        iso = two_point_normalizer(x, y)
-        if not (iso.apply_boundary(x) == INFINITY and iso.apply_boundary(y) == BoundaryPoint.finite(0)):
-            ok, detail = False, f"normalizer of ({x!r}, {y!r})"
-            break
-    out.append(
-        PropertyResult("boundary-extension", "two-point normalizer images", ok, detail)
-    )
-    return out
+
+    def curve_images():
+        for _ in range(n):
+            iso = rand_isometry(rng)
+            p = rand_boundary(rng)
+            img = iso.apply_boundary(p)
+            # boundary image must be the limit of interior images: approach p
+            # vertically and compare against the image curve of a geodesic at p
+            q = rand_boundary(rng)
+            if q == p:
+                continue
+            gi = iso.apply_curve(make_geodesic(p, q))
+            if not img.is_infinity and gi.circle.evaluate_boundary(img) != 0:
+                yield f"{iso!r} at {p!r}"
+
+    def normalizers():
+        want = (INFINITY, BoundaryPoint.finite(0))
+        for _ in range(n):
+            x, y = rand_distinct_boundary(rng, 2)
+            iso = two_point_normalizer(x, y)
+            if (iso.apply_boundary(x), iso.apply_boundary(y)) != want:
+                yield f"normalizer of ({x!r}, {y!r})"
+
+    return [
+        _result("boundary-extension", "boundary action matches curve images", curve_images()),
+        _result("boundary-extension", "two-point normalizer images", normalizers()),
+    ]
 
 
 def suite_dyadic(rng: random.Random, scale: str, depth: int = 6) -> List[PropertyResult]:
     from .constructions import dyadic_family
     from .predicates import intersection_pattern
 
-    ok, detail = True, ""
-    checks = 0
-    for k in range(depth + 1):
-        fam = dyadic_family(k, -4, 4)
-        for i, pt in enumerate(fam.tangency_points):
-            n = fam.n_min + i
-            xn = Q(n, 2**k)
-            xn1 = Q(n + 1, 2**k)
-            want = UHPPoint((xn + xn1) / 2, Q(1, 2 ** (k + 1)))
-            if pt != want:
-                ok, detail = False, f"level {k}, n={n}: {pt!r} != {want!r}"
-                break
-            checks += 1
-        # consecutive members must be exactly tangent
-        for h1, h2 in zip(fam.horocycles, fam.horocycles[1:]):
-            pat = intersection_pattern(h1, h2)
-            if not (pat.tangent and pat.interior_count == 1):
-                ok, detail = False, f"level {k}: consecutive members not tangent"
-                break
-        if not ok:
-            break
+    def levels():
+        for k in range(depth + 1):
+            fam = dyadic_family(k, -4, 4)
+            for i, pt in enumerate(fam.tangency_points):
+                n = fam.n_min + i
+                want = UHPPoint(Q(2 * n + 1, 2 ** (k + 1)), Q(1, 2 ** (k + 1)))
+                yield None if pt == want else f"level {k}, n={n}: {pt!r} != {want!r}"
+            # consecutive members must be exactly tangent
+            for h1, h2 in zip(fam.horocycles, fam.horocycles[1:]):
+                pat = intersection_pattern(h1, h2)
+                if not (pat.tangent and pat.interior_count == 1):
+                    yield f"level {k}: consecutive members not tangent"
+
     return [
-        PropertyResult(
-            "dyadic", f"tangency points exact through depth {depth}", ok,
-            detail or f"{checks} tangency points checked",
-        )
+        _result("dyadic", f"tangency points exact through depth {depth}", levels(),
+                "{} tangency points checked")
     ]
 
 
@@ -228,36 +222,33 @@ def suite_pinch(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .predicates import intersection_pattern
 
     n = 100 if scale == "small" else 400
-    ok, detail = True, ""
-    done = 0
-    for _ in range(n):
-        c1, c2 = rand_distinct_boundary(rng, 2)
-        s1 = abs(rand_q(rng, 1, 3)) + Q(1, 8)
-        s2 = abs(rand_q(rng, 1, 3)) + Q(1, 8)
-        h0, h = make_horocycle(c1, s1), make_horocycle(c2, s2)
-        if intersection_pattern(h0, h).interior_count != 0:
-            continue
-        try:
-            a, b = pinch_pair(h0, h)
-        except NoSolutionError:
-            continue
-        for w in {id(a): a, id(b): b}.values():
-            for other in (h0, h):
-                if w.exact and other.exact:
-                    if not intersection_pattern(w, other).tangent:
-                        ok, detail = False, f"{w!r} not tangent to {other!r}"
-                elif not _horocycles_nearly_tangent(w, other):
-                    ok, detail = False, f"inexact pinch witness off {other!r}"
-            if not ok:
-                break
-        if not ok:
-            break
-        done += 1
+
+    def off(w, other):
+        """Why the pinch horocycle w does not touch other, or None."""
+        if w.exact and other.exact:
+            if not intersection_pattern(w, other).tangent:
+                return f"{w!r} not tangent to {other!r}"
+        elif not _horocycles_nearly_tangent(w, other):
+            return f"inexact pinch witness off {other!r}"
+
+    def pinched():
+        for _ in range(n):
+            c1, c2 = rand_distinct_boundary(rng, 2)
+            s1 = abs(rand_q(rng, 1, 3)) + Q(1, 8)
+            s2 = abs(rand_q(rng, 1, 3)) + Q(1, 8)
+            h0, h = make_horocycle(c1, s1), make_horocycle(c2, s2)
+            if intersection_pattern(h0, h).interior_count != 0:
+                continue
+            try:
+                a, b = pinch_pair(h0, h)
+            except NoSolutionError:
+                continue
+            witnesses = (a,) if a is b else (a, b)
+            yield next(filter(None, (off(w, other) for w in witnesses for other in (h0, h))), None)
+
     return [
-        PropertyResult(
-            "pinch", "pinch horocycles tangent to both inputs", ok,
-            detail or f"{done} disjoint pairs pinched",
-        )
+        _result("pinch", "pinch horocycles tangent to both inputs", pinched(),
+                "{} disjoint pairs pinched")
     ]
 
 
@@ -279,47 +270,40 @@ def _horocycles_nearly_tangent(h1: Curve, h2: Curve, tol: float = 1e-6) -> bool:
     return abs((cy + r) - height) <= tol * max(1.0, height)
 
 
-def _random_hypercycle_pair(rng: random.Random) -> Tuple[Curve, Curve]:
-    return rand_hypercycle(rng), rand_hypercycle(rng)
-
-
 def suite_types(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .predicates import hypercycle_pair_type, intersection_pattern
 
     n = 300 if scale == "small" else 2000
-    ok, detail = True, ""
-    for _ in range(n):
-        c1, c2 = _random_hypercycle_pair(rng)
-        t = hypercycle_pair_type(c1, c2)
-        iso = rand_isometry(rng)
-        t2 = hypercycle_pair_type(iso.apply_curve(c1), iso.apply_curve(c2))
-        if t is not t2:
-            ok, detail = False, f"{t} -> {t2} under {iso!r}"
-            break
-    out = [PropertyResult("types", "pair type is an isometry invariant", ok, detail)]
-    ok, detail = True, ""
-    for _ in range(n):
-        c1, c2 = rand_curve(rng), rand_curve(rng)
-        iso = rand_isometry(rng)
-        p1 = intersection_pattern(c1, c2)
-        p2 = intersection_pattern(iso.apply_curve(c1), iso.apply_curve(c2))
-        if (p1.interior_count, p1.tangent, p1.shared_endpoints) != (
-            p2.interior_count, p2.tangent, p2.shared_endpoints
-        ):
-            ok, detail = False, f"{p1.describe()} -> {p2.describe()}"
-            break
-    out.append(
-        PropertyResult("types", "intersection pattern is an isometry invariant", ok, detail)
-    )
-    return out
+
+    def pair_types():
+        for _ in range(n):
+            c1, c2 = rand_hypercycle(rng), rand_hypercycle(rng)
+            t = hypercycle_pair_type(c1, c2)
+            iso = rand_isometry(rng)
+            t2 = hypercycle_pair_type(iso.apply_curve(c1), iso.apply_curve(c2))
+            yield None if t is t2 else f"{t} -> {t2} under {iso!r}"
+
+    def patterns():
+        for _ in range(n):
+            c1, c2 = rand_curve(rng), rand_curve(rng)
+            iso = rand_isometry(rng)
+            p1 = intersection_pattern(c1, c2)
+            p2 = intersection_pattern(iso.apply_curve(c1), iso.apply_curve(c2))
+            same = (p1.interior_count, p1.tangent, p1.shared_endpoints) == (
+                p2.interior_count, p2.tangent, p2.shared_endpoints
+            )
+            yield None if same else f"{p1.describe()} -> {p2.describe()}"
+
+    return [
+        _result("types", "pair type is an isometry invariant", pair_types()),
+        _result("types", "intersection pattern is an isometry invariant", patterns()),
+    ]
 
 
 def suite_betweenness(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .predicates import between_tangent
 
     n = 100 if scale == "small" else 500
-    ok, detail = True, ""
-    done = 0
     # the pencil of curves tangent to each other at the point i: the line
     # y = 1 (curvature 0) and, for r >= 1/2, the circle of radius r tangent
     # to the line at i from below (curvature 1/r); r = 1/2 is a horocycle,
@@ -334,76 +318,60 @@ def suite_betweenness(rng: random.Random, scale: str) -> List[PropertyResult]:
     def curvature(r):
         return Q(0) if r is None else 1 / r
 
-    for _ in range(n):
-        rs = rng.sample(radii, 3)
-        curves = [pencil_curve(r) for r in rs]
-        expected = sorted(range(3), key=lambda i: curvature(rs[i]))[1]
-        mid = between_tangent(*curves)
-        if mid != expected:
-            ok, detail = False, f"radii {rs}: middle {mid} != {expected}"
-            break
-        # the same curve must be reported middle after a random isometry
-        # and a random argument permutation
-        iso = rand_isometry(rng)
-        perm = [0, 1, 2]
-        rng.shuffle(perm)
-        images = [iso.apply_curve(curves[p]) for p in perm]
-        mid2 = between_tangent(*images)
-        if perm[mid2] != expected:
-            ok, detail = False, f"radii {rs}, perm {perm}: index {mid2}"
-            break
-        done += 1
+    def triples():
+        for _ in range(n):
+            rs = rng.sample(radii, 3)
+            curves = [pencil_curve(r) for r in rs]
+            expected = sorted(range(3), key=lambda i: curvature(rs[i]))[1]
+            mid = between_tangent(*curves)
+            if mid != expected:
+                yield f"radii {rs}: middle {mid} != {expected}"
+            # the same curve must be reported middle after a random isometry
+            # and a random argument permutation
+            iso = rand_isometry(rng)
+            perm = [0, 1, 2]
+            rng.shuffle(perm)
+            mid2 = between_tangent(*(iso.apply_curve(curves[p]) for p in perm))
+            yield None if perm[mid2] == expected else f"radii {rs}, perm {perm}: index {mid2}"
+
     return [
-        PropertyResult(
-            "betweenness", "middle of a tangent triple, invariantly", ok,
-            detail or f"{done} tangent triples",
-        )
+        _result("betweenness", "middle of a tangent triple, invariantly", triples(),
+                "{} tangent triples")
     ]
 
 
 def suite_crescent(rng: random.Random, scale: str) -> List[PropertyResult]:
     cases = 20 if scale == "small" else 100
-    samples = 100
-    ok, detail = True, ""
-    for _ in range(cases):
-        g = rand_geodesic(rng)
-        d = rng.uniform(0.1, 2.0)
-        c_plus, c_minus = equidistant_pair(g, d)
-        for c in (c_plus, c_minus):
-            for pt in rational_points(c, samples):
-                err = abs(distance_to_geodesic(pt, g) - d)
-                if err >= 1e-9:
-                    ok, detail = False, f"distance error {err:.2e} on {c!r}"
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-    return [
-        PropertyResult(
-            "crescent", "equidistant curves at the requested distance", ok, detail
-        )
-    ]
+
+    def distances():
+        for _ in range(cases):
+            g = rand_geodesic(rng)
+            d = rng.uniform(0.1, 2.0)
+            for c in equidistant_pair(g, d):
+                for pt in rational_points(c, 100):
+                    err = abs(distance_to_geodesic(pt, g) - d)
+                    if err >= 1e-9:
+                        yield f"distance error {err:.2e} on {c!r}"
+
+    return [_result("crescent", "equidistant curves at the requested distance", distances())]
 
 
 def suite_four_geodesics(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .constructions import four_geodesic_config
 
     n = 100 if scale == "small" else 1000
-    ok, detail = True, ""
-    for _ in range(n):
-        pts = rand_distinct_boundary(rng, 4)
-        pts.sort(key=BoundaryPoint.sort_key)
-        x1, x2, y1, y2 = pts  # cyclic order x1 < x2 < y1 < y2
-        try:
-            four_geodesic_config(x1, x2, y1, y2)
-        except HyperkError as exc:
-            ok, detail = False, f"{pts!r}: {exc}"
-            break
+
+    def configs():
+        for _ in range(n):
+            pts = rand_distinct_boundary(rng, 4)
+            pts.sort(key=BoundaryPoint.sort_key)  # cyclic order x1 < x2 < y1 < y2
+            try:
+                four_geodesic_config(*pts)
+            except HyperkError as exc:
+                yield f"{pts!r}: {exc}"
+
     return [
-        PropertyResult(
-            "four-geodesics", "three bullet properties by arc enumeration", ok, detail
-        )
+        _result("four-geodesics", "three bullet properties by arc enumeration", configs())
     ]
 
 
@@ -412,35 +380,29 @@ def suite_links(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .predicates import linked
 
     n = 500 if scale == "small" else 10000
-    out = []
-    ok, detail = True, ""
-    fault = make_geodesic(BoundaryPoint.finite(0), INFINITY)
-    e = EarthquakeMap(fault, 2, "left")
-    for _ in range(n):
-        pts = rand_distinct_boundary(rng, 4)
-        imgs = [eq_apply(e, p) for p in pts]
-        if len({(p.value,) for p in imgs}) < 4:
-            continue
-        before = linked((pts[0], pts[1]), (pts[2], pts[3]))
-        after = linked((imgs[0], imgs[1]), (imgs[2], imgs[3]))
-        if before != after:
-            ok, detail = False, f"{pts!r}"
-            break
-    out.append(
-        PropertyResult("links", "earthquake boundary map preserves links", ok, detail)
-    )
-    ok, detail = True, ""
-    for _ in range(n):
-        pts = rand_distinct_boundary(rng, 4)
-        iso = rand_isometry(rng)
-        imgs = [iso.apply_boundary(p) for p in pts]
-        before = linked((pts[0], pts[1]), (pts[2], pts[3]))
-        after = linked((imgs[0], imgs[1]), (imgs[2], imgs[3]))
-        if before != after:
-            ok, detail = False, f"{pts!r} under {iso!r}"
-            break
-    out.append(PropertyResult("links", "isometries preserve links", ok, detail))
-    return out
+    e = EarthquakeMap(make_geodesic(BoundaryPoint.finite(0), INFINITY), 2, "left")
+
+    def kept(pts, imgs):
+        return linked(pts[:2], pts[2:]) == linked(imgs[:2], imgs[2:])
+
+    def under_earthquake():
+        for _ in range(n):
+            pts = rand_distinct_boundary(rng, 4)
+            imgs = [eq_apply(e, p) for p in pts]
+            if len({(p.value,) for p in imgs}) == 4 and not kept(pts, imgs):
+                yield f"{pts!r}"
+
+    def under_isometries():
+        for _ in range(n):
+            pts = rand_distinct_boundary(rng, 4)
+            iso = rand_isometry(rng)
+            if not kept(pts, [iso.apply_boundary(p) for p in pts]):
+                yield f"{pts!r} under {iso!r}"
+
+    return [
+        _result("links", "earthquake boundary map preserves links", under_earthquake()),
+        _result("links", "isometries preserve links", under_isometries()),
+    ]
 
 
 def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
@@ -456,49 +418,37 @@ def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .predicates import intersection_pattern
 
     cases = 10 if scale == "small" else 100
-    ok, detail = True, ""
-    done = 0
-    attempts = 0
-    while done < cases and attempts < cases * 40:
-        attempts += 1
-        h = rand_horocycle(rng)
-        hp = rand_hypercycle(rng)
-        pat = intersection_pattern(h, hp)
-        if pat.interior_count != 0 or pat.shared_endpoints != 0 or pat.tangent:
-            continue
-        try:
-            res = classify_family_limit(disj_family(h, hp))
-        except HyperkError as exc:
-            ok, detail = False, f"{h!r}, {hp!r}: {exc}"
-            break
-        if not (isinstance(res, HorocycleLimit) and res.curve == h):
-            ok, detail = False, f"{h!r}, {hp!r}: {res!r}"
-            break
-        done += 1
-    out = [
-        PropertyResult(
-            "families", "disjoint-pair families converge to the horocycle", ok,
-            detail or f"{done} families classified",
-        )
+
+    def disjoint_pairs():
+        done = 0
+        for _ in range(cases * 40):
+            if done == cases:
+                return
+            h = rand_horocycle(rng)
+            hp = rand_hypercycle(rng)
+            pat = intersection_pattern(h, hp)
+            if pat.interior_count != 0 or pat.shared_endpoints != 0 or pat.tangent:
+                continue
+            try:
+                res = classify_family_limit(disj_family(h, hp))
+                ok, detail = isinstance(res, HorocycleLimit) and res.curve == h, repr(res)
+            except HyperkError as exc:
+                ok, detail = False, str(exc)
+            yield None if ok else f"{h!r}, {hp!r}: {detail}"
+            done += 1
+
+    def limit(family, kind):
+        res = classify_family_limit(family)
+        yield None if isinstance(res, kind) else repr(res)
+
+    return [
+        _result("families", "disjoint-pair families converge to the horocycle",
+                disjoint_pairs(), "{} families classified"),
+        _result("families", "ray sweep foliates its component",
+                limit(ray_family(), FoliatesComponent)),
+        _result("families", "fixed-endpoint family has a hypercycle limit",
+                limit(fixed_endpoint_family(3, Q(3, 2)), HypercycleOrGeodesicLimit)),
     ]
-    res = classify_family_limit(ray_family())
-    out.append(
-        PropertyResult(
-            "families", "ray sweep foliates its component",
-            isinstance(res, FoliatesComponent), "" if isinstance(res, FoliatesComponent) else repr(res),
-        )
-    )
-    res = classify_family_limit(fixed_endpoint_family(3, Q(3, 2)))
-    out.append(
-        PropertyResult(
-            "families", "fixed-endpoint family has a hypercycle limit",
-            isinstance(res, HypercycleOrGeodesicLimit),
-            "" if isinstance(res, HypercycleOrGeodesicLimit) else repr(res),
-        )
-    )
-    return out
-
-
 def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .earthquake import (
         EarthquakeMap,
@@ -512,69 +462,47 @@ def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:
     )
     from .predicates import intersection_pattern
 
-    out = []
     hs = figure_one_configuration()
-    inst = instance_from_horocycles(hs, [h.center for h in hs])
-    res = tangency_realizability(inst)
-    good = isinstance(res, Satisfiable) and list(res.radii) == [
-        Q(1), Q(1), Q(1, 4), Q(2)
-    ]
-    out.append(
-        PropertyResult(
-            "earthquake", "identity relabeling satisfiable with original radii",
-            good, "" if good else repr(res),
-        )
-    )
-    inst2 = instance_from_horocycles(hs, figure_one_images())
-    res2 = tangency_realizability(inst2)
+    res = tangency_realizability(instance_from_horocycles(hs, [h.center for h in hs]))
+    good = isinstance(res, Satisfiable) and list(res.radii) == [Q(1), Q(1), Q(1, 4), Q(2)]
+    res2 = tangency_realizability(instance_from_horocycles(hs, figure_one_images()))
     good2 = isinstance(res2, Unsatisfiable) and "4·(3/2)·(2/3)" in res2.message
-    detail2 = res2.message if isinstance(res2, Unsatisfiable) else repr(res2)
-    out.append(
-        PropertyResult(
-            "earthquake", "relabeled configuration unsatisfiable", good2,
-            f"certificate: {detail2}",
-        )
-    )
+    certificate = res2.message if isinstance(res2, Unsatisfiable) else repr(res2)
     n = 100 if scale == "small" else 1000
-    ok, detail = True, ""
-    done = 0
-    fault = make_geodesic(BoundaryPoint.finite(0), INFINITY)
-    attempts = 0
-    while done < n and attempts < 40 * n:
-        attempts += 1
-        e = EarthquakeMap(
-            rand_geodesic(rng),
-            abs(rand_q(rng, 1, 4)) + Q(9, 8),
-            rng.choice(["left", "right"]),
-        )
-        h = rand_horocycle(rng)
-        pat = intersection_pattern(h, e.fault)
-        if pat.interior_count != 2:
-            continue  # need a horocycle properly crossing the fault
-        r = pointwise_image_is_curve(e, h)
-        if r.is_curve:
-            ok, detail = False, f"{h!r} across {e!r} stayed cocircular"
-            break
-        done += 1
-    out.append(
-        PropertyResult(
-            "earthquake", "crossing horocycles have non-cocircular images", ok,
-            detail or f"{done} crossing cases",
-        )
-    )
-    ok, detail = True, ""
-    for _ in range(n):
-        iso = rand_isometry(rng)
-        c = rand_curve(rng)
-        if not pointwise_image_is_curve(iso, c).is_curve:
-            ok, detail = False, f"{c!r} under {iso!r}"
-            break
-    out.append(
-        PropertyResult(
-            "earthquake", "isometry images are exactly cocircular", ok, detail
-        )
-    )
-    return out
+
+    def crossings():
+        done = 0
+        for _ in range(40 * n):
+            if done == n:
+                return
+            e = EarthquakeMap(
+                rand_geodesic(rng),
+                abs(rand_q(rng, 1, 4)) + Q(9, 8),
+                rng.choice(["left", "right"]),
+            )
+            h = rand_horocycle(rng)
+            if intersection_pattern(h, e.fault).interior_count != 2:
+                continue  # need a horocycle properly crossing the fault
+            cocircular = pointwise_image_is_curve(e, h).is_curve
+            yield f"{h!r} across {e!r} stayed cocircular" if cocircular else None
+            done += 1
+
+    def isometry_images():
+        for _ in range(n):
+            iso = rand_isometry(rng)
+            c = rand_curve(rng)
+            if not pointwise_image_is_curve(iso, c).is_curve:
+                yield f"{c!r} under {iso!r}"
+
+    return [
+        _result("earthquake", "identity relabeling satisfiable with original radii",
+                [None if good else repr(res)]),
+        PropertyResult("earthquake", "relabeled configuration unsatisfiable", good2,
+                       f"certificate: {certificate}"),
+        _result("earthquake", "crossing horocycles have non-cocircular images", crossings(),
+                "{} crossing cases"),
+        _result("earthquake", "isometry images are exactly cocircular", isometry_images()),
+    ]
 
 
 def suite_graphs(rng: random.Random, scale: str) -> List[PropertyResult]:
@@ -588,33 +516,25 @@ def suite_graphs(rng: random.Random, scale: str) -> List[PropertyResult]:
     )
     from .predicates import horocycle_leq, intersection_pattern
 
-    out = []
     n = 100 if scale == "small" else 1000
-    ok, detail = True, ""
-    for _ in range(n):
-        size = rng.randint(3, 10)
-        curves = []
-        while len(curves) < size:
-            c = rand_curve(rng)
-            if all(c != x for x in curves):
-                curves.append(c)
-        g = build_graph(curves, allow_mixed=True)
-        iso = rand_isometry(rng)
-        g2 = build_graph([iso.apply_curve(c) for c in curves], allow_mixed=True)
-        if g.edges() != g2.edges():
-            ok, detail = False, f"adjacency changed under {iso!r}"
-            break
-    out.append(
-        PropertyResult("graphs", "isometries preserve disjointness graphs", ok, detail)
-    )
+
+    def adjacencies():
+        for _ in range(n):
+            size = rng.randint(3, 10)
+            curves = []
+            while len(curves) < size:
+                c = rand_curve(rng)
+                if all(c != x for x in curves):
+                    curves.append(c)
+            g = build_graph(curves, allow_mixed=True)
+            iso = rand_isometry(rng)
+            g2 = build_graph([iso.apply_curve(c) for c in curves], allow_mixed=True)
+            yield None if g.edges() == g2.edges() else f"adjacency changed under {iso!r}"
+
+    out = [_result("graphs", "isometries preserve disjointness graphs", adjacencies())]
 
     F = BoundaryPoint.finite
-    hs = [
-        make_horocycle(F(0), Q(1, 2)),
-        make_horocycle(F(1), Q(1, 2)),
-        make_horocycle(F(2), Q(1, 2)),
-        make_horocycle(INFINITY, 2),
-    ]
+    hs = [make_horocycle(F(c), Q(1, 2)) for c in range(3)] + [make_horocycle(INFINITY, 2)]
     g = build_graph(hs)
     good = set(g.edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
     autos = automorphisms(g)
@@ -630,37 +550,35 @@ def suite_graphs(rng: random.Random, scale: str) -> List[PropertyResult]:
 
     gs1 = [make_geodesic(F(-1), F(1)), make_geodesic(F(-3), F(-2)), make_geodesic(F(2), F(3))]
     gs2 = [make_geodesic(F(-2), F(1)), make_geodesic(F(-6), F(-4)), make_geodesic(F(2), F(3))]
-    none_found = isometry_matching(gs1, gs2) is None
     out.append(
         PropertyResult(
             "graphs", "earthquake-relabeled geodesic set admits no isometry",
-            none_found, "",
+            isometry_matching(gs1, gs2) is None,
         )
     )
 
     # sigma counterexample: preserves the order, breaks tangency
     sigma = sigma_center_swap(F(0), F(4))
-    ok, detail = True, ""
     m = 200 if scale == "small" else 1000
-    for _ in range(m):
-        c = rand_boundary(rng, allow_inf=False)
-        s1 = abs(rand_q(rng, 1, 4)) + Q(1, 8)
-        s2 = abs(rand_q(rng, 1, 4)) + Q(1, 8)
-        h1, h2 = make_horocycle(c, s1), make_horocycle(c, s2)
-        if horocycle_leq(h1, h2) is not horocycle_leq(sigma(h1), sigma(h2)):
-            ok, detail = False, f"order broken at {c!r}"
-            break
-    # designed 3-center witness: h(0,1/2) and h(1,1/2) tangent, but after
-    # swapping centers 0 <-> 4 the pair is far apart
-    w1, w2 = make_horocycle(F(0), Q(1, 2)), make_horocycle(F(1), Q(1, 2))
-    tangent_before = intersection_pattern(w1, w2).tangent
-    tangent_after = intersection_pattern(sigma(w1), sigma(w2)).tangent
-    good = ok and tangent_before and not tangent_after
+
+    def swaps():
+        for _ in range(m):
+            c = rand_boundary(rng, allow_inf=False)
+            s1 = abs(rand_q(rng, 1, 4)) + Q(1, 8)
+            s2 = abs(rand_q(rng, 1, 4)) + Q(1, 8)
+            h1, h2 = make_horocycle(c, s1), make_horocycle(c, s2)
+            if horocycle_leq(h1, h2) is not horocycle_leq(sigma(h1), sigma(h2)):
+                yield f"order broken at {c!r}"
+        # designed 3-center witness: h(0,1/2) and h(1,1/2) tangent, but after
+        # swapping centers 0 <-> 4 the pair is far apart
+        w1, w2 = hs[0], hs[1]
+        separated = not intersection_pattern(sigma(w1), sigma(w2)).tangent
+        if not (intersection_pattern(w1, w2).tangent and separated):
+            yield "tangent pair (0,1) not separated by the 0<->4 swap"
+
     out.append(
-        PropertyResult(
-            "graphs", "center swap preserves order but breaks tangency", good,
-            detail or "tangent pair (0,1) separated by the 0<->4 swap",
-        )
+        _result("graphs", "center swap preserves order but breaks tangency", swaps(),
+                "tangent pair (0,1) separated by the 0<->4 swap")
     )
     return out
 

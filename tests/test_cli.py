@@ -39,6 +39,7 @@ class TestClassify:
         code, _, err = run(capsys, "classify", "--horocycle", "0,0.5")
         assert code == 2
         assert "--inexact" in err
+        assert "--horocycle center,size: " in err
 
     def test_inexact_banner(self, capsys):
         code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "0,0.5")
@@ -146,6 +147,12 @@ class TestVerifyCommand:
         code, out, _ = run(capsys, "verify", "order", "--seed", "1")
         assert code == 0
 
+    def test_malformed_seed_env_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("HYPERK_SEED", "x")
+        code, out, err = run(capsys, "verify", "order")
+        assert code == 2 and out == ""
+        assert "HYPERK_SEED integer expected, got 'x'" in err and "Traceback" not in err
+
 
 class TestRenderCommand:
     def test_render_preset_deterministic(self, capsys, tmp_path):
@@ -239,6 +246,20 @@ MALFORMED = [
     ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "abc"),
     ("earthquake", "--fault", "0", "--shear", "2", "apply", "1"),
     ("earthquake", "--fault", "0,oo", "--shear", "x", "apply", "1"),
+    ("classify", "--geodesic", "a,1"),
+    ("construct", "pinch", "--first", "a,1", "--second", "1,1"),
+    ("intersect", "--first-geodesic", "0,1", "--second-geodesic", "a,1"),
+    ("family", "--horocycle", "0,x", "--hypercycle", "4,8,5,2"),
+    ("--inexact", "classify", "--horocycle", "0,abc"),
+    ("construct", "equidistant", "--first", "0,1", "--distance", "abc"),
+    ("family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"),
+    ("earthquake", "--fault", "0,oo", "--shear", "1.5", "apply", "1"),
+    ("classify", "--coeffs", "1,0,-1,0,"),
+    ("classify", "--geodesic", "0.5,1"),
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "0.5"),
+    ("--inexact", "family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"),
+    ("classify", "--curve", "horocycle x=1 b=0 c=-1 d=0"),
+    ("graph", "--curves", "BADKEY"),
 ]
 
 #: what the error message says, for the rows whose message names the flag
@@ -255,6 +276,29 @@ SAYS = {
     ("earthquake", "--fault", "0", "--shear", "2", "apply", "1"): "--fault p,q expected, got '0'",
     ("earthquake", "--fault", "0,oo", "--shear", "x", "apply", "1"):
         "--shear p/q expected, got 'x'",
+    ("classify", "--geodesic", "a,1"): "--geodesic p,q expected, got 'a'",
+    ("construct", "pinch", "--first", "a,1", "--second", "1,1"):
+        "--first center,size expected, got 'a'",
+    ("intersect", "--first-geodesic", "0,1", "--second-geodesic", "a,1"):
+        "--second-geodesic p,q expected, got 'a'",
+    ("family", "--horocycle", "0,x", "--hypercycle", "4,8,5,2"):
+        "--horocycle center,size expected, got 'x'",
+    ("--inexact", "classify", "--horocycle", "0,abc"): "--horocycle center,size expected, got 'abc'",
+    ("construct", "equidistant", "--first", "0,1", "--distance", "abc"):
+        "--distance d expected, got 'abc'",
+    ("family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"):
+        "--horocycle center,size: '0.5' is not a rational p/q; pass --inexact to allow floats",
+    ("earthquake", "--fault", "0,oo", "--shear", "1.5", "apply", "1"):
+        "--shear p/q: '1.5' is not a rational p/q",
+    ("classify", "--coeffs", "1,0,-1,0,"): "--coeffs a,b,c,d expected, got '1,0,-1,0,'",
+    ("classify", "--geodesic", "0.5,1"): "--geodesic p,q: '0.5' is not a rational p/q",
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "0.5"):
+        "apply x,y or p/q or oo: '0.5' is not a rational p/q",
+    ("--inexact", "family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"):
+        "disj_family needs exact curves",
+    ("classify", "--curve", "horocycle x=1 b=0 c=-1 d=0"):
+        "--curve kind a=A b=B c=C d=D: bad curve text 'horocycle x=1 b=0 c=-1 d=0'",
+    ("graph", "--curves", "BADKEY"): "bad curve text 'horocycle x=1 b=0 c=-1 d=0'",
 }
 
 #: curve files that MALFORMED names by placeholder
@@ -265,6 +309,7 @@ CURVE_FILES = {
     "FARLINE": f"geodesic a=0 b=1 c=0 d=-{2**1100}\n",  # x = 2^1100
     "FAROBLIQUE": f"hypercycle a=0 b=1 c=1 d=-{2**1100}\n",  # y = 2^1100 - x
     "TWO": "geodesic a=1 b=0 c=0 d=-1\ngeodesic a=0 b=1 c=0 d=0\n",  # crossing: not adjacent
+    "BADKEY": "horocycle x=1 b=0 c=-1 d=0\n",
 }
 
 

@@ -250,6 +250,43 @@ def test_assert_check_sees_nested_asserts():
     assert _asserts(tree) == [1, 4]
 
 
+#: the value parsers that only the flag grammar of cli.py calls
+GRAMMAR = {"BoundaryPoint.parse", "q_from_str", "_parse_number", "float", "int"}
+
+
+def _grammar_calls(tree):
+    """(command, callee), sorted, for every call that a top-level `cmd_*`
+    function makes to a GRAMMAR name."""
+    return sorted(
+        (fn.name, name)
+        for fn in tree.body
+        if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Call) and (name := ast.unparse(node.func)) in GRAMMAR
+    )
+
+
+def test_cli_commands_leave_flag_values_to_the_grammar():
+    tree = ast.parse((PACKAGE / "cli.py").read_text(encoding="utf-8"))
+    commands = [fn.name for fn in tree.body
+                if isinstance(fn, ast.FunctionDef) and fn.name.startswith("cmd_")]
+    assert len(commands) == 8
+    assert _grammar_calls(tree) == []
+
+
+def test_grammar_check_sees_direct_parsers():
+    tree = ast.parse(
+        "def cmd_x(args):\n"
+        "    d = float(args.distance)\n"
+        "    return [BoundaryPoint.parse(v) for v in args.v], lambda t: int(t)\n"
+        "def _helper(t):\n"
+        "    return q_from_str(t)\n"
+    )
+    assert _grammar_calls(tree) == [
+        ("cmd_x", "BoundaryPoint.parse"), ("cmd_x", "float"), ("cmd_x", "int")
+    ]
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
