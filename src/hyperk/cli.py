@@ -24,6 +24,7 @@ Only --format records loads json.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import re
 import sys
@@ -77,8 +78,8 @@ _INFINITIES = ("oo", "inf", "Inf", "infty", "Infinity", "infinity")
 
 
 def _parse_number(text: str, inexact: bool, exact: bool = False):
-    """`p` or `p/q`; with --inexact also a float literal, read as a float,
-    or as its exact decimal value where `exact` asks for one."""
+    """`p` or `p/q`; with --inexact also a finite float literal, read as a
+    float, or as its exact decimal value where `exact` asks for one."""
     text = text.strip()
     if _RATIONAL_RE.match(text):
         return q_from_str(text)
@@ -87,6 +88,8 @@ def _parse_number(text: str, inexact: bool, exact: bool = False):
         raise InvalidInputError(
             f"{text!r} is not a rational p/q; pass --inexact to allow floats"
         )
+    if not math.isfinite(value):
+        raise InvalidInputError(f"{text!r} is not a finite number")
     return Q(text) if exact else value
 
 

@@ -449,6 +449,8 @@ def suite_families(rng: random.Random, scale: str) -> List[PropertyResult]:
         _result("families", "fixed-endpoint family has a hypercycle limit",
                 limit(fixed_endpoint_family(3, Q(3, 2)), HypercycleOrGeodesicLimit)),
     ]
+
+
 def suite_earthquake(rng: random.Random, scale: str) -> List[PropertyResult]:
     from .earthquake import (
         EarthquakeMap,
@@ -516,7 +518,20 @@ def suite_graphs(rng: random.Random, scale: str) -> List[PropertyResult]:
     )
     from .predicates import horocycle_leq, intersection_pattern
 
+    F = BoundaryPoint.finite
+    hs = [make_horocycle(F(c), Q(1, 2)) for c in range(3)] + [make_horocycle(INFINITY, 2)]
+    g = build_graph(hs)
+    good = set(g.edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
+    autos = automorphisms(g)
+    good = good and sorted(a.perm for a in autos) == [(0, 1, 2, 3), (2, 1, 0, 3)]
+    iso = isometry_realizing(g, GraphAutomorphism((2, 1, 0, 3)))
+    good = good and iso is not None and iso.apply_boundary(F(0)) == F(2)
+    gs1 = [make_geodesic(F(-1), F(1)), make_geodesic(F(-3), F(-2)), make_geodesic(F(2), F(3))]
+    gs2 = [make_geodesic(F(-2), F(1)), make_geodesic(F(-6), F(-4)), make_geodesic(F(2), F(3))]
+    # sigma counterexample: preserves the order, breaks tangency
+    sigma = sigma_center_swap(F(0), F(4))
     n = 100 if scale == "small" else 1000
+    m = 200 if scale == "small" else 1000
 
     def adjacencies():
         for _ in range(n):
@@ -530,36 +545,6 @@ def suite_graphs(rng: random.Random, scale: str) -> List[PropertyResult]:
             iso = rand_isometry(rng)
             g2 = build_graph([iso.apply_curve(c) for c in curves], allow_mixed=True)
             yield None if g.edges() == g2.edges() else f"adjacency changed under {iso!r}"
-
-    out = [_result("graphs", "isometries preserve disjointness graphs", adjacencies())]
-
-    F = BoundaryPoint.finite
-    hs = [make_horocycle(F(c), Q(1, 2)) for c in range(3)] + [make_horocycle(INFINITY, 2)]
-    g = build_graph(hs)
-    good = set(g.edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
-    autos = automorphisms(g)
-    good = good and sorted(a.perm for a in autos) == [(0, 1, 2, 3), (2, 1, 0, 3)]
-    iso = isometry_realizing(g, GraphAutomorphism((2, 1, 0, 3)))
-    good = good and iso is not None and iso.apply_boundary(F(0)) == F(2)
-    out.append(
-        PropertyResult(
-            "graphs", "designed swap realized by an isometry", good,
-            repr(iso) if iso is not None else "no isometry found",
-        )
-    )
-
-    gs1 = [make_geodesic(F(-1), F(1)), make_geodesic(F(-3), F(-2)), make_geodesic(F(2), F(3))]
-    gs2 = [make_geodesic(F(-2), F(1)), make_geodesic(F(-6), F(-4)), make_geodesic(F(2), F(3))]
-    out.append(
-        PropertyResult(
-            "graphs", "earthquake-relabeled geodesic set admits no isometry",
-            isometry_matching(gs1, gs2) is None,
-        )
-    )
-
-    # sigma counterexample: preserves the order, breaks tangency
-    sigma = sigma_center_swap(F(0), F(4))
-    m = 200 if scale == "small" else 1000
 
     def swaps():
         for _ in range(m):
@@ -576,11 +561,15 @@ def suite_graphs(rng: random.Random, scale: str) -> List[PropertyResult]:
         if not (intersection_pattern(w1, w2).tangent and separated):
             yield "tangent pair (0,1) not separated by the 0<->4 swap"
 
-    out.append(
+    return [
+        _result("graphs", "isometries preserve disjointness graphs", adjacencies()),
+        PropertyResult("graphs", "designed swap realized by an isometry", good,
+                       repr(iso) if iso is not None else "no isometry found"),
+        PropertyResult("graphs", "earthquake-relabeled geodesic set admits no isometry",
+                       isometry_matching(gs1, gs2) is None),
         _result("graphs", "center swap preserves order but breaks tangency", swaps(),
-                "tangent pair (0,1) separated by the 0<->4 swap")
-    )
-    return out
+                "tangent pair (0,1) separated by the 0<->4 swap"),
+    ]
 
 
 SUITES: Dict[str, Callable[[random.Random, str], List[PropertyResult]]] = {

@@ -260,6 +260,8 @@ MALFORMED = [
     ("--inexact", "family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"),
     ("classify", "--curve", "horocycle x=1 b=0 c=-1 d=0"),
     ("graph", "--curves", "BADKEY"),
+    ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1e400,1"),
+    ("--inexact", "intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"),
 ]
 
 #: what the error message says, for the rows whose message names the flag
@@ -299,6 +301,10 @@ SAYS = {
     ("classify", "--curve", "horocycle x=1 b=0 c=-1 d=0"):
         "--curve kind a=A b=B c=C d=D: bad curve text 'horocycle x=1 b=0 c=-1 d=0'",
     ("graph", "--curves", "BADKEY"): "bad curve text 'horocycle x=1 b=0 c=-1 d=0'",
+    ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1e400,1"):
+        "apply x,y: '1e400' is not a finite number",
+    ("--inexact", "intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"):
+        "--first-horocycle center,size: 'inf' is not a finite number",
 }
 
 #: curve files that MALFORMED names by placeholder
