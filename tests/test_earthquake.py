@@ -36,7 +36,7 @@ from hyperk.errors import InvalidInputError
 from hyperk.model import GeneralizedCircle, Isometry, rational_points, straddling_points
 from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q, run_suite
 
-from exact_oracles import sqrt_exact
+from exact_oracles import oracle_two_point_normalizer, sqrt_exact
 
 F = BoundaryPoint.finite
 
@@ -1462,3 +1462,13 @@ def test_tangency_certificates_alone_are_unsatisfiable():
             tally[kind] += 1
             assert isinstance(tangency_realizability(_alone(inst, res)), Unsatisfiable), (inst, res)
     assert tally["product"] >= 20 and tally["same center"] >= 20 and tally["pin"] >= 5, tally
+
+
+def test_shift_does_not_depend_on_the_two_point_normalizer_scale(monkeypatch):
+    rng = random.Random(6194)
+    cases = [(_rand_fault(rng), rng.choice((Q(1, 3), Q(2), Q(7, 5), Q(2**600 + 1, 2**600))))
+             for _ in range(300)]
+    got = [EarthquakeMap(f, shear)._shift for f, shear in cases]
+    monkeypatch.setattr(earthquake, "two_point_normalizer", oracle_two_point_normalizer)
+    assert [EarthquakeMap(f, shear)._shift for f, shear in cases] == got
+    assert sum(INFINITY in f.endpoints for f, _ in cases) >= 50

@@ -25,7 +25,9 @@ from hyperk import (
 from hyperk import graphs
 from hyperk.errors import HyperkError, InvalidInputError
 from hyperk.model import triple_normalizer
-from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry
+from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
+
+from exact_oracles import oracle_two_point_normalizer
 
 F = BoundaryPoint.finite
 
@@ -418,3 +420,43 @@ def test_automorphisms_search_only_within_cells(monkeypatch):
     # search takes its candidates from the cells it is given
     monkeypatch.setattr(graphs, "_equitable_colours", lambda rows: list(range(len(rows))))
     assert [a.perm for a in automorphisms(_labelled_graph(4, []))] == [(0, 1, 2, 3)]
+
+
+def _few_point_configuration(rng):
+    """Curves with one or two distinct boundary points p, q (either may be
+    oo), at least one of them a horocycle only when `horocycle` says so."""
+    p, q = (INFINITY if rng.random() < 0.25 else F(rand_q(rng)) for _ in range(2))
+    while q == p:
+        q = F(rand_q(rng))
+    size = abs(rand_q(rng, 1, 4, 6)) + Q(1, 8)
+    through = UHPPoint(rand_q(rng), abs(rand_q(rng, 1, 4)) + Q(1, 8))
+    kind = rng.randrange(5)
+    if kind == 0:
+        return [make_geodesic(p, q)]
+    if kind == 1:
+        try:
+            return [make_geodesic(p, q), make_hypercycle(p, q, through)]
+        except HyperkError:
+            return [make_geodesic(p, q)]
+    if kind == 2:
+        return [make_horocycle(p, size)]
+    if kind == 3:
+        return [make_horocycle(p, size), make_horocycle(p, 2 * size)]
+    return [make_horocycle(p, size), make_horocycle(q, size), make_geodesic(p, q)][
+        :rng.randint(2, 3)]
+
+
+def test_matching_does_not_depend_on_the_two_point_normalizer_scale(monkeypatch):
+    rng = random.Random(6195)
+    cases = []
+    for index in range(300):
+        curves = _few_point_configuration(rng) if index % 3 else _mixed_configuration(rng)
+        g = rand_isometry(rng)
+        target = [g.apply_curve(c) for c in curves]
+        cases += [(curves, target), (curves, target[::-1])]
+    got = [isometry_matching(src, dst) for src, dst in cases]
+    monkeypatch.setattr(graphs, "two_point_normalizer", oracle_two_point_normalizer)
+    assert [isometry_matching(src, dst) for src, dst in cases] == got
+    few = [iso for (src, _), iso in zip(cases, got)
+           if iso is not None and len(graphs._source_frame(src)) < 3]
+    assert len(few) >= 150 and sum(len(src) == 1 for src, _ in cases) >= 100

@@ -33,6 +33,8 @@ from hyperk import (
 from hyperk.errors import DegenerateResultError, HyperkError, InvalidInputError
 from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q
 
+from exact_oracles import oracle_two_point_normalizer
+
 F = BoundaryPoint.finite
 
 
@@ -957,3 +959,61 @@ def test_inexact_constructors_are_unchanged():
         assert got == _outcome(_oracle_make_hypercycle, p, q, through)
         made += isinstance(got, model.Curve)
     assert made >= 150
+
+
+def test_two_point_normalizer_sends_x_to_oo_and_y_to_0():
+    rng = random.Random(6191)
+    seen = set()
+    done = 0
+    while done < 2000:
+        bits = rng.choice((3, 40, 610))
+        x, y = (_rand_boundary_point(rng, bits) for _ in range(2))
+        if x == y:
+            continue
+        n = two_point_normalizer(x, y)
+        a, b, c, d = n.matrix()
+        assert not n.reversing and a * d - b * c > 0
+        assert n.apply_boundary(x) == INFINITY and n.apply_boundary(y) == F(0)
+        # the map by cases on oo, followed by z -> lam z with lam > 0
+        a, b, c, d = n.compose(oracle_two_point_normalizer(x, y).inverse()).matrix()
+        assert b == c == 0 and a * d > 0
+        done += 1
+        seen.update(("oo", k) for k, v in enumerate((x, y)) if v.is_infinity)
+        seen.add(("big", bits == 610))
+    assert len(seen) == 4
+
+
+def test_evaluate_boundary_sign_matches_fraction_value():
+    rng = random.Random(6192)
+    seen = collections.Counter()
+    for _ in range(1500):
+        curve = rand_curve(rng)
+        if rng.random() < 0.3:
+            curve = Isometry(2**600 + 1, 1, 2**600, 1).apply_curve(curve)
+        points = [_rand_boundary_point(rng, rng.choice((3, 610))), INFINITY]
+        if curve.has_exact_endpoints:
+            points += curve.endpoints
+        a, b, _, d = curve.circle.coeffs()
+        for p in points:
+            want = a if p.is_infinity else a * p.value * p.value + b * p.value + d
+            got = curve.circle.evaluate_boundary(p)
+            assert (got > 0) - (got < 0) == (want > 0) - (want < 0), (curve, p)
+            seen[(want > 0) - (want < 0), p.is_infinity] += 1
+    # a canonical circle has a >= 0, so oo is never on the negative side
+    assert len(seen) == 5 and min(seen.values()) >= 50
+
+
+def test_normalizer_from_images_does_not_depend_on_the_two_point_normalizer_scale(
+        monkeypatch):
+    from hyperk import constructions
+
+    rng = random.Random(6193)
+    H0, HINF = TestNormalizerFromImages.H0, TestNormalizerFromImages.HINF
+    moves = [Isometry.identity(), Isometry.translation(Q(3, 7)), Isometry(0, -1, 1, 0),
+             Isometry(0, -1, 1, 5), Isometry(2**600 + 1, 1, 2**600, 1)]
+    moves += [rand_isometry(rng) for _ in range(120)]
+    pairs = [(g.apply_curve(H0), g.apply_curve(HINF)) for g in moves]
+    got = [normalizer_from_images(*pair) for pair in pairs]
+    monkeypatch.setattr(constructions, "two_point_normalizer", oracle_two_point_normalizer)
+    assert [normalizer_from_images(*pair) for pair in pairs] == got
+    assert sum(h.center.is_infinity for pair in pairs for h in pair) >= 20

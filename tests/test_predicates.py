@@ -879,7 +879,28 @@ def test_between_tangent_matches_oracle(monkeypatch):
 
 
 def _oracle_linked(pair1, pair2) -> bool:
-    """The replaced `linked`: set operations over the boundary points."""
+    """The replaced `linked`: order comparisons on R u {oo}, with oo above
+    every real, after a swap that makes a finite and a < b."""
+    p, q = tuple(pair1), tuple(pair2)
+    if len(p) != 2 or len(q) != 2 or p[0] == p[1] or q[0] == q[1]:
+        raise InvalidInputError("linked needs two pairs of distinct points")
+    a, b = p
+    c, d = q
+    if c == a or c == b or d == a or d == b:
+        return False
+    if a.is_infinity or (not b.is_infinity and b.value < a.value):
+        a, b = b, a
+
+    def inside(point):
+        return not point.is_infinity and a.value < point.value and (
+            b.is_infinity or point.value < b.value
+        )
+
+    return inside(c) != inside(d)
+
+
+def _set_oracle_linked(pair1, pair2) -> bool:
+    """An earlier `linked`: set operations over the boundary points."""
     p, q = tuple(pair1), tuple(pair2)
     if len(set(p)) != 2 or len(set(q)) != 2:
         raise InvalidInputError("linked needs two pairs of distinct points")
@@ -916,8 +937,33 @@ def test_linked_matches_oracle_on_every_ordering():
         q = (BoundaryPoint(c.value), BoundaryPoint(d.value))
         got = _linked_or_error(linked, p, q)
         assert got == _linked_or_error(_oracle_linked, p, q), (p, q)
+        assert got == _linked_or_error(_set_oracle_linked, p, q), (p, q)
         seen.add(got)
     assert seen == {True, False, "error"}
+
+
+def test_linked_matches_oracle_on_seeded_quadruples():
+    rng = random.Random(6190)
+    small = [INFINITY] + [F(Q(n, d)) for n in range(-4, 5) for d in (1, 2, 3)]
+    seen = collections.Counter()
+    for _ in range(4000):
+        bits = rng.choice((3, 600))
+        pool = small if bits == 3 else [INFINITY] + [
+            F(Q(rng.randint(-(1 << bits), 1 << bits), rng.randint(1, 1 << bits)))
+            for _ in range(5)
+        ]
+        a, b, c, d = (BoundaryPoint(rng.choice(pool).value) for _ in range(4))
+        got = _linked_or_error(linked, (a, b), (c, d))
+        assert got == _linked_or_error(_oracle_linked, (a, b), (c, d)), (a, b, c, d)
+        shared = len({a, b} & {c, d}) if got != "error" else "error"
+        seen[got, shared, INFINITY in (a, b, c, d), bits] += 1
+    # linked and unlinked pairs, with and without oo, small and 2^600
+    # rationals, pairs sharing a point, and pairs of one point repeated
+    for bits in (3, 600):
+        for oo in (False, True):
+            assert seen[True, 0, oo, bits] and seen[False, 0, oo, bits]
+            assert seen[False, 1, oo, bits]
+    assert sum(n for key, n in seen.items() if key[0] == "error") > 50
 
 
 def test_boundary_point_hash_agrees_with_equality():

@@ -1,3 +1,4 @@
+import hashlib
 import re
 
 from hyperk import (
@@ -53,3 +54,34 @@ def test_marked_points_rendered():
     scene.mark(UHPPoint(0, 1))
     svg = render_scene(scene)
     assert "circle" in svg
+
+
+def _labelled_scene():
+    scene = SvgScene(x_min=-2.0, x_max=4.0, height=2.5, pixels_per_unit=50.0,
+                     labels=[(0.5, 1.5, "h(0,1/2)"), (-1.0, 0.2, "g")])
+    scene.add(make_geodesic(F(-1), F(3)), make_geodesic(F(2), INFINITY),
+              make_horocycle(F(0), Q(1, 2)), make_horocycle(INFINITY, 2))
+    scene.mark(UHPPoint(1, 2), UHPPoint(Q(1, 3), Q(1, 7)))
+    return scene
+
+
+#: sha256 of the SVG text of each rendering below
+PINNED = {
+    "figure-one panels": "b5bbe2cf16b593dbbf0480cefa4e8873ef1333135064126b3a9c630b431998fc",
+    "dyadic scene": "9d6837d3f8b71d32ac83eca56a4d15129c84552240fb4c0fc477cc8f0125c230",
+    "labelled scene": "7cb2ad4dc71bf3261e8e90c90ff4297b01e97c177912ba6490ef53334386dbb8",
+    "labelled and dyadic panels": "1f2a8762393a6eaf19135590d3427e800a49086e909c329cec9ef6bc7079418b",
+}
+
+
+def test_renderings_are_pinned():
+    from hyperk.cli import _scene_from_preset
+
+    svgs = {
+        "figure-one panels": render_panels(_scene_from_preset("figure-one")),
+        "dyadic scene": render_scene(_scene_from_preset("dyadic")[0]),
+        "labelled scene": render_scene(_labelled_scene()),
+        "labelled and dyadic panels": render_panels(
+            [_labelled_scene(), _scene_from_preset("dyadic")[0]]),
+    }
+    assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in svgs.items()} == PINNED
