@@ -518,8 +518,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_render)
 
-    # let values like "-1,1" or "-3/2" pass as option arguments
-    neg = re.compile(r"^-\d")
+    # let a value that starts with a signed number `_parse_number` reads
+    # ("-1,1", "-3/2", "-.5,1", "-inf,1", "-1e-3") pass as an option argument
+    neg = re.compile(r"^-(\d|\.\d|inf|nan)", re.IGNORECASE)
     ap._negative_number_matcher = neg
     for action in sub.choices.values():
         action._negative_number_matcher = neg

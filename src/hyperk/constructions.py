@@ -382,44 +382,19 @@ def _in_cyclic_order(points: Sequence[BoundaryPoint]) -> bool:
     return sum(k > keys[i - 1] for i, k in enumerate(keys)) == len(keys) - 1
 
 
-def _arc_representatives(points: Sequence[BoundaryPoint]) -> List[BoundaryPoint]:
-    """One rational representative strictly inside each of the arcs cut out
-    of R u {oo} by the given cyclic sequence of points (two per arc, so
-    same-arc probe pairs can be formed)."""
-    reps: List[BoundaryPoint] = []
-    n = len(points)
-    for i in range(n):
-        a, b = points[i], points[(i + 1) % n]
-        reps.extend(_points_inside_arc(a, b))
-    return reps
-
-
-def _points_inside_arc(a: BoundaryPoint, b: BoundaryPoint) -> List[BoundaryPoint]:
-    """Two rational points strictly inside the arc from a to b (going in the
-    positive cyclic direction: increasing reals, wrapping through oo)."""
-    if a.is_infinity:
-        # arc (oo, b): reals below b
-        v = b.value
-        return [BoundaryPoint.finite(v - 2), BoundaryPoint.finite(v - 1)]
-    if b.is_infinity:
-        v = a.value
-        return [BoundaryPoint.finite(v + 1), BoundaryPoint.finite(v + 2)]
-    if a.value < b.value:
-        lo, hi = a.value, b.value
-        return [
-            BoundaryPoint.finite(lo + (hi - lo) / 3),
-            BoundaryPoint.finite(lo + 2 * (hi - lo) / 3),
-        ]
-    # wrap arc through infinity
-    return [BoundaryPoint.finite(a.value + 1), INFINITY]
+#: two points inside each open arc of R u {oo} cut by the model's marked
+#: points 0, 1, 2, oo, so that same-arc probe pairs can be formed
+_ARC_PROBES = tuple(BoundaryPoint.finite(v) for v in
+                    (Q(1, 3), Q(2, 3), Q(4, 3), Q(5, 3), 3, 4, -2, -1))
 
 
 @functools.lru_cache(maxsize=None)
 def _check_crossing_model() -> bool:
     """Properties 1-3 of the four-geodesic configuration, checked once on
     the reference points (0, 1, 2, oo) by enumerating probe geodesics over
-    all endpoint position classes (a marked point, or one of two points
-    inside each of the four open arcs).  Raises if a property fails."""
+    all endpoint position classes (a marked point, or one of the two
+    `_ARC_PROBES` inside each of the four open arcs).  Raises if a property
+    fails."""
     marked = [BoundaryPoint.finite(v) for v in (0, 1, 2)] + [INFINITY]
     x1, x2, y1, y2 = marked
     g1_pair, g2_pair = (x1, x2), (y1, y2)
@@ -432,11 +407,9 @@ def _check_crossing_model() -> bool:
     )
     if not ok:
         raise HyperkError("four-geodesic model fails property 1")
-    positions = marked + _arc_representatives(marked)
+    positions = marked + list(_ARC_PROBES)
     for i, a in enumerate(positions):
         for b in positions[i + 1:]:
-            if a == b:
-                continue
             probe = (a, b)
             c_g1, c_g2 = linked(probe, g1_pair), linked(probe, g2_pair)
             c_h1, c_h2 = linked(probe, h1_pair), linked(probe, h2_pair)

@@ -28,6 +28,7 @@ from .model import (
     CurveKind,
     Isometry,
     UHPPoint,
+    _homogeneous,
     _projective,
     make_geodesic,
     make_horocycle,
@@ -70,13 +71,9 @@ class EarthquakeMap:
         self.shear = shear
         self.moved_side = moved_side
 
-        # sign of the fault equation on the left side: evaluate far to the
-        # left of both endpoints on the boundary
-        a, b, _c, d = fault.circle.coeffs()
-        if a != 0:
-            left_sign = 1 if a > 0 else -1  # a x^2 dominates as x - > -oo
-        else:
-            left_sign = -1 if b > 0 else 1
+        # the fault equation far left on the axis: a x^2 dominates, or b x on
+        # a vertical line, and the canonical form makes a, or else b, positive
+        left_sign = 1 if fault.circle.a else -1
         self._moved_sign = left_sign if moved_side == "left" else -left_sign
 
         # translation along the fault: normalize endpoints (smaller, larger)
@@ -91,7 +88,7 @@ class EarthquakeMap:
         if isinstance(z, UHPPoint):
             return self.fault.circle.sign_at(Q(z.x), Q(z.y))
         v = self.fault.circle.evaluate_boundary(z)
-        return 0 if v == 0 else (1 if v > 0 else -1)
+        return (v > 0) - (v < 0)
 
     def moves(self, z: Union[UHPPoint, BoundaryPoint]) -> bool:
         return self.side_sign(z) == self._moved_sign
@@ -145,15 +142,13 @@ def _cocircular_exact(points: Sequence[UHPPoint]) -> PointwiseImageResult:
     [x^2+y^2, x, y, 1] at most 3 iff yes; otherwise four points spanning
     rank 4 are the witness.
 
-    Each row is scaled to integers and reduced fraction-free: a step
-    replaces it by a nonzero multiple of what elimination over Q gives, so
-    the pivots and the witness are the same."""
+    The row of the point (X/W, Y/W) is taken times W^2 and reduced
+    fraction-free: a step replaces it by a nonzero multiple of what
+    elimination over Q gives, so the pivots and the witness are the same."""
     pivots: List[Tuple[List[int], int, UHPPoint]] = []
     for pt in points:
-        x, y = Q(pt.x), Q(pt.y)
-        xn, xd, yn, yd = x.numerator, x.denominator, y.numerator, y.denominator
-        row = [(xn * yd) ** 2 + (yn * xd) ** 2, xn * xd * yd * yd,
-               yn * yd * xd * xd, (xd * yd) ** 2]
+        X, Y, W = _homogeneous(Q(pt.x), Q(pt.y))
+        row = [X * X + Y * Y, X * W, Y * W, W * W]
         for prow, lead, _src in pivots:
             f = row[lead]
             if f:

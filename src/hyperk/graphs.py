@@ -1,9 +1,10 @@
 """Finite disjointness graphs of geodesics, horocycles, and hypercycles.
 
-Vertices are curves; edges join pairs whose interiors are disjoint in the
-open half-plane (tangencies at the boundary circle do not create interior
-meets, so tangent horocycles are NOT adjacent here -- adjacency means
-interior_count == 0, which includes tangent pairs).  The module enumerates
+Vertices are curves; an edge joins two curves that do not meet in the open
+half-plane (interior_count == 0).  A tangency at an interior point is a
+meeting point, so h(0,1/2) and h(1,1/2), tangent at 1/2 + i/2, are not
+adjacent; curves that meet only on the boundary circle are, such as
+h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.
 """
@@ -279,15 +280,16 @@ def _completed_frames(src_curves, dst_curves, points, images):
     gets an arbitrary partner, harmless because the curves then are
     horocycles at oo, which every translation fixes).  An isometry matching
     the configurations is then b^-1 . h . a with h(z) = lam z or
-    h(z) = -lam conj(z): lam is the size ratio of the first horocycle, or 1
-    when there is none (every h fixes curves ending at 0 and oo).  Each
-    frame is (a^-1 oo, a^-1 0, a^-1 1) -> (b^-1 oo, b^-1 0, b^-1 h(1))."""
+    h(z) = -lam conj(z): lam is the size ratio of the first horocycle, or
+    with none (every h fixes curves ending at 0 and oo) the ratio of the
+    `_dilation`s of b and a.  Each frame is (a^-1 oo, a^-1 0, a^-1 1) ->
+    (b^-1 oo, b^-1 0, b^-1 h(1))."""
     if len(points) == 1:
         points = points + [_partner(points[0])]
         images = images + [_partner(images[0])]
     a = two_point_normalizer(points[0], points[1])
     b = two_point_normalizer(images[0], images[1])
-    lam = 1
+    lam = _dilation(b) / _dilation(a)
     for s, t in zip(src_curves, dst_curves):
         if s.kind is CurveKind.HOROCYCLE:
             lam = b.apply_curve(t).size / a.apply_curve(s).size
@@ -298,6 +300,13 @@ def _completed_frames(src_curves, dst_curves, points, images):
         (points + [third], images + [b_inv.apply_boundary(BoundaryPoint.finite(sign * lam))])
         for sign in (1, -1)
     ]
+
+
+def _dilation(n: Isometry):
+    """lam > 0 with n = (z -> lam z) . n1, n1 the map of n written with
+    determinant 1 and 1 the first nonzero entry of its bottom row."""
+    a, b, c, d = n.matrix()
+    return (a * d - b * c) / (c or d) ** 2
 
 
 def _partner(p: BoundaryPoint) -> BoundaryPoint:

@@ -13,10 +13,12 @@ both sides of another circle near where the two meet, on chords from an
 exact meeting point itself (so a curve with irrational endpoints needs no
 point on the axis) and at distances relative to the meeting point's height.
 
-Exact points, sign tests and constructors run on integers: a rational
-point (x, y) is read as (X/W, Y/W), a boundary point p as the pair
-(num, den), and a `Fraction` is built only for the value that is stored
-(an image point's coordinates, a boundary point).  `Isometry` keeps its
+Exact points, sign tests and constructors run on integers, and an exact
+point enters a formula only as `_projective` (a boundary point as (m, n),
+oo = (1, 0), so no formula has a case for oo) or `_homogeneous` (a point
+(x, y) as (X/W, Y/W)), where `_form_at` evaluates a circle.  A `Fraction`
+is built only for the value that is stored (an image point's
+coordinates, a boundary point).  `Isometry` keeps its
 entries as denominator-1 `Fraction`s, and `Isometry.apply_circle` still
 does `Fraction` arithmetic on purpose until ROADMAP item 1 lands: made
 integer, it runs the `pairs` benchmark past the 2^18 samples its buffer
@@ -142,6 +144,12 @@ def _coprime_ints(values):
     if next((v for v in ints if v), 0) < 0:
         g = -g
     return [v // g for v in ints]
+
+
+def _projective(p: BoundaryPoint):
+    """p as a coprime integer pair (num, den) with den >= 0; oo is (1, 0)."""
+    v = p.value
+    return (1, 0) if v is None else (v.numerator, v.denominator)
 
 
 def _homogeneous(x, y):
@@ -281,11 +289,10 @@ class GeneralizedCircle:
         return (v > 0) - (v < 0)
 
     def evaluate_boundary(self, p: BoundaryPoint):
-        """Sign carrier of the real-axis trace at p (sign of a at infinity)."""
-        if p.is_infinity:
-            return self.a
-        x = p.value
-        return self.a * x * x + self.b * x + self.d
+        """a m^2 + b m n + d n^2 at p = (m, n), oo = (1, 0): its sign, not its
+        size, is the sign of the real-axis trace a x^2 + b x + d at p."""
+        m, n = _projective(p)
+        return self.a * m * m + self.b * m * n + self.d * n * n
 
     def contains_point(self, x, y) -> bool:
         if self.exact and is_rational(x) and is_rational(y):
@@ -547,15 +554,13 @@ def make_geodesic(p: BoundaryPoint, q: BoundaryPoint) -> Curve:
     """The unique geodesic with endpoints p != q."""
     if p == q:
         raise InvalidInputError("geodesic needs two distinct endpoints")
-    if p.is_infinity or q.is_infinity:
-        m, n = _projective(q if p.is_infinity else p)
-        return curve_from_coeffs(0, n, 0, -m)  # vertical line n x - m = 0
     return curve_from_coeffs(*_geodesic_ints(p, q))
 
 
 def _geodesic_ints(p: BoundaryPoint, q: BoundaryPoint):
     """Integer (a, b, 0, d) of the semicircle with real-axis roots p = m/n and
-    q = r/s: n s x^2 - (m s + r n) x + m r = 0."""
+    q = r/s: n s x^2 - (m s + r n) x + m r = 0.  With oo = (1, 0) at p this
+    is the vertical line -s x + r = 0."""
     (m, n), (r, s) = _projective(p), _projective(q)
     return n * s, -(m * s + r * n), 0, m * r
 
@@ -602,12 +607,6 @@ def _hypercycle_ints(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint):
     """The exact carrier on integers, with `through` at (X/W, Y/W); None
     when `through` lies on the geodesic pq."""
     X, Y, W = _homogeneous(through.x, through.y)
-    if p.is_infinity or q.is_infinity:
-        # the line through (m/n, 0) and (X/W, Y/W)
-        m, n = _projective(q if p.is_infinity else p)
-        if X * n == m * W:
-            return None
-        return GeneralizedCircle(0, Y * n, m * W - X * n, -m * Y)
     # W Y times the geodesic's carrier k, plus the c y that puts `through`
     # on it: c = -W^2 k(X/W, Y/W)
     k = _geodesic_ints(p, q)
@@ -818,24 +817,15 @@ def _pullback(a, b, c, d, p, q, r, s):
 def two_point_normalizer(x: BoundaryPoint, y: BoundaryPoint) -> Isometry:
     """Orientation-preserving isometry phi with phi(x) = oo and phi(y) = 0.
 
-    For finite x, y this is z -> -1/(z-x) + 1/(y-x), the sign-corrected form
-    of the naive 1/(z-x) - 1/(y-x) (which has negative determinant and maps
-    the upper half-plane to the lower one).
+    For x = (x0, x1), y = (y0, y1), oo = (1, 0): z -> s (y1 z - y0) / (x1 z - x0)
+    with s = +-1 the sign of x1 y0 - x0 y1.  Any other such phi is this one
+    followed by a dilation z -> lam z, which callers that need it fix.
     """
     if x == y:
         raise InvalidInputError("normalizer needs two distinct boundary points")
-    if x.is_infinity:
-        return Isometry.translation(-y.value)  # z -> z - y
-    if y.is_infinity:
-        return Isometry(0, -1, 1, -x.value)  # z -> -1/(z - x)
-    k = 1 / (y.value - x.value)
-    return Isometry(k, -1 - k * x.value, 1, -x.value)
-
-
-def _projective(p: BoundaryPoint):
-    """p as a coprime integer pair (num, den) with den >= 0; oo is (1, 0)."""
-    v = p.value
-    return (1, 0) if v is None else (v.numerator, v.denominator)
+    (x0, x1), (y0, y1) = _projective(x), _projective(y)
+    s = 1 if x1 * y0 > x0 * y1 else -1
+    return Isometry(s * y1, -s * y0, x1, -x0)
 
 
 def _std_triple_matrix(t):
@@ -893,13 +883,11 @@ def distance_to_geodesic(z: UHPPoint, g: Curve) -> float:
         x, y = z.as_floats()
         a, b, d = float(a), float(b), float(d)
         return math.asinh(abs(a * (x * x + y * y) + b * x + d) / (y * math.sqrt(disc)))
-    # x = p/q, y = r/s: sinh(dist) = |n| / (q^2 s r sqrt(disc)) with
-    # n = a(p^2 s^2 + r^2 q^2) + b p q s^2 + d q^2 s^2
-    p, q = z.x.numerator, z.x.denominator
-    r, s = z.y.numerator, z.y.denominator
-    qs = q * s
-    n = a * (p * p * s * s + r * r * q * q) + (b * p + d * q) * q * s * s
-    num, den = n * n, qs * qs * q * q * r * r * disc
+    # z = (X/W, Y/W): sinh(dist) = |n| / (W Y sqrt(disc)), n = W^2 times the
+    # carrier's value at z
+    X, Y, W = _homogeneous(z.x, z.y)
+    n = _form_at(g.circle.coeffs(), X, Y, W)
+    num, den = n * n, (W * Y) ** 2 * disc
     try:
         return math.asinh(math.sqrt(num / den))
     except OverflowError:  # sinh(dist) beyond the float range: asinh u ~ log 2u
@@ -969,6 +957,17 @@ def _base_boundary_point(curve: Curve):
     return e.value
 
 
+def _chord_point(k, X, Y, W, u, v):
+    """(X', Y', W'), W' of either sign: the second meeting (X'/W', Y'/W') of
+    the circle k, a != 0, with the chord from its point (X/W, Y/W) in the
+    direction (u, v).  On (X/W + l u, Y/W + l v) the circle is
+    l (n / W + l a m) = 0, m = u^2 + v^2, n = (2aX + bW) u + (2aY + cW) v."""
+    a, b, c, _ = k
+    m = u * u + v * v
+    n = (2 * a * X + b * W) * u + (2 * a * Y + c * W) * v
+    return X * a * m - u * n, Y * a * m - v * n, W * a * m
+
+
 def rational_points(curve: Curve, count: int):
     """`count` exact rational points on the curve (y > 0), deterministic.
 
@@ -999,13 +998,10 @@ def rational_points(curve: Curve, count: int):
             t += 1
         return points
     x0 = _base_boundary_point(curve)
-    # chord of slope t through (x0, 0); the second intersection is rational.
+    # chords of slope p/q from (x0, 0); the second meeting is rational.
     # Slopes +-p/q are enumerated over all coprime pairs with max(p, q) = k
-    # so the sample set is dense in every sub-arc as count grows.  With
-    # x0 = e/f and t = p/q the second point is ((e a m - q n)/w, -p n/w),
-    # where m = p^2 + q^2, n = q(2ae + bf) + cpf and w = a f m.
+    # so the sample set is dense in every sub-arc as count grows.
     e, f = x0.numerator, x0.denominator
-    base = 2 * a * e + b * f
     seen = set()
     k = 1
     while len(points) < count:
@@ -1017,12 +1013,10 @@ def rational_points(curve: Curve, count: int):
             if den != k:
                 slopes.extend(((den, k), (-den, k)))
         for p, q in slopes:
-            n = q * base + c * p * f
-            m = p * p + q * q
-            w = a * f * m
-            if n == 0 or (-p * n > 0) != (w > 0):
+            X, Y, W = _chord_point((a, b, c, d), e, 0, f, q, p)
+            if Y * W <= 0:
                 continue  # the base point itself, or below the axis
-            x, y = Fraction(e * a * m - q * n, w), Fraction(-p * n, w)
+            x, y = Fraction(X, W), Fraction(Y, W)
             key = (x.numerator, x.denominator, y.numerator, y.denominator)
             if key not in seen:
                 seen.add(key)
@@ -1070,11 +1064,12 @@ def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
                 bx, by = _base_boundary_point(curve), 0
                 ux, uy = x - bx, y
             t0, scale = 0, y * abs(a) / (math.isqrt(b * b + c * c - 4 * a * d) + 1)
+            base = _homogeneous(bx, by)
 
             def point(t):
-                vx, vy = ux - t * uy, uy + t * ux
-                lam = -(vx * (2 * a * bx + b) + vy * (2 * a * by + c)) / (a * (vx * vx + vy * vy))
-                return bx + lam * vx, by + lam * vy
+                U, V, _ = _homogeneous(ux - t * uy, uy + t * ux)
+                X, Y, W = _chord_point(curve.circle.coeffs(), *base, U, V)
+                return Fraction(X, W), Fraction(Y, W)
         sides = {}
         for j in range(1, 80):
             step = scale / (1 << j)

@@ -9,7 +9,10 @@ counts never are.  Inexact (float) curves run the same algorithms: every
 sign test takes tolerance 0 for a pair of exact curves and EPS otherwise.
 A shared finite endpoint is a meeting point of the two full circles at
 height 0, so one sign test on heights counts interior points and shared
-endpoints alike.
+endpoints alike.  Linkedness reads the boundary points as integer pairs
+with oo = (1, 0) (`model._projective`) and is the sign of one product of
+2x2 determinants, the cross-ratio's, with no case for oo or for a shared
+point.
 """
 
 from __future__ import annotations
@@ -24,7 +27,6 @@ from ._record import Record
 from .errors import InvalidInputError
 from .model import (
     EPS,
-    BoundaryPoint,
     Curve,
     CurveKind,
     UHPPoint,
@@ -33,6 +35,7 @@ from .model import (
     _int_floats,
     _lorentz,
     _number,
+    _projective,
 )
 
 
@@ -337,25 +340,17 @@ def linked(pair1, pair2) -> bool:
 
     {a, b} and {c, d} (all distinct) are linked when exactly one of c, d
     lies on each arc determined by a and b.  Pairs sharing a point are not
-    linked.  Decided by order comparisons on R u {oo}, with oo above every
-    real: the arcs cut by a < b are the open interval (a, b) and the rest.
+    linked.  With the points as integer pairs (`_projective`, oo = (1, 0))
+    and [u, w] = u0 w1 - u1 w0, that is the cross-ratio's sign
+    [c, a][d, b][c, b][d, a] < 0; a shared point makes it 0.
     """
     p, q = tuple(pair1), tuple(pair2)
     if len(p) != 2 or len(q) != 2 or p[0] == p[1] or q[0] == q[1]:
         raise InvalidInputError("linked needs two pairs of distinct points")
-    a, b = p
-    c, d = q
-    if c == a or c == b or d == a or d == b:
-        return False
-    if a.is_infinity or (not b.is_infinity and b.value < a.value):
-        a, b = b, a  # now a is finite and a < b
-
-    def inside(point: BoundaryPoint) -> bool:
-        return not point.is_infinity and a.value < point.value and (
-            b.is_infinity or point.value < b.value
-        )
-
-    return inside(c) != inside(d)
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = map(_projective, p + q)
+    ca, db = c0 * a1 - c1 * a0, d0 * b1 - d1 * b0
+    cb, da = c0 * b1 - c1 * b0, d0 * a1 - d1 * a0
+    return ca * db * cb * da < 0
 
 
 def geodesics_linked(g1: Curve, g2: Curve) -> bool:

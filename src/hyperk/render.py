@@ -64,7 +64,7 @@ class _Mapper:
         return (x - self.x0) * self.scale, self.height_px - y * self.scale
 
 
-def _curve_element(curve: Curve, mapper: _Mapper, color: str) -> str:
+def _curve_element(curve: Curve, mapper: _Mapper, color: str, clip: str) -> str:
     style = f'fill="none" stroke="{color}" stroke-width="1.5"'
     circle = curve.euclidean_center_radius()
     if circle is not None:
@@ -74,7 +74,7 @@ def _curve_element(curve: Curve, mapper: _Mapper, color: str) -> str:
         px, py = mapper.to_pixel(cx, cy)
         return (
             f'<circle cx="{_f(px)}" cy="{_f(py)}" r="{_f(r * mapper.scale)}" '
-            f'{style} clip-path="url(#uhp)"/>'
+            f'{style} clip-path="url(#{clip})"/>'
         )
     # a line b x + c y + d = 0; an exact line's quotients are int / int,
     # correctly rounded, so it is drawn whenever its position is a float
@@ -92,31 +92,22 @@ def _curve_element(curve: Curve, mapper: _Mapper, color: str) -> str:
         raise InvalidInputError("a scene coordinate is outside the float range") from None
     return (
         f'<line x1="{_f(p0[0])}" y1="{_f(p0[1])}" x2="{_f(p1[0])}" '
-        f'y2="{_f(p1[1])}" {style} clip-path="url(#uhp)"/>'
+        f'y2="{_f(p1[1])}" {style} clip-path="url(#{clip})"/>'
     )
 
 
-def render_scene(scene: SvgScene) -> str:
-    """Render the scene to an SVG string."""
-    mapper = _Mapper(scene)
+def _elements(scene: SvgScene, mapper: _Mapper, clip: str) -> List[str]:
+    """The scene's drawn elements, in order, its curves clipped to `clip`."""
     w, h = mapper.width, mapper.height_px
     axis_y = mapper.to_pixel(0.0, 0.0)[1]
     parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(w)}" '
-        f'height="{_f(h)}" viewBox="0 0 {_f(w)} {_f(h)}">',
-        "<defs>",
-        f'<clipPath id="uhp"><rect x="0" y="0" width="{_f(w)}" '
-        f'height="{_f(axis_y)}"/></clipPath>',
-        "</defs>",
         f'<rect x="0" y="0" width="{_f(w)}" height="{_f(h)}" fill="white"/>',
         # the boundary axis is always drawn
         f'<line x1="0" y1="{_f(axis_y)}" x2="{_f(w)}" y2="{_f(axis_y)}" '
         'stroke="black" stroke-width="2"/>',
     ]
     for i, curve in enumerate(scene.curves):
-        color = _PALETTE[i % len(_PALETTE)]
-        el = _curve_element(curve, mapper, color)
+        el = _curve_element(curve, mapper, _PALETTE[i % len(_PALETTE)], clip)
         if el:
             parts.append(el)
     for pt in scene.points:
@@ -131,48 +122,47 @@ def render_scene(scene: SvgScene) -> str:
             f'<text x="{_f(px)}" y="{_f(py)}" font-size="12" '
             f'font-family="monospace">{text}</text>'
         )
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return parts
+
+
+def _document(width: float, height: float, clips, body: List[str]) -> str:
+    """The SVG of `body`, with a clip path to the window above the axis for
+    each (mapper, id) of `clips`."""
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(width)}" '
+        f'height="{_f(height)}" viewBox="0 0 {_f(width)} {_f(height)}">',
+        "<defs>",
+    ]
+    for mapper, clip in clips:
+        parts.append(
+            f'<clipPath id="{clip}"><rect x="0" y="0" width="{_f(mapper.width)}" '
+            f'height="{_f(mapper.to_pixel(0.0, 0.0)[1])}"/></clipPath>'
+        )
+    return "\n".join([*parts, "</defs>", *body, "</svg>"]) + "\n"
+
+
+def render_scene(scene: SvgScene) -> str:
+    """Render the scene to an SVG string."""
+    mapper = _Mapper(scene)
+    return _document(mapper.width, mapper.height_px, [(mapper, "uhp")],
+                     _elements(scene, mapper, "uhp"))
 
 
 def render_panels(scenes: Sequence[SvgScene]) -> str:
     """Render several scenes side by side in one SVG (e.g. before/after
-    panels)."""
+    panels), each clipped to its own window."""
     if not scenes:
         raise InvalidInputError("need at least one scene")
-    rendered = []
+    clips = [(_Mapper(scene), f"uhp{k}") for k, scene in enumerate(scenes)]
+    body = []
     offset = 0.0
-    total_h = 0.0
-    for scene in scenes:
-        mapper = _Mapper(scene)
-        body = render_scene(scene)
-        # strip the outer document, keep the drawable elements
-        inner = body.split("\n")[2:-2]
-        inner = [ln for ln in inner if not ln.startswith("<defs") and "clipPath id" not in ln and ln != "</defs>"]
-        rendered.append((offset, mapper, inner))
+    for scene, (mapper, clip) in zip(scenes, clips):
+        body.append(f'<g transform="translate({_f(offset)},0)">')
+        body += _elements(scene, mapper, clip)
+        body.append("</g>")
         offset += mapper.width + 20.0
-        total_h = max(total_h, mapper.height_px)
-    total_w = offset - 20.0
-    parts = [
-        '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_f(total_w)}" '
-        f'height="{_f(total_h)}" viewBox="0 0 {_f(total_w)} {_f(total_h)}">',
-        "<defs>",
-    ]
-    for k, (off, mapper, _inner) in enumerate(rendered):
-        axis_y = mapper.to_pixel(0.0, 0.0)[1]
-        parts.append(
-            f'<clipPath id="uhp{k}"><rect x="0" y="0" width="{_f(mapper.width)}" '
-            f'height="{_f(axis_y)}"/></clipPath>'
-        )
-    parts.append("</defs>")
-    for k, (off, _mapper, inner) in enumerate(rendered):
-        parts.append(f'<g transform="translate({_f(off)},0)">')
-        for ln in inner:
-            parts.append(ln.replace('url(#uhp)', f'url(#uhp{k})'))
-        parts.append("</g>")
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+    return _document(offset - 20.0, max(m.height_px for m, _ in clips), clips, body)
 
 
 def write_svg(svg: str, path: str) -> None:

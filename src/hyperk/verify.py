@@ -177,7 +177,7 @@ def suite_boundary_extension(rng: random.Random, scale: str) -> List[PropertyRes
             if q == p:
                 continue
             gi = iso.apply_curve(make_geodesic(p, q))
-            if not img.is_infinity and gi.circle.evaluate_boundary(img) != 0:
+            if gi.circle.evaluate_boundary(img) != 0:
                 yield f"{iso!r} at {p!r}"
 
     def normalizers():

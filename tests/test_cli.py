@@ -49,6 +49,14 @@ class TestClassify:
         code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "0.3,0.5")
         assert code == 0 and "Horocycle center 0.3 radius 0.5\n" in out
 
+    @pytest.mark.parametrize("value", ["-.5,1", "-.25e1,1/2"])
+    def test_signed_float_value_after_a_space(self, capsys, value):
+        # the flag grammar, not argparse, reads a value that starts with
+        # "-.", as it does the same value after "="
+        spaced = run(capsys, "--inexact", "classify", "--horocycle", value)
+        joined = run(capsys, "--inexact", "classify", f"--horocycle={value}")
+        assert spaced == joined and spaced[0] == 0 and "Horocycle center -" in spaced[1]
+
     def test_records_format(self, capsys):
         code, out, _ = run(
             capsys, "--format", "records", "classify", "--geodesic", "0,oo"
@@ -262,6 +270,10 @@ MALFORMED = [
     ("graph", "--curves", "BADKEY"),
     ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1e400,1"),
     ("--inexact", "intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"),
+    ("--inexact", "classify", "--horocycle", "-inf,1"),
+    ("--inexact", "classify", "--geodesic", "-Infinity,0"),
+    ("classify", "--horocycle", "-.5,1"),
+    ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"),
 ]
 
 #: what the error message says, for the rows whose message names the flag
@@ -305,6 +317,14 @@ SAYS = {
         "apply x,y: '1e400' is not a finite number",
     ("--inexact", "intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"):
         "--first-horocycle center,size: 'inf' is not a finite number",
+    ("--inexact", "classify", "--horocycle", "-inf,1"):
+        "--horocycle center,size: '-inf' is not a finite number",
+    ("--inexact", "classify", "--geodesic", "-Infinity,0"):
+        "--geodesic p,q: '-Infinity' is not a finite number",
+    ("classify", "--horocycle", "-.5,1"):
+        "--horocycle center,size: '-.5' is not a rational p/q; pass --inexact to allow floats",
+    ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"):
+        "apply x,y or p/q or oo: '-nan' is not a finite number",
 }
 
 #: curve files that MALFORMED names by placeholder

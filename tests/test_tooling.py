@@ -287,6 +287,51 @@ def test_grammar_check_sees_direct_parsers():
     ]
 
 
+#: functions that read a boundary point only through `model._projective`
+#: (oo = (1, 0)), by module
+PROJECTIVE_ONLY = {
+    "model.py": {"evaluate_boundary", "make_geodesic", "_hypercycle_ints",
+                 "two_point_normalizer"},
+    "predicates.py": {"linked"},
+}
+
+
+def _point_reads(tree, names):
+    """(function, attribute), sorted, for every `.is_infinity` or `.value`
+    read inside a function, or method, named in `names`."""
+    return sorted(
+        (fn.name, node.attr)
+        for fn in ast.walk(tree)
+        if isinstance(fn, ast.FunctionDef) and fn.name in names
+        for node in ast.walk(fn)
+        if isinstance(node, ast.Attribute) and node.attr in ("is_infinity", "value")
+    )
+
+
+def test_exact_point_formulas_have_no_case_for_infinity():
+    for module, names in PROJECTIVE_ONLY.items():
+        tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
+        defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+        assert names <= defined, module
+        assert _point_reads(tree, names) == [], module
+
+
+def test_point_read_check_sees_infinity_cases():
+    tree = ast.parse(
+        "class Circle:\n"
+        "    def evaluate_boundary(self, p):\n"
+        "        return self.a if p.is_infinity else p.value\n"
+        "def linked(p, q):\n"
+        "    return [x.value for x in p + q]\n"
+        "def other(p):\n"
+        "    return p.is_infinity\n"
+    )
+    assert _point_reads(tree, {"evaluate_boundary", "linked"}) == [
+        ("evaluate_boundary", "is_infinity"), ("evaluate_boundary", "value"),
+        ("linked", "value"),
+    ]
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
