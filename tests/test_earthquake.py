@@ -1,4 +1,5 @@
 import collections
+import hashlib
 import itertools
 import math
 import operator
@@ -1384,6 +1385,40 @@ def test_int_pair_solver_matches_fraction_oracle(monkeypatch, reverse):
     # through oo pass two factors 2), so every radius is rational
     assert tally["Satisfiable", True] >= 500 and tally["Unsatisfiable", None] >= 500, tally
     assert min(tally[k] for k in ("oo", "600-bit", "same center", "free roots")) >= 100, tally
+
+
+def _relabelled_chains(rng, count):
+    """Each of `count` tangency chains relabelled by an isometry, by a
+    transposition and by a shuffle of its centers."""
+    for hs in _tangency_chains(rng, count):
+        centers = [h.center for h in hs]
+        g = rand_isometry(rng)
+        swapped = list(centers)
+        i, j = rng.sample(range(len(centers)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        shuffled = list(centers)
+        rng.shuffle(shuffled)
+        for images in ([g.apply_boundary(c) for c in centers], swapped, shuffled):
+            yield instance_from_horocycles(hs, images)
+
+
+#: sha256 of every answer record below, satisfiable radii and certificate
+#: texts included
+SOLVER_PIN = "9f8df9b53187d86d14422f83c3513c0224fac7e48196d2d6cabdea1df88d5e4c"
+
+
+def test_solver_answers_are_pinned():
+    digest = hashlib.sha256()
+    tally = collections.Counter()
+    instances = list(_differential_instances(random.Random(1212), 400))
+    instances += [_reversed(inst) for inst in instances]
+    instances += _relabelled_chains(random.Random(20241), 48)
+    for inst in instances:
+        rec = tangency_realizability(inst).to_record()
+        digest.update(repr(rec).encode())
+        tally[rec["result"]] += 1
+    assert tally["satisfiable"] >= 500 and tally["unsatisfiable"] >= 300, tally
+    assert digest.hexdigest() == SOLVER_PIN
 
 
 def test_cycle_below_one_stops_before_the_potentials_grow(monkeypatch):
