@@ -409,14 +409,16 @@ def _scene_from_preset(name: str):
 def cmd_render(args, out: _Output) -> int:
     from .render import SvgScene, render_panels, render_scene, write_svg
 
+    window = {k: v for k in ("x_min", "x_max", "height") if (v := getattr(args, k)) is not None}
     if args.preset:
+        if window:
+            flag = "--" + next(iter(window)).replace("_", "-")
+            raise InvalidInputError(f"{flag} does not apply to --preset {args.preset}")
         scenes = _scene_from_preset(args.preset)
-    elif args.curves:
-        scene = SvgScene(x_min=args.x_min, x_max=args.x_max, height=args.height)
-        scene.add(*_read_curves(args.curves))
-        scenes = [scene]
     else:
-        scenes = [SvgScene(x_min=args.x_min, x_max=args.x_max, height=args.height)]
+        scenes = [SvgScene(**window)]
+        if args.curves:
+            scenes[0].add(*_read_curves(args.curves))
     svg = render_scene(scenes[0]) if len(scenes) == 1 else render_panels(scenes)
     try:
         write_svg(svg, args.output)
@@ -512,9 +514,10 @@ def build_parser() -> argparse.ArgumentParser:
     scene = p.add_mutually_exclusive_group()
     scene.add_argument("--preset", choices=("dyadic", "figure-one", "empty"))
     scene.add_argument("--curves", help="file of curve text lines")
-    p.add_argument("--x-min", type=float, default=-3.0)
-    p.add_argument("--x-max", type=float, default=3.0)
-    p.add_argument("--height", type=float, default=3.0)
+    # the window defaults are SvgScene's; a preset has its own window
+    p.add_argument("--x-min", type=float)
+    p.add_argument("--x-max", type=float)
+    p.add_argument("--height", type=float)
     p.add_argument("-o", "--output", required=True)
     p.set_defaults(func=cmd_render)
 

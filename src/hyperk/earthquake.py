@@ -223,6 +223,9 @@ class RealizabilityInstance(Record):
             len(row) != n for row in self.required_pattern
         ):
             raise InvalidInputError("pattern matrix must be n x n")
+        for req in (r for row in self.required_pattern for r in row):
+            if req is not None and not isinstance(req, PairRequirement):
+                raise InvalidInputError(f"pattern entry {req!r} is not a PairRequirement or None")
         for i in range(n):
             for j in range(i + 1, n):
                 if self.required_pattern[i][j] != self.required_pattern[j][i]:
@@ -236,7 +239,8 @@ class RealizabilityInstance(Record):
 
 
 class Constraint(Record):
-    """One processed pairwise requirement, for certificates."""
+    """One pairwise requirement listed by an `Unsatisfiable` certificate;
+    built only for the pairs that such an answer lists."""
 
     __slots__ = ("kind", "i", "j", "text")
 
@@ -303,9 +307,9 @@ def _fmt(p: Tuple[int, int]) -> str:
 
 
 def _over(k, c1, c2, s: int) -> Tuple[int, int]:
-    """k / (c1 * c2^s) for reduced pairs and s = +-1, reduced."""
+    """k / (c1 * c2^s) for pairs and s = +-1, not reduced."""
     (n1, d1), (n2, d2) = c1, c2 if s == 1 else c2[::-1]
-    return _ratio(k[0] * d1 * d2, k[1] * n1 * n2)
+    return k[0] * d1 * d2, k[1] * n1 * n2
 
 
 def _monomial(proj: Sequence[Tuple[int, int]], i: int, j: int):
@@ -313,14 +317,14 @@ def _monomial(proj: Sequence[Tuple[int, int]], i: int, j: int):
     projective pairs (oo = (1, 0)): they are tangent iff rho_u * rho_v^s = k,
     disjoint iff s * (rho_u * rho_v^s - k) < 0, and crossing otherwise.
     Finite centers p, q give s = 1 and k = (p - q)^2 / 4; a center at oo is
-    u, with s = -1 and k = 2.  k is a reduced int pair."""
+    u, with s = -1 and k = 2.  k is an int pair, not always reduced."""
     (x, m), (y, n) = proj[i], proj[j]
     if not m:
         return i, j, -1, (2, 1)
     if not n:
         return j, i, -1, (2, 1)
     t = x * n - y * m
-    return i, j, 1, _ratio(t * t, 4 * (m * n) ** 2)
+    return i, j, 1, (t * t, 4 * (m * n) ** 2)
 
 
 def _sqrt(p: Tuple[int, int]) -> Optional[Tuple[int, int]]:
@@ -335,24 +339,27 @@ class _RadiusSystem:
 
     Every variable i satisfies rho_i = coef_i * rho_root^(exp_i) with
     exp_i in {+1, -1} and coef_i > 0.  Each tangency is one equation
-    rho_i * rho_j^s = k with s in {+1, -1} and k > 0; roots may get pinned
-    to rho_root^2 = v.  Every rational here (coef, k, pins) is a reduced
-    pair (n, d) of positive ints.
+    rho_u * rho_v^s = k with s in {+1, -1} and k > 0, kept as its data
+    (u, v, s, k); roots may get pinned to rho_root^2 = v.  Every rational
+    here is a pair (n, d) of positive ints, reduced for coef and pins.
 
     The tangencies that merged two components form a spanning forest of the
     tangency graph; every other tangency closes a cycle in it, and a pin
     rests on the cycle of the tangency that made it (`pinned_by`).  A
     conflict lists the tangencies on those cycles and on the forest paths
-    joining them, so the listed pairs alone are unsatisfiable.
+    joining them, so the listed pairs alone are unsatisfiable; only then
+    are their `Constraint`s and texts built.  After the last tangency
+    nothing changes the union-find, so `find` may be read once per radius.
     """
 
-    def __init__(self, n: int):
+    def __init__(self, centers: Sequence[BoundaryPoint]):
+        self.centers, n = centers, len(centers)
         self.parent = list(range(n))
         self.exp = [1] * n  # rho_i = coef * rho_parent^exp
         self.coef = [(1, 1)] * n
-        self.forest: List[List[Tuple[int, Constraint]]] = [[] for _ in range(n)]
+        self.forest: List[List[Tuple[int, tuple]]] = [[] for _ in range(n)]
         self.pin: Dict[int, Tuple[int, int]] = {}  # root -> rho_root^2
-        self.pinned_by: Dict[int, Constraint] = {}
+        self.pinned_by: Dict[int, tuple] = {}  # root -> tangency (u, v, s, k)
         self.conflict: Optional[Unsatisfiable] = None
 
     def find(self, i: int) -> Tuple[int, int, Tuple[int, int]]:
@@ -366,30 +373,41 @@ class _RadiusSystem:
                 n, d = n * cd, d * cn
             e *= self.exp[i]
             i = self.parent[i]
-        return i, e, _ratio(n, d)
+        return i, e, (n, d)
 
-    def _walk(self, i: int, j: int) -> List[Constraint]:
+    def _walk(self, i: int, j: int) -> list:
         """The tangencies on the forest path from i to j."""
         prev, todo = {i: None}, [i]
         for u in todo:
-            for v, con in self.forest[u]:
+            for v, t in self.forest[u]:
                 if v not in prev:
-                    prev[v] = (u, con)
+                    prev[v] = (u, t)
                     todo.append(v)
         out = []
         while j != i:
-            j, con = prev[j]
-            out.insert(0, con)
+            j, t = prev[j]
+            out.insert(0, t)
         return out
 
-    def _cycle(self, ends, closing: List[Constraint]) -> Tuple[Constraint, ...]:
+    def _constraint(self, t) -> Constraint:
+        """The certificate line of the tangency t = (u, v, s, k)."""
+        u, v, s, k = t
+        cu, cv = self.centers[u], self.centers[v]
+        if s == 1:
+            text = (f"({cu!r} - {cv!r})^2 = {_text(_ratio(4 * k[0], k[1]))} = "
+                    f"4 rho({cu!r}) rho({cv!r})")
+        else:
+            text = f"rho({cu!r}) = {_text(k)} rho({cv!r})"
+        return Constraint(PairRequirement.TANGENT, u, v, text)
+
+    def _cycle(self, ends, closing: list) -> Tuple[Constraint, ...]:
         """The tangencies on the forest paths between each pair in ends,
-        then the constraints in closing, each once."""
+        then the tangencies or constraints in closing, each once."""
         seen = []
         for c in [c for i, j in ends for c in self._walk(i, j)] + closing:
             if c not in seen:
                 seen.append(c)
-        return tuple(seen)
+        return tuple(self._constraint(c) if type(c) is tuple else c for c in seen)
 
     def support(self, i: int, j: int, closing: Constraint) -> Tuple[Constraint, ...]:
         """The tangencies that tie rho_i to rho_j and fix their pinned
@@ -397,10 +415,10 @@ class _RadiusSystem:
         (r1, _e, _c), (r2, _e, _c) = self.find(i), self.find(j)
         ends, pins = [(i, j)] if r1 == r2 else [], []
         for r, x in ((r1, i), (r2, j)):
-            c = self.pinned_by.get(r)
-            if c is not None and c not in pins:
-                ends += [(c.i, c.j), (c.i, x)]
-                pins.append(c)
+            t = self.pinned_by.get(r)
+            if t is not None and t not in pins:
+                ends += [(t[0], t[1]), (t[0], x)]
+                pins.append(t)
         return self._cycle(ends, pins + [closing])
 
     def value(self, i: int) -> Optional[Tuple[int, int]]:
@@ -411,54 +429,56 @@ class _RadiusSystem:
             return None
         return _ratio(n * t[0], d * t[1]) if e == 1 else _ratio(n * t[1], d * t[0])
 
-    def _pin_root(self, r: int, v, why: Constraint) -> bool:
-        """Pin rho_r^2 = v, which the cycle that `why` closes forces."""
+    def _pin_root(self, r: int, v, why) -> bool:
+        """Pin rho_r^2 = v, forced by the cycle that tangency `why` closes."""
         old = self.pin.get(r)
         if old is not None and old != v:
             was = self.pinned_by[r]
             self.conflict = Unsatisfiable(
                 f"rho^2 forced to both {_text(old)} and {_text(v)}",
-                self._cycle([(was.i, was.j), (why.i, why.j), (was.i, why.i)], [was, why]),
+                self._cycle([was[:2], why[:2], (was[0], why[0])], [was, why]),
             )
             return False
         self.pin[r], self.pinned_by[r] = v, why
         return True
 
-    def add(self, i: int, j: int, s: int, k, con: Constraint) -> bool:
-        """Impose rho_i * rho_j^s = k."""
+    def add(self, i: int, j: int, s: int, k) -> bool:
+        """Impose the tangency rho_i * rho_j^s = k."""
         r1, e1, c1 = self.find(i)
         r2, e2, c2 = self.find(j)
+        t = (i, j, s, k)
         # the equation reads rho_r1^e1 * rho_r2^(s e2) = q
-        q = _over(k, c1, c2, s)
+        q = _ratio(*_over(k, c1, c2, s))
         if r1 == r2:
             if e1 + s * e2 == 0:
-                return True if q == (1, 1) else self._conflict(i, j, s, k, con)
+                return True if q == (1, 1) else self._conflict(t)
             # rho_r1^(2 e1) = q
-            return self._pin_root(r1, q if e1 == 1 else q[::-1], con)
+            return self._pin_root(r1, q if e1 == 1 else q[::-1], t)
         # s e2 = +-1 is its own inverse: rho_r2 = q^(s e2) * rho_r1^(-e1 s e2)
         self.parent[r2] = r1
         self.exp[r2] = -e1 * s * e2
         c = self.coef[r2] = q if s * e2 == 1 else q[::-1]
-        self.forest[i].append((j, con))
-        self.forest[j].append((i, con))
+        self.forest[i].append((j, t))
+        self.forest[j].append((i, t))
         pin2 = self.pin.pop(r2, None)
         if pin2 is not None:
             # rho_r2^2 = coef^2 * rho_r1^(2 exp)
-            v = _over(pin2, c, c, 1)
+            v = _ratio(*_over(pin2, c, c, 1))
             why = self.pinned_by.pop(r2)
             return self._pin_root(r1, v if self.exp[r2] == 1 else v[::-1], why)
         return True
 
-    def _conflict(self, i: int, j: int, s: int, k, con: Constraint) -> bool:
+    def _conflict(self, t) -> bool:
         # tangencies at oo (s = -1) come first, and among themselves they
         # only say that a radius at oo is twice a finite one, which closes no
         # inconsistent cycle; so a conflict between known radii is a product
+        i, j, s, k = t
         ri, rj = self.value(i), self.value(j)
         if s == 1 and ri is not None and rj is not None:
             msg = f"{_text(_ratio(4 * k[0], k[1]))} ≠ 4·{_fmt(ri)}·{_fmt(rj)}"
         else:
             msg = f"inconsistent tangency constraint between radii {i} and {j}"
-        self.conflict = Unsatisfiable(msg, self._cycle([(i, j)], [con]))
+        self.conflict = Unsatisfiable(msg, self._cycle([(i, j)], [t]))
         return False
 
 
@@ -479,12 +499,14 @@ def tangency_realizability(inst: RealizabilityInstance):
     The centers are read once as projective int pairs, and every rational
     the solver keeps is a pair (n, d) of positive ints, compared by
     cross-multiplication; a `Fraction` is built only for the returned
-    radii."""
+    radii.  After the tangencies the union-find is read once, one `find`
+    per horocycle.  A `Constraint` and its text are built only for an
+    unsatisfiable answer, for the pairs it lists."""
     centers = inst.relabeled_centers
     proj = [_projective(c) for c in centers]
     pattern = inst.required_pattern
     n = len(centers)
-    sys = _RadiusSystem(n)
+    sys = _RadiusSystem(centers)
     forms = {
         (i, j): _monomial(proj, i, j)
         for i in range(n) for j in range(i + 1, n)
@@ -499,14 +521,10 @@ def tangency_realizability(inst: RealizabilityInstance):
         key=lambda p: (forms[p][2], p),
     )
     for pair in tangents:
-        u, v, s, k = forms[pair]
-        if s == 1:
-            text = (f"({centers[u]!r} - {centers[v]!r})^2 = {_text(_ratio(4 * k[0], k[1]))} = "
-                    f"4 rho({centers[u]!r}) rho({centers[v]!r})")
-        else:
-            text = f"rho({centers[u]!r}) = {_text(k)} rho({centers[v]!r})"
-        if not sys.add(u, v, s, k, Constraint(PairRequirement.TANGENT, u, v, text)):
+        if not sys.add(*forms[pair]):
             return sys.conflict
+    # the forest is final: each radius as (root, exp, coef), read once
+    roots = [sys.find(i) for i in range(n)]
 
     # each inequality on the solution manifold: (rho_u rho_v^s)^2 =
     # coef^2 * prod (rho_r^2)^e over roots r, so with B = k^2 / coef^2 it
@@ -516,8 +534,7 @@ def tangency_realizability(inst: RealizabilityInstance):
         req = pattern[i][j]
         if req is PairRequirement.TANGENT:
             continue
-        r1, e1, c1 = sys.find(u)
-        r2, e2, c2 = sys.find(v)
+        (r1, e1, c1), (r2, e2, c2) = roots[u], roots[v]
         exps = {r1: e1}
         exps[r2] = exps.get(r2, 0) + s * e2
         sgn = s if req is PairRequirement.DISJOINT else -s
@@ -529,14 +546,13 @@ def tangency_realizability(inst: RealizabilityInstance):
         # closes a tangency cycle whose constants k are squares except the
         # factors 2 at oo, which come in pairs (a cycle enters and leaves oo)
         out, forced = [], []
-        for i in range(n):
-            r, e, (cn, cd) = sys.find(i)
+        for r, e, (cn, cd) in roots:
             forced.append(r in sys.pin)
             tn, td = _sqrt(vals[r])
             out.append(Q(cn * tn, cd * td) if e == 1 else Q(cn * td, cd * tn))
         return Satisfiable(tuple(out), True, tuple(forced))
 
-    free_roots = sorted({sys.find(i)[0] for i in range(n)} - set(sys.pin))
+    free_roots = sorted({r for r, _e, _c in roots} - set(sys.pin))
     vals = dict(sys.pin)
     for r in free_roots:
         vals[r] = (1, 1)
@@ -570,8 +586,7 @@ def tangency_realizability(inst: RealizabilityInstance):
         for j in range(i + 1, n):
             if pattern[i][j] is None or proj[i] != proj[j]:
                 continue
-            r1, e1, c1 = sys.find(i)
-            r2, e2, c2 = sys.find(j)
+            (r1, e1, c1), (r2, e2, c2) = roots[i], roots[j]
             exps = {r1: e1}
             exps[r2] = exps.get(r2, 0) - e2
             # (rho_i / rho_j)^2 against B = (c2 / c1)^2; sgn 1: < B, sgn -1: > B
@@ -593,21 +608,18 @@ def tangency_realizability(inst: RealizabilityInstance):
     return radii_for(vals)
 
 
-def _power(p: Tuple[int, int], e: int) -> Tuple[int, int]:
-    """p^e for a reduced pair p and an int e of any sign; it is reduced too."""
-    return (p[0] ** e, p[1] ** e) if e >= 0 else (p[1] ** -e, p[0] ** -e)
-
-
 def _violations(ineqs, vals):
     """The pairs (i, j) whose inequality (i, j, sgn, exps, B), which holds
     iff sgn * (prod (rho_r^2)^e - B) < 0, fails exactly at vals, the value
-    of rho_r^2 for every root r; every rational is a reduced int pair."""
+    of rho_r^2 for every root r; every rational is an int pair."""
     out = []
     for i, j, sgn, exps, (bn, bd) in ineqs:
         n = d = 1
         for r, e in exps.items():
-            pn, pd = _power(vals[r], e)
-            n, d = n * pn, d * pd
+            pn, pd = vals[r]
+            if e < 0:
+                pn, pd, e = pd, pn, -e
+            n, d = n * pn ** e, d * pd ** e
         lhs, rhs = n * bd, bn * d
         if not (lhs < rhs if sgn > 0 else lhs > rhs):
             out.append((i, j))
@@ -617,7 +629,8 @@ def _violations(ineqs, vals):
 def _free_values(ineqs, free_roots, pinned):
     """rho_r^2 for every root, the pinned ones as given and the free ones
     chosen so that every inequality holds exactly, or None when a cycle
-    proves that no choice does.  Values and bounds are reduced int pairs.
+    proves that no choice does.  Values and bounds are int pairs, the values
+    reduced.
 
     In x_r = ln(rho_r^2) each inequality reads a x_r + b x_q < ln B over
     the free roots, with a, b in {-1, 0, 1}, or 2a x_r < ln B; pinned
@@ -640,8 +653,10 @@ def _free_values(ineqs, free_roots, pinned):
         terms = []
         for r, e in exps.items():
             if r not in node:
-                pn, pd = _power(pinned[r], e)  # B / pinned^e
-                bn, bd = bn * pd, bd * pn
+                pn, pd = pinned[r]  # B / pinned^e
+                if e < 0:
+                    pn, pd, e = pd, pn, -e
+                bn, bd = bn * pd ** e, bd * pn ** e
             elif e:
                 terms.append((node[r], sgn * e))
         if sgn < 0:
@@ -668,11 +683,13 @@ def _free_values(ineqs, free_roots, pinned):
     vals = dict(pinned)
     if not m:
         return vals
-    if _potentials(bounds, m) is None:
-        return None
     j = 1
     while (pot := _potentials({a: (bn << j, bd * ((1 << j) + 1))
                                for a, (bn, bd) in bounds.items()}, m)) is None:
+        # no potentials with slack mu: a cycle of product at most 1 has
+        # none without slack either; otherwise mu is too large
+        if j == 1 and _potentials(bounds, m) is None:
+            return None
         j *= 2
     for k, r in enumerate(free_roots):
         (pn, pd, _c), (qn, qd, _c) = pot[2 * k], pot[2 * k + 1]

@@ -29,6 +29,9 @@ class SvgScene(Record):
                  curves: Optional[List[Curve]] = None, points: Optional[List[UHPPoint]] = None,
                  labels: Optional[List[Tuple[float, float, str]]] = None,
                  pixels_per_unit: float = 80.0):
+        if not (-math.inf < x_min < x_max < math.inf and 0 < height < math.inf):
+            raise InvalidInputError(f"scene window needs finite x_min < x_max and height > 0, "
+                                    f"got x_min={x_min}, x_max={x_max}, height={height}")
         self.x_min, self.x_max, self.height = x_min, x_max, height
         self.curves = [] if curves is None else curves
         self.points = [] if points is None else points

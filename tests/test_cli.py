@@ -274,6 +274,11 @@ MALFORMED = [
     ("--inexact", "classify", "--geodesic", "-Infinity,0"),
     ("classify", "--horocycle", "-.5,1"),
     ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"),
+    ("render", "--x-min", "5", "--x-max", "1", "-o", "a.svg"),
+    ("render", "--height", "-1", "-o", "a.svg"),
+    ("render", "--x-max", "inf", "-o", "a.svg"),
+    ("render", "--preset", "dyadic", "--x-min", "5", "--x-max", "1", "-o", "a.svg"),
+    ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"),
 ]
 
 #: what the error message says, for the rows whose message names the flag
@@ -325,6 +330,14 @@ SAYS = {
         "--horocycle center,size: '-.5' is not a rational p/q; pass --inexact to allow floats",
     ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"):
         "apply x,y or p/q or oo: '-nan' is not a finite number",
+    ("render", "--x-min", "5", "--x-max", "1", "-o", "a.svg"):
+        "scene window needs finite x_min < x_max and height > 0, got x_min=5.0, x_max=1.0",
+    ("render", "--height", "-1", "-o", "a.svg"): "height > 0, got x_min=-3.0, x_max=3.0, height=-1.0",
+    ("render", "--x-max", "inf", "-o", "a.svg"): "x_max=inf",
+    ("render", "--preset", "dyadic", "--x-min", "5", "--x-max", "1", "-o", "a.svg"):
+        "--x-min does not apply to --preset dyadic",
+    ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"):
+        "--height does not apply to --preset empty",
 }
 
 #: curve files that MALFORMED names by placeholder

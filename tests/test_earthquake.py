@@ -275,6 +275,38 @@ class TestRealizability:
         for con in res.cycle:
             assert 0 <= con.i < 4 and 0 <= con.j < 4
 
+    def test_pattern_entry_that_is_no_requirement_is_refused(self):
+        # a string entry used to be read as no requirement at all: centers
+        # 0 and 1 got radii (1, 1), and (0 - 1)^2 < 4 * 1 * 1 crosses
+        centers = [F(0), F(1)]
+        with pytest.raises(InvalidInputError, match="pattern entry 'tangent'"):
+            earthquake.RealizabilityInstance(
+                centers, centers, [[None, "tangent"], ["tangent", None]])
+
+
+def test_satisfiable_answers_build_no_certificate_text(monkeypatch):
+    # the certificate lines of the tangencies are formatted only for an
+    # unsatisfiable answer: a satisfiable one repr()s no center
+    hs = figure_one_configuration()
+    cases = [instance_from_horocycles(hs, [h.center for h in hs])]
+    rng = random.Random(3030)
+    for chain in _tangency_chains(rng, 30):
+        g = rand_isometry(rng)
+        inst = instance_from_horocycles(chain, [g.apply_boundary(h.center) for h in chain])
+        if any(PairRequirement.TANGENT in row for row in inst.required_pattern):
+            cases.append(inst)
+
+    def refuse(*args):
+        raise AssertionError("certificate text formatted for a satisfiable answer")
+
+    with monkeypatch.context() as m:
+        m.setattr(BoundaryPoint, "__repr__", refuse)
+        m.setattr(earthquake, "_text", refuse)
+        answers = [tangency_realizability(inst) for inst in cases]
+    assert len(cases) >= 20 and all(isinstance(a, Satisfiable) for a in answers)
+    res = tangency_realizability(instance_from_horocycles(hs, figure_one_images()))
+    assert isinstance(res, Unsatisfiable) and "4·(3/2)·(2/3)" in res.message
+
 
 def _oracle_cocircular_exact(points):
     """The replaced rank test: elimination over Q."""
@@ -988,9 +1020,19 @@ class _OracleFractionSystem(earthquake._RadiusSystem):
     """The union-find on Fractions; the certificate walk over the tangency
     forest, which does no arithmetic, is the solver's own."""
 
-    def __init__(self, n):
-        super().__init__(n)
-        self.coef = [Q(1)] * n
+    def __init__(self, centers):
+        super().__init__(centers)
+        self.coef = [Q(1)] * len(centers)
+
+    def _constraint(self, t):
+        u, v, s, k = t
+        centers = self.centers
+        if s == 1:
+            text = (f"({centers[u]!r} - {centers[v]!r})^2 = {q_str(4 * k)} = "
+                    f"4 rho({centers[u]!r}) rho({centers[v]!r})")
+        else:
+            text = f"rho({centers[u]!r}) = {q_str(k)} rho({centers[v]!r})"
+        return Constraint(PairRequirement.TANGENT, u, v, text)
 
     def find(self, i):
         e, c = 1, Q(1)
@@ -1016,38 +1058,40 @@ class _OracleFractionSystem(earthquake._RadiusSystem):
             was = self.pinned_by[r]
             self.conflict = Unsatisfiable(
                 f"rho^2 forced to both {q_str(old)} and {q_str(v)}",
-                self._cycle([(was.i, was.j), (why.i, why.j), (was.i, why.i)], [was, why]),
+                self._cycle([was[:2], why[:2], (was[0], why[0])], [was, why]),
             )
             return False
         self.pin[r], self.pinned_by[r] = v, why
         return True
 
-    def add(self, i, j, s, k, con):
+    def add(self, i, j, s, k):
         r1, e1, c1 = self.find(i)
         r2, e2, c2 = self.find(j)
+        t = (i, j, s, k)
         q = k / (c1 * c2 ** s)
         if r1 == r2:
             if e1 + s * e2 == 0:
-                return True if q == 1 else self._conflict(i, j, s, k, con)
-            return self._pin_root(r1, q ** e1, con)
+                return True if q == 1 else self._conflict(t)
+            return self._pin_root(r1, q ** e1, t)
         self.parent[r2] = r1
         self.exp[r2] = -e1 * s * e2
         self.coef[r2] = q ** (s * e2)
-        self.forest[i].append((j, con))
-        self.forest[j].append((i, con))
+        self.forest[i].append((j, t))
+        self.forest[j].append((i, t))
         pin2 = self.pin.pop(r2, None)
         if pin2 is not None:
             v = pin2 / (self.coef[r2] ** 2)
             return self._pin_root(r1, v ** self.exp[r2], self.pinned_by.pop(r2))
         return True
 
-    def _conflict(self, i, j, s, k, con):
+    def _conflict(self, t):
+        i, j, s, k = t
         ri, rj = self.value(i), self.value(j)
         if s == 1 and ri is not None and rj is not None:
             msg = f"{q_str(4 * k)} ≠ 4·{_oracle_fmt(ri)}·{_oracle_fmt(rj)}"
         else:
             msg = f"inconsistent tangency constraint between radii {i} and {j}"
-        self.conflict = Unsatisfiable(msg, self._cycle([(i, j)], [con]))
+        self.conflict = Unsatisfiable(msg, self._cycle([(i, j)], [t]))
         return False
 
 
@@ -1055,7 +1099,7 @@ def _oracle_fraction_realizability(inst):
     centers = inst.relabeled_centers
     pattern = inst.required_pattern
     n = len(centers)
-    sys = _OracleFractionSystem(n)
+    sys = _OracleFractionSystem(centers)
     forms = {
         (i, j): _oracle_monomial(centers, i, j)
         for i in range(n) for j in range(i + 1, n)
@@ -1066,13 +1110,7 @@ def _oracle_fraction_realizability(inst):
         key=lambda p: (forms[p][2], p),
     )
     for pair in tangents:
-        u, v, s, k = forms[pair]
-        if s == 1:
-            text = (f"({centers[u]!r} - {centers[v]!r})^2 = {q_str(4 * k)} = "
-                    f"4 rho({centers[u]!r}) rho({centers[v]!r})")
-        else:
-            text = f"rho({centers[u]!r}) = {q_str(k)} rho({centers[v]!r})"
-        if not sys.add(u, v, s, k, Constraint(PairRequirement.TANGENT, u, v, text)):
+        if not sys.add(*forms[pair]):
             return sys.conflict
 
     ineqs = []

@@ -1,5 +1,8 @@
 import hashlib
+import math
 import re
+
+import pytest
 
 from hyperk import (
     INFINITY,
@@ -12,8 +15,19 @@ from hyperk import (
     render_panels,
     render_scene,
 )
+from hyperk.errors import InvalidInputError
 
 F = BoundaryPoint.finite
+
+
+@pytest.mark.parametrize("window", [
+    (1.0, 1.0, 3.0), (5.0, 1.0, 3.0), (-3.0, 3.0, 0.0), (-3.0, 3.0, -1.0),
+    (math.nan, 3.0, 3.0), (-3.0, math.inf, 3.0), (-math.inf, 3.0, 3.0), (-3.0, 3.0, math.inf),
+])
+def test_scene_refuses_a_window_it_cannot_draw(window):
+    x_min, x_max, height = window
+    with pytest.raises(InvalidInputError, match="finite x_min < x_max and height > 0"):
+        SvgScene(x_min=x_min, x_max=x_max, height=height)
 
 
 def test_deterministic_output():
