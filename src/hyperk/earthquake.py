@@ -402,12 +402,12 @@ class _RadiusSystem:
 
     def _cycle(self, ends, closing: list) -> Tuple[Constraint, ...]:
         """The tangencies on the forest paths between each pair in ends,
-        then the tangencies or constraints in closing, each once."""
+        then those in closing, each once."""
         seen = []
-        for c in [c for i, j in ends for c in self._walk(i, j)] + closing:
-            if c not in seen:
-                seen.append(c)
-        return tuple(self._constraint(c) if type(c) is tuple else c for c in seen)
+        for t in [t for i, j in ends for t in self._walk(i, j)] + closing:
+            if t not in seen:
+                seen.append(t)
+        return tuple(self._constraint(t) for t in seen)
 
     def support(self, i: int, j: int, closing: Constraint) -> Tuple[Constraint, ...]:
         """The tangencies that tie rho_i to rho_j and fix their pinned
@@ -419,7 +419,7 @@ class _RadiusSystem:
             if t is not None and t not in pins:
                 ends += [(t[0], t[1]), (t[0], x)]
                 pins.append(t)
-        return self._cycle(ends, pins + [closing])
+        return self._cycle(ends, pins) + (closing,)
 
     def value(self, i: int) -> Optional[Tuple[int, int]]:
         """Exact radius if determined (root pinned to a square), else None."""
