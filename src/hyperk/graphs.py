@@ -28,6 +28,7 @@ from .model import (
 )
 from .predicates import intersection_pattern, linked
 
+#: the most vertices `automorphisms` searches; `build_graph` takes any number
 MAX_VERTICES = 16
 
 
@@ -111,8 +112,6 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
     the two curves have no interior meeting point."""
     curves = list(curves)
     n = len(curves)
-    if n > MAX_VERTICES:
-        raise InvalidInputError(f"at most {MAX_VERTICES} vertices supported, got {n}")
     for i in range(n):
         for j in range(i + 1, n):
             if curves[i] == curves[j]:
@@ -180,8 +179,8 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     preserves; backtracking then maps vertices 0, 1, ... in turn, each to
     the free vertices of its cell in increasing order, and keeps an image
     when its neighbours among the used vertices (a bitmask) are exactly the
-    images of the earlier neighbours.  The vertex count is guarded at
-    construction time, and exceeding the cap raises with the partial count."""
+    images of the earlier neighbours.  Graphs past MAX_VERTICES vertices are
+    refused, and exceeding the cap raises with the partial count."""
     n = len(g)
     if n > MAX_VERTICES:
         raise InvalidInputError(f"graph too large ({n} > {MAX_VERTICES})")

@@ -413,9 +413,7 @@ class Curve:
             r = isqrt_exact(disc)
             if r is None:
                 return None  # irrational endpoints; use endpoint_floats()
-            lo, hi = Q(-b - r, 2 * a), Q(-b + r, 2 * a)
-            if lo > hi:
-                lo, hi = hi, lo
+            lo, hi = Q(-b - r, 2 * a), Q(-b + r, 2 * a)  # a > 0 in canonical form
             return (BoundaryPoint.finite(lo), BoundaryPoint.finite(hi))
         if b == 0:
             return (INFINITY,)  # horizontal line: center at infinity

@@ -3,16 +3,19 @@
 Intersection counts, tangency, shared boundary endpoints, the hypercycle
 pair taxonomy, the horocycle partial order, linkedness of boundary pairs,
 and betweenness of mutually tangent curves are all decided by integer or
-rational sign tests for exact curves.  Only the coordinates of reported
-intersection points may be floats (when the points are irrational); the
-counts never are.  Inexact (float) curves run the same algorithms: every
-sign test takes tolerance 0 for a pair of exact curves and EPS otherwise.
-A shared finite endpoint is a meeting point of the two full circles at
-height 0, so one sign test on heights counts interior points and shared
-endpoints alike.  Linkedness reads the boundary points as integer pairs
-with oo = (1, 0) (`model._projective`) and is the sign of one product of
-2x2 determinants, the cross-ratio's, with no case for oo or for a shared
-point.
+rational sign tests for exact curves.  The counts of an exact pair come
+from the signs of the Lorentz Gram matrix of the two coefficient vectors
+(`_gram_counts`), whatever the kinds, with no case for lines or for oo;
+its meeting points are built only when `interior_points` is first read.
+Only the coordinates of those points may be floats (when the points are
+irrational); the counts never are.  A pair with an inexact (float) curve
+finds its meeting points first and counts them, every sign test with
+tolerance EPS: a shared finite endpoint is a meeting point of the two full
+circles at height 0, so one sign test on heights counts interior points
+and shared endpoints alike.  Linkedness reads the boundary points as
+integer pairs with oo = (1, 0) (`model._projective`) and is the sign of
+one product of 2x2 determinants, the cross-ratio's, with no case for oo or
+for a shared point.
 """
 
 from __future__ import annotations
@@ -54,16 +57,32 @@ class IntersectionPattern(Record):
     interior_points  the interior intersection points; exact when rational
     exact            True when the counts come from exact sign tests
     equal            True when the two curves coincide (all other fields void)
+
+    For two exact curves the counts come from integer signs alone, and the
+    points are built when `interior_points` is first read.  So the counts
+    hold for coefficients of any size, while the points may still be
+    refused: under `Isometry(2**600 + 9, 1, 2**600, 1)` the images of
+    `curve_from_coeffs(12, -168, -95, 588)` and `curve_from_coeffs(16, -146,
+    0, 315)` cross twice, at irrational heights near 2^-1200 that round to
+    0.0, and reading their points raises InvalidInputError.
     """
 
-    __slots__ = ("interior_count", "tangent", "shared_endpoints", "interior_points", "exact",
-                 "equal")
+    __slots__ = ("interior_count", "tangent", "shared_endpoints", "_points", "exact", "equal",
+                 "_circles")
+    _fields = ("interior_count", "tangent", "shared_endpoints", "interior_points", "exact",
+               "equal")
 
     def __init__(self, interior_count: int, tangent: bool, shared_endpoints: int,
                  interior_points: Tuple[UHPPoint, ...], exact: bool, equal: bool = False):
         self.interior_count, self.tangent = interior_count, tangent
-        self.shared_endpoints, self.interior_points = shared_endpoints, interior_points
+        self.shared_endpoints, self._points = shared_endpoints, interior_points
         self.exact, self.equal = exact, equal
+
+    @property
+    def interior_points(self) -> Tuple[UHPPoint, ...]:
+        if self._points is None:  # an exact pattern's points, on first read
+            self._points = _meet(*self._circles, 0)[2]
+        return self._points
 
     def describe(self) -> str:
         if self.equal:
@@ -92,16 +111,62 @@ def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
     """
     if c1 == c2:
         return IntersectionPattern(0, False, 0, (), c1.exact, equal=True)
-    k1, k2, tol = _pair_coeffs(c1, c2)
-    if tol and _same_center_horocycles(c1, c2):
+    if c1.exact and c2.exact:
+        k1, k2 = c1.circle.coeffs(), c2.circle.coeffs()
+        pat = IntersectionPattern(*_gram_counts(k1, k2), None, True)
+        pat._circles = k1, k2
+        return pat
+    if _same_center_horocycles(c1, c2):
         # nested horocycles touch only at their common center, a meeting no
         # float test on heights resolves
         return IntersectionPattern(0, False, 1, (), False)
+    k1, k2, tol = _pair_coeffs(c1, c2)
     count, tangent, points, on_axis = _meet(k1, k2, tol)
     # a shared finite endpoint is a meeting point at height 0; two lines
     # also share infinity
     shared = on_axis + (k1[0] == 0 and k2[0] == 0)
-    return IntersectionPattern(count, tangent, shared, points, tol == 0)
+    return IntersectionPattern(count, tangent, shared, points, False)
+
+
+def _gram_counts(v, w):
+    """(interior_count, tangent, shared_endpoints) of two distinct exact
+    circles, from the signs of their Lorentz Gram matrix g (`_lorentz`).
+
+    A point (x, y) is the null vector P = (-1, 2x, 2y, -(x^2 + y^2)) up to
+    scale, on the circle v iff <v, P> = 0, with <r, P> = 2y for the axis
+    r = (0, 0, 1, 0) and <t, P> > 0 for t = (1, 0, 0, 1); oo is (0, 0, 0, -1),
+    on every line and on the axis.  D2 = g11 g22 - g12^2 < 0: the circles
+    miss.  D2 = 0: they touch at the null vector p = g12 v - g11 w, whose
+    height has the sign of -p_c (p_a + p_d).  D2 > 0: they cross at two
+    points spanning the complement of v and w, and D3 = Gram det(v, w, r) is
+    D2 times the square of r's part there, which is negative iff both points
+    lie on one side of the axis and zero iff one lies on it.  That part
+    against t, 2S / D2 with S below, then has the sign opposite to the
+    heights (Coxeter, "Inversive distance"; Hertrich-Jeromin, "Introduction
+    to Moebius Differential Geometry", ch. 1).
+    """
+    g11, g22, g12 = _lorentz(v, v), _lorentz(w, w), _lorentz(v, w)
+    d2 = g11 * g22 - g12 * g12
+    if d2 < 0:
+        return 0, False, 0
+    c1, c2 = v[2], w[2]
+    if d2 == 0:
+        pc = g12 * c1 - g11 * c2
+        if pc == 0:
+            return 0, False, 1
+        if pc * (g12 * (v[0] + v[3]) - g11 * (w[0] + w[3])) < 0:
+            return 1, True, 0
+        return 0, False, 0
+    # r's projection onto the span of v and w is (u1 v + u2 w) / D2, and S
+    # is D2 / -2 times that projection against t
+    u1, u2 = g22 * c1 - g12 * c2, g11 * c2 - g12 * c1
+    d3 = d2 - (u1 * c1 + u2 * c2)
+    if d3 > 0:
+        return 1, False, 0
+    s = u1 * (v[0] + v[3]) + u2 * (w[0] + w[3])
+    if d3 < 0:
+        return (2 if s < 0 else 0), False, 0
+    return (0, False, 2) if s == 0 else (int(s < 0), False, 1)
 
 
 def _same_center_horocycles(c1: Curve, c2: Curve) -> bool:
@@ -122,16 +187,14 @@ _LINE_BITS = 1000
 
 
 def _pair_coeffs(c1: Curve, c2: Curve):
-    """Coefficients of both circles and the tolerance of every sign test.
+    """Coefficients of both circles, one of them inexact, as floats, and the
+    tolerance EPS of every sign test on them.
 
-    Two exact curves keep their integers and tolerance 0.  Otherwise the
-    coefficients become floats, an inexact circle with |a| <= EPS is taken
-    as the line it is within tolerance, and the tolerance is EPS.  An exact
-    curve's floats are scaled into the range its sign tests need: two lines
-    multiply no two exact coefficients, so they keep up to _LINE_BITS.
+    An inexact circle with |a| <= EPS is taken as the line it is within
+    tolerance.  An exact curve's floats are scaled into the range its sign
+    tests need: two lines multiply no two exact coefficients, so they keep
+    up to _LINE_BITS.
     """
-    if c1.exact and c2.exact:
-        return c1.circle.coeffs(), c2.circle.coeffs(), 0
     k1, k2 = (list(c.circle.coeffs()) for c in (c1, c2))
     for c, k in ((c1, k1), (c2, k2)):
         if not c.exact and abs(k[0]) <= EPS:

@@ -354,7 +354,7 @@ CURVE_FILES = {
 
 @pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
 def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
-    files = {}
+    files = {"a.svg": tmp_path / "a.svg"}  # a row that wrongly renders writes here
     for name, text in CURVE_FILES.items():
         files[name] = tmp_path / name
         files[name].write_text(text)

@@ -53,6 +53,15 @@ class TestBuildGraph:
         g = build_graph(curves, allow_mixed=True)
         assert len(g.curves) == 2
 
+    def test_graphs_past_the_automorphism_cap_build(self):
+        # counting meetings builds no points, so a graph of any size builds;
+        # only the automorphism search is capped
+        hs = [make_horocycle(F(k), Q(1, 2)) for k in range(graphs.MAX_VERTICES + 1)]
+        g = build_graph(hs)
+        assert len(g) == 17 and len(g.edges()) == 17 * 16 // 2 - 16
+        with pytest.raises(InvalidInputError, match="graph too large"):
+            automorphisms(g)
+
     def test_path_graph_geodesics(self):
         gs = [
             make_geodesic(F(0), F(1)),

@@ -54,7 +54,7 @@ from hyperk.verify import (
     run_suite,
 )
 
-from exact_oracles import sqrt_exact
+from exact_oracles import _oracle_intersection_pattern, sqrt_exact
 
 F = BoundaryPoint.finite
 
@@ -733,6 +733,170 @@ def test_deep_pair_beyond_float_range():
     assert p.interior_points[0] == big.apply_point(intersection_pattern(c1, c2).interior_points[0])
     with pytest.raises(OverflowError):  # the replaced routine took float(disc)
         _oracle_pattern(d1, d2)
+
+
+# ---------------------------------------------------------------------------
+# Gram-sign counts against the point-building routine they replaced
+# ---------------------------------------------------------------------------
+
+
+def _circle(cx, cy, r):
+    """The curve of the circle of centre (cx, cy) and radius r."""
+    return curve_from_coeffs(1, -2 * cx, -2 * cy, cx * cx + cy * cy - r * r)
+
+
+#: rational unit vectors along which touching circles put their centres
+_UNITS = ((0, 1), (1, 0), (Q(3, 5), Q(4, 5)), (Q(-4, 5), Q(3, 5)), (Q(5, 13), Q(-12, 13)))
+
+
+def _degenerate_pairs(rng, n):
+    """Pairs the sign tests meet at zero: circles touching above, on and
+    below the axis, inside or outside each other; two lines (vertical
+    geodesics, horocycles at oo, slanted hypercycles, all sharing oo);
+    horocycles at one centre; curves with one or two shared endpoints and
+    tangent pairs.  Each pair is also moved by a random isometry."""
+    pairs = _tangent_pairs(rng, n) + _shared_pairs(rng, n)
+    for i in range(n):
+        tx, ty = rand_q(rng), (i % 3 - 1) * (abs(rand_q(rng, 1, 3, 4)) + 1)
+        ux, uy = _UNITS[i % len(_UNITS)]
+        r1, r2 = abs(rand_q(rng, 2, 9, 3)) + 1, abs(rand_q(rng, 2, 9, 3)) + 1
+        s = 1 if i % 2 else -1  # centres on one side of the touching point or on both
+        try:
+            pairs.append((_circle(tx + r1 * ux, ty + r1 * uy, r1),
+                          _circle(tx + s * r2 * ux, ty + s * r2 * uy, r2)))
+        except HyperkError:  # a circle below the axis carries no curve
+            pass
+        p, q = F(rand_q(rng)), F(rand_q(rng))
+        up = UHPPoint(rand_q(rng), abs(rand_q(rng)) + 1)
+        lines = [make_geodesic(p, INFINITY), make_horocycle(INFINITY, abs(rand_q(rng)) + 1)]
+        if up.x != p.value:
+            lines.append(make_hypercycle(p, INFINITY, up))
+        lines += [make_geodesic(q, INFINITY), make_horocycle(INFINITY, abs(rand_q(rng)) + 2)]
+        pairs += list(itertools.combinations(lines, 2))
+        r = abs(rand_q(rng)) + 1
+        pairs.append((make_horocycle(p, r), make_horocycle(p, r + abs(rand_q(rng)) + 1)))
+        if p != q:
+            lo, hi = sorted((p.value, q.value))
+            arcs = [make_hypercycle(p, q, UHPPoint((lo + hi) / 2, f * (hi - lo) / 2))
+                    for f in (Q(1, 7), 2, 5)]  # f = 1 is the geodesic
+            pairs += list(itertools.combinations(arcs + [make_geodesic(p, q)], 2))
+    pairs = [(c1, c2) for c1, c2 in pairs if c1 != c2]
+    moved = []
+    for c1, c2 in pairs:
+        g = rand_isometry(rng)
+        moved.append((g.apply_curve(c1), g.apply_curve(c2)))
+    return pairs + moved
+
+
+def _seeded_pairs(rng, n):
+    pairs = [(rand_curve(rng), rand_curve(rng)) for _ in range(n)]
+    return [(c1, c2) for c1, c2 in pairs if c1 != c2] + _exact_corpus()
+
+
+def _oracle_answer(c1, c2):
+    """The replaced routine's answer, or None where it refuses the pair."""
+    try:
+        return _oracle_intersection_pattern(c1, c2)
+    except (InvalidInputError, OverflowError):
+        return None
+
+
+def _check_against_oracle(pairs):
+    """Compare counts and, where the oracle answers, points; return the
+    answers and how many pairs the oracle refused."""
+    counts, refused = collections.Counter(), 0
+    for c1, c2 in pairs:
+        pat, old = intersection_pattern(c1, c2), _oracle_answer(c1, c2)
+        assert pat.exact and not pat.equal
+        got = (pat.interior_count, pat.tangent, pat.shared_endpoints)
+        counts[got] += 1
+        if old is None:
+            refused += 1
+            continue
+        assert got == old[:3], (c1, c2)
+        assert pat.interior_points == old[3], (c1, c2)
+    return counts, refused
+
+
+#: every answer two distinct curves can give
+_ALL_COUNTS = {(0, False, 0), (1, True, 0), (1, False, 0), (2, False, 0),
+               (0, False, 1), (1, False, 1), (0, False, 2)}
+
+
+def test_gram_counts_match_oracle_on_seeded_pairs():
+    counts, refused = _check_against_oracle(_seeded_pairs(random.Random(2101), 3000))
+    assert refused == 0 and sum(counts.values()) > 3000
+    assert set(counts) == _ALL_COUNTS, counts
+
+
+def test_gram_counts_match_oracle_on_degenerate_pairs():
+    pairs = _degenerate_pairs(random.Random(2102), 60)
+    counts, refused = _check_against_oracle(pairs)
+    assert refused == 0 and sum(counts.values()) > 1500
+    assert set(counts) == _ALL_COUNTS - {(1, False, 0), (2, False, 0)}, counts
+    # touching circles (D2 = 0) meet above, on and below the axis
+    touching = collections.Counter(
+        (p.interior_count, p.tangent, p.shared_endpoints)
+        for p in (intersection_pattern(c1, c2) for c1, c2 in pairs
+                  if model._d2(c1.circle.coeffs(), c2.circle.coeffs()) == 0)
+    )
+    assert set(touching) == {(1, True, 0), (0, False, 1), (0, False, 0)}, touching
+    assert min(touching.values()) > 10, touching
+
+
+def test_gram_counts_match_oracle_on_600_bit_pairs():
+    rng = random.Random(2103)
+    small = _seeded_pairs(rng, 150)[::3] + _degenerate_pairs(rng, 12)[::3]
+    big = []
+    for k, (c1, c2) in enumerate(small):
+        g = Isometry(2**600 + k % 9 + 1, 1, 2**600, 1, reversing=k % 2 == 1)
+        d1, d2 = g.apply_curve(c1), g.apply_curve(c2)
+        base = intersection_pattern(c1, c2)
+        pat = intersection_pattern(d1, d2)
+        want = (base.interior_count, base.tangent, base.shared_endpoints)
+        assert (pat.interior_count, pat.tangent, pat.shared_endpoints) == want, (c1, c2)
+        big.append((d1, d2))
+    # only a horocycle at 0, whose image is the horocycle at 1, stays small
+    wide = [max(abs(v).bit_length() for v in d1.circle.coeffs() + d2.circle.coeffs()) > 600
+            for d1, d2 in big]
+    assert sum(wide) > 0.95 * len(big)
+    counts, refused = _check_against_oracle(big)
+    assert set(counts) == _ALL_COUNTS and sum(counts.values()) > 400
+    # the replaced routine refused some pairs outright, rounding a height to 0
+    assert 0 < refused < len(big) // 2
+
+
+def test_counts_past_the_float_range_need_no_points():
+    # the isometry squeezes both curves near x = 1, where they cross at
+    # irrational heights of about 2^-1200: the counts are exact, the points
+    # round to height 0.0 and are refused when read
+    t = Isometry(2**600 + 9, 1, 2**600, 1)
+    h, g = curve_from_coeffs(12, -168, -95, 588), curve_from_coeffs(16, -146, 0, 315)
+    th, tg = t.apply_curve(h), t.apply_curve(g)
+    pat, base = intersection_pattern(th, tg), intersection_pattern(h, g)
+    assert (pat.interior_count, pat.tangent, pat.shared_endpoints) == (2, False, 0)
+    assert (base.interior_count, base.tangent, base.shared_endpoints) == (2, False, 0)
+    assert len(base.interior_points) == 2
+    with pytest.raises(InvalidInputError, match="not in the open half-plane"):
+        pat.interior_points
+    with pytest.raises(InvalidInputError):  # the replaced routine refused the counts too
+        _oracle_intersection_pattern(th, tg)
+
+
+def test_exact_pattern_builds_its_points_once_when_read(monkeypatch):
+    calls = []
+    meet = predicates._meet
+
+    def counted(*args):
+        calls.append(args)
+        return meet(*args)
+
+    monkeypatch.setattr(predicates, "_meet", counted)
+    pat = intersection_pattern(make_geodesic(F(-1), F(1)), make_geodesic(F(0), INFINITY))
+    assert calls == [] and pat.interior_count == 1
+    assert pat.interior_points == (UHPPoint(0, 1),) and len(calls) == 1
+    assert pat.interior_points == (UHPPoint(0, 1),) and len(calls) == 1
+    assert pat == predicates.IntersectionPattern(1, False, 0, (UHPPoint(0, 1),), True)
 
 
 def _oracle_between_tangent(c1: Curve, c2: Curve, c3: Curve) -> int:

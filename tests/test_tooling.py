@@ -332,6 +332,33 @@ def test_point_read_check_sees_infinity_cases():
     ]
 
 
+def test_exact_counts_never_build_meeting_points(monkeypatch):
+    # the counting predicates read only Gram signs on exact curves; building
+    # the meeting points on every call was their largest cost
+    from hyperk import (
+        INFINITY, BoundaryPoint, Q, UHPPoint, build_graph, hypercycle_pair_type,
+        intersection_pattern, make_geodesic, make_horocycle, make_hypercycle, same_endpoints,
+    )
+    from hyperk import predicates
+
+    def refuse(*args):
+        raise AssertionError("a count built the meeting points")
+
+    F = BoundaryPoint.finite
+    h1 = make_hypercycle(F(-1), F(1), UHPPoint(0, 2))
+    h2 = make_hypercycle(F(0), F(3), UHPPoint(Q(3, 2), 2))
+    g1, g2 = make_geodesic(F(-1), F(1)), make_geodesic(F(0), INFINITY)
+    pair_type = hypercycle_pair_type(h1, h2)
+    monkeypatch.setattr(predicates, "_meet", refuse)
+    assert hypercycle_pair_type(h1, h2) is pair_type
+    assert same_endpoints(h1, g1) and not same_endpoints(g1, g2)
+    assert intersection_pattern(g1, g2).interior_count == 1
+    hs = [make_horocycle(F(k), Q(1, 2)) for k in range(20)] + [make_horocycle(INFINITY, 1)]
+    assert len(build_graph(hs).edges()) == 20 * 19 // 2 - 19
+    with pytest.raises(AssertionError, match="built the meeting points"):
+        intersection_pattern(g1, g2).interior_points
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
