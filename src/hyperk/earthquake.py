@@ -681,8 +681,6 @@ def _free_values(ineqs, free_roots, pinned):
 
     m = 2 * len(free_roots)
     vals = dict(pinned)
-    if not m:
-        return vals
     j = 1
     while (pot := _potentials({a: (bn << j, bd * ((1 << j) + 1))
                                for a, (bn, bd) in bounds.items()}, m)) is None:

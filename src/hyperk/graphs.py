@@ -7,6 +7,13 @@ adjacent; curves that meet only on the boundary circle are, such as
 h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.
+
+For exact curves, adjacency and the first test of a matching both read one
+table of pair counts (`predicates.pair_counts`): the interior count,
+tangency and shared endpoints of every pair, from the Lorentz Gram matrix
+of the configuration, formed once.  Those counts are Moebius invariants, so
+an isometry keeps every one of them, and a target whose table differs from
+the source's is answered None before any candidate isometry is built.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from .model import (
     triple_normalizer,
     two_point_normalizer,
 )
-from .predicates import intersection_pattern, linked
+from .predicates import intersection_pattern, linked, pair_counts
 
 #: the most vertices `automorphisms` searches; `build_graph` takes any number
 MAX_VERTICES = 16
@@ -135,10 +142,12 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
             "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"
         )
     adjacency = [[False] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            pat = intersection_pattern(curves[i], curves[j])
-            adjacency[i][j] = adjacency[j][i] = pat.interior_count == 0
+    if all(c.exact for c in curves):
+        counts = [k[0] for k in pair_counts(curves)]
+    else:
+        counts = [intersection_pattern(s, t).interior_count for s, t in combinations(curves, 2)]
+    for (i, j), k in zip(combinations(range(n), 2), counts):
+        adjacency[i][j] = adjacency[j][i] = k == 0
     return DisjointnessGraph(curves, adjacency, graph_class)
 
 
@@ -316,13 +325,23 @@ def isometry_matching(
     src_curves: Sequence[Curve], dst_curves: Sequence[Curve]
 ) -> Optional[Isometry]:
     """An isometry mapping src_curves[i] to dst_curves[i] for every i, or
-    None.  Complete: isometries preserve curve kind, so a kind mismatch
-    answers None at once; otherwise the candidates are the at most 8
-    isometries sending a fixed frame of three source boundary points to
-    boundary data of the matching target curves (completed from horocycle
-    sizes when the source has fewer than three distinct boundary points),
-    and each is verified exactly on every curve.  Curves with irrational
-    endpoints raise InvalidInputError."""
+    None.
+
+    Complete: each test before the search checks a necessary condition.
+    Isometries preserve curve kind, so a kind mismatch answers None at once.
+    They also preserve every pair's (interior_count, tangent,
+    shared_endpoints), which are signs of Moebius invariants of the
+    Lorentz Gram matrix (Coxeter, "Inversive distance"); so when every curve
+    on both sides is exact, the first pair whose counts differ between
+    source and target answers None.  Otherwise the candidates are the at
+    most 8 isometries sending a fixed frame of three source boundary points
+    to boundary data of the matching target curves (completed from
+    horocycle sizes when the source has fewer than three distinct boundary
+    points), and each is verified exactly on every curve.
+
+    The search needs rational boundary data: a curve with irrational
+    endpoints raises InvalidInputError when the search is reached, and
+    not when a kind or a pair's counts already answer None."""
     if len(src_curves) != len(dst_curves):
         raise InvalidInputError("source and target curve lists differ in length")
     n = len(src_curves)
@@ -330,6 +349,9 @@ def isometry_matching(
         return None
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
         return Isometry.identity()
+    if all(c.exact for c in src_curves) and all(c.exact for c in dst_curves):
+        if pair_counts(src_curves) != pair_counts(dst_curves):
+            return None
     for cand in _candidate_isometries(src_curves, dst_curves):
         # Curve equality is circle equality: no image Curve is built
         if all(cand.apply_circle(s.circle) == t.circle for s, t in zip(src_curves, dst_curves)):

@@ -6,7 +6,8 @@ and betweenness of mutually tangent curves are all decided by integer or
 rational sign tests for exact curves.  The counts of an exact pair come
 from the signs of the Lorentz Gram matrix of the two coefficient vectors
 (`_gram_counts`), whatever the kinds, with no case for lines or for oo;
-its meeting points are built only when `interior_points` is first read.
+its meeting points are built only when `interior_points` is first read;
+`pair_counts` counts every pair of a list from one Gram matrix.
 Only the coordinates of those points may be floats (when the points are
 irrational); the counts never are.  A pair with an inexact (float) curve
 finds its meeting points first and counts them, every sign test with
@@ -23,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from enum import Enum
+from itertools import combinations
 from typing import Tuple
 
 from ._rational import Q
@@ -113,7 +115,8 @@ def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
         return IntersectionPattern(0, False, 0, (), c1.exact, equal=True)
     if c1.exact and c2.exact:
         k1, k2 = c1.circle.coeffs(), c2.circle.coeffs()
-        pat = IntersectionPattern(*_gram_counts(k1, k2), None, True)
+        counts = _gram_counts(k1, k2, _lorentz(k1, k1), _lorentz(k2, k2), _lorentz(k1, k2))
+        pat = IntersectionPattern(*counts, None, True)
         pat._circles = k1, k2
         return pat
     if _same_center_horocycles(c1, c2):
@@ -128,9 +131,24 @@ def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
     return IntersectionPattern(count, tangent, shared, points, False)
 
 
-def _gram_counts(v, w):
+def pair_counts(curves):
+    """[(interior_count, tangent, shared_endpoints) of curves i, j for (i, j)
+    in combinations(range(n), 2)] for a list of exact curves: the Lorentz
+    Gram matrix of their coefficient vectors is formed once, each g_ii one
+    time.  Each entry is what `intersection_pattern` counts for a distinct
+    pair; equal curves, whose vectors are equal, get (0, False, 1)."""
+    if not all(c.exact for c in curves):
+        raise InvalidInputError("pair_counts needs exact curves")
+    vs = [c.circle.coeffs() for c in curves]
+    gs = [_lorentz(v, v) for v in vs]
+    return [_gram_counts(v, w, gv, gw, _lorentz(v, w))
+            for (v, gv), (w, gw) in combinations(zip(vs, gs), 2)]
+
+
+def _gram_counts(v, w, g11, g22, g12):
     """(interior_count, tangent, shared_endpoints) of two distinct exact
-    circles, from the signs of their Lorentz Gram matrix g (`_lorentz`).
+    circles v and w, from the signs of their Lorentz Gram matrix g
+    (`_lorentz`): g11 = <v, v>, g22 = <w, w>, g12 = <v, w>.
 
     A point (x, y) is the null vector P = (-1, 2x, 2y, -(x^2 + y^2)) up to
     scale, on the circle v iff <v, P> = 0, with <r, P> = 2y for the axis
@@ -145,7 +163,6 @@ def _gram_counts(v, w):
     heights (Coxeter, "Inversive distance"; Hertrich-Jeromin, "Introduction
     to Moebius Differential Geometry", ch. 1).
     """
-    g11, g22, g12 = _lorentz(v, v), _lorentz(w, w), _lorentz(v, w)
     d2 = g11 * g22 - g12 * g12
     if d2 < 0:
         return 0, False, 0

@@ -118,3 +118,24 @@ def _oracle_line_circle(line, circle):
     if not along_x and falling:
         points.reverse()
     return n, tangent, tuple(points), on_axis
+
+
+def _oracle_isometry_matching(src_curves, dst_curves):
+    """`isometry_matching` as it was before it compared pair counts: the
+    kind test, the identity, then the at most 8 candidates of
+    `graphs._candidate_isometries`, each verified exactly on every curve."""
+    from hyperk import Isometry
+    from hyperk.errors import InvalidInputError
+    from hyperk.graphs import _candidate_isometries
+
+    if len(src_curves) != len(dst_curves):
+        raise InvalidInputError("source and target curve lists differ in length")
+    n = len(src_curves)
+    if any(src_curves[i].kind is not dst_curves[i].kind for i in range(n)):
+        return None
+    if all(src_curves[i] == dst_curves[i] for i in range(n)):
+        return Isometry.identity()
+    for cand in _candidate_isometries(src_curves, dst_curves):
+        if all(cand.apply_circle(s.circle) == t.circle for s, t in zip(src_curves, dst_curves)):
+            return cand
+    return None

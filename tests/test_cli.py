@@ -218,6 +218,20 @@ class TestGraphCommand:
         assert code == 0
         assert "2 automorphisms" in out
 
+    def test_realize_answers_changed_counts_with_irrational_endpoints(self, capsys, tmp_path):
+        # the hypercycle ends at +-sqrt(2), which the isometry search cannot
+        # take; it crosses the first geodesic and touches the second, so the
+        # swap is answered without the search
+        f = tmp_path / "curves.txt"
+        f.write_text(
+            "hypercycle a=1 b=0 c=-1 d=-2\n"
+            "geodesic a=1 b=-6 c=0 d=5\n"
+            "geodesic a=1 b=0 c=0 d=-4\n"
+        )
+        code, out, err = run(capsys, "graph", "--curves", str(f), "--mixed", "--realize", "0,2,1")
+        assert code == 0 and err == ""
+        assert out.endswith("no realizing isometry\n")
+
 
 MALFORMED = [
     ("classify", "--coeffs", "1/0,0,-1,0"),

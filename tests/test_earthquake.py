@@ -34,7 +34,7 @@ from hyperk import earthquake
 from hyperk._rational import q_str
 from hyperk.earthquake import Constraint
 from hyperk.errors import InvalidInputError
-from hyperk.model import GeneralizedCircle, Isometry, rational_points, straddling_points
+from hyperk.model import Curve, GeneralizedCircle, Isometry, rational_points, straddling_points
 from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q, run_suite
 
 from exact_oracles import oracle_two_point_normalizer, sqrt_exact
@@ -1545,3 +1545,50 @@ def test_shift_does_not_depend_on_the_two_point_normalizer_scale(monkeypatch):
     monkeypatch.setattr(earthquake, "two_point_normalizer", oracle_two_point_normalizer)
     assert [EarthquakeMap(f, shear)._shift for f, shear in cases] == got
     assert sum(INFINITY in f.endpoints for f, _ in cases) >= 50
+
+
+# -- refusals: each names what it refuses ------------------------------------
+
+_INEXACT_FAULT = Curve(GeneralizedCircle(1.0, 0.0, 0.0, -1.0, exact=False))
+
+
+@pytest.mark.parametrize("fault, shear, side, message", [
+    (make_horocycle(F(0), 1), 2, "left", "earthquake fault must be a geodesic"),
+    (Curve(GeneralizedCircle(1, 0, 0, -2)), 2, "left",  # ends at +-sqrt(2)
+     "earthquake fault needs rational endpoints"),
+    (_INEXACT_FAULT, 2, "left", "earthquake fault needs rational endpoints"),
+    (make_geodesic(F(0), INFINITY), 0, "left", "shear must be a positive rational"),
+    (make_geodesic(F(0), INFINITY), Q(-1, 2), "left", "shear must be a positive rational"),
+    (make_geodesic(F(0), INFINITY), 1, "left", "shear must differ from 1"),
+    (make_geodesic(F(0), INFINITY), 2, "up", "moved_side must be 'left' or 'right'"),
+])
+def test_earthquake_map_refusals(fault, shear, side, message):
+    with pytest.raises(InvalidInputError) as err:
+        EarthquakeMap(fault, shear, side)
+    assert str(err.value) == message
+
+
+_T, _D = PairRequirement.TANGENT, PairRequirement.DISJOINT
+
+
+@pytest.mark.parametrize("centers, images, pattern, message", [
+    ([F(0), F(1)], [F(0)], [[None, _T], [_T, None]],
+     "centers and relabeled centers differ in length"),
+    ([F(0), F(1)], [F(0), F(1)], [[None, _T]], "pattern matrix must be n x n"),
+    ([F(0), F(1)], [F(0), F(1)], [[None, _T], [_T]], "pattern matrix must be n x n"),
+    ([F(0), F(1)], [F(0), F(1)], [[None, _T], [_D, None]], "pattern matrix must be symmetric"),
+])
+def test_realizability_instance_refusals(centers, images, pattern, message):
+    with pytest.raises(InvalidInputError) as err:
+        earthquake.RealizabilityInstance(centers, images, pattern)
+    assert str(err.value) == message
+
+
+def test_instance_from_horocycles_refusals():
+    hs = figure_one_configuration()
+    with pytest.raises(InvalidInputError) as err:
+        instance_from_horocycles(hs[:3] + [make_geodesic(F(0), F(1))], figure_one_images())
+    assert str(err.value) == "instance_from_horocycles expects horocycles"
+    with pytest.raises(InvalidInputError) as err:
+        instance_from_horocycles(hs, figure_one_images()[:3])
+    assert str(err.value) == "one boundary image per horocycle is required"

@@ -24,10 +24,11 @@ from hyperk import (
 )
 from hyperk import graphs
 from hyperk.errors import HyperkError, InvalidInputError
-from hyperk.model import triple_normalizer
+from hyperk.model import curve_from_coeffs, triple_normalizer
+from hyperk.predicates import intersection_pattern, pair_counts
 from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
 
-from exact_oracles import oracle_two_point_normalizer
+from exact_oracles import _oracle_isometry_matching, oracle_two_point_normalizer
 
 F = BoundaryPoint.finite
 
@@ -45,6 +46,13 @@ class TestBuildGraph:
     def test_designed_edges(self):
         g = build_graph(designed_horocycles())
         assert set(g.edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
+
+    def test_an_inexact_curve_takes_the_pattern_route(self, monkeypatch):
+        # with a float curve in the list no pair is read from the Gram table
+        monkeypatch.setattr(graphs, "pair_counts", None)
+        hs = designed_horocycles()
+        hs[1] = make_horocycle(F(1), 0.5)
+        assert set(build_graph(hs).edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
 
     def test_mixed_kinds_rejected_by_default(self):
         curves = [make_geodesic(F(0), F(1)), make_horocycle(F(5), 1)]
@@ -469,3 +477,103 @@ def test_matching_does_not_depend_on_the_two_point_normalizer_scale(monkeypatch)
     few = [iso for (src, _), iso in zip(cases, got)
            if iso is not None and len(graphs._source_frame(src)) < 3]
     assert len(few) >= 150 and sum(len(src) == 1 for src, _ in cases) >= 100
+
+
+# -- differential test against the search without the pair-count test --------
+
+#: a reversing map and maps whose images have 2^600-entry coefficients
+_WIDE_MAPS = (
+    Isometry(2, 1, 1, 3, reversing=True),
+    Isometry(2**600 + 9, 1, 2**600, 1),
+    Isometry(2**600 + 1, 1, 2**600, 1, reversing=True),
+)
+
+
+def _matching_cases(rng, count):
+    """(source, target) pairs: a seeded configuration (mixed, an orbit,
+    few boundary points, or mixed with a horocycle at oo) against its image
+    under a random, a reversing or a 2^600-entry isometry, that image
+    relabelled by transpositions and by a shuffle, and the image relabelled
+    by up to 10 automorphisms of the configuration's graph."""
+    for index in range(count):
+        shape = index % 4
+        if shape == 0:
+            curves = _mixed_configuration(rng)
+        elif shape == 1:
+            curves = _orbit_configuration(rng)[0]
+        elif shape == 2:
+            curves = _few_point_configuration(rng)
+        else:
+            curves = [c for c in _mixed_configuration(rng)
+                      if c.kind is not CurveKind.HOROCYCLE or not c.center.is_infinity]
+            curves.append(make_horocycle(INFINITY, abs(rand_q(rng)) + 1))
+        g = rand_isometry(rng) if index % 3 else _WIDE_MAPS[index // 3 % 3]
+        image = [g.apply_curve(c) for c in curves]
+        yield curves, image
+        for target in _transposed_targets(rng, curves, image):
+            yield curves, target
+        yield curves, rng.sample(image, len(image))
+        for a in automorphisms(build_graph(curves, allow_mixed=True))[:10]:
+            yield curves, [image[a(i)] for i in range(len(curves))]
+
+
+def _pattern_counts(curves):
+    return [(p.interior_count, p.tangent, p.shared_endpoints)
+            for p in (intersection_pattern(s, t) for s, t in combinations(curves, 2))]
+
+
+def test_pair_count_test_keeps_every_answer():
+    # the counts only answer None early: every answer, and every returned
+    # isometry to its printed entries, is the full search's
+    rng = random.Random(2210)
+    hits = by_counts = by_search = wide = 0
+    for src, dst in _matching_cases(rng, 96):
+        want = _oracle_isometry_matching(src, dst)
+        got = isometry_matching(src, dst)
+        assert got == want and repr(got) == repr(want)
+        assert pair_counts(src) == _pattern_counts(src)
+        assert pair_counts(dst) == _pattern_counts(dst)
+        if want is not None:
+            hits += 1
+        elif pair_counts(src) != pair_counts(dst):
+            by_counts += 1
+        elif all(s.kind is t.kind for s, t in zip(src, dst)):
+            by_search += 1
+        wide += max(abs(v).bit_length() for c in dst for v in c.circle.coeffs()) > 600
+    assert hits >= 200 and by_counts >= 150 and by_search >= 100 and wide >= 150
+
+
+def test_pair_counts_refuse_inexact_curves():
+    inexact = make_horocycle(F(0), 0.5)
+    with pytest.raises(InvalidInputError, match="pair_counts needs exact curves"):
+        pair_counts([make_horocycle(INFINITY, 1), inexact])
+
+
+class TestIrrationalEndpoints:
+    """x^2 + y^2 - y - 2 = 0 is a hypercycle ending at -sqrt(2) and sqrt(2):
+    the candidate search needs rational boundary data and refuses it, but a
+    target whose pair counts differ is answered before the search."""
+
+    H = curve_from_coeffs(1, 0, -1, -2)
+    CROSSING = make_geodesic(F(0), INFINITY)  # crosses H once, at 2i
+    DISJOINT = make_geodesic(F(3), F(4))
+    TANGENT = make_geodesic(F(-2), F(2))  # touches H at 2i
+
+    def test_changed_counts_answer_none(self):
+        assert isometry_matching([self.H, self.CROSSING], [self.H, self.DISJOINT]) is None
+        assert isometry_matching([self.H, self.CROSSING], [self.H, self.TANGENT]) is None
+
+    def test_equal_counts_reach_the_search_and_are_refused(self):
+        t = Isometry.translation(1)
+        for src in ([self.H], [self.H, self.CROSSING]):
+            with pytest.raises(InvalidInputError, match="need rational boundary data"):
+                isometry_matching(src, [t.apply_curve(c) for c in src])
+
+    def test_graph_automorphism_with_changed_counts_is_not_realized(self):
+        # the three curves pairwise meet, so the graph has no edge and every
+        # permutation is an automorphism; H crosses one geodesic and touches
+        # the other, so swapping them is realized by no isometry
+        crossing = make_geodesic(F(1), F(5))
+        g = build_graph([self.H, crossing, self.TANGENT], allow_mixed=True)
+        assert g.edges() == []
+        assert isometry_realizing(g, GraphAutomorphism((0, 2, 1))) is None

@@ -372,6 +372,23 @@ def test_distance_matches_oracle():
 class TestNormalizerFromImages:
     H0, HINF = make_horocycle(F(0), Q(1, 2)), make_horocycle(INFINITY, 1)
 
+    @pytest.mark.parametrize("h0, hinf, message", [
+        (make_geodesic(F(-1), F(1)), make_horocycle(INFINITY, 1),
+         "normalizer_from_images needs horocycles"),
+        (make_horocycle(F(0), Q(1, 2)), make_geodesic(F(0), INFINITY),
+         "normalizer_from_images needs horocycles"),
+        (make_horocycle(F(0), Q(1, 2)), make_horocycle(INFINITY, 2),
+         "the two horocycles must be tangent"),
+        # inexact horocycles touch at an inexact point
+        (model.Curve(model.GeneralizedCircle(1.0, 0.0, -1.0, 0.0, exact=False)),
+         model.Curve(model.GeneralizedCircle(0.0, 0.0, 1.0, -1.0, exact=False)),
+         "tangency point must be exact"),
+    ])
+    def test_refusals(self, h0, hinf, message):
+        with pytest.raises(InvalidInputError) as err:
+            normalizer_from_images(h0, hinf)
+        assert str(err.value) == message
+
     def test_canonical_pair_is_fixed(self):
         assert normalizer_from_images(self.H0, self.HINF) == Isometry.identity()
 
@@ -486,6 +503,19 @@ class TestFloatsOfHugeCoefficients:
             want = sorted(float(v) for v in (q / a, d / q))
             got = c.endpoint_floats()
             assert all(math.isclose(u, v, rel_tol=1e-15) for u, v in zip(got, want)), (got, want)
+
+    def test_inexact_circle_under_entries_past_the_float_range(self):
+        # float(2^1100) overflows: the image is the exact image of the
+        # circle's binary value, brought into the float range once
+        t = Isometry.translation(2**1100)
+        for k in ((0.0, 0.0, 1.0, -2.5), (0.0, 0.0, 0.3, -0.7)):  # horocycles at oo
+            circle = model.GeneralizedCircle(*k, exact=False)
+            exact = t.apply_circle(model.GeneralizedCircle(*map(Fraction, circle.coeffs())))
+            got = t.apply_circle(circle)
+            assert not got.exact
+            rounded = model.GeneralizedCircle(*model._int_floats(exact.coeffs()), exact=False)
+            assert got.coeffs() == rounded.coeffs()
+            assert model.Curve(got).kind is CurveKind.HOROCYCLE and got == circle
 
     def test_result_past_float_range_raises(self):
         far_line = curve_from_coeffs(0, 1, 0, -(2**1100))  # x = 2^1100

@@ -159,6 +159,16 @@ class TestHypercyclePairTypes:
         if p.interior_count == 2:
             assert hypercycle_pair_type(c1, c2) is HypercyclePairType.TYPE4
 
+    def test_equal_and_same_endpoint_pairs(self):
+        c1 = make_hypercycle(F(-1), F(1), UHPPoint(0, 2))
+        c2 = make_hypercycle(F(-1), F(1), UHPPoint(0, 3))
+        g = make_geodesic(F(-1), F(1))
+        assert hypercycle_pair_type(c1, c1) is HypercyclePairType.EQUAL
+        assert hypercycle_pair_type(c1, c2) is HypercyclePairType.SAME_ENDPOINTS
+        # the same taxonomy for any kinds
+        assert predicates.pair_type_from_pattern(g, g) is HypercyclePairType.EQUAL
+        assert predicates.pair_type_from_pattern(g, c2) is HypercyclePairType.SAME_ENDPOINTS
+
 
 class TestBetweenness:
     def test_median_curvature_is_middle(self):

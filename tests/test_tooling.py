@@ -359,6 +359,33 @@ def test_exact_counts_never_build_meeting_points(monkeypatch):
         intersection_pattern(g1, g2).interior_points
 
 
+def test_exact_pair_counts_need_no_candidate_and_no_pattern(monkeypatch):
+    # a target whose pair counts differ is answered from the Gram table
+    # before any candidate isometry, and exact adjacency is read from the
+    # same table, with no IntersectionPattern per pair
+    from hyperk import INFINITY, BoundaryPoint, Q, build_graph, isometry_matching
+    from hyperk import graphs, predicates
+    from hyperk.model import Isometry, make_geodesic, make_horocycle
+
+    def refuse(*args):
+        raise AssertionError("the answer needed more than the pair counts")
+
+    F = BoundaryPoint.finite
+    src = [make_geodesic(F(0), F(2)), make_geodesic(F(1), F(3)), make_geodesic(F(4), F(5))]
+    hs = [make_horocycle(F(k), Q(1, 2)) for k in range(6)] + [make_horocycle(INFINITY, 1)]
+    monkeypatch.setattr(graphs, "_candidate_isometries", refuse)
+    monkeypatch.setattr(graphs, "intersection_pattern", refuse)
+    monkeypatch.setattr(predicates, "intersection_pattern", refuse)
+    # (0, 1) cross and (1, 2) miss: any relabelling that moves the crossing
+    assert isometry_matching(src, [src[0], src[2], src[1]]) is None
+    assert isometry_matching(src, [src[2], src[1], src[0]]) is None
+    assert isometry_matching(hs[:3], hs[:2] + [hs[6]]) is None  # (0, 2) miss, then touch
+    assert len(build_graph(src).edges()) == 2 and len(build_graph(hs).edges()) == 6 * 5 // 2 - 5
+    with pytest.raises(AssertionError, match="more than the pair counts"):
+        # the same counts reach the search
+        isometry_matching(src, [Isometry.translation(1).apply_curve(c) for c in src])
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
