@@ -13,7 +13,19 @@ table of pair counts (`predicates.pair_counts`): the interior count,
 tangency and shared endpoints of every pair, from the Lorentz Gram matrix
 of the configuration, formed once.  Those counts are Moebius invariants, so
 an isometry keeps every one of them, and a target whose table differs from
-the source's is answered None before any candidate isometry is built.
+the source's is answered None before any candidate isometry is built.  A
+graph keeps the table `build_graph` formed, and realizing an automorphism
+reads the target's table from it.
+
+Each candidate isometry is verified in two stages.  First, on integer
+projective pairs, it must map the rational boundary data (center or
+endpoints) of every exact curve onto its target's, which a wrong candidate
+usually fails with no circle built.  A geodesic is its endpoint pair, so
+that stage matches it in full; only horocycles, hypercycles and curves
+with irrational endpoints are then checked by their image circle.  A curve
+with irrational endpoints gives the search no frame point, so beside one
+the other curves must give three distinct rational boundary points, or the
+search raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -30,6 +42,7 @@ from .model import (
     Curve,
     CurveKind,
     Isometry,
+    _projective,
     triple_normalizer,
     two_point_normalizer,
 )
@@ -73,12 +86,13 @@ class GraphAutomorphism(Record):
 class DisjointnessGraph:
     """Curves plus the symmetric adjacency matrix of interior-disjointness."""
 
-    __slots__ = ("curves", "adjacency", "graph_class")
+    __slots__ = ("curves", "adjacency", "graph_class", "_counts")
 
     def __init__(self, curves: Sequence[Curve], adjacency, graph_class: GraphClass):
         self.curves = list(curves)
         self.adjacency = adjacency
         self.graph_class = graph_class
+        self._counts = None  # build_graph's pair_counts table, when every curve is exact
 
     def __len__(self):
         return len(self.curves)
@@ -142,13 +156,16 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
             "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"
         )
     adjacency = [[False] * n for _ in range(n)]
-    if all(c.exact for c in curves):
-        counts = [k[0] for k in pair_counts(curves)]
+    table = pair_counts(curves) if all(c.exact for c in curves) else None
+    if table is not None:
+        counts = [k[0] for k in table]
     else:
         counts = [intersection_pattern(s, t).interior_count for s, t in combinations(curves, 2)]
     for (i, j), k in zip(combinations(range(n), 2), counts):
         adjacency[i][j] = adjacency[j][i] = k == 0
-    return DisjointnessGraph(curves, adjacency, graph_class)
+    g = DisjointnessGraph(curves, adjacency, graph_class)
+    g._counts = table
+    return g
 
 
 def _rows(g: DisjointnessGraph) -> List[int]:
@@ -225,23 +242,25 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     return out
 
 
-def _boundary_data(curve: Curve) -> List[BoundaryPoint]:
-    """The boundary points determining the curve's position: endpoints for
-    geodesics/hypercycles, the center for horocycles."""
+def _boundary_data(curve: Curve) -> Optional[List[BoundaryPoint]]:
+    """The boundary points determining the curve's position: the center of
+    a horocycle, the endpoints of a geodesic or hypercycle; None when the
+    endpoints are not rational (irrational, or an inexact curve's)."""
     if curve.kind is CurveKind.HOROCYCLE:
         return [curve.center]
-    if not curve.has_exact_endpoints:
-        raise InvalidInputError("graph curves need rational boundary data")
-    return list(curve.endpoints)
+    return list(curve.endpoints) if curve.has_exact_endpoints else None
 
 
 def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, BoundaryPoint]]:
-    """Up to three distinct boundary points of the configuration, each
-    tagged with its curve index.  Horocycle centers come first (one possible
-    image each), then endpoints curve by curve, so that both endpoints of a
-    curve share their two images."""
+    """Up to three distinct rational boundary points of the configuration,
+    each tagged with its curve index.  Horocycle centers come first (one
+    possible image each), then endpoints curve by curve, so that both
+    endpoints of a curve share their two images.  A curve with irrational
+    endpoints gives no point; fewer than three points must then be every
+    curve's data (`_completed_frames` relies on it), else InvalidInputError."""
+    data = [_boundary_data(c) for c in src_curves]
     tagged = sorted(
-        ((i, p) for i, c in enumerate(src_curves) for p in _boundary_data(c)),
+        ((i, p) for i, ps in enumerate(data) if ps is not None for p in ps),
         key=lambda t: src_curves[t[0]].kind is not CurveKind.HOROCYCLE,
     )
     frame: List[Tuple[int, BoundaryPoint]] = []
@@ -249,7 +268,12 @@ def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, BoundaryPoint]
         if all(p != q for _, q in frame):
             frame.append((i, p))
             if len(frame) == 3:
-                break
+                return frame
+    if None in data:
+        raise InvalidInputError(
+            "graph curves need rational boundary data when the configuration has "
+            "fewer than three distinct rational boundary points"
+        )
     return frame
 
 
@@ -261,12 +285,18 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
     dst_curves[i] (endpoint to endpoint, center to center).  So the images
     of a fixed source frame of three distinct points are boundary data of
     the matching target curves, at most 2 choices each, and the frame and
-    its images determine the isometry.  A configuration with fewer than
-    three distinct boundary points gets its third frame point from metric
-    data (see _completed_frames)."""
+    its images determine the isometry.  A frame curve whose target has no
+    rational boundary data leaves no candidate: an isometry is rational, so
+    it maps rational points to rational points and an exact curve to an
+    exact one.  A configuration with fewer than three distinct boundary
+    points gets its third frame point from metric data (see
+    _completed_frames)."""
     frame = _source_frame(src_curves)
     points = [p for _, p in frame]
-    for images in product(*(_boundary_data(dst_curves[i]) for i, _ in frame)):
+    choices = [_boundary_data(dst_curves[i]) for i, _ in frame]
+    if None in choices:
+        return
+    for images in product(*choices):
         if len(set(images)) < len(images):
             continue  # an isometry is injective on the boundary
         if len(frame) == 3:
@@ -334,14 +364,30 @@ def isometry_matching(
     Lorentz Gram matrix (Coxeter, "Inversive distance"); so when every curve
     on both sides is exact, the first pair whose counts differ between
     source and target answers None.  Otherwise the candidates are the at
-    most 8 isometries sending a fixed frame of three source boundary points
-    to boundary data of the matching target curves (completed from
-    horocycle sizes when the source has fewer than three distinct boundary
-    points), and each is verified exactly on every curve.
+    most 8 isometries sending a fixed frame of three rational source
+    boundary points to boundary data of the matching target curves
+    (completed from horocycle sizes when the source has fewer than three
+    distinct boundary points), and each is verified exactly on every curve
+    in two stages.  First, on integers, it must map the rational boundary
+    data (center or endpoints) of each exact curve onto the target's, as
+    an isometry mapping the curve does.  Then it must map each remaining
+    circle onto the target's.  A geodesic is its endpoint pair, so the first
+    stage matches it, and only horocycles, hypercycles and curves without
+    rational boundary data build an image circle.  A candidate passes both
+    stages exactly when it maps every circle, so the answer is the one a
+    test of every circle gives.
 
-    The search needs rational boundary data: a curve with irrational
-    endpoints raises InvalidInputError when the search is reached, and
-    not when a kind or a pair's counts already answer None."""
+    A curve with irrational endpoints gives no frame point and is verified
+    by its circle.  When the other curves give fewer than three distinct
+    rational boundary points, the frame cannot be completed:
+    InvalidInputError is raised once the search is reached, not when a kind
+    or a pair's counts already answer None."""
+    return _matching(src_curves, dst_curves, None)
+
+
+def _matching(src_curves, dst_curves, tables) -> Optional[Isometry]:
+    """`isometry_matching`, with `tables` the pair-count tables (source,
+    target) when the caller has them, else None."""
     if len(src_curves) != len(dst_curves):
         raise InvalidInputError("source and target curve lists differ in length")
     n = len(src_curves)
@@ -349,26 +395,74 @@ def isometry_matching(
         return None
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
         return Isometry.identity()
-    if all(c.exact for c in src_curves) and all(c.exact for c in dst_curves):
-        if pair_counts(src_curves) != pair_counts(dst_curves):
-            return None
-    for cand in _candidate_isometries(src_curves, dst_curves):
+    if tables is None and all(c.exact for c in src_curves) and all(c.exact for c in dst_curves):
+        tables = pair_counts(src_curves), pair_counts(dst_curves)
+    if tables is not None and tables[0] != tables[1]:
+        return None
+    ends, circles = [], []
+    for s, t in zip(src_curves, dst_curves):
+        ps, qs = _boundary_ints(s), _boundary_ints(t)
+        if ps is not None and qs is not None:
+            ends.append((ps, qs))
+            if s.kind is CurveKind.GEODESIC:
+                continue
         # Curve equality is circle equality: no image Curve is built
-        if all(cand.apply_circle(s.circle) == t.circle for s, t in zip(src_curves, dst_curves)):
+        circles.append((s.circle, t.circle))
+    for cand in _candidate_isometries(src_curves, dst_curves):
+        if _maps_boundary(cand, ends) and all(cand.apply_circle(s) == t for s, t in circles):
             return cand
     return None
+
+
+def _boundary_ints(curve: Curve):
+    """An exact curve's rational boundary data as projective integer pairs
+    (`_projective`), or None."""
+    data = _boundary_data(curve) if curve.exact else None
+    return None if data is None else [_projective(p) for p in data]
+
+
+def _maps_boundary(iso: Isometry, ends) -> bool:
+    """Does iso map each source point set onto its target set, for every
+    (source, target) pair of lists of projective integer pairs in `ends`?
+
+    The sets have equal sizes and iso is injective, so each image lying in
+    its target set suffices; (u, v) lies at (m, n) when u n = v m."""
+    a, b, c, d = iso._ints()
+    if iso.reversing:
+        a, c = -a, -c  # x -> -x first
+    for ps, qs in ends:
+        for x, y in ps:
+            u, v = a * x + b * y, c * x + d * y
+            for m, n in qs:
+                if u * n == v * m:
+                    break
+            else:
+                return False
+    return True
 
 
 def isometry_realizing(
     g: DisjointnessGraph, perm: GraphAutomorphism
 ) -> Optional[Isometry]:
-    """An isometry mapping curve_i to curve_{perm(i)} for every i, or None."""
+    """An isometry mapping curve_i to curve_{perm(i)} for every i, or None.
+
+    The target's pair counts are the graph's table read at (perm(i),
+    perm(j)), so no Gram table is formed here."""
     n = len(g)
     if len(perm.perm) != n or set(perm.perm) != set(range(n)):
         raise InvalidInputError(f"{list(perm.perm)} is not a permutation of the {n} vertices")
     if not g.is_automorphism(perm.perm):
         raise InvalidInputError("permutation is not an automorphism of the graph")
-    return isometry_matching(g.curves, [g.curves[perm(i)] for i in range(n)])
+    tables = None if g._counts is None else (g._counts, _relabelled(g._counts, perm.perm))
+    return _matching(g.curves, [g.curves[perm(i)] for i in range(n)], tables)
+
+
+def _relabelled(table, perm):
+    """The pair-count table of curves perm[0], ..., perm[n-1], read from
+    the table of curves 0, ..., n-1: a pair's counts do not depend on its
+    order."""
+    at = dict(zip(combinations(range(len(perm)), 2), table))
+    return [at[min(p, q), max(p, q)] for p, q in combinations(perm, 2)]
 
 
 def induced_permutation(g: DisjointnessGraph, iso: Isometry) -> GraphAutomorphism:

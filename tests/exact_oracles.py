@@ -121,9 +121,10 @@ def _oracle_line_circle(line, circle):
 
 
 def _oracle_isometry_matching(src_curves, dst_curves):
-    """`isometry_matching` as it was before it compared pair counts: the
-    kind test, the identity, then the at most 8 candidates of
-    `graphs._candidate_isometries`, each verified exactly on every curve."""
+    """`isometry_matching` as it was before it compared pair counts and
+    boundary data: the kind test, the identity, then the at most 8
+    candidates of `graphs._candidate_isometries`, each verified exactly on
+    every curve's circle."""
     from hyperk import Isometry
     from hyperk.errors import InvalidInputError
     from hyperk.graphs import _candidate_isometries

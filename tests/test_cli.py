@@ -232,6 +232,19 @@ class TestGraphCommand:
         assert code == 0 and err == ""
         assert out.endswith("no realizing isometry\n")
 
+    def test_realize_beside_irrational_endpoints(self, capsys, tmp_path):
+        # the hypercycle ends at +-sqrt(2); the geodesics give the search
+        # three rational boundary points, and z -> -conj(z) swaps them
+        f = tmp_path / "curves.txt"
+        f.write_text(
+            "hypercycle a=1 b=0 c=-1 d=-2\n"
+            "geodesic a=1 b=-4 c=0 d=3\n"
+            "geodesic a=1 b=4 c=0 d=3\n"
+        )
+        code, out, err = run(capsys, "graph", "--curves", str(f), "--mixed", "--realize", "0,2,1")
+        assert code == 0 and err == ""
+        assert out.endswith("realizing isometry Isometry-[1 0; 0 1]\n")
+
 
 MALFORMED = [
     ("classify", "--coeffs", "1/0,0,-1,0"),

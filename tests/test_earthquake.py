@@ -33,7 +33,7 @@ from hyperk import (
 from hyperk import earthquake
 from hyperk._rational import q_str
 from hyperk.earthquake import Constraint
-from hyperk.errors import InvalidInputError
+from hyperk.errors import HyperkError, InvalidInputError
 from hyperk.model import Curve, GeneralizedCircle, Isometry, rational_points, straddling_points
 from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q, run_suite
 
@@ -920,6 +920,15 @@ def test_squared_and_single_radius_bounds():
     assert d < n and n * n < 2 * d * d
     assert earthquake._free_values([(0, 0, 1, {0: 2}, (1, 1)), lower], [0], {}) is None
     assert earthquake._free_values([(0, 1, 1, {0: 0}, (1, 1))], [0], {}) is None
+
+
+def test_potentials_that_break_a_bound_are_refused(monkeypatch):
+    # the last check of _free_values: potentials of 1 at every node give
+    # rho_0^2 = 1, which breaks rho_0^2 > 1
+    lower = (0, 0, -1, {0: 1}, (1, 1))
+    monkeypatch.setattr(earthquake, "_potentials", lambda bounds, m: [(1, 1, 0)] * m)
+    with pytest.raises(HyperkError, match="^exact potentials failed the exact check$"):
+        earthquake._free_values([(0, 0, 1, {0: 2}, (2, 1)), lower], [0], {})
 
 
 def test_chain_radii_stay_moderate():

@@ -1,3 +1,5 @@
+import collections
+import math
 import random
 from itertools import combinations, permutations, product
 
@@ -187,12 +189,15 @@ class TestFewBoundaryPoints:
 
 
 def _oracle_matching(src_curves, dst_curves):
-    """Reference matcher: every triple of distinct source boundary points
-    against every choice of image boundary data, each candidate verified
-    exactly.  Complete whenever the source has three distinct boundary
-    points; O(m^3) candidates for m boundary points."""
+    """Reference matcher: every triple of distinct rational source boundary
+    points against every choice of rational image boundary data, each
+    candidate verified exactly on every curve.  Complete whenever the source
+    has three distinct rational boundary points; O(m^3) candidates for m
+    boundary points."""
     def data(c):
-        return [c.center] if c.kind is CurveKind.HOROCYCLE else list(c.endpoints)
+        if c.kind is CurveKind.HOROCYCLE:
+            return [c.center]
+        return list(c.endpoints) if c.has_exact_endpoints else []
 
     n = len(src_curves)
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
@@ -509,12 +514,95 @@ def _matching_cases(rng, count):
             curves.append(make_horocycle(INFINITY, abs(rand_q(rng)) + 1))
         g = rand_isometry(rng) if index % 3 else _WIDE_MAPS[index // 3 % 3]
         image = [g.apply_curve(c) for c in curves]
-        yield curves, image
-        for target in _transposed_targets(rng, curves, image):
+        for target in _relabelled_images(rng, curves, image):
             yield curves, target
-        yield curves, rng.sample(image, len(image))
-        for a in automorphisms(build_graph(curves, allow_mixed=True))[:10]:
-            yield curves, [image[a(i)] for i in range(len(curves))]
+
+
+def _relabelled_images(rng, curves, image):
+    """The image, relabelled by transpositions, by a shuffle and by up to 10
+    automorphisms of the configuration's graph."""
+    yield image
+    yield from _transposed_targets(rng, curves, image)
+    yield rng.sample(image, len(image))
+    for a in automorphisms(build_graph(curves, allow_mixed=True))[:10]:
+        yield [image[a(i)] for i in range(len(curves))]
+
+
+def _irrational_curve(rng, kind):
+    """A geodesic or hypercycle with irrational endpoints: a > 0 and
+    b^2 - 4ad positive and not a square."""
+    while True:
+        a, b, d = rng.randint(1, 4), rng.randint(-12, 12), rng.randint(-12, 12)
+        disc = b * b - 4 * a * d
+        if disc > 0 and math.isqrt(disc) ** 2 != disc:
+            c = 0 if kind is CurveKind.GEODESIC else rng.choice((-3, -2, -1, 1, 2, 3))
+            return curve_from_coeffs(a, b, c, d)
+
+
+def _distinct_curves(rng, makers):
+    curves = []
+    for maker in makers:
+        c = maker(rng)
+        while c in curves:
+            c = maker(rng)
+        curves.append(c)
+    return curves
+
+
+def _irrational_targets(rng, curves, image):
+    """The image with one geodesic or hypercycle replaced by one of its kind
+    with irrational endpoints: once at a curve of the source frame, once
+    elsewhere.  Of up to 20 draws, the first whose pair counts agree with
+    the image's is kept, so that the search is reached."""
+    frame = {i for i, _ in graphs._source_frame(curves)}
+    spots = [i for i, c in enumerate(curves) if c.kind is not CurveKind.HOROCYCLE]
+    for inside in (True, False):
+        choices = [i for i in spots if (i in frame) == inside]
+        if not choices:
+            continue
+        i = rng.choice(choices)
+        for _ in range(20):
+            target = image[:i] + [_irrational_curve(rng, curves[i].kind)] + image[i + 1:]
+            if pair_counts(target) == pair_counts(image):
+                break
+        yield ("frame" if inside else "other"), target
+
+
+def _wider_matching_cases(rng, count):
+    """(shape, target tag, source, target) for shapes `_matching_cases` has
+    few of: geodesics only, geodesics with one other curve, horocycles at oo
+    (one or two), and one or two curves with irrational endpoints beside two
+    rational geodesics.  Targets are as in `_matching_cases`, plus
+    `_irrational_targets` of the image."""
+    for index in range(count):
+        shape = ("geodesics", "geodesic-heavy", "oo", "irrational")[index % 4]
+        n = rng.randint(1 if shape == "geodesics" else 2, 5)
+        if shape == "geodesics":
+            curves = _distinct_curves(rng, [rand_geodesic] * n)
+        elif shape == "geodesic-heavy":
+            other = rng.choice((rand_horocycle, rand_hypercycle))
+            curves = _distinct_curves(rng, [rand_geodesic] * (n - 1) + [other])
+        elif shape == "oo":
+            curves = [c for c in _distinct_curves(rng, [rng.choice(_MAKERS) for _ in range(n)])
+                      if c.kind is not CurveKind.HOROCYCLE or not c.center.is_infinity]
+            sizes = rng.sample(range(1, 9), rng.randint(1, 2))
+            curves += [make_horocycle(INFINITY, Q(k, 2)) for k in sizes]
+            rng.shuffle(curves)
+        else:
+            curves = _distinct_curves(rng, [rand_geodesic] * 2)
+            curves += [_irrational_curve(rng, rng.choice((CurveKind.GEODESIC, CurveKind.HYPERCYCLE)))
+                       for _ in range(rng.randint(1, 2))]
+            if rng.random() < 0.5:
+                curves.append(rand_horocycle(rng))
+            rng.shuffle(curves)
+            if len(set(curves)) < len(curves):
+                continue
+        g = rand_isometry(rng) if index % 3 else _WIDE_MAPS[index // 3 % 3]
+        image = [g.apply_curve(c) for c in curves]
+        for target in _relabelled_images(rng, curves, image):
+            yield shape, "relabelled", curves, target
+        for tag, target in _irrational_targets(rng, curves, image):
+            yield shape, tag, curves, target
 
 
 def _pattern_counts(curves):
@@ -541,6 +629,57 @@ def test_pair_count_test_keeps_every_answer():
             by_search += 1
         wide += max(abs(v).bit_length() for c in dst for v in c.circle.coeffs()) > 600
     assert hits >= 200 and by_counts >= 150 and by_search >= 100 and wide >= 150
+    # wider shapes: the boundary stage decides geodesics on its own, and a
+    # curve with irrational endpoints is checked by its circle; the
+    # all-triples matcher, which knows nothing of the frame, agrees on
+    # every small target beside irrational endpoints
+    tally = collections.Counter()
+    for shape, tag, src, dst in _wider_matching_cases(random.Random(2311), 96):
+        want = _oracle_isometry_matching(src, dst)
+        got = isometry_matching(src, dst)
+        assert got == want and repr(got) == repr(want)
+        irrational = not all(c.has_exact_endpoints or c.kind is CurveKind.HOROCYCLE
+                             for c in src + dst)
+        small = max(abs(v).bit_length() for c in dst for v in c.circle.coeffs()) < 100
+        if irrational and small:
+            assert (got is None) == (_oracle_matching(src, dst) is None)
+        if got is not None:
+            tally[shape, "hit"] += 1
+        elif pair_counts(src) == pair_counts(dst):
+            tally[shape, tag] += 1  # a miss the search answers
+    for shape in ("geodesics", "geodesic-heavy", "oo", "irrational"):
+        assert tally[shape, "hit"] >= 40 and tally[shape, "relabelled"] >= 40
+        assert tally[shape, "frame"] >= 5 and tally[shape, "other"] >= 5
+
+
+def test_realizing_reads_the_graph_table(monkeypatch):
+    # build_graph forms the one Gram table; each automorphism's target table
+    # is read from it, so realizing them all forms no other
+    calls = []
+
+    def counted(curves):
+        calls.append(len(curves))
+        return pair_counts(curves)
+
+    monkeypatch.setattr(graphs, "pair_counts", counted)
+    rng = random.Random(2312)
+    realized = 0
+    for index in range(16):
+        curves = _orbit_configuration(rng)[0] if index % 2 else _mixed_configuration(rng)
+        n = len(curves)
+        g = build_graph(curves, allow_mixed=True)
+        autos = automorphisms(g)
+        assert calls == [n]
+        got = [isometry_realizing(g, a) for a in autos]
+        assert calls == [n]
+        for a, iso in zip(autos, got):
+            target = [curves[a(i)] for i in range(n)]
+            assert graphs._relabelled(g._counts, a.perm) == pair_counts(target)
+            want = isometry_matching(curves, target)
+            assert iso == want and repr(iso) == repr(want)
+            realized += iso is not None and a.perm != tuple(range(n))
+        del calls[:]
+    assert realized >= 8
 
 
 def test_pair_counts_refuse_inexact_curves():
@@ -551,8 +690,10 @@ def test_pair_counts_refuse_inexact_curves():
 
 class TestIrrationalEndpoints:
     """x^2 + y^2 - y - 2 = 0 is a hypercycle ending at -sqrt(2) and sqrt(2):
-    the candidate search needs rational boundary data and refuses it, but a
-    target whose pair counts differ is answered before the search."""
+    it gives the frame no point and is verified by its circle.  The search
+    refuses it only when the other curves give fewer than three distinct
+    rational boundary points, and a target whose pair counts differ is
+    answered before the search."""
 
     H = curve_from_coeffs(1, 0, -1, -2)
     CROSSING = make_geodesic(F(0), INFINITY)  # crosses H once, at 2i
@@ -564,10 +705,35 @@ class TestIrrationalEndpoints:
         assert isometry_matching([self.H, self.CROSSING], [self.H, self.TANGENT]) is None
 
     def test_equal_counts_reach_the_search_and_are_refused(self):
+        # the other curves give fewer than three rational boundary points
         t = Isometry.translation(1)
         for src in ([self.H], [self.H, self.CROSSING]):
             with pytest.raises(InvalidInputError, match="need rational boundary data"):
                 isometry_matching(src, [t.apply_curve(c) for c in src])
+
+    def test_three_rational_points_frame_the_search(self):
+        # 0, 1 and 3 frame the search; H is checked by its circle
+        src = [make_horocycle(F(0), 1), make_geodesic(F(1), F(3)), self.H]
+        t = Isometry.translation(1)
+        assert isometry_matching(src, [t.apply_curve(c) for c in src]) == t
+        k = Isometry(2, 1, 1, 3, reversing=True)
+        dst = [k.apply_curve(c) for c in src]
+        assert isometry_matching(src, dst) == k
+        assert isometry_matching(src, dst[:2] + [t.apply_curve(dst[2])]) is None
+        # z -> -conj(z) keeps H and swaps g(1, 3) with g(-3, -1)
+        g = build_graph([self.H, src[1], make_geodesic(F(-3), F(-1))], allow_mixed=True)
+        assert isometry_realizing(g, GraphAutomorphism((0, 2, 1))) == Isometry.reflection()
+
+    def test_irrational_target_of_a_frame_curve_leaves_no_candidate(self):
+        # g(2, 3) gives the frame its third point; a geodesic ending at
+        # 5 +- sqrt(2) misses g(0, 1) as g(2, 3) does, so the counts agree,
+        # and no rational isometry sends 2 to an irrational endpoint
+        src = [make_geodesic(F(0), F(1)), make_geodesic(F(2), F(3))]
+        dst = [src[0], curve_from_coeffs(1, -10, 0, 23)]
+        assert [i for i, _ in graphs._source_frame(src)] == [0, 0, 1]
+        assert pair_counts(src) == pair_counts(dst)
+        assert list(graphs._candidate_isometries(src, dst)) == []
+        assert isometry_matching(src, dst) is None
 
     def test_graph_automorphism_with_changed_counts_is_not_realized(self):
         # the three curves pairwise meet, so the graph has no edge and every

@@ -386,6 +386,48 @@ def test_exact_pair_counts_need_no_candidate_and_no_pattern(monkeypatch):
         isometry_matching(src, [Isometry.translation(1).apply_curve(c) for c in src])
 
 
+def test_boundary_data_decide_geodesics_without_circles(monkeypatch):
+    # a geodesic is its endpoint pair: a hit on geodesics, and a miss whose
+    # wrong candidates fail on boundary data, build no image circle
+    import random
+
+    from hyperk import INFINITY, BoundaryPoint, isometry_matching, make_geodesic, make_horocycle
+    from hyperk.model import Isometry
+    from hyperk.predicates import pair_counts
+    from hyperk.verify import rand_geodesic, rand_isometry
+
+    def refuse(*args):
+        raise AssertionError("an image circle was built")
+
+    F = BoundaryPoint.finite
+    rng = random.Random(2313)
+    maps = [Isometry(2, 1, 1, 3, reversing=True), Isometry(2**600 + 9, 1, 2**600, 1),
+            Isometry(2**600 + 1, 1, 2**600, 1, reversing=True)]
+    maps += [rand_isometry(rng) for _ in range(9)]
+    cases = []
+    for index, g in enumerate(maps):
+        curves = []
+        while len(curves) < 1 + index % 5:
+            c = rand_geodesic(rng)
+            if c not in curves:
+                curves.append(c)
+        cases.append((curves, [g.apply_curve(c) for c in curves]))
+    # the pair counts agree, so the search is reached
+    src = [make_horocycle(F(0), 1), make_geodesic(F(1), F(3)), make_geodesic(F(4), F(5))]
+    misses = [src[:2] + [make_geodesic(F(4), F(6))], src[:2] + [make_geodesic(F(5), INFINITY)]]
+    assert all(pair_counts(miss) == pair_counts(src) for miss in misses)
+    hit = [Isometry.translation(1).apply_curve(c) for c in src]
+    monkeypatch.setattr(Isometry, "apply_circle", refuse)
+    found = [isometry_matching(s, t) for s, t in cases]
+    assert [isometry_matching(src, miss) for miss in misses] == [None, None]
+    for (s, t), iso in zip(cases, found):
+        assert iso is not None
+        assert all({iso.apply_boundary(p) for p in a.endpoints} == set(b.endpoints)
+                   for a, b in zip(s, t))
+    with pytest.raises(AssertionError, match="image circle"):
+        isometry_matching(src, hit)  # a horocycle is checked by its circle
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
