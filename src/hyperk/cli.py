@@ -273,7 +273,7 @@ def cmd_graph(args, out: _Output) -> int:
         if iso is None:
             out.emit("no realizing isometry", {"realizing": None})
         else:
-            out.emit(f"realizing isometry {iso!r}", {"realizing": repr(iso)})
+            out.emit(f"realizing isometry {iso!r}", {"realizing": iso.to_record()})
     return EXIT_OK
 
 

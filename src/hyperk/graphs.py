@@ -20,11 +20,14 @@ reads the target's table from it.
 Each candidate isometry is verified in two stages.  First, on integer
 projective pairs, it must map the rational boundary data (center or
 endpoints) of every exact curve onto its target's, which a wrong candidate
-usually fails with no circle built.  A geodesic is its endpoint pair, so
-that stage matches it in full; only horocycles, hypercycles and curves
-with irrational endpoints are then checked by their image circle.  A curve
-with irrational endpoints gives the search no frame point, so beside one
-the other curves must give three distinct rational boundary points, or the
+usually fails.  A geodesic is its endpoint pair, so that stage matches it
+in full; only horocycles, hypercycles and curves with irrational endpoints
+are then checked by their circle, also on integers: the source circle,
+pulled back along the candidate's inverse, must be a multiple of the
+target's coefficients, so no image circle is built.  An inexact circle is
+compared by `Isometry.apply_circle`, at tolerance EPS.  A curve with
+irrational endpoints gives the search no frame point, so beside one the
+other curves must give three distinct rational boundary points, or the
 search raises InvalidInputError.
 """
 
@@ -43,6 +46,7 @@ from .model import (
     CurveKind,
     Isometry,
     _projective,
+    _pullback,
     triple_normalizer,
     two_point_normalizer,
 )
@@ -371,11 +375,13 @@ def isometry_matching(
     in two stages.  First, on integers, it must map the rational boundary
     data (center or endpoints) of each exact curve onto the target's, as
     an isometry mapping the curve does.  Then it must map each remaining
-    circle onto the target's.  A geodesic is its endpoint pair, so the first
-    stage matches it, and only horocycles, hypercycles and curves without
-    rational boundary data build an image circle.  A candidate passes both
-    stages exactly when it maps every circle, so the answer is the one a
-    test of every circle gives.
+    circle onto the target's, on integers when both are exact (the source
+    pulled back along the inverse is a multiple of the target), and by
+    `Isometry.apply_circle` at tolerance EPS when either is inexact.  A
+    geodesic is its endpoint pair, so the first stage matches it, and only
+    horocycles, hypercycles and curves without rational boundary data reach
+    the second.  A candidate passes both stages exactly when it maps every
+    circle, so the answer is the one a test of every circle gives.
 
     A curve with irrational endpoints gives no frame point and is verified
     by its circle.  When the other curves give fewer than three distinct
@@ -409,7 +415,7 @@ def _matching(src_curves, dst_curves, tables) -> Optional[Isometry]:
         # Curve equality is circle equality: no image Curve is built
         circles.append((s.circle, t.circle))
     for cand in _candidate_isometries(src_curves, dst_curves):
-        if _maps_boundary(cand, ends) and all(cand.apply_circle(s) == t for s, t in circles):
+        if _maps_boundary(cand, ends) and _maps_circles(cand, circles):
             return cand
     return None
 
@@ -438,6 +444,35 @@ def _maps_boundary(iso: Isometry, ends) -> bool:
                     break
             else:
                 return False
+    return True
+
+
+def _maps_circles(iso: Isometry, circles) -> bool:
+    """Does iso map each source circle onto its target, for every (source,
+    target) pair of GeneralizedCircles in `circles`?
+
+    An exact pair is decided on integers: the source pulled back along the
+    inverse map, as `apply_circle` does, is a vector k that must be a
+    multiple of the target's coprime coefficients w.  Canonical form
+    identifies v and -v, so the test is k[j] w[i] == w[j] k[i] for every j,
+    with w[i] the first nonzero entry of w (one of a, b, c), and no gcd is
+    taken.  A pair with an inexact side is compared by `apply_circle`, at
+    tolerance EPS."""
+    m00, m01, m10, m11 = iso._ints()
+    for s, t in circles:
+        if not (s.exact and t.exact):
+            if iso.apply_circle(s) != t:
+                return False
+            continue
+        a, b, c, d = s.coeffs()
+        if iso.reversing:
+            b = -b  # x -> -x first
+        k = _pullback(a, b, c, d, m11, -m01, -m10, m00)
+        w = t.coeffs()
+        i = 0 if w[0] else 1 if w[1] else 2
+        wi, ki = w[i], k[i]
+        if any(kj * wi != wj * ki for kj, wj in zip(k, w)):
+            return False
     return True
 
 

@@ -722,6 +722,12 @@ class Isometry:
             tag, *(q_str(v) for v in self.matrix())
         )
 
+    def to_record(self) -> dict:
+        """The coprime integer entries [m00, m01, m10, m11] and the
+        orientation flag; `Isometry(*matrix, reversing=reversing)` reads
+        the record back."""
+        return {"matrix": list(self._ints()), "reversing": self.reversing}
+
     # -- actions -----------------------------------------------------------
 
     def apply_boundary(self, p: BoundaryPoint) -> BoundaryPoint:

@@ -245,6 +245,34 @@ class TestGraphCommand:
         assert code == 0 and err == ""
         assert out.endswith("realizing isometry Isometry-[1 0; 0 1]\n")
 
+    @pytest.mark.parametrize("text, perm, printed", [
+        ("horocycle a=1 b=0 c=-1 d=0\nhorocycle a=1 b=-2 c=-1 d=1\n"
+         "horocycle a=1 b=-4 c=-1 d=4\nhorocycle a=0 b=0 c=1 d=-2\n",
+         "2,1,0,3", "Isometry-[1 2; 0 1]"),
+        ("hypercycle a=3 b=-12 c=-8 d=9\nhypercycle a=15 b=-6 c=-8 d=0\n"
+         "horocycle a=3 b=-12 c=-2 d=12\nhorocycle a=27 b=-18 c=-2 d=3\n",
+         "1,0,3,2", "Isometry+[1 -1; 2 -1]"),
+    ])
+    def test_realizing_record_reads_back(self, capsys, tmp_path, text, perm, printed):
+        # the record holds the coprime entries and the orientation: read back
+        # into an Isometry, it is the printed one and maps every curve of the
+        # file onto its image under the permutation
+        from hyperk.model import Isometry, parse_curve_text
+
+        f = tmp_path / "curves.txt"
+        f.write_text(text)
+        code, out, _ = run(capsys, "graph", "--curves", str(f), "--mixed", "--realize", perm)
+        assert code == 0 and out.endswith(f"realizing isometry {printed}\n")
+        code, out, _ = run(capsys, "--format", "records", "graph", "--curves", str(f), "--mixed",
+                           "--realize", perm)
+        record = json.loads(out.splitlines()[-1])["realizing"]
+        assert code == 0 and sorted(record) == ["matrix", "reversing"]
+        iso = Isometry(*record["matrix"], reversing=record["reversing"])
+        assert repr(iso) == printed and math.gcd(*record["matrix"]) == 1
+        curves = [parse_curve_text(line) for line in text.splitlines()]
+        images = [curves[int(j)] for j in perm.split(",")]
+        assert all(iso.apply_curve(c) == t for c, t in zip(curves, images))
+
 
 MALFORMED = [
     ("classify", "--coeffs", "1/0,0,-1,0"),

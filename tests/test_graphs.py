@@ -26,7 +26,7 @@ from hyperk import (
 )
 from hyperk import graphs
 from hyperk.errors import HyperkError, InvalidInputError
-from hyperk.model import curve_from_coeffs, triple_normalizer
+from hyperk.model import GeneralizedCircle, _int_floats, curve_from_coeffs, triple_normalizer
 from hyperk.predicates import intersection_pattern, pair_counts
 from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
 
@@ -650,6 +650,50 @@ def test_pair_count_test_keeps_every_answer():
     for shape in ("geodesics", "geodesic-heavy", "oo", "irrational"):
         assert tally[shape, "hit"] >= 40 and tally[shape, "relabelled"] >= 40
         assert tally[shape, "frame"] >= 5 and tally[shape, "other"] >= 5
+
+
+def _circle_or_none(k, exact):
+    """The circle of coefficients k, or None when they define none."""
+    try:
+        return GeneralizedCircle(*k, exact=exact)
+    except HyperkError:
+        return None
+
+
+def _off_by_one(rng, circle):
+    """The exact circle with one coefficient moved by 1, or None."""
+    k = list(circle.coeffs())
+    k[rng.randrange(4)] += rng.choice((-1, 1))
+    return _circle_or_none(k, True)
+
+
+def test_integer_circle_test_agrees_with_apply_circle():
+    # _maps_circles decides an exact pair on integers, with no circle built:
+    # it answers what comparing apply_circle's image does, on the true
+    # image, an image one coefficient off and the image under another map
+    rng = random.Random(2414)
+    makers = (rand_geodesic, rand_horocycle, rand_hypercycle,
+              lambda r: make_horocycle(INFINITY, abs(rand_q(r)) + 1),
+              lambda r: _irrational_curve(r, r.choice((CurveKind.GEODESIC, CurveKind.HYPERCYCLE))))
+    tally = collections.Counter()
+    for index in range(400):
+        c = makers[index % len(makers)](rng).circle
+        g = _WIDE_MAPS[index // 5 % 3] if index % 4 == 0 else rand_isometry(rng)
+        other = g @ rand_isometry(rng)
+        image = g.apply_circle(c)
+        targets = [image, _off_by_one(rng, image), other.apply_circle(c),
+                   _circle_or_none(_int_floats(image.coeffs()), False)]
+        for t in filter(None, targets):
+            want = g.apply_circle(c) == t
+            assert graphs._maps_circles(g, [(c, t)]) == want
+            assert graphs._maps_circles(g, [(c, image), (c, t)]) == want
+            tally[g.reversing, want] += 1
+    # every map kind on both answers, and inexact pairs take apply_circle
+    assert min(tally.values()) >= 100, tally
+    inexact = GeneralizedCircle(1.0, -2.0, -1.0, 1.0)
+    k = Isometry(2, 1, 1, 3, reversing=True)
+    assert graphs._maps_circles(k, [(inexact, k.apply_circle(inexact))])
+    assert not graphs._maps_circles(k, [(inexact, Isometry.identity().apply_circle(inexact))])
 
 
 def test_realizing_reads_the_graph_table(monkeypatch):

@@ -388,7 +388,8 @@ def test_exact_pair_counts_need_no_candidate_and_no_pattern(monkeypatch):
 
 def test_boundary_data_decide_geodesics_without_circles(monkeypatch):
     # a geodesic is its endpoint pair: a hit on geodesics, and a miss whose
-    # wrong candidates fail on boundary data, build no image circle
+    # wrong candidates fail on boundary data, build no image circle; nor does
+    # a hit on an exact horocycle, whose circle is compared on integers
     import random
 
     from hyperk import INFINITY, BoundaryPoint, isometry_matching, make_geodesic, make_horocycle
@@ -424,8 +425,11 @@ def test_boundary_data_decide_geodesics_without_circles(monkeypatch):
         assert iso is not None
         assert all({iso.apply_boundary(p) for p in a.endpoints} == set(b.endpoints)
                    for a, b in zip(s, t))
+    assert isometry_matching(src, hit) == Isometry.translation(1)
+    # an inexact one is still compared by its image circle, at tolerance EPS
+    inexact = [make_horocycle(F(0), 0.5)] + src[1:]
     with pytest.raises(AssertionError, match="image circle"):
-        isometry_matching(src, hit)  # a horocycle is checked by its circle
+        isometry_matching(inexact, [Isometry.translation(1).apply_curve(c) for c in inexact])
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
