@@ -34,7 +34,9 @@ search raises InvalidInputError.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import combinations, product
+from itertools import chain, combinations, permutations, product
+from math import factorial, prod
+from operator import itemgetter
 from typing import List, Optional, Sequence, Tuple
 
 from ._record import Record
@@ -201,49 +203,91 @@ def _equitable_colours(rows: List[int]) -> List[int]:
         colour = [rank[sig] for sig in signature]
 
 
+def _twin_classes(rows: List[int], colour: List[int]) -> List[List[int]]:
+    """Classes of twins, each in increasing order, the classes by their
+    least vertex.  Two vertices of one colour are twins when their
+    neighbourhoods agree apart from the two themselves.  Twinship is an
+    equivalence; a class is a clique or has no edge, and two classes are
+    joined completely or not at all.  So any permutation inside a class is
+    an automorphism, and every automorphism maps classes onto classes."""
+    classes: List[List[int]] = []
+    for v, row in enumerate(rows):
+        for members in classes:
+            u = members[0]
+            if colour[u] == colour[v] and (rows[u] ^ row) & ~(1 << u | 1 << v) == 0:
+                members.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
 def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorphism]:
     """All adjacency-preserving vertex permutations, in lexicographic order.
 
     Adjacency rows are int bitmasks.  Colour refinement from the degrees
     gives the coarsest equitable colouring, whose cells every automorphism
-    preserves; backtracking then maps vertices 0, 1, ... in turn, each to
-    the free vertices of its cell in increasing order, and keeps an image
-    when its neighbours among the used vertices (a bitmask) are exactly the
-    images of the earlier neighbours.  Graphs past MAX_VERTICES vertices are
-    refused, and exceeding the cap raises with the partial count."""
+    preserves, and its twin classes (`_twin_classes`) are permuted by every
+    automorphism.  Backtracking on the classes maps classes 0, 1, ... in
+    turn, each to the free classes of its cell and size in increasing
+    order, and keeps an image when its neighbours among the used classes
+    (a bitmask) are exactly the images of the earlier neighbours.  A clique
+    class is never mapped onto a class of its size with no edge: in an
+    equitable colouring their vertices would count different numbers of
+    neighbours in their own cell.  Each class map found gives every
+    bijection of each class onto its image, and the permutations are
+    sorted.  An empty or complete graph is one class, whose n! permutations
+    come in order with no search.  Graphs past MAX_VERTICES vertices are
+    refused, and a cap that the count would exceed raises."""
     n = len(g)
     if n > MAX_VERTICES:
         raise InvalidInputError(f"graph too large ({n} > {MAX_VERTICES})")
     rows = _rows(g)
     colour = _equitable_colours(rows)
-    # per vertex: the (vertex, bit, row) of its cell, and its earlier neighbours
-    cells = [
-        [(v, 1 << v, rows[v]) for v in range(n) if colour[v] == colour[i]] for i in range(n)
-    ]
-    earlier = [[j for j in range(i) if rows[i] >> j & 1] for i in range(n)]
-    out: List[GraphAutomorphism] = []
-    image = [-1] * n
-    image_bit = [0] * n
+    classes = _twin_classes(rows, colour)
+    k = len(classes)
+    label = [(colour[m[0]], len(m)) for m in classes]
+    reps = [m[0] for m in classes]
+    qrows = [sum(1 << d for d, r in enumerate(reps) if rows[rep] >> r & 1) for rep in reps]
+    # per class: the (class, bit, row) of its cell, and its earlier neighbours
+    cells = [[(d, 1 << d, qrows[d]) for d in range(k) if label[d] == label[c]] for c in range(k)]
+    earlier = [[d for d in range(c) if qrows[c] >> d & 1] for c in range(k)]
+    per_map = prod(factorial(len(m)) for m in classes)
+    maps: List[Tuple[int, ...]] = []
+    image = [-1] * k
+    image_bit = [0] * k
 
-    def extend(i: int, used: int):
-        if i == n:
-            out.append(GraphAutomorphism(tuple(image)))
-            if len(out) > cap:
-                raise HyperkError(
-                    f"automorphism cap {cap} exceeded (at least {len(out)} found)"
-                )
+    def extend(c: int, used: int):
+        if c == k:
+            maps.append(tuple(image))
+            if len(maps) * per_map > cap:
+                raise HyperkError(f"automorphism cap {cap} exceeded (at least {cap + 1} found)")
             return
         want = 0
-        for j in earlier[i]:
-            want |= image_bit[j]
-        for cand, bit, row in cells[i]:
+        for d in earlier[c]:
+            want |= image_bit[d]
+        for cand, bit, row in cells[c]:
             if used & bit or row & used != want:
                 continue
-            image[i], image_bit[i] = cand, bit
-            extend(i + 1, used | bit)
+            image[c], image_bit[c] = cand, bit
+            extend(c + 1, used | bit)
 
     extend(0, 0)
-    return out
+    if k == n:  # no twins: the class maps are the permutations, in order
+        return list(map(GraphAutomorphism, maps))
+    if k == 1:  # an empty or complete graph: every permutation, in order
+        return list(map(GraphAutomorphism, permutations(range(n))))
+    # the image of vertex v is item pos[v] of the class images laid end to end
+    pos = [0] * n
+    for p, v in enumerate(v for m in classes for v in m):
+        pos[v] = p
+    spread = itemgetter(*pos)
+    perms: List[Tuple[int, ...]] = []
+    for m in maps:
+        bijections = product(*[permutations(classes[d]) for d in m])
+        perms.extend(map(spread, map(tuple, map(chain.from_iterable, bijections))))
+    perms.sort()
+    return list(map(GraphAutomorphism, perms))
 
 
 def _boundary_data(curve: Curve) -> Optional[List[BoundaryPoint]]:

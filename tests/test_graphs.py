@@ -444,6 +444,44 @@ def test_automorphisms_search_only_within_cells(monkeypatch):
     assert [a.perm for a in automorphisms(_labelled_graph(4, []))] == [(0, 1, 2, 3)]
 
 
+def test_twin_classes_expand_to_the_oracle_list():
+    # the octahedron K(2,2,2): three classes of non-adjacent twins
+    octahedron = _labelled_graph(6, [e for e in combinations(range(6), 2) if e[1] - e[0] != 3])
+    assert graphs._twin_classes(graphs._rows(octahedron), [0] * 6) == [[0, 3], [1, 4], [2, 5]]
+    # twins of different colours stay apart
+    assert graphs._twin_classes(graphs._rows(octahedron), [0, 0, 0, 1, 1, 1]) == [
+        [0], [1], [2], [3], [4], [5]
+    ]
+    # a triangle is a class of adjacent twins
+    triangle = _labelled_graph(6, [(0, 2), (2, 4), (0, 4)])
+    assert graphs._twin_classes(graphs._rows(triangle), [0] * 6) == [[0, 2, 4], [1, 3, 5]]
+    # a 6-cycle of cliques of sizes 1, 2, 3, 1, 2, 3 is 5-regular, one cell:
+    # only the class sizes keep a class from mapping onto its neighbour
+    members = [[0], [1, 2], [3, 4, 5], [6], [7, 8], [9, 10, 11]]
+    blown_up = _labelled_graph(12, [e for m in members for e in combinations(m, 2)] + [
+        (u, v) for i in range(6) for u in members[i] for v in members[(i + 1) % 6]
+    ])
+    assert len(set(graphs._equitable_colours(graphs._rows(blown_up)))) == 1
+    cases = [
+        (blown_up, 288),
+        (octahedron, 48),
+        (triangle, 36),
+        (_labelled_graph(7, [(i, j) for i in (0, 3, 5) for j in (1, 2, 4, 6)]), 144),  # K(3,4)
+        (_labelled_graph(8, [(0, 5), (0, 6), (1, 2), (1, 3), (1, 7), (4, 5)]), 12),  # stars, path
+        (_labelled_graph(8, [(v, v ^ 1) for v in range(8)]), 384),  # 4 disjoint edges
+        (_labelled_graph(6, list(combinations(range(6), 2))), 720),
+    ]
+    for g, order in cases:
+        got = automorphisms(g)
+        assert len(got) == order and got == _oracle_automorphisms(g), g.edges()
+    # the cap counts every bijection of a class map: 8 disjoint edges have
+    # 2^8 per class map, so the second map passes a cap of 500
+    matching = _labelled_graph(16, [(v, v ^ 1) for v in range(0, 16, 2)])
+    message = "automorphism cap 500 exceeded (at least 501 found)"
+    assert _outcome(automorphisms, matching, 500) == message
+    assert _outcome(_oracle_automorphisms, matching, 500) == message
+
+
 def _few_point_configuration(rng):
     """Curves with one or two distinct boundary points p, q (either may be
     oo), at least one of them a horocycle only when `horocycle` says so."""
