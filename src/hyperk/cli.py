@@ -259,7 +259,10 @@ def cmd_graph(args, out: _Output) -> int:
     from .graphs import GraphAutomorphism, automorphisms, build_graph, isometry_realizing
 
     curves = _read_some_curves(args.curves)
-    g = build_graph(curves, allow_mixed=args.mixed)
+    try:
+        g = build_graph(curves, allow_mixed=args.mixed)
+    except InvalidInputError as exc:  # the flag, not the keyword, in the advice
+        raise InvalidInputError(str(exc).replace("allow_mixed=True", "--mixed")) from None
     out.emit(g.to_text(), g.to_record())
     if args.autos:
         autos = automorphisms(g, cap=args.cap)

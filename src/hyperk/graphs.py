@@ -8,27 +8,22 @@ h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.
 
-For exact curves, adjacency and the first test of a matching both read one
+For exact curves, adjacency and the first test of a matching both read a
 table of pair counts (`predicates.pair_counts`): the interior count,
 tangency and shared endpoints of every pair, from the Lorentz Gram matrix
-of the configuration, formed once.  Those counts are Moebius invariants, so
-an isometry keeps every one of them, and a target whose table differs from
-the source's is answered None before any candidate isometry is built.  A
-graph keeps the table `build_graph` formed, and realizing an automorphism
-reads the target's table from it.
+of the configuration, formed once per list.  Those counts are Moebius
+invariants, so an isometry keeps every one of them, and a target whose
+table differs from the source's is answered None before any candidate
+isometry is built.
 
-Each candidate isometry is verified in two stages.  First, on integer
-projective pairs, it must map the rational boundary data (center or
-endpoints) of every exact curve onto its target's, which a wrong candidate
-usually fails.  A geodesic is its endpoint pair, so that stage matches it
-in full; only horocycles, hypercycles and curves with irrational endpoints
-are then checked by their circle, also on integers: the source circle,
-pulled back along the candidate's inverse, must be a multiple of the
-target's coefficients, so no image circle is built.  An inexact circle is
-compared by `Isometry.apply_circle`, at tolerance EPS.  A curve with
-irrational endpoints gives the search no frame point, so beside one the
-other curves must give three distinct rational boundary points, or the
-search raises InvalidInputError.
+Each candidate isometry is verified by one test on every curve's circle,
+on integers when both circles are exact: the source circle, pulled back
+along the candidate's inverse, must be a multiple of the target's
+coefficients, so no image circle is built.  An inexact circle is compared
+by `Isometry.apply_circle`, at tolerance EPS.  A curve with irrational
+endpoints gives the search no frame point, so beside one the other curves
+must give three distinct rational boundary points, or the search raises
+InvalidInputError.
 """
 
 from __future__ import annotations
@@ -47,7 +42,6 @@ from .model import (
     Curve,
     CurveKind,
     Isometry,
-    _projective,
     _pullback,
     triple_normalizer,
     two_point_normalizer,
@@ -92,13 +86,12 @@ class GraphAutomorphism(Record):
 class DisjointnessGraph:
     """Curves plus the symmetric adjacency matrix of interior-disjointness."""
 
-    __slots__ = ("curves", "adjacency", "graph_class", "_counts")
+    __slots__ = ("curves", "adjacency", "graph_class")
 
     def __init__(self, curves: Sequence[Curve], adjacency, graph_class: GraphClass):
         self.curves = list(curves)
         self.adjacency = adjacency
         self.graph_class = graph_class
-        self._counts = None  # build_graph's pair_counts table, when every curve is exact
 
     def __len__(self):
         return len(self.curves)
@@ -162,16 +155,13 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
             "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"
         )
     adjacency = [[False] * n for _ in range(n)]
-    table = pair_counts(curves) if all(c.exact for c in curves) else None
-    if table is not None:
-        counts = [k[0] for k in table]
+    if all(c.exact for c in curves):
+        counts = [k[0] for k in pair_counts(curves)]
     else:
         counts = [intersection_pattern(s, t).interior_count for s, t in combinations(curves, 2)]
     for (i, j), k in zip(combinations(range(n), 2), counts):
         adjacency[i][j] = adjacency[j][i] = k == 0
-    g = DisjointnessGraph(curves, adjacency, graph_class)
-    g._counts = table
-    return g
+    return DisjointnessGraph(curves, adjacency, graph_class)
 
 
 def _rows(g: DisjointnessGraph) -> List[int]:
@@ -238,7 +228,10 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     bijection of each class onto its image, and the permutations are
     sorted.  An empty or complete graph is one class, whose n! permutations
     come in order with no search.  Graphs past MAX_VERTICES vertices are
-    refused, and a cap that the count would exceed raises."""
+    refused, as is a negative cap, and a cap that the count would exceed
+    raises."""
+    if cap < 0:
+        raise InvalidInputError(f"automorphism cap {cap} is negative")
     n = len(g)
     if n > MAX_VERTICES:
         raise InvalidInputError(f"graph too large ({n} > {MAX_VERTICES})")
@@ -415,29 +408,17 @@ def isometry_matching(
     most 8 isometries sending a fixed frame of three rational source
     boundary points to boundary data of the matching target curves
     (completed from horocycle sizes when the source has fewer than three
-    distinct boundary points), and each is verified exactly on every curve
-    in two stages.  First, on integers, it must map the rational boundary
-    data (center or endpoints) of each exact curve onto the target's, as
-    an isometry mapping the curve does.  Then it must map each remaining
-    circle onto the target's, on integers when both are exact (the source
-    pulled back along the inverse is a multiple of the target), and by
-    `Isometry.apply_circle` at tolerance EPS when either is inexact.  A
-    geodesic is its endpoint pair, so the first stage matches it, and only
-    horocycles, hypercycles and curves without rational boundary data reach
-    the second.  A candidate passes both stages exactly when it maps every
-    circle, so the answer is the one a test of every circle gives.
+    distinct boundary points), and each is verified exactly by one test on
+    every curve: it must map the source circle onto the target's, on
+    integers when both are exact (the source pulled back along the inverse
+    is a multiple of the target), and by `Isometry.apply_circle` at
+    tolerance EPS when either is inexact.
 
     A curve with irrational endpoints gives no frame point and is verified
-    by its circle.  When the other curves give fewer than three distinct
-    rational boundary points, the frame cannot be completed:
-    InvalidInputError is raised once the search is reached, not when a kind
-    or a pair's counts already answer None."""
-    return _matching(src_curves, dst_curves, None)
-
-
-def _matching(src_curves, dst_curves, tables) -> Optional[Isometry]:
-    """`isometry_matching`, with `tables` the pair-count tables (source,
-    target) when the caller has them, else None."""
+    by its circle, like every other.  When the other curves give fewer
+    than three distinct rational boundary points, the frame cannot be
+    completed: InvalidInputError is raised once the search is reached, not
+    when a kind or a pair's counts already answer None."""
     if len(src_curves) != len(dst_curves):
         raise InvalidInputError("source and target curve lists differ in length")
     n = len(src_curves)
@@ -445,50 +426,15 @@ def _matching(src_curves, dst_curves, tables) -> Optional[Isometry]:
         return None
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
         return Isometry.identity()
-    if tables is None and all(c.exact for c in src_curves) and all(c.exact for c in dst_curves):
-        tables = pair_counts(src_curves), pair_counts(dst_curves)
-    if tables is not None and tables[0] != tables[1]:
-        return None
-    ends, circles = [], []
-    for s, t in zip(src_curves, dst_curves):
-        ps, qs = _boundary_ints(s), _boundary_ints(t)
-        if ps is not None and qs is not None:
-            ends.append((ps, qs))
-            if s.kind is CurveKind.GEODESIC:
-                continue
-        # Curve equality is circle equality: no image Curve is built
-        circles.append((s.circle, t.circle))
+    if all(c.exact for c in src_curves) and all(c.exact for c in dst_curves):
+        if pair_counts(src_curves) != pair_counts(dst_curves):
+            return None
+    # Curve equality is circle equality: no image Curve is built
+    circles = [(s.circle, t.circle) for s, t in zip(src_curves, dst_curves)]
     for cand in _candidate_isometries(src_curves, dst_curves):
-        if _maps_boundary(cand, ends) and _maps_circles(cand, circles):
+        if _maps_circles(cand, circles):
             return cand
     return None
-
-
-def _boundary_ints(curve: Curve):
-    """An exact curve's rational boundary data as projective integer pairs
-    (`_projective`), or None."""
-    data = _boundary_data(curve) if curve.exact else None
-    return None if data is None else [_projective(p) for p in data]
-
-
-def _maps_boundary(iso: Isometry, ends) -> bool:
-    """Does iso map each source point set onto its target set, for every
-    (source, target) pair of lists of projective integer pairs in `ends`?
-
-    The sets have equal sizes and iso is injective, so each image lying in
-    its target set suffices; (u, v) lies at (m, n) when u n = v m."""
-    a, b, c, d = iso._ints()
-    if iso.reversing:
-        a, c = -a, -c  # x -> -x first
-    for ps, qs in ends:
-        for x, y in ps:
-            u, v = a * x + b * y, c * x + d * y
-            for m, n in qs:
-                if u * n == v * m:
-                    break
-            else:
-                return False
-    return True
 
 
 def _maps_circles(iso: Isometry, circles) -> bool:
@@ -523,25 +469,14 @@ def _maps_circles(iso: Isometry, circles) -> bool:
 def isometry_realizing(
     g: DisjointnessGraph, perm: GraphAutomorphism
 ) -> Optional[Isometry]:
-    """An isometry mapping curve_i to curve_{perm(i)} for every i, or None.
-
-    The target's pair counts are the graph's table read at (perm(i),
-    perm(j)), so no Gram table is formed here."""
+    """An isometry mapping curve_i to curve_{perm(i)} for every i, or None:
+    `isometry_matching` of the curves and their images under perm."""
     n = len(g)
     if len(perm.perm) != n or set(perm.perm) != set(range(n)):
         raise InvalidInputError(f"{list(perm.perm)} is not a permutation of the {n} vertices")
     if not g.is_automorphism(perm.perm):
         raise InvalidInputError("permutation is not an automorphism of the graph")
-    tables = None if g._counts is None else (g._counts, _relabelled(g._counts, perm.perm))
-    return _matching(g.curves, [g.curves[perm(i)] for i in range(n)], tables)
-
-
-def _relabelled(table, perm):
-    """The pair-count table of curves perm[0], ..., perm[n-1], read from
-    the table of curves 0, ..., n-1: a pair's counts do not depend on its
-    order."""
-    at = dict(zip(combinations(range(len(perm)), 2), table))
-    return [at[min(p, q), max(p, q)] for p, q in combinations(perm, 2)]
+    return isometry_matching(g.curves, [g.curves[perm(i)] for i in range(n)])
 
 
 def induced_permutation(g: DisjointnessGraph, iso: Isometry) -> GraphAutomorphism:

@@ -305,6 +305,8 @@ MALFORMED = [
     ("graph", "--curves", "TWO", "--realize", "1,1"),
     ("graph", "--curves", "TWO", "--realize", "-1,0"),
     ("graph", "--curves", "TWO", "--realize", "a,b"),
+    ("graph", "--curves", "MIXED"),
+    ("graph", "--curves", "MIXED", "--mixed", "--autos", "--cap", "-1"),
     ("earthquake", "--fault", "0,oo", "--shear", "2", "image", "1"),
     ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "abc"),
     ("earthquake", "--fault", "0", "--shear", "2", "apply", "1"),
@@ -343,6 +345,9 @@ SAYS = {
     ("graph", "--curves", "TWO", "--realize", "1,1"): "[1, 1] is not a permutation",
     ("graph", "--curves", "TWO", "--realize", "-1,0"): "[-1, 0] is not a permutation",
     ("graph", "--curves", "TWO", "--realize", "a,b"): "--realize i,j,... expected, got 'a'",
+    ("graph", "--curves", "MIXED"): "curves of mixed kinds; pass --mixed to build a mixed graph",
+    ("graph", "--curves", "MIXED", "--mixed", "--autos", "--cap", "-1"):
+        "automorphism cap -1 is negative",
     ("earthquake", "--fault", "0,oo", "--shear", "2", "image", "1"):
         "image p,q expected, got '1'",
     ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "abc"):
@@ -403,6 +408,7 @@ CURVE_FILES = {
     "FARLINE": f"geodesic a=0 b=1 c=0 d=-{2**1100}\n",  # x = 2^1100
     "FAROBLIQUE": f"hypercycle a=0 b=1 c=1 d=-{2**1100}\n",  # y = 2^1100 - x
     "TWO": "geodesic a=1 b=0 c=0 d=-1\ngeodesic a=0 b=1 c=0 d=0\n",  # crossing: not adjacent
+    "MIXED": "geodesic a=1 b=0 c=0 d=-1\nhorocycle a=1 b=0 c=-1 d=0\n",
     "BADKEY": "horocycle x=1 b=0 c=-1 d=0\n",
 }
 

@@ -425,6 +425,17 @@ def test_cap_raises_at_the_same_point():
     assert [a.perm for a in every] == list(permutations(range(8)))
 
 
+def test_negative_cap_is_refused():
+    # no count exceeds a negative cap, so it is refused by its value; a cap
+    # of 0 is exceeded by the identity
+    g = _labelled_graph(3, [(0, 1)])
+    with pytest.raises(InvalidInputError, match="automorphism cap -1 is negative"):
+        automorphisms(g, cap=-1)
+    message = "automorphism cap 0 exceeded (at least 1 found)"
+    assert _outcome(automorphisms, g, 0) == message
+    assert _outcome(_oracle_automorphisms, g, 0) == message
+
+
 def test_colour_refinement_splits_what_degrees_do_not():
     # the path 0-1-2-3-4: degrees put 1, 2, 3 together, their neighbours
     # split 2 off; the ends stay one cell, so the colouring is the coarsest
@@ -667,10 +678,10 @@ def test_pair_count_test_keeps_every_answer():
             by_search += 1
         wide += max(abs(v).bit_length() for c in dst for v in c.circle.coeffs()) > 600
     assert hits >= 200 and by_counts >= 150 and by_search >= 100 and wide >= 150
-    # wider shapes: the boundary stage decides geodesics on its own, and a
-    # curve with irrational endpoints is checked by its circle; the
-    # all-triples matcher, which knows nothing of the frame, agrees on
-    # every small target beside irrational endpoints
+    # wider shapes: geodesics alone or beside one other curve, horocycles
+    # at oo, and curves with irrational endpoints, each checked by its
+    # circle; the all-triples matcher, which knows nothing of the frame,
+    # agrees on every small target beside irrational endpoints
     tally = collections.Counter()
     for shape, tag, src, dst in _wider_matching_cases(random.Random(2311), 96):
         want = _oracle_isometry_matching(src, dst)
@@ -734,33 +745,20 @@ def test_integer_circle_test_agrees_with_apply_circle():
     assert not graphs._maps_circles(k, [(inexact, Isometry.identity().apply_circle(inexact))])
 
 
-def test_realizing_reads_the_graph_table(monkeypatch):
-    # build_graph forms the one Gram table; each automorphism's target table
-    # is read from it, so realizing them all forms no other
-    calls = []
-
-    def counted(curves):
-        calls.append(len(curves))
-        return pair_counts(curves)
-
-    monkeypatch.setattr(graphs, "pair_counts", counted)
+def test_realizing_answers_as_matching_the_images():
+    # realizing an automorphism is matching the curves to their images
+    # under it, to the printed entries of the isometry
     rng = random.Random(2312)
     realized = 0
     for index in range(16):
         curves = _orbit_configuration(rng)[0] if index % 2 else _mixed_configuration(rng)
         n = len(curves)
         g = build_graph(curves, allow_mixed=True)
-        autos = automorphisms(g)
-        assert calls == [n]
-        got = [isometry_realizing(g, a) for a in autos]
-        assert calls == [n]
-        for a, iso in zip(autos, got):
-            target = [curves[a(i)] for i in range(n)]
-            assert graphs._relabelled(g._counts, a.perm) == pair_counts(target)
-            want = isometry_matching(curves, target)
+        for a in automorphisms(g):
+            iso = isometry_realizing(g, a)
+            want = isometry_matching(curves, [curves[a(i)] for i in range(n)])
             assert iso == want and repr(iso) == repr(want)
             realized += iso is not None and a.perm != tuple(range(n))
-        del calls[:]
     assert realized >= 8
 
 

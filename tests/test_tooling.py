@@ -2,6 +2,7 @@
 modules import."""
 
 import ast
+import collections
 import importlib
 import os
 import subprocess
@@ -225,6 +226,47 @@ def test_unused_import_check_sees_unused_names():
     assert _unused_imports(tree) == [(2, "os"), (3, "T"), (5, "sqrt")]
 
 
+def _dead_helpers(trees):
+    """(module, name) of every module-level private function or class in
+    `trees` (module name -> parsed source) whose name no code reads outside
+    its own definition, as a name or as an attribute.  Names are matched
+    across modules, so a helper called as `model._pullback` counts."""
+    def reads(node):
+        return collections.Counter(
+            n.id if isinstance(n, ast.Name) else n.attr
+            for n in ast.walk(node) if isinstance(n, (ast.Name, ast.Attribute)))
+
+    total = sum((reads(tree) for tree in trees.values()), collections.Counter())
+    return sorted(
+        (module, node.name)
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_") and not node.name.endswith("__")
+        and total[node.name] == reads(node)[node.name]
+    )
+
+
+def test_no_private_helper_is_dead():
+    trees = {p.stem: ast.parse(p.read_text(encoding="utf-8")) for p in PACKAGE.glob("*.py")}
+    assert len(trees) >= 10
+    assert _dead_helpers(trees) == []
+
+
+def test_dead_helper_check_sees_unread_helpers():
+    trees = {
+        "a": ast.parse(
+            "def _called(): return 1\n"
+            "def _recursive(n): return _recursive(n - 1)\n"
+            "class _Unbuilt: pass\n"
+            "def _read_elsewhere(): pass\n"
+            "def __getattr__(name): return _called()\n"
+        ),
+        "b": ast.parse("from . import a\nx = a._read_elsewhere\n"),
+    }
+    assert _dead_helpers(trees) == [("a", "_Unbuilt"), ("a", "_recursive")]
+
+
 def _asserts(tree):
     return [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
 
@@ -386,10 +428,10 @@ def test_exact_pair_counts_need_no_candidate_and_no_pattern(monkeypatch):
         isometry_matching(src, [Isometry.translation(1).apply_curve(c) for c in src])
 
 
-def test_boundary_data_decide_geodesics_without_circles(monkeypatch):
-    # a geodesic is its endpoint pair: a hit on geodesics, and a miss whose
-    # wrong candidates fail on boundary data, build no image circle; nor does
-    # a hit on an exact horocycle, whose circle is compared on integers
+def test_exact_candidates_build_no_image_circle(monkeypatch):
+    # every exact circle is compared on integers: a hit on geodesics, a miss
+    # whose wrong candidates fail, and a hit on an exact horocycle build no
+    # image circle
     import random
 
     from hyperk import INFINITY, BoundaryPoint, isometry_matching, make_geodesic, make_horocycle
