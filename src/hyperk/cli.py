@@ -53,24 +53,30 @@ EXIT_UNWRITABLE = 4
 
 
 class _Output:
+    """A command's output, held until the command returns: `flush` prints
+    it, and a command that raises prints nothing on stdout."""
+
     def __init__(self, fmt: str, inexact: bool):
         self.fmt = fmt
         self.records: List[dict] = []
+        self.lines: List[str] = []
         if inexact and fmt == "text":
-            print("note: --inexact inputs; exact-predicate guarantees disabled")
+            self.lines.append("note: --inexact inputs; exact-predicate guarantees disabled")
 
     def emit(self, text: str, record: Optional[dict] = None):
         if self.fmt == "records":
             self.records.append(record if record is not None else {"text": text})
         else:
-            print(text)
+            self.lines.append(text)
 
     def flush(self):
+        lines = self.lines
         if self.fmt == "records":
             import json
 
-            for rec in self.records:
-                print(json.dumps(rec, sort_keys=True))
+            lines = [json.dumps(rec, sort_keys=True) for rec in self.records]
+        for line in lines:
+            print(line)
 
 
 _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")

@@ -8,30 +8,33 @@ h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.
 
-For exact curves, adjacency and the first test of a matching both read a
-table of pair counts (`predicates.pair_counts`): the interior count,
-tangency and shared endpoints of every pair, from the Lorentz Gram matrix
-of the configuration, formed once per list.  Those counts are Moebius
-invariants, so an isometry keeps every one of them, and a target whose
-table differs from the source's is answered None before any candidate
-isometry is built.
+For exact curves, adjacency and the first test of a matching both read
+pair counts (`predicates._iter_pair_counts`): the interior count, tangency
+and shared endpoints of every pair, from the Lorentz Gram matrix of the
+configuration, formed pair by pair.  Those counts are Moebius invariants,
+so an isometry keeps every one of them, and a matching compares source and
+target pair by pair and answers None at the first pair that differs,
+before any candidate isometry is formed.
 
-Each candidate isometry is verified by one test on every curve's circle,
-on integers when both circles are exact: the source circle, pulled back
-along the candidate's inverse, must be a multiple of the target's
-coefficients, so no image circle is built.  An inexact circle is compared
-by `Isometry.apply_circle`, at tolerance EPS.  A curve with irrational
-endpoints gives the search no frame point, so beside one the other curves
-must give three distinct rational boundary points, or the search raises
-InvalidInputError.
+A candidate isometry is an integer tuple (m00, m01, m10, m11, reversing)
+from `model._triple_ints`, computed on `_projective` boundary pairs, and
+one `Isometry` is built per answer, not per candidate.  Each candidate is
+verified by one test on every curve's circle, on integers when both
+circles are exact: the source circle, pulled back along the candidate's
+inverse, must be a multiple of the target's coefficients, so no image
+circle is built.  An inexact circle is compared by `Isometry.apply_circle`,
+at tolerance EPS.  A curve with irrational endpoints gives the search no
+frame point, so beside one the other curves must give three distinct
+rational boundary points, or the search raises InvalidInputError.
 """
 
 from __future__ import annotations
 
 from enum import Enum
+from fractions import Fraction
 from itertools import chain, combinations, permutations, product
 from math import factorial, prod
-from operator import itemgetter
+from operator import itemgetter, ne
 from typing import List, Optional, Sequence, Tuple
 
 from ._record import Record
@@ -42,11 +45,12 @@ from .model import (
     Curve,
     CurveKind,
     Isometry,
+    _projective,
     _pullback,
-    triple_normalizer,
+    _triple_ints,
     two_point_normalizer,
 )
-from .predicates import intersection_pattern, linked, pair_counts
+from .predicates import _iter_pair_counts, intersection_pattern, linked
 
 #: the most vertices `automorphisms` searches; `build_graph` takes any number
 MAX_VERTICES = 16
@@ -156,9 +160,9 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
         )
     adjacency = [[False] * n for _ in range(n)]
     if all(c.exact for c in curves):
-        counts = [k[0] for k in pair_counts(curves)]
+        counts = (k[0] for k in _iter_pair_counts(curves))
     else:
-        counts = [intersection_pattern(s, t).interior_count for s, t in combinations(curves, 2)]
+        counts = (intersection_pattern(s, t).interior_count for s, t in combinations(curves, 2))
     for (i, j), k in zip(combinations(range(n), 2), counts):
         adjacency[i][j] = adjacency[j][i] = k == 0
     return DisjointnessGraph(curves, adjacency, graph_class)
@@ -173,23 +177,26 @@ def _rows(g: DisjointnessGraph) -> List[int]:
 def _equitable_colours(rows: List[int]) -> List[int]:
     """Colour of each vertex in the coarsest equitable colouring refining the
     degrees (McKay 1981): repeatedly colour each vertex by its colour and the
-    number of its neighbours in every cell, until no cell splits.  Colours
-    are ranks of those signatures, so every automorphism keeps each cell."""
+    number of its neighbours in every nonempty cell, in colour order, until
+    no cell splits.  The first colours are the degrees, so a degree
+    colouring that is already equitable is returned after one pass; later
+    colours are ranks of the signatures.  Either way every automorphism
+    keeps each cell."""
     n = len(rows)
     colour = [r.bit_count() for r in rows]
-    count = 0
+    count = len(set(colour))
     while True:
         cells = [0] * n
-        for v in range(n):
-            cells[colour[v]] |= 1 << v
-        signature = [
-            (colour[v],) + tuple((rows[v] & cell).bit_count() for cell in cells if cell)
-            for v in range(n)
-        ]
-        rank = {sig: k for k, sig in enumerate(sorted(set(signature)))}
-        if len(rank) == count:
+        for v, c in enumerate(colour):
+            cells[c] |= 1 << v
+        cells = [cell for cell in cells if cell]
+        signature = [(c, *[(row & cell).bit_count() for cell in cells])
+                     for c, row in zip(colour, rows)]
+        distinct = set(signature)
+        if len(distinct) == count:
             return colour
-        count = len(rank)
+        count = len(distinct)
+        rank = {sig: k for k, sig in enumerate(sorted(distinct))}
         colour = [rank[sig] for sig in signature]
 
 
@@ -283,34 +290,39 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     return list(map(GraphAutomorphism, perms))
 
 
-def _boundary_data(curve: Curve) -> Optional[List[BoundaryPoint]]:
-    """The boundary points determining the curve's position: the center of
-    a horocycle, the endpoints of a geodesic or hypercycle; None when the
-    endpoints are not rational (irrational, or an inexact curve's)."""
+def _boundary_data(curve: Curve) -> Optional[List[Tuple[int, int]]]:
+    """The boundary points determining the curve's position, as `_projective`
+    pairs: the center of a horocycle, the endpoints of a geodesic or
+    hypercycle; None when the endpoints are not rational (irrational, or an
+    inexact curve's)."""
     if curve.kind is CurveKind.HOROCYCLE:
-        return [curve.center]
-    return list(curve.endpoints) if curve.has_exact_endpoints else None
+        return [_projective(curve.center)]
+    return list(map(_projective, curve.endpoints)) if curve.has_exact_endpoints else None
 
 
-def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, BoundaryPoint]]:
+def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, Tuple[int, int]]]:
     """Up to three distinct rational boundary points of the configuration,
-    each tagged with its curve index.  Horocycle centers come first (one
-    possible image each), then endpoints curve by curve, so that both
-    endpoints of a curve share their two images.  A curve with irrational
-    endpoints gives no point; fewer than three points must then be every
-    curve's data (`_completed_frames` relies on it), else InvalidInputError."""
-    data = [_boundary_data(c) for c in src_curves]
-    tagged = sorted(
-        ((i, p) for i, ps in enumerate(data) if ps is not None for p in ps),
-        key=lambda t: src_curves[t[0]].kind is not CurveKind.HOROCYCLE,
-    )
-    frame: List[Tuple[int, BoundaryPoint]] = []
-    for i, p in tagged:
-        if all(p != q for _, q in frame):
-            frame.append((i, p))
-            if len(frame) == 3:
-                return frame
-    if None in data:
+    as `_projective` pairs, each tagged with its curve index.  Horocycle
+    centers come first (one possible image each), then endpoints curve by
+    curve, so that both endpoints of a curve share their two images.  A
+    curve with irrational endpoints gives no point; fewer than three points
+    must then be every curve's data (`_completed_frames` relies on it), else
+    InvalidInputError."""
+    order = sorted(range(len(src_curves)),
+                   key=lambda i: src_curves[i].kind is not CurveKind.HOROCYCLE)
+    frame: List[Tuple[int, Tuple[int, int]]] = []
+    complete = True
+    for i in order:
+        data = _boundary_data(src_curves[i])
+        if data is None:
+            complete = False
+            continue
+        for p in data:
+            if all(p != q for _, q in frame):
+                frame.append((i, p))
+                if len(frame) == 3:
+                    return frame
+    if not complete:
         raise InvalidInputError(
             "graph curves need rational boundary data when the configuration has "
             "fewer than three distinct rational boundary points"
@@ -319,8 +331,9 @@ def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, BoundaryPoint]
 
 
 def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curve]):
-    """At most 8 isometries, one of which maps curve i to target i for all
-    i if any isometry does.
+    """At most 8 candidate isometries, one of which maps curve i to target i
+    for all i if any isometry does.  Each is the integer tuple (m00, m01,
+    m10, m11, reversing) of `model._triple_ints`, no `Isometry`.
 
     Such an isometry sends every boundary datum of src_curves[i] to one of
     dst_curves[i] (endpoint to endpoint, center to center).  So the images
@@ -331,7 +344,8 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
     it maps rational points to rational points and an exact curve to an
     exact one.  A configuration with fewer than three distinct boundary
     points gets its third frame point from metric data (see
-    _completed_frames)."""
+    _completed_frames).  Every frame and its images, as `_projective` pairs,
+    go through `_triple_ints`."""
     frame = _source_frame(src_curves)
     points = [p for _, p in frame]
     choices = [_boundary_data(dst_curves[i]) for i, _ in frame]
@@ -341,19 +355,20 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
         if len(set(images)) < len(images):
             continue  # an isometry is injective on the boundary
         if len(frame) == 3:
-            triples = [(points, list(images))]
+            triples = [(points, images)]
         else:
             triples = _completed_frames(src_curves, dst_curves, points, list(images))
         for src, dst in triples:
             try:
-                yield triple_normalizer(src, dst)
+                yield _triple_ints(src, dst)
             except HyperkError:
                 continue
 
 
 def _completed_frames(src_curves, dst_curves, points, images):
-    """Two frames (source triple, target triple) for a configuration with
-    one or two distinct boundary points whose images are fixed.
+    """Two frames (source triple, target triple) of `_projective` pairs for
+    a configuration with one or two distinct boundary points whose images
+    are fixed.
 
     Rational isometries a and b move the points to oo and 0 (a lone point
     gets an arbitrary partner, harmless because the curves then are
@@ -366,17 +381,18 @@ def _completed_frames(src_curves, dst_curves, points, images):
     if len(points) == 1:
         points = points + [_partner(points[0])]
         images = images + [_partner(images[0])]
-    a = two_point_normalizer(points[0], points[1])
-    b = two_point_normalizer(images[0], images[1])
+    a = two_point_normalizer(*map(_point, points))
+    b = two_point_normalizer(*map(_point, images))
     lam = _dilation(b) / _dilation(a)
     for s, t in zip(src_curves, dst_curves):
         if s.kind is CurveKind.HOROCYCLE:
             lam = b.apply_curve(t).size / a.apply_curve(s).size
             break
-    third = a.inverse().apply_boundary(BoundaryPoint.finite(1))
+    third = _projective(a.inverse().apply_boundary(BoundaryPoint.finite(1)))
     b_inv = b.inverse()
     return [
-        (points + [third], images + [b_inv.apply_boundary(BoundaryPoint.finite(sign * lam))])
+        (points + [third],
+         images + [_projective(b_inv.apply_boundary(BoundaryPoint.finite(sign * lam)))])
         for sign in (1, -1)
     ]
 
@@ -388,8 +404,14 @@ def _dilation(n: Isometry):
     return (a * d - b * c) / (c or d) ** 2
 
 
-def _partner(p: BoundaryPoint) -> BoundaryPoint:
-    return BoundaryPoint.finite(0) if p.is_infinity else INFINITY
+def _partner(p: Tuple[int, int]) -> Tuple[int, int]:
+    """0 for oo and oo for any other point, as `_projective` pairs."""
+    return (0, 1) if p == (1, 0) else (1, 0)
+
+
+def _point(p: Tuple[int, int]) -> BoundaryPoint:
+    """The boundary point of the `_projective` pair p."""
+    return BoundaryPoint(Fraction(*p)) if p[1] else INFINITY
 
 
 def isometry_matching(
@@ -403,16 +425,17 @@ def isometry_matching(
     They also preserve every pair's (interior_count, tangent,
     shared_endpoints), which are signs of Moebius invariants of the
     Lorentz Gram matrix (Coxeter, "Inversive distance"); so when every curve
-    on both sides is exact, the first pair whose counts differ between
-    source and target answers None.  Otherwise the candidates are the at
-    most 8 isometries sending a fixed frame of three rational source
-    boundary points to boundary data of the matching target curves
-    (completed from horocycle sizes when the source has fewer than three
-    distinct boundary points), and each is verified exactly by one test on
-    every curve: it must map the source circle onto the target's, on
-    integers when both are exact (the source pulled back along the inverse
-    is a multiple of the target), and by `Isometry.apply_circle` at
-    tolerance EPS when either is inexact.
+    on both sides is exact, source and target counts are compared pair by
+    pair, and the first pair that differs answers None.  Otherwise the
+    candidates are the at most 8 isometries sending a fixed frame of three
+    rational source boundary points to boundary data of the matching
+    target curves (completed from horocycle sizes when the source has fewer
+    than three distinct boundary points), each an integer tuple, and each
+    is verified exactly by one test on every curve: it must map the source
+    circle onto the target's, on integers when both are exact (the source
+    pulled back along the inverse is a multiple of the target), and by
+    `Isometry.apply_circle` at tolerance EPS when either is inexact.  One
+    `Isometry` is built, for the answer.
 
     A curve with irrational endpoints gives no frame point and is verified
     by its circle, like every other.  When the other curves give fewer
@@ -427,41 +450,41 @@ def isometry_matching(
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
         return Isometry.identity()
     if all(c.exact for c in src_curves) and all(c.exact for c in dst_curves):
-        if pair_counts(src_curves) != pair_counts(dst_curves):
+        if any(map(ne, _iter_pair_counts(src_curves), _iter_pair_counts(dst_curves))):
             return None
     # Curve equality is circle equality: no image Curve is built
     circles = [(s.circle, t.circle) for s, t in zip(src_curves, dst_curves)]
     for cand in _candidate_isometries(src_curves, dst_curves):
         if _maps_circles(cand, circles):
-            return cand
+            return Isometry(*cand)
     return None
 
 
-def _maps_circles(iso: Isometry, circles) -> bool:
-    """Does iso map each source circle onto its target, for every (source,
-    target) pair of GeneralizedCircles in `circles`?
+def _maps_circles(cand, circles) -> bool:
+    """Does the candidate cand = (m00, m01, m10, m11, reversing) map each
+    source circle onto its target, for every (source, target) pair of
+    GeneralizedCircles in `circles`?
 
     An exact pair is decided on integers: the source pulled back along the
     inverse map, as `apply_circle` does, is a vector k that must be a
     multiple of the target's coprime coefficients w.  Canonical form
     identifies v and -v, so the test is k[j] w[i] == w[j] k[i] for every j,
     with w[i] the first nonzero entry of w (one of a, b, c), and no gcd is
-    taken.  A pair with an inexact side is compared by `apply_circle`, at
-    tolerance EPS."""
-    m00, m01, m10, m11 = iso._ints()
+    taken.  A pair with an inexact side is compared by the `Isometry`'s
+    `apply_circle`, at tolerance EPS."""
+    m00, m01, m10, m11, reversing = cand
     for s, t in circles:
         if not (s.exact and t.exact):
-            if iso.apply_circle(s) != t:
+            if Isometry(*cand).apply_circle(s) != t:
                 return False
             continue
         a, b, c, d = s.coeffs()
-        if iso.reversing:
+        if reversing:
             b = -b  # x -> -x first
-        k = _pullback(a, b, c, d, m11, -m01, -m10, m00)
-        w = t.coeffs()
-        i = 0 if w[0] else 1 if w[1] else 2
-        wi, ki = w[i], k[i]
-        if any(kj * wi != wj * ki for kj, wj in zip(k, w)):
+        ka, kb, kc, kd = _pullback(a, b, c, d, m11, -m01, -m10, m00)
+        wa, wb, wc, wd = t.coeffs()
+        wi, ki = (wa, ka) if wa else (wb, kb) if wb else (wc, kc)
+        if (ka * wi, kb * wi, kc * wi, kd * wi) != (wa * ki, wb * ki, wc * ki, wd * ki):
             return False
     return True
 

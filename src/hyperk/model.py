@@ -18,11 +18,14 @@ point enters a formula only as `_projective` (a boundary point as (m, n),
 oo = (1, 0), so no formula has a case for oo) or `_homogeneous` (a point
 (x, y) as (X/W, Y/W)), where `_form_at` evaluates a circle.  A `Fraction`
 is built only for the value that is stored (an image point's
-coordinates, a boundary point).  `Isometry` keeps its
-entries as denominator-1 `Fraction`s, and `Isometry.apply_circle` still
-does `Fraction` arithmetic on purpose until ROADMAP item 1 lands: made
-integer, it runs the `pairs` benchmark past the 2^18 samples its buffer
-holds, and the buffer's growth shows as a peak-memory regression.
+coordinates, a boundary point).  `triple_normalizer` wraps `_triple_ints`,
+which finds and checks the isometry sending one triple of boundary points
+to another on `_projective` pairs, so a caller that only tests candidates
+(`graphs.isometry_matching`) builds no `Isometry` for them.  `Isometry`
+keeps its entries as denominator-1 `Fraction`s, and `Isometry.apply_circle`
+still does `Fraction` arithmetic on purpose until ROADMAP item 1 lands:
+made integer, it runs the `pairs` benchmark past the 2^18 samples its
+buffer holds, and the buffer's growth shows as a peak-memory regression.
 """
 
 from __future__ import annotations
@@ -833,38 +836,54 @@ def two_point_normalizer(x: BoundaryPoint, y: BoundaryPoint) -> Isometry:
 
 
 def _std_triple_matrix(t):
-    """Integer matrix sending the triple t to (0, 1, oo)."""
-    (x0, y0), (x1, y1), (x2, y2) = (_projective(p) for p in t)
+    """Integer matrix sending the triple t of `_projective` pairs to (0, 1, oo)."""
+    (x0, y0), (x1, y1), (x2, y2) = t
     k1 = x1 * y2 - y1 * x2
     k2 = x1 * y0 - y1 * x0
     return (k1 * y0, -k1 * x0, k2 * y2, -k2 * x2)
 
 
-def triple_normalizer(src, dst) -> Isometry:
-    """The unique isometry mapping the src triple pointwise to the dst triple.
+def _triple_ints(src, dst):
+    """(m00, m01, m10, m11, reversing) of the unique isometry mapping the
+    src triple pointwise to the dst triple, both triples of three distinct
+    `_projective` pairs; the entries are coprime, the first nonzero one
+    positive, as `_coprime_ints` gives them.
 
-    Orientation-preserving when the triples have the same cyclic orientation,
-    reversing otherwise.  With every point an integer pair (x, y), oo being
-    (1, 0), the matrix with rows k1 (y0, -x0) and k2 (y2, -x2), where
-    k1 = x1 y2 - y1 x2 and k2 = x1 y0 - y1 x0, sends the triple to
-    (0, 1, oo) with no case for oo; the answer is adj(Md) Ms on integers.
+    With every point an integer pair (x, y), oo being (1, 0), the matrix
+    with rows k1 (y0, -x0) and k2 (y2, -x2), where k1 = x1 y2 - y1 x2 and
+    k2 = x1 y0 - y1 x0, sends the triple to (0, 1, oo) with no case for oo;
+    the answer is adj(Md) Ms.  It is orientation-preserving when the
+    triples have the same cyclic orientation, reversing otherwise.  Each
+    image is checked against its target by cross-multiplication.
     """
+    e, f, g, h = _std_triple_matrix(src)
+    a, b, c, d = _std_triple_matrix(dst)
+    m00, m01, m10, m11 = d * e - b * g, d * f - b * h, a * g - c * e, a * h - c * f
+    reversing = not m00 * m11 - m01 * m10 > 0
+    if reversing:
+        # the pointwise map is orientation-reversing: precompose with x -> -x
+        # by negating the first matrix column
+        m00, m10 = -m00, -m10
+    k = math.gcd(m00, m01, m10, m11) or 1
+    if (m00 or m01 or m10 or m11) < 0:
+        k = -k
+    m00, m01, m10, m11 = m00 // k, m01 // k, m10 // k, m11 // k
+    for (x, y), (u, v) in zip(src, dst):
+        z = -x if reversing else x
+        if (m00 * z + m01 * y) * v != (m10 * z + m11 * y) * u:
+            raise HyperkError(
+                f"triple normalizer [{m00} {m01}; {m10} {m11}] does not send {(x, y)} to {(u, v)}"
+            )
+    return m00, m01, m10, m11, reversing
+
+
+def triple_normalizer(src, dst) -> Isometry:
+    """The unique isometry mapping the src triple pointwise to the dst
+    triple: `_triple_ints` of their `_projective` pairs."""
     src, dst = tuple(src), tuple(dst)
     if len(set(src)) != 3 or len(set(dst)) != 3:
         raise InvalidInputError("triples must consist of three distinct points")
-    e, f, g, h = _std_triple_matrix(src)
-    a, b, c, d = _std_triple_matrix(dst)
-    m = (d * e - b * g, d * f - b * h, a * g - c * e, a * h - c * f)
-    if m[0] * m[3] - m[1] * m[2] > 0:
-        iso = Isometry(*m)
-    else:
-        # the pointwise map is orientation-reversing: precompose with x -> -x
-        # by negating the first matrix column
-        iso = Isometry(-m[0], m[1], -m[2], m[3], reversing=True)
-    for s, t in zip(src, dst):
-        if iso.apply_boundary(s) != t:
-            raise HyperkError(f"triple normalizer {iso!r} does not send {s!r} to {t!r}")
-    return iso
+    return Isometry(*_triple_ints([_projective(p) for p in src], [_projective(p) for p in dst]))
 
 
 # ---------------------------------------------------------------------------

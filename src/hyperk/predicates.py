@@ -7,7 +7,8 @@ rational sign tests for exact curves.  The counts of an exact pair come
 from the signs of the Lorentz Gram matrix of the two coefficient vectors
 (`_gram_counts`), whatever the kinds, with no case for lines or for oo;
 its meeting points are built only when `interior_points` is first read;
-`pair_counts` counts every pair of a list from one Gram matrix.
+`pair_counts` counts every pair of a list from one Gram matrix, and
+`_iter_pair_counts` yields those counts pair by pair.
 Only the coordinates of those points may be floats (when the points are
 irrational); the counts never are.  A pair with an inexact (float) curve
 finds its meeting points first and counts them, every sign test with
@@ -133,16 +134,24 @@ def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
 
 def pair_counts(curves):
     """[(interior_count, tangent, shared_endpoints) of curves i, j for (i, j)
-    in combinations(range(n), 2)] for a list of exact curves: the Lorentz
-    Gram matrix of their coefficient vectors is formed once, each g_ii one
-    time.  Each entry is what `intersection_pattern` counts for a distinct
-    pair; equal curves, whose vectors are equal, get (0, False, 1)."""
+    in combinations(range(n), 2)] for a list of exact curves: the list of
+    `_iter_pair_counts`."""
     if not all(c.exact for c in curves):
         raise InvalidInputError("pair_counts needs exact curves")
+    return list(_iter_pair_counts(curves))
+
+
+def _iter_pair_counts(curves):
+    """The entries of `pair_counts` one by one, for exact curves: the
+    Lorentz Gram matrix of their coefficient vectors is formed entry by
+    entry as the pairs are read, each g_ii once up front, so a caller that
+    stops at some pair forms no entry past it.  Each entry is what
+    `intersection_pattern` counts for a distinct pair; equal curves, whose
+    vectors are equal, get (0, False, 1)."""
     vs = [c.circle.coeffs() for c in curves]
     gs = [_lorentz(v, v) for v in vs]
-    return [_gram_counts(v, w, gv, gw, _lorentz(v, w))
-            for (v, gv), (w, gw) in combinations(zip(vs, gs), 2)]
+    return (_gram_counts(v, w, gv, gw, _lorentz(v, w))
+            for (v, gv), (w, gw) in combinations(zip(vs, gs), 2))
 
 
 def _gram_counts(v, w, g11, g22, g12):

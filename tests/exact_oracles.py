@@ -136,7 +136,8 @@ def _oracle_isometry_matching(src_curves, dst_curves):
         return None
     if all(src_curves[i] == dst_curves[i] for i in range(n)):
         return Isometry.identity()
-    for cand in _candidate_isometries(src_curves, dst_curves):
+    for ints in _candidate_isometries(src_curves, dst_curves):
+        cand = Isometry(*ints)
         if all(cand.apply_circle(s.circle) == t.circle for s, t in zip(src_curves, dst_curves)):
             return cand
     return None

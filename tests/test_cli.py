@@ -410,20 +410,48 @@ CURVE_FILES = {
     "TWO": "geodesic a=1 b=0 c=0 d=-1\ngeodesic a=0 b=1 c=0 d=0\n",  # crossing: not adjacent
     "MIXED": "geodesic a=1 b=0 c=0 d=-1\nhorocycle a=1 b=0 c=-1 d=0\n",
     "BADKEY": "horocycle x=1 b=0 c=-1 d=0\n",
+    "BLANK": "",
 }
 
 
-@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
-def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
+def _run_on_files(capsys, tmp_path, argv):
+    """run() with each CURVE_FILES placeholder in argv replaced by a file
+    holding its text, and a.svg by a path under tmp_path."""
     files = {"a.svg": tmp_path / "a.svg"}  # a row that wrongly renders writes here
     for name, text in CURVE_FILES.items():
         files[name] = tmp_path / name
         files[name].write_text(text)
-    says = SAYS.get(argv, "")
-    argv = [str(files.get(a, a)) for a in argv]
-    code, _, err = run(capsys, *argv)
+    return run(capsys, *[str(files.get(a, a)) for a in argv])
+
+
+@pytest.mark.parametrize("argv", MALFORMED, ids=" ".join)
+def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
+    code, _, err = _run_on_files(capsys, tmp_path, argv)
     assert code == 2
-    assert "Traceback" not in err and says in err
+    assert "Traceback" not in err and SAYS.get(argv, "") in err
+
+
+#: the exit-2 rows the tests outside MALFORMED run, and two commands that
+#: fail after some of their output is formed
+EXIT_2_ELSEWHERE = [
+    ("classify", "--coeffs", "1,0,banana,0"),
+    ("classify", "--horocycle", "0,0.5"),
+    ("--inexact", "earthquake", "--fault", "0,oo", "--shear", str(2**1100), "apply", "-0.5,2.0"),
+    ("verify", "nosuchsuite"),
+    ("construct", "equidistant", "--first", "-1,1", "--distance", "nan"),
+    ("construct", "equidistant", "--first", "-1,1", "--distance", "-1"),
+    ("graph", "--curves", "BLANK"),
+    ("graph", "--curves", "MIXED", "--mixed", "--autos", "--cap", "0"),
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-1", "x"),
+]
+
+
+@pytest.mark.parametrize("argv", MALFORMED + EXIT_2_ELSEWHERE, ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_exit_2_leaves_stdout_empty(capsys, tmp_path, argv, fmt):
+    # a refused command prints no part of an answer, not even the --inexact note
+    code, out, _ = _run_on_files(capsys, tmp_path, ("--format", fmt) + argv)
+    assert code == 2 and out == ""
 
 
 @pytest.mark.parametrize("distance, message", [

@@ -51,7 +51,7 @@ class TestBuildGraph:
 
     def test_an_inexact_curve_takes_the_pattern_route(self, monkeypatch):
         # with a float curve in the list no pair is read from the Gram table
-        monkeypatch.setattr(graphs, "pair_counts", None)
+        monkeypatch.setattr(graphs, "_iter_pair_counts", None)
         hs = designed_horocycles()
         hs[1] = make_horocycle(F(1), 0.5)
         assert set(build_graph(hs).edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
@@ -272,12 +272,14 @@ def _transposed_targets(rng, curves, image):
 
 def test_frame_matching_agrees_with_all_triples_oracle(monkeypatch):
     calls = []
+    candidates = graphs._candidate_isometries
 
     def counted(src, dst):
-        calls.append(1)
-        return triple_normalizer(src, dst)
+        for cand in candidates(src, dst):
+            calls.append(1)
+            yield cand
 
-    monkeypatch.setattr(graphs, "triple_normalizer", counted)
+    monkeypatch.setattr(graphs, "_candidate_isometries", counted)
     rng = random.Random(20240527)
     found = missed = 0
     for index in range(24):
@@ -300,7 +302,7 @@ def test_frame_matching_agrees_with_all_triples_oracle(monkeypatch):
                 missed += 1
             else:
                 found += 1
-                assert _maps_exactly(iso, curves, target)
+                assert calls and _maps_exactly(iso, curves, target)
     assert found == 24 + 12 and missed > 0
 
 
@@ -446,6 +448,50 @@ def test_colour_refinement_splits_what_degrees_do_not():
     # a cycle is regular: one cell
     cycle = _labelled_graph(6, [(v, (v + 1) % 6) for v in range(6)])
     assert len(set(graphs._equitable_colours(graphs._rows(cycle)))) == 1
+
+
+def _oracle_equitable_colours(rows):
+    """`graphs._equitable_colours` as it was before it started from the
+    number of distinct degrees: every cell by colour value, empty ones
+    skipped, at least two passes, and colours always ranks."""
+    n = len(rows)
+    colour = [r.bit_count() for r in rows]
+    count = 0
+    while True:
+        cells = [0] * n
+        for v in range(n):
+            cells[colour[v]] |= 1 << v
+        signature = [
+            (colour[v],) + tuple((rows[v] & cell).bit_count() for cell in cells if cell)
+            for v in range(n)
+        ]
+        rank = {sig: k for k, sig in enumerate(sorted(set(signature)))}
+        if len(rank) == count:
+            return colour
+        count = len(rank)
+        colour = [rank[sig] for sig in signature]
+
+
+def _cells(colour):
+    """The partition of a colouring: each vertex's least cell-mate."""
+    return [colour.index(c) for c in colour]
+
+
+def test_colour_refinement_matches_the_two_pass_oracle():
+    every = [
+        _labelled_graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
+        for n in range(1, 6)
+        for pairs in [list(combinations(range(n), 2))]
+        for mask in range(1 << len(pairs))
+    ]
+    refined = collections.Counter()
+    for g in every + list(_seeded_graphs(random.Random(20261018), 320)):
+        rows = graphs._rows(g)
+        colour = graphs._equitable_colours(rows)
+        assert _cells(colour) == _cells(_oracle_equitable_colours(rows)), g.edges()
+        refined[len(set(colour)) > len({r.bit_count() for r in rows})] += 1
+    # degree colourings that are equitable and ones that split both occur
+    assert min(refined.values()) >= 100, refined
 
 
 def test_automorphisms_search_only_within_cells(monkeypatch):
@@ -732,17 +778,19 @@ def test_integer_circle_test_agrees_with_apply_circle():
         image = g.apply_circle(c)
         targets = [image, _off_by_one(rng, image), other.apply_circle(c),
                    _circle_or_none(_int_floats(image.coeffs()), False)]
+        cand = (*g._ints(), g.reversing)
         for t in filter(None, targets):
             want = g.apply_circle(c) == t
-            assert graphs._maps_circles(g, [(c, t)]) == want
-            assert graphs._maps_circles(g, [(c, image), (c, t)]) == want
+            assert graphs._maps_circles(cand, [(c, t)]) == want
+            assert graphs._maps_circles(cand, [(c, image), (c, t)]) == want
             tally[g.reversing, want] += 1
     # every map kind on both answers, and inexact pairs take apply_circle
     assert min(tally.values()) >= 100, tally
     inexact = GeneralizedCircle(1.0, -2.0, -1.0, 1.0)
     k = Isometry(2, 1, 1, 3, reversing=True)
-    assert graphs._maps_circles(k, [(inexact, k.apply_circle(inexact))])
-    assert not graphs._maps_circles(k, [(inexact, Isometry.identity().apply_circle(inexact))])
+    cand = (*k._ints(), k.reversing)
+    assert graphs._maps_circles(cand, [(inexact, k.apply_circle(inexact))])
+    assert not graphs._maps_circles(cand, [(inexact, Isometry.identity().apply_circle(inexact))])
 
 
 def test_realizing_answers_as_matching_the_images():

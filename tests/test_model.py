@@ -164,6 +164,13 @@ class TestIsometry:
         w = m.apply_point(UHPPoint(0.25, 2.0, exact=False))
         assert w.y > 0
 
+    def test_equal_isometries_hash_equal(self):
+        # a matrix and its multiples are one isometry, and one dict key
+        scaled, identity = Isometry(2, 0, 0, 2), Isometry.identity()
+        assert scaled == identity and hash(scaled) == hash(identity)
+        assert {scaled: "scaled", identity: "identity"} == {identity: "identity"}
+        assert hash(Isometry.reflection()) != hash(identity)
+
     def test_reversing_isometry(self):
         r = Isometry.reflection()
         assert r.reversing
@@ -182,9 +189,18 @@ class TestIsometry:
             assert n.apply_boundary(s) == d
 
     def test_triple_normalizer_self_check_raises_without_assert(self, monkeypatch):
-        monkeypatch.setattr(Isometry, "apply_boundary", lambda self, p: INFINITY)
-        with pytest.raises(HyperkError):
-            triple_normalizer((F(0), F(1), INFINITY), (F(-1), F(0), F(1)))
+        # a target-side matrix that sends the dst triple elsewhere: the
+        # integer self-check, not an assert, catches the wrong answer
+        dst = (F(-1), F(0), F(1))
+        std = model._std_triple_matrix
+
+        def wrong_on_target(t):
+            m = std(t)
+            return (m[0] + m[2], m[1] + m[3], m[2], m[3]) if t[0] == (-1, 1) else m
+
+        monkeypatch.setattr(model, "_std_triple_matrix", wrong_on_target)
+        with pytest.raises(HyperkError, match="does not send"):
+            triple_normalizer((F(0), F(1), INFINITY), dst)
 
 
 class TestSampling:
@@ -234,6 +250,14 @@ class TestDistance:
         g = Isometry(2**600 + 1, 1, 2**600, 1).apply_curve(make_geodesic(F(-1), F(3)))
         z = UHPPoint(1, Q(1, 2**600))
         assert distance_to_geodesic(z, g) == pytest.approx(_oracle_distance_to_geodesic(z, g))
+
+    def test_irrational_endpoints_are_refused_by_name(self):
+        h = curve_from_coeffs(1, 0, -1, -2)  # x^2 + y^2 - y - 2 = 0 ends at +-sqrt(2)
+        assert h.kind is CurveKind.HYPERCYCLE and not h.has_exact_endpoints
+        with pytest.raises(InvalidInputError, match="irrational endpoints; use endpoint_floats"):
+            h.endpoints
+        lo, hi = h.endpoint_floats()
+        assert hi == pytest.approx(math.sqrt(2), rel=1e-15) and lo == -hi
 
     def test_equidistant_pair_needs_rational_endpoints(self):
         g = curve_from_coeffs(1, 0, 0, -2)  # endpoints +-sqrt(2)
@@ -603,6 +627,10 @@ def test_triple_normalizer_matches_fraction_oracle():
         iso = triple_normalizer(src, dst)
         want = _oracle_triple_normalizer(src, dst)
         assert iso.matrix() == want.matrix() and iso.reversing == want.reversing
+        # the integer candidate is already in the Isometry's coprime form
+        ints = model._triple_ints([model._projective(p) for p in src],
+                                  [model._projective(p) for p in dst])
+        assert ints == (*want._ints(), want.reversing)
         assert all(type(v) is Fraction for v in iso.matrix())
         done += 1
         for side, triple in (("src", src), ("dst", dst)):

@@ -216,6 +216,25 @@ class TestInexactPatterns:
         p = intersection_pattern(make_horocycle(F(0), 0.25), make_horocycle(F(3), 0.5))
         assert (p.interior_count, p.tangent, p.shared_endpoints) == (0, False, 0)
 
+    def test_float_concentric_circles_do_not_meet(self, monkeypatch):
+        # the radical line of concentric circles is the line at infinity
+        # (B = C = 0), which meets neither circle
+        inner = curve_from_coeffs(1.0, 0.0, 0.0, -1.0, exact=False)
+        outer = curve_from_coeffs(1.0, 0.0, 0.0, -4.0, exact=False)
+        lines = []
+        line_circle = predicates._line_circle
+
+        def spy(line, circle, tol):
+            lines.append(line[:2])
+            return line_circle(line, circle, tol)
+
+        monkeypatch.setattr(predicates, "_line_circle", spy)
+        for pair in ((inner, outer), (outer, inner), (curve_from_coeffs(1, 0, 0, -1), outer)):
+            p = intersection_pattern(*pair)
+            assert (p.interior_count, p.tangent, p.shared_endpoints) == (0, False, 0)
+            assert p.interior_points == ()
+        assert lines == [(0.0, 0.0)] * 3
+
     def test_float_horocycles_crossing_twice(self):
         p = intersection_pattern(make_horocycle(F(0), 1.5), make_horocycle(F(1), 1.5))
         assert (p.interior_count, p.tangent) == (2, False)

@@ -474,6 +474,51 @@ def test_exact_candidates_build_no_image_circle(monkeypatch):
         isometry_matching(inexact, [Isometry.translation(1).apply_curve(c) for c in inexact])
 
 
+def test_matching_builds_one_isometry_per_answer(monkeypatch):
+    # candidates are integer tuples: an exact hit framed by three rational
+    # boundary points builds one Isometry, its answer, and a miss builds
+    # none, whether the pair counts answer it or every candidate fails
+    import random
+
+    from hyperk import INFINITY, BoundaryPoint, isometry_matching, make_geodesic, make_horocycle
+    from hyperk.model import Isometry
+    from hyperk.predicates import pair_counts
+    from hyperk.verify import rand_curve, rand_isometry
+
+    F = BoundaryPoint.finite
+    rng = random.Random(2601)
+    hits, count_misses = [], []
+    while len(hits) < 40:
+        src = list({rand_curve(rng): None for _ in range(rng.randint(3, 6))})
+        g = rand_isometry(rng)
+        image = [g.apply_curve(c) for c in src]
+        hits.append((src, image))
+        swapped = image[1:2] + image[:1] + image[2:]
+        if all(a.kind is b.kind for a, b in zip(src, swapped)) and (
+                pair_counts(src) != pair_counts(swapped)):
+            count_misses.append((src, swapped))
+    src = [make_horocycle(F(0), 1), make_geodesic(F(1), F(3)), make_geodesic(F(4), F(5))]
+    search_misses = [(src, src[:2] + [make_geodesic(F(4), F(6))]),
+                     (src, src[:2] + [make_geodesic(F(5), INFINITY)])]
+    assert len(count_misses) >= 5
+    assert all(pair_counts(s) == pair_counts(t) for s, t in search_misses)
+    built = []
+    init = Isometry.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Isometry, "__init__", counted)
+    for s, t in hits:
+        del built[:]
+        iso = isometry_matching(s, t)
+        assert iso is not None and len(built) == 1
+    for s, t in count_misses + search_misses:
+        del built[:]
+        assert isometry_matching(s, t) is None and built == []
+
+
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
 
