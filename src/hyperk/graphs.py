@@ -8,47 +8,55 @@ h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.
 
+The module reads the integer data each exact curve keeps from when it was
+built: its circle's coefficient tuple and Lorentz norm, and its boundary
+data as `_projective` pairs (`Curve._boundary`: the endpoints, or a
+horocycle's centre).  On exact curves it forms no `Fraction` but the
+answer's entries.
+
 For exact curves, adjacency and the first test of a matching both read
 pair counts (`predicates._iter_pair_counts`): the interior count, tangency
 and shared endpoints of every pair, from the Lorentz Gram matrix of the
-configuration, formed pair by pair.  Those counts are Moebius invariants,
-so an isometry keeps every one of them, and a matching compares source and
-target pair by pair and answers None at the first pair that differs,
-before any candidate isometry is formed.
+configuration, formed pair by pair from the kept tuples and norms.  Those
+counts are Moebius invariants, so an isometry keeps every one of them, and
+a matching compares source and target pair by pair and answers None at the
+first pair that differs, before any candidate isometry is formed.
 
 A candidate isometry is an integer tuple (m00, m01, m10, m11, reversing)
-from `model._triple_ints`, computed on `_projective` boundary pairs, and
-one `Isometry` is built per answer, not per candidate.  Each candidate is
-verified by one test on every curve's circle, on integers when both
-circles are exact: the source circle, pulled back along the candidate's
-inverse, must be a multiple of the target's coefficients, so no image
-circle is built.  An inexact circle is compared by `Isometry.apply_circle`,
-at tolerance EPS.  A curve with irrational endpoints gives the search no
-frame point, so beside one the other curves must give three distinct
-rational boundary points, or the search raises InvalidInputError.
+from `model._triple_ints`, computed on the kept boundary pairs (a frame of
+fewer than three points is completed on integer matrices too), and one
+`Isometry` is built per answer, from the tuple with no second reduction,
+not per candidate.  Each candidate is verified by one test on every
+curve's circle, on integers when both circles are exact: the source
+circle, pulled back along the candidate's inverse, must be a multiple of
+the target's coefficients, so no image circle is built.  An inexact circle
+is compared by `Isometry.apply_circle`, at tolerance EPS.  A curve with
+irrational endpoints gives the search no frame point, so beside one the
+other curves must give three distinct rational boundary points, or the
+search raises InvalidInputError.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from fractions import Fraction
-from itertools import chain, combinations, permutations, product
+from itertools import chain, combinations, compress, permutations, product
 from math import factorial, prod
-from operator import itemgetter, ne
+from operator import eq, itemgetter, ne
 from typing import List, Optional, Sequence, Tuple
 
+from ._rational import Q
 from ._record import Record
 from .errors import HyperkError, InvalidInputError
 from .model import (
-    INFINITY,
     BoundaryPoint,
     Curve,
     CurveKind,
     Isometry,
+    _horocycle_size,
     _projective,
     _pullback,
     _triple_ints,
-    two_point_normalizer,
+    _two_point_ints,
 )
 from .predicates import _iter_pair_counts, intersection_pattern, linked
 
@@ -136,8 +144,11 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
     the two curves have no interior meeting point."""
     curves = list(curves)
     n = len(curves)
-    for i in range(n):
-        for j in range(i + 1, n):
+    circles = [c.circle for c in curves]
+    exact = all(c.exact for c in circles)
+    # exact circles are equal when their coefficient tuples are
+    if not exact or len({c.coeffs() for c in circles}) < n:
+        for i, j in combinations(range(n), 2):
             if curves[i] == curves[j]:
                 raise InvalidInputError(
                     f"duplicate curves at indices {i} and {j}: {curves[i].to_text()}"
@@ -159,7 +170,7 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
             "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"
         )
     adjacency = [[False] * n for _ in range(n)]
-    if all(c.exact for c in curves):
+    if exact:
         counts = (k[0] for k in _iter_pair_counts(curves))
     else:
         counts = (intersection_pattern(s, t).interior_count for s, t in combinations(curves, 2))
@@ -170,8 +181,8 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
 
 def _rows(g: DisjointnessGraph) -> List[int]:
     """Adjacency rows as int bitmasks: bit j of row i is the edge ij."""
-    n = len(g)
-    return [sum(1 << j for j in range(n) if j != i and g.adjacency[i][j]) for i in range(n)]
+    bits = [1 << j for j in range(len(g))]
+    return [sum(compress(bits, row)) & ~bit for row, bit in zip(g.adjacency, bits)]
 
 
 def _equitable_colours(rows: List[int]) -> List[int]:
@@ -290,14 +301,14 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     return list(map(GraphAutomorphism, perms))
 
 
-def _boundary_data(curve: Curve) -> Optional[List[Tuple[int, int]]]:
-    """The boundary points determining the curve's position, as `_projective`
-    pairs: the center of a horocycle, the endpoints of a geodesic or
-    hypercycle; None when the endpoints are not rational (irrational, or an
-    inexact curve's)."""
-    if curve.kind is CurveKind.HOROCYCLE:
-        return [_projective(curve.center)]
-    return list(map(_projective, curve.endpoints)) if curve.has_exact_endpoints else None
+def _boundary_data(curve: Curve):
+    """The curve's kept boundary pairs (`Curve._boundary`), and for an
+    inexact horocycle the `_projective` pair of its centre's exact value;
+    None for irrational endpoints or another inexact curve."""
+    data = curve._boundary
+    if data is None and curve.kind is CurveKind.HOROCYCLE:
+        return (_projective(curve.center),)
+    return data
 
 
 def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, Tuple[int, int]]]:
@@ -368,50 +379,63 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
 def _completed_frames(src_curves, dst_curves, points, images):
     """Two frames (source triple, target triple) of `_projective` pairs for
     a configuration with one or two distinct boundary points whose images
-    are fixed.
+    are fixed, on integers for exact curves.
 
-    Rational isometries a and b move the points to oo and 0 (a lone point
-    gets an arbitrary partner, harmless because the curves then are
-    horocycles at oo, which every translation fixes).  An isometry matching
-    the configurations is then b^-1 . h . a with h(z) = lam z or
-    h(z) = -lam conj(z): lam is the size ratio of the first horocycle, or
-    with none (every h fixes curves ending at 0 and oo) the ratio of the
-    `_dilation`s of b and a.  Each frame is (a^-1 oo, a^-1 0, a^-1 1) ->
-    (b^-1 oo, b^-1 0, b^-1 h(1))."""
+    The integer matrices a and b of `model._two_point_ints` move the points
+    to oo and 0 (a lone point gets an arbitrary partner, harmless because
+    the curves then are horocycles at oo, which every translation fixes).
+    An isometry matching the configurations is then b^-1 . h . a with
+    h(z) = lam z or h(z) = -lam conj(z): lam is the size ratio of the images
+    of the first horocycle and its target (each circle pulled back along
+    the inverse, as `Isometry.apply_circle` does), or with none (every h
+    fixes curves ending at 0 and oo) the ratio of the `_dilation`s of b and
+    a.  Each frame is (a^-1 oo, a^-1 0, a^-1 1) -> (b^-1 oo, b^-1 0,
+    b^-1 h(1)), the inverses being adjugates."""
     if len(points) == 1:
         points = points + [_partner(points[0])]
         images = images + [_partner(images[0])]
-    a = two_point_normalizer(*map(_point, points))
-    b = two_point_normalizer(*map(_point, images))
-    lam = _dilation(b) / _dilation(a)
+    a, b = _two_point_ints(*points), _two_point_ints(*images)
     for s, t in zip(src_curves, dst_curves):
-        if s.kind is CurveKind.HOROCYCLE:
-            lam = b.apply_curve(t).size / a.apply_curve(s).size
-            break
-    third = _projective(a.inverse().apply_boundary(BoundaryPoint.finite(1)))
-    b_inv = b.inverse()
+        if s.kind is not CurveKind.HOROCYCLE:
+            continue
+        if s.exact and t.exact:
+            (sn, sd), (tn, td) = _size(s, a), _size(t, b)
+            num, den = tn * sd, td * sn
+        else:  # the exact value of the float sizes' ratio
+            lam = Q(Isometry(*b).apply_curve(t).size / Isometry(*a).apply_curve(s).size)
+            num, den = lam.numerator, lam.denominator
+        break
+    else:
+        (an, ad), (bn, bd) = _dilation(a), _dilation(b)
+        num, den = bn * ad, bd * an
+    a00, a01, a10, a11 = a
+    b00, b01, b10, b11 = b
+    third = (a11 - a01, a00 - a10)
     return [
         (points + [third],
-         images + [_projective(b_inv.apply_boundary(BoundaryPoint.finite(sign * lam)))])
+         images + [(b11 * sign * num - b01 * den, b00 * den - b10 * sign * num)])
         for sign in (1, -1)
     ]
 
 
-def _dilation(n: Isometry):
-    """lam > 0 with n = (z -> lam z) . n1, n1 the map of n written with
+def _size(h: Curve, m):
+    """(num, den), num / den the size of the image of the exact horocycle h
+    under the integer matrix m of an orientation-preserving map."""
+    a00, a01, a10, a11 = m
+    return _horocycle_size(_pullback(*h.circle.coeffs(), a11, -a01, -a10, a00))
+
+
+def _dilation(m):
+    """(num, den), lam = num / den > 0 with m = (z -> lam z) . m1 for the
+    integer matrix m, det m > 0, and m1 the map of m written with
     determinant 1 and 1 the first nonzero entry of its bottom row."""
-    a, b, c, d = n.matrix()
-    return (a * d - b * c) / (c or d) ** 2
+    a, b, c, d = m
+    return a * d - b * c, (c or d) ** 2
 
 
 def _partner(p: Tuple[int, int]) -> Tuple[int, int]:
     """0 for oo and oo for any other point, as `_projective` pairs."""
     return (0, 1) if p == (1, 0) else (1, 0)
-
-
-def _point(p: Tuple[int, int]) -> BoundaryPoint:
-    """The boundary point of the `_projective` pair p."""
-    return BoundaryPoint(Fraction(*p)) if p[1] else INFINITY
 
 
 def isometry_matching(
@@ -447,16 +471,16 @@ def isometry_matching(
     n = len(src_curves)
     if any(src_curves[i].kind is not dst_curves[i].kind for i in range(n)):
         return None
-    if all(src_curves[i] == dst_curves[i] for i in range(n)):
+    if all(map(eq, src_curves, dst_curves)):
         return Isometry.identity()
-    if all(c.exact for c in src_curves) and all(c.exact for c in dst_curves):
+    if all(c.circle.exact for c in chain(src_curves, dst_curves)):
         if any(map(ne, _iter_pair_counts(src_curves), _iter_pair_counts(dst_curves))):
             return None
     # Curve equality is circle equality: no image Curve is built
     circles = [(s.circle, t.circle) for s, t in zip(src_curves, dst_curves)]
     for cand in _candidate_isometries(src_curves, dst_curves):
         if _maps_circles(cand, circles):
-            return Isometry(*cand)
+            return Isometry._from_coprime(*cand)
     return None
 
 

@@ -14,18 +14,24 @@ exact meeting point itself (so a curve with irrational endpoints needs no
 point on the axis) and at distances relative to the meeting point's height.
 
 Exact points, sign tests and constructors run on integers, and an exact
-point enters a formula only as `_projective` (a boundary point as (m, n),
-oo = (1, 0), so no formula has a case for oo) or `_homogeneous` (a point
-(x, y) as (X/W, Y/W)), where `_form_at` evaluates a circle.  A `Fraction`
-is built only for the value that is stored (an image point's
-coordinates, a boundary point).  `triple_normalizer` wraps `_triple_ints`,
-which finds and checks the isometry sending one triple of boundary points
-to another on `_projective` pairs, so a caller that only tests candidates
-(`graphs.isometry_matching`) builds no `Isometry` for them.  `Isometry`
-keeps its entries as denominator-1 `Fraction`s, and `Isometry.apply_circle`
-still does `Fraction` arithmetic on purpose until ROADMAP item 1 lands:
-made integer, it runs the `pairs` benchmark past the 2^18 samples its
-buffer holds, and the buffer's growth shows as a peak-memory regression.
+point enters a formula only as `_projective` (a boundary point as
+(m, n), oo = (1, 0), so no formula has a case for oo) or `_homogeneous`
+(a point (x, y) as (X/W, Y/W)), where `_form_at` evaluates a circle.  A
+`Fraction` is built only for the value that is stored (an image point's
+coordinates, a boundary point).  Each exact circle keeps its coefficient
+tuple and Lorentz norm, and each exact curve its boundary data as
+`_projective` pairs, all formed once when it is built;
+`Curve.endpoints`, `center` and `size` build their `Fraction`s from them
+only when read.  `triple_normalizer` wraps `_triple_ints`, which finds
+and checks the isometry sending one triple of boundary points to another
+on `_projective` pairs, so a caller that only tests candidates
+(`graphs.isometry_matching`) builds no `Isometry` for them, and builds
+its answer with `Isometry._from_coprime`, which skips the reduction
+`_triple_ints` already did.  `Isometry` keeps its entries as
+denominator-1 `Fraction`s, and `Isometry.apply_circle` still does
+`Fraction` arithmetic on purpose until ROADMAP item 1 lands: made
+integer, it runs the `pairs` benchmark past the 2^18 samples its buffer
+holds, and the buffer's growth shows as a peak-memory regression.
 """
 
 from __future__ import annotations
@@ -238,17 +244,21 @@ class GeneralizedCircle:
 
     Exact circles store coprime integers with the first nonzero of (a, b, c)
     positive.  Inexact circles store unit-norm floats with the same sign
-    convention at tolerance EPS.
+    convention at tolerance EPS.  Each circle also keeps the tuple
+    (a, b, c, d) that `coeffs()` returns and its Lorentz norm <v, v> =
+    b^2 + c^2 - 4ad (`_lorentz`) that `nondegeneracy()` returns, both formed
+    once here, so that a pass over many pairs (`predicates._iter_pair_counts`)
+    reads them instead of forming them again.
     """
 
-    __slots__ = ("a", "b", "c", "d", "exact")
+    __slots__ = ("a", "b", "c", "d", "exact", "_k", "_norm")
 
     def __init__(self, a, b, c, d, exact: Optional[bool] = None):
         if exact is None:
             exact = all(is_rational(v) for v in (a, b, c, d))
         if exact:
-            self.a, self.b, self.c, self.d = _coprime_ints((a, b, c, d))
-            if self.a == self.b == self.c == 0:
+            self.a, self.b, self.c, self.d = k = tuple(_coprime_ints((a, b, c, d)))
+            if k[0] == k[1] == k[2] == 0:
                 raise DegenerateResultError("degenerate circle: a = b = c = 0")
         else:
             fa, fb, fc, fd = float(a), float(b), float(c), float(d)
@@ -264,19 +274,20 @@ class GeneralizedCircle:
             lead = fa if abs(fa) > EPS else (fb if abs(fb) > EPS else fc)
             if lead < 0:
                 fa, fb, fc, fd = -fa, -fb, -fc, -fd
-            self.a, self.b, self.c, self.d = fa, fb, fc, fd
-        self.exact = exact
-        if self.nondegeneracy() <= (0 if exact else EPS):
+            self.a, self.b, self.c, self.d = k = fa, fb, fc, fd
+        self.exact, self._k = exact, k
+        self._norm = k[1] * k[1] + k[2] * k[2] - 4 * k[0] * k[3]
+        if self._norm <= (0 if exact else EPS):
             raise InvalidInputError(
                 f"coefficients ({a}, {b}, {c}, {d}) define a point or empty locus"
             )
 
     def coeffs(self):
-        return (self.a, self.b, self.c, self.d)
+        return self._k
 
     def nondegeneracy(self):
         """b^2 + c^2 - 4ad; positive for a real circle or line."""
-        return self.b * self.b + self.c * self.c - 4 * self.a * self.d
+        return self._norm
 
     def boundary_disc(self):
         """b^2 - 4ad: discriminant of the real-axis trace a x^2 + b x + d."""
@@ -309,12 +320,12 @@ class GeneralizedCircle:
         if self.exact != other.exact:
             return False
         if self.exact:
-            return self.coeffs() == other.coeffs()
-        return all(abs(u - v) <= EPS for u, v in zip(self.coeffs(), other.coeffs()))
+            return self._k == other._k
+        return all(abs(u - v) <= EPS for u, v in zip(self._k, other._k))
 
     def __hash__(self):
         if self.exact:
-            return hash(("gc", self.coeffs()))
+            return hash(("gc", self._k))
         # equality within EPS is not transitive: only one hash for all agrees with it
         return hash("gc~")
 
@@ -390,9 +401,18 @@ _CURVE_KINDS = (CurveKind.GEODESIC, CurveKind.HOROCYCLE, CurveKind.HYPERCYCLE)
 
 
 class Curve:
-    """A geodesic, horocycle, or hypercycle with its derived boundary data."""
+    """A geodesic, horocycle, or hypercycle with its boundary data.
 
-    __slots__ = ("circle", "kind", "_endpoints", "center", "size")
+    An exact curve with rational endpoints keeps them as `_projective`
+    integer pairs (oo = (1, 0)), formed once from its coefficients: the two
+    endpoints of a geodesic or hypercycle, in increasing order with oo last,
+    or the one centre of a horocycle.  A curve with irrational endpoints,
+    or an inexact curve, keeps None.  `endpoints`, `center` and `size` build
+    their `BoundaryPoint`s and `Fraction`s from the integers each time they
+    are read; the graph layer reads the pairs themselves.
+    """
+
+    __slots__ = ("circle", "kind", "_boundary")
 
     def __init__(self, circle: GeneralizedCircle):
         kind = classify_curve(circle)
@@ -400,39 +420,7 @@ class Curve:
             raise InvalidInputError(f"locus classifies as {kind.value}, not a curve")
         self.circle = circle
         self.kind = kind
-        self._endpoints = self._derive_endpoints()
-        self.center, self.size = self._derive_horodata()
-
-    # -- derived data ------------------------------------------------------
-
-    def _derive_endpoints(self):
-        a, b, c, d = self.circle.coeffs()
-        if not self.circle.exact:
-            return None
-        if a != 0:
-            disc = b * b - 4 * a * d
-            if disc == 0:
-                return (BoundaryPoint.finite(Q(-b, 2 * a)),)
-            r = isqrt_exact(disc)
-            if r is None:
-                return None  # irrational endpoints; use endpoint_floats()
-            lo, hi = Q(-b - r, 2 * a), Q(-b + r, 2 * a)  # a > 0 in canonical form
-            return (BoundaryPoint.finite(lo), BoundaryPoint.finite(hi))
-        if b == 0:
-            return (INFINITY,)  # horizontal line: center at infinity
-        return (BoundaryPoint.finite(Q(-d, b)), INFINITY)
-
-    def _derive_horodata(self):
-        if self.kind is not CurveKind.HOROCYCLE:
-            return None, None
-        a, b, c, d = self.circle.coeffs()
-        if self.circle.exact:
-            if a != 0:
-                return BoundaryPoint.finite(Q(-b, 2 * a)), Q(-c, 2 * a)
-            return INFINITY, Q(-d, c)
-        if abs(a) > EPS:
-            return BoundaryPoint.finite(Fraction(-b / (2 * a))), -c / (2 * a)
-        return INFINITY, -d / c
+        self._boundary = _boundary_pairs(circle) if circle.exact else None
 
     @property
     def exact(self) -> bool:
@@ -441,15 +429,38 @@ class Curve:
     @property
     def endpoints(self) -> Tuple[BoundaryPoint, ...]:
         """Endpoint set on the boundary circle; exact rationals required."""
-        if self._endpoints is None:
+        if self._boundary is None:
             raise InvalidInputError(
                 "curve has irrational endpoints; use endpoint_floats()"
             )
-        return self._endpoints
+        return tuple(map(_boundary_point, self._boundary))
 
     @property
     def has_exact_endpoints(self) -> bool:
-        return self._endpoints is not None
+        return self._boundary is not None
+
+    @property
+    def center(self) -> Optional[BoundaryPoint]:
+        """A horocycle's centre (an inexact one's at the exact value of its
+        float); None for other curves."""
+        if self.kind is not CurveKind.HOROCYCLE:
+            return None
+        if self.exact:
+            return _boundary_point(self._boundary[0])
+        a, b, _, _ = self.circle.coeffs()
+        return BoundaryPoint.finite(Fraction(-b / (2 * a))) if abs(a) > EPS else INFINITY
+
+    @property
+    def size(self):
+        """A horocycle's Euclidean radius, or its height when centred at oo:
+        exact for an exact horocycle, a float otherwise; None for other
+        curves."""
+        if self.kind is not CurveKind.HOROCYCLE:
+            return None
+        if self.exact:
+            return Q(*_horocycle_size(self.circle.coeffs()))
+        a, _, c, d = self.circle.coeffs()
+        return -c / (2 * a) if abs(a) > EPS else -d / c
 
     # An exact curve's floats below come from its integers: an integer
     # square root and one correctly rounded division each, so only a result
@@ -518,6 +529,44 @@ class Curve:
             raise InvalidInputError("only exact curves have a canonical record form")
         a, b, c, d = self.circle.coeffs()
         return {"kind": self.kind.value, "a": str(a), "b": str(b), "c": str(c), "d": str(d)}
+
+
+def _reduced(m, n):
+    """The `_projective` pair of m/n for n > 0."""
+    g = math.gcd(m, n)
+    return m // g, n // g
+
+
+def _boundary_pairs(circle: GeneralizedCircle):
+    """The exact curve's boundary data as `_projective` pairs, from its
+    coefficients: the centre of a horocycle, else both endpoints in
+    increasing order, oo last; None when the endpoints are irrational.  In
+    canonical form the first nonzero of (a, b) is positive: a for a circle,
+    b for a line that is not horizontal."""
+    a, b, _, d = circle.coeffs()
+    if a:
+        disc = circle.boundary_disc()
+        if disc == 0:
+            return (_reduced(-b, 2 * a),)
+        r = isqrt_exact(disc)
+        if r is None:
+            return None
+        return _reduced(-b - r, 2 * a), _reduced(-b + r, 2 * a)
+    if b == 0:
+        return ((1, 0),)  # horizontal line: centre at oo
+    return _reduced(-d, b), (1, 0)
+
+
+def _horocycle_size(k):
+    """(num, den) with num / den the size of the horocycle of the integer
+    vector k = (a, b, c, d), at any scale: -c / 2a, or -d / c for a = 0."""
+    a, _, c, d = k
+    return (-c, 2 * a) if a else (-d, c)
+
+
+def _boundary_point(p) -> BoundaryPoint:
+    """The boundary point of the `_projective` pair p."""
+    return BoundaryPoint(Fraction(*p)) if p[1] else INFINITY
 
 
 def curve_from_circle(circle: GeneralizedCircle) -> Curve:
@@ -655,6 +704,16 @@ class Isometry:
             raise InvalidInputError("isometry matrix must have positive determinant")
         self.m00, self.m01, self.m10, self.m11 = Q(a), Q(b), Q(c), Q(d)
         self.reversing = bool(reversing)
+
+    @classmethod
+    def _from_coprime(cls, m00, m01, m10, m11, reversing) -> "Isometry":
+        """The isometry of a `_triple_ints` tuple, whose entries are
+        already coprime, the first nonzero positive, with det > 0: the
+        constructor without its reduction."""
+        iso = cls.__new__(cls)
+        iso.m00, iso.m01, iso.m10, iso.m11 = Q(m00), Q(m01), Q(m10), Q(m11)
+        iso.reversing = reversing
+        return iso
 
     # -- group structure ---------------------------------------------------
 
@@ -830,9 +889,15 @@ def two_point_normalizer(x: BoundaryPoint, y: BoundaryPoint) -> Isometry:
     """
     if x == y:
         raise InvalidInputError("normalizer needs two distinct boundary points")
-    (x0, x1), (y0, y1) = _projective(x), _projective(y)
+    return Isometry(*_two_point_ints(_projective(x), _projective(y)))
+
+
+def _two_point_ints(x, y):
+    """The integer matrix of `two_point_normalizer` for distinct
+    `_projective` pairs x and y, det > 0, not reduced."""
+    (x0, x1), (y0, y1) = x, y
     s = 1 if x1 * y0 > x0 * y1 else -1
-    return Isometry(s * y1, -s * y0, x1, -x0)
+    return s * y1, -s * y0, x1, -x0
 
 
 def _std_triple_matrix(t):
@@ -883,7 +948,8 @@ def triple_normalizer(src, dst) -> Isometry:
     src, dst = tuple(src), tuple(dst)
     if len(set(src)) != 3 or len(set(dst)) != 3:
         raise InvalidInputError("triples must consist of three distinct points")
-    return Isometry(*_triple_ints([_projective(p) for p in src], [_projective(p) for p in dst]))
+    return Isometry._from_coprime(
+        *_triple_ints([_projective(p) for p in src], [_projective(p) for p in dst]))
 
 
 # ---------------------------------------------------------------------------

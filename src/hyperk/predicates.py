@@ -115,8 +115,9 @@ def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
     if c1 == c2:
         return IntersectionPattern(0, False, 0, (), c1.exact, equal=True)
     if c1.exact and c2.exact:
-        k1, k2 = c1.circle.coeffs(), c2.circle.coeffs()
-        counts = _gram_counts(k1, k2, _lorentz(k1, k1), _lorentz(k2, k2), _lorentz(k1, k2))
+        s1, s2 = c1.circle, c2.circle
+        k1, k2 = s1.coeffs(), s2.coeffs()
+        counts = _gram_counts(k1, k2, s1.nondegeneracy(), s2.nondegeneracy(), _lorentz(k1, k2))
         pat = IntersectionPattern(*counts, None, True)
         pat._circles = k1, k2
         return pat
@@ -144,14 +145,19 @@ def pair_counts(curves):
 def _iter_pair_counts(curves):
     """The entries of `pair_counts` one by one, for exact curves: the
     Lorentz Gram matrix of their coefficient vectors is formed entry by
-    entry as the pairs are read, each g_ii once up front, so a caller that
-    stops at some pair forms no entry past it.  Each entry is what
-    `intersection_pattern` counts for a distinct pair; equal curves, whose
-    vectors are equal, get (0, False, 1)."""
-    vs = [c.circle.coeffs() for c in curves]
-    gs = [_lorentz(v, v) for v in vs]
-    return (_gram_counts(v, w, gv, gw, _lorentz(v, w))
-            for (v, gv), (w, gw) in combinations(zip(vs, gs), 2))
+    entry as the pairs are read, its diagonal being the norms each circle
+    keeps, so a caller that stops at some pair forms no entry past it.  A
+    pair with D2 < 0 misses and is answered here; any other goes to
+    `_gram_counts`.  Each entry is what `intersection_pattern` counts for a
+    distinct pair; equal curves, whose vectors are equal, get (0, False,
+    1)."""
+    vectors = [(c.circle._k, c.circle._norm) for c in curves]
+    for (v, g11), (w, g22) in combinations(vectors, 2):
+        g12 = v[1] * w[1] + v[2] * w[2] - 2 * (v[0] * w[3] + w[0] * v[3])
+        if g11 * g22 - g12 * g12 < 0:
+            yield 0, False, 0
+        else:
+            yield _gram_counts(v, w, g11, g22, g12)
 
 
 def _gram_counts(v, w, g11, g22, g12):

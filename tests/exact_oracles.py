@@ -16,6 +16,50 @@ def sqrt_exact(q):
     return None
 
 
+def _oracle_endpoints(curve):
+    """The curve's endpoints as `Curve` derived them eagerly, as
+    `BoundaryPoint`s of `Fraction`s, before it kept integer pairs: None for
+    an inexact curve or irrational endpoints."""
+    from hyperk import INFINITY, BoundaryPoint
+    from hyperk._rational import isqrt_exact
+
+    a, b, c, d = curve.circle.coeffs()
+    if not curve.circle.exact:
+        return None
+    if a != 0:
+        disc = b * b - 4 * a * d
+        if disc == 0:
+            return (BoundaryPoint.finite(Q(-b, 2 * a)),)
+        r = isqrt_exact(disc)
+        if r is None:
+            return None
+        lo, hi = Q(-b - r, 2 * a), Q(-b + r, 2 * a)
+        return (BoundaryPoint.finite(lo), BoundaryPoint.finite(hi))
+    if b == 0:
+        return (INFINITY,)
+    return (BoundaryPoint.finite(Q(-d, b)), INFINITY)
+
+
+def _oracle_horodata(curve):
+    """(center, size) of a horocycle as `Curve` derived them eagerly;
+    (None, None) for any other curve."""
+    from fractions import Fraction
+
+    from hyperk import INFINITY, BoundaryPoint, CurveKind
+    from hyperk.model import EPS
+
+    if curve.kind is not CurveKind.HOROCYCLE:
+        return None, None
+    a, b, c, d = curve.circle.coeffs()
+    if curve.circle.exact:
+        if a != 0:
+            return BoundaryPoint.finite(Q(-b, 2 * a)), Q(-c, 2 * a)
+        return INFINITY, Q(-d, c)
+    if abs(a) > EPS:
+        return BoundaryPoint.finite(Fraction(-b / (2 * a))), -c / (2 * a)
+    return INFINITY, -d / c
+
+
 def oracle_two_point_normalizer(x, y):
     """The normalizer by cases on oo: z -> z - y for x = oo, z -> -1/(z - x)
     for y = oo, and z -> -1/(z - x) + 1/(y - x) otherwise.  Each is the map

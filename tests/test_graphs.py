@@ -26,7 +26,9 @@ from hyperk import (
 )
 from hyperk import graphs
 from hyperk.errors import HyperkError, InvalidInputError
-from hyperk.model import GeneralizedCircle, _int_floats, curve_from_coeffs, triple_normalizer
+from hyperk.model import (
+    GeneralizedCircle, _boundary_point, _int_floats, curve_from_coeffs, triple_normalizer,
+)
 from hyperk.predicates import intersection_pattern, pair_counts
 from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
 
@@ -572,7 +574,12 @@ def test_matching_does_not_depend_on_the_two_point_normalizer_scale(monkeypatch)
         target = [g.apply_curve(c) for c in curves]
         cases += [(curves, target), (curves, target[::-1])]
     got = [isometry_matching(src, dst) for src, dst in cases]
-    monkeypatch.setattr(graphs, "two_point_normalizer", oracle_two_point_normalizer)
+
+    def oracle_ints(x, y):
+        # the oracle's matrix, at another scale, on the same integer pairs
+        return oracle_two_point_normalizer(_boundary_point(x), _boundary_point(y))._ints()
+
+    monkeypatch.setattr(graphs, "_two_point_ints", oracle_ints)
     assert [isometry_matching(src, dst) for src, dst in cases] == got
     few = [iso for (src, _), iso in zip(cases, got)
            if iso is not None and len(graphs._source_frame(src)) < 3]
@@ -814,6 +821,20 @@ def test_pair_counts_refuse_inexact_curves():
     inexact = make_horocycle(F(0), 0.5)
     with pytest.raises(InvalidInputError, match="pair_counts needs exact curves"):
         pair_counts([make_horocycle(INFINITY, 1), inexact])
+
+
+def test_inexact_horocycle_centres_frame_the_search():
+    # an inexact horocycle gives the frame the exact value of its float
+    # centre, and a frame completed from one gets lam from the float sizes
+    hs = [make_horocycle(F(0), 0.5), make_horocycle(F(1), 0.5), make_horocycle(F(3), 0.25)]
+    at_oo = [make_horocycle(INFINITY, 0.5), make_horocycle(INFINITY, 1.5)]
+    for src in (hs, hs[:1], at_oo, [hs[0], make_geodesic(F(0), F(2))]):
+        for g in (Isometry.scaling(2), Isometry(0, -1, 1, 0), Isometry(3, 1, 1, 1)):
+            dst = [g.apply_curve(c) for c in src]
+            iso = isometry_matching(src, dst)
+            assert iso is not None and all(iso.apply_curve(c) == t for c, t in zip(src, dst))
+    assert isometry_matching(at_oo, [Isometry.scaling(2).apply_curve(c) for c in at_oo]) == (
+        Isometry.scaling(2))
 
 
 class TestIrrationalEndpoints:

@@ -1075,3 +1075,68 @@ def test_normalizer_from_images_does_not_depend_on_the_two_point_normalizer_scal
     monkeypatch.setattr(constructions, "two_point_normalizer", oracle_two_point_normalizer)
     assert [normalizer_from_images(*pair) for pair in pairs] == got
     assert sum(h.center.is_infinity for pair in pairs for h in pair) >= 20
+
+
+def _stored_data_corpus():
+    """Seeded curves of every kind, horocycles centred at oo and curves
+    ending at oo, curves with irrational endpoints, inexact curves, and the
+    images of the exact ones under 2^600-entry isometries."""
+    rng = random.Random(2717)
+    curves = [rand_curve(rng) for _ in range(240)]
+    curves += [make_horocycle(INFINITY, abs(rand_q(rng)) + 1) for _ in range(20)]
+    curves += [make_geodesic(F(rand_q(rng)), INFINITY) for _ in range(20)]
+    curves += [make_hypercycle(F(rand_q(rng)), INFINITY, UHPPoint(rand_q(rng) + 20, 1))
+               for _ in range(20)]
+    while len(curves) < 340:  # a > 0 and b^2 - 4ad positive, not a square
+        a, b, d = rng.randint(1, 4), rng.randint(-12, 12), rng.randint(-12, 12)
+        disc = b * b - 4 * a * d
+        if disc > 0 and math.isqrt(disc) ** 2 != disc:
+            curves.append(curve_from_coeffs(a, b, rng.choice((0, 0, -1, 1, 2)), d))
+    curves += [make_horocycle(F(rand_q(rng)), 0.25 + rng.random()) for _ in range(20)]
+    curves += [make_horocycle(INFINITY, 0.5 + rng.random()) for _ in range(10)]
+    curves += [curve_from_coeffs(1.0, -rng.random(), c, -1.0 - rng.random(), exact=False)
+               for c in (0.0, 0.5) * 10]
+    wide = [Isometry(2**600 + k % 9 + 1, 1, 2**600, 1, reversing=k % 2 == 1) for k in range(18)]
+    curves += [wide[k % 18].apply_curve(c) for k, c in enumerate(curves[:360:2]) if c.exact]
+    return curves
+
+
+def test_stored_curve_data_matches_the_eager_derivation():
+    # each curve keeps its coefficient tuple, its norm and its boundary
+    # data as integer pairs, formed once; endpoints, centre and size are
+    # built from them when read, equal to what was derived eagerly
+    from hyperk.model import _projective
+
+    from exact_oracles import _oracle_endpoints, _oracle_horodata
+
+    tally = collections.Counter()
+    for curve in _stored_data_corpus():
+        circle = curve.circle
+        a, b, c, d = circle.a, circle.b, circle.c, circle.d
+        assert circle._k == circle.coeffs() == (a, b, c, d)
+        assert circle._norm == circle.nondegeneracy() == b * b + c * c - 4 * a * d
+        ends = _oracle_endpoints(curve)
+        center, size = _oracle_horodata(curve)
+        stored = None if ends is None else tuple(map(_projective, ends))
+        assert curve._boundary == stored, curve
+        assert curve.has_exact_endpoints == (ends is not None)
+        if ends is None:
+            with pytest.raises(InvalidInputError, match="irrational endpoints"):
+                curve.endpoints
+        else:
+            assert curve.endpoints == ends
+            assert all(p.is_infinity or type(p.value) is Fraction for p in curve.endpoints)
+        assert curve.center == center and curve.size == size
+        assert type(curve.size) is type(size)
+        if center is not None and curve.exact:
+            assert curve._boundary == (_projective(center),)
+        tally[curve.kind, curve.exact, ends is None] += 1
+        tally["oo"] += stored is not None and (1, 0) in stored
+        tally["wide"] += curve.exact and max(abs(v).bit_length() for v in circle.coeffs()) > 600
+    for kind in (CurveKind.GEODESIC, CurveKind.HOROCYCLE, CurveKind.HYPERCYCLE):
+        assert tally[kind, True, False] >= 60, tally
+    assert tally[CurveKind.HOROCYCLE, False, True] >= 30, tally
+    assert tally[CurveKind.GEODESIC, False, True] >= 10, tally
+    assert tally[CurveKind.GEODESIC, True, True] >= 10, tally
+    assert tally[CurveKind.HYPERCYCLE, True, True] >= 10, tally
+    assert tally["oo"] >= 80 and tally["wide"] >= 150, tally

@@ -873,13 +873,21 @@ def test_gram_counts_match_oracle_on_degenerate_pairs():
     assert min(touching.values()) > 10, touching
 
 
-def test_gram_counts_match_oracle_on_600_bit_pairs():
+def _600_bit_pairs():
+    """(small pair, its image under a 2^600-entry isometry) for seeded and
+    degenerate pairs."""
     rng = random.Random(2103)
     small = _seeded_pairs(rng, 150)[::3] + _degenerate_pairs(rng, 12)[::3]
-    big = []
+    out = []
     for k, (c1, c2) in enumerate(small):
         g = Isometry(2**600 + k % 9 + 1, 1, 2**600, 1, reversing=k % 2 == 1)
-        d1, d2 = g.apply_curve(c1), g.apply_curve(c2)
+        out.append(((c1, c2), (g.apply_curve(c1), g.apply_curve(c2))))
+    return out
+
+
+def test_gram_counts_match_oracle_on_600_bit_pairs():
+    big = []
+    for (c1, c2), (d1, d2) in _600_bit_pairs():
         base = intersection_pattern(c1, c2)
         pat = intersection_pattern(d1, d2)
         want = (base.interior_count, base.tangent, base.shared_endpoints)
@@ -893,6 +901,41 @@ def test_gram_counts_match_oracle_on_600_bit_pairs():
     assert set(counts) == _ALL_COUNTS and sum(counts.values()) > 400
     # the replaced routine refused some pairs outright, rounding a height to 0
     assert 0 < refused < len(big) // 2
+
+
+def _per_pair_counts(curves):
+    """Each pair's counts from a Gram matrix formed anew, as `_gram_counts`
+    reads it, and from `intersection_pattern`, which must agree; (0, False,
+    1) for equal curves."""
+    out = []
+    for c1, c2 in itertools.combinations(curves, 2):
+        k1, k2 = c1.circle.coeffs(), c2.circle.coeffs()
+        g11, g22 = model._lorentz(k1, k1), model._lorentz(k2, k2)
+        counts = predicates._gram_counts(k1, k2, g11, g22, model._lorentz(k1, k2))
+        pat = intersection_pattern(c1, c2)
+        if pat.equal:
+            assert counts == (0, False, 1)
+        else:
+            assert counts == (pat.interior_count, pat.tangent, pat.shared_endpoints)
+        out.append(counts)
+    return out
+
+
+def test_pair_count_loop_matches_per_pair_counts():
+    # the one loop over the norms and vectors each circle keeps, which
+    # answers D2 < 0 itself, gives every pair's counts, equal curves too
+    rng = random.Random(2719)
+    configs = [[d1, d2, d1, c1] for (c1, _), (d1, d2) in _600_bit_pairs()]
+    for _ in range(120):
+        curves = [rand_curve(rng) for _ in range(rng.randint(3, 6))]
+        g = rand_isometry(rng)
+        configs.append(curves + [g.apply_curve(c) for c in curves[:2]] + curves[:1])
+    seen = collections.Counter()
+    for curves in configs:
+        counts = list(predicates._iter_pair_counts(curves))
+        assert counts == _per_pair_counts(curves)
+        seen.update(counts)
+    assert set(seen) == _ALL_COUNTS and min(seen.values()) >= 20, seen
 
 
 def test_counts_past_the_float_range_need_no_points():

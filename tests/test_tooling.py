@@ -475,9 +475,10 @@ def test_exact_candidates_build_no_image_circle(monkeypatch):
 
 
 def test_matching_builds_one_isometry_per_answer(monkeypatch):
-    # candidates are integer tuples: an exact hit framed by three rational
-    # boundary points builds one Isometry, its answer, and a miss builds
-    # none, whether the pair counts answer it or every candidate fails
+    # candidates are integer tuples: an exact hit builds one Isometry, its
+    # answer, whether three rational boundary points frame it or the frame
+    # is completed from one or two, and a miss builds none, whether the
+    # pair counts answer it or every candidate fails
     import random
 
     from hyperk import INFINITY, BoundaryPoint, isometry_matching, make_geodesic, make_horocycle
@@ -502,14 +503,26 @@ def test_matching_builds_one_isometry_per_answer(monkeypatch):
                      (src, src[:2] + [make_geodesic(F(5), INFINITY)])]
     assert len(count_misses) >= 5
     assert all(pair_counts(s) == pair_counts(t) for s, t in search_misses)
+    # one or two distinct boundary points: the frame is completed
+    few = [[make_horocycle(INFINITY, 1), make_horocycle(INFINITY, 2)],
+           [make_geodesic(F(0), INFINITY), make_horocycle(INFINITY, 1)]]
+    for index, src in enumerate(few * 4):
+        g = Isometry(2, 1, 1, 3, reversing=index % 2 == 1) if index < 2 else rand_isometry(rng)
+        hits.append((src, [g.apply_curve(c) for c in src]))
     built = []
-    init = Isometry.__init__
+    init, from_coprime = Isometry.__init__, Isometry._from_coprime.__func__
 
     def counted(self, *args, **kwargs):
         built.append(args)
         init(self, *args, **kwargs)
 
+    def counted_coprime(cls, *args):
+        built.append(args)
+        return from_coprime(cls, *args)
+
+    # an Isometry comes from one of its two constructors
     monkeypatch.setattr(Isometry, "__init__", counted)
+    monkeypatch.setattr(Isometry, "_from_coprime", classmethod(counted_coprime))
     for s, t in hits:
         del built[:]
         iso = isometry_matching(s, t)
@@ -517,6 +530,46 @@ def test_matching_builds_one_isometry_per_answer(monkeypatch):
     for s, t in count_misses + search_misses:
         del built[:]
         assert isometry_matching(s, t) is None and built == []
+
+
+def test_configs_op_builds_no_fraction_but_the_answer(monkeypatch):
+    # build_graph, automorphisms, a hit and a miss read each curve's
+    # integer data: the only Fractions built are the answer's four entries
+    import random
+    from fractions import Fraction
+
+    from hyperk import INFINITY, automorphisms, build_graph, isometry_matching, make_horocycle
+    from hyperk.verify import rand_curve, rand_isometry
+
+    rng = random.Random(2707)
+    cases = []
+    while len(cases) < 40:
+        src = list({rand_curve(rng): None for _ in range(rng.randint(4, 6))})
+        g = rand_isometry(rng)
+        hit = [g.apply_curve(c) for c in src]
+        miss = hit[1:2] + hit[:1] + hit[2:]
+        if isometry_matching(src, miss) is None:
+            cases.append((src, hit, miss))
+    few = [make_horocycle(INFINITY, 1), make_horocycle(INFINITY, 2)]
+    g = rand_isometry(rng)
+    cases.append((few, [g.apply_curve(c) for c in few], few[::-1]))
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    for src, hit, miss in cases:
+        del made[:]
+        graph = build_graph(src, allow_mixed=True)
+        automorphisms(graph)
+        assert made == []
+        answer = isometry_matching(src, hit)
+        assert answer is not None and len(made) == 4
+        del made[:]
+        assert isometry_matching(src, miss) is None and made == []
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
