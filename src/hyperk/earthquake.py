@@ -29,7 +29,6 @@ from .model import (
     Isometry,
     UHPPoint,
     _homogeneous,
-    _projective,
     make_geodesic,
     make_horocycle,
     rational_points,
@@ -312,13 +311,13 @@ def _over(k, c1, c2, s: int) -> Tuple[int, int]:
     return k[0] * d1 * d2, k[1] * n1 * n2
 
 
-def _monomial(proj: Sequence[Tuple[int, int]], i: int, j: int):
-    """(u, v, s, k) for horocycles i, j at distinct centers, given as
-    projective pairs (oo = (1, 0)): they are tangent iff rho_u * rho_v^s = k,
+def _monomial(centers: Sequence[BoundaryPoint], i: int, j: int):
+    """(u, v, s, k) for horocycles i, j at distinct centers, read as
+    integer pairs (oo = (1, 0)): they are tangent iff rho_u * rho_v^s = k,
     disjoint iff s * (rho_u * rho_v^s - k) < 0, and crossing otherwise.
     Finite centers p, q give s = 1 and k = (p - q)^2 / 4; a center at oo is
     u, with s = -1 and k = 2.  k is an int pair, not always reduced."""
-    (x, m), (y, n) = proj[i], proj[j]
+    (x, m), (y, n) = centers[i], centers[j]
     if not m:
         return i, j, -1, (2, 1)
     if not n:
@@ -496,21 +495,20 @@ def tangency_realizability(inst: RealizabilityInstance):
     tangency conflict or on a cycle whose bounds multiply exactly to at
     most 1.
 
-    The centers are read once as projective int pairs, and every rational
+    The centers are read as the integer pairs they are, and every rational
     the solver keeps is a pair (n, d) of positive ints, compared by
     cross-multiplication; a `Fraction` is built only for the returned
     radii.  After the tangencies the union-find is read once, one `find`
     per horocycle.  A `Constraint` and its text are built only for an
     unsatisfiable answer, for the pairs it lists."""
     centers = inst.relabeled_centers
-    proj = [_projective(c) for c in centers]
     pattern = inst.required_pattern
     n = len(centers)
     sys = _RadiusSystem(centers)
     forms = {
-        (i, j): _monomial(proj, i, j)
+        (i, j): _monomial(centers, i, j)
         for i in range(n) for j in range(i + 1, n)
-        if pattern[i][j] is not None and proj[i] != proj[j]
+        if pattern[i][j] is not None and centers[i] != centers[j]
     }
 
     # tangencies with a center at oo (s = -1) first: they keep radii
@@ -584,7 +582,7 @@ def tangency_realizability(inst: RealizabilityInstance):
     # tangencies force the two radii equal.
     for i in range(n):
         for j in range(i + 1, n):
-            if pattern[i][j] is None or proj[i] != proj[j]:
+            if pattern[i][j] is None or centers[i] != centers[j]:
                 continue
             (r1, e1, c1), (r2, e2, c2) = roots[i], roots[j]
             exps = {r1: e1}

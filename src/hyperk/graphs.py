@@ -10,9 +10,9 @@ automorphism, verified exactly on every curve.
 
 The module reads the integer data each exact curve keeps from when it was
 built: its circle's coefficient tuple and Lorentz norm, and its boundary
-data as `_projective` pairs (`Curve._boundary`: the endpoints, or a
-horocycle's centre).  On exact curves it forms no `Fraction` but the
-answer's entries.
+points, each the integer pair (m, n) of m/n, oo = (1, 0) (`Curve._boundary`:
+the endpoints, or a horocycle's centre).  On exact curves it forms no
+`Fraction` but the answer's entries.
 
 For exact curves, adjacency and the first test of a matching both read
 pair counts (`predicates._iter_pair_counts`): the interior count, tangency
@@ -53,7 +53,6 @@ from .model import (
     CurveKind,
     Isometry,
     _horocycle_size,
-    _projective,
     _pullback,
     _triple_ints,
     _two_point_ints,
@@ -302,18 +301,18 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
 
 
 def _boundary_data(curve: Curve):
-    """The curve's kept boundary pairs (`Curve._boundary`), and for an
-    inexact horocycle the `_projective` pair of its centre's exact value;
-    None for irrational endpoints or another inexact curve."""
+    """The curve's kept boundary points (`Curve._boundary`), and for an
+    inexact horocycle its centre at its exact value; None for irrational
+    endpoints or another inexact curve."""
     data = curve._boundary
     if data is None and curve.kind is CurveKind.HOROCYCLE:
-        return (_projective(curve.center),)
+        return (curve.center,)
     return data
 
 
 def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, Tuple[int, int]]]:
     """Up to three distinct rational boundary points of the configuration,
-    as `_projective` pairs, each tagged with its curve index.  Horocycle
+    as integer pairs, each tagged with its curve index.  Horocycle
     centers come first (one possible image each), then endpoints curve by
     curve, so that both endpoints of a curve share their two images.  A
     curve with irrational endpoints gives no point; fewer than three points
@@ -355,8 +354,8 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
     it maps rational points to rational points and an exact curve to an
     exact one.  A configuration with fewer than three distinct boundary
     points gets its third frame point from metric data (see
-    _completed_frames).  Every frame and its images, as `_projective` pairs,
-    go through `_triple_ints`."""
+    _completed_frames).  Every frame and its images, as integer pairs, go
+    through `_triple_ints`."""
     frame = _source_frame(src_curves)
     points = [p for _, p in frame]
     choices = [_boundary_data(dst_curves[i]) for i, _ in frame]
@@ -377,7 +376,7 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
 
 
 def _completed_frames(src_curves, dst_curves, points, images):
-    """Two frames (source triple, target triple) of `_projective` pairs for
+    """Two frames (source triple, target triple) of integer pairs for
     a configuration with one or two distinct boundary points whose images
     are fixed, on integers for exact curves.
 
@@ -434,7 +433,7 @@ def _dilation(m):
 
 
 def _partner(p: Tuple[int, int]) -> Tuple[int, int]:
-    """0 for oo and oo for any other point, as `_projective` pairs."""
+    """0 for oo and oo for any other point, as integer pairs."""
     return (0, 1) if p == (1, 0) else (1, 0)
 
 

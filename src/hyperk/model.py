@@ -13,25 +13,27 @@ both sides of another circle near where the two meet, on chords from an
 exact meeting point itself (so a curve with irrational endpoints needs no
 point on the axis) and at distances relative to the meeting point's height.
 
-Exact points, sign tests and constructors run on integers, and an exact
-point enters a formula only as `_projective` (a boundary point as
-(m, n), oo = (1, 0), so no formula has a case for oo) or `_homogeneous`
-(a point (x, y) as (X/W, Y/W)), where `_form_at` evaluates a circle.  A
-`Fraction` is built only for the value that is stored (an image point's
-coordinates, a boundary point).  Each exact circle keeps its coefficient
-tuple and Lorentz norm, and each exact curve its boundary data as
-`_projective` pairs, all formed once when it is built;
-`Curve.endpoints`, `center` and `size` build their `Fraction`s from them
-only when read.  `triple_normalizer` wraps `_triple_ints`, which finds
-and checks the isometry sending one triple of boundary points to another
-on `_projective` pairs, so a caller that only tests candidates
-(`graphs.isometry_matching`) builds no `Isometry` for them, and builds
-its answer with `Isometry._from_coprime`, which skips the reduction
-`_triple_ints` already did.  `Isometry` keeps its entries as
-denominator-1 `Fraction`s, and `Isometry.apply_circle` still does
-`Fraction` arithmetic on purpose until ROADMAP item 1 lands: made
-integer, it runs the `pairs` benchmark past the 2^18 samples its buffer
-holds, and the buffer's growth shows as a peak-memory regression.
+Exact points, sign tests and constructors run on integers.  A
+`BoundaryPoint` is the coprime integer pair (m, n) of m/n itself, oo
+being (1, 0), so every formula reads its pair and none has a case for
+oo; an interior point enters a formula as `_homogeneous` (a point (x, y)
+as (X/W, Y/W)), where `_form_at` evaluates a circle.  A `Fraction` is
+built only for an image point's coordinates, and for a boundary point's
+`value` when that is read.  Each exact circle keeps its coefficient
+tuple and Lorentz norm, and each exact curve its boundary points, all
+formed once when it is built; `Curve.endpoints` and `center` return the
+kept points, and `size` builds its `Fraction` only when read.
+`triple_normalizer` wraps `_triple_ints`, which finds and checks the
+isometry sending one triple of boundary points to another on their
+pairs, so a caller that only tests candidates (`graphs.isometry_matching`)
+builds no `Isometry` for them, and builds its answer with
+`Isometry._from_coprime`, which skips the reduction `_triple_ints`
+already did.  `Isometry.apply_boundary` reduces its integer image.
+`Isometry` keeps its entries as denominator-1 `Fraction`s, and
+`Isometry.apply_circle` still does `Fraction` arithmetic on purpose
+until ROADMAP item 1 lands: made integer, it runs the `pairs` benchmark
+past the 2^18 samples its buffer holds, and the buffer's growth shows as
+a peak-memory regression.
 """
 
 from __future__ import annotations
@@ -55,42 +57,53 @@ EPS = 1e-9
 # ---------------------------------------------------------------------------
 
 
-class BoundaryPoint:
-    """A point of the circle at infinity: an exact rational, or infinity."""
+class BoundaryPoint(tuple):
+    """A point of the circle at infinity, an exact rational or infinity,
+    held as the coprime integer pair (m, n) of m/n, n >= 0; oo is (1, 0).
 
-    __slots__ = ("value",)
+    Every exact formula reads the pair itself, so no formula has a case
+    for oo.  Equality and hash are the pair's, so a point equals the plain
+    pair it holds; `sort_key`, not the pair, gives the order.  `value`
+    builds the `Fraction` (None for oo) only when read."""
 
-    def __init__(self, value=None):
+    __slots__ = ()
+
+    def __new__(cls, value=None):
         # value None encodes the point at infinity
-        self.value = None if value is None else Q(value)
+        return INFINITY if value is None else BoundaryPoint.finite(value)
+
+    def __getnewargs__(self):
+        return (self.value,)
 
     @staticmethod
     def finite(value) -> "BoundaryPoint":
-        return BoundaryPoint(Q(value))
+        v = Q(value)
+        return _point((v.numerator, v.denominator))
+
+    @property
+    def value(self):
+        m, n = self
+        return Q(m, n) if n else None
 
     @property
     def is_infinity(self) -> bool:
-        return self.value is None
-
-    def __eq__(self, other):
-        if not isinstance(other, BoundaryPoint):
-            return NotImplemented
-        return self.value == other.value
-
-    def __hash__(self):
-        # hash the reduced pair: Fraction.__hash__ takes a modular inverse
-        v = self.value
-        return hash(None if v is None else (v.numerator, v.denominator))
+        return not self[1]
 
     def __repr__(self):
-        return "oo" if self.is_infinity else q_str(self.value)
+        m, n = self
+        return "oo" if not n else str(m) if n == 1 else f"{m}/{n}"
 
     def sort_key(self):
         # infinity sorts after every finite value
         return (1, 0) if self.is_infinity else (0, self.value)
 
 
-INFINITY = BoundaryPoint(None)
+def _point(pair) -> BoundaryPoint:
+    """The point of a coprime pair (m, n), n >= 0, taken as it is."""
+    return tuple.__new__(BoundaryPoint, pair)
+
+
+INFINITY = _point((1, 0))
 
 
 class UHPPoint:
@@ -153,12 +166,6 @@ def _coprime_ints(values):
     if next((v for v in ints if v), 0) < 0:
         g = -g
     return [v // g for v in ints]
-
-
-def _projective(p: BoundaryPoint):
-    """p as a coprime integer pair (num, den) with den >= 0; oo is (1, 0)."""
-    v = p.value
-    return (1, 0) if v is None else (v.numerator, v.denominator)
 
 
 def _homogeneous(x, y):
@@ -305,7 +312,7 @@ class GeneralizedCircle:
     def evaluate_boundary(self, p: BoundaryPoint):
         """a m^2 + b m n + d n^2 at p = (m, n), oo = (1, 0): its sign, not its
         size, is the sign of the real-axis trace a x^2 + b x + d at p."""
-        m, n = _projective(p)
+        m, n = p
         return self.a * m * m + self.b * m * n + self.d * n * n
 
     def contains_point(self, x, y) -> bool:
@@ -403,13 +410,12 @@ _CURVE_KINDS = (CurveKind.GEODESIC, CurveKind.HOROCYCLE, CurveKind.HYPERCYCLE)
 class Curve:
     """A geodesic, horocycle, or hypercycle with its boundary data.
 
-    An exact curve with rational endpoints keeps them as `_projective`
-    integer pairs (oo = (1, 0)), formed once from its coefficients: the two
-    endpoints of a geodesic or hypercycle, in increasing order with oo last,
-    or the one centre of a horocycle.  A curve with irrational endpoints,
-    or an inexact curve, keeps None.  `endpoints`, `center` and `size` build
-    their `BoundaryPoint`s and `Fraction`s from the integers each time they
-    are read; the graph layer reads the pairs themselves.
+    An exact curve with rational endpoints keeps them as `BoundaryPoint`s,
+    integer pairs formed once from its coefficients: the two endpoints of a
+    geodesic or hypercycle, in increasing order with oo last, or the one
+    centre of a horocycle.  `endpoints` and `center` return them as they
+    are kept.  A curve with irrational endpoints, or an inexact curve,
+    keeps None.
     """
 
     __slots__ = ("circle", "kind", "_boundary")
@@ -430,10 +436,9 @@ class Curve:
     def endpoints(self) -> Tuple[BoundaryPoint, ...]:
         """Endpoint set on the boundary circle; exact rationals required."""
         if self._boundary is None:
-            raise InvalidInputError(
-                "curve has irrational endpoints; use endpoint_floats()"
-            )
-        return tuple(map(_boundary_point, self._boundary))
+            why = "curve has irrational endpoints" if self.exact else "inexact curve"
+            raise InvalidInputError(f"{why}; use endpoint_floats()")
+        return self._boundary
 
     @property
     def has_exact_endpoints(self) -> bool:
@@ -446,9 +451,9 @@ class Curve:
         if self.kind is not CurveKind.HOROCYCLE:
             return None
         if self.exact:
-            return _boundary_point(self._boundary[0])
+            return self._boundary[0]
         a, b, _, _ = self.circle.coeffs()
-        return BoundaryPoint.finite(Fraction(-b / (2 * a))) if abs(a) > EPS else INFINITY
+        return BoundaryPoint.finite(-b / (2 * a)) if abs(a) > EPS else INFINITY
 
     @property
     def size(self):
@@ -531,14 +536,16 @@ class Curve:
         return {"kind": self.kind.value, "a": str(a), "b": str(b), "c": str(c), "d": str(d)}
 
 
-def _reduced(m, n):
-    """The `_projective` pair of m/n for n > 0."""
+def _reduced(m, n) -> BoundaryPoint:
+    """The point m/n, oo for n = 0, of integers m, n not both 0."""
     g = math.gcd(m, n)
-    return m // g, n // g
+    if (n or m) < 0:
+        g = -g
+    return _point((m // g, n // g))
 
 
 def _boundary_pairs(circle: GeneralizedCircle):
-    """The exact curve's boundary data as `_projective` pairs, from its
+    """The exact curve's boundary data as `BoundaryPoint`s, from its
     coefficients: the centre of a horocycle, else both endpoints in
     increasing order, oo last; None when the endpoints are irrational.  In
     canonical form the first nonzero of (a, b) is positive: a for a circle,
@@ -553,8 +560,8 @@ def _boundary_pairs(circle: GeneralizedCircle):
             return None
         return _reduced(-b - r, 2 * a), _reduced(-b + r, 2 * a)
     if b == 0:
-        return ((1, 0),)  # horizontal line: centre at oo
-    return _reduced(-d, b), (1, 0)
+        return (INFINITY,)  # horizontal line: centre at oo
+    return _reduced(-d, b), INFINITY
 
 
 def _horocycle_size(k):
@@ -562,11 +569,6 @@ def _horocycle_size(k):
     vector k = (a, b, c, d), at any scale: -c / 2a, or -d / c for a = 0."""
     a, _, c, d = k
     return (-c, 2 * a) if a else (-d, c)
-
-
-def _boundary_point(p) -> BoundaryPoint:
-    """The boundary point of the `_projective` pair p."""
-    return BoundaryPoint(Fraction(*p)) if p[1] else INFINITY
 
 
 def curve_from_circle(circle: GeneralizedCircle) -> Curve:
@@ -611,7 +613,7 @@ def _geodesic_ints(p: BoundaryPoint, q: BoundaryPoint):
     """Integer (a, b, 0, d) of the semicircle with real-axis roots p = m/n and
     q = r/s: n s x^2 - (m s + r n) x + m r = 0.  With oo = (1, 0) at p this
     is the vertical line -s x + r = 0."""
-    (m, n), (r, s) = _projective(p), _projective(q)
+    (m, n), (r, s) = p, q
     return n * s, -(m * s + r * n), 0, m * r
 
 
@@ -630,7 +632,7 @@ def make_horocycle(center: BoundaryPoint, size) -> Curve:
     if center.is_infinity:
         return curve_from_coeffs(0, 0, v, -u)  # horizontal line v y - u = 0
     # center p = m/n: n^2 v (x^2 + y^2) - 2 m n v x - 2 u n^2 y + m^2 v = 0
-    m, n = _projective(center)
+    m, n = center
     return curve_from_coeffs(n * n * v, -2 * m * n * v, -2 * u * n * n, m * m * v)
 
 
@@ -794,13 +796,12 @@ class Isometry:
 
     def apply_boundary(self, p: BoundaryPoint) -> BoundaryPoint:
         """Projectively on integers: p = (x, y) with oo = (1, 0) goes to
-        (a x + b y, c x + d y)."""
+        (a x + b y, c x + d y), reduced."""
         a, b, c, d = self._ints()
-        x, y = _projective(p)
+        x, y = p
         if self.reversing:
             x = -x
-        y, x = c * x + d * y, a * x + b * y
-        return INFINITY if y == 0 else BoundaryPoint(Fraction(x, y))
+        return _reduced(a * x + b * y, c * x + d * y)
 
     def apply_point(self, z: UHPPoint) -> UHPPoint:
         a, b, c, d = self._ints()
@@ -889,19 +890,19 @@ def two_point_normalizer(x: BoundaryPoint, y: BoundaryPoint) -> Isometry:
     """
     if x == y:
         raise InvalidInputError("normalizer needs two distinct boundary points")
-    return Isometry(*_two_point_ints(_projective(x), _projective(y)))
+    return Isometry(*_two_point_ints(x, y))
 
 
 def _two_point_ints(x, y):
-    """The integer matrix of `two_point_normalizer` for distinct
-    `_projective` pairs x and y, det > 0, not reduced."""
+    """The integer matrix of `two_point_normalizer` for distinct boundary
+    points x and y, as integer pairs, det > 0, not reduced."""
     (x0, x1), (y0, y1) = x, y
     s = 1 if x1 * y0 > x0 * y1 else -1
     return s * y1, -s * y0, x1, -x0
 
 
 def _std_triple_matrix(t):
-    """Integer matrix sending the triple t of `_projective` pairs to (0, 1, oo)."""
+    """Integer matrix sending the triple t of integer pairs to (0, 1, oo)."""
     (x0, y0), (x1, y1), (x2, y2) = t
     k1 = x1 * y2 - y1 * x2
     k2 = x1 * y0 - y1 * x0
@@ -911,8 +912,8 @@ def _std_triple_matrix(t):
 def _triple_ints(src, dst):
     """(m00, m01, m10, m11, reversing) of the unique isometry mapping the
     src triple pointwise to the dst triple, both triples of three distinct
-    `_projective` pairs; the entries are coprime, the first nonzero one
-    positive, as `_coprime_ints` gives them.
+    boundary points as integer pairs; the entries are coprime, the first
+    nonzero one positive, as `_coprime_ints` gives them.
 
     With every point an integer pair (x, y), oo being (1, 0), the matrix
     with rows k1 (y0, -x0) and k2 (y2, -x2), where k1 = x1 y2 - y1 x2 and
@@ -944,12 +945,11 @@ def _triple_ints(src, dst):
 
 def triple_normalizer(src, dst) -> Isometry:
     """The unique isometry mapping the src triple pointwise to the dst
-    triple: `_triple_ints` of their `_projective` pairs."""
+    triple: `_triple_ints` of their integer pairs."""
     src, dst = tuple(src), tuple(dst)
     if len(set(src)) != 3 or len(set(dst)) != 3:
         raise InvalidInputError("triples must consist of three distinct points")
-    return Isometry._from_coprime(
-        *_triple_ints([_projective(p) for p in src], [_projective(p) for p in dst]))
+    return Isometry._from_coprime(*_triple_ints(src, dst))
 
 
 # ---------------------------------------------------------------------------

@@ -14,10 +14,10 @@ irrational); the counts never are.  A pair with an inexact (float) curve
 finds its meeting points first and counts them, every sign test with
 tolerance EPS: a shared finite endpoint is a meeting point of the two full
 circles at height 0, so one sign test on heights counts interior points
-and shared endpoints alike.  Linkedness reads the boundary points as
-integer pairs with oo = (1, 0) (`model._projective`) and is the sign of
-one product of 2x2 determinants, the cross-ratio's, with no case for oo or
-for a shared point.
+and shared endpoints alike.  Linkedness reads each boundary point as the
+integer pair it is, oo = (1, 0), and is the sign of one product of 2x2
+determinants, the cross-ratio's, with no case for oo or for a shared
+point.
 """
 
 from __future__ import annotations
@@ -41,7 +41,6 @@ from .model import (
     _int_floats,
     _lorentz,
     _number,
-    _projective,
 )
 
 
@@ -435,14 +434,14 @@ def linked(pair1, pair2) -> bool:
 
     {a, b} and {c, d} (all distinct) are linked when exactly one of c, d
     lies on each arc determined by a and b.  Pairs sharing a point are not
-    linked.  With the points as integer pairs (`_projective`, oo = (1, 0))
-    and [u, w] = u0 w1 - u1 w0, that is the cross-ratio's sign
+    linked.  With the points as their integer pairs, oo = (1, 0), and
+    [u, w] = u0 w1 - u1 w0, that is the cross-ratio's sign
     [c, a][d, b][c, b][d, a] < 0; a shared point makes it 0.
     """
     p, q = tuple(pair1), tuple(pair2)
     if len(p) != 2 or len(q) != 2 or p[0] == p[1] or q[0] == q[1]:
         raise InvalidInputError("linked needs two pairs of distinct points")
-    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = map(_projective, p + q)
+    (a0, a1), (b0, b1), (c0, c1), (d0, d1) = p + q
     ca, db = c0 * a1 - c1 * a0, d0 * b1 - d1 * b0
     cb, da = c0 * b1 - c1 * b0, d0 * a1 - d1 * a0
     return ca * db * cb * da < 0

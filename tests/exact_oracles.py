@@ -16,6 +16,52 @@ def sqrt_exact(q):
     return None
 
 
+class _OracleBoundaryPoint:
+    """`BoundaryPoint` as it was when it held its value as a `Fraction`, or
+    None for oo, with equality and hash of its own."""
+
+    __slots__ = ("value",)
+
+    def __init__(self, value=None):
+        self.value = None if value is None else Q(value)
+
+    @property
+    def is_infinity(self):
+        return self.value is None
+
+    def __eq__(self, other):
+        if not isinstance(other, _OracleBoundaryPoint):
+            return NotImplemented
+        return self.value == other.value
+
+    def __hash__(self):
+        v = self.value
+        return hash(None if v is None else (v.numerator, v.denominator))
+
+    def __repr__(self):
+        from hyperk._rational import q_str
+
+        return "oo" if self.is_infinity else q_str(self.value)
+
+    def sort_key(self):
+        return (1, 0) if self.is_infinity else (0, self.value)
+
+
+def _oracle_apply_boundary_pair(iso, p):
+    """`Isometry.apply_boundary` as it was: the point p as an integer pair,
+    oo = (1, 0), mapped by the integer matrix, and read back through
+    `Fraction`, as an `_OracleBoundaryPoint`."""
+    from fractions import Fraction
+
+    a, b, c, d = iso._ints()
+    v = p.value
+    x, y = (1, 0) if v is None else (v.numerator, v.denominator)
+    if iso.reversing:
+        x = -x
+    y, x = c * x + d * y, a * x + b * y
+    return _OracleBoundaryPoint() if y == 0 else _OracleBoundaryPoint(Fraction(x, y))
+
+
 def _oracle_endpoints(curve):
     """The curve's endpoints as `Curve` derived them eagerly, as
     `BoundaryPoint`s of `Fraction`s, before it kept integer pairs: None for

@@ -27,7 +27,7 @@ from hyperk import (
 from hyperk import graphs
 from hyperk.errors import HyperkError, InvalidInputError
 from hyperk.model import (
-    GeneralizedCircle, _boundary_point, _int_floats, curve_from_coeffs, triple_normalizer,
+    GeneralizedCircle, _int_floats, curve_from_coeffs, triple_normalizer,
 )
 from hyperk.predicates import intersection_pattern, pair_counts
 from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
@@ -577,7 +577,8 @@ def test_matching_does_not_depend_on_the_two_point_normalizer_scale(monkeypatch)
 
     def oracle_ints(x, y):
         # the oracle's matrix, at another scale, on the same integer pairs
-        return oracle_two_point_normalizer(_boundary_point(x), _boundary_point(y))._ints()
+        x, y = (BoundaryPoint(Q(*p) if p[1] else None) for p in (x, y))
+        return oracle_two_point_normalizer(x, y)._ints()
 
     monkeypatch.setattr(graphs, "_two_point_ints", oracle_ints)
     assert [isometry_matching(src, dst) for src, dst in cases] == got

@@ -1,6 +1,9 @@
 import collections
+import copy
+import itertools
 import math
 import os
+import pickle
 import random
 import re
 import subprocess
@@ -33,7 +36,9 @@ from hyperk import (
 from hyperk.errors import DegenerateResultError, HyperkError, InvalidInputError
 from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q
 
-from exact_oracles import oracle_two_point_normalizer
+from exact_oracles import (
+    _OracleBoundaryPoint, _oracle_apply_boundary_pair, oracle_two_point_normalizer,
+)
 
 F = BoundaryPoint.finite
 
@@ -628,8 +633,7 @@ def test_triple_normalizer_matches_fraction_oracle():
         want = _oracle_triple_normalizer(src, dst)
         assert iso.matrix() == want.matrix() and iso.reversing == want.reversing
         # the integer candidate is already in the Isometry's coprime form
-        ints = model._triple_ints([model._projective(p) for p in src],
-                                  [model._projective(p) for p in dst])
+        ints = model._triple_ints(src, dst)
         assert ints == (*want._ints(), want.reversing)
         assert all(type(v) is Fraction for v in iso.matrix())
         done += 1
@@ -1103,10 +1107,8 @@ def _stored_data_corpus():
 
 def test_stored_curve_data_matches_the_eager_derivation():
     # each curve keeps its coefficient tuple, its norm and its boundary
-    # data as integer pairs, formed once; endpoints, centre and size are
-    # built from them when read, equal to what was derived eagerly
-    from hyperk.model import _projective
-
+    # points, formed once; endpoints and centre are the kept points and
+    # size is built when read, equal to what was derived eagerly
     from exact_oracles import _oracle_endpoints, _oracle_horodata
 
     tally = collections.Counter()
@@ -1117,11 +1119,11 @@ def test_stored_curve_data_matches_the_eager_derivation():
         assert circle._norm == circle.nondegeneracy() == b * b + c * c - 4 * a * d
         ends = _oracle_endpoints(curve)
         center, size = _oracle_horodata(curve)
-        stored = None if ends is None else tuple(map(_projective, ends))
-        assert curve._boundary == stored, curve
+        assert curve._boundary == ends, curve
         assert curve.has_exact_endpoints == (ends is not None)
         if ends is None:
-            with pytest.raises(InvalidInputError, match="irrational endpoints"):
+            why = "irrational endpoints" if curve.exact else "inexact curve"
+            with pytest.raises(InvalidInputError, match=why):
                 curve.endpoints
         else:
             assert curve.endpoints == ends
@@ -1129,9 +1131,9 @@ def test_stored_curve_data_matches_the_eager_derivation():
         assert curve.center == center and curve.size == size
         assert type(curve.size) is type(size)
         if center is not None and curve.exact:
-            assert curve._boundary == (_projective(center),)
+            assert curve._boundary == (center,)
         tally[curve.kind, curve.exact, ends is None] += 1
-        tally["oo"] += stored is not None and (1, 0) in stored
+        tally["oo"] += ends is not None and INFINITY in ends
         tally["wide"] += curve.exact and max(abs(v).bit_length() for v in circle.coeffs()) > 600
     for kind in (CurveKind.GEODESIC, CurveKind.HOROCYCLE, CurveKind.HYPERCYCLE):
         assert tally[kind, True, False] >= 60, tally
@@ -1140,3 +1142,86 @@ def test_stored_curve_data_matches_the_eager_derivation():
     assert tally[CurveKind.GEODESIC, True, True] >= 10, tally
     assert tally[CurveKind.HYPERCYCLE, True, True] >= 10, tally
     assert tally["oo"] >= 80 and tally["wide"] >= 150, tally
+
+
+# -- boundary points as their integer pairs ------------------------------------
+
+
+def _boundary_values():
+    """What a boundary point is built from: ints, Fractions, '3/4' strings,
+    floats, negatives, 600-bit rationals and None (oo)."""
+    big = 1 << 600
+    return [None, 0, 1, -1, 7, -12, big, -big - 7,
+            Fraction(3, 4), Fraction(-5, 6), Fraction(big + 1, big - 1), Fraction(-big, 3),
+            "3/4", "-7/2", "5", "6/8", 0.1, -2.5, 0.75, 1e-300, -1e300]
+
+
+def test_boundary_point_keeps_the_contract_of_the_fraction_class():
+    values = _boundary_values()
+    points = [BoundaryPoint(v) for v in values]
+    oracles = [_OracleBoundaryPoint(v) for v in values]
+    for v, p, o in zip(values, points, oracles):
+        assert type(p) is BoundaryPoint
+        assert p.value == o.value and type(p.value) is type(o.value), v
+        assert p.is_infinity == o.is_infinity and repr(p) == repr(o), v
+        assert p.sort_key() == o.sort_key(), v
+        m, n = p
+        assert n >= 0 and math.gcd(m, n) == 1, v
+        # a point is the plain pair it holds
+        assert p == (m, n) and hash(p) == hash((m, n))
+        if v is not None:
+            assert BoundaryPoint.finite(v) == p
+    assert BoundaryPoint() == INFINITY and INFINITY == (1, 0) and INFINITY.is_infinity
+    with pytest.raises(TypeError):
+        BoundaryPoint.finite(None)
+    for (p, o), (q, r) in itertools.product(zip(points, oracles), repeat=2):
+        assert (p == q) == (o == r) and (p != q) == (o != r), (p, q)
+        assert (hash(p) == hash(q)) >= (p == q)
+    order = sorted(range(len(points)), key=lambda k: points[k].sort_key())
+    want = sorted(range(len(oracles)), key=lambda k: oracles[k].sort_key())
+    assert order == want and repr(points[order[-1]]) == "oo"
+
+
+def test_apply_boundary_matches_the_fraction_class():
+    # the reduced integer image, n >= 0 and oo as (1, 0), against the
+    # action that read its image back through Fraction
+    rng = random.Random(2807)
+    big = 1 << 600
+    maps = [rand_isometry(rng) for _ in range(300)]
+    maps += [Isometry(big + k, 1, big, 1, reversing=k % 2 == 1) for k in range(1, 9)]
+    seen = collections.Counter()
+    for iso in maps:
+        a, b, c, d = iso.matrix()
+        values = _boundary_values() + [Fraction(rng.randint(-99, 99), rng.randint(1, 99))]
+        if c:
+            values.append(d / c if iso.reversing else -d / c)  # the pole
+        for v in values:
+            got = iso.apply_boundary(BoundaryPoint(v))
+            want = _oracle_apply_boundary_pair(iso, _OracleBoundaryPoint(v))
+            assert type(got) is BoundaryPoint
+            assert got.value == want.value and repr(got) == repr(want), (iso, v)
+            m, n = got
+            assert n >= 0 and math.gcd(m, n) == 1, (iso, v, got)
+            assert got == (1, 0) if want.is_infinity else n > 0
+            seen[iso.reversing, want.is_infinity] += 1
+            seen["big"] += abs(m).bit_length() > 600
+    assert len(seen) == 5 and seen["big"] > 100, seen  # both orientations, oo, 2^600
+
+
+def test_boundary_points_survive_pickle_and_copy():
+    points = [BoundaryPoint(v) for v in _boundary_values()]
+    curve = make_geodesic(F(Q(-1, 3)), INFINITY)
+    for p in points + list(curve.endpoints):
+        copies = [copy.copy(p), copy.deepcopy(p)]
+        copies += [pickle.loads(pickle.dumps(p, k)) for k in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for q in copies:
+            assert type(q) is BoundaryPoint and q == p and repr(q) == repr(p)
+    assert copy.deepcopy(curve).endpoints == curve.endpoints
+    assert pickle.loads(pickle.dumps(curve)).endpoints == curve.endpoints
+
+
+def test_inexact_curve_endpoints_are_refused_as_inexact():
+    curve = curve_from_coeffs(1.0, 0, 0, -1.0, exact=False)  # ends at -1 and 1
+    with pytest.raises(InvalidInputError, match=r"^inexact curve; use endpoint_floats"):
+        curve.endpoints
+    assert curve.endpoint_floats() == (-1.0, 1.0)

@@ -329,20 +329,27 @@ def test_grammar_check_sees_direct_parsers():
     ]
 
 
-#: functions that read a boundary point only through `model._projective`
-#: (oo = (1, 0)), by module
+#: functions that read a boundary point only as the integer pair it is
+#: (oo = (1, 0)), never through `.is_infinity` or `.value`, by module
 PROJECTIVE_ONLY = {
     "model.py": {"evaluate_boundary", "make_geodesic", "_hypercycle_ints",
-                 "two_point_normalizer"},
+                 "two_point_normalizer", "apply_boundary"},
     "predicates.py": {"linked"},
+    "earthquake.py": {"tangency_realizability"},
 }
+
+#: reads in those functions that are not of a point: the radius system's
+#: `value` method and a pair requirement's enum value
+NOT_POINT_READS = [("tangency_realizability", "req.value"),
+                   ("tangency_realizability", "sys.value"),
+                   ("tangency_realizability", "sys.value")]
 
 
 def _point_reads(tree, names):
-    """(function, attribute), sorted, for every `.is_infinity` or `.value`
+    """(function, expression), sorted, for every `.is_infinity` or `.value`
     read inside a function, or method, named in `names`."""
     return sorted(
-        (fn.name, node.attr)
+        (fn.name, ast.unparse(node))
         for fn in ast.walk(tree)
         if isinstance(fn, ast.FunctionDef) and fn.name in names
         for node in ast.walk(fn)
@@ -351,11 +358,13 @@ def _point_reads(tree, names):
 
 
 def test_exact_point_formulas_have_no_case_for_infinity():
+    reads = []
     for module, names in PROJECTIVE_ONLY.items():
         tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
         defined = {fn.name for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
         assert names <= defined, module
-        assert _point_reads(tree, names) == [], module
+        reads += _point_reads(tree, names)
+    assert reads == NOT_POINT_READS
 
 
 def test_point_read_check_sees_infinity_cases():
@@ -369,9 +378,44 @@ def test_point_read_check_sees_infinity_cases():
         "    return p.is_infinity\n"
     )
     assert _point_reads(tree, {"evaluate_boundary", "linked"}) == [
-        ("evaluate_boundary", "is_infinity"), ("evaluate_boundary", "value"),
-        ("linked", "value"),
+        ("evaluate_boundary", "p.is_infinity"), ("evaluate_boundary", "p.value"),
+        ("linked", "x.value"),
     ]
+
+
+def test_boundary_points_build_no_fraction(monkeypatch):
+    # a boundary point is its integer pair: reading a curve's endpoints or
+    # centre, mapping a point and testing linkedness build no Fraction
+    import random
+    from fractions import Fraction
+
+    from hyperk import INFINITY, BoundaryPoint, EarthquakeMap, eq_apply, linked, make_geodesic
+    from hyperk.verify import rand_curve, rand_distinct_boundary, rand_isometry
+
+    rng = random.Random(2808)
+    curves = [c for c in (rand_curve(rng) for _ in range(200)) if c.exact]
+    maps = [rand_isometry(rng) for _ in range(200)]
+    quads = [rand_distinct_boundary(rng, 4) for _ in range(200)]
+    quake = EarthquakeMap(make_geodesic(BoundaryPoint.finite(0), INFINITY), 2, "left")
+    made = []
+    new = Fraction.__new__
+
+    def counted(cls, *args, **kwargs):
+        made.append(args)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", staticmethod(counted))
+    ends = [p for c in curves if c.has_exact_endpoints for p in c.endpoints]
+    centres = [c.center for c in curves]
+    images = [g.apply_boundary(p) for g, p in zip(maps, ends)]
+    shaken = [eq_apply(quake, p) for q in quads for p in q]
+    links = [linked(q[:2], q[2:]) for q in quads]
+    geodesics = [make_geodesic(*q[:2]) for q in quads]
+    assert made == []
+    assert len(ends) > 150 and len(images) == 200 and len(shaken) == 800
+    assert sum(c is not None for c in centres) > 40 and any(links) and not all(links)
+    assert sum(p != q for p, q in zip(shaken, (p for q in quads for p in q))) > 200
+    assert all(g.has_exact_endpoints for g in geodesics)
 
 
 def test_exact_counts_never_build_meeting_points(monkeypatch):
