@@ -57,7 +57,7 @@ class EarthquakeMap:
     def __init__(self, fault: Curve, shear, moved_side: str = "left"):
         if fault.kind is not CurveKind.GEODESIC:
             raise InvalidInputError("earthquake fault must be a geodesic")
-        if not fault.exact or not fault.has_exact_endpoints:
+        if not fault.has_exact_endpoints:
             raise InvalidInputError("earthquake fault needs rational endpoints")
         shear = Q(shear)
         if not shear > 0:
@@ -75,9 +75,9 @@ class EarthquakeMap:
         left_sign = 1 if fault.circle.a else -1
         self._moved_sign = left_sign if moved_side == "left" else -left_sign
 
-        # translation along the fault: normalize endpoints (smaller, larger)
-        # to (0, oo) and conjugate z -> shear * z back
-        e1, e2 = sorted(fault.endpoints, key=BoundaryPoint.sort_key)
+        # translation along the fault: normalize endpoints (smaller, larger),
+        # as the curve keeps them, to (0, oo) and conjugate z -> shear * z back
+        e1, e2 = fault.endpoints
         n = two_point_normalizer(e2, e1)  # e2 -> oo, e1 -> 0
         self._shift = n.inverse().compose(Isometry.scaling(shear)).compose(n)
 

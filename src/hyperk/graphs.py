@@ -8,10 +8,13 @@ h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.
 
-The module reads the integer data each exact curve keeps from when it was
-built: its circle's coefficient tuple and Lorentz norm, and its boundary
-points, each the integer pair (m, n) of m/n, oo = (1, 0) (`Curve._boundary`:
-the endpoints, or a horocycle's centre).  On exact curves it forms no
+The module reads the data each curve keeps from when it was built: an
+exact circle's coefficient tuple and Lorentz norm, and the curve's
+boundary points, each the integer pair (m, n) of m/n, oo = (1, 0)
+(`Curve._boundary`: an exact curve's endpoints, or a horocycle's centre,
+an inexact one's at the exact value of its float).  It forms no boundary
+point and no circle action of its own: an isometry acts on a circle's
+coefficients by `model._image` alone.  On exact curves it forms no
 `Fraction` but the answer's entries.
 
 For exact curves, adjacency and the first test of a matching both read
@@ -28,12 +31,12 @@ fewer than three points is completed on integer matrices too), and one
 `Isometry` is built per answer, from the tuple with no second reduction,
 not per candidate.  Each candidate is verified by one test on every
 curve's circle, on integers when both circles are exact: the source
-circle, pulled back along the candidate's inverse, must be a multiple of
-the target's coefficients, so no image circle is built.  An inexact circle
-is compared by `Isometry.apply_circle`, at tolerance EPS.  A curve with
-irrational endpoints gives the search no frame point, so beside one the
-other curves must give three distinct rational boundary points, or the
-search raises InvalidInputError.
+circle's image coefficients (`model._image`) must be a multiple of the
+target's, so no image circle is built.  An inexact circle is compared by
+`Isometry.apply_circle`, at tolerance EPS.  A curve with irrational
+endpoints gives the search no frame point, so beside one the other
+curves must give three distinct rational boundary points, or the search
+raises InvalidInputError.
 """
 
 from __future__ import annotations
@@ -53,7 +56,7 @@ from .model import (
     CurveKind,
     Isometry,
     _horocycle_size,
-    _pullback,
+    _image,
     _triple_ints,
     _two_point_ints,
 )
@@ -154,14 +157,7 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
                 )
     kinds = {c.kind for c in curves}
     if len(kinds) == 1:
-        kind = next(iter(kinds))
-        graph_class = {
-            CurveKind.GEODESIC: GraphClass.GEODESIC,
-            CurveKind.HOROCYCLE: GraphClass.HOROCYCLE,
-            CurveKind.HYPERCYCLE: GraphClass.HYPERCYCLE,
-        }.get(kind)
-        if graph_class is None:
-            raise InvalidInputError(f"unsupported curve kind {kind.value} in graph")
+        graph_class = GraphClass(kinds.pop().value)
     elif allow_mixed:
         graph_class = GraphClass.MIXED
     else:
@@ -300,16 +296,6 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     return list(map(GraphAutomorphism, perms))
 
 
-def _boundary_data(curve: Curve):
-    """The curve's kept boundary points (`Curve._boundary`), and for an
-    inexact horocycle its centre at its exact value; None for irrational
-    endpoints or another inexact curve."""
-    data = curve._boundary
-    if data is None and curve.kind is CurveKind.HOROCYCLE:
-        return (curve.center,)
-    return data
-
-
 def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, Tuple[int, int]]]:
     """Up to three distinct rational boundary points of the configuration,
     as integer pairs, each tagged with its curve index.  Horocycle
@@ -323,7 +309,7 @@ def _source_frame(src_curves: Sequence[Curve]) -> List[Tuple[int, Tuple[int, int
     frame: List[Tuple[int, Tuple[int, int]]] = []
     complete = True
     for i in order:
-        data = _boundary_data(src_curves[i])
+        data = src_curves[i]._boundary
         if data is None:
             complete = False
             continue
@@ -358,7 +344,7 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
     through `_triple_ints`."""
     frame = _source_frame(src_curves)
     points = [p for _, p in frame]
-    choices = [_boundary_data(dst_curves[i]) for i, _ in frame]
+    choices = [dst_curves[i]._boundary for i, _ in frame]
     if None in choices:
         return
     for images in product(*choices):
@@ -369,10 +355,7 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
         else:
             triples = _completed_frames(src_curves, dst_curves, points, list(images))
         for src, dst in triples:
-            try:
-                yield _triple_ints(src, dst)
-            except HyperkError:
-                continue
+            yield _triple_ints(src, dst)
 
 
 def _completed_frames(src_curves, dst_curves, points, images):
@@ -385,11 +368,11 @@ def _completed_frames(src_curves, dst_curves, points, images):
     the curves then are horocycles at oo, which every translation fixes).
     An isometry matching the configurations is then b^-1 . h . a with
     h(z) = lam z or h(z) = -lam conj(z): lam is the size ratio of the images
-    of the first horocycle and its target (each circle pulled back along
-    the inverse, as `Isometry.apply_circle` does), or with none (every h
-    fixes curves ending at 0 and oo) the ratio of the `_dilation`s of b and
-    a.  Each frame is (a^-1 oo, a^-1 0, a^-1 1) -> (b^-1 oo, b^-1 0,
-    b^-1 h(1)), the inverses being adjugates."""
+    of the first horocycle and its target (each circle's `model._image`
+    under a or b), or with none (every h fixes curves ending at 0 and oo)
+    the ratio of the `_dilation`s of b and a.  Each frame is (a^-1 oo,
+    a^-1 0, a^-1 1) -> (b^-1 oo, b^-1 0, b^-1 h(1)), the inverses being
+    adjugates."""
     if len(points) == 1:
         points = points + [_partner(points[0])]
         images = images + [_partner(images[0])]
@@ -398,7 +381,8 @@ def _completed_frames(src_curves, dst_curves, points, images):
         if s.kind is not CurveKind.HOROCYCLE:
             continue
         if s.exact and t.exact:
-            (sn, sd), (tn, td) = _size(s, a), _size(t, b)
+            sn, sd = _horocycle_size(_image(s.circle.coeffs(), *a, False))
+            tn, td = _horocycle_size(_image(t.circle.coeffs(), *b, False))
             num, den = tn * sd, td * sn
         else:  # the exact value of the float sizes' ratio
             lam = Q(Isometry(*b).apply_curve(t).size / Isometry(*a).apply_curve(s).size)
@@ -415,13 +399,6 @@ def _completed_frames(src_curves, dst_curves, points, images):
          images + [(b11 * sign * num - b01 * den, b00 * den - b10 * sign * num)])
         for sign in (1, -1)
     ]
-
-
-def _size(h: Curve, m):
-    """(num, den), num / den the size of the image of the exact horocycle h
-    under the integer matrix m of an orientation-preserving map."""
-    a00, a01, a10, a11 = m
-    return _horocycle_size(_pullback(*h.circle.coeffs(), a11, -a01, -a10, a00))
 
 
 def _dilation(m):
@@ -488,23 +465,19 @@ def _maps_circles(cand, circles) -> bool:
     source circle onto its target, for every (source, target) pair of
     GeneralizedCircles in `circles`?
 
-    An exact pair is decided on integers: the source pulled back along the
-    inverse map, as `apply_circle` does, is a vector k that must be a
-    multiple of the target's coprime coefficients w.  Canonical form
+    An exact pair is decided on integers: the source's image coefficients
+    (`model._image`, as `apply_circle` forms them) are a vector k that must
+    be a multiple of the target's coprime coefficients w.  Canonical form
     identifies v and -v, so the test is k[j] w[i] == w[j] k[i] for every j,
     with w[i] the first nonzero entry of w (one of a, b, c), and no gcd is
     taken.  A pair with an inexact side is compared by the `Isometry`'s
     `apply_circle`, at tolerance EPS."""
-    m00, m01, m10, m11, reversing = cand
     for s, t in circles:
         if not (s.exact and t.exact):
             if Isometry(*cand).apply_circle(s) != t:
                 return False
             continue
-        a, b, c, d = s.coeffs()
-        if reversing:
-            b = -b  # x -> -x first
-        ka, kb, kc, kd = _pullback(a, b, c, d, m11, -m01, -m10, m00)
+        ka, kb, kc, kd = _image(s.coeffs(), *cand)
         wa, wb, wc, wd = t.coeffs()
         wi, ki = (wa, ka) if wa else (wb, kb) if wb else (wc, kc)
         if (ka * wi, kb * wi, kc * wi, kd * wi) != (wa * ki, wb * ki, wc * ki, wd * ki):

@@ -20,20 +20,20 @@ oo; an interior point enters a formula as `_homogeneous` (a point (x, y)
 as (X/W, Y/W)), where `_form_at` evaluates a circle.  A `Fraction` is
 built only for an image point's coordinates, and for a boundary point's
 `value` when that is read.  Each exact circle keeps its coefficient
-tuple and Lorentz norm, and each exact curve its boundary points, all
-formed once when it is built; `Curve.endpoints` and `center` return the
-kept points, and `size` builds its `Fraction` only when read.
+tuple and Lorentz norm, and each curve its boundary points (an inexact
+horocycle its centre), all formed once when it is built; every layer
+reads the kept points, and `size` builds its `Fraction` only when read.
 `triple_normalizer` wraps `_triple_ints`, which finds and checks the
 isometry sending one triple of boundary points to another on their
 pairs, so a caller that only tests candidates (`graphs.isometry_matching`)
 builds no `Isometry` for them, and builds its answer with
 `Isometry._from_coprime`, which skips the reduction `_triple_ints`
-already did.  `Isometry.apply_boundary` reduces its integer image.
-`Isometry` keeps its entries as denominator-1 `Fraction`s, and
-`Isometry.apply_circle` still does `Fraction` arithmetic on purpose
-until ROADMAP item 1 lands: made integer, it runs the `pairs` benchmark
-past the 2^18 samples its buffer holds, and the buffer's growth shows as
-a peak-memory regression.
+already did.  `Isometry.apply_boundary` reduces its integer image, and
+`_image` is the one action on a circle's coefficients.  `Isometry`
+keeps its entries as denominator-1 `Fraction`s, and `apply_circle` does
+`Fraction` arithmetic on purpose until ROADMAP item 1 lands: made
+integer, it runs the `pairs` benchmark past the 2^18 samples its buffer
+holds, and the buffer's growth shows as a peak-memory regression.
 """
 
 from __future__ import annotations
@@ -413,9 +413,9 @@ class Curve:
     An exact curve with rational endpoints keeps them as `BoundaryPoint`s,
     integer pairs formed once from its coefficients: the two endpoints of a
     geodesic or hypercycle, in increasing order with oo last, or the one
-    centre of a horocycle.  `endpoints` and `center` return them as they
-    are kept.  A curve with irrational endpoints, or an inexact curve,
-    keeps None.
+    centre of a horocycle, an inexact one's at the exact value of its
+    float; other curves keep None.  `center` returns the kept centre and
+    `endpoints` an exact curve's kept points.
     """
 
     __slots__ = ("circle", "kind", "_boundary")
@@ -426,7 +426,13 @@ class Curve:
             raise InvalidInputError(f"locus classifies as {kind.value}, not a curve")
         self.circle = circle
         self.kind = kind
-        self._boundary = _boundary_pairs(circle) if circle.exact else None
+        if circle.exact:
+            self._boundary = _boundary_pairs(circle)
+        elif kind is CurveKind.HOROCYCLE:
+            a, b, _, _ = circle.coeffs()
+            self._boundary = (BoundaryPoint.finite(-b / (2 * a)) if abs(a) > EPS else INFINITY,)
+        else:
+            self._boundary = None
 
     @property
     def exact(self) -> bool:
@@ -435,25 +441,20 @@ class Curve:
     @property
     def endpoints(self) -> Tuple[BoundaryPoint, ...]:
         """Endpoint set on the boundary circle; exact rationals required."""
-        if self._boundary is None:
+        if not self.has_exact_endpoints:
             why = "curve has irrational endpoints" if self.exact else "inexact curve"
             raise InvalidInputError(f"{why}; use endpoint_floats()")
         return self._boundary
 
     @property
     def has_exact_endpoints(self) -> bool:
-        return self._boundary is not None
+        return self.circle.exact and self._boundary is not None
 
     @property
     def center(self) -> Optional[BoundaryPoint]:
         """A horocycle's centre (an inexact one's at the exact value of its
         float); None for other curves."""
-        if self.kind is not CurveKind.HOROCYCLE:
-            return None
-        if self.exact:
-            return self._boundary[0]
-        a, b, _, _ = self.circle.coeffs()
-        return BoundaryPoint.finite(-b / (2 * a)) if abs(a) > EPS else INFINITY
+        return self._boundary[0] if self.kind is CurveKind.HOROCYCLE else None
 
     @property
     def size(self):
@@ -838,16 +839,11 @@ class Isometry:
         return UHPPoint(Fraction(u * v + a * cy * Y, den_), Fraction(det * Y * W, den_), exact=True)
 
     def apply_circle(self, circle: GeneralizedCircle) -> GeneralizedCircle:
-        a, b, c, d = circle.coeffs()
-        if self.reversing:
-            b = -b  # sigma: x -> -x
-        # pull back along the inverse Moebius map (p w + q)/(r w + s)
-        m00, m01, m10, m11 = self.matrix()
-        p, q, r, s = m11, -m01, -m10, m00
+        k = circle.coeffs()
         if circle.exact:
-            return GeneralizedCircle(*_pullback(a, b, c, d, p, q, r, s), exact=True)
+            return GeneralizedCircle(*_image(k, *self.matrix(), self.reversing), exact=True)
         try:
-            image = _pullback(a, b, c, d, *(float(v) for v in (p, q, r, s)))
+            image = _image(k, *(float(v) for v in self.matrix()), self.reversing)
         except OverflowError:
             image = (math.inf,)
         if all(map(math.isfinite, image)):
@@ -867,8 +863,14 @@ class Isometry:
         return image
 
 
-def _pullback(a, b, c, d, p, q, r, s):
-    """The circle (a, b, c, d) pulled back along w -> (p w + q)/(r w + s)."""
+def _image(k, m00, m01, m10, m11, reversing):
+    """The unreduced image of the circle k = (a, b, c, d) under the isometry
+    [m00 m01; m10 m11], `reversing` or not: x -> -x when reversing, then the
+    pullback along the inverse w -> (p w + q)/(r w + s) of the matrix."""
+    a, b, c, d = k
+    if reversing:
+        b = -b
+    p, q, r, s = m11, -m01, -m10, m00
     na = a * p * p + b * p * r + d * r * r
     nb = 2 * a * p * q + b * (p * s + q * r) + 2 * d * r * s
     nc = c * (p * s - q * r)
@@ -1033,17 +1035,12 @@ def equidistant_pair(g: Curve, d, sinh_d=None):
 # ---------------------------------------------------------------------------
 
 
-def _base_boundary_point(curve: Curve):
-    """A rational point of the full circle lying on the real axis."""
-    a, b, c, d = curve.circle.coeffs()
-    if a == 0:
-        return None  # line: sampled directly
-    if curve.kind is CurveKind.HOROCYCLE:
-        return Q(-b, 2 * a)
-    if not curve.has_exact_endpoints:
+def _base_boundary_point(curve: Curve) -> BoundaryPoint:
+    """A rational point (m, n) of the exact curve's full circle, a != 0, on
+    the real axis: its first kept boundary point."""
+    if curve._boundary is None:
         raise InvalidInputError("cannot sample rational points: irrational endpoints")
-    e = curve.endpoints[0]
-    return e.value
+    return curve._boundary[0]
 
 
 def _chord_point(k, X, Y, W, u, v):
@@ -1086,11 +1083,10 @@ def rational_points(curve: Curve, count: int):
                         break
             t += 1
         return points
-    x0 = _base_boundary_point(curve)
-    # chords of slope p/q from (x0, 0); the second meeting is rational.
+    # chords of slope p/q from (e/f, 0); the second meeting is rational.
     # Slopes +-p/q are enumerated over all coprime pairs with max(p, q) = k
     # so the sample set is dense in every sub-arc as count grows.
-    e, f = x0.numerator, x0.denominator
+    e, f = _base_boundary_point(curve)
     seen = set()
     k = 1
     while len(points) < count:
@@ -1148,12 +1144,11 @@ def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
                 return bx - c * t, by + b * t
         else:
             if q.exact:
-                bx, by, ux, uy = x, y, -(2 * a * y + c), 2 * a * x + b
-            else:
-                bx, by = _base_boundary_point(curve), 0
-                ux, uy = x - bx, y
+                base, ux, uy = _homogeneous(x, y), -(2 * a * y + c), 2 * a * x + b
+            else:  # B = (m/n, 0), and n (q - B) gives the chords of q - B
+                m, n = _base_boundary_point(curve)
+                base, ux, uy = (m, 0, n), x * n - m, y * n
             t0, scale = 0, y * abs(a) / (math.isqrt(b * b + c * c - 4 * a * d) + 1)
-            base = _homogeneous(bx, by)
 
             def point(t):
                 U, V, _ = _homogeneous(ux - t * uy, uy + t * ux)

@@ -11,13 +11,14 @@ its meeting points are built only when `interior_points` is first read;
 `_iter_pair_counts` yields those counts pair by pair.
 Only the coordinates of those points may be floats (when the points are
 irrational); the counts never are.  A pair with an inexact (float) curve
-finds its meeting points first and counts them, every sign test with
-tolerance EPS: a shared finite endpoint is a meeting point of the two full
-circles at height 0, so one sign test on heights counts interior points
-and shared endpoints alike.  Linkedness reads each boundary point as the
-integer pair it is, oo = (1, 0), and is the sign of one product of 2x2
-determinants, the cross-ratio's, with no case for oo or for a shared
-point.
+is equal when the two circles agree within EPS, an exact curve and its
+float copy included; otherwise it finds its meeting points first and
+counts them, every sign test with tolerance EPS: a shared finite
+endpoint is a meeting point of the two full circles at height 0, so one
+sign test on heights counts interior points and shared endpoints alike.
+Linkedness reads each boundary point as the integer pair it is, oo =
+(1, 0), and is the sign of one product of 2x2 determinants, the
+cross-ratio's, with no case for oo or for a shared point.
 """
 
 from __future__ import annotations
@@ -120,6 +121,10 @@ def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
         pat = IntersectionPattern(*counts, None, True)
         pat._circles = k1, k2
         return pat
+    if c1.exact != c2.exact and _same_circle(c1.circle, c2.circle):
+        # an exact curve and its float copy are one curve, though
+        # `Curve.__eq__` never equates them: their hashes differ
+        return IntersectionPattern(0, False, 0, (), False, equal=True)
     if _same_center_horocycles(c1, c2):
         # nested horocycles touch only at their common center, a meeting no
         # float test on heights resolves
@@ -198,6 +203,21 @@ def _gram_counts(v, w, g11, g22, g12):
     if d3 < 0:
         return (2 if s < 0 else 0), False, 0
     return (0, False, 2) if s == 0 else (int(s < 0), False, 1)
+
+
+def _same_circle(s1, s2) -> bool:
+    """Do the circles' unit coefficient vectors agree within EPS, entry by
+    entry and up to sign, as `GeneralizedCircle.__eq__` compares inexact
+    circles?  Exact integers are first divided below 1, past no float range."""
+    units = []
+    for s in (s1, s2):
+        k = s.coeffs()
+        if s.exact:
+            scale = 1 << max(abs(v).bit_length() for v in k)
+            k = [v / scale for v in k]
+        n = math.hypot(*k)
+        units.append([v / n for v in k])
+    return any(all(abs(u - sign * w) <= EPS for u, w in zip(*units)) for sign in (1, -1))
 
 
 def _same_center_horocycles(c1: Curve, c2: Curve) -> bool:
@@ -363,9 +383,9 @@ def hypercycle_pair_type(c1: Curve, c2: Curve) -> HypercyclePairType:
 
 def pair_type_from_pattern(c1: Curve, c2: Curve) -> HypercyclePairType:
     """The same taxonomy applied to any pair of curves."""
-    if c1 == c2:
-        return HypercyclePairType.EQUAL
     pat = intersection_pattern(c1, c2)
+    if pat.equal:
+        return HypercyclePairType.EQUAL
     if pat.shared_endpoints == 2:
         return HypercyclePairType.SAME_ENDPOINTS
     if pat.tangent:
@@ -389,7 +409,8 @@ def same_endpoints(c1: Curve, c2: Curve) -> bool:
     for c in (c1, c2):
         if c.kind is CurveKind.HOROCYCLE:
             raise InvalidInputError("same_endpoints needs two-endpoint curves")
-    return c1 == c2 or intersection_pattern(c1, c2).shared_endpoints == 2
+    pat = intersection_pattern(c1, c2)
+    return pat.equal or pat.shared_endpoints == 2
 
 
 # ---------------------------------------------------------------------------

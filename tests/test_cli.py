@@ -99,6 +99,17 @@ class TestIntersect:
         assert code == 0
         assert "interior_count=1" in out
 
+    @pytest.mark.parametrize("first, second", [
+        (("--first-hypercycle", "-1,1,0,2"), ("--second-hypercycle", "-1,1,0.0,2.0")),
+        (("--first-horocycle", "0,1"), ("--second-horocycle", "0.0,1.0")),
+        (("--first-horocycle", "0.0,1.0"), ("--second-horocycle", "0.0,1.0")),
+        (("--first-horocycle", "oo,2.0"), ("--second-horocycle", "oo,2")),
+    ])
+    def test_a_curve_and_its_float_copy_are_equal(self, capsys, first, second):
+        code, out, _ = run(capsys, "--inexact", "intersect", *first, *second)
+        assert code == 0
+        assert out.splitlines()[-2:] == ["equal curves", "pair type EQUAL"]
+
 
 class TestEarthquakeCommand:
     def test_apply(self, capsys):

@@ -340,7 +340,7 @@ def _oracle_straddle_near_crossing(h1, h2, pat):
                 )
                 t0 = rationalize(qx)
         else:
-            x0 = model._base_boundary_point(h1)
+            x0 = Q(*model._base_boundary_point(h1))
             if abs(qx - float(x0)) < 1e-12:
                 continue  # vertical chord; try the other crossing
 

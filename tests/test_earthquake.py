@@ -1586,6 +1586,8 @@ _T, _D = PairRequirement.TANGENT, PairRequirement.DISJOINT
     ([F(0), F(1)], [F(0), F(1)], [[None, _T]], "pattern matrix must be n x n"),
     ([F(0), F(1)], [F(0), F(1)], [[None, _T], [_T]], "pattern matrix must be n x n"),
     ([F(0), F(1)], [F(0), F(1)], [[None, _T], [_D, None]], "pattern matrix must be symmetric"),
+    ([F(0), F(1)], [F(0), F(0)], [[None, _T], [_T, None]],
+     "tangent/crossing pairs need distinct relabeled centers"),
 ])
 def test_realizability_instance_refusals(centers, images, pattern, message):
     with pytest.raises(InvalidInputError) as err:

@@ -838,6 +838,19 @@ def test_inexact_horocycle_centres_frame_the_search():
         Isometry.scaling(2))
 
 
+def test_a_failed_triple_check_is_raised_not_skipped(monkeypatch):
+    # a candidate whose triple check fails is a fault, not a miss: the
+    # search must not answer None to a matchable pair
+    def failing(src, dst):
+        raise HyperkError("triple normalizer does not send the frame")
+
+    src = [make_geodesic(F(0), F(1)), make_geodesic(F(2), F(3))]
+    dst = [Isometry.translation(1).apply_curve(c) for c in src]
+    monkeypatch.setattr(graphs, "_triple_ints", failing)
+    with pytest.raises(HyperkError, match="does not send the frame"):
+        isometry_matching(src, dst)
+
+
 class TestIrrationalEndpoints:
     """x^2 + y^2 - y - 2 = 0 is a hypercycle ending at -sqrt(2) and sqrt(2):
     it gives the frame no point and is verified by its circle.  The search

@@ -318,7 +318,7 @@ def _oracle_rational_points(curve, count: int):
                         break
             t += 1
         return points
-    x0 = model._base_boundary_point(curve)
+    x0 = Q(*model._base_boundary_point(curve))
     k = 1
     while len(points) < count:
         slopes = []
@@ -1119,7 +1119,9 @@ def test_stored_curve_data_matches_the_eager_derivation():
         assert circle._norm == circle.nondegeneracy() == b * b + c * c - 4 * a * d
         ends = _oracle_endpoints(curve)
         center, size = _oracle_horodata(curve)
-        assert curve._boundary == ends, curve
+        # a horocycle keeps its centre, an inexact one's too; every other
+        # curve its endpoints
+        assert curve._boundary == (ends if center is None else (center,)), curve
         assert curve.has_exact_endpoints == (ends is not None)
         if ends is None:
             why = "irrational endpoints" if curve.exact else "inexact curve"
@@ -1130,8 +1132,6 @@ def test_stored_curve_data_matches_the_eager_derivation():
             assert all(p.is_infinity or type(p.value) is Fraction for p in curve.endpoints)
         assert curve.center == center and curve.size == size
         assert type(curve.size) is type(size)
-        if center is not None and curve.exact:
-            assert curve._boundary == (center,)
         tally[curve.kind, curve.exact, ends is None] += 1
         tally["oo"] += ends is not None and INFINITY in ends
         tally["wide"] += curve.exact and max(abs(v).bit_length() for v in circle.coeffs()) > 600
@@ -1225,3 +1225,10 @@ def test_inexact_curve_endpoints_are_refused_as_inexact():
     with pytest.raises(InvalidInputError, match=r"^inexact curve; use endpoint_floats"):
         curve.endpoints
     assert curve.endpoint_floats() == (-1.0, 1.0)
+    # an inexact horocycle keeps its centre, yet has no exact endpoints either
+    for curve in (make_horocycle(BoundaryPoint.finite(-3), 0.5), make_horocycle(INFINITY, 0.5),
+                  curve_from_coeffs(1.0, 0, -1.0, -1.0, exact=False)):
+        assert not curve.has_exact_endpoints
+        with pytest.raises(InvalidInputError, match=r"^inexact curve; use endpoint_floats"):
+            curve.endpoints
+    assert make_horocycle(BoundaryPoint.finite(-3), 0.5).center == (-3, 1)

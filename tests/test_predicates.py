@@ -728,6 +728,29 @@ def test_inexact_pairs_match_oracle(monkeypatch):
     assert len(kinds) >= 5
 
 
+@pytest.mark.parametrize("coeffs", [
+    (1, 0, 0, -1),  # geodesic
+    (0, 1, 0, -3),  # vertical geodesic
+    (1, 0, -2, 0),  # horocycle at 0
+    (0, 0, 1, -2),  # horocycle at oo
+    (1, 0, -2, -3),  # hypercycle
+    (0, 1, 1, -3),  # oblique line: hypercycle
+])
+def test_an_exact_curve_and_its_float_copy_are_one_curve(coeffs):
+    exact = curve_from_coeffs(*coeffs)
+    copy = curve_from_coeffs(*map(float, coeffs), exact=False)
+    # a copy scaled by 1 + 10^-6 about 0 is another curve
+    moved = Isometry.scaling(Q(10**6 + 1, 10**6)).apply_curve(copy)
+    for c1, c2 in ((exact, copy), (copy, exact), (copy, copy)):
+        pat = intersection_pattern(c1, c2)
+        assert pat.equal and pat.describe() == "equal curves"
+        assert predicates.pair_type_from_pattern(c1, c2) is HypercyclePairType.EQUAL
+        if exact.kind is not CurveKind.HOROCYCLE:
+            assert same_endpoints(c1, c2)
+        assert not intersection_pattern(c1, moved).equal
+        assert predicates.pair_type_from_pattern(c1, moved) is not HypercyclePairType.EQUAL
+
+
 def test_inexact_horocycles_at_one_center_share_it():
     # the image's center is 0 up to rounding; the float tests on the heights
     # counted 0 shared endpoints for k = 8 and 2 for k = 1
@@ -739,6 +762,11 @@ def test_inexact_horocycles_at_one_center_share_it():
         for pair in ((h, h0), (h0, h)):
             p = intersection_pattern(*pair)
             counts.append((p.interior_count, p.tangent, p.shared_endpoints))
+    # an exact horocycle whose coefficients span more than the float range
+    tiny = make_horocycle(F(0), Q(1, 2**1300))
+    for pair in ((tiny, h), (h, tiny)):
+        p = intersection_pattern(*pair)
+        counts.append((p.interior_count, p.tangent, p.shared_endpoints))
     assert set(counts) == {(0, False, 1)}
 
 

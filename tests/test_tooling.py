@@ -230,7 +230,7 @@ def _dead_helpers(trees):
     """(module, name) of every module-level private function or class in
     `trees` (module name -> parsed source) whose name no code reads outside
     its own definition, as a name or as an attribute.  Names are matched
-    across modules, so a helper called as `model._pullback` counts."""
+    across modules, so a helper called as `model._image` counts."""
     def reads(node):
         return collections.Counter(
             n.id if isinstance(n, ast.Name) else n.attr
