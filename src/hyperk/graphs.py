@@ -6,7 +6,8 @@ meeting point, so h(0,1/2) and h(1,1/2), tangent at 1/2 + i/2, are not
 adjacent; curves that meet only on the boundary circle are, such as
 h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
-automorphism, verified exactly on every curve.
+automorphism, verified exactly on every curve.  Automorphisms are listed
+by twin classes, each sent only to classes of its degree and size.
 
 The module reads the data each curve keeps from when it was built: an
 exact circle's coefficient tuple and Lorentz norm, and the curve's
@@ -42,7 +43,7 @@ raises InvalidInputError.
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, combinations, compress, permutations, product
+from itertools import chain, combinations, compress, permutations, product, starmap
 from math import factorial, prod
 from operator import eq, itemgetter, ne
 from typing import List, Optional, Sequence, Tuple
@@ -143,18 +144,13 @@ class DisjointnessGraph:
 
 def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> DisjointnessGraph:
     """Adjacency via the exact pairwise intersection oracle: an edge wherever
-    the two curves have no interior meeting point."""
+    the two curves have no interior meeting point.  Refused, in order: no
+    curves, mixed kinds unless allowed, two curves `intersection_pattern`
+    calls equal (compared by coefficients when all curves are exact)."""
     curves = list(curves)
     n = len(curves)
-    circles = [c.circle for c in curves]
-    exact = all(c.exact for c in circles)
-    # exact circles are equal when their coefficient tuples are
-    if not exact or len({c.coeffs() for c in circles}) < n:
-        for i, j in combinations(range(n), 2):
-            if curves[i] == curves[j]:
-                raise InvalidInputError(
-                    f"duplicate curves at indices {i} and {j}: {curves[i].to_text()}"
-                )
+    if not n:
+        raise InvalidInputError("a graph needs at least one curve")
     kinds = {c.kind for c in curves}
     if len(kinds) == 1:
         graph_class = GraphClass(kinds.pop().value)
@@ -164,11 +160,19 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
         raise InvalidInputError(
             "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"
         )
-    adjacency = [[False] * n for _ in range(n)]
-    if exact:
+    circles = [c.circle for c in curves]
+    if all(c.exact for c in circles):
         counts = (k[0] for k in _iter_pair_counts(curves))
+        unique = len({c.coeffs() for c in circles}) == n
+        equal = [] if unique else list(starmap(eq, combinations(curves, 2)))
     else:
-        counts = (intersection_pattern(s, t).interior_count for s, t in combinations(curves, 2))
+        patterns = [intersection_pattern(s, t) for s, t in combinations(curves, 2)]
+        equal, counts = [p.equal for p in patterns], [p.interior_count for p in patterns]
+    if any(equal):
+        i, j = next(compress(combinations(range(n), 2), equal))
+        text = curves[i].to_text() if curves[i].exact else repr(curves[i])
+        raise InvalidInputError(f"duplicate curves at indices {i} and {j}: {text}")
+    adjacency = [[False] * n for _ in range(n)]
     for (i, j), k in zip(combinations(range(n), 2), counts):
         adjacency[i][j] = adjacency[j][i] = k == 0
     return DisjointnessGraph(curves, adjacency, graph_class)
@@ -180,44 +184,18 @@ def _rows(g: DisjointnessGraph) -> List[int]:
     return [sum(compress(bits, row)) & ~bit for row, bit in zip(g.adjacency, bits)]
 
 
-def _equitable_colours(rows: List[int]) -> List[int]:
-    """Colour of each vertex in the coarsest equitable colouring refining the
-    degrees (McKay 1981): repeatedly colour each vertex by its colour and the
-    number of its neighbours in every nonempty cell, in colour order, until
-    no cell splits.  The first colours are the degrees, so a degree
-    colouring that is already equitable is returned after one pass; later
-    colours are ranks of the signatures.  Either way every automorphism
-    keeps each cell."""
-    n = len(rows)
-    colour = [r.bit_count() for r in rows]
-    count = len(set(colour))
-    while True:
-        cells = [0] * n
-        for v, c in enumerate(colour):
-            cells[c] |= 1 << v
-        cells = [cell for cell in cells if cell]
-        signature = [(c, *[(row & cell).bit_count() for cell in cells])
-                     for c, row in zip(colour, rows)]
-        distinct = set(signature)
-        if len(distinct) == count:
-            return colour
-        count = len(distinct)
-        rank = {sig: k for k, sig in enumerate(sorted(distinct))}
-        colour = [rank[sig] for sig in signature]
-
-
-def _twin_classes(rows: List[int], colour: List[int]) -> List[List[int]]:
+def _twin_classes(rows: List[int]) -> List[List[int]]:
     """Classes of twins, each in increasing order, the classes by their
-    least vertex.  Two vertices of one colour are twins when their
-    neighbourhoods agree apart from the two themselves.  Twinship is an
-    equivalence; a class is a clique or has no edge, and two classes are
-    joined completely or not at all.  So any permutation inside a class is
-    an automorphism, and every automorphism maps classes onto classes."""
+    least vertex.  Two vertices are twins when their neighbourhoods agree
+    apart from the two themselves, so twins have equal degrees.  Twinship
+    is an equivalence; a class is a clique or has no edge, and two classes
+    are joined completely or not at all.  So any permutation inside a class
+    is an automorphism, and every automorphism maps classes onto classes."""
     classes: List[List[int]] = []
     for v, row in enumerate(rows):
         for members in classes:
             u = members[0]
-            if colour[u] == colour[v] and (rows[u] ^ row) & ~(1 << u | 1 << v) == 0:
+            if (rows[u] ^ row) & ~(1 << u | 1 << v) == 0:
                 members.append(v)
                 break
         else:
@@ -228,16 +206,16 @@ def _twin_classes(rows: List[int], colour: List[int]) -> List[List[int]]:
 def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorphism]:
     """All adjacency-preserving vertex permutations, in lexicographic order.
 
-    Adjacency rows are int bitmasks.  Colour refinement from the degrees
-    gives the coarsest equitable colouring, whose cells every automorphism
-    preserves, and its twin classes (`_twin_classes`) are permuted by every
-    automorphism.  Backtracking on the classes maps classes 0, 1, ... in
-    turn, each to the free classes of its cell and size in increasing
-    order, and keeps an image when its neighbours among the used classes
-    (a bitmask) are exactly the images of the earlier neighbours.  A clique
-    class is never mapped onto a class of its size with no edge: in an
-    equitable colouring their vertices would count different numbers of
-    neighbours in their own cell.  Each class map found gives every
+    Adjacency rows are int bitmasks.  Every automorphism keeps degrees and
+    permutes the twin classes (`_twin_classes`), so each class is labelled
+    by (degree, size) and goes only to classes of its label.  Backtracking
+    on the classes maps classes 0, 1, ... in turn, each to the free classes
+    of its label in increasing order, and keeps an image when its
+    neighbours among the used classes (a bitmask) are exactly the images of
+    the earlier neighbours.  A class map that passes every such check keeps
+    the classes next to each class with their sizes, so it never sends a
+    clique class onto an edgeless class of its size: their degrees would
+    differ by the size less one.  Each class map found gives every
     bijection of each class onto its image, and the permutations are
     sorted.  An empty or complete graph is one class, whose n! permutations
     come in order with no search.  Graphs past MAX_VERTICES vertices are
@@ -249,14 +227,13 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     if n > MAX_VERTICES:
         raise InvalidInputError(f"graph too large ({n} > {MAX_VERTICES})")
     rows = _rows(g)
-    colour = _equitable_colours(rows)
-    classes = _twin_classes(rows, colour)
+    classes = _twin_classes(rows)
     k = len(classes)
-    label = [(colour[m[0]], len(m)) for m in classes]
     reps = [m[0] for m in classes]
+    label = [(rows[r].bit_count(), len(m)) for r, m in zip(reps, classes)]
     qrows = [sum(1 << d for d, r in enumerate(reps) if rows[rep] >> r & 1) for rep in reps]
-    # per class: the (class, bit, row) of its cell, and its earlier neighbours
-    cells = [[(d, 1 << d, qrows[d]) for d in range(k) if label[d] == label[c]] for c in range(k)]
+    # per class: the (class, bit, row) of each class of its label; earlier neighbours
+    alike = [[(d, 1 << d, qrows[d]) for d in range(k) if label[d] == label[c]] for c in range(k)]
     earlier = [[d for d in range(c) if qrows[c] >> d & 1] for c in range(k)]
     per_map = prod(factorial(len(m)) for m in classes)
     maps: List[Tuple[int, ...]] = []
@@ -272,7 +249,7 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
         want = 0
         for d in earlier[c]:
             want |= image_bit[d]
-        for cand, bit, row in cells[c]:
+        for cand, bit, row in alike[c]:
             if used & bit or row & used != want:
                 continue
             image[c], image_bit[c] = cand, bit
@@ -502,15 +479,13 @@ def induced_permutation(g: DisjointnessGraph, iso: Isometry) -> GraphAutomorphis
     """The vertex permutation induced by an isometry mapping the curve set
     to itself; raises if some image is not in the set."""
     images = [iso.apply_curve(c) for c in g.curves]
-    perm = []
-    for img in images:
-        try:
-            perm.append(g.curves.index(img))
-        except ValueError:
-            raise InvalidInputError("isometry does not preserve the curve set")
+    try:
+        perm = tuple(map(g.curves.index, images))
+    except ValueError:
+        raise InvalidInputError("isometry does not preserve the curve set")
     if sorted(perm) != list(range(len(g))):
         raise InvalidInputError("isometry does not permute the curve set")
-    return GraphAutomorphism(tuple(perm))
+    return GraphAutomorphism(perm)
 
 
 class LinkCheckResult(Record):

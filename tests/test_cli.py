@@ -48,6 +48,9 @@ class TestClassify:
         # an inexact center prints as the float it is, not as its binary fraction
         code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "0.3,0.5")
         assert code == 0 and "Horocycle center 0.3 radius 0.5\n" in out
+        # a float horocycle at oo prints its height
+        code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "oo,0.5")
+        assert code == 0 and "Horocycle center oo height 0.5\n" in out
 
     @pytest.mark.parametrize("value", ["-.5,1", "-.25e1,1/2"])
     def test_signed_float_value_after_a_space(self, capsys, value):
@@ -86,6 +89,29 @@ class TestConstruct:
         code, out, _ = run(capsys, "construct", "pinch", "--first", "0,1", "--second", "6,1")
         assert code == 0
         assert out.splitlines() == ["horocycle a=2 b=-12 c=-9 d=18"] * 2
+
+    def test_equidistant_pair(self, capsys):
+        # the two hypercycles at distance 1 from the geodesic 0 -> 1, the
+        # float distance read at its exact binary value
+        code, out, _ = run(capsys, "construct", "equidistant", "--first", "0,1", "--distance", "1")
+        assert code == 0 and out.splitlines() == [
+            "hypercycle a=2251799813685248 b=-2251799813685248 c=-2646317828889793 d=0",
+            "hypercycle a=2251799813685248 b=-2251799813685248 c=2646317828889793 d=0",
+        ]
+
+    def test_dyadic_as_text_and_records(self, capsys):
+        # level 0 from n = -2 to 2: five horocycles of diameter 1, tangent
+        # at the four midpoints
+        code, out, _ = run(capsys, "construct", "dyadic")
+        lines = out.splitlines()
+        assert code == 0 and len(lines) == 9
+        assert lines[2] == "horocycle a=1 b=0 c=-1 d=0"
+        assert lines[5:] == [f"tangency {x} + i*1/2" for x in ("-3/2", "-1/2", "1/2", "3/2")]
+        code, out, _ = run(capsys, "--format", "records", "construct", "dyadic")
+        records = [json.loads(line) for line in out.splitlines()]
+        assert code == 0 and len(records) == 9
+        assert records[2] == {"a": "1", "b": "0", "c": "-1", "d": "0", "kind": "horocycle"}
+        assert records[-1] == {"tangency": ["3/2", "1/2"]}
 
 
 class TestIntersect:
@@ -128,6 +154,30 @@ class TestEarthquakeCommand:
         assert code == 0
         assert "1 ≠ 4·(3/2)·(2/3)" in out
 
+    def test_image_of_geodesics(self, capsys):
+        # the fault 0 -> oo fixes the positive side and doubles the negative
+        # one: 1 -> 2 stays, -1 -> 3 becomes -2 -> 3
+        code, out, _ = run(
+            capsys, "earthquake", "--fault", "0,oo", "--shear", "2", "image", "1,2", "-1,3",
+        )
+        assert code == 0
+        assert out.splitlines() == [
+            "geodesic a=1 b=-3 c=0 d=2 -> geodesic a=1 b=-3 c=0 d=2",
+            "geodesic a=1 b=-2 c=0 d=-3 -> geodesic a=1 b=-1 c=0 d=-6",
+        ]
+
+    def test_certify_a_satisfiable_file(self, capsys, tmp_path):
+        # tangent horocycles of radius 1 at -2 and -4; the shear doubles
+        # both centres, and radii 1 and 4 keep them tangent: 4^2 = 4 * 1 * 4
+        f = tmp_path / "tangent.txt"
+        f.write_text("horocycle a=1 b=4 c=-2 d=4\nhorocycle a=1 b=8 c=-2 d=16\n")
+        argv = ("earthquake", "--fault", "0,oo", "--shear", "2", "certify", "--curves", str(f))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out == "satisfiable: radii 1, 4\n"
+        code, out, _ = run(capsys, "--format", "records", *argv)
+        record = json.loads(out)
+        assert code == 0 and record["result"] == "satisfiable" and record["radii"] == ["1", "4"]
+
     def test_inexact_point_under_a_fault_past_the_float_range(self, capsys):
         n = 3**700
         code, out, err = run(
@@ -160,6 +210,11 @@ class TestVerifyCommand:
     def test_unknown_suite_exit_2(self, capsys):
         code, _, _ = run(capsys, "verify", "nosuchsuite")
         assert code == 2
+
+    def test_malformed_depth_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "dyadic", "--depth", "x")
+        assert code == 2 and out == ""
+        assert "expected a nonnegative integer, got 'x'" in err
 
     def test_seed_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("HYPERK_SEED", "12345")

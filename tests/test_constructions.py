@@ -576,6 +576,7 @@ class TestCenterSwap:
         assert sigma(h0).center == F(4)
         assert sigma(h4).center == F(0)
         assert sigma(h7).center == F(7)
+        assert sigma_center_swap(F(4), F(4))(h0) is h0
 
     def test_breaks_tangency(self):
         sigma = sigma_center_swap(F(0), F(4))

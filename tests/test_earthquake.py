@@ -78,11 +78,21 @@ class TestEarthquakeMap:
         assert set(img.endpoints) == {F(-2), F(1)}
 
 
+def test_a_map_is_called_as_eq_apply_and_prints_its_data():
+    e = EarthquakeMap(make_geodesic(F(0), INFINITY), 2)
+    assert e(F(-1)) == eq_apply(e, F(-1)) == F(-2)
+    assert repr(e) == (
+        "EarthquakeMap(fault=Curve[geodesic](Circle(a=0, b=1, c=0, d=0)), shear=2, "
+        "moved_side='left')"
+    )
+
+
 class TestCocircularity:
     def test_isometry_image_is_curve(self):
         iso = Isometry(2, 1, 1, 1)
         h = make_horocycle(F(0), 1)
         assert pointwise_image_is_curve(iso, h).is_curve
+        assert pointwise_image_is_curve(iso, h)  # the result is truthy as is_curve
 
     def test_crossing_horocycle_image_not_curve(self, quake):
         h = make_horocycle(F(0), 1)  # crosses the fault x = 0
@@ -94,7 +104,7 @@ class TestCocircularity:
         h = make_horocycle(F(-1), 2)  # crosses x = 0
         if intersection_pattern(h, e.fault).interior_count == 2:
             res = pointwise_image_is_curve(e, h)
-            assert not res.is_curve
+            assert not res.is_curve and not res
             assert res.witness is not None  # four non-cocircular points
 
     def test_unmoved_horocycle_stays_curve(self, quake):

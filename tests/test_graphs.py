@@ -313,13 +313,13 @@ class TestLinkChecks:
         pts = [F(-2), F(-1), F(0), F(1), F(2)]
         imgs = [F(v.value ** 3) for v in pts]
         res = link_preserving_check(pts, imgs)
-        assert res.preserved
+        assert res.preserved and res
 
     def test_swap_breaks_links_with_witness(self):
         pts = [F(0), F(1), F(2), F(3)]
         imgs = [F(1), F(0), F(2), F(3)]
         res = link_preserving_check(pts, imgs)
-        assert not res.preserved
+        assert not res.preserved and not res
         assert res.witness is not None
 
 
@@ -413,9 +413,9 @@ def test_automorphisms_match_oracle_on_seeded_graphs():
             capped += 1
         else:
             nontrivial += len(got) > 1
-            colour = graphs._equitable_colours(graphs._rows(g))
+            degrees = [g.degree(v) for v in range(len(g))]
             for a in got:
-                assert [colour[a(v)] for v in range(len(g))] == colour
+                assert [degrees[a(v)] for v in range(len(g))] == degrees
     assert capped >= 10 and nontrivial >= 50
 
 
@@ -440,91 +440,29 @@ def test_negative_cap_is_refused():
     assert _outcome(_oracle_automorphisms, g, 0) == message
 
 
-def test_colour_refinement_splits_what_degrees_do_not():
-    # the path 0-1-2-3-4: degrees put 1, 2, 3 together, their neighbours
-    # split 2 off; the ends stay one cell, so the colouring is the coarsest
-    path = _labelled_graph(5, [(0, 1), (1, 2), (2, 3), (3, 4)])
-    colour = graphs._equitable_colours(graphs._rows(path))
-    assert colour[0] == colour[4] and colour[1] == colour[3]
-    assert len({colour[0], colour[1], colour[2]}) == 3
-    # a cycle is regular: one cell
-    cycle = _labelled_graph(6, [(v, (v + 1) % 6) for v in range(6)])
-    assert len(set(graphs._equitable_colours(graphs._rows(cycle)))) == 1
-
-
-def _oracle_equitable_colours(rows):
-    """`graphs._equitable_colours` as it was before it started from the
-    number of distinct degrees: every cell by colour value, empty ones
-    skipped, at least two passes, and colours always ranks."""
-    n = len(rows)
-    colour = [r.bit_count() for r in rows]
-    count = 0
-    while True:
-        cells = [0] * n
-        for v in range(n):
-            cells[colour[v]] |= 1 << v
-        signature = [
-            (colour[v],) + tuple((rows[v] & cell).bit_count() for cell in cells if cell)
-            for v in range(n)
-        ]
-        rank = {sig: k for k, sig in enumerate(sorted(set(signature)))}
-        if len(rank) == count:
-            return colour
-        count = len(rank)
-        colour = [rank[sig] for sig in signature]
-
-
-def _cells(colour):
-    """The partition of a colouring: each vertex's least cell-mate."""
-    return [colour.index(c) for c in colour]
-
-
-def test_colour_refinement_matches_the_two_pass_oracle():
-    every = [
-        _labelled_graph(n, [e for k, e in enumerate(pairs) if mask >> k & 1])
-        for n in range(1, 6)
-        for pairs in [list(combinations(range(n), 2))]
-        for mask in range(1 << len(pairs))
-    ]
-    refined = collections.Counter()
-    for g in every + list(_seeded_graphs(random.Random(20261018), 320)):
-        rows = graphs._rows(g)
-        colour = graphs._equitable_colours(rows)
-        assert _cells(colour) == _cells(_oracle_equitable_colours(rows)), g.edges()
-        refined[len(set(colour)) > len({r.bit_count() for r in rows})] += 1
-    # degree colourings that are equitable and ones that split both occur
-    assert min(refined.values()) >= 100, refined
-
-
-def test_automorphisms_search_only_within_cells(monkeypatch):
-    # a colouring with a cell per vertex leaves only the identity: the
-    # search takes its candidates from the cells it is given
-    monkeypatch.setattr(graphs, "_equitable_colours", lambda rows: list(range(len(rows))))
-    assert [a.perm for a in automorphisms(_labelled_graph(4, []))] == [(0, 1, 2, 3)]
-
-
 def test_twin_classes_expand_to_the_oracle_list():
     # the octahedron K(2,2,2): three classes of non-adjacent twins
     octahedron = _labelled_graph(6, [e for e in combinations(range(6), 2) if e[1] - e[0] != 3])
-    assert graphs._twin_classes(graphs._rows(octahedron), [0] * 6) == [[0, 3], [1, 4], [2, 5]]
-    # twins of different colours stay apart
-    assert graphs._twin_classes(graphs._rows(octahedron), [0, 0, 0, 1, 1, 1]) == [
-        [0], [1], [2], [3], [4], [5]
-    ]
+    assert graphs._twin_classes(graphs._rows(octahedron)) == [[0, 3], [1, 4], [2, 5]]
     # a triangle is a class of adjacent twins
     triangle = _labelled_graph(6, [(0, 2), (2, 4), (0, 4)])
-    assert graphs._twin_classes(graphs._rows(triangle), [0] * 6) == [[0, 2, 4], [1, 3, 5]]
-    # a 6-cycle of cliques of sizes 1, 2, 3, 1, 2, 3 is 5-regular, one cell:
-    # only the class sizes keep a class from mapping onto its neighbour
+    assert graphs._twin_classes(graphs._rows(triangle)) == [[0, 2, 4], [1, 3, 5]]
+    # a clique class {0, 4} and an edgeless one {2, 3}, both of size 2 and
+    # degree 1: only the class next to each keeps them apart
+    cherry = _labelled_graph(5, [(0, 4), (1, 2), (1, 3)])
+    assert graphs._twin_classes(graphs._rows(cherry)) == [[0, 4], [1], [2, 3]]
+    # a 6-cycle of cliques of sizes 1, 2, 3, 1, 2, 3 is 5-regular: only the
+    # class sizes keep a class from mapping onto its neighbour
     members = [[0], [1, 2], [3, 4, 5], [6], [7, 8], [9, 10, 11]]
     blown_up = _labelled_graph(12, [e for m in members for e in combinations(m, 2)] + [
         (u, v) for i in range(6) for u in members[i] for v in members[(i + 1) % 6]
     ])
-    assert len(set(graphs._equitable_colours(graphs._rows(blown_up)))) == 1
+    assert graphs._twin_classes(graphs._rows(blown_up)) == members
     cases = [
         (blown_up, 288),
         (octahedron, 48),
         (triangle, 36),
+        (cherry, 4),
         (_labelled_graph(7, [(i, j) for i in (0, 3, 5) for j in (1, 2, 4, 6)]), 144),  # K(3,4)
         (_labelled_graph(8, [(0, 5), (0, 6), (1, 2), (1, 3), (1, 7), (4, 5)]), 12),  # stars, path
         (_labelled_graph(8, [(v, v ^ 1) for v in range(8)]), 384),  # 4 disjoint edges

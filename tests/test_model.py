@@ -490,6 +490,29 @@ def test_equal_inexact_objects_hash_equal():
     assert hash(make_geodesic(F(0), F(1))) != hash(make_geodesic(F(0), F(3)))
 
 
+def test_equality_with_another_type_is_left_to_it():
+    geo = make_geodesic(F(0), F(1))
+    for value in (UHPPoint(0, 1), geo.circle, geo, Isometry.identity()):
+        assert value.__eq__("x") is NotImplemented and value != "x"
+
+
+def test_contains_point_off_the_rationals():
+    # an exact circle evaluated at floats, and an inexact one within EPS
+    unit = make_geodesic(F(-1), F(1)).circle  # x^2 + y^2 = 1
+    assert unit.contains_point(0.0, 1.0) and not unit.contains_point(0.5, 0.5)
+    assert curve_from_coeffs(1.0, 0.0, 0.0, -1.0, exact=False).circle.contains_point(0.6, 0.8)
+    assert model.curve_from_circle(unit) == make_geodesic(F(-1), F(1))
+
+
+def test_decimal_literals_and_negative_square_roots():
+    from hyperk._rational import isqrt_exact, q_from_str
+
+    assert q_from_str("0.25") == Q(1, 4) and q_from_str("1e2") == 100
+    assert isqrt_exact(49) == 7 and isqrt_exact(50) is None
+    with pytest.raises(ValueError, match="isqrt of negative integer"):
+        isqrt_exact(-1)
+
+
 class TestFloatsOfHugeCoefficients:
     # x^2 + y^2 = 2 * 4^600: no coefficient past a is a float, the endpoints are
     HUGE = curve_from_coeffs(1, 0, 0, -2 * 4**600)

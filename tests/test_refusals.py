@@ -39,6 +39,8 @@ from hyperk.predicates import (
     hypercycle_pair_type,
     same_endpoints,
 )
+from hyperk.render import render_panels
+from hyperk.verify import run_suite
 
 F = BoundaryPoint.finite
 GEO = make_geodesic(F(0), F(1))
@@ -93,6 +95,20 @@ ROWS = [
     (lambda: between_tangent(GEO, HORO, INEXACT), InvalidInputError,
      "between_tangent needs exact curves"),
     # graphs
+    (lambda: build_graph([]), InvalidInputError, "a graph needs at least one curve"),
+    # mixed kinds are refused before any pair is compared, float pairs too
+    (lambda: build_graph([GEO, HORO, GEO]), InvalidInputError,
+     "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"),
+    (lambda: build_graph([INEXACT, HORO, INEXACT]), InvalidInputError,
+     "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"),
+    (lambda: build_graph([GEO, HORO, GEO], allow_mixed=True), InvalidInputError,
+     "duplicate curves at indices 0 and 2: geodesic a=1 b=-1 c=0 d=0"),
+    # a float curve equals an exact one at its value, as intersection_pattern says
+    (lambda: build_graph([curve_from_coeffs(1, 0, 0, -1), INEXACT]), InvalidInputError,
+     "duplicate curves at indices 0 and 1: geodesic a=1 b=0 c=0 d=-1"),
+    (lambda: build_graph([INEXACT, GEO, INEXACT]), InvalidInputError,
+     "duplicate curves at indices 0 and 2: Curve[geodesic](Circle~(a=0.707107, b=0, c=0, "
+     "d=-0.707107))"),
     (lambda: isometry_matching([GEO], []), InvalidInputError,
      "source and target curve lists differ in length"),
     (lambda: isometry_realizing(GRAPH, GraphAutomorphism((2, 1, 0))), InvalidInputError,
@@ -105,6 +121,11 @@ ROWS = [
      "sample points must be distinct"),
     (lambda: link_preserving_check([F(0), F(1)], [F(2), F(2)]), InvalidInputError,
      "map must be injective on the sample"),
+    # render and verify
+    (lambda: render_panels([]), InvalidInputError, "need at least one scene"),
+    (lambda: run_suite("nosuch"), InvalidInputError,
+     "unknown suite 'nosuch'; choose from order, boundary-extension, dyadic, pinch, types, "
+     "betweenness, crescent, four-geodesics, links, families, earthquake, graphs, all"),
     # constructions
     (lambda: dyadic_family(-1, 0, 2), InvalidInputError, "level must be nonnegative"),
     (lambda: dyadic_family(0, 2, 2), InvalidInputError, "need n_min < n_max"),

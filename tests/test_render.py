@@ -99,3 +99,12 @@ def test_renderings_are_pinned():
             [_labelled_scene(), _scene_from_preset("dyadic")[0]]),
     }
     assert {k: hashlib.sha256(v.encode()).hexdigest() for k, v in svgs.items()} == PINNED
+
+
+def test_unknown_preset_is_refused():
+    # the parser admits only the presets it names; a direct call names its own
+    from hyperk.cli import _scene_from_preset
+
+    assert len(_scene_from_preset("empty")) == 1
+    with pytest.raises(InvalidInputError, match="unknown preset 'nosuch'"):
+        _scene_from_preset("nosuch")

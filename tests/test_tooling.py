@@ -3,7 +3,7 @@ modules import."""
 
 import ast
 import collections
-import importlib
+import importlib.util
 import os
 import subprocess
 import sys
@@ -38,7 +38,7 @@ def _modules_loaded_by(code, watched=()):
 
 
 def test_import_does_not_load_scipy():
-    # the realizability solver imports linprog only when it needs it
+    # no module imports scipy: the realizability solver is exact and pure Python
     assert _fresh("import sys, hyperk\nprint('scipy' in sys.modules)\n") == "False"
 
 
@@ -729,3 +729,28 @@ def test_record_classes_keep_their_defaults():
     assert (scene.x_min, scene.x_max, scene.height, scene.pixels_per_unit) == (-3.0, 3.0, 3.0, 80.0)
     assert scene.curves == scene.points == scene.labels == []
     assert scene.curves is not other.curves
+
+
+LINEPROBE = Path(__file__).resolve().parent.parent / "tools" / "lineprobe.py"
+
+
+def test_line_probe_reports_exactly_the_untaken_branch(tmp_path):
+    spec = importlib.util.spec_from_file_location("lineprobe", LINEPROBE)
+    lineprobe = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(lineprobe)
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "def branch(flag):\n"
+        "    if flag:\n"
+        "        return 'taken'\n"
+        "    return 'untaken'\n"
+    )
+    probe = lineprobe.Probe(tmp_path)
+    probe.start()
+    try:
+        namespace = {}
+        exec(compile(planted.read_text(), str(planted), "exec"), namespace)
+        assert namespace["branch"](True) == "taken"
+    finally:
+        probe.stop()
+    assert probe.unrun(planted) == [(4, "branch")]
