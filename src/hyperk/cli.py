@@ -15,10 +15,13 @@ flag and form ("--geodesic p,q expected, got 'a'"), and one that parses but
 is refused keeps the reason after them ("--horocycle center,size: '0.5' is
 not a rational p/q; pass --inexact to allow floats").
 
-Each command imports the layers it runs inside its function, so a call
-starts only the modules it needs: `classify` loads no predicates, `verify
-order` only the predicates its suite checks, and a usage error no layer.
-Only --format records loads json.
+This module imports `model`, which reads every flag value into numbers,
+points and curves, so every call loads `model` and `_rational`.  Each
+command imports the other layers it runs inside its function, after it has
+read its flags and files, so a call starts only the modules it needs:
+`classify` loads no predicates, `verify order` only the predicates its
+suite checks, and a usage error or an unreadable curve file no layer past
+`model`.  Only --format records loads json.
 """
 
 from __future__ import annotations
@@ -262,9 +265,9 @@ def _read_some_curves(path: str) -> List[Curve]:
 
 
 def cmd_graph(args, out: _Output) -> int:
+    curves = _read_some_curves(args.curves)
     from .graphs import GraphAutomorphism, automorphisms, build_graph, isometry_realizing
 
-    curves = _read_some_curves(args.curves)
     try:
         g = build_graph(curves, allow_mixed=args.mixed)
     except InvalidInputError as exc:  # the flag, not the keyword, in the advice

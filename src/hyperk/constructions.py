@@ -33,6 +33,7 @@ from .model import (
     _d2,
     _lorentz,
     _number,
+    _within_float_range,
     curve_from_coeffs,
     make_geodesic,
     make_horocycle,
@@ -192,10 +193,12 @@ def pinch_pair(h0: Curve, h: Curve) -> Tuple[Curve, Curve]:
     return (sols[0], sols[-1])
 
 
+@_within_float_range
 def _solve_pinch(h0: Curve, h: Curve) -> List[Curve]:
     """The horocycles tangent to both h0 and h: their centers p are the roots
     of an integer quadratic, which `_number` gives exactly when its
-    discriminant is a square and as floats otherwise.
+    discriminant is a square and as floats otherwise.  A float center or
+    radius past the float range is refused (InvalidInputError).
 
     A horocycle at p of radius r touches one at q of radius s iff
     (p - q)^2 = 4 r s, and the horizontal line y = s iff r = s/2.  With both

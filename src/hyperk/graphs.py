@@ -7,7 +7,11 @@ adjacent; curves that meet only on the boundary circle are, such as
 h(0,1/2) and h(0,1), which share only their center.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.  Automorphisms are listed
-by twin classes, each sent only to classes of its degree and size.
+by twin classes, each sent only to classes of its degree and size.  An
+empty or complete graph on n vertices with n! <= DEFAULT_CAP (n <= 7) is
+answered from one table per n of the n! permutation records, built on
+first use and shared by every call, each in a new list; a twin-free graph
+is its own twin quotient, searched on its adjacency rows.
 
 The module reads the data each curve keeps from when it was built: an
 exact circle's coefficient tuple and Lorentz norm, and the curve's
@@ -46,7 +50,7 @@ from enum import Enum
 from itertools import chain, combinations, compress, permutations, product, starmap
 from math import factorial, prod
 from operator import eq, itemgetter, ne
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ._rational import Q
 from ._record import Record
@@ -65,6 +69,8 @@ from .predicates import _iter_pair_counts, intersection_pattern, linked
 
 #: the most vertices `automorphisms` searches; `build_graph` takes any number
 MAX_VERTICES = 16
+#: the most automorphisms `automorphisms` lists unless given another cap
+DEFAULT_CAP = 10000
 
 
 class GraphClass(Enum):
@@ -203,8 +209,26 @@ def _twin_classes(rows: List[int]) -> List[List[int]]:
     return classes
 
 
-def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorphism]:
-    """All adjacency-preserving vertex permutations, in lexicographic order.
+#: n -> the table `_symmetric(n)` keeps
+_SYMMETRIC: Dict[int, Tuple[GraphAutomorphism, ...]] = {}
+
+
+def _symmetric(n: int) -> Sequence[GraphAutomorphism]:
+    """Every permutation of range(n) as a record, in lexicographic order.
+    The records are kept in `_SYMMETRIC` when n! is at most DEFAULT_CAP
+    (n <= 7, 5,913 records over every n) and formed afresh otherwise.  A
+    record is hashable, so immutable, and callers share the kept ones."""
+    table = _SYMMETRIC.get(n)
+    if table is None:
+        table = tuple(map(GraphAutomorphism, permutations(range(n))))
+        if len(table) <= DEFAULT_CAP:
+            _SYMMETRIC[n] = table
+    return table
+
+
+def automorphisms(g: DisjointnessGraph, cap: int = DEFAULT_CAP) -> List[GraphAutomorphism]:
+    """All adjacency-preserving vertex permutations, in lexicographic order,
+    in a new list on every call.
 
     Adjacency rows are int bitmasks.  Every automorphism keeps degrees and
     permutes the twin classes (`_twin_classes`), so each class is labelled
@@ -216,11 +240,14 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     the classes next to each class with their sizes, so it never sends a
     clique class onto an edgeless class of its size: their degrees would
     differ by the size less one.  Each class map found gives every
-    bijection of each class onto its image, and the permutations are
-    sorted.  An empty or complete graph is one class, whose n! permutations
-    come in order with no search.  Graphs past MAX_VERTICES vertices are
-    refused, as is a negative cap, and a cap that the count would exceed
-    raises."""
+    bijection of each class onto its image (each class's bijections formed
+    once per call), and the permutations are sorted.  An empty or complete
+    graph is one class, whose n! permutations come in order with no search,
+    as the shared records of `_symmetric(n)`.  A twin-free graph is its own
+    quotient: its rows are the class rows, each vertex is labelled by its
+    degree, and the class maps are the permutations, in order.  Graphs past
+    MAX_VERTICES vertices are refused, as is a negative cap, and a cap that
+    the count would exceed raises."""
     if cap < 0:
         raise InvalidInputError(f"automorphism cap {cap} is negative")
     n = len(g)
@@ -229,13 +256,18 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
     rows = _rows(g)
     classes = _twin_classes(rows)
     k = len(classes)
-    reps = [m[0] for m in classes]
-    label = [(rows[r].bit_count(), len(m)) for r, m in zip(reps, classes)]
-    qrows = [sum(1 << d for d, r in enumerate(reps) if rows[rep] >> r & 1) for rep in reps]
+    per_map = prod(factorial(len(m)) for m in classes)
+    if k == 1 and per_map <= cap:  # an empty or complete graph; past the cap the search raises
+        return list(_symmetric(n))
+    if k == n:  # no twins: the quotient is the graph
+        label, qrows = [row.bit_count() for row in rows], rows
+    else:
+        reps = [m[0] for m in classes]
+        label = [(rows[r].bit_count(), len(m)) for r, m in zip(reps, classes)]
+        qrows = [sum(1 << d for d, r in enumerate(reps) if rows[rep] >> r & 1) for rep in reps]
     # per class: the (class, bit, row) of each class of its label; earlier neighbours
     alike = [[(d, 1 << d, qrows[d]) for d in range(k) if label[d] == label[c]] for c in range(k)]
     earlier = [[d for d in range(c) if qrows[c] >> d & 1] for c in range(k)]
-    per_map = prod(factorial(len(m)) for m in classes)
     maps: List[Tuple[int, ...]] = []
     image = [-1] * k
     image_bit = [0] * k
@@ -256,19 +288,18 @@ def automorphisms(g: DisjointnessGraph, cap: int = 10000) -> List[GraphAutomorph
             extend(c + 1, used | bit)
 
     extend(0, 0)
-    if k == n:  # no twins: the class maps are the permutations, in order
+    if k == n:  # the class maps are the permutations, in order
         return list(map(GraphAutomorphism, maps))
-    if k == 1:  # an empty or complete graph: every permutation, in order
-        return list(map(GraphAutomorphism, permutations(range(n))))
     # the image of vertex v is item pos[v] of the class images laid end to end
     pos = [0] * n
     for p, v in enumerate(v for m in classes for v in m):
         pos[v] = p
     spread = itemgetter(*pos)
+    bijections = [list(permutations(m)) for m in classes]
     perms: List[Tuple[int, ...]] = []
     for m in maps:
-        bijections = product(*[permutations(classes[d]) for d in m])
-        perms.extend(map(spread, map(tuple, map(chain.from_iterable, bijections))))
+        images = product(*[bijections[d] for d in m])
+        perms.extend(map(spread, map(tuple, map(chain.from_iterable, images))))
     perms.sort()
     return list(map(GraphAutomorphism, perms))
 

@@ -232,14 +232,14 @@ def _finite(*values):
     return values
 
 
-def _within_float_range(method):
-    """`method`, with a quotient past the float range (OverflowError from an
-    int/int division) refused as InvalidInputError."""
+def _within_float_range(function):
+    """`function`, with a result past the float range (OverflowError from an
+    int/int division or a float power) refused as InvalidInputError."""
 
-    @functools.wraps(method)
-    def wrapped(self):
+    @functools.wraps(function)
+    def wrapped(*args):
         try:
-            return method(self)
+            return function(*args)
         except OverflowError:
             raise InvalidInputError("the result is outside the float range") from None
 

@@ -402,6 +402,10 @@ MALFORMED = [
     ("render", "--x-max", "inf", "-o", "a.svg"),
     ("render", "--preset", "dyadic", "--x-min", "5", "--x-max", "1", "-o", "a.svg"),
     ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"),
+    # a pinch witness centre or radius past the float range
+    ("construct", "pinch", "--first", "0,1", "--second", f"{10**308},2"),
+    ("construct", "pinch", "--first", f"-{10**308},1", "--second", "5,2"),
+    ("construct", "pinch", "--first", "0,1", "--second", f"{3 * 10**307}/7,2"),
 ]
 
 #: what the error message says, for the rows whose message names the flag
@@ -464,6 +468,12 @@ SAYS = {
         "--x-min does not apply to --preset dyadic",
     ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"):
         "--height does not apply to --preset empty",
+    ("construct", "pinch", "--first", "0,1", "--second", f"{10**308},2"):
+        "the result is outside the float range",
+    ("construct", "pinch", "--first", f"-{10**308},1", "--second", "5,2"):
+        "the result is outside the float range",
+    ("construct", "pinch", "--first", "0,1", "--second", f"{3 * 10**307}/7,2"):
+        "the result is outside the float range",
 }
 
 #: curve files that MALFORMED names by placeholder

@@ -429,6 +429,47 @@ def test_cap_raises_at_the_same_point():
     assert [a.perm for a in every] == list(permutations(range(8)))
 
 
+def test_one_class_graphs_share_the_table_records_in_fresh_lists():
+    for n in (6, 7):
+        for g in (_labelled_graph(n, []), _labelled_graph(n, list(combinations(range(n), 2)))):
+            first = automorphisms(g)
+            assert first == _oracle_automorphisms(g)
+            assert first == list(graphs._SYMMETRIC[n])
+            first.reverse()
+            del first[1:]
+            second = automorphisms(g)
+            assert second is not first and second == _oracle_automorphisms(g)
+            assert all(a is b for a, b in zip(second, graphs._SYMMETRIC[n]))
+
+
+def test_one_class_graphs_past_the_default_cap_get_fresh_records():
+    # 8! > 10,000: listed when the cap allows, but kept in no table
+    empty = _labelled_graph(8, [])
+    first = automorphisms(empty, cap=40320)
+    second = automorphisms(empty, cap=40320)
+    assert 8 not in graphs._SYMMETRIC
+    assert first == second and first[0] is not second[0]
+    assert all(math.factorial(n) <= graphs.DEFAULT_CAP for n in graphs._SYMMETRIC)
+
+
+def test_twin_free_graphs_expand_no_class(monkeypatch):
+    # a twin-free graph is its own quotient: its class maps are its
+    # automorphisms, and no class bijection is formed
+    pairs = list(combinations(range(5), 2))
+    every = [_labelled_graph(5, [e for k, e in enumerate(pairs) if mask >> k & 1])
+             for mask in range(1 << len(pairs))]
+    twin_free = [g for g in every if len(graphs._twin_classes(graphs._rows(g))) == 5]
+    want = [_oracle_automorphisms(g) for g in twin_free]
+
+    def refused(*args):
+        raise AssertionError("a class bijection formed for a twin-free graph")
+
+    monkeypatch.setattr(graphs, "permutations", refused)
+    monkeypatch.setattr(graphs, "product", refused)
+    assert len(twin_free) > 100
+    assert [automorphisms(g) for g in twin_free] == want
+
+
 def test_negative_cap_is_refused():
     # no count exceeds a negative cap, so it is refused by its value; a cap
     # of 0 is exceeded by the identity

@@ -117,15 +117,18 @@ CLI_WATCHED = ("dataclasses", "inspect", "json")
     (["verify", "order"], {"_record", "predicates", "verify"}),
     (["verify", "dyadic", "--depth", "2"], {"_record", "predicates", "constructions", "verify"}),
     (["verify", "nosuch"], set()),
+    (["graph", "--curves", "MISSING"], set()),
     (["--format", "records", "classify", "--horocycle", "oo,2"], set()),
     (["--format", "records", "family", "--preset", "ray"],
      {"_record", "predicates", "constructions"}),
 ], ids=lambda v: " ".join(v) if isinstance(v, list) else None)
 def test_cli_command_loads_only_its_layers(tmp_path, argv, layers):
     # cli.main in a fresh interpreter loads what `python -m hyperk.cli` does;
-    # argparse refuses the unknown suite with exit 2
-    argv = [str(tmp_path / "out.svg") if a == "FILE" else a for a in argv]
-    code = 2 if "nosuch" in argv else 0
+    # argparse refuses the unknown suite, and `graph` the missing file, with
+    # exit 2
+    code = 2 if {"nosuch", "MISSING"} & set(argv) else 0
+    files = {"FILE": tmp_path / "out.svg", "MISSING": tmp_path / "missing.txt"}
+    argv = [str(files.get(a, a)) for a in argv]
     loaded = _modules_loaded_by(
         "import contextlib, io\nfrom hyperk import cli\n"
         "with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):\n"
