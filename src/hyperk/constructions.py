@@ -31,6 +31,7 @@ from .model import (
     UHPPoint,
     _coprime_ints,
     _d2,
+    _float_horocycle,
     _lorentz,
     _number,
     _within_float_range,
@@ -176,7 +177,8 @@ def pinch_pair(h0: Curve, h: Curve) -> Tuple[Curve, Curve]:
     Returns the two tangency solutions; when the elimination degenerates to
     a single solution (equal sizes at finite centers), that unique horocycle
     fills both slots.  Solutions with irrational centers, and all solutions
-    for an inexact input, are returned as inexact curves.
+    for an inexact input, are returned as inexact curves; one whose float
+    circle classifies as another kind is refused (DegenerateResultError).
     """
     for c in (h0, h):
         if c.kind is not CurveKind.HOROCYCLE:
@@ -198,7 +200,8 @@ def _solve_pinch(h0: Curve, h: Curve) -> List[Curve]:
     """The horocycles tangent to both h0 and h: their centers p are the roots
     of an integer quadratic, which `_number` gives exactly when its
     discriminant is a square and as floats otherwise.  A float center or
-    radius past the float range is refused (InvalidInputError).
+    radius past the float range is refused (InvalidInputError), as is a float
+    witness whose circle classifies as another kind (DegenerateResultError).
 
     A horocycle at p of radius r touches one at q of radius s iff
     (p - q)^2 = 4 r s, and the horizontal line y = s iff r = s/2.  With both
@@ -230,7 +233,7 @@ def _solve_pinch(h0: Curve, h: Curve) -> List[Curve]:
         if exact and not isinstance(p, float):
             sols.append(make_horocycle(BoundaryPoint.finite(p), r))
         elif r > EPS:
-            sols.append(Curve(GeneralizedCircle(1, -2 * p, -2 * r, p * p, exact=False)))
+            sols.append(_float_horocycle(p, r))
     return sols
 
 

@@ -1,10 +1,11 @@
 """Finite disjointness graphs of geodesics, horocycles, and hypercycles.
 
-Vertices are curves; an edge joins two curves that do not meet in the open
-half-plane (interior_count == 0).  A tangency at an interior point is a
-meeting point, so h(0,1/2) and h(1,1/2), tangent at 1/2 + i/2, are not
-adjacent; curves that meet only on the boundary circle are, such as
-h(0,1/2) and h(0,1), which share only their center.  The module enumerates
+Vertices are exact curves; an edge joins two curves that do not meet in
+the open half-plane (interior_count == 0).  A tangency at an interior
+point is a meeting point, so h(0,1/2) and h(1,1/2), tangent at 1/2 + i/2,
+are not adjacent; curves that meet only on the boundary circle are, such
+as h(0,1/2) and h(0,1), which share only their center.  Adjacency is held
+as int bitmask rows: bit j of row i is the edge ij.  The module enumerates
 graph automorphisms and searches for isometries realizing a given
 automorphism, verified exactly on every curve.  Automorphisms are listed
 by twin classes, each sent only to classes of its degree and size.  An
@@ -13,18 +14,19 @@ answered from one table per n of the n! permutation records, built on
 first use and shared by every call, each in a new list; a twin-free graph
 is its own twin quotient, searched on its adjacency rows.
 
-The module reads the data each curve keeps from when it was built: an
-exact circle's coefficient tuple and Lorentz norm, and the curve's
-boundary points, each the integer pair (m, n) of m/n, oo = (1, 0)
-(`Curve._boundary`: an exact curve's endpoints, or a horocycle's centre,
-an inexact one's at the exact value of its float).  It forms no boundary
-point and no circle action of its own: an isometry acts on a circle's
-coefficients by `model._image` alone.  On exact curves it forms no
-`Fraction` but the answer's entries.
+The module reads only exact integer data, the data each curve keeps from
+when it was built: the circle's coefficient tuple and Lorentz norm, and
+the curve's boundary points, each the integer pair (m, n) of m/n, oo =
+(1, 0) (`Curve._boundary`: the endpoints, or a horocycle's centre).  A
+graph or a matching is refused for an inexact curve, since float
+adjacency is not invariant under isometries.  It forms no boundary point
+and no circle action of its own: an isometry acts on a circle's
+coefficients by `model._image` alone, and it forms no `Fraction` but the
+answer's entries.
 
-For exact curves, adjacency and the first test of a matching both read
-pair counts (`predicates._iter_pair_counts`): the interior count, tangency
-and shared endpoints of every pair, from the Lorentz Gram matrix of the
+Adjacency and the first test of a matching both read pair counts
+(`predicates._iter_pair_counts`): the interior count, tangency and shared
+endpoints of every pair, from the Lorentz Gram matrix of the
 configuration, formed pair by pair from the kept tuples and norms.  Those
 counts are Moebius invariants, so an isometry keeps every one of them, and
 a matching compares source and target pair by pair and answers None at the
@@ -34,25 +36,22 @@ A candidate isometry is an integer tuple (m00, m01, m10, m11, reversing)
 from `model._triple_ints`, computed on the kept boundary pairs (a frame of
 fewer than three points is completed on integer matrices too), and one
 `Isometry` is built per answer, from the tuple with no second reduction,
-not per candidate.  Each candidate is verified by one test on every
-curve's circle, on integers when both circles are exact: the source
-circle's image coefficients (`model._image`) must be a multiple of the
-target's, so no image circle is built.  An inexact circle is compared by
-`Isometry.apply_circle`, at tolerance EPS.  A curve with irrational
-endpoints gives the search no frame point, so beside one the other
-curves must give three distinct rational boundary points, or the search
-raises InvalidInputError.
+not per candidate.  Each candidate is verified by one integer test on
+every curve's circle: the source circle's image coefficients
+(`model._image`) must be a multiple of the target's, so no image circle is
+built.  A curve with irrational endpoints gives the search no frame point,
+so beside one the other curves must give three distinct rational boundary
+points, or the search raises InvalidInputError.
 """
 
 from __future__ import annotations
 
 from enum import Enum
-from itertools import chain, combinations, compress, permutations, product, starmap
+from itertools import chain, combinations, permutations, product
 from math import factorial, prod
 from operator import eq, itemgetter, ne
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ._rational import Q
 from ._record import Record
 from .errors import HyperkError, InvalidInputError
 from .model import (
@@ -65,7 +64,7 @@ from .model import (
     _triple_ints,
     _two_point_ints,
 )
-from .predicates import _iter_pair_counts, intersection_pattern, linked
+from .predicates import _iter_pair_counts, linked
 
 #: the most vertices `automorphisms` searches; `build_graph` takes any number
 MAX_VERTICES = 16
@@ -105,13 +104,15 @@ class GraphAutomorphism(Record):
 
 
 class DisjointnessGraph:
-    """Curves plus the symmetric adjacency matrix of interior-disjointness."""
+    """Exact curves plus the adjacency rows of interior-disjointness: int
+    bitmasks, bit j of rows[i] set when curves i and j are adjacent (edge
+    ij), so the rows are symmetric and no row has its own bit."""
 
-    __slots__ = ("curves", "adjacency", "graph_class")
+    __slots__ = ("curves", "rows", "graph_class")
 
-    def __init__(self, curves: Sequence[Curve], adjacency, graph_class: GraphClass):
+    def __init__(self, curves: Sequence[Curve], rows: List[int], graph_class: GraphClass):
         self.curves = list(curves)
-        self.adjacency = adjacency
+        self.rows = rows
         self.graph_class = graph_class
 
     def __len__(self):
@@ -119,15 +120,15 @@ class DisjointnessGraph:
 
     def edges(self) -> List[Tuple[int, int]]:
         n = len(self.curves)
-        return [(i, j) for i in range(n) for j in range(i + 1, n) if self.adjacency[i][j]]
+        return [(i, j) for i, row in enumerate(self.rows) for j in range(i + 1, n) if row >> j & 1]
 
     def degree(self, i: int) -> int:
-        return sum(1 for v in self.adjacency[i] if v)
+        return self.rows[i].bit_count()
 
     def is_automorphism(self, perm: Sequence[int]) -> bool:
-        n = len(self.curves)
+        rows, n = self.rows, len(self.curves)
         return all(
-            self.adjacency[i][j] == self.adjacency[perm[i]][perm[j]]
+            rows[i] >> j & 1 == rows[perm[i]] >> perm[j] & 1
             for i in range(n)
             for j in range(i + 1, n)
         )
@@ -149,10 +150,10 @@ class DisjointnessGraph:
 
 
 def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> DisjointnessGraph:
-    """Adjacency via the exact pairwise intersection oracle: an edge wherever
-    the two curves have no interior meeting point.  Refused, in order: no
-    curves, mixed kinds unless allowed, two curves `intersection_pattern`
-    calls equal (compared by coefficients when all curves are exact)."""
+    """Adjacency rows from the exact pair counts (`_iter_pair_counts`): an
+    edge wherever the two curves have no interior meeting point.  Refused,
+    in order: no curves, mixed kinds unless allowed, an inexact curve, two
+    equal curves (equal coefficient tuples)."""
     curves = list(curves)
     n = len(curves)
     if not n:
@@ -166,28 +167,18 @@ def build_graph(curves: Sequence[Curve], allow_mixed: bool = False) -> Disjointn
         raise InvalidInputError(
             "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"
         )
-    circles = [c.circle for c in curves]
-    if all(c.exact for c in circles):
-        counts = (k[0] for k in _iter_pair_counts(curves))
-        unique = len({c.coeffs() for c in circles}) == n
-        equal = [] if unique else list(starmap(eq, combinations(curves, 2)))
-    else:
-        patterns = [intersection_pattern(s, t) for s, t in combinations(curves, 2)]
-        equal, counts = [p.equal for p in patterns], [p.interior_count for p in patterns]
-    if any(equal):
-        i, j = next(compress(combinations(range(n), 2), equal))
-        text = curves[i].to_text() if curves[i].exact else repr(curves[i])
-        raise InvalidInputError(f"duplicate curves at indices {i} and {j}: {text}")
-    adjacency = [[False] * n for _ in range(n)]
-    for (i, j), k in zip(combinations(range(n), 2), counts):
-        adjacency[i][j] = adjacency[j][i] = k == 0
-    return DisjointnessGraph(curves, adjacency, graph_class)
-
-
-def _rows(g: DisjointnessGraph) -> List[int]:
-    """Adjacency rows as int bitmasks: bit j of row i is the edge ij."""
-    bits = [1 << j for j in range(len(g))]
-    return [sum(compress(bits, row)) & ~bit for row, bit in zip(g.adjacency, bits)]
+    if not all(c.exact for c in curves):
+        raise InvalidInputError("graph curves must be exact")
+    keys = [c.circle.coeffs() for c in curves]
+    if len(set(keys)) < n:
+        i, j = next((i, j) for i, j in combinations(range(n), 2) if keys[i] == keys[j])
+        raise InvalidInputError(f"duplicate curves at indices {i} and {j}: {curves[i].to_text()}")
+    rows = [0] * n
+    for (i, j), counts in zip(combinations(range(n), 2), _iter_pair_counts(curves)):
+        if counts[0] == 0:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return DisjointnessGraph(curves, rows, graph_class)
 
 
 def _twin_classes(rows: List[int]) -> List[List[int]]:
@@ -253,7 +244,7 @@ def automorphisms(g: DisjointnessGraph, cap: int = DEFAULT_CAP) -> List[GraphAut
     n = len(g)
     if n > MAX_VERTICES:
         raise InvalidInputError(f"graph too large ({n} > {MAX_VERTICES})")
-    rows = _rows(g)
+    rows = g.rows
     classes = _twin_classes(rows)
     k = len(classes)
     per_map = prod(factorial(len(m)) for m in classes)
@@ -369,7 +360,7 @@ def _candidate_isometries(src_curves: Sequence[Curve], dst_curves: Sequence[Curv
 def _completed_frames(src_curves, dst_curves, points, images):
     """Two frames (source triple, target triple) of integer pairs for
     a configuration with one or two distinct boundary points whose images
-    are fixed, on integers for exact curves.
+    are fixed.
 
     The integer matrices a and b of `model._two_point_ints` move the points
     to oo and 0 (a lone point gets an arbitrary partner, harmless because
@@ -386,16 +377,11 @@ def _completed_frames(src_curves, dst_curves, points, images):
         images = images + [_partner(images[0])]
     a, b = _two_point_ints(*points), _two_point_ints(*images)
     for s, t in zip(src_curves, dst_curves):
-        if s.kind is not CurveKind.HOROCYCLE:
-            continue
-        if s.exact and t.exact:
+        if s.kind is CurveKind.HOROCYCLE:
             sn, sd = _horocycle_size(_image(s.circle.coeffs(), *a, False))
             tn, td = _horocycle_size(_image(t.circle.coeffs(), *b, False))
             num, den = tn * sd, td * sn
-        else:  # the exact value of the float sizes' ratio
-            lam = Q(Isometry(*b).apply_curve(t).size / Isometry(*a).apply_curve(s).size)
-            num, den = lam.numerator, lam.denominator
-        break
+            break
     else:
         (an, ad), (bn, bd) = _dilation(a), _dilation(b)
         num, den = bn * ad, bd * an
@@ -432,18 +418,17 @@ def isometry_matching(
     Isometries preserve curve kind, so a kind mismatch answers None at once.
     They also preserve every pair's (interior_count, tangent,
     shared_endpoints), which are signs of Moebius invariants of the
-    Lorentz Gram matrix (Coxeter, "Inversive distance"); so when every curve
-    on both sides is exact, source and target counts are compared pair by
-    pair, and the first pair that differs answers None.  Otherwise the
-    candidates are the at most 8 isometries sending a fixed frame of three
-    rational source boundary points to boundary data of the matching
-    target curves (completed from horocycle sizes when the source has fewer
-    than three distinct boundary points), each an integer tuple, and each
-    is verified exactly by one test on every curve: it must map the source
-    circle onto the target's, on integers when both are exact (the source
-    pulled back along the inverse is a multiple of the target), and by
-    `Isometry.apply_circle` at tolerance EPS when either is inexact.  One
-    `Isometry` is built, for the answer.
+    Lorentz Gram matrix (Coxeter, "Inversive distance"); so source and
+    target counts are compared pair by pair, and the first pair that
+    differs answers None.  Then the candidates are the at most 8 isometries
+    sending a fixed frame of three rational source boundary points to
+    boundary data of the matching target curves (completed from horocycle
+    sizes when the source has fewer than three distinct boundary points),
+    each an integer tuple, and each is verified exactly by one integer test
+    on every curve: it must map the source circle onto the target's (the
+    source's image coefficients are a multiple of the target's).  One
+    `Isometry` is built, for the answer.  Lists of unequal length, and an
+    inexact curve on either side, are refused (InvalidInputError).
 
     A curve with irrational endpoints gives no frame point and is verified
     by its circle, like every other.  When the other curves give fewer
@@ -452,14 +437,15 @@ def isometry_matching(
     when a kind or a pair's counts already answer None."""
     if len(src_curves) != len(dst_curves):
         raise InvalidInputError("source and target curve lists differ in length")
+    if not all(c.exact for c in chain(src_curves, dst_curves)):
+        raise InvalidInputError("graph curves must be exact")
     n = len(src_curves)
     if any(src_curves[i].kind is not dst_curves[i].kind for i in range(n)):
         return None
     if all(map(eq, src_curves, dst_curves)):
         return Isometry.identity()
-    if all(c.circle.exact for c in chain(src_curves, dst_curves)):
-        if any(map(ne, _iter_pair_counts(src_curves), _iter_pair_counts(dst_curves))):
-            return None
+    if any(map(ne, _iter_pair_counts(src_curves), _iter_pair_counts(dst_curves))):
+        return None
     # Curve equality is circle equality: no image Curve is built
     circles = [(s.circle, t.circle) for s, t in zip(src_curves, dst_curves)]
     for cand in _candidate_isometries(src_curves, dst_curves):
@@ -470,21 +456,16 @@ def isometry_matching(
 
 def _maps_circles(cand, circles) -> bool:
     """Does the candidate cand = (m00, m01, m10, m11, reversing) map each
-    source circle onto its target, for every (source, target) pair of
+    source circle onto its target, for every (source, target) pair of exact
     GeneralizedCircles in `circles`?
 
-    An exact pair is decided on integers: the source's image coefficients
-    (`model._image`, as `apply_circle` forms them) are a vector k that must
-    be a multiple of the target's coprime coefficients w.  Canonical form
-    identifies v and -v, so the test is k[j] w[i] == w[j] k[i] for every j,
-    with w[i] the first nonzero entry of w (one of a, b, c), and no gcd is
-    taken.  A pair with an inexact side is compared by the `Isometry`'s
-    `apply_circle`, at tolerance EPS."""
+    Each pair is decided on integers: the source's image coefficients
+    (`model._image`, the isometry action on coefficients) are a vector k
+    that must be a multiple of the target's coprime coefficients w.
+    Canonical form identifies v and -v, so the test is k[j] w[i] == w[j]
+    k[i] for every j, with w[i] the first nonzero entry of w (one of a, b,
+    c), and no gcd is taken."""
     for s, t in circles:
-        if not (s.exact and t.exact):
-            if Isometry(*cand).apply_circle(s) != t:
-                return False
-            continue
         ka, kb, kc, kd = _image(s.coeffs(), *cand)
         wa, wb, wc, wd = t.coeffs()
         wi, ki = (wa, ka) if wa else (wb, kb) if wb else (wc, kc)

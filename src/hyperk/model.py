@@ -625,16 +625,25 @@ def make_horocycle(center: BoundaryPoint, size) -> Curve:
     if not size > 0:
         raise InvalidInputError("horocycle size must be positive")
     if not exact:
-        if center.is_infinity:
-            return curve_from_coeffs(0, 0, 1, -size, exact=False)
-        p = center.value
-        return curve_from_coeffs(1, -2 * p, -2 * size, p * p, exact=False)
+        return _float_horocycle(None if center.is_infinity else center.value, size)
     u, v = size.numerator, size.denominator
     if center.is_infinity:
         return curve_from_coeffs(0, 0, v, -u)  # horizontal line v y - u = 0
     # center p = m/n: n^2 v (x^2 + y^2) - 2 m n v x - 2 u n^2 y + m^2 v = 0
     m, n = center
     return curve_from_coeffs(n * n * v, -2 * m * n * v, -2 * u * n * n, m * m * v)
+
+
+def _float_horocycle(p, size: float) -> Curve:
+    """The inexact horocycle at real p (None for oo) of float size, refused
+    (DegenerateResultError) when its float circle classifies as another kind."""
+    k = (0, 0, 1, -size) if p is None else (1, -2 * p, -2 * size, p * p)
+    curve = Curve(GeneralizedCircle(*k, exact=False))
+    if curve.kind is not CurveKind.HOROCYCLE:
+        raise DegenerateResultError(
+            f"horocycle construction classifies as {curve.kind.value}", curve
+        )
+    return curve
 
 
 def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Curve:

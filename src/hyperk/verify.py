@@ -20,7 +20,7 @@ from typing import Callable, Dict, List
 
 from ._rational import Q
 from ._record import Record
-from .errors import HyperkError, InvalidInputError, NoSolutionError
+from .errors import DegenerateResultError, HyperkError, InvalidInputError, NoSolutionError
 from .model import (
     INFINITY,
     BoundaryPoint,
@@ -241,7 +241,7 @@ def suite_pinch(rng: random.Random, scale: str) -> List[PropertyResult]:
                 continue
             try:
                 a, b = pinch_pair(h0, h)
-            except NoSolutionError:
+            except (NoSolutionError, DegenerateResultError):
                 continue
             witnesses = (a,) if a is b else (a, b)
             yield next(filter(None, (off(w, other) for w in witnesses for other in (h0, h))), None)

@@ -530,6 +530,22 @@ def test_exit_2_leaves_stdout_empty(capsys, tmp_path, argv, fmt):
     assert code == 2 and out == ""
 
 
+#: float horocycle constructions whose circle classifies as a hypercycle at
+#: EPS: a small float horocycle far from 0, and a float pinch witness
+DEGENERATE_HOROCYCLES = [
+    ("--inexact", "classify", "--horocycle", "10.375,0.00390625"),
+    ("construct", "pinch", "--first", "-435/8,3/4096", "--second", "2765/8,5/4096"),
+]
+
+
+@pytest.mark.parametrize("argv", DEGENERATE_HOROCYCLES, ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_horocycle_construction_of_another_kind_exits_3(capsys, argv, fmt):
+    code, out, err = run(capsys, "--format", fmt, *argv)
+    assert code == 3 and out == ""
+    assert err == "degenerate: horocycle construction classifies as hypercycle\n"
+
+
 @pytest.mark.parametrize("distance, message", [
     ("nan", "distance is not a number"), ("-1", "distance must be nonnegative"),
 ])

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -34,12 +35,13 @@ from hyperk import (
     witness_family_search,
 )
 from hyperk import model
-from hyperk.errors import InvalidInputError
+from hyperk.errors import DegenerateResultError, InvalidInputError
 from hyperk.constructions import opposite_sides_of_point
 from hyperk.model import EPS, Curve, GeneralizedCircle, rational_points, straddling_points
 from hyperk.verify import (
     _horocycles_nearly_tangent,
     rand_curve,
+    rand_boundary,
     rand_distinct_boundary,
     rand_horocycle,
     rand_hypercycle,
@@ -103,6 +105,30 @@ class TestPinchPair:
         for w in pinch_pair(h0, h):
             assert not w.exact
             assert all(_horocycles_nearly_tangent(w, other) for other in (h0, h))
+
+    def test_returns_only_horocycles_or_refuses(self):
+        # a float witness whose unit-norm circle classifies as another kind
+        # at EPS is refused, never returned as a pinching horocycle; tiny
+        # horocycles far from 0 (the first shape) reach that refusal
+        rng = random.Random(3967)
+        shapes = [
+            lambda: (F(rand_q(rng, -512, 512, 8)), Q(rng.randint(1, 8), 4096)),
+            lambda: (rand_boundary(rng), abs(rand_q(rng, 1, 4, 6)) + Q(1, 8)),
+            lambda: (F(rand_q(rng, -64, 64, 8)), Q(rng.randint(1, 8), 1 << rng.randint(0, 14))),
+        ]
+        tally = collections.Counter()
+        while sum(tally.values()) < 4000:
+            h0, h = (make_horocycle(*shapes[sum(tally.values()) % 3]()) for _ in range(2))
+            if h0.center == h.center or intersection_pattern(h0, h).interior_count:
+                continue
+            try:
+                sols = pinch_pair(h0, h)
+            except (DegenerateResultError, InvalidInputError) as exc:
+                tally[type(exc).__name__] += 1
+                continue
+            assert all(w.kind is CurveKind.HOROCYCLE for w in sols), (h0, h, sols)
+            tally["pinched"] += 1
+        assert tally["pinched"] >= 3000 and tally["DegenerateResultError"] >= 100, tally
 
 
 def _oracle_pinch_pair(h0, h):

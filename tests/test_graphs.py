@@ -27,7 +27,7 @@ from hyperk import (
 from hyperk import graphs
 from hyperk.errors import HyperkError, InvalidInputError
 from hyperk.model import (
-    GeneralizedCircle, _int_floats, curve_from_coeffs, triple_normalizer,
+    GeneralizedCircle, curve_from_coeffs, triple_normalizer,
 )
 from hyperk.predicates import intersection_pattern, pair_counts
 from hyperk.verify import rand_geodesic, rand_horocycle, rand_hypercycle, rand_isometry, rand_q
@@ -50,13 +50,19 @@ class TestBuildGraph:
     def test_designed_edges(self):
         g = build_graph(designed_horocycles())
         assert set(g.edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
+        # bit j of rows[i] is the edge ij
+        assert g.rows == [0b1100, 0b1000, 0b1001, 0b0111]
+        assert [g.degree(i) for i in range(4)] == [2, 1, 2, 3]
 
-    def test_an_inexact_curve_takes_the_pattern_route(self, monkeypatch):
-        # with a float curve in the list no pair is read from the Gram table
-        monkeypatch.setattr(graphs, "_iter_pair_counts", None)
+    def test_an_inexact_curve_is_refused(self):
+        # float adjacency is not invariant under isometries: a float copy of
+        # a curve is refused by build_graph and by the matching, on either side
         hs = designed_horocycles()
-        hs[1] = make_horocycle(F(1), 0.5)
-        assert set(build_graph(hs).edges()) == {(0, 2), (0, 3), (1, 3), (2, 3)}
+        floats = hs[:1] + [make_horocycle(F(1), 0.5)] + hs[2:]
+        for call in (lambda: build_graph(floats), lambda: isometry_matching(hs, floats),
+                     lambda: isometry_matching(floats, hs)):
+            with pytest.raises(InvalidInputError, match="^graph curves must be exact$"):
+                call()
 
     def test_mixed_kinds_rejected_by_default(self):
         curves = [make_geodesic(F(0), F(1)), make_horocycle(F(5), 1)]
@@ -333,7 +339,7 @@ def _oracle_automorphisms(g, cap=10000):
     n = len(g)
     degrees = [g.degree(i) for i in range(n)]
     signature = [
-        (degrees[i], tuple(sorted(degrees[j] for j in range(n) if g.adjacency[i][j])))
+        (degrees[i], tuple(sorted(degrees[j] for j in range(n) if g.rows[i] >> j & 1)))
         for i in range(n)
     ]
     out = []
@@ -351,7 +357,7 @@ def _oracle_automorphisms(g, cap=10000):
         for cand in range(n):
             if used[cand] or signature[cand] != signature[i]:
                 continue
-            if any(g.adjacency[i][j] != g.adjacency[cand][image[j]] for j in range(i)):
+            if any(g.rows[i] >> j & 1 != g.rows[cand] >> image[j] & 1 for j in range(i)):
                 continue
             image[i] = cand
             used[cand] = True
@@ -364,10 +370,11 @@ def _oracle_automorphisms(g, cap=10000):
 
 
 def _labelled_graph(n, edges):
-    adjacency = [[False] * n for _ in range(n)]
+    rows = [0] * n
     for i, j in edges:
-        adjacency[i][j] = adjacency[j][i] = True
-    return graphs.DisjointnessGraph([None] * n, adjacency, graphs.GraphClass.GEODESIC)
+        rows[i] |= 1 << j
+        rows[j] |= 1 << i
+    return graphs.DisjointnessGraph([None] * n, rows, graphs.GraphClass.GEODESIC)
 
 
 def _outcome(routine, g, cap):
@@ -458,7 +465,7 @@ def test_twin_free_graphs_expand_no_class(monkeypatch):
     pairs = list(combinations(range(5), 2))
     every = [_labelled_graph(5, [e for k, e in enumerate(pairs) if mask >> k & 1])
              for mask in range(1 << len(pairs))]
-    twin_free = [g for g in every if len(graphs._twin_classes(graphs._rows(g))) == 5]
+    twin_free = [g for g in every if len(graphs._twin_classes(g.rows)) == 5]
     want = [_oracle_automorphisms(g) for g in twin_free]
 
     def refused(*args):
@@ -484,21 +491,21 @@ def test_negative_cap_is_refused():
 def test_twin_classes_expand_to_the_oracle_list():
     # the octahedron K(2,2,2): three classes of non-adjacent twins
     octahedron = _labelled_graph(6, [e for e in combinations(range(6), 2) if e[1] - e[0] != 3])
-    assert graphs._twin_classes(graphs._rows(octahedron)) == [[0, 3], [1, 4], [2, 5]]
+    assert graphs._twin_classes(octahedron.rows) == [[0, 3], [1, 4], [2, 5]]
     # a triangle is a class of adjacent twins
     triangle = _labelled_graph(6, [(0, 2), (2, 4), (0, 4)])
-    assert graphs._twin_classes(graphs._rows(triangle)) == [[0, 2, 4], [1, 3, 5]]
+    assert graphs._twin_classes(triangle.rows) == [[0, 2, 4], [1, 3, 5]]
     # a clique class {0, 4} and an edgeless one {2, 3}, both of size 2 and
     # degree 1: only the class next to each keeps them apart
     cherry = _labelled_graph(5, [(0, 4), (1, 2), (1, 3)])
-    assert graphs._twin_classes(graphs._rows(cherry)) == [[0, 4], [1], [2, 3]]
+    assert graphs._twin_classes(cherry.rows) == [[0, 4], [1], [2, 3]]
     # a 6-cycle of cliques of sizes 1, 2, 3, 1, 2, 3 is 5-regular: only the
     # class sizes keep a class from mapping onto its neighbour
     members = [[0], [1, 2], [3, 4, 5], [6], [7, 8], [9, 10, 11]]
     blown_up = _labelled_graph(12, [e for m in members for e in combinations(m, 2)] + [
         (u, v) for i in range(6) for u in members[i] for v in members[(i + 1) % 6]
     ])
-    assert graphs._twin_classes(graphs._rows(blown_up)) == members
+    assert graphs._twin_classes(blown_up.rows) == members
     cases = [
         (blown_up, 288),
         (octahedron, 48),
@@ -734,19 +741,15 @@ def test_pair_count_test_keeps_every_answer():
         assert tally[shape, "frame"] >= 5 and tally[shape, "other"] >= 5
 
 
-def _circle_or_none(k, exact):
-    """The circle of coefficients k, or None when they define none."""
-    try:
-        return GeneralizedCircle(*k, exact=exact)
-    except HyperkError:
-        return None
-
-
 def _off_by_one(rng, circle):
-    """The exact circle with one coefficient moved by 1, or None."""
+    """The exact circle with one coefficient moved by 1, or None when the
+    moved coefficients define none."""
     k = list(circle.coeffs())
     k[rng.randrange(4)] += rng.choice((-1, 1))
-    return _circle_or_none(k, True)
+    try:
+        return GeneralizedCircle(*k, exact=True)
+    except HyperkError:
+        return None
 
 
 def test_integer_circle_test_agrees_with_apply_circle():
@@ -763,21 +766,15 @@ def test_integer_circle_test_agrees_with_apply_circle():
         g = _WIDE_MAPS[index // 5 % 3] if index % 4 == 0 else rand_isometry(rng)
         other = g @ rand_isometry(rng)
         image = g.apply_circle(c)
-        targets = [image, _off_by_one(rng, image), other.apply_circle(c),
-                   _circle_or_none(_int_floats(image.coeffs()), False)]
+        targets = [image, _off_by_one(rng, image), other.apply_circle(c)]
         cand = (*g._ints(), g.reversing)
         for t in filter(None, targets):
             want = g.apply_circle(c) == t
             assert graphs._maps_circles(cand, [(c, t)]) == want
             assert graphs._maps_circles(cand, [(c, image), (c, t)]) == want
             tally[g.reversing, want] += 1
-    # every map kind on both answers, and inexact pairs take apply_circle
+    # every map kind on both answers
     assert min(tally.values()) >= 100, tally
-    inexact = GeneralizedCircle(1.0, -2.0, -1.0, 1.0)
-    k = Isometry(2, 1, 1, 3, reversing=True)
-    cand = (*k._ints(), k.reversing)
-    assert graphs._maps_circles(cand, [(inexact, k.apply_circle(inexact))])
-    assert not graphs._maps_circles(cand, [(inexact, Isometry.identity().apply_circle(inexact))])
 
 
 def test_realizing_answers_as_matching_the_images():
@@ -803,11 +800,12 @@ def test_pair_counts_refuse_inexact_curves():
         pair_counts([make_horocycle(INFINITY, 1), inexact])
 
 
-def test_inexact_horocycle_centres_frame_the_search():
-    # an inexact horocycle gives the frame the exact value of its float
-    # centre, and a frame completed from one gets lam from the float sizes
-    hs = [make_horocycle(F(0), 0.5), make_horocycle(F(1), 0.5), make_horocycle(F(3), 0.25)]
-    at_oo = [make_horocycle(INFINITY, 0.5), make_horocycle(INFINITY, 1.5)]
+def test_horocycle_centres_frame_the_search():
+    # horocycle centres frame the search, and a frame completed from one
+    # or two of them gets lam from the integer sizes
+    hs = [make_horocycle(F(0), Q(1, 2)), make_horocycle(F(1), Q(1, 2)),
+          make_horocycle(F(3), Q(1, 4))]
+    at_oo = [make_horocycle(INFINITY, Q(1, 2)), make_horocycle(INFINITY, Q(3, 2))]
     for src in (hs, hs[:1], at_oo, [hs[0], make_geodesic(F(0), F(2))]):
         for g in (Isometry.scaling(2), Isometry(0, -1, 1, 0), Isometry(3, 1, 1, 1)):
             dst = [g.apply_curve(c) for c in src]

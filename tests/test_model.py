@@ -108,6 +108,12 @@ class TestClassification:
         h = make_horocycle(F(1), 0.5)
         assert not h.exact and h.center == F(1) and h.size == pytest.approx(0.5)
         assert make_horocycle(INFINITY, 2.0).size == pytest.approx(2.0)
+        # at EPS a tiny float horocycle far from 0 reads as a hypercycle: it
+        # is refused, and the error carries the float curve it read
+        with pytest.raises(DegenerateResultError,
+                           match="^horocycle construction classifies as hypercycle$") as err:
+            make_horocycle(F(Q(83, 8)), 0.00390625)
+        assert repr(err.value.degenerate).startswith("Curve[hypercycle](Circle~(a=0.00912185, ")
 
     def test_hypercycle_kind_check_raises_without_assert(self, monkeypatch):
         monkeypatch.setattr(model, "classify_curve", lambda circle: CurveKind.GEODESIC)

@@ -96,21 +96,24 @@ ROWS = [
      "between_tangent needs exact curves"),
     # graphs
     (lambda: build_graph([]), InvalidInputError, "a graph needs at least one curve"),
-    # mixed kinds are refused before any pair is compared, float pairs too
+    # mixed kinds are refused before any pair is compared or any curve
+    # read as inexact
     (lambda: build_graph([GEO, HORO, GEO]), InvalidInputError,
      "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"),
     (lambda: build_graph([INEXACT, HORO, INEXACT]), InvalidInputError,
      "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"),
     (lambda: build_graph([GEO, HORO, GEO], allow_mixed=True), InvalidInputError,
      "duplicate curves at indices 0 and 2: geodesic a=1 b=-1 c=0 d=0"),
-    # a float curve equals an exact one at its value, as intersection_pattern says
+    # graphs read exact data only: a float curve is refused, a float copy of
+    # a listed curve too, and on either side of a matching
     (lambda: build_graph([curve_from_coeffs(1, 0, 0, -1), INEXACT]), InvalidInputError,
-     "duplicate curves at indices 0 and 1: geodesic a=1 b=0 c=0 d=-1"),
-    (lambda: build_graph([INEXACT, GEO, INEXACT]), InvalidInputError,
-     "duplicate curves at indices 0 and 2: Curve[geodesic](Circle~(a=0.707107, b=0, c=0, "
-     "d=-0.707107))"),
+     "graph curves must be exact"),
     (lambda: isometry_matching([GEO], []), InvalidInputError,
      "source and target curve lists differ in length"),
+    (lambda: isometry_matching([INEXACT, GEO], [GEO, GEO]), InvalidInputError,
+     "graph curves must be exact"),
+    (lambda: isometry_matching([GEO], [INEXACT]), InvalidInputError,
+     "graph curves must be exact"),
     (lambda: isometry_realizing(GRAPH, GraphAutomorphism((2, 1, 0))), InvalidInputError,
      "permutation is not an automorphism of the graph"),
     (lambda: induced_permutation(GRAPH, Isometry.translation(1)), InvalidInputError,
