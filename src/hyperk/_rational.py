@@ -14,7 +14,9 @@ BACKEND = "python"
 
 
 def Q(numerator=0, denominator=None):
-    """Exact rational from ints, strings like '3/4', floats, or rationals.
+    """Exact rational from ints, strings like '3/4', floats, or rationals;
+    a float is read at its exact binary value, and one that is not finite
+    is refused (InvalidInputError).
 
     A Fraction comes back as it is: it is immutable, and a copy would only
     repeat the reduction."""
@@ -22,7 +24,10 @@ def Q(numerator=0, denominator=None):
         return Fraction(numerator, denominator)
     if type(numerator) is Fraction:
         return numerator
-    return Fraction(numerator)
+    try:
+        return Fraction(numerator)
+    except (OverflowError, ValueError):  # inf, nan, or no number at all
+        raise InvalidInputError(f"{numerator!r} is not a finite number") from None
 
 
 def is_rational(x) -> bool:

@@ -2,18 +2,16 @@
 
 Subcommands: classify, construct, intersect, graph, earthquake, family,
 verify, render.  Exit codes: 0 success, 2 parse/usage error, 3 degenerate
-geometry, 4 unwritable output path.
+geometry, 4 unwritable output path, which a closed stdout also gives.
 
 One grammar reads every flag value.  A value is a comma-separated list of
 fields (`_fields`), and `_checked` reads each field by its kind: a number is
-`p` or `p/q`, and a float only with --inexact, which disables the
-exact-predicate guarantees and says so in the output banner
-(`_parse_number`); a boundary point is `oo` or a number, and stays exact
-under --inexact, where a decimal is read as its exact value.  `_curve`
-builds every curve flag from its row of `_CURVES`.  A value that does not parse fails with its
-flag and form ("--geodesic p,q expected, got 'a'"), and one that parses but
-is refused keeps the reason after them ("--horocycle center,size: '0.5' is
-not a rational p/q; pass --inexact to allow floats").
+`p`, `p/q` or a decimal literal, always read at its exact value
+(`_parse_number`); a boundary point is `oo` or a number.  `_curve` builds
+every curve flag from its row of `_CURVES`.  A value that does not parse
+fails with its flag and form ("--geodesic p,q expected, got 'a'"), and one
+that parses but is refused keeps the reason after them ("--horocycle
+center,size: '1e400' is not a finite number").
 
 This module imports `model`, which reads every flag value into numbers,
 points and curves, so every call loads `model` and `_rational`.  Each
@@ -59,12 +57,10 @@ class _Output:
     """A command's output, held until the command returns: `flush` prints
     it, and a command that raises prints nothing on stdout."""
 
-    def __init__(self, fmt: str, inexact: bool):
+    def __init__(self, fmt: str):
         self.fmt = fmt
         self.records: List[dict] = []
         self.lines: List[str] = []
-        if inexact and fmt == "text":
-            self.lines.append("note: --inexact inputs; exact-predicate guarantees disabled")
 
     def emit(self, text: str, record: Optional[dict] = None):
         if self.fmt == "records":
@@ -86,20 +82,22 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INFINITIES = ("oo", "inf", "Inf", "infty", "Infinity", "infinity")
 
 
-def _parse_number(text: str, inexact: bool, exact: bool = False):
-    """`p` or `p/q`; with --inexact also a finite float literal, read as a
-    float, or as its exact decimal value where `exact` asks for one."""
+def _parse_number(text: str):
+    """`p`, `p/q` or a decimal literal, read at its exact value.  A decimal
+    must lie in the float range: one whose float is infinite or nan, or
+    underflows to 0 from nonzero digits, is refused, which also bounds the
+    size of its exact value."""
     text = text.strip()
     if _RATIONAL_RE.match(text):
         return q_from_str(text)
     value = float(text)  # a ValueError: no number at all
-    if not inexact:
-        raise InvalidInputError(
-            f"{text!r} is not a rational p/q; pass --inexact to allow floats"
-        )
     if not math.isfinite(value):
         raise InvalidInputError(f"{text!r} is not a finite number")
-    return Q(text) if exact else value
+    if value == 0:
+        if any(ch in "123456789" for ch in text.lower().partition("e")[0]):
+            raise InvalidInputError(f"{text!r} is nonzero but below the float range")
+        return Q(0)
+    return q_from_str(text)
 
 
 def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
@@ -110,17 +108,17 @@ def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
     return parts
 
 
-def _checked(code: str, text: str, usage: str, inexact: bool):
-    """One field of a flag value, read as its code says: `n` a number, `q`
-    an exact number, `b` a boundary point (`oo` or an exact number), `i` an
-    int, `f` a float, `t` a curve text line.  A failure names the value's
-    flag and form `usage`: in place of a bare ValueError, and before the
-    reason of an InvalidInputError."""
+def _checked(code: str, text: str, usage: str):
+    """One field of a flag value, read as its code says: `n` a number, `b`
+    a boundary point (`oo` or a number), `i` an int, `f` a float, `t` a
+    curve text line.  A failure names the value's flag and form `usage`: in
+    place of a bare ValueError, and before the reason of an
+    InvalidInputError."""
     try:
         if code == "b" and text.strip() in _INFINITIES:
             return INFINITY
-        if code in "nqb":
-            value = _parse_number(text, inexact, exact=code != "n")
+        if code in "nb":
+            value = _parse_number(text)
             return BoundaryPoint(value) if code == "b" else value
         return {"i": int, "f": float, "t": parse_curve_text}[code](text)
     except InvalidInputError as exc:
@@ -129,10 +127,10 @@ def _checked(code: str, text: str, usage: str, inexact: bool):
         raise InvalidInputError(f"{usage} expected, got {text!r}") from None
 
 
-def _parsed(text: Optional[str], codes: str, usage: str, inexact: bool = False) -> list:
+def _parsed(text: Optional[str], codes: str, usage: str) -> list:
     """The fields of a flag value, one per code, each read by `_checked`."""
     fields = _fields(text, len(codes), usage)
-    return [_checked(code, f, usage, inexact) for code, f in zip(codes, fields)]
+    return [_checked(code, f, usage) for code, f in zip(codes, fields)]
 
 
 #: each curve flag: its form, the code of each field, and the curve of the values
@@ -145,13 +143,13 @@ _CURVES = {
 }
 
 
-def _curve(kind: str, text: Optional[str], flag: str, inexact: bool) -> Curve:
+def _curve(kind: str, text: Optional[str], flag: str) -> Curve:
     """The curve that the value `text` of the flag `flag` gives as a `kind`."""
     form, codes, build = _CURVES[kind]
-    return build(*_parsed(text, codes, f"{flag} {form}", inexact))
+    return build(*_parsed(text, codes, f"{flag} {form}"))
 
 
-def _curve_from_args(args, inexact: bool, prefix: str = "") -> Curve:
+def _curve_from_args(args, prefix: str = "") -> Curve:
     """The curve given by exactly one of the flags --`prefix`<kind>."""
     given = [
         (kind, text) for kind in _CURVES
@@ -162,15 +160,15 @@ def _curve_from_args(args, inexact: bool, prefix: str = "") -> Curve:
             "specify exactly one of " + "/".join(f"--{prefix}{kind}" for kind in _CURVES)
         )
     kind, text = given[0]
-    return _curve(kind, text, f"--{prefix}{kind}", inexact)
+    return _curve(kind, text, f"--{prefix}{kind}")
 
 
 def _describe_curve(c: Curve) -> str:
     if c.kind is CurveKind.HOROCYCLE:
         if c.center.is_infinity:
-            return f"Horocycle center oo height {q_str(Q(c.size)) if c.exact else c.size}"
+            return f"Horocycle center oo height {q_str(c.size)}"
         if c.exact:
-            return f"Horocycle center {c.center!r} radius {q_str(Q(c.size))}"
+            return f"Horocycle center {c.center!r} radius {q_str(c.size)}"
         return f"Horocycle center {float(c.center.value)} radius {c.size}"
     name = c.kind.value.capitalize()
     if c.has_exact_endpoints:
@@ -185,7 +183,8 @@ def _add_curve_flags(p: argparse.ArgumentParser, prefix: str = ""):
 
 
 def _inexact_output(c: Curve):
-    """Text and record of an inexact curve: its unit-norm float coefficients."""
+    """Text and record of an inexact curve (a pinch witness): its unit-norm
+    float coefficients."""
     a, b, cc, d = c.circle.coeffs()
     return (
         f"{_describe_curve(c)}\nunit-norm a={a} b={b} c={cc} d={d}",
@@ -194,14 +193,11 @@ def _inexact_output(c: Curve):
 
 
 def cmd_classify(args, out: _Output) -> int:
-    c = _curve_from_args(args, args.inexact)
-    if c.exact:
-        out.emit(
-            f"{_describe_curve(c)}\ncanonical {c.to_text()}",
-            {"describe": _describe_curve(c), **c.to_record()},
-        )
-    else:
-        out.emit(*_inexact_output(c))
+    c = _curve_from_args(args)
+    out.emit(
+        f"{_describe_curve(c)}\ncanonical {c.to_text()}",
+        {"describe": _describe_curve(c), **c.to_record()},
+    )
     return EXIT_OK
 
 
@@ -222,13 +218,13 @@ def cmd_construct(args, out: _Output) -> int:
     if what == "pinch":
         from .constructions import pinch_pair
 
-        h0 = _curve("horocycle", args.first, "--first", args.inexact)
-        h1 = _curve("horocycle", args.second, "--second", args.inexact)
+        h0 = _curve("horocycle", args.first, "--first")
+        h1 = _curve("horocycle", args.second, "--second")
         for w in pinch_pair(h0, h1):
             out.emit(*((w.to_text(), w.to_record()) if w.exact else _inexact_output(w)))
         return EXIT_OK
     if what == "equidistant":
-        g = _curve("geodesic", args.first, "--first", args.inexact)
+        g = _curve("geodesic", args.first, "--first")
         (distance,) = _parsed(args.distance, "f", "--distance d")
         for w in equidistant_pair(g, distance):
             out.emit(w.to_text(), w.to_record())
@@ -239,8 +235,8 @@ def cmd_construct(args, out: _Output) -> int:
 def cmd_intersect(args, out: _Output) -> int:
     from .predicates import intersection_pattern, pair_type_from_pattern
 
-    c1 = _curve_from_args(args, args.inexact, "first-")
-    c2 = _curve_from_args(args, args.inexact, "second-")
+    c1 = _curve_from_args(args, "first-")
+    c2 = _curve_from_args(args, "second-")
     pat = intersection_pattern(c1, c2)
     ptype = pair_type_from_pattern(c1, c2)
     out.emit(
@@ -292,27 +288,27 @@ def cmd_graph(args, out: _Output) -> int:
 def cmd_earthquake(args, out: _Output) -> int:
     from .earthquake import EarthquakeMap, eq_apply, eq_geodesic_image
 
-    fault = _curve("geodesic", args.fault, "--fault", args.inexact)
-    (shear,) = _parsed(args.shear, "q", "--shear p/q", args.inexact)
+    fault = _curve("geodesic", args.fault, "--fault")
+    (shear,) = _parsed(args.shear, "n", "--shear p/q")
     e = EarthquakeMap(fault, shear, args.side)
     action = args.action
     if action == "apply":
         for token in args.values:
             if "," in token:
-                z = UHPPoint(*_parsed(token, "nn", "apply x,y", args.inexact))
+                z = UHPPoint(*_parsed(token, "nn", "apply x,y"))
                 w = eq_apply(e, z)
                 out.emit(
                     f"{token} -> {w.x},{w.y}",
                     {"input": token, "image": [str(w.x), str(w.y)]},
                 )
             else:
-                (b,) = _parsed(token, "b", "apply x,y or p/q or oo", args.inexact)
+                (b,) = _parsed(token, "b", "apply x,y or p/q or oo")
                 w = eq_apply(e, b)
                 out.emit(f"{token} -> {w!r}", {"input": token, "image": repr(w)})
         return EXIT_OK
     if action == "image":
         for token in args.values:
-            g = _curve("geodesic", token, "image", args.inexact)
+            g = _curve("geodesic", token, "image")
             img = eq_geodesic_image(e, g)
             out.emit(f"{g.to_text()} -> {img.to_text()}", img.to_record())
         return EXIT_OK
@@ -354,8 +350,8 @@ def cmd_family(args, out: _Output) -> int:
     elif args.preset == "fixed-endpoint":
         fam = fixed_endpoint_family(3, Q(3, 2))
     else:
-        h = _curve("horocycle", args.horocycle, "--horocycle", args.inexact)
-        hp = _curve("hypercycle", args.hypercycle, "--hypercycle", args.inexact)
+        h = _curve("horocycle", args.horocycle, "--horocycle")
+        hp = _curve("hypercycle", args.hypercycle, "--hypercycle")
         fam = disj_family(h, hp)
     res = classify_family_limit(fam)
     if isinstance(res, FoliatesComponent):
@@ -466,11 +462,6 @@ def build_parser() -> argparse.ArgumentParser:
         "upper half-plane",
     )
     ap.add_argument("--format", choices=("text", "records"), default="text")
-    ap.add_argument(
-        "--inexact",
-        action="store_true",
-        help="accept float inputs (disables exact-predicate guarantees)",
-    )
     sub = ap.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("classify", help="classify a curve and print its canonical form")
@@ -549,7 +540,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
     except SystemExit as exc:
         return EXIT_PARSE if exc.code not in (0, None) else 0
-    out = _Output(args.format, args.inexact)
+    out = _Output(args.format)
     try:
         code = args.func(args, out)
     except DegenerateResultError as exc:
@@ -558,7 +549,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (HyperkError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    out.flush()
+    try:
+        out.flush()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the flush
+        # at interpreter exit writes what is left nowhere instead of failing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_UNWRITABLE
     return code
 
 

@@ -176,9 +176,10 @@ def pinch_pair(h0: Curve, h: Curve) -> Tuple[Curve, Curve]:
 
     Returns the two tangency solutions; when the elimination degenerates to
     a single solution (equal sizes at finite centers), that unique horocycle
-    fills both slots.  Solutions with irrational centers, and all solutions
-    for an inexact input, are returned as inexact curves; one whose float
-    circle classifies as another kind is refused (DegenerateResultError).
+    fills both slots.  Solutions with irrational centers are returned as
+    inexact curves; one whose float circle classifies as another kind is
+    refused (DegenerateResultError).  An inexact input is refused
+    (InvalidInputError), as `intersection_pattern` refuses it.
     """
     for c in (h0, h):
         if c.kind is not CurveKind.HOROCYCLE:
@@ -226,11 +227,10 @@ def _solve_pinch(h0: Curve, h: Curve) -> List[Curve]:
     A, B, C = _coprime_ints(quadratic)
     disc = B * B - 4 * A * C  # a square times the product of the sizes: positive
     roots = [_number(-B, s, disc, 2 * A) for s in (-1, 1)] if A else [Q(-C, B)]
-    exact = h0.exact and h.exact
     sols: List[Curve] = []
     for p in roots:
         r = radius(p)
-        if exact and not isinstance(p, float):
+        if not isinstance(p, float):
             sols.append(make_horocycle(BoundaryPoint.finite(p), r))
         elif r > EPS:
             sols.append(_float_horocycle(p, r))
@@ -509,10 +509,8 @@ def normalizer_from_images(img_h0: Curve, img_hinf: Curve) -> Isometry:
     if not pat.tangent:
         raise InvalidInputError("the two horocycles must be tangent")
     phi1 = two_point_normalizer(img_hinf.center, img_h0.center)
-    contact = pat.interior_points[0]
-    if not contact.exact:
-        raise InvalidInputError("tangency point must be exact")
-    moved = phi1.apply_point(contact)
+    # a tangency point is rational: the double root of a rational quadratic
+    moved = phi1.apply_point(pat.interior_points[0])
     if moved.x != 0:
         raise HyperkError(f"tangency of centered horocycles off the axis: {moved!r}")
     j = Isometry.scaling(1 / moved.y).compose(phi1)

@@ -2,11 +2,13 @@
 
 Every curve (geodesic, horocycle, hypercycle) is carried by a generalized
 circle a(x^2+y^2) + bx + cy + d = 0 with exact integer coefficients in
-canonical form; all classification reduces to integer sign tests.  Curves
-built from irrational data (a few constructions need them) carry float
-coefficients and are flagged inexact; predicates on them use a documented
-tolerance instead of exact signs.  Pairs of circles are read through the
-Lorentz form on coefficient vectors (`_lorentz`, `_d2`).  Exact curves also
+canonical form; all classification reduces to integer sign tests.  Every
+input is read at its exact value, a float at its binary one, so a curve
+carries float coefficients and is flagged inexact only where its true
+value is irrational: the one such curve is a pinch witness
+(`_float_horocycle`), which can be classified, printed and drawn, while
+isometries refuse it.  Pairs of circles are read through the Lorentz form
+on coefficient vectors (`_lorentz`, `_d2`).  Exact curves also
 yield exact sample points: `rational_points` spreads them along the curve
 from a rational point on the axis, and `straddling_points` places them on
 both sides of another circle near where the two meet, on chords from an
@@ -44,11 +46,11 @@ from enum import Enum
 from fractions import Fraction
 from typing import Optional, Tuple
 
-from ._rational import Q, isqrt_exact, is_rational, q_str
+from ._rational import Q, isqrt_exact, q_str
 from .errors import DegenerateResultError, HyperkError, InvalidInputError
 
-#: Tolerance for all inexact (float-coefficient) predicates and for
-#: reported intersection-point coordinates.
+#: Tolerance for classifying an inexact (float-coefficient) circle, a pinch
+#: witness's, and for comparing points with float coordinates.
 EPS = 1e-9
 
 
@@ -106,14 +108,28 @@ def _point(pair) -> BoundaryPoint:
 INFINITY = _point((1, 0))
 
 
+def _within_float_range(function):
+    """`function`, with a result past the float range (OverflowError from an
+    int/int division or a float power) refused as InvalidInputError."""
+
+    @functools.wraps(function)
+    def wrapped(*args):
+        try:
+            return function(*args)
+        except OverflowError:
+            raise InvalidInputError("the result is outside the float range") from None
+
+    return wrapped
+
+
 class UHPPoint:
-    """Interior point x+iy, y > 0; exact when both coordinates are rational."""
+    """Interior point x+iy, y > 0, its coordinates read at their exact
+    values; inexact (float coordinates) only as an irrational meeting point
+    of two circles (`predicates._line_circle`)."""
 
     __slots__ = ("x", "y", "exact")
 
-    def __init__(self, x, y, exact: Optional[bool] = None):
-        if exact is None:
-            exact = is_rational(x) and is_rational(y)
+    def __init__(self, x, y, exact: bool = True):
         if exact:
             x, y = Q(x), Q(y)
         else:
@@ -122,6 +138,7 @@ class UHPPoint:
             raise InvalidInputError(f"point ({x}, {y}) is not in the open half-plane")
         self.x, self.y, self.exact = x, y, exact
 
+    @_within_float_range
     def as_floats(self) -> Tuple[float, float]:
         return float(self.x), float(self.y)
 
@@ -155,7 +172,8 @@ def _coprime_ints(values):
     denominators, divide by the gcd, make the first nonzero entry positive.
 
     Ints and Fractions are read through their numerator and denominator;
-    any other value (a float, a '3/4' string) is taken at its exact value."""
+    any other value (a float, a '3/4' string) is taken at its exact value,
+    and a float that is not finite is refused (`Q`)."""
     try:
         lcm = math.lcm(*(v.denominator for v in values))
     except AttributeError:
@@ -180,31 +198,6 @@ def _form_at(k, X, Y, W):
     return a * (X * X + Y * Y) + (b * X + c * Y + d * W) * W
 
 
-# The sign tests on a circle multiply at most six coefficients of the exact
-# curve (the inexact curve's are at most 1), so below 2^_FLOAT_BITS every
-# product stays under 2^1010.
-_FLOAT_BITS = 166
-
-
-def _int_floats(k, bits: int = _FLOAT_BITS):
-    """The integers k as floats, divided by a common power of two when the
-    longest is longer than `bits`: by default, too large for the sign tests
-    on a circle.
-
-    Each quotient is correctly rounded, so it keeps the relative precision
-    float() would give, and every sign test on a circle or a pair of lines
-    is homogeneous in the coefficients: the scale changes no answer while
-    nothing underflows.
-    """
-    shift = max(abs(v).bit_length() for v in k) - bits
-    if shift <= 0:
-        return [float(v) for v in k]
-    floats = [v / (1 << shift) for v in k]
-    if any(v and not f for v, f in zip(k, floats)):
-        raise InvalidInputError("circle coefficients span more than the float range")
-    return floats
-
-
 def _number(m, n, disc, w):
     """(m + n sqrt(disc)) / w for disc >= 0.
 
@@ -225,33 +218,13 @@ def _number(m, n, disc, w):
     return ((m * m - n * n * disc) << 64) / (w * ((m << 64) - n * r))
 
 
-def _finite(*values):
-    """`values`, which must be floats in range."""
-    if not all(math.isfinite(v) for v in values):
-        raise InvalidInputError("the result is outside the float range")
-    return values
-
-
-def _within_float_range(function):
-    """`function`, with a result past the float range (OverflowError from an
-    int/int division or a float power) refused as InvalidInputError."""
-
-    @functools.wraps(function)
-    def wrapped(*args):
-        try:
-            return function(*args)
-        except OverflowError:
-            raise InvalidInputError("the result is outside the float range") from None
-
-    return wrapped
-
-
 class GeneralizedCircle:
     """Coefficients of a(x^2+y^2) + bx + cy + d = 0 in canonical form.
 
     Exact circles store coprime integers with the first nonzero of (a, b, c)
-    positive.  Inexact circles store unit-norm floats with the same sign
-    convention at tolerance EPS.  Each circle also keeps the tuple
+    positive, the coefficients read at their exact values.  Inexact circles
+    (`exact=False`, only a pinch witness's) store unit-norm floats with the
+    same sign convention at tolerance EPS.  Each circle also keeps the tuple
     (a, b, c, d) that `coeffs()` returns and its Lorentz norm <v, v> =
     b^2 + c^2 - 4ad (`_lorentz`) that `nondegeneracy()` returns, both formed
     once here, so that a pass over many pairs (`predicates._iter_pair_counts`)
@@ -260,9 +233,7 @@ class GeneralizedCircle:
 
     __slots__ = ("a", "b", "c", "d", "exact", "_k", "_norm")
 
-    def __init__(self, a, b, c, d, exact: Optional[bool] = None):
-        if exact is None:
-            exact = all(is_rational(v) for v in (a, b, c, d))
+    def __init__(self, a, b, c, d, exact: bool = True):
         if exact:
             self.a, self.b, self.c, self.d = k = tuple(_coprime_ints((a, b, c, d)))
             if k[0] == k[1] == k[2] == 0:
@@ -316,10 +287,8 @@ class GeneralizedCircle:
         return self.a * m * m + self.b * m * n + self.d * n * n
 
     def contains_point(self, x, y) -> bool:
-        if self.exact and is_rational(x) and is_rational(y):
-            return self.sign_at(x, y) == 0
-        v = self.evaluate(x, y)
-        return v == 0 if self.exact else abs(v) <= EPS
+        """Does the exact circle pass through (x, y), read at its exact value?"""
+        return self.sign_at(Q(x), Q(y)) == 0
 
     def __eq__(self, other):
         if not isinstance(other, GeneralizedCircle):
@@ -481,11 +450,11 @@ class Curve:
         if abs(a) > tol:
             disc = circle.boundary_disc()
             if disc <= 0:
-                return _finite(-b / (2 * a))
-            return _finite(*(float(_number(-b, s, disc, 2 * a)) for s in (-1, 1)))
+                return (-b / (2 * a),)
+            return tuple(float(_number(-b, s, disc, 2 * a)) for s in (-1, 1))
         if abs(b) <= tol:
             return (math.inf,)
-        return _finite(-d / b) + (math.inf,)
+        return -d / b, math.inf
 
     @_within_float_range
     def euclidean_center_radius(self):
@@ -495,7 +464,7 @@ class Curve:
         if abs(a) <= (0 if circle.exact else EPS):
             return None
         w = 2 * a  # a > 0 in canonical form
-        return _finite(-b / w, -c / w, float(_number(0, 1, circle.nondegeneracy(), w)))
+        return -b / w, -c / w, float(_number(0, 1, circle.nondegeneracy(), w))
 
     @_within_float_range
     def apex_height(self) -> float:
@@ -505,7 +474,7 @@ class Curve:
             _, b, c, d = self.circle.coeffs()
             if abs(b) > (0 if self.circle.exact else EPS):
                 return math.inf
-            return _finite(-d / c)[0]
+            return -d / c
         cx, cy, r = ecr
         return cy + r
 
@@ -576,7 +545,7 @@ def curve_from_circle(circle: GeneralizedCircle) -> Curve:
     return Curve(circle)
 
 
-def curve_from_coeffs(a, b, c, d, exact: Optional[bool] = None) -> Curve:
+def curve_from_coeffs(a, b, c, d, exact: bool = True) -> Curve:
     return Curve(GeneralizedCircle(a, b, c, d, exact=exact))
 
 
@@ -619,13 +588,11 @@ def _geodesic_ints(p: BoundaryPoint, q: BoundaryPoint):
 
 
 def make_horocycle(center: BoundaryPoint, size) -> Curve:
-    """Horocycle at `center` of Euclidean radius `size` (line height if center oo)."""
-    exact = is_rational(size)
-    size = Q(size) if exact else float(size)
+    """Horocycle at `center` of Euclidean radius `size` (line height if
+    center oo), the size read at its exact value."""
+    size = Q(size)
     if not size > 0:
         raise InvalidInputError("horocycle size must be positive")
-    if not exact:
-        return _float_horocycle(None if center.is_infinity else center.value, size)
     u, v = size.numerator, size.denominator
     if center.is_infinity:
         return curve_from_coeffs(0, 0, v, -u)  # horizontal line v y - u = 0
@@ -634,11 +601,11 @@ def make_horocycle(center: BoundaryPoint, size) -> Curve:
     return curve_from_coeffs(n * n * v, -2 * m * n * v, -2 * u * n * n, m * m * v)
 
 
-def _float_horocycle(p, size: float) -> Curve:
-    """The inexact horocycle at real p (None for oo) of float size, refused
-    (DegenerateResultError) when its float circle classifies as another kind."""
-    k = (0, 0, 1, -size) if p is None else (1, -2 * p, -2 * size, p * p)
-    curve = Curve(GeneralizedCircle(*k, exact=False))
+def _float_horocycle(p: float, size: float) -> Curve:
+    """The inexact horocycle at the irrational centre p of float size,
+    refused (DegenerateResultError) when its float circle classifies as
+    another kind."""
+    curve = Curve(GeneralizedCircle(1, -2 * p, -2 * size, p * p, exact=False))
     if curve.kind is not CurveKind.HOROCYCLE:
         raise DegenerateResultError(
             f"horocycle construction classifies as {curve.kind.value}", curve
@@ -647,11 +614,11 @@ def _float_horocycle(p, size: float) -> Curve:
 
 
 def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Curve:
-    """The unique hypercycle through boundary points p, q and interior point through."""
+    """The unique hypercycle through boundary points p, q and interior point
+    through, read at its exact value."""
     if p == q:
         raise InvalidInputError("hypercycle needs two distinct endpoints")
-    carrier = _hypercycle_ints if through.exact else _hypercycle_floats
-    circle = carrier(p, q, through)
+    circle = _hypercycle_ints(p, q, through)
     if circle is None:
         where = "vertical" if p.is_infinity or q.is_infinity else "spanning"
         raise DegenerateResultError(
@@ -668,7 +635,7 @@ def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Cu
 def _hypercycle_ints(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint):
     """The exact carrier on integers, with `through` at (X/W, Y/W); None
     when `through` lies on the geodesic pq."""
-    X, Y, W = _homogeneous(through.x, through.y)
+    X, Y, W = _homogeneous(Q(through.x), Q(through.y))
     # W Y times the geodesic's carrier k, plus the c y that puts `through`
     # on it: c = -W^2 k(X/W, Y/W)
     k = _geodesic_ints(p, q)
@@ -677,22 +644,6 @@ def _hypercycle_ints(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint):
         return None
     a, b, _, d = (v * W * Y for v in k)
     return GeneralizedCircle(a, b, c, d)
-
-
-def _hypercycle_floats(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint):
-    """The inexact carrier; None when `through` is within EPS of the geodesic pq."""
-    x0, y0 = through.x, through.y
-    if p.is_infinity or q.is_infinity:
-        e = (q if p.is_infinity else p).value
-        if abs(x0 - e) <= EPS:
-            return None
-        return GeneralizedCircle(0, y0, -(x0 - e), -e * y0, exact=False)
-    b = -(p.value + q.value)
-    d = p.value * q.value
-    c = -(x0 * x0 + y0 * y0 + b * x0 + d) / y0
-    if abs(c) <= EPS:
-        return None
-    return GeneralizedCircle(1, b, c, d, exact=False)
 
 
 # ---------------------------------------------------------------------------
@@ -814,53 +765,22 @@ class Isometry:
         return _reduced(a * x + b * y, c * x + d * y)
 
     def apply_point(self, z: UHPPoint) -> UHPPoint:
+        """The exact image of z, read at its exact value."""
         a, b, c, d = self._ints()
-        det = a * d - b * c  # exact: a float a*d - b*c can cancel to 0
-        if not z.exact:
-            x, y = z.x, z.y
-            if self.reversing:
-                x = -x
-            try:
-                a, b, c, d, det = (float(v) for v in (a, b, c, d, det))
-                den_ = (c * x + d) ** 2 + c * c * y * y
-                nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den_
-                ny = det * y / den_
-            except (OverflowError, ZeroDivisionError):
-                den_ = nx = ny = math.inf
-            if not all(map(math.isfinite, (den_, nx, ny))):
-                # the entries' floats overflowed: round the exact image of z's value
-                w = self.apply_point(UHPPoint(Fraction(z.x), Fraction(z.y)))
-                try:
-                    nx, ny = float(w.x), float(w.y)
-                except OverflowError:
-                    ny = 0.0
-                if not ny:
-                    raise InvalidInputError(f"the image of {z} is outside the float range")
-            return UHPPoint(nx, ny, exact=False)
         # z = (X + iY)/W: (a z + b)(c conj(z) + d) = (u v + a c Y^2 + i det Y W) / W^2
         # with u = a X + b W, v = c X + d W, and |c z + d|^2 W^2 = v^2 + (c Y)^2
-        X, Y, W = _homogeneous(z.x, z.y)
+        X, Y, W = _homogeneous(Q(z.x), Q(z.y))
         if self.reversing:
             X = -X
         u, v = a * X + b * W, c * X + d * W
         cy = c * Y
         den_ = v * v + cy * cy
-        return UHPPoint(Fraction(u * v + a * cy * Y, den_), Fraction(det * Y * W, den_), exact=True)
+        return UHPPoint(Fraction(u * v + a * cy * Y, den_), Fraction((a * d - b * c) * Y * W, den_))
 
     def apply_circle(self, circle: GeneralizedCircle) -> GeneralizedCircle:
-        k = circle.coeffs()
-        if circle.exact:
-            return GeneralizedCircle(*_image(k, *self.matrix(), self.reversing), exact=True)
-        try:
-            image = _image(k, *(float(v) for v in self.matrix()), self.reversing)
-        except OverflowError:
-            image = (math.inf,)
-        if all(map(math.isfinite, image)):
-            return GeneralizedCircle(*image, exact=False)
-        # the entries' floats overflowed: the exact image of the circle's
-        # value, divided by a power of two to come within the float range
-        image = self.apply_circle(GeneralizedCircle(*map(Fraction, circle.coeffs())))
-        return GeneralizedCircle(*_int_floats(image.coeffs()), exact=False)
+        if not circle.exact:
+            raise InvalidInputError("isometries act on exact curves")
+        return GeneralizedCircle(*_image(circle.coeffs(), *self.matrix(), self.reversing))
 
     def apply_curve(self, curve: Curve) -> Curve:
         image = Curve(self.apply_circle(curve.circle))
@@ -972,22 +892,16 @@ def distance_to_geodesic(z: UHPPoint, g: Curve) -> float:
     """Hyperbolic distance from z to the geodesic g.
 
     Read off the carrier a(x^2+y^2) + bx + d = 0 of g: sinh(dist) =
-    |a(x^2+y^2) + bx + d| / (y sqrt(b^2 - 4ad)).  For an exact point and
-    geodesic, sinh(dist)^2 is formed exactly and rounded once.
+    |a(x^2+y^2) + bx + d| / (y sqrt(b^2 - 4ad)).  With z read at its exact
+    value, sinh(dist)^2 is formed exactly and rounded once.
     """
     if g.kind is not CurveKind.GEODESIC:
         raise InvalidInputError("distance_to_geodesic needs a geodesic")
-    a, b, _, d = g.circle.coeffs()
-    disc = b * b - 4 * a * d
-    if not (z.exact and g.exact):
-        x, y = z.as_floats()
-        a, b, d = float(a), float(b), float(d)
-        return math.asinh(abs(a * (x * x + y * y) + b * x + d) / (y * math.sqrt(disc)))
     # z = (X/W, Y/W): sinh(dist) = |n| / (W Y sqrt(disc)), n = W^2 times the
     # carrier's value at z
-    X, Y, W = _homogeneous(z.x, z.y)
+    X, Y, W = _homogeneous(Q(z.x), Q(z.y))
     n = _form_at(g.circle.coeffs(), X, Y, W)
-    num, den = n * n, (W * Y) ** 2 * disc
+    num, den = n * n, (W * Y) ** 2 * g.circle.boundary_disc()
     try:
         return math.asinh(math.sqrt(num / den))
     except OverflowError:  # sinh(dist) beyond the float range: asinh u ~ log 2u
@@ -1114,7 +1028,7 @@ def rational_points(curve: Curve, count: int):
             key = (x.numerator, x.denominator, y.numerator, y.denominator)
             if key not in seen:
                 seen.add(key)
-                points.append(UHPPoint(x, y, exact=True))
+                points.append(UHPPoint(x, y))
                 if len(points) >= count:
                     break
         k += 1
@@ -1169,9 +1083,9 @@ def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
             for t in (t0 - step, t0 + step):
                 px, py = point(t)
                 if py > 0:
-                    s = circle.sign_at(px, py) if circle.exact else circle.evaluate(px, py)
+                    s = circle.sign_at(px, py)
                     if s:
-                        sides[s > 0] = UHPPoint(px, py, exact=True)
+                        sides[s > 0] = UHPPoint(px, py)
             if len(sides) == 2:
                 pairs.append((sides[True], sides[False]))
                 break

@@ -3,46 +3,31 @@
 Intersection counts, tangency, shared boundary endpoints, the hypercycle
 pair taxonomy, the horocycle partial order, linkedness of boundary pairs,
 and betweenness of mutually tangent curves are all decided by integer or
-rational sign tests for exact curves.  The counts of an exact pair come
-from the signs of the Lorentz Gram matrix of the two coefficient vectors
-(`_gram_counts`), whatever the kinds, with no case for lines or for oo;
-its meeting points are built only when `interior_points` is first read;
+rational sign tests, on exact curves only: an inexact curve (a pinch
+witness) is refused.  The counts of a pair come from the signs of the
+Lorentz Gram matrix of the two coefficient vectors (`_gram_counts`),
+whatever the kinds, with no case for lines or for oo; its meeting points
+are built only when `interior_points` is first read (`_meet`);
 `pair_counts` counts every pair of a list from one Gram matrix, and
-`_iter_pair_counts` yields those counts pair by pair.
-Only the coordinates of those points may be floats (when the points are
-irrational); the counts never are.  A pair with an inexact (float) curve
-is equal when the two circles agree within EPS, an exact curve and its
-float copy included; otherwise it finds its meeting points first and
-counts them, every sign test with tolerance EPS: a shared finite
-endpoint is a meeting point of the two full circles at height 0, so one
-sign test on heights counts interior points and shared endpoints alike.
-Linkedness reads each boundary point as the integer pair it is, oo =
-(1, 0), and is the sign of one product of 2x2 determinants, the
-cross-ratio's, with no case for oo or for a shared point.
+`_iter_pair_counts` yields those counts pair by pair.  Only the
+coordinates of the points may be floats (when the points are
+irrational); the counts never are.  Linkedness reads each boundary point
+as the integer pair it is, oo = (1, 0), and is the sign of one product of
+2x2 determinants, the cross-ratio's, with no case for oo or for a shared
+point.
 """
 
 from __future__ import annotations
 
 import functools
-import math
 from enum import Enum
 from itertools import combinations
 from typing import Tuple
 
-from ._rational import Q
+from ._rational import Q, is_rational
 from ._record import Record
 from .errors import InvalidInputError
-from .model import (
-    EPS,
-    Curve,
-    CurveKind,
-    UHPPoint,
-    _FLOAT_BITS,
-    _finite,
-    _int_floats,
-    _lorentz,
-    _number,
-)
+from .model import Curve, CurveKind, UHPPoint, _lorentz, _number
 
 
 # ---------------------------------------------------------------------------
@@ -58,33 +43,30 @@ class IntersectionPattern(Record):
     tangent          True when the curves touch without crossing
     shared_endpoints number of common boundary endpoints (0, 1, or 2)
     interior_points  the interior intersection points; exact when rational
-    exact            True when the counts come from exact sign tests
     equal            True when the two curves coincide (all other fields void)
 
-    For two exact curves the counts come from integer signs alone, and the
-    points are built when `interior_points` is first read.  So the counts
-    hold for coefficients of any size, while the points may still be
-    refused: under `Isometry(2**600 + 9, 1, 2**600, 1)` the images of
+    The counts come from integer signs alone, and the points are built when
+    `interior_points` is first read.  So the counts hold for coefficients of
+    any size, while the points may still be refused: under
+    `Isometry(2**600 + 9, 1, 2**600, 1)` the images of
     `curve_from_coeffs(12, -168, -95, 588)` and `curve_from_coeffs(16, -146,
     0, 315)` cross twice, at irrational heights near 2^-1200 that round to
     0.0, and reading their points raises InvalidInputError.
     """
 
-    __slots__ = ("interior_count", "tangent", "shared_endpoints", "_points", "exact", "equal",
-                 "_circles")
-    _fields = ("interior_count", "tangent", "shared_endpoints", "interior_points", "exact",
-               "equal")
+    __slots__ = ("interior_count", "tangent", "shared_endpoints", "_points", "equal", "_circles")
+    _fields = ("interior_count", "tangent", "shared_endpoints", "interior_points", "equal")
 
     def __init__(self, interior_count: int, tangent: bool, shared_endpoints: int,
-                 interior_points: Tuple[UHPPoint, ...], exact: bool, equal: bool = False):
+                 interior_points: Tuple[UHPPoint, ...], equal: bool = False):
         self.interior_count, self.tangent = interior_count, tangent
         self.shared_endpoints, self._points = shared_endpoints, interior_points
-        self.exact, self.equal = exact, equal
+        self.equal = equal
 
     @property
     def interior_points(self) -> Tuple[UHPPoint, ...]:
-        if self._points is None:  # an exact pattern's points, on first read
-            self._points = _meet(*self._circles, 0)[2]
+        if self._points is None:  # the points of distinct curves, on first read
+            self._points = _meet(*self._circles)
         return self._points
 
     def describe(self) -> str:
@@ -107,34 +89,22 @@ class IntersectionPattern(Record):
 
 
 def intersection_pattern(c1: Curve, c2: Curve) -> IntersectionPattern:
-    """Interior intersection data for a pair of curves, exact when both are.
+    """Interior intersection data for a pair of exact curves; an inexact
+    curve is refused.
 
     Equal curves yield a distinguished pattern with equal=True rather than
     an error.
     """
+    if not (c1.exact and c2.exact):
+        raise InvalidInputError("intersection patterns need exact curves")
     if c1 == c2:
-        return IntersectionPattern(0, False, 0, (), c1.exact, equal=True)
-    if c1.exact and c2.exact:
-        s1, s2 = c1.circle, c2.circle
-        k1, k2 = s1.coeffs(), s2.coeffs()
-        counts = _gram_counts(k1, k2, s1.nondegeneracy(), s2.nondegeneracy(), _lorentz(k1, k2))
-        pat = IntersectionPattern(*counts, None, True)
-        pat._circles = k1, k2
-        return pat
-    if c1.exact != c2.exact and _same_circle(c1.circle, c2.circle):
-        # an exact curve and its float copy are one curve, though
-        # `Curve.__eq__` never equates them: their hashes differ
-        return IntersectionPattern(0, False, 0, (), False, equal=True)
-    if _same_center_horocycles(c1, c2):
-        # nested horocycles touch only at their common center, a meeting no
-        # float test on heights resolves
-        return IntersectionPattern(0, False, 1, (), False)
-    k1, k2, tol = _pair_coeffs(c1, c2)
-    count, tangent, points, on_axis = _meet(k1, k2, tol)
-    # a shared finite endpoint is a meeting point at height 0; two lines
-    # also share infinity
-    shared = on_axis + (k1[0] == 0 and k2[0] == 0)
-    return IntersectionPattern(count, tangent, shared, points, False)
+        return IntersectionPattern(0, False, 0, (), equal=True)
+    s1, s2 = c1.circle, c2.circle
+    k1, k2 = s1.coeffs(), s2.coeffs()
+    counts = _gram_counts(k1, k2, s1.nondegeneracy(), s2.nondegeneracy(), _lorentz(k1, k2))
+    pat = IntersectionPattern(*counts, None)
+    pat._circles = k1, k2
+    return pat
 
 
 def pair_counts(curves):
@@ -205,117 +175,47 @@ def _gram_counts(v, w, g11, g22, g12):
     return (0, False, 2) if s == 0 else (int(s < 0), False, 1)
 
 
-def _same_circle(s1, s2) -> bool:
-    """Do the circles' unit coefficient vectors agree within EPS, entry by
-    entry and up to sign, as `GeneralizedCircle.__eq__` compares inexact
-    circles?  Exact integers are first divided below 1, past no float range."""
-    units = []
-    for s in (s1, s2):
-        k = s.coeffs()
-        if s.exact:
-            scale = 1 << max(abs(v).bit_length() for v in k)
-            k = [v / scale for v in k]
-        n = math.hypot(*k)
-        units.append([v / n for v in k])
-    return any(all(abs(u - sign * w) <= EPS for u, w in zip(*units)) for sign in (1, -1))
-
-
-def _same_center_horocycles(c1: Curve, c2: Curve) -> bool:
-    """Are both curves horocycles whose centers agree, at oo or as
-    `math.isclose(x1, x2, rel_tol=EPS, abs_tol=EPS)` taken on rationals?"""
-    if not c1.kind is c2.kind is CurveKind.HOROCYCLE:
-        return False
-    p, q = c1.center, c2.center
-    if p.is_infinity or q.is_infinity:
-        return p == q
-    return abs(p.value - q.value) <= Q(EPS) * max(abs(p.value), abs(q.value), 1)
-
-
-#: the bit length an exact line keeps beside an inexact line: the
-#: determinant and the meeting point multiply each exact coefficient by one
-#: inexact one, which is at most 1
-_LINE_BITS = 1000
-
-
-def _pair_coeffs(c1: Curve, c2: Curve):
-    """Coefficients of both circles, one of them inexact, as floats, and the
-    tolerance EPS of every sign test on them.
-
-    An inexact circle with |a| <= EPS is taken as the line it is within
-    tolerance.  An exact curve's floats are scaled into the range its sign
-    tests need: two lines multiply no two exact coefficients, so they keep
-    up to _LINE_BITS.
-    """
-    k1, k2 = (list(c.circle.coeffs()) for c in (c1, c2))
-    for c, k in ((c1, k1), (c2, k2)):
-        if not c.exact and abs(k[0]) <= EPS:
-            k[0] = 0.0
-    bits = _FLOAT_BITS if k1[0] or k2[0] else _LINE_BITS
-    for c, k in ((c1, k1), (c2, k2)):
-        if c.exact:
-            k[:] = _int_floats(k, bits)
-    return k1, k2, EPS
-
-
-def _meet(k1, k2, tol):
-    """How the two full circles meet: (count of meeting points above height
-    tol, tangent, those points, count of meeting points within tol of
-    height 0)."""
+def _meet(k1, k2):
+    """The meeting points above the axis of the two distinct exact circles
+    k1 and k2, in ascending x."""
     a1, b1, c1, d1 = k1
     a2, b2, c2, d2 = k2
     if a1 == 0 and a2 == 0:
-        return _line_line((b1, c1, d1), (b2, c2, d2), tol)
+        return _line_line((b1, c1, d1), (b2, c2, d2))
     if a1 == 0:
-        return _line_circle((b1, c1, d1), k2, tol)
+        return _line_circle((b1, c1, d1), k2)
     if a2 == 0:
-        return _line_circle((b2, c2, d2), k1, tol)
+        return _line_circle((b2, c2, d2), k1)
     # radical line: a2*C1 - a1*C2 vanishes on every common point
     line = (a2 * b1 - a1 * b2, a2 * c1 - a1 * c2, a2 * d1 - a1 * d2)
-    if not any(line):  # proportional circles, excluded by c1 != c2
-        raise InvalidInputError("curves lie on the same circle")
-    return _line_circle(line, k1, tol)
+    return _line_circle(line, k1)
 
 
-def _line_line(l1, l2, tol):
+def _line_line(l1, l2):
     (B1, C1, D1), (B2, C2, D2) = l1, l2
     det = B1 * C2 - B2 * C1
-    # within tol, the sine of the angle between the normals (B, C) is 0; the
-    # test does not change when a line's coefficients are scaled
-    if abs(det) <= (tol and tol * math.hypot(B1, C1) * math.hypot(B2, C2)):
-        return 0, False, (), 0
-    y = _number(B2 * D1 - B1 * D2, 0, 0, det)
-    if y <= tol:
-        return 0, False, (), int(y >= -tol)
-    x = _number(C1 * D2 - C2 * D1, 0, 0, det)
-    if tol:
-        _finite(x, y)
-    return 1, False, (UHPPoint(x, y),), 0
+    if det == 0:
+        return ()
+    y = Q(B2 * D1 - B1 * D2, det)
+    if y <= 0:
+        return ()
+    return (UHPPoint(Q(C1 * D2 - C2 * D1, det), y),)
 
 
-def _heights(q2, q1, q0, h):
-    """How many of the two real roots of q2 y^2 + q1 y + q0 (q2 > 0) lie
-    above h, and how many equal h: sign tests on the product and sum of the
-    roots of the same quadratic in y - h."""
-    s1, s0 = q1 + 2 * h * q2, q0 + h * (q1 + h * q2)
-    if s0 < 0:
-        return 1, 0
-    if s0 == 0:
-        return (1, 1) if s1 < 0 else (0, 2 if s1 == 0 else 1)
-    return (2 if s1 < 0 else 0), 0
+def _line_circle(line, circle):
+    """The meeting points above the axis of the line Bx+Cy+D=0 with the
+    circle a(x^2+y^2)+bx+cy+d=0 (a > 0), in ascending x.
 
-
-def _line_circle(line, circle, tol):
-    """Meet of line Bx+Cy+D=0 with circle a(x^2+y^2)+bx+cy+d=0 (a > 0).
-
-    The counts and tangency come from sign tests alone: the discriminant of
-    the quadratic the meeting points solve, then the heights of the points
-    against tol and -tol.
+    Which points there are comes from sign tests alone: the discriminant of
+    the quadratic the meeting points solve, then the signs of the product
+    and sum of their heights.  A point is exact when the discriminant is a
+    square, and otherwise has float coordinates (`_number`).
     """
     B, C, D = line
     a, b, c, d = circle
     L = B * B + C * C
     if L == 0:
-        return 0, False, (), 0  # radical line at infinity: concentric circles
+        return ()  # radical line at infinity: concentric circles
     # the meeting points' heights solve q2 y^2 + q1 y + q0 = 0 and their
     # abscissas q2 x^2 + p1 x + p0 = 0; the points are parametrised by the
     # coordinate t the line spreads along (x when |B| <= |C|), the other
@@ -331,31 +231,26 @@ def _line_circle(line, circle, tol):
     else:
         t1, t0, beta, gamma = q1, q0, C, B
     disc = t1 * t1 - 4 * q2 * t0
-    slack = tol * max(t1 * t1, abs(4 * q2 * t0))
-    if disc < -slack:
-        return 0, False, (), 0
-    tangent = disc <= slack
     falling = B * C > 0  # y falls as x grows along the line
-    if tangent:  # one double point, at height -q1 / (2 q2)
-        on_axis = int(abs(q1) <= 2 * tol * q2)
-        n = int(q1 + 2 * tol * q2 < 0)
-        disc, roots = 0, (0,)
-    else:
-        n = _heights(q2, q1, q0, tol)[0]
-        on_axis = sum(_heights(q2, q1, q0, -tol)) - n
-        # t = (-t1 + s sqrt(disc)) / (2 q2) ascends with s (q2 > 0); a lone
-        # point is the higher one
-        roots = (-1, 1) if n == 2 else (-1,) if along_x and falling else (1,)
-    if n == 0:
-        return 0, False, (), on_axis
+    if disc < 0 or q1 >= 0 <= q0:  # no meeting, or none above the axis
+        return ()
+    if disc == 0:  # one double point, at height -q1 / (2 q2) > 0
+        roots = (0,)
+    elif q0 > 0:  # two heights of one sign, which q1 < 0 makes positive
+        roots = (-1, 1)
+    else:  # heights of opposite signs, or one of them 0: one point above
+        # t = (-t1 + s sqrt(disc)) / (2 q2) ascends with s (q2 > 0); the
+        # lone point is the higher one
+        roots = (-1,) if along_x and falling else (1,)
     points = []
     for s in roots:
         t = _number(-t1, s, disc, 2 * q2)
         u = _number(beta * t1 - 2 * q2 * D, -s * beta, disc, 2 * q2 * gamma)
-        points.append(UHPPoint(t, u) if along_x else UHPPoint(u, t))
+        exact = is_rational(t)
+        points.append(UHPPoint(t, u, exact) if along_x else UHPPoint(u, t, exact))
     if not along_x and falling:
         points.reverse()  # ascending x
-    return n, tangent, tuple(points), on_axis
+    return tuple(points)
 
 
 # ---------------------------------------------------------------------------

@@ -83,7 +83,7 @@ def _curve_element(curve: Curve, mapper: _Mapper, color: str, clip: str) -> str:
     # correctly rounded, so it is drawn whenever its position is a float
     _a, b, c, d = curve.circle.coeffs()
     try:
-        if abs(c) <= (0 if curve.exact else 1e-13):
+        if c == 0:
             x = -d / b  # vertical line
             p0 = mapper.to_pixel(x, 0.0)
             p1 = mapper.to_pixel(x, mapper.y1 + 1.0)

@@ -204,7 +204,8 @@ def _oracle_line_circle(line, circle):
     for s in roots:
         t = _number(-t1, s, disc, 2 * q2)
         u = _number(beta * t1 - 2 * q2 * D, -s * beta, disc, 2 * q2 * gamma)
-        points.append(UHPPoint(t, u) if along_x else UHPPoint(u, t))
+        exact = not isinstance(t, float)
+        points.append(UHPPoint(t, u, exact) if along_x else UHPPoint(u, t, exact))
     if not along_x and falling:
         points.reverse()
     return n, tangent, tuple(points), on_axis

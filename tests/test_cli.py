@@ -2,10 +2,13 @@ import json
 import math
 import os
 import re
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
 
+import hyperk
 from hyperk.cli import main
 
 
@@ -35,29 +38,21 @@ class TestClassify:
         code, _, _ = run(capsys, "classify", "--coeffs", "1,0,banana,0")
         assert code == 2
 
-    def test_float_requires_inexact(self, capsys):
-        code, _, err = run(capsys, "classify", "--horocycle", "0,0.5")
-        assert code == 2
-        assert "--inexact" in err
-        assert "--horocycle center,size: " in err
-
     def test_inexact_banner(self, capsys):
-        code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "0,0.5")
-        assert code == 0
-        assert "exact-predicate guarantees disabled" in out
-        # an inexact center prints as the float it is, not as its binary fraction
-        code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "0.3,0.5")
-        assert code == 0 and "Horocycle center 0.3 radius 0.5\n" in out
-        # a float horocycle at oo prints its height
-        code, out, _ = run(capsys, "--inexact", "classify", "--horocycle", "oo,0.5")
-        assert code == 0 and "Horocycle center oo height 0.5\n" in out
+        # there is no --inexact flag: argparse refuses it as an unknown
+        # option, and a decimal answer carries no note
+        code, out, err = run(capsys, "--inexact", "classify", "--horocycle", "0,0.5")
+        assert code == 2 and out == "" and "unrecognized arguments: --inexact" in err
+        code, out, _ = run(capsys, "classify", "--horocycle", "0,0.5")
+        assert code == 0 and out.startswith("Horocycle center 0 radius 1/2\n")
+        assert "--inexact" not in out and "note" not in out
 
     @pytest.mark.parametrize("value", ["-.5,1", "-.25e1,1/2"])
     def test_signed_float_value_after_a_space(self, capsys, value):
         # the flag grammar, not argparse, reads a value that starts with
         # "-.", as it does the same value after "="
-        spaced = run(capsys, "--inexact", "classify", "--horocycle", value)
-        joined = run(capsys, "--inexact", "classify", f"--horocycle={value}")
+        spaced = run(capsys, "classify", "--horocycle", value)
+        joined = run(capsys, "classify", f"--horocycle={value}")
         assert spaced == joined and spaced[0] == 0 and "Horocycle center -" in spaced[1]
 
     def test_records_format(self, capsys):
@@ -132,7 +127,8 @@ class TestIntersect:
         (("--first-horocycle", "oo,2.0"), ("--second-horocycle", "oo,2")),
     ])
     def test_a_curve_and_its_float_copy_are_equal(self, capsys, first, second):
-        code, out, _ = run(capsys, "--inexact", "intersect", *first, *second)
+        # a decimal copy is read at its exact value: it is the curve itself
+        code, out, _ = run(capsys, "intersect", *first, *second)
         assert code == 0
         assert out.splitlines()[-2:] == ["equal curves", "pair type EQUAL"]
 
@@ -179,26 +175,29 @@ class TestEarthquakeCommand:
         assert code == 0 and record["result"] == "satisfiable" and record["radii"] == ["1", "4"]
 
     def test_inexact_point_under_a_fault_past_the_float_range(self, capsys):
+        # a decimal point, once taken as floats, is read at its exact value:
+        # its image is the exact image of the rational point
         n = 3**700
         code, out, err = run(
-            capsys, "--inexact", "earthquake", "--fault", f"{n + 1}/{n},-1", "--shear", "2",
+            capsys, "earthquake", "--fault", f"{n + 1}/{n},-1", "--shear", "2",
             "apply", "0.5,2.0",
         )
         assert code == 0, err
-        x, y = (float(v) for v in out.strip().splitlines()[-1].split(" -> ")[1].split(","))
+        image = out.strip().split(" -> ")[1]
         code, out, _ = run(
             capsys, "earthquake", "--fault", f"{n + 1}/{n},-1", "--shear", "2", "apply", "1/2,2",
         )
-        exact = [Fraction(v) for v in out.strip().split(" -> ")[1].split(",")]
-        assert math.isclose(x, exact[0], rel_tol=1e-12) and math.isclose(y, exact[1], rel_tol=1e-12)
+        assert code == 0 and out.strip().split(" -> ")[1] == image
+        x, y = (Fraction(v) for v in image.split(","))
+        assert x.denominator > 2**1000 and y > 0
 
-    def test_inexact_image_past_the_float_range_is_refused(self, capsys):
+    def test_decimal_image_past_the_float_range_is_exact(self, capsys):
         code, out, err = run(
-            capsys, "--inexact", "earthquake", "--fault", "0,oo", "--shear", str(2**1100),
+            capsys, "earthquake", "--fault", "0,oo", "--shear", str(2**1100),
             "apply", "-0.5,2.0",
         )
-        assert code == 2 and "->" not in out
-        assert "outside the float range" in err and "Traceback" not in err
+        assert code == 0 and err == ""
+        assert out == f"-0.5,2.0 -> {-(2**1099)},{2**1101}\n"
 
 
 class TestVerifyCommand:
@@ -361,6 +360,8 @@ MALFORMED = [
     ("graph", "--curves", "EMPTY"),
     ("render", "--curves", "BADTEXT", "-o", "a.svg"),
     ("earthquake", "--fault", "0,oo", "--shear", "2", "certify", "--curves", "EMPTY"),
+    # command lines written for the removed --inexact flag: argparse
+    # refuses the flag before any value is read
     ("--inexact", "intersect", "--first-geodesic", f"{2**1100},oo",
      "--second-horocycle", "oo,0.5"),
     ("render", "--curves", "FARLINE", "-o", "a.svg"),
@@ -383,11 +384,7 @@ MALFORMED = [
     ("family", "--horocycle", "0,x", "--hypercycle", "4,8,5,2"),
     ("--inexact", "classify", "--horocycle", "0,abc"),
     ("construct", "equidistant", "--first", "0,1", "--distance", "abc"),
-    ("family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"),
-    ("earthquake", "--fault", "0,oo", "--shear", "1.5", "apply", "1"),
     ("classify", "--coeffs", "1,0,-1,0,"),
-    ("classify", "--geodesic", "0.5,1"),
-    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "0.5"),
     ("--inexact", "family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"),
     ("classify", "--curve", "horocycle x=1 b=0 c=-1 d=0"),
     ("graph", "--curves", "BADKEY"),
@@ -395,8 +392,16 @@ MALFORMED = [
     ("--inexact", "intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"),
     ("--inexact", "classify", "--horocycle", "-inf,1"),
     ("--inexact", "classify", "--geodesic", "-Infinity,0"),
-    ("classify", "--horocycle", "-.5,1"),
     ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"),
+    # decimals outside the float range
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1e400,1"),
+    ("intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"),
+    ("classify", "--horocycle", "-inf,1"),
+    ("classify", "--geodesic", "-Infinity,0"),
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"),
+    ("classify", "--geodesic", "1e-4000000,1"),
+    # an exact meeting point past the float range, which the record prints
+    ("intersect", "--first-geodesic", f"{2**1100},oo", "--second-horocycle", "oo,0.5"),
     ("render", "--x-min", "5", "--x-max", "1", "-o", "a.svg"),
     ("render", "--height", "-1", "-o", "a.svg"),
     ("render", "--x-max", "inf", "-o", "a.svg"),
@@ -432,34 +437,35 @@ SAYS = {
         "--second-geodesic p,q expected, got 'a'",
     ("family", "--horocycle", "0,x", "--hypercycle", "4,8,5,2"):
         "--horocycle center,size expected, got 'x'",
-    ("--inexact", "classify", "--horocycle", "0,abc"): "--horocycle center,size expected, got 'abc'",
+    ("--inexact", "classify", "--horocycle", "0,abc"): "unrecognized arguments: --inexact",
     ("construct", "equidistant", "--first", "0,1", "--distance", "abc"):
         "--distance d expected, got 'abc'",
-    ("family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"):
-        "--horocycle center,size: '0.5' is not a rational p/q; pass --inexact to allow floats",
-    ("earthquake", "--fault", "0,oo", "--shear", "1.5", "apply", "1"):
-        "--shear p/q: '1.5' is not a rational p/q",
     ("classify", "--coeffs", "1,0,-1,0,"): "--coeffs a,b,c,d expected, got '1,0,-1,0,'",
-    ("classify", "--geodesic", "0.5,1"): "--geodesic p,q: '0.5' is not a rational p/q",
-    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "0.5"):
-        "apply x,y or p/q or oo: '0.5' is not a rational p/q",
     ("--inexact", "family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"):
-        "disj_family needs exact curves",
+        "unrecognized arguments: --inexact",
     ("classify", "--curve", "horocycle x=1 b=0 c=-1 d=0"):
         "--curve kind a=A b=B c=C d=D: bad curve text 'horocycle x=1 b=0 c=-1 d=0'",
     ("graph", "--curves", "BADKEY"): "bad curve text 'horocycle x=1 b=0 c=-1 d=0'",
     ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1e400,1"):
-        "apply x,y: '1e400' is not a finite number",
+        "unrecognized arguments: --inexact",
     ("--inexact", "intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"):
-        "--first-horocycle center,size: 'inf' is not a finite number",
-    ("--inexact", "classify", "--horocycle", "-inf,1"):
-        "--horocycle center,size: '-inf' is not a finite number",
-    ("--inexact", "classify", "--geodesic", "-Infinity,0"):
-        "--geodesic p,q: '-Infinity' is not a finite number",
-    ("classify", "--horocycle", "-.5,1"):
-        "--horocycle center,size: '-.5' is not a rational p/q; pass --inexact to allow floats",
+        "unrecognized arguments: --inexact",
+    ("--inexact", "classify", "--horocycle", "-inf,1"): "unrecognized arguments: --inexact",
+    ("--inexact", "classify", "--geodesic", "-Infinity,0"): "unrecognized arguments: --inexact",
     ("--inexact", "earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"):
+        "unrecognized arguments: --inexact",
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "1e400,1"):
+        "apply x,y: '1e400' is not a finite number",
+    ("intersect", "--first-horocycle", "0,inf", "--second-geodesic", "0,1"):
+        "--first-horocycle center,size: 'inf' is not a finite number",
+    ("classify", "--horocycle", "-inf,1"): "--horocycle center,size: '-inf' is not a finite number",
+    ("classify", "--geodesic", "-Infinity,0"): "--geodesic p,q: '-Infinity' is not a finite number",
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-nan"):
         "apply x,y or p/q or oo: '-nan' is not a finite number",
+    ("classify", "--geodesic", "1e-4000000,1"):
+        "--geodesic p,q: '1e-4000000' is nonzero but below the float range",
+    ("intersect", "--first-geodesic", f"{2**1100},oo", "--second-horocycle", "oo,0.5"):
+        "the result is outside the float range",
     ("render", "--x-min", "5", "--x-max", "1", "-o", "a.svg"):
         "scene window needs finite x_min < x_max and height > 0, got x_min=5.0, x_max=1.0",
     ("render", "--height", "-1", "-o", "a.svg"): "height > 0, got x_min=-3.0, x_max=3.0, height=-1.0",
@@ -511,7 +517,6 @@ def test_malformed_input_exits_2_without_traceback(capsys, tmp_path, argv):
 #: fail after some of their output is formed
 EXIT_2_ELSEWHERE = [
     ("classify", "--coeffs", "1,0,banana,0"),
-    ("classify", "--horocycle", "0,0.5"),
     ("--inexact", "earthquake", "--fault", "0,oo", "--shear", str(2**1100), "apply", "-0.5,2.0"),
     ("verify", "nosuchsuite"),
     ("construct", "equidistant", "--first", "-1,1", "--distance", "nan"),
@@ -525,15 +530,13 @@ EXIT_2_ELSEWHERE = [
 @pytest.mark.parametrize("argv", MALFORMED + EXIT_2_ELSEWHERE, ids=" ".join)
 @pytest.mark.parametrize("fmt", ["text", "records"])
 def test_exit_2_leaves_stdout_empty(capsys, tmp_path, argv, fmt):
-    # a refused command prints no part of an answer, not even the --inexact note
+    # a refused command prints no part of an answer
     code, out, _ = _run_on_files(capsys, tmp_path, ("--format", fmt) + argv)
     assert code == 2 and out == ""
 
 
-#: float horocycle constructions whose circle classifies as a hypercycle at
-#: EPS: a small float horocycle far from 0, and a float pinch witness
+#: a float pinch witness whose circle classifies as a hypercycle at EPS
 DEGENERATE_HOROCYCLES = [
-    ("--inexact", "classify", "--horocycle", "10.375,0.00390625"),
     ("construct", "pinch", "--first", "-435/8,3/4096", "--second", "2765/8,5/4096"),
 ]
 
@@ -544,6 +547,63 @@ def test_horocycle_construction_of_another_kind_exits_3(capsys, argv, fmt):
     code, out, err = run(capsys, "--format", fmt, *argv)
     assert code == 3 and out == ""
     assert err == "degenerate: horocycle construction classifies as hypercycle\n"
+
+
+#: commands with decimal values, each read at its exact value, and the
+#: first line of the answer
+DECIMALS = {
+    ("classify", "--horocycle", "0,0.5"): "Horocycle center 0 radius 1/2",
+    ("classify", "--horocycle", "0.3,0.5"): "Horocycle center 3/10 radius 1/2",
+    ("classify", "--horocycle", "oo,0.5"): "Horocycle center oo height 1/2",
+    ("classify", "--horocycle", "-.5,1"): "Horocycle center -1/2 radius 1",
+    ("classify", "--horocycle", "300,1.0"): "Horocycle center 300 radius 1",
+    # a small horocycle far from 0, which a float circle read as a hypercycle
+    ("classify", "--horocycle", "10.375,0.00390625"): "Horocycle center 83/8 radius 1/256",
+    ("classify", "--geodesic", "0.5,1"): "Geodesic endpoints 1/2, 1",
+    ("classify", "--geodesic", "0e99999,1"): "Geodesic endpoints 0, 1",
+    ("earthquake", "--fault", "0,oo", "--shear", "1.5", "apply", "1"): "1 -> 1",
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "0.5"): "0.5 -> 1/2",
+    ("earthquake", "--fault", "0,oo", "--shear", "2", "apply", "-1.5,0.25"):
+        "-1.5,0.25 -> -3,1/2",
+    ("family", "--horocycle", "0,0.5", "--hypercycle", "4,8,5,2"):
+        "limit: horocycle horocycle a=1 b=0 c=-1 d=0",
+}
+
+
+@pytest.mark.parametrize("argv", DECIMALS, ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_decimal_values_are_answered_exactly(capsys, argv, fmt):
+    code, out, err = run(capsys, "--format", fmt, *argv)
+    assert code == 0 and err == ""
+    if fmt == "text":
+        assert out.splitlines()[0] == DECIMALS[argv]
+    else:
+        assert [json.loads(line) for line in out.splitlines()]
+
+
+def test_closed_stdout_exits_4_without_traceback():
+    # the reader closes the pipe before the command writes its output, as
+    # `hyperk verify order | head -0` does
+    src = os.path.dirname(os.path.dirname(hyperk.__file__))
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    proc = subprocess.Popen([sys.executable, "-m", "hyperk.cli", "verify", "order"], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 4 and err == b""
+
+
+def test_closed_stdout_in_process_exits_4(monkeypatch):
+    # the same on a pipe of this process, whose read end is closed first:
+    # stdout is pointed at devnull, so later flushes write nowhere
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    with open(write_end, "w") as stdout:
+        monkeypatch.setattr(sys, "stdout", stdout)
+        assert main(["classify", "--geodesic", "0,1"]) == 4
+        print("more output")
+        stdout.flush()
 
 
 @pytest.mark.parametrize("distance, message", [

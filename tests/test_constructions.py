@@ -100,11 +100,19 @@ class TestPinchPair:
         assert min(counts.values()) >= 200
 
     def test_inexact_horocycles(self):
-        # the routine on sqrt_exact took the numerator of a float size
+        # a float size is read at its exact value (a routine on sqrt_exact
+        # once took the numerator of a float size), and an inexact input is
+        # refused
         h0, h = make_horocycle(F(0), 0.5), make_horocycle(F(5), 2)
-        for w in pinch_pair(h0, h):
-            assert not w.exact
+        assert pinch_pair(h0, h) == pinch_pair(make_horocycle(F(0), Q(1, 2)), h)
+        for w in pinch_pair(h0, h):  # rational centres: exact witnesses
+            assert w.exact and all(intersection_pattern(w, o).tangent for o in (h0, h))
+        h0 = make_horocycle(F(0), 1)
+        for w in pinch_pair(h0, h):  # irrational centres: inexact witnesses
             assert all(_horocycles_nearly_tangent(w, other) for other in (h0, h))
+            assert w != h  # an inexact curve equals no exact one
+            with pytest.raises(InvalidInputError, match="^intersection patterns need exact curves$"):
+                pinch_pair(w, h)
 
     def test_returns_only_horocycles_or_refuses(self):
         # a float witness whose unit-norm circle classifies as another kind

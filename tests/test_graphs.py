@@ -58,7 +58,8 @@ class TestBuildGraph:
         # float adjacency is not invariant under isometries: a float copy of
         # a curve is refused by build_graph and by the matching, on either side
         hs = designed_horocycles()
-        floats = hs[:1] + [make_horocycle(F(1), 0.5)] + hs[2:]
+        floats = hs[:1] + [curve_from_coeffs(*map(float, hs[1].circle.coeffs()), exact=False)]
+        floats += hs[2:]
         for call in (lambda: build_graph(floats), lambda: isometry_matching(hs, floats),
                      lambda: isometry_matching(floats, hs)):
             with pytest.raises(InvalidInputError, match="^graph curves must be exact$"):
@@ -795,7 +796,7 @@ def test_realizing_answers_as_matching_the_images():
 
 
 def test_pair_counts_refuse_inexact_curves():
-    inexact = make_horocycle(F(0), 0.5)
+    inexact = curve_from_coeffs(1.0, 0.0, -1.0, 0.0, exact=False)
     with pytest.raises(InvalidInputError, match="pair_counts needs exact curves"):
         pair_counts([make_horocycle(INFINITY, 1), inexact])
 

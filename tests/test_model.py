@@ -93,27 +93,30 @@ class TestClassification:
             make_hypercycle(F(-1), F(1), UHPPoint(0, 1))
 
     def test_inexact_hypercycle_matches_exact_one(self):
+        # an inexact through-point is read at the exact value of its floats
         exact = make_hypercycle(F(-1), F(3), UHPPoint(1, 3))
         inexact = make_hypercycle(F(-1), F(3), UHPPoint(1.0, 3.0, exact=False))
-        assert not inexact.exact and inexact.kind is CurveKind.HYPERCYCLE
-        assert inexact.circle.coeffs() == pytest.approx(
-            model.GeneralizedCircle(*exact.circle.coeffs(), exact=False).coeffs()
-        )
+        assert inexact.exact and inexact == exact
         with pytest.raises(DegenerateResultError):
             make_hypercycle(F(-1), F(1), UHPPoint(0.0, 1.0, exact=False))
         with pytest.raises(DegenerateResultError):
             make_hypercycle(F(2), INFINITY, UHPPoint(2.0, 1.0, exact=False))
 
     def test_inexact_horocycle(self):
+        # a float size is read at its exact value; only a pinch witness's
+        # irrational centre makes an inexact horocycle
         h = make_horocycle(F(1), 0.5)
+        assert h.exact and h == make_horocycle(F(1), Q(1, 2)) and h.size == Q(1, 2)
+        assert make_horocycle(INFINITY, 2.0).size == 2
+        h = model._float_horocycle(1.0, 0.5)
         assert not h.exact and h.center == F(1) and h.size == pytest.approx(0.5)
-        assert make_horocycle(INFINITY, 2.0).size == pytest.approx(2.0)
         # at EPS a tiny float horocycle far from 0 reads as a hypercycle: it
         # is refused, and the error carries the float curve it read
         with pytest.raises(DegenerateResultError,
                            match="^horocycle construction classifies as hypercycle$") as err:
-            make_horocycle(F(Q(83, 8)), 0.00390625)
+            model._float_horocycle(10.375, 0.00390625)
         assert repr(err.value.degenerate).startswith("Curve[hypercycle](Circle~(a=0.00912185, ")
+        assert make_horocycle(F(Q(83, 8)), 0.00390625).kind is CurveKind.HOROCYCLE
 
     def test_hypercycle_kind_check_raises_without_assert(self, monkeypatch):
         monkeypatch.setattr(model, "classify_curve", lambda circle: CurveKind.GEODESIC)
@@ -164,10 +167,11 @@ class TestIsometry:
             Isometry.identity().apply_curve(make_geodesic(F(0), F(1)))
 
     def test_inexact_point_image(self):
+        # an inexact point is moved at the exact value of its floats
         m = Isometry(2, 1, 1, 1)
         w = m.apply_point(UHPPoint(0.5, 1.5, exact=False))
         v = m.apply_point(UHPPoint(Q(1, 2), Q(3, 2)))
-        assert not w.exact and v.exact and w == v
+        assert w.exact and v.exact and (w.x, w.y) == (v.x, v.y)
 
     def test_inexact_point_image_under_huge_entries(self):
         # a*d - b*c taken in floats cancels to 0 for entries near 2^300
@@ -414,10 +418,10 @@ class TestNormalizerFromImages:
          "normalizer_from_images needs horocycles"),
         (make_horocycle(F(0), Q(1, 2)), make_horocycle(INFINITY, 2),
          "the two horocycles must be tangent"),
-        # inexact horocycles touch at an inexact point
+        # inexact horocycles have no intersection pattern
         (model.Curve(model.GeneralizedCircle(1.0, 0.0, -1.0, 0.0, exact=False)),
          model.Curve(model.GeneralizedCircle(0.0, 0.0, 1.0, -1.0, exact=False)),
-         "tangency point must be exact"),
+         "intersection patterns need exact curves"),
     ])
     def test_refusals(self, h0, hinf, message):
         with pytest.raises(InvalidInputError) as err:
@@ -467,8 +471,8 @@ def test_invariant_survives_python_O():
 def test_equal_inexact_objects_hash_equal():
     # equality within EPS is not transitive, so no hash finer than one per
     # type agrees with it; the parent hashed inexact circles on round(v, 6)
-    pairs = [(UHPPoint(0.1 + 0.2, 1), UHPPoint(0.3, 1)),
-             (UHPPoint(Q(3, 10), 1), UHPPoint(0.1 + 0.2, 1))]
+    pairs = [(UHPPoint(0.1 + 0.2, 1, exact=False), UHPPoint(0.3, 1, exact=False)),
+             (UHPPoint(Q(3, 10), 1), UHPPoint(0.1 + 0.2, 1, exact=False))]
     rng = random.Random(20240)
     straddles = 0
     for _ in range(2000):
@@ -503,10 +507,12 @@ def test_equality_with_another_type_is_left_to_it():
 
 
 def test_contains_point_off_the_rationals():
-    # an exact circle evaluated at floats, and an inexact one within EPS
+    # an exact circle evaluated at floats, each read at its exact value:
+    # the binary values of 0.6 and 0.8 lie off the unit circle
     unit = make_geodesic(F(-1), F(1)).circle  # x^2 + y^2 = 1
     assert unit.contains_point(0.0, 1.0) and not unit.contains_point(0.5, 0.5)
-    assert curve_from_coeffs(1.0, 0.0, 0.0, -1.0, exact=False).circle.contains_point(0.6, 0.8)
+    assert unit.contains_point(Q(3, 5), Q(4, 5)) and not unit.contains_point(0.6, 0.8)
+    assert curve_from_coeffs(1.0, 0.0, 0.0, -1.0).circle == unit
     assert model.curve_from_circle(unit) == make_geodesic(F(-1), F(1))
 
 
@@ -563,17 +569,15 @@ class TestFloatsOfHugeCoefficients:
             assert all(math.isclose(u, v, rel_tol=1e-15) for u, v in zip(got, want)), (got, want)
 
     def test_inexact_circle_under_entries_past_the_float_range(self):
-        # float(2^1100) overflows: the image is the exact image of the
-        # circle's binary value, brought into the float range once
-        t = Isometry.translation(2**1100)
-        for k in ((0.0, 0.0, 1.0, -2.5), (0.0, 0.0, 0.3, -0.7)):  # horocycles at oo
-            circle = model.GeneralizedCircle(*k, exact=False)
-            exact = t.apply_circle(model.GeneralizedCircle(*map(Fraction, circle.coeffs())))
-            got = t.apply_circle(circle)
-            assert not got.exact
-            rounded = model.GeneralizedCircle(*model._int_floats(exact.coeffs()), exact=False)
-            assert got.coeffs() == rounded.coeffs()
-            assert model.Curve(got).kind is CurveKind.HOROCYCLE and got == circle
+        # isometries act on exact curves only: an inexact circle is refused
+        # by small and 2^1100 entries alike, and its exact value is moved
+        for t in (Isometry.translation(1), Isometry.translation(2**1100)):
+            for k in ((0.0, 0.0, 1.0, -2.5), (0.0, 0.0, 0.3, -0.7)):  # horocycles at oo
+                circle = model.GeneralizedCircle(*k, exact=False)
+                with pytest.raises(InvalidInputError, match="^isometries act on exact curves$"):
+                    t.apply_circle(circle)
+                exact = model.GeneralizedCircle(*circle.coeffs())
+                assert t.apply_circle(exact) == exact  # a horizontal line
 
     def test_result_past_float_range_raises(self):
         far_line = curve_from_coeffs(0, 1, 0, -(2**1100))  # x = 2^1100
@@ -724,17 +728,15 @@ def test_q_keeps_a_fraction_and_builds_the_rest():
 
 
 def _oracle_apply_point(iso, z):
-    """The point action on Fractions (floats for an inexact point)."""
+    """The point action on Fractions, at the exact value of an inexact point."""
     a, b, c, d = iso.matrix()
     det = a * d - b * c
-    x, y = z.x, z.y
+    x, y = Fraction(z.x), Fraction(z.y)
     if iso.reversing:
         x = -x
-    if not z.exact:
-        a, b, c, d, det = (float(v) for v in (a, b, c, d, det))
     den = (c * x + d) ** 2 + c * c * y * y
     nx = (a * c * (x * x + y * y) + (a * d + b * c) * x + b * d) / den
-    return UHPPoint(nx, det * y / den, exact=z.exact)
+    return UHPPoint(nx, det * y / den)
 
 
 def _oracle_twisted(iso):
@@ -767,30 +769,28 @@ def _oracle_make_geodesic(p, q):
 
 
 def _oracle_make_horocycle(center, size):
-    exact = isinstance(size, (int, Fraction))
-    size = Q(size) if exact else float(size)
+    size = Fraction(size)
     if center.is_infinity:
-        return curve_from_coeffs(0, 0, 1, -size, exact=exact)
+        return curve_from_coeffs(0, 0, 1, -size)
     p = center.value
-    return curve_from_coeffs(1, -2 * p, -2 * size, p * p, exact=exact)
+    return curve_from_coeffs(1, -2 * p, -2 * size, p * p)
 
 
 def _oracle_make_hypercycle(p, q, through):
-    """The carrier from Fraction (or float) arithmetic."""
-    exact = through.exact
-    tol = 0 if exact else model.EPS
-    x0, y0 = through.x, through.y
+    """The carrier from Fraction arithmetic, at the exact value of an
+    inexact through-point."""
+    x0, y0 = Fraction(through.x), Fraction(through.y)
     if p.is_infinity or q.is_infinity:
         e = (q if p.is_infinity else p).value
-        if abs(x0 - e) <= tol:
+        if x0 == e:
             raise DegenerateResultError("through-point lies on the vertical geodesic")
-        circle = model.GeneralizedCircle(0, y0, -(x0 - e), -e * y0, exact=exact)
+        circle = model.GeneralizedCircle(0, y0, -(x0 - e), -e * y0)
     else:
         b, d = -(p.value + q.value), p.value * q.value
         c = -(x0 * x0 + y0 * y0 + b * x0 + d) / y0
-        if abs(c) <= tol:
+        if c == 0:
             raise DegenerateResultError("through-point lies on the spanning geodesic")
-        circle = model.GeneralizedCircle(1, b, c, d, exact=exact)
+        circle = model.GeneralizedCircle(1, b, c, d)
     curve = model.Curve(circle)
     if curve.kind is not CurveKind.HYPERCYCLE:
         raise DegenerateResultError(f"hypercycle construction classifies as {curve.kind.value}")
@@ -861,110 +861,30 @@ def test_point_action_matches_fraction_oracle():
     assert done >= 2000 and len(seen) == 6
 
 
-def _exact_image_floats(iso, z):
-    """The exact image of the inexact point z's value, rounded to floats."""
-    w = iso.apply_point(UHPPoint(Fraction(z.x), Fraction(z.y)))
-    return float(w.x), float(w.y)
-
-
 def test_inexact_point_action_is_bit_identical():
-    # where the entries' floats overflow the oracle, the image is the exact
-    # image of the float's value, rounded
+    # an inexact point is moved at the exact value of its floats: the image
+    # is exact and equals the Fraction oracle's, under entries whose floats
+    # overflow too
     rng = random.Random(6112)
-    done = rounded = 0
-    unbalanced = [Isometry.translation(2**k) for k in (700, 800)] * 20
+    done = 0
+    unbalanced = [Isometry.translation(2**k) for k in (700, 800, 1100)] * 20
     for iso in _isometry_corpus(rng, 1000) + unbalanced:
         z = UHPPoint(rng.uniform(-9, 9), rng.uniform(1e-3, 9), exact=False)
-        got = iso.apply_point(z)
-        assert not got.exact
-        try:
-            want = _oracle_apply_point(iso, z)
-        except OverflowError:
-            wx, wy = _exact_image_floats(iso, z)
-            assert math.isclose(got.x, wx, rel_tol=1e-12), (iso, z)
-            assert math.isclose(got.y, wy, rel_tol=1e-12), (iso, z)
-            rounded += 1
-            continue
-        assert (got.x.hex(), got.y.hex()) == (want.x.hex(), want.y.hex()), (iso, z)
+        got, want = iso.apply_point(z), _oracle_apply_point(iso, z)
+        assert got.exact and (got.x, got.y) == (want.x, want.y), (iso, z)
         done += 1
-    assert done >= 780 and rounded >= 200
+    assert done >= 1000
 
 
 def test_inexact_point_image_past_the_float_range():
+    # the exact image of the point's value: x past the largest float and y
+    # below the smallest one are exact rationals, not refusals
     z = UHPPoint(0.5, 1.7, exact=False)
-    w = Isometry.translation(2**800).apply_point(z)
-    assert (w.x, w.y) == (0.5 + 2.0**800, 1.7)
-    # x past the largest float; y below the smallest one
+    w = Isometry.translation(2**1100).apply_point(z)
+    assert (w.x, w.y) == (Fraction(0.5) + 2**1100, Fraction(1.7))
     n = 3**700
-    for iso in (Isometry.translation(2**1100), Isometry(n + 1, 1, n, 1)):
-        with pytest.raises(InvalidInputError, match="outside the float range"):
-            iso.apply_point(z)
-
-
-def _oracle_apply_circle_floats(iso, circle):
-    """The inexact circle action on the entries' floats."""
-    a, b, c, d = circle.coeffs()
-    if iso.reversing:
-        b = -b
-    m00, m01, m10, m11 = (float(v) for v in iso.matrix())
-    p, q, r, s = m11, -m01, -m10, m00
-    na = a * p * p + b * p * r + d * r * r
-    nb = 2 * a * p * q + b * (p * s + q * r) + 2 * d * r * s
-    nc = c * (p * s - q * r)
-    nd = a * q * q + b * q * s + d * s * s
-    return model.GeneralizedCircle(na, nb, nc, nd, exact=False)
-
-
-def _rand_inexact_circle(rng):
-    return model.GeneralizedCircle(*map(float, rand_curve(rng).circle.coeffs()), exact=False)
-
-
-def test_inexact_circle_action_is_bit_identical():
-    rng = random.Random(6119)
-    done = 0
-    for iso in _isometry_corpus(rng, 800):
-        if max(abs(v.numerator) for v in iso.matrix()).bit_length() > 500:
-            continue
-        circle = _rand_inexact_circle(rng)
-        got = _outcome(iso.apply_circle, circle)
-        want = _outcome(_oracle_apply_circle_floats, iso, circle)
-        if isinstance(want, tuple):  # a float image that collapses to a point
-            assert got == want
-            continue
-        assert [v.hex() for v in got.coeffs()] == [v.hex() for v in want.coeffs()], (iso, circle)
-        done += 1
-    assert done >= 400
-    # lines moved by 2^700 or 2^800 keep the oracle's outcome: the same
-    # horocycle at oo, and a line too far out to normalize; a circle's image
-    # has coefficients 2^1400 apart
-    lines = [model.GeneralizedCircle(0.0, b, c, d, exact=False)
-             for b, c, d in ((0.0, 1.0, -2.0), (0.6, 0.8, 0.3))]
-    for k in (700, 800):
-        iso = Isometry.translation(2**k)
-        got, want = (_outcome(f, iso, lines[0]) for f in (Isometry.apply_circle,
-                                                           _oracle_apply_circle_floats))
-        assert got.coeffs() == want.coeffs() == lines[0].coeffs()
-        got, want = (_outcome(f, iso, lines[1]) for f in (Isometry.apply_circle,
-                                                           _oracle_apply_circle_floats))
-        assert got == want == (DegenerateResultError, "degenerate circle: a = b = c ~ 0")
-        with pytest.raises(InvalidInputError, match="span more than the float range"):
-            iso.apply_circle(_rand_inexact_circle(rng))
-
-
-def test_inexact_circle_action_past_the_float_range():
-    # products of 2^700 entries overflow to a NaN circle in the oracle; the
-    # image is the normalized exact image of the circle's value
-    rng = random.Random(6120)
-    for _ in range(300):
-        iso = _rand_big_isometry(rng, 700)
-        circle = _rand_inexact_circle(rng)
-        assert all(map(math.isnan, _oracle_apply_circle_floats(iso, circle).coeffs()))
-        got = iso.apply_circle(circle).coeffs()
-        exact = iso.apply_circle(model.GeneralizedCircle(*map(Fraction, circle.coeffs())))
-        norm = math.sqrt(sum(float(Fraction(v, max(map(abs, exact.coeffs())))) ** 2
-                             for v in exact.coeffs()))
-        want = [float(Fraction(v, max(map(abs, exact.coeffs())))) / norm for v in exact.coeffs()]
-        assert all(abs(g - w) <= 1e-12 for g, w in zip(got, want)), (iso, circle)
+    w = Isometry(n + 1, 1, n, 1).apply_point(z)
+    assert w.exact and 0 < w.y < Fraction(1, 2**2000)
 
 
 def test_compose_and_inverse_match_fraction_oracle():
@@ -1033,6 +953,8 @@ def test_constructors_match_fraction_oracle():
 
 
 def test_inexact_constructors_are_unchanged():
+    # a float size and an inexact through-point are read at their exact
+    # values, as the Fraction oracles read them
     rng = random.Random(6116)
     made = 0
     for _ in range(300):
@@ -1048,7 +970,7 @@ def test_inexact_constructors_are_unchanged():
         through = UHPPoint(rng.uniform(-9, 9), rng.uniform(0.01, 9), exact=False)
         got = _outcome(make_hypercycle, p, q, through)
         assert got == _outcome(_oracle_make_hypercycle, p, q, through)
-        made += isinstance(got, model.Curve)
+        made += isinstance(got, model.Curve) and got.exact
     assert made >= 150
 
 
@@ -1125,8 +1047,8 @@ def _stored_data_corpus():
         disc = b * b - 4 * a * d
         if disc > 0 and math.isqrt(disc) ** 2 != disc:
             curves.append(curve_from_coeffs(a, b, rng.choice((0, 0, -1, 1, 2)), d))
-    curves += [make_horocycle(F(rand_q(rng)), 0.25 + rng.random()) for _ in range(20)]
-    curves += [make_horocycle(INFINITY, 0.5 + rng.random()) for _ in range(10)]
+    curves += [model._float_horocycle(float(rand_q(rng)), 0.25 + rng.random()) for _ in range(20)]
+    curves += [curve_from_coeffs(0, 0, 1.0, -0.5 - rng.random(), exact=False) for _ in range(10)]
     curves += [curve_from_coeffs(1.0, -rng.random(), c, -1.0 - rng.random(), exact=False)
                for c in (0.0, 0.5) * 10]
     wide = [Isometry(2**600 + k % 9 + 1, 1, 2**600, 1, reversing=k % 2 == 1) for k in range(18)]
@@ -1255,9 +1177,10 @@ def test_inexact_curve_endpoints_are_refused_as_inexact():
         curve.endpoints
     assert curve.endpoint_floats() == (-1.0, 1.0)
     # an inexact horocycle keeps its centre, yet has no exact endpoints either
-    for curve in (make_horocycle(BoundaryPoint.finite(-3), 0.5), make_horocycle(INFINITY, 0.5),
+    for curve in (model._float_horocycle(-3.0, 0.5),
+                  curve_from_coeffs(0, 0, 1.0, -0.5, exact=False),
                   curve_from_coeffs(1.0, 0, -1.0, -1.0, exact=False)):
         assert not curve.has_exact_endpoints
         with pytest.raises(InvalidInputError, match=r"^inexact curve; use endpoint_floats"):
             curve.endpoints
-    assert make_horocycle(BoundaryPoint.finite(-3), 0.5).center == (-3, 1)
+    assert model._float_horocycle(-3.0, 0.5).center == (-3, 1)

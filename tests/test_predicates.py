@@ -40,10 +40,10 @@ from hyperk.errors import (
     DegenerateResultError,
     HyperkError,
     InvalidInputError,
-    NoSolutionError,
 )
 from hyperk.model import Curve, Isometry
 from hyperk.verify import (
+    _horocycles_nearly_tangent,
     rand_curve,
     rand_distinct_boundary,
     rand_geodesic,
@@ -51,7 +51,6 @@ from hyperk.verify import (
     rand_hypercycle,
     rand_isometry,
     rand_q,
-    run_suite,
 )
 
 from exact_oracles import _oracle_intersection_pattern, sqrt_exact
@@ -192,17 +191,20 @@ class TestSameEndpoints:
 
 
 class TestInexactPatterns:
+    # curves given by floats are read at the exact values of the floats,
+    # so their patterns are exact
+
     def test_float_horocycle_tangent_to_line(self):
         p = intersection_pattern(make_horocycle(F(0), 0.5), make_horocycle(INFINITY, 1))
-        assert not p.exact and p.tangent and p.interior_count == 1
+        assert p.tangent and p.interior_count == 1
         assert p.shared_endpoints == 0
-        assert p.interior_points[0] == UHPPoint(0.0, 1.0, exact=False)
+        assert p.interior_points[0] == UHPPoint(0, 1) and p.interior_points[0].exact
 
     def test_float_hypercycle_crosses_axis(self):
         c = make_hypercycle(F(-1), F(1), UHPPoint(0, 2.0))
         p = intersection_pattern(c, make_geodesic(F(0), INFINITY))
-        assert not p.exact and p.interior_count == 1 and not p.tangent
-        assert p.interior_points[0] == UHPPoint(0.0, 2.0, exact=False)
+        assert p.interior_count == 1 and not p.tangent
+        assert p.interior_points[0] == UHPPoint(0, 2) and p.interior_points[0].exact
 
     def test_float_hypercycle_shares_both_endpoints(self):
         c = make_hypercycle(F(-1), F(1), UHPPoint(0, 2.0))
@@ -219,21 +221,21 @@ class TestInexactPatterns:
     def test_float_concentric_circles_do_not_meet(self, monkeypatch):
         # the radical line of concentric circles is the line at infinity
         # (B = C = 0), which meets neither circle
-        inner = curve_from_coeffs(1.0, 0.0, 0.0, -1.0, exact=False)
-        outer = curve_from_coeffs(1.0, 0.0, 0.0, -4.0, exact=False)
+        inner = curve_from_coeffs(1.0, 0.0, 0.0, -1.0)
+        outer = curve_from_coeffs(1.0, 0.0, 0.0, -4.0)
         lines = []
         line_circle = predicates._line_circle
 
-        def spy(line, circle, tol):
+        def spy(line, circle):
             lines.append(line[:2])
-            return line_circle(line, circle, tol)
+            return line_circle(line, circle)
 
         monkeypatch.setattr(predicates, "_line_circle", spy)
         for pair in ((inner, outer), (outer, inner), (curve_from_coeffs(1, 0, 0, -1), outer)):
             p = intersection_pattern(*pair)
             assert (p.interior_count, p.tangent, p.shared_endpoints) == (0, False, 0)
             assert p.interior_points == ()
-        assert lines == [(0.0, 0.0)] * 3
+        assert lines == [(0, 0)] * 3
 
     def test_float_horocycles_crossing_twice(self):
         p = intersection_pattern(make_horocycle(F(0), 1.5), make_horocycle(F(1), 1.5))
@@ -246,13 +248,18 @@ class TestInexactPatterns:
         assert (p.interior_count, p.shared_endpoints) == (0, 2)
 
     def test_pinch_witnesses_tangent_to_both_inputs(self):
+        # the witnesses have irrational centres, so they are inexact: they
+        # have no intersection pattern, and touch both inputs numerically
         h0, h = make_horocycle(F(0), 1), make_horocycle(F(3), Q(1, 2))
         witnesses = pinch_pair(h0, h)
         assert not any(w.exact for w in witnesses)
         for w in witnesses:
             for other in (h0, h):
-                p = intersection_pattern(w, other)
-                assert p.tangent and p.interior_count == 1 and p.shared_endpoints == 0
+                assert _horocycles_nearly_tangent(w, other)
+                for pair in ((w, other), (other, w)):
+                    with pytest.raises(InvalidInputError,
+                                       match="^intersection patterns need exact curves$"):
+                        intersection_pattern(*pair)
 
 
 # ---------------------------------------------------------------------------
@@ -410,95 +417,9 @@ def _oracle_shared_endpoints_exact(c1: Curve, c2: Curve) -> int:
     return 1 if a * x * x + b * x + d == 0 else 0
 
 
-def _oracle_shared_endpoints_float(c1: Curve, c2: Curve) -> int:
-    e1 = c1.endpoint_floats()
-    e2 = c2.endpoint_floats()
-    # a horocycle's single boundary point is its center, which counts
-    shared = 0
-    used = set()
-    for u in e1:
-        for j, v in enumerate(e2):
-            if j in used:
-                continue
-            if (math.isinf(u) and math.isinf(v)) or (
-                not math.isinf(u) and not math.isinf(v) and abs(u - v) <= EPS * max(1.0, abs(u))
-            ):
-                shared += 1
-                used.add(j)
-                break
-    return shared
-
-
-# -- float fallback ----------------------------------------------------------
-
-
-def _oracle_interior_meet_float(c1: Curve, c2: Curve):
-    a1, b1, c1_, d1 = (float(v) for v in c1.circle.coeffs())
-    a2, b2, c2_, d2 = (float(v) for v in c2.circle.coeffs())
-    if abs(a1) <= EPS and abs(a2) <= EPS:
-        det = b1 * c2_ - b2 * c1_
-        if abs(det) <= EPS:
-            return 0, False, ()
-        x = (c1_ * d2 - c2_ * d1) / det
-        y = (b2 * d1 - b1 * d2) / det
-        return (1, False, (UHPPoint(x, y, exact=False),)) if y > EPS else (0, False, ())
-    if abs(a1) <= EPS:
-        return _oracle_line_circle_float((b1, c1_, d1), (a2, b2, c2_, d2))
-    if abs(a2) <= EPS:
-        return _oracle_line_circle_float((b2, c2_, d2), (a1, b1, c1_, d1))
-    line = (a2 * b1 - a1 * b2, a2 * c1_ - a1 * c2_, a2 * d1 - a1 * d2)
-    return _oracle_line_circle_float(line, (a1, b1, c1_, d1))
-
-
-def _oracle_line_circle_float(line, circle):
-    B, C, D = line
-    a, b, c, d = circle
-    scale = max(abs(B), abs(C), abs(D))
-    if scale <= EPS:
-        return 0, False, ()
-    B, C, D = B / scale, C / scale, D / scale
-    if abs(C) <= EPS:
-        x0 = -D / B
-        E = a * x0 * x0 + b * x0 + d
-        disc = c * c - 4 * a * E
-        if disc < -EPS:
-            return 0, False, ()
-        if disc <= EPS:
-            y_star = -c / (2 * a)
-            return (1, True, (UHPPoint(x0, y_star, exact=False),)) if y_star > EPS else (0, False, ())
-        r = math.sqrt(disc)
-        pts = tuple(
-            UHPPoint(x0, y, exact=False)
-            for y in sorted(((-c - r) / (2 * a), (-c + r) / (2 * a)))
-            if y > EPS
-        )
-        return len(pts), False, pts
-    p2 = a * (B * B + C * C)
-    p1 = 2 * a * B * D + b * C * C - c * B * C
-    p0 = a * D * D - c * C * D + d * C * C
-    disc = p1 * p1 - 4 * p2 * p0
-    norm = max(abs(p1 * p1), abs(4 * p2 * p0), 1e-300)
-    if disc < -EPS * norm:
-        return 0, False, ()
-    if disc <= EPS * norm:
-        x_star = -p1 / (2 * p2)
-        y_star = -(B * x_star + D) / C
-        return (1, True, (UHPPoint(x_star, y_star, exact=False),)) if y_star > EPS else (0, False, ())
-    r = math.sqrt(disc)
-    pts = []
-    for x in sorted(((-p1 - r) / (2 * p2), (-p1 + r) / (2 * p2))):
-        y = -(B * x + D) / C
-        if y > EPS:
-            pts.append(UHPPoint(x, y, exact=False))
-    return len(pts), False, tuple(pts)
-
-
 def _oracle_pattern(c1: Curve, c2: Curve):
-    if c1.exact and c2.exact:
-        count, tangent, points = _oracle_interior_meet_exact(c1, c2)
-        return count, tangent, _oracle_shared_endpoints_exact(c1, c2), points
-    count, tangent, points = _oracle_interior_meet_float(c1, c2)
-    return count, tangent, _oracle_shared_endpoints_float(c1, c2), points
+    count, tangent, points = _oracle_interior_meet_exact(c1, c2)
+    return count, tangent, _oracle_shared_endpoints_exact(c1, c2), points
 
 
 def _pattern(c1: Curve, c2: Curve):
@@ -618,70 +539,24 @@ def _chebyshev_grid(n=65):
     return [(1 - math.cos(math.pi * j / (n - 1))) / 2 for j in range(n)]
 
 
-def _float_copy(curve):
-    return curve_from_coeffs(*(float(v) for v in curve.circle.coeffs()), exact=False)
-
-
 def _float_members(fam):
-    """Float copies of a family's exact curves at the Chebyshev parameters:
-    its members below 1, and at 1 its limit when that is a curve."""
+    """Copies, given by floats, of a family's exact curves at the Chebyshev
+    parameters: its members below 1, and at 1 its limit when that is a
+    curve."""
     curves = [fam.member(t) for t in _chebyshev_grid() if t < 1]
     limit = classify_family_limit(fam)
     if not isinstance(limit, FoliatesComponent):
         curves.append(limit.curve)
-    return [_float_copy(c) for c in curves]
+    return [curve_from_coeffs(*(float(v) for v in c.circle.coeffs())) for c in curves]
 
 
-def _recorded_inexact_pairs(monkeypatch):
-    """Every pair with an inexact curve that the verify suites and the
-    pinch construction hand to the predicates, and the float copies of the
-    ray and fixed-endpoint family members against the ray through 0 and
-    the fixed-endpoint limit."""
-    pairs = []
-    original = predicates._pair_coeffs
-
-    def spy(c1, c2):
-        if not (c1.exact and c2.exact):
-            pairs.append((c1, c2))
-        return original(c1, c2)
-
-    monkeypatch.setattr(predicates, "_pair_coeffs", spy)
-    run_suite("all", seed=0)
-    rng = random.Random(7)
-    for _ in range(60):
-        p, q = rand_distinct_boundary(rng, 2)
-        try:
-            pinch_pair(make_horocycle(p, abs(rand_q(rng, 1, 3)) + Q(1, 8)),
-                       make_horocycle(q, abs(rand_q(rng, 1, 3)) + Q(1, 8)))
-        except (InvalidInputError, NoSolutionError):
-            pass
-    monkeypatch.undo()
-    *members, limit = _float_members(fixed_endpoint_family(3, Q(3, 2)))
-    pairs += [(limit, m) for m in members]
-    ray = make_geodesic(F(0), INFINITY)
-    pairs += [(ray, m) for m in _float_members(ray_family())]
-    return pairs
-
-
-def _constructed_inexact_pairs():
-    """Pairs among the outputs of the pinch construction and their inputs,
-    and among float copies of family members, their inputs and a probe."""
+def test_inexact_pairs_match_oracle():
+    # float copies of family members, read at their exact values, match
+    # the exact oracle, and a pair with an irrational pinch witness is
+    # refused
     rng = random.Random(5)
-    pairs = []
-    for _ in range(120):
-        p, q = rand_distinct_boundary(rng, 2)
-        h0 = make_horocycle(p, abs(rand_q(rng, 1, 3)) + Q(1, 8))
-        h = make_horocycle(q, abs(rand_q(rng, 1, 3)) + Q(1, 8))
-        if intersection_pattern(h0, h).interior_count:
-            continue
-        try:
-            a, b = pinch_pair(h0, h)
-        except NoSolutionError:
-            continue
-        pairs += [(w, other) for w in (a, b) if not w.exact for other in (h0, h)]
-        if a != b and not (a.exact and b.exact):
-            pairs.append((a, b))
     families = [_float_members(ray_family()), _float_members(fixed_endpoint_family(3, Q(3, 2)))]
+    pairs = []
     while len(families) < 8:
         h, hp = rand_horocycle(rng), rand_hypercycle(rng)
         pat = intersection_pattern(h, hp)
@@ -692,40 +567,17 @@ def _constructed_inexact_pairs():
     probe = make_geodesic(F(0), INFINITY)
     for members in families:
         pairs += list(itertools.combinations(members, 2)) + [(probe, m) for m in members]
-    # a float copy of an input lies on the input's circle within EPS
-    return [
-        (c1, c2) for c1, c2 in pairs
-        if not (c1.exact and c2.exact) and _float_copy(c1) != _float_copy(c2)
-    ]
-
-
-def _same_center_horocycles(c1, c2):
-    if not c1.kind is c2.kind is CurveKind.HOROCYCLE:
-        return False
-    if c1.center.is_infinity or c2.center.is_infinity:
-        return c1.center == c2.center
-    x1, x2 = float(c1.center.value), float(c2.center.value)
-    return math.isclose(x1, x2, rel_tol=EPS, abs_tol=EPS)
-
-
-def test_inexact_pairs_match_oracle(monkeypatch):
-    recorded = _recorded_inexact_pairs(monkeypatch)
-    constructed = _constructed_inexact_pairs()
-    assert len(recorded) > 50 and len(constructed) > 1000
+    pairs = [(c1, c2) for c1, c2 in pairs if c1 != c2]
+    assert len(pairs) > 1000 and all(c1.exact and c2.exact for c1, c2 in pairs)
     kinds = set()
-    for c1, c2 in recorded + constructed:
-        new, old = _pattern(c1, c2), _oracle_pattern(c1, c2)
+    for c1, c2 in pairs:
+        new, old = _pattern(c1, c2), _oracle_intersection_pattern(c1, c2)
+        assert new[:3] == old[:3] and new[3] == old[3], (c1, c2)
         kinds.add(frozenset((c1.kind, c2.kind)))
-        if _same_center_horocycles(c1, c2):
-            # tangent at their common center, a meeting no float test
-            # resolves: the oracle split the trace's double root into two
-            # nearby floats and counted 0 or 2 shared endpoints, more than
-            # the one boundary point a horocycle has
-            assert new[:2] == old[:2] and new[2] == 1, (c1, c2)
-            continue
-        assert new[:3] == old[:3], (c1, c2)
-        assert len(new[3]) == len(old[3]) and all(p == q for p, q in zip(new[3], old[3])), (c1, c2)
-    assert len(kinds) >= 5
+    assert len(kinds) >= 4
+    witness = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[0]
+    with pytest.raises(InvalidInputError, match="^intersection patterns need exact curves$"):
+        intersection_pattern(witness, probe)
 
 
 @pytest.mark.parametrize("coeffs", [
@@ -737,8 +589,10 @@ def test_inexact_pairs_match_oracle(monkeypatch):
     (0, 1, 1, -3),  # oblique line: hypercycle
 ])
 def test_an_exact_curve_and_its_float_copy_are_one_curve(coeffs):
+    # the copy is read at the exact value of its floats
     exact = curve_from_coeffs(*coeffs)
-    copy = curve_from_coeffs(*map(float, coeffs), exact=False)
+    copy = curve_from_coeffs(*map(float, coeffs))
+    assert copy.exact and copy == exact and hash(copy) == hash(exact)
     # a copy scaled by 1 + 10^-6 about 0 is another curve
     moved = Isometry.scaling(Q(10**6 + 1, 10**6)).apply_curve(copy)
     for c1, c2 in ((exact, copy), (copy, exact), (copy, copy)):
@@ -752,13 +606,14 @@ def test_an_exact_curve_and_its_float_copy_are_one_curve(coeffs):
 
 
 def test_inexact_horocycles_at_one_center_share_it():
-    # the image's center is 0 up to rounding; the float tests on the heights
-    # counted 0 shared endpoints for k = 8 and 2 for k = 1
+    # float sizes are read at their exact values, so the image's centre is
+    # 0 exactly; the float tests on the heights of the float images counted
+    # 0 shared endpoints for k = 8 and 2 for k = 1
     h0 = make_horocycle(F(0), Q(20, 7))
     counts = []
     for k in range(1, 200):
         h = Isometry(3, 4, -3, 0).apply_curve(make_horocycle(F(Q(-4, 3)), k / 37))
-        assert not h.exact and _same_center_horocycles(h, h0)
+        assert h.exact and h.center == h0.center
         for pair in ((h, h0), (h0, h)):
             p = intersection_pattern(*pair)
             counts.append((p.interior_count, p.tangent, p.shared_endpoints))
@@ -864,7 +719,7 @@ def _check_against_oracle(pairs):
     counts, refused = collections.Counter(), 0
     for c1, c2 in pairs:
         pat, old = intersection_pattern(c1, c2), _oracle_answer(c1, c2)
-        assert pat.exact and not pat.equal
+        assert not pat.equal
         got = (pat.interior_count, pat.tangent, pat.shared_endpoints)
         counts[got] += 1
         if old is None:
@@ -977,6 +832,8 @@ def test_counts_past_the_float_range_need_no_points():
     assert (pat.interior_count, pat.tangent, pat.shared_endpoints) == (2, False, 0)
     assert (base.interior_count, base.tangent, base.shared_endpoints) == (2, False, 0)
     assert len(base.interior_points) == 2
+    # the points are irrational: inexact, and shown as floats
+    assert [repr(p)[-1] for p in base.interior_points] == ["~", "~"]
     with pytest.raises(InvalidInputError, match="not in the open half-plane"):
         pat.interior_points
     with pytest.raises(InvalidInputError):  # the replaced routine refused the counts too
@@ -996,7 +853,7 @@ def test_exact_pattern_builds_its_points_once_when_read(monkeypatch):
     assert calls == [] and pat.interior_count == 1
     assert pat.interior_points == (UHPPoint(0, 1),) and len(calls) == 1
     assert pat.interior_points == (UHPPoint(0, 1),) and len(calls) == 1
-    assert pat == predicates.IntersectionPattern(1, False, 0, (UHPPoint(0, 1),), True)
+    assert pat == predicates.IntersectionPattern(1, False, 0, (UHPPoint(0, 1),))
 
 
 def _oracle_between_tangent(c1: Curve, c2: Curve, c3: Curve) -> int:
@@ -1237,12 +1094,12 @@ def test_boundary_point_hash_agrees_with_equality():
 
 
 def test_exact_curve_beyond_float_range_with_inexact_curve():
-    # an exact curve's integers past 2^1024 met by an inexact curve: float()
-    # of the integers overflowed
+    # an exact curve's integers past 2^1024 met by a curve given by floats,
+    # which are read at their exact values: no integer becomes a float
     big = Isometry(2**600 + 1, 1, 2**600, 1).apply_curve(make_geodesic(F(-1), F(3)))
     assert max(abs(v) for v in big.circle.coeffs()).bit_length() > 1100
     p = intersection_pattern(big, make_horocycle(F(0), 0.5))
-    assert (p.interior_count, p.tangent, p.shared_endpoints, p.exact) == (0, False, 0, False)
+    assert (p.interior_count, p.tangent, p.shared_endpoints) == (0, False, 0)
     # a geodesic over (1/3, 2) up to about 2^-1100, whose coefficients are
     # huge but whose geometry is not, met by the float horocycle at 1
     q = 2**1100
@@ -1257,23 +1114,7 @@ def test_exact_curve_beyond_float_range_with_inexact_curve():
             assert u == v
 
 
-def _float_route_pattern(monkeypatch, c1, c2):
-    """The pattern of a pair with an inexact curve when every exact
-    coefficient goes through float() unscaled."""
-
-    def plain(c1, c2):
-        k1, k2 = ([float(v) for v in c.circle.coeffs()] for c in (c1, c2))
-        for k in (k1, k2):
-            if abs(k[0]) <= EPS:
-                k[0] = 0.0
-        return k1, k2, EPS
-
-    with monkeypatch.context() as m:
-        m.setattr(predicates, "_pair_coeffs", plain)
-        return _pattern(c1, c2)
-
-
-def test_exact_curve_of_wide_coefficients_with_inexact_curve(monkeypatch):
+def test_exact_curve_of_wide_coefficients_with_inexact_curve():
     # the geodesic over (2^39, 3 2^39) has a = 1 beside d = 3 2^78; a right
     # shift of the integers to 64 bits made a = 0, a vertical line
     g = make_geodesic(F(2**39), F(3 * 2**39))
@@ -1282,10 +1123,10 @@ def test_exact_curve_of_wide_coefficients_with_inexact_curve(monkeypatch):
         assert (p.interior_count, p.tangent, p.shared_endpoints) == (2, False, 0)
         xs = [q.as_floats()[0] for q in p.interior_points]
         assert xs == pytest.approx([2**39, 3 * 2**39])
-    # exact curves with coefficients of very different sizes against inexact
-    # curves of every kind agree with unscaled float(), wherever the
-    # products of the sign tests stay finite with it: below 2^166 for two
-    # circles (six exact factors), far beyond it with a line
+    # exact curves with coefficients of very different sizes against curves
+    # of every kind given by floats, read at their exact values: the counts
+    # agree with the replaced exact routine at every scale, where the float
+    # route answered only below 2^166 for two circles
     exact = []
     for k in (20, 39, 60, 80, 120, 160, 200):
         exact += [
@@ -1296,75 +1137,71 @@ def test_exact_curve_of_wide_coefficients_with_inexact_curve(monkeypatch):
             make_geodesic(F(2**k), INFINITY),
             make_horocycle(INFINITY, Q(1, 2**k)),
         ]
-    inexact = [
+    floats = [
         make_horocycle(INFINITY, 1e4),
         make_horocycle(INFINITY, 0.5),
-        curve_from_coeffs(0, 1.0, 0, -0.25, exact=False),  # x = 1/4
-        curve_from_coeffs(0, 1.0, -1.0, 0, exact=False),  # y = x
-        curve_from_coeffs(1.0, 0, 0, -1.0, exact=False),  # |z| = 1
+        curve_from_coeffs(0, 1.0, 0, -0.25),  # x = 1/4
+        curve_from_coeffs(0, 1.0, -1.0, 0),  # y = x
+        curve_from_coeffs(1.0, 0, 0, -1.0),  # |z| = 1
         make_horocycle(F(0.5), 1.0),
         make_hypercycle(F(-2.0), F(3.0), UHPPoint(0.5, 1.0, exact=False)),
     ]
-    assert not any(c.exact for c in inexact)
-    compared = scaled = 0
+    assert all(c.exact for c in floats)
+    compared = 0
     for c1 in exact:
-        bits = max(abs(v).bit_length() for v in c1.circle.coeffs())
-        for c2 in inexact:
-            a1, a2 = c1.circle.a != 0, abs(c2.circle.a) > EPS
-            if a1 and a2 and bits > model._FLOAT_BITS:
-                continue
-            want = _float_route_pattern(monkeypatch, c1, c2)
-            assert _pattern(c1, c2) == want, (c1, c2)
-            assert _pattern(c2, c1) == _float_route_pattern(monkeypatch, c2, c1)
-            compared += 1
-            scaled += bits > model._FLOAT_BITS and (a1 or a2)
-    assert compared > 150 and scaled > 10, (compared, scaled)
-    # a = 1 beside d near 2^2200: no common scale keeps both in floats
-    with pytest.raises(InvalidInputError):
-        intersection_pattern(make_geodesic(F(2**1100), F(2**1100 + 1)), inexact[0])
+        for c2 in floats:
+            for pair in ((c1, c2), (c2, c1)):
+                assert _pattern(*pair)[:3] == _oracle_intersection_pattern(*pair)[:3], pair
+                compared += 1
+    assert compared == 2 * len(exact) * len(floats) > 500
+    # a = 1 beside d near 2^2200, which no common float scale held, is answered
+    p = intersection_pattern(make_geodesic(F(2**1100), F(2**1100 + 1)), floats[0])
+    assert (p.interior_count, p.tangent, p.shared_endpoints) == (0, False, 0)
 
 
 def test_exact_line_past_float_range_with_inexact_line():
-    # x = 2^1100 meets y = 1/2 at a point no float holds, so the pair is
-    # refused instead of answered with an infinite coordinate
+    # x = 2^1100 meets y = 0.5, read at its exact value, at a point no float
+    # holds: the float route refused the pair, the exact one answers it
     far = make_geodesic(F(2**1100), INFINITY)
     low = make_horocycle(INFINITY, 0.5)
+    assert low == make_horocycle(INFINITY, Q(1, 2))
     for c1, c2 in ((far, low), (low, far)):
-        with pytest.raises(InvalidInputError, match="float range"):
-            intersection_pattern(c1, c2)
-    # the largest finite float still works, and exact pairs are untouched
+        pat = intersection_pattern(c1, c2)
+        assert (pat.interior_count, pat.shared_endpoints) == (1, 1)
+        assert pat.interior_points == (UHPPoint(2**1100, Q(1, 2)),)
     top = make_geodesic(F(2**1023), INFINITY)
     pat = intersection_pattern(top, low)
     assert (pat.interior_count, pat.shared_endpoints) == (1, 1)
-    pat = intersection_pattern(far, make_horocycle(INFINITY, Q(1, 2)))
-    assert pat.exact and pat.interior_points == (UHPPoint(2**1100, Q(1, 2)),)
 
 
 def test_exact_line_of_coefficients_past_the_float_range_with_inexact_line():
-    # y = (3^800 x + 7) / (3^800 + 1) meets y = 2x + 1/2 below the axis: the
-    # exact line is scaled, though 7 and 3^800 span more bits than a float
+    # y = (3^800 x + 7) / (3^800 + 1) meets y = 2x + 1/2 below the axis;
+    # 7 and 3^800 span more bits than a float, and the line given by floats
+    # is read at their exact values
     exact = curve_from_coeffs(0, 3**800, -3**800 - 1, 7)
-    line = curve_from_coeffs(0, 1.0, -0.5, 0.25, exact=False)
+    line = curve_from_coeffs(0, 1.0, -0.5, 0.25)
     for c1, c2 in ((exact, line), (line, exact)):
         p = intersection_pattern(c1, c2)
-        assert (p.interior_count, p.tangent, p.shared_endpoints, p.exact) == (0, False, 1, False)
+        assert (p.interior_count, p.tangent, p.shared_endpoints) == (0, False, 1)
     # y = 3^800 (x + 1) / (3^800 + 1) meets y = 3 - x within 3^-800 of (1, 2)
     p = intersection_pattern(curve_from_coeffs(0, 3**800, -3**800 - 1, 3**800),
-                             curve_from_coeffs(0, 1.0, 1.0, -3.0, exact=False))
+                             curve_from_coeffs(0, 1.0, 1.0, -3.0))
     assert (p.interior_count, p.shared_endpoints) == (1, 1)
     assert p.interior_points[0].as_floats() == pytest.approx((1.0, 2.0), rel=1e-15)
 
 
 def test_inexact_lines_far_from_the_origin_are_parallel_only_by_their_angle():
-    # x = 29000, and the line through (29000, 1000) at 17 degrees to it: the
-    # unit-norm normals are about 3.5e-5 long, so their determinant, 3.7e-10,
-    # is below EPS though the lines are far from parallel
+    # x = 29000, and the line through (29000, 1000) at 17 degrees to it: as
+    # unit-norm floats their normals were about 3.5e-5 long, so their
+    # determinant, 3.7e-10, fell below EPS though the lines are far from
+    # parallel; read at the exact values of the floats, the determinant is
+    # an integer, and only 0 makes lines parallel
     n = (math.cos(0.3), -math.sin(0.3))
-    slanted = curve_from_coeffs(0, n[0], n[1], -(29000 * n[0] + 1000 * n[1]), exact=False)
-    upright = curve_from_coeffs(0, 1.0, 0, -29000.0, exact=False)
+    slanted = curve_from_coeffs(0, n[0], n[1], -(29000 * n[0] + 1000 * n[1]))
+    upright = curve_from_coeffs(0, 1.0, 0, -29000.0)
     b1, c1 = upright.circle.coeffs()[1:3]
     b2, c2 = slanted.circle.coeffs()[1:3]
-    assert abs(b1 * c2 - b2 * c1) < EPS
+    assert b1 * c2 - b2 * c1 != 0
     p = intersection_pattern(upright, slanted)
     assert (p.interior_count, p.shared_endpoints) == (1, 1)
     assert p.interior_points[0].as_floats() == pytest.approx((29000.0, 1000.0), rel=1e-9)

@@ -35,6 +35,7 @@ from hyperk.model import (
 from hyperk.predicates import (
     between_tangent,
     geodesics_linked,
+    intersection_pattern,
     horocycle_leq,
     hypercycle_pair_type,
     same_endpoints,
@@ -47,6 +48,7 @@ GEO = make_geodesic(F(0), F(1))
 HORO = make_horocycle(F(0), 1)
 HYPER = make_hypercycle(F(0), F(1), UHPPoint(0, 1))
 INEXACT = curve_from_coeffs(1.0, 0.0, 0.0, -1.0, exact=False)  # ends at -1 and 1
+INEXACT_HORO = curve_from_coeffs(1.0, 0.0, -1.0, 0.0, exact=False)  # at 0, radius 1/2
 # (0,2) and (1,3) cross; (4,5) misses both: swapping (0,2) and (4,5) breaks an edge
 GRAPH = build_graph([make_geodesic(F(0), F(2)), make_geodesic(F(1), F(3)),
                      make_geodesic(F(4), F(5))])
@@ -81,10 +83,22 @@ ROWS = [
      "only exact curves have a canonical record form"),
     (lambda: GeneralizedCircle(0.0, 0.0, 0.0, 0.0, exact=False), DegenerateResultError,
      "degenerate circle: all coefficients zero"),
+    (lambda: GeneralizedCircle(1e-12, 0.0, 0.0, 1.0, exact=False), DegenerateResultError,
+     "degenerate circle: a = b = c ~ 0"),
     (lambda: curve_from_coeffs(0, 0, 1, 1), InvalidInputError,  # the line y = -1
      "locus classifies as not_in_upper_half_plane, not a curve"),
     (lambda: rational_points(curve_from_coeffs(1, 0, -1, -2), 3), InvalidInputError,
      "cannot sample rational points: irrational endpoints"),  # ends at +-sqrt(2)
+    # a float input is read at its exact value, which a float that is not
+    # finite lacks
+    (lambda: curve_from_coeffs(float("inf"), 0, 0, -1), InvalidInputError,
+     "inf is not a finite number"),
+    (lambda: make_horocycle(F(0), float("nan")), InvalidInputError,
+     "nan is not a finite number"),
+    (lambda: UHPPoint(0, float("-inf")), InvalidInputError, "-inf is not a finite number"),
+    (lambda: Isometry(1, float("nan"), 0, 1), InvalidInputError, "nan is not a finite number"),
+    (lambda: Isometry.identity().apply_curve(INEXACT), InvalidInputError,
+     "isometries act on exact curves"),
     # predicates
     (lambda: hypercycle_pair_type(GEO, HYPER), InvalidInputError,
      "hypercycle_pair_type needs two hypercycles"),
@@ -94,6 +108,8 @@ ROWS = [
     (lambda: geodesics_linked(GEO, HORO), InvalidInputError, "geodesics_linked needs geodesics"),
     (lambda: between_tangent(GEO, HORO, INEXACT), InvalidInputError,
      "between_tangent needs exact curves"),
+    (lambda: intersection_pattern(GEO, INEXACT), InvalidInputError,
+     "intersection patterns need exact curves"),
     # graphs
     (lambda: build_graph([]), InvalidInputError, "a graph needs at least one curve"),
     # mixed kinds are refused before any pair is compared or any curve
@@ -135,10 +151,13 @@ ROWS = [
     (lambda: pinch_pair(GEO, HORO), InvalidInputError, "pinch_pair needs two horocycles"),
     (lambda: pinch_pair(HORO, make_horocycle(F(0), 2)), NoSolutionError,
      "horocycles share a center: no pinching pair"),
+    (lambda: pinch_pair(HORO, make_horocycle(F(1), 1)), InvalidInputError,
+     "pinch_pair needs disjoint horocycles"),
     (lambda: disj_family(GEO, HYPER), InvalidInputError,
      "disj_family needs a horocycle as first argument"),
     (lambda: disj_family(HORO, GEO), InvalidInputError,
      "disj_family needs a hypercycle as second argument"),
+    (lambda: disj_family(INEXACT_HORO, HYPER), InvalidInputError, "disj_family needs exact curves"),
     (lambda: CenterSwap(INFINITY, F(0)), InvalidInputError, "center swap needs finite centers"),
     (lambda: CenterSwap(F(0), F(1))(GEO), InvalidInputError, "center swap acts on horocycles"),
     # earthquake

@@ -481,11 +481,9 @@ def test_exact_pair_counts_need_no_candidate_and_no_pattern(monkeypatch):
         isometry_matching(src, [Isometry.translation(1).apply_curve(c) for c in src])
 
 
-def test_graphs_names_no_float_route():
-    # the graph layer reads exact integer data only: it names no float
-    # tolerance, no Fraction constructor, no float circle action and no
-    # per-pair pattern
-    tree = ast.parse((PACKAGE / "graphs.py").read_text(encoding="utf-8"))
+def _names(module):
+    """Every name, attribute and imported name that `module` mentions."""
+    tree = ast.parse((PACKAGE / module).read_text(encoding="utf-8"))
     names = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -494,8 +492,31 @@ def test_graphs_names_no_float_route():
             names.add(node.attr)
         elif isinstance(node, ast.ImportFrom):
             names.update(alias.asname or alias.name for alias in node.names)
+    return names
+
+
+def test_graphs_names_no_float_route():
+    # the graph layer reads exact integer data only: it names no float
+    # tolerance, no Fraction constructor, no float circle action and no
+    # per-pair pattern; the predicates refuse inexact curves, so they name
+    # no float tolerance and none of the float route's helpers
+    names = _names("graphs.py")
     assert len(names) > 100
     assert names & {"EPS", "Q", "apply_circle", "intersection_pattern"} == set()
+    names = _names("predicates.py")
+    assert len(names) > 100
+    assert names & {"EPS", "_int_floats", "_pair_coeffs", "_same_circle"} == set()
+
+
+def test_cli_has_no_inexact_flag():
+    # every decimal is read at its exact value: no flag switches that off
+    from hyperk.cli import build_parser
+
+    parser = build_parser()
+    flags = {flag for action in parser._actions for flag in action.option_strings}
+    assert "--format" in flags and "--inexact" not in flags
+    with pytest.raises(SystemExit):
+        parser.parse_args(["--inexact", "classify", "--horocycle", "0,1"])
 
 
 def test_exact_candidates_build_no_image_circle(monkeypatch):
@@ -697,7 +718,7 @@ def _record_instances():
     h = make_horocycle(F(0), Q(1, 2))
     return [
         (intersection_pattern(make_geodesic(F(-1), F(1)), make_geodesic(F(0), INFINITY)),
-         "interior_count tangent shared_endpoints interior_points exact equal", True),
+         "interior_count tangent shared_endpoints interior_points equal", True),
         (GraphAutomorphism((1, 0, 2)), "perm", True),
         (LinkCheckResult(False, (F(0), F(1), F(2), INFINITY)), "preserved witness", True),
         (dyadic_family(0, -1, 1), "level n_min n_max horocycles tangency_points", True),
@@ -743,7 +764,7 @@ def test_record_classes_keep_their_defaults():
         Satisfiable, SvgScene,
     )
 
-    assert IntersectionPattern(0, False, 0, (), True).equal is False
+    assert IntersectionPattern(0, False, 0, ()).equal is False
     assert LinkCheckResult(True).witness is None and PointwiseImageResult(True).witness is None
     assert Satisfiable((1,), True).forced == ()
     assert PropertyResult("order", "a property", True).detail == ""
