@@ -47,6 +47,16 @@ class TestClassify:
         assert code == 0 and out.startswith("Horocycle center 0 radius 1/2\n")
         assert "--inexact" not in out and "note" not in out
 
+    def test_decimal_needs_no_flag(self, capsys):
+        # a decimal is read at its exact value; one that underflows is
+        # refused under its flag's grammar, with no flag to suggest
+        code, out, _ = run(capsys, "classify", "--horocycle", "0,0.5")
+        assert code == 0 and out.startswith("Horocycle center 0 radius 1/2\n")
+        code, _, err = run(capsys, "classify", "--horocycle", "0,1e-400")
+        assert code == 2
+        assert "--horocycle center,size: '1e-400' is nonzero but below the float range" in err
+        assert "--inexact" not in err
+
     @pytest.mark.parametrize("value", ["-.5,1", "-.25e1,1/2"])
     def test_signed_float_value_after_a_space(self, capsys, value):
         # the flag grammar, not argparse, reads a value that starts with
@@ -571,11 +581,12 @@ DECIMALS = {
 
 
 @pytest.mark.parametrize("argv", DECIMALS, ids=" ".join)
-@pytest.mark.parametrize("fmt", ["text", "records"])
+@pytest.mark.parametrize("fmt", ["default", "text", "records"])
 def test_decimal_values_are_answered_exactly(capsys, argv, fmt):
-    code, out, err = run(capsys, "--format", fmt, *argv)
+    flags = () if fmt == "default" else ("--format", fmt)
+    code, out, err = run(capsys, *flags, *argv)
     assert code == 0 and err == ""
-    if fmt == "text":
+    if fmt != "records":
         assert out.splitlines()[0] == DECIMALS[argv]
     else:
         assert [json.loads(line) for line in out.splitlines()]
