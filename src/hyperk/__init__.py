@@ -64,6 +64,7 @@ _EXPORTS = {
         "FourGeodesicConfig",
         "HorocycleLimit",
         "HypercycleOrGeodesicLimit",
+        "PinchWitness",
         "classify_family_limit",
         "disj_family",
         "dyadic_family",

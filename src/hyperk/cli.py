@@ -13,6 +13,9 @@ fails with its flag and form ("--geodesic p,q expected, got 'a'"), and one
 that parses but is refused keeps the reason after them ("--horocycle
 center,size: '1e400' is not a finite number").
 
+Every answer is exact: a pinching horocycle of irrational centre prints
+its centre and size in Q(sqrt D) (`constructions.PinchWitness.to_text`).
+
 This module imports `model`, which reads every flag value into numbers,
 points and curves, so every call loads `model` and `_rational`.  Each
 command imports the other layers it runs inside its function, after it has
@@ -82,22 +85,27 @@ _RATIONAL_RE = re.compile(r"^-?\d+(/\d+)?$")
 _INFINITIES = ("oo", "inf", "Inf", "infty", "Infinity", "infinity")
 
 
+def _float(text: str) -> float:
+    """The float of a decimal literal, refused when it underflows to 0 from
+    nonzero digits."""
+    value = float(text)  # a ValueError: no number at all
+    if value == 0 and any(ch in "123456789" for ch in text.lower().partition("e")[0]):
+        raise InvalidInputError(f"{text.strip()!r} is nonzero but below the float range")
+    return value
+
+
 def _parse_number(text: str):
     """`p`, `p/q` or a decimal literal, read at its exact value.  A decimal
     must lie in the float range: one whose float is infinite or nan, or
-    underflows to 0 from nonzero digits, is refused, which also bounds the
-    size of its exact value."""
+    underflows to 0 from nonzero digits (`_float`), is refused, which also
+    bounds the size of its exact value."""
     text = text.strip()
     if _RATIONAL_RE.match(text):
         return q_from_str(text)
-    value = float(text)  # a ValueError: no number at all
+    value = _float(text)
     if not math.isfinite(value):
         raise InvalidInputError(f"{text!r} is not a finite number")
-    if value == 0:
-        if any(ch in "123456789" for ch in text.lower().partition("e")[0]):
-            raise InvalidInputError(f"{text!r} is nonzero but below the float range")
-        return Q(0)
-    return q_from_str(text)
+    return q_from_str(text) if value else Q(0)
 
 
 def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
@@ -110,17 +118,17 @@ def _fields(text: Optional[str], count: int, usage: str) -> List[str]:
 
 def _checked(code: str, text: str, usage: str):
     """One field of a flag value, read as its code says: `n` a number, `b`
-    a boundary point (`oo` or a number), `i` an int, `f` a float, `t` a
-    curve text line.  A failure names the value's flag and form `usage`: in
-    place of a bare ValueError, and before the reason of an
-    InvalidInputError."""
+    a boundary point (`oo` or a number), `i` an int, `f` a float
+    (`_float`), `t` a curve text line.  A failure names the value's flag
+    and form `usage`: in place of a bare ValueError, and before the reason
+    of an InvalidInputError."""
     try:
         if code == "b" and text.strip() in _INFINITIES:
             return INFINITY
         if code in "nb":
             value = _parse_number(text)
             return BoundaryPoint(value) if code == "b" else value
-        return {"i": int, "f": float, "t": parse_curve_text}[code](text)
+        return {"i": int, "f": _float, "t": parse_curve_text}[code](text)
     except InvalidInputError as exc:
         raise InvalidInputError(f"{usage}: {exc}") from None
     except ValueError:
@@ -167,9 +175,7 @@ def _describe_curve(c: Curve) -> str:
     if c.kind is CurveKind.HOROCYCLE:
         if c.center.is_infinity:
             return f"Horocycle center oo height {q_str(c.size)}"
-        if c.exact:
-            return f"Horocycle center {c.center!r} radius {q_str(c.size)}"
-        return f"Horocycle center {float(c.center.value)} radius {c.size}"
+        return f"Horocycle center {c.center!r} radius {q_str(c.size)}"
     name = c.kind.value.capitalize()
     if c.has_exact_endpoints:
         eps = ", ".join(repr(p) for p in c.endpoints)
@@ -180,16 +186,6 @@ def _describe_curve(c: Curve) -> str:
 def _add_curve_flags(p: argparse.ArgumentParser, prefix: str = ""):
     for kind in _CURVES:
         p.add_argument(f"--{prefix}{kind}")
-
-
-def _inexact_output(c: Curve):
-    """Text and record of an inexact curve (a pinch witness): its unit-norm
-    float coefficients."""
-    a, b, cc, d = c.circle.coeffs()
-    return (
-        f"{_describe_curve(c)}\nunit-norm a={a} b={b} c={cc} d={d}",
-        {"describe": _describe_curve(c), "kind": c.kind.value, "a": a, "b": b, "c": cc, "d": d},
-    )
 
 
 def cmd_classify(args, out: _Output) -> int:
@@ -221,7 +217,7 @@ def cmd_construct(args, out: _Output) -> int:
         h0 = _curve("horocycle", args.first, "--first")
         h1 = _curve("horocycle", args.second, "--second")
         for w in pinch_pair(h0, h1):
-            out.emit(*((w.to_text(), w.to_record()) if w.exact else _inexact_output(w)))
+            out.emit(w.to_text(), w.to_record())
         return EXIT_OK
     if what == "equidistant":
         g = _curve("geodesic", args.first, "--first")

@@ -10,28 +10,30 @@ the limit is read off the coefficient vector there.  A witness search
 certifies a crossing pair by exact points of one curve on both sides of
 the other (`model.straddling_points`); a tangent pair's witness is the
 pencil member that the sign of the Lorentz Gram determinant D2 picks.
+A pinching horocycle whose centre is irrational is a `PinchWitness`,
+exact in Q(sqrt D), so D2 decides its tangencies too.
 """
 
 from __future__ import annotations
 
 import functools
-from typing import List, Sequence, Tuple
+import math
+from typing import Sequence, Tuple
 
-from ._rational import Q
+from ._rational import Q, isqrt_exact
 from ._record import Record
 from .errors import HyperkError, InvalidInputError, NoSolutionError
 from .model import (
-    EPS,
     BoundaryPoint,
     Curve,
     CurveKind,
     GeneralizedCircle,
     INFINITY,
     Isometry,
+    Surd,
     UHPPoint,
     _coprime_ints,
     _d2,
-    _float_horocycle,
     _lorentz,
     _number,
     _within_float_range,
@@ -171,15 +173,49 @@ def witness_family_search(h1: Curve, h2: Curve):
 # ---------------------------------------------------------------------------
 
 
-def pinch_pair(h0: Curve, h: Curve) -> Tuple[Curve, Curve]:
+class PinchWitness(Record):
+    """A horocycle of `pinch_pair` whose centre is irrational, held exactly:
+    its centre p and size r lie in Q(sqrt D), each a pair (`Surd`, int > 0)
+    in lowest terms, as a `BoundaryPoint` is the pair (m, n) of m/n.  Its
+    coefficients (`coeffs()`) lie in Z[sqrt D], so `_d2` decides its
+    tangencies exactly.  It is not a `Curve`: `exact` is False, so every
+    layer that needs integer data refuses it."""
+
+    __slots__ = ("center", "size")
+    kind, exact = CurveKind.HOROCYCLE, False
+
+    def __init__(self, center, size):
+        self.center, self.size = center, size
+
+    def coeffs(self):
+        """(1, -2p, -2r, p^2) times W^2 V, for p = P/W and r = R/V."""
+        (P, W), (R, V) = self.center, self.size
+        return Surd(W * W * V, 0, P.D), -2 * W * V * P, -2 * W * W * R, V * P * P
+
+    @_within_float_range
+    def euclidean_center_radius(self):
+        """(cx, cy, r) floats: the circle of radius r centred at p + i r."""
+        (P, W), (R, V) = self.center, self.size
+        r = _number(R.u, R.v, R.D, V)
+        return _number(P.u, P.v, P.D, W), r, r
+
+    def to_record(self) -> dict:
+        (P, W), (R, V) = self.center, self.size
+        return {"kind": "horocycle", "center": P.quotient_text(W), "size": R.quotient_text(V)}
+
+    def to_text(self) -> str:
+        return "horocycle center={center} size={size}".format_map(self.to_record())
+
+
+def pinch_pair(h0: Curve, h: Curve):
     """Horocycles tangent to both of the disjoint horocycles h0 and h.
 
-    Returns the two tangency solutions; when the elimination degenerates to
-    a single solution (equal sizes at finite centers), that unique horocycle
-    fills both slots.  Solutions with irrational centers are returned as
-    inexact curves; one whose float circle classifies as another kind is
-    refused (DegenerateResultError).  An inexact input is refused
-    (InvalidInputError), as `intersection_pattern` refuses it.
+    Returns the two tangency solutions in increasing order of centre; when
+    the elimination degenerates to a single solution (equal sizes at finite
+    centers), that unique horocycle fills both slots.  A solution with a
+    rational centre is a `Curve`, one with an irrational centre a
+    `PinchWitness`, exact in Q(sqrt D).  A witness given as input is
+    refused (InvalidInputError), as `intersection_pattern` refuses it.
     """
     for c in (h0, h):
         if c.kind is not CurveKind.HOROCYCLE:
@@ -190,50 +226,53 @@ def pinch_pair(h0: Curve, h: Curve) -> Tuple[Curve, Curve]:
     if pat.interior_count != 0:
         raise InvalidInputError("pinch_pair needs disjoint horocycles")
     sols = _solve_pinch(h0, h)
-    if not sols:
-        raise NoSolutionError("tangency system has no positive-radius solution")
-    sols.sort(key=lambda c: c.endpoint_floats()[0])
     return (sols[0], sols[-1])
 
 
-@_within_float_range
-def _solve_pinch(h0: Curve, h: Curve) -> List[Curve]:
-    """The horocycles tangent to both h0 and h: their centers p are the roots
-    of an integer quadratic, which `_number` gives exactly when its
-    discriminant is a square and as floats otherwise.  A float center or
-    radius past the float range is refused (InvalidInputError), as is a float
-    witness whose circle classifies as another kind (DegenerateResultError).
+def _solve_pinch(h0: Curve, h: Curve) -> list:
+    """The horocycles tangent to both h0 and h, in increasing order of
+    centre: a `Curve` for a rational centre, a `PinchWitness` otherwise.
 
     A horocycle at p of radius r touches one at q of radius s iff
     (p - q)^2 = 4 r s, and the horizontal line y = s iff r = s/2.  With both
     centers finite, eliminating r leaves A p^2 + B p + C = 0 with A = r1 - r0,
-    which has the single root (q0 + q1)/2 when the sizes agree.
+    which has the single root (q0 + q1)/2 when the sizes agree.  A root is
+    P/W, P = -B +- sqrt(B^2 - 4AC) a `Surd` unless the root is rational, and
+    its r is positive: at p = q0 the quadratic is -r0 (q0 - q1)^2, not 0.
     """
     if h0.center.is_infinity or h.center.is_infinity:
         line, circ = (h0, h) if h0.center.is_infinity else (h, h0)
-        q, r = circ.center.value, line.size / 2
+        q, s = circ.center.value, line.size
 
-        def radius(p):
-            return r
+        def radius(P, W):
+            return s.numerator, 2 * s.denominator
 
-        quadratic = (1, -2 * q, q * q - 4 * r * circ.size)
+        quadratic = (1, -2 * q, q * q - 2 * s * circ.size)
     else:
-        q0, r0, q1, r1 = h0.center.value, h0.size, h.center.value, h.size
+        (m0, n0), r0 = h0.center, h0.size
+        q0, q1, r1 = h0.center.value, h.center.value, h.size
 
-        def radius(p):
-            return (p - q0) ** 2 / (4 * r0)
+        def radius(P, W):
+            X = P * n0 - m0 * W  # (p - q0) W n0
+            return X * X * r0.denominator, 4 * r0.numerator * (W * n0) ** 2
 
         quadratic = (r1 - r0, -2 * (r1 * q0 - r0 * q1), r1 * q0 * q0 - r0 * q1 * q1)
     A, B, C = _coprime_ints(quadratic)
-    disc = B * B - 4 * A * C  # a square times the product of the sizes: positive
-    roots = [_number(-B, s, disc, 2 * A) for s in (-1, 1)] if A else [Q(-C, B)]
-    sols: List[Curve] = []
-    for p in roots:
-        r = radius(p)
-        if not isinstance(p, float):
-            sols.append(make_horocycle(BoundaryPoint.finite(p), r))
-        elif r > EPS:
-            sols.append(_float_horocycle(p, r))
+    if A:
+        D = B * B - 4 * A * C  # a square times the product of the sizes: positive
+        root = isqrt_exact(D)
+        roots = [(Surd(-B, s, D) if root is None else -B + s * root, 2 * A) for s in (-1, 1)]
+    else:
+        roots = [(-C, B)]  # B > 0 in canonical form
+    sols = []
+    for P, W in roots:
+        R, V = radius(P, W)
+        if isinstance(P, Surd):
+            R = Surd(0, 0, P.D) + R  # R is an int beside a line
+            g = math.gcd(R.u, R.v, V)  # P/W is in lowest terms: P.v = +-1
+            sols.append(PinchWitness((P, W), (Surd(R.u // g, R.v // g, P.D), V // g)))
+        else:
+            sols.append(make_horocycle(BoundaryPoint.finite(Q(P, W)), Q(R, V)))
     return sols
 
 

@@ -18,11 +18,11 @@ The module reads only exact integer data, the data each curve keeps from
 when it was built: the circle's coefficient tuple and Lorentz norm, and
 the curve's boundary points, each the integer pair (m, n) of m/n, oo =
 (1, 0) (`Curve._boundary`: the endpoints, or a horocycle's centre).  A
-graph or a matching is refused for an inexact curve, since float
-adjacency is not invariant under isometries.  It forms no boundary point
-and no circle action of its own: an isometry acts on a circle's
-coefficients by `model._image` alone, and it forms no `Fraction` but the
-answer's entries.
+graph or a matching is refused for an inexact curve, a pinch witness,
+which has no integer data.  It forms no boundary point and no circle
+action of its own: an isometry acts on a circle's coefficients by
+`model._image` alone, and it forms no `Fraction` but the answer's
+entries.
 
 Adjacency and the first test of a matching both read pair counts
 (`predicates._iter_pair_counts`): the interior count, tangency and shared

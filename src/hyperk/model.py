@@ -3,12 +3,10 @@
 Every curve (geodesic, horocycle, hypercycle) is carried by a generalized
 circle a(x^2+y^2) + bx + cy + d = 0 with exact integer coefficients in
 canonical form; all classification reduces to integer sign tests.  Every
-input is read at its exact value, a float at its binary one, so a curve
-carries float coefficients and is flagged inexact only where its true
-value is irrational: the one such curve is a pinch witness
-(`_float_horocycle`), which can be classified, printed and drawn, while
-isometries refuse it.  Pairs of circles are read through the Lorentz form
-on coefficient vectors (`_lorentz`, `_d2`).  Exact curves also
+input is read at its exact value, a float at its binary one, so every
+`Curve` is exact, and a pinch witness's irrational data are too, in
+Z[sqrt D] (`Surd`).  Pairs of circles are read through the Lorentz form
+on coefficient vectors (`_lorentz`, `_d2`), exact on both.  Curves also
 yield exact sample points: `rational_points` spreads them along the curve
 from a rational point on the axis, and `straddling_points` places them on
 both sides of another circle near where the two meet, on chords from an
@@ -22,9 +20,9 @@ oo; an interior point enters a formula as `_homogeneous` (a point (x, y)
 as (X/W, Y/W)), where `_form_at` evaluates a circle.  A `Fraction` is
 built only for an image point's coordinates, and for a boundary point's
 `value` when that is read.  Each exact circle keeps its coefficient
-tuple and Lorentz norm, and each curve its boundary points (an inexact
-horocycle its centre), all formed once when it is built; every layer
-reads the kept points, and `size` builds its `Fraction` only when read.
+tuple and Lorentz norm, and each curve its boundary points, all formed
+once when it is built; every layer reads the kept points, and `size`
+builds its `Fraction` only when read.
 `triple_normalizer` wraps `_triple_ints`, which finds and checks the
 isometry sending one triple of boundary points to another on their
 pairs, so a caller that only tests candidates (`graphs.isometry_matching`)
@@ -49,8 +47,8 @@ from typing import Optional, Tuple
 from ._rational import Q, isqrt_exact, q_str
 from .errors import DegenerateResultError, HyperkError, InvalidInputError
 
-#: Tolerance for classifying an inexact (float-coefficient) circle, a pinch
-#: witness's, and for comparing points with float coordinates.
+#: Tolerance for comparing points with float coordinates, the irrational
+#: meeting points of two circles (`UHPPoint.__eq__`).
 EPS = 1e-9
 
 
@@ -199,16 +197,14 @@ def _form_at(k, X, Y, W):
 
 
 def _number(m, n, disc, w):
-    """(m + n sqrt(disc)) / w for disc >= 0.
+    """(m + n sqrt(disc)) / w for integers m, n, w != 0 and disc >= 0.
 
-    Integer arguments give an exact rational when disc is a square.
-    Otherwise the value is a float; for integers the square root is taken
-    as an integer scaled by 2^64, and a sum whose terms would cancel is
-    replaced by its conjugate quotient, so neither a discriminant beyond the
-    float range nor cancellation costs precision.
+    Integers give an exact rational when disc is a square.  Otherwise the
+    value is a float: the square root is taken as an integer scaled by
+    2^64, and a sum whose terms would cancel is replaced by its conjugate
+    quotient, so neither a discriminant beyond the float range nor
+    cancellation costs precision.
     """
-    if not isinstance(w, int):
-        return (m + n * math.sqrt(max(disc, 0.0))) / w
     r = math.isqrt(disc)
     if r * r == disc:
         return Q(m + n * r, w)
@@ -218,44 +214,78 @@ def _number(m, n, disc, w):
     return ((m * m - n * n * disc) << 64) / (w * ((m << 64) - n * r))
 
 
-class GeneralizedCircle:
-    """Coefficients of a(x^2+y^2) + bx + cy + d = 0 in canonical form.
+class Surd:
+    """The real number u + v sqrt(D) of integers u, v and D > 0, D not a
+    square, so that it is 0 only when u = v = 0.  It plus, minus or times
+    an int or a `Surd` of the same D (an int times it too) stays in
+    Z[sqrt D], so the Lorentz form (`_lorentz`, `_d2`) of such vectors is exact."""
 
-    Exact circles store coprime integers with the first nonzero of (a, b, c)
-    positive, the coefficients read at their exact values.  Inexact circles
-    (`exact=False`, only a pinch witness's) store unit-norm floats with the
-    same sign convention at tolerance EPS.  Each circle also keeps the tuple
-    (a, b, c, d) that `coeffs()` returns and its Lorentz norm <v, v> =
+    __slots__ = ("u", "v", "D")
+
+    def __init__(self, u: int, v: int, D: int):
+        self.u, self.v, self.D = u, v, D
+
+    def _parts(self, other):
+        return (other.u, other.v) if isinstance(other, Surd) else (other, 0)
+
+    def __add__(self, other):
+        u, v = self._parts(other)
+        return Surd(self.u + u, self.v + v, self.D)
+
+    def __sub__(self, other):
+        u, v = self._parts(other)
+        return Surd(self.u - u, self.v - v, self.D)
+
+    def __mul__(self, other):
+        u, v = self._parts(other)
+        return Surd(self.u * u + self.v * v * self.D, self.u * v + self.v * u, self.D)
+
+    __rmul__ = __mul__
+
+    def __eq__(self, other):
+        return (self.u, self.v) == self._parts(other)
+
+    def __hash__(self):
+        return hash(self.u) if not self.v else hash((self.u, self.v, self.D))
+
+    def sign(self) -> int:
+        """-1, 0 or 1 by integer squaring: of u if u^2 > v^2 D, else of v."""
+        u, v = self.u, self.v
+        big = u if u * u > v * v * self.D else v
+        return (big > 0) - (big < 0)
+
+    def quotient_text(self, w: int) -> str:
+        """(u+v*sqrt(D))/w for w > 0, in the terms given."""
+        u, v = self.u, self.v
+        if not v:
+            return q_str(Q(u, w))
+        text = ("-" if v < 0 else "+" if u else "") + (f"{abs(v)}*" if abs(v) != 1 else "")
+        text = (str(u) if u else "") + f"{text}sqrt({self.D})"
+        return text if w == 1 else f"({text})/{w}" if u else f"{text}/{w}"
+
+    def __repr__(self):
+        return self.quotient_text(1)
+
+
+class GeneralizedCircle:
+    """Coefficients of a(x^2+y^2) + bx + cy + d = 0 in canonical form:
+    coprime integers with the first nonzero of (a, b, c) positive, the
+    coefficients read at their exact values.  Each circle also keeps the
+    tuple (a, b, c, d) that `coeffs()` returns and its Lorentz norm <v, v> =
     b^2 + c^2 - 4ad (`_lorentz`) that `nondegeneracy()` returns, both formed
     once here, so that a pass over many pairs (`predicates._iter_pair_counts`)
     reads them instead of forming them again.
     """
 
-    __slots__ = ("a", "b", "c", "d", "exact", "_k", "_norm")
+    __slots__ = ("a", "b", "c", "d", "_k", "_norm")
 
-    def __init__(self, a, b, c, d, exact: bool = True):
-        if exact:
-            self.a, self.b, self.c, self.d = k = tuple(_coprime_ints((a, b, c, d)))
-            if k[0] == k[1] == k[2] == 0:
-                raise DegenerateResultError("degenerate circle: a = b = c = 0")
-        else:
-            fa, fb, fc, fd = float(a), float(b), float(c), float(d)
-            # pre-scale by the largest magnitude so the norm cannot overflow
-            big = max(abs(fa), abs(fb), abs(fc), abs(fd))
-            if big == 0:
-                raise DegenerateResultError("degenerate circle: all coefficients zero")
-            fa, fb, fc, fd = fa / big, fb / big, fc / big, fd / big
-            norm = math.sqrt(fa * fa + fb * fb + fc * fc + fd * fd)
-            if max(abs(fa), abs(fb), abs(fc)) <= EPS * norm:
-                raise DegenerateResultError("degenerate circle: a = b = c ~ 0")
-            fa, fb, fc, fd = fa / norm, fb / norm, fc / norm, fd / norm
-            lead = fa if abs(fa) > EPS else (fb if abs(fb) > EPS else fc)
-            if lead < 0:
-                fa, fb, fc, fd = -fa, -fb, -fc, -fd
-            self.a, self.b, self.c, self.d = k = fa, fb, fc, fd
-        self.exact, self._k = exact, k
+    def __init__(self, a, b, c, d):
+        self.a, self.b, self.c, self.d = k = tuple(_coprime_ints((a, b, c, d)))
+        if k[0] == k[1] == k[2] == 0:
+            raise DegenerateResultError("degenerate circle: a = b = c = 0")
+        self._k = k
         self._norm = k[1] * k[1] + k[2] * k[2] - 4 * k[0] * k[3]
-        if self._norm <= (0 if exact else EPS):
+        if self._norm <= 0:
             raise InvalidInputError(
                 f"coefficients ({a}, {b}, {c}, {d}) define a point or empty locus"
             )
@@ -275,8 +305,8 @@ class GeneralizedCircle:
         return self.a * (x * x + y * y) + self.b * x + self.c * y + self.d
 
     def sign_at(self, x, y) -> int:
-        """Sign (-1, 0 or 1) of the exact circle's equation at the rational
-        point (x, y), on integers: W^2 times the value at (X/W, Y/W)."""
+        """Sign (-1, 0 or 1) of the circle's equation at the rational point
+        (x, y), on integers: W^2 times the value at (X/W, Y/W)."""
         v = _form_at(self.coeffs(), *_homogeneous(x, y))
         return (v > 0) - (v < 0)
 
@@ -287,28 +317,19 @@ class GeneralizedCircle:
         return self.a * m * m + self.b * m * n + self.d * n * n
 
     def contains_point(self, x, y) -> bool:
-        """Does the exact circle pass through (x, y), read at its exact value?"""
+        """Does the circle pass through (x, y), read at its exact value?"""
         return self.sign_at(Q(x), Q(y)) == 0
 
     def __eq__(self, other):
         if not isinstance(other, GeneralizedCircle):
             return NotImplemented
-        if self.exact != other.exact:
-            return False
-        if self.exact:
-            return self._k == other._k
-        return all(abs(u - v) <= EPS for u, v in zip(self._k, other._k))
+        return self._k == other._k
 
     def __hash__(self):
-        if self.exact:
-            return hash(("gc", self._k))
-        # equality within EPS is not transitive: only one hash for all agrees with it
-        return hash("gc~")
+        return hash(("gc", self._k))
 
     def __repr__(self):
-        if self.exact:
-            return f"Circle(a={self.a}, b={self.b}, c={self.c}, d={self.d})"
-        return "Circle~(a={:.6g}, b={:.6g}, c={:.6g}, d={:.6g})".format(*self.coeffs())
+        return f"Circle(a={self.a}, b={self.b}, c={self.c}, d={self.d})"
 
 
 def _lorentz(v, w):
@@ -339,15 +360,13 @@ class CurveKind(Enum):
 
 def classify_curve(circle: GeneralizedCircle) -> CurveKind:
     """Kind of the y>0 restriction, by sign tests on (a, b, c, b^2-4ad)."""
-    a, b, c, _ = circle.coeffs()
-    tol = 0 if circle.exact else EPS
-    disc = circle.boundary_disc()
-    if abs(a) > tol:
+    a, b, c, d = circle.coeffs()
+    if a:
         center_above = -c * a > 0  # sign of center height -c/(2a)
-        if abs(c) <= tol:
+        if not c:
             return CurveKind.GEODESIC
-        disc_zero = disc == 0 if circle.exact else abs(disc) <= EPS * circle.nondegeneracy()
-        if disc_zero:
+        disc = circle.boundary_disc()
+        if disc == 0:
             return CurveKind.HOROCYCLE if center_above else CurveKind.NOT_IN_UPPER_HALF_PLANE
         if disc > 0:
             return CurveKind.HYPERCYCLE
@@ -357,15 +376,11 @@ def classify_curve(circle: GeneralizedCircle) -> CurveKind:
             else CurveKind.NOT_IN_UPPER_HALF_PLANE
         )
     # line b x + c y + d = 0
-    if abs(c) <= tol:
+    if not c:
         return CurveKind.GEODESIC  # vertical line
-    if abs(b) <= tol:
+    if not b:
         # horizontal line y = -d/c
-        return (
-            CurveKind.HOROCYCLE
-            if -circle.d * circle.c > tol
-            else CurveKind.NOT_IN_UPPER_HALF_PLANE
-        )
+        return CurveKind.HOROCYCLE if -d * c > 0 else CurveKind.NOT_IN_UPPER_HALF_PLANE
     return CurveKind.HYPERCYCLE  # oblique line
 
 
@@ -379,15 +394,17 @@ _CURVE_KINDS = (CurveKind.GEODESIC, CurveKind.HOROCYCLE, CurveKind.HYPERCYCLE)
 class Curve:
     """A geodesic, horocycle, or hypercycle with its boundary data.
 
-    An exact curve with rational endpoints keeps them as `BoundaryPoint`s,
-    integer pairs formed once from its coefficients: the two endpoints of a
+    A curve with rational endpoints keeps them as `BoundaryPoint`s, integer
+    pairs formed once from its coefficients: the two endpoints of a
     geodesic or hypercycle, in increasing order with oo last, or the one
-    centre of a horocycle, an inexact one's at the exact value of its
-    float; other curves keep None.  `center` returns the kept centre and
-    `endpoints` an exact curve's kept points.
+    centre of a horocycle; other curves keep None.  `center` returns the
+    kept centre and `endpoints` the kept points.  Every curve is `exact`;
+    only a pinch witness (`constructions.PinchWitness`) is not.
     """
 
     __slots__ = ("circle", "kind", "_boundary")
+
+    exact = True
 
     def __init__(self, circle: GeneralizedCircle):
         kind = classify_curve(circle)
@@ -395,64 +412,47 @@ class Curve:
             raise InvalidInputError(f"locus classifies as {kind.value}, not a curve")
         self.circle = circle
         self.kind = kind
-        if circle.exact:
-            self._boundary = _boundary_pairs(circle)
-        elif kind is CurveKind.HOROCYCLE:
-            a, b, _, _ = circle.coeffs()
-            self._boundary = (BoundaryPoint.finite(-b / (2 * a)) if abs(a) > EPS else INFINITY,)
-        else:
-            self._boundary = None
-
-    @property
-    def exact(self) -> bool:
-        return self.circle.exact
+        self._boundary = _boundary_pairs(circle)
 
     @property
     def endpoints(self) -> Tuple[BoundaryPoint, ...]:
         """Endpoint set on the boundary circle; exact rationals required."""
-        if not self.has_exact_endpoints:
-            why = "curve has irrational endpoints" if self.exact else "inexact curve"
-            raise InvalidInputError(f"{why}; use endpoint_floats()")
+        if self._boundary is None:
+            raise InvalidInputError("curve has irrational endpoints; use endpoint_floats()")
         return self._boundary
 
     @property
     def has_exact_endpoints(self) -> bool:
-        return self.circle.exact and self._boundary is not None
+        return self._boundary is not None
 
     @property
     def center(self) -> Optional[BoundaryPoint]:
-        """A horocycle's centre (an inexact one's at the exact value of its
-        float); None for other curves."""
+        """A horocycle's centre; None for other curves."""
         return self._boundary[0] if self.kind is CurveKind.HOROCYCLE else None
 
     @property
     def size(self):
-        """A horocycle's Euclidean radius, or its height when centred at oo:
-        exact for an exact horocycle, a float otherwise; None for other
-        curves."""
+        """A horocycle's Euclidean radius, or its height when centred at oo;
+        None for other curves."""
         if self.kind is not CurveKind.HOROCYCLE:
             return None
-        if self.exact:
-            return Q(*_horocycle_size(self.circle.coeffs()))
-        a, _, c, d = self.circle.coeffs()
-        return -c / (2 * a) if abs(a) > EPS else -d / c
+        return Q(*_horocycle_size(self.circle.coeffs()))
 
-    # An exact curve's floats below come from its integers: an integer
-    # square root and one correctly rounded division each, so only a result
-    # past the float range is refused.
+    # The floats below come from the integers: an integer square root and
+    # one correctly rounded division each, so only a result past the float
+    # range is refused.
 
     @_within_float_range
     def endpoint_floats(self):
         """Endpoints as floats, with math.inf standing in for infinity."""
         circle = self.circle
         a, b, _, d = circle.coeffs()
-        tol = 0 if circle.exact else EPS
-        if abs(a) > tol:
+        if a:
             disc = circle.boundary_disc()
             if disc <= 0:
                 return (-b / (2 * a),)
             return tuple(float(_number(-b, s, disc, 2 * a)) for s in (-1, 1))
-        if abs(b) <= tol:
+        if not b:
             return (math.inf,)
         return -d / b, math.inf
 
@@ -461,7 +461,7 @@ class Curve:
         """(cx, cy, r) floats for circle-type curves, None for lines."""
         circle = self.circle
         a, b, c, _ = circle.coeffs()
-        if abs(a) <= (0 if circle.exact else EPS):
+        if not a:
             return None
         w = 2 * a  # a > 0 in canonical form
         return -b / w, -c / w, float(_number(0, 1, circle.nondegeneracy(), w))
@@ -472,7 +472,7 @@ class Curve:
         ecr = self.euclidean_center_radius()
         if ecr is None:
             _, b, c, d = self.circle.coeffs()
-            if abs(b) > (0 if self.circle.exact else EPS):
+            if b:
                 return math.inf
             return -d / c
         cx, cy, r = ecr
@@ -494,14 +494,10 @@ class Curve:
     # -- serialization -----------------------------------------------------
 
     def to_text(self) -> str:
-        if not self.exact:
-            raise InvalidInputError("only exact curves have a canonical text form")
         a, b, c, d = self.circle.coeffs()
         return f"{self.kind.value} a={a} b={b} c={c} d={d}"
 
     def to_record(self) -> dict:
-        if not self.exact:
-            raise InvalidInputError("only exact curves have a canonical record form")
         a, b, c, d = self.circle.coeffs()
         return {"kind": self.kind.value, "a": str(a), "b": str(b), "c": str(c), "d": str(d)}
 
@@ -545,8 +541,8 @@ def curve_from_circle(circle: GeneralizedCircle) -> Curve:
     return Curve(circle)
 
 
-def curve_from_coeffs(a, b, c, d, exact: bool = True) -> Curve:
-    return Curve(GeneralizedCircle(a, b, c, d, exact=exact))
+def curve_from_coeffs(a, b, c, d) -> Curve:
+    return Curve(GeneralizedCircle(a, b, c, d))
 
 
 def parse_curve_text(text: str) -> Curve:
@@ -599,18 +595,6 @@ def make_horocycle(center: BoundaryPoint, size) -> Curve:
     # center p = m/n: n^2 v (x^2 + y^2) - 2 m n v x - 2 u n^2 y + m^2 v = 0
     m, n = center
     return curve_from_coeffs(n * n * v, -2 * m * n * v, -2 * u * n * n, m * m * v)
-
-
-def _float_horocycle(p: float, size: float) -> Curve:
-    """The inexact horocycle at the irrational centre p of float size,
-    refused (DegenerateResultError) when its float circle classifies as
-    another kind."""
-    curve = Curve(GeneralizedCircle(1, -2 * p, -2 * size, p * p, exact=False))
-    if curve.kind is not CurveKind.HOROCYCLE:
-        raise DegenerateResultError(
-            f"horocycle construction classifies as {curve.kind.value}", curve
-        )
-    return curve
 
 
 def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Curve:
@@ -778,11 +762,11 @@ class Isometry:
         return UHPPoint(Fraction(u * v + a * cy * Y, den_), Fraction((a * d - b * c) * Y * W, den_))
 
     def apply_circle(self, circle: GeneralizedCircle) -> GeneralizedCircle:
-        if not circle.exact:
-            raise InvalidInputError("isometries act on exact curves")
         return GeneralizedCircle(*_image(circle.coeffs(), *self.matrix(), self.reversing))
 
     def apply_curve(self, curve: Curve) -> Curve:
+        if not curve.exact:
+            raise InvalidInputError("isometries act on exact curves")
         image = Curve(self.apply_circle(curve.circle))
         if image.kind is not curve.kind:
             raise DegenerateResultError(

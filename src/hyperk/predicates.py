@@ -3,14 +3,14 @@
 Intersection counts, tangency, shared boundary endpoints, the hypercycle
 pair taxonomy, the horocycle partial order, linkedness of boundary pairs,
 and betweenness of mutually tangent curves are all decided by integer or
-rational sign tests, on exact curves only: an inexact curve (a pinch
-witness) is refused.  The counts of a pair come from the signs of the
-Lorentz Gram matrix of the two coefficient vectors (`_gram_counts`),
-whatever the kinds, with no case for lines or for oo; its meeting points
-are built only when `interior_points` is first read (`_meet`);
-`pair_counts` counts every pair of a list from one Gram matrix, and
-`_iter_pair_counts` yields those counts pair by pair.  Only the
-coordinates of the points may be floats (when the points are
+rational sign tests, on exact curves only: an inexact one, a pinch
+witness (`constructions.PinchWitness`), is refused.  The counts of a pair
+come from the signs of the Lorentz Gram matrix of the two coefficient
+vectors (`_gram_counts`), whatever the kinds, with no case for lines or
+for oo; its meeting points are built only when `interior_points` is first
+read (`_meet`); `pair_counts` counts every pair of a list from one Gram
+matrix, and `_iter_pair_counts` yields those counts pair by pair.  Only
+the coordinates of the points may be floats (when the points are
 irrational); the counts never are.  Linkedness reads each boundary point
 as the integer pair it is, oo = (1, 0), and is the sign of one product of
 2x2 determinants, the cross-ratio's, with no case for oo or for a shared
@@ -389,10 +389,10 @@ def between_tangent(c1: Curve, c2: Curve, c3: Curve) -> int:
     middle curve has the middle one.
     """
     curves = (c1, c2, c3)
-    if len({c.circle for c in curves}) != 3:
-        raise InvalidInputError("between_tangent needs three distinct curves")
     if not all(c.exact for c in curves):
         raise InvalidInputError("between_tangent needs exact curves")
+    if len({c.circle for c in curves}) != 3:
+        raise InvalidInputError("between_tangent needs three distinct curves")
     v = [c.circle.coeffs() for c in curves]
     g = [[_lorentz(u, w) for w in v] for u in v]
     points = []

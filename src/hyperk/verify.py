@@ -14,19 +14,19 @@ case passes, and its detail may count the cases that held.
 
 from __future__ import annotations
 
-import math
 import random
 from typing import Callable, Dict, List
 
 from ._rational import Q
 from ._record import Record
-from .errors import DegenerateResultError, HyperkError, InvalidInputError, NoSolutionError
+from .errors import HyperkError, InvalidInputError
 from .model import (
     INFINITY,
     BoundaryPoint,
     Curve,
     Isometry,
     UHPPoint,
+    _d2,
     curve_from_coeffs,
     distance_to_geodesic,
     equidistant_pair,
@@ -224,12 +224,11 @@ def suite_pinch(rng: random.Random, scale: str) -> List[PropertyResult]:
     n = 100 if scale == "small" else 400
 
     def off(w, other):
-        """Why the pinch horocycle w does not touch other, or None."""
-        if w.exact and other.exact:
-            if not intersection_pattern(w, other).tangent:
-                return f"{w!r} not tangent to {other!r}"
-        elif not _horocycles_nearly_tangent(w, other):
-            return f"inexact pinch witness off {other!r}"
+        """Why the pinch horocycle w does not touch other, or None: by
+        D2 = 0 (`_d2`), exact on a `PinchWitness`'s Z[sqrt D] coefficients."""
+        v = w.circle.coeffs() if w.exact else w.coeffs()
+        if _d2(v, other.circle.coeffs()) != 0:
+            return f"{w!r} not tangent to {other!r}"
 
     def pinched():
         for _ in range(n):
@@ -239,10 +238,7 @@ def suite_pinch(rng: random.Random, scale: str) -> List[PropertyResult]:
             h0, h = make_horocycle(c1, s1), make_horocycle(c2, s2)
             if intersection_pattern(h0, h).interior_count != 0:
                 continue
-            try:
-                a, b = pinch_pair(h0, h)
-            except (NoSolutionError, DegenerateResultError):
-                continue
+            a, b = pinch_pair(h0, h)
             witnesses = (a,) if a is b else (a, b)
             yield next(filter(None, (off(w, other) for w in witnesses for other in (h0, h))), None)
 
@@ -250,24 +246,6 @@ def suite_pinch(rng: random.Random, scale: str) -> List[PropertyResult]:
         _result("pinch", "pinch horocycles tangent to both inputs", pinched(),
                 "{} disjoint pairs pinched")
     ]
-
-
-def _horocycles_nearly_tangent(h1: Curve, h2: Curve, tol: float = 1e-6) -> bool:
-    """Numeric tangency residual for horocycles, robust for inexact curves
-    where the eps-based classifier cannot distinguish tangency from a
-    hairline crossing."""
-    e1 = h1.euclidean_center_radius()
-    e2 = h2.euclidean_center_radius()
-    if e1 is not None and e2 is not None:
-        (x1, y1, r1), (x2, y2, r2) = e1, e2
-        dist = math.hypot(x1 - x2, y1 - y2)
-        return abs(dist - (r1 + r2)) <= tol * max(1.0, r1 + r2)
-    if e1 is None and e2 is None:
-        return False  # two horizontal lines are never tangent
-    (cx, cy, r) = e1 if e1 is not None else e2
-    line = h2 if e1 is not None else h1
-    height = float(line.size)
-    return abs((cy + r) - height) <= tol * max(1.0, height)
 
 
 def suite_types(rng: random.Random, scale: str) -> List[PropertyResult]:

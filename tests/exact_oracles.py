@@ -65,13 +65,11 @@ def _oracle_apply_boundary_pair(iso, p):
 def _oracle_endpoints(curve):
     """The curve's endpoints as `Curve` derived them eagerly, as
     `BoundaryPoint`s of `Fraction`s, before it kept integer pairs: None for
-    an inexact curve or irrational endpoints."""
+    irrational endpoints."""
     from hyperk import INFINITY, BoundaryPoint
     from hyperk._rational import isqrt_exact
 
     a, b, c, d = curve.circle.coeffs()
-    if not curve.circle.exact:
-        return None
     if a != 0:
         disc = b * b - 4 * a * d
         if disc == 0:
@@ -89,21 +87,14 @@ def _oracle_endpoints(curve):
 def _oracle_horodata(curve):
     """(center, size) of a horocycle as `Curve` derived them eagerly;
     (None, None) for any other curve."""
-    from fractions import Fraction
-
     from hyperk import INFINITY, BoundaryPoint, CurveKind
-    from hyperk.model import EPS
 
     if curve.kind is not CurveKind.HOROCYCLE:
         return None, None
     a, b, c, d = curve.circle.coeffs()
-    if curve.circle.exact:
-        if a != 0:
-            return BoundaryPoint.finite(Q(-b, 2 * a)), Q(-c, 2 * a)
-        return INFINITY, Q(-d, c)
-    if abs(a) > EPS:
-        return BoundaryPoint.finite(Fraction(-b / (2 * a))), -c / (2 * a)
-    return INFINITY, -d / c
+    if a != 0:
+        return BoundaryPoint.finite(Q(-b, 2 * a)), Q(-c, 2 * a)
+    return INFINITY, Q(-d, c)
 
 
 def oracle_two_point_normalizer(x, y):

@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -76,19 +77,20 @@ class TestClassify:
 
 class TestConstruct:
     def test_pinch_with_irrational_centers(self, capsys):
-        # both pinch horocycles of these inputs have irrational centers
-        code, out, _ = run(capsys, "construct", "pinch", "--first", "0,1", "--second", "5,2")
-        assert code == 0
-        assert out.count("unit-norm a=") == 2
-        assert [line for line in out.splitlines() if line.startswith("Horocycle")] == [
-            "Horocycle center -12.071067811865477 radius 36.42766952966369",
-            "Horocycle center 2.0710678118654755 radius 1.0723304703363117",
+        # both pinch horocycles of these inputs have irrational centers,
+        # -5 -+ 5 sqrt(2): each prints its exact centre and size
+        code, out, err = run(capsys, "construct", "pinch", "--first", "0,1", "--second", "5,2")
+        assert code == 0 and err == "" and out.splitlines() == [
+            "horocycle center=(-10-sqrt(200))/2 size=(75+5*sqrt(200))/4",
+            "horocycle center=(-10+sqrt(200))/2 size=(75-5*sqrt(200))/4",
         ]
         code, out, _ = run(capsys, "--format", "records", "construct", "pinch",
                            "--first", "0,1", "--second", "5,2")
         recs = [json.loads(line) for line in out.strip().splitlines()]
-        assert code == 0 and [r["kind"] for r in recs] == ["horocycle", "horocycle"]
-        assert all(isinstance(r["a"], float) for r in recs)
+        assert code == 0 and recs == [
+            {"kind": "horocycle", "center": "(-10-sqrt(200))/2", "size": "(75+5*sqrt(200))/4"},
+            {"kind": "horocycle", "center": "(-10+sqrt(200))/2", "size": "(75-5*sqrt(200))/4"},
+        ]
 
     def test_pinch_with_rational_centers(self, capsys):
         code, out, _ = run(capsys, "construct", "pinch", "--first", "0,1", "--second", "6,1")
@@ -417,10 +419,8 @@ MALFORMED = [
     ("render", "--x-max", "inf", "-o", "a.svg"),
     ("render", "--preset", "dyadic", "--x-min", "5", "--x-max", "1", "-o", "a.svg"),
     ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"),
-    # a pinch witness centre or radius past the float range
-    ("construct", "pinch", "--first", "0,1", "--second", f"{10**308},2"),
-    ("construct", "pinch", "--first", f"-{10**308},1", "--second", "5,2"),
-    ("construct", "pinch", "--first", "0,1", "--second", f"{3 * 10**307}/7,2"),
+    # a nonzero distance whose float underflows, once taken as 0
+    ("construct", "equidistant", "--first", "0,1", "--distance", "1e-400"),
 ]
 
 #: what the error message says, for the rows whose message names the flag
@@ -484,12 +484,8 @@ SAYS = {
         "--x-min does not apply to --preset dyadic",
     ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"):
         "--height does not apply to --preset empty",
-    ("construct", "pinch", "--first", "0,1", "--second", f"{10**308},2"):
-        "the result is outside the float range",
-    ("construct", "pinch", "--first", f"-{10**308},1", "--second", "5,2"):
-        "the result is outside the float range",
-    ("construct", "pinch", "--first", "0,1", "--second", f"{3 * 10**307}/7,2"):
-        "the result is outside the float range",
+    ("construct", "equidistant", "--first", "0,1", "--distance", "1e-400"):
+        "--distance d: '1e-400' is nonzero but below the float range",
 }
 
 #: curve files that MALFORMED names by placeholder
@@ -545,18 +541,57 @@ def test_exit_2_leaves_stdout_empty(capsys, tmp_path, argv, fmt):
     assert code == 2 and out == ""
 
 
-#: a float pinch witness whose circle classifies as a hypercycle at EPS
-DEGENERATE_HOROCYCLES = [
-    ("construct", "pinch", "--first", "-435/8,3/4096", "--second", "2765/8,5/4096"),
-]
+_N, _M, _T = 10**308, 3 * 10**307, 10**200
+
+#: pinch commands whose witnesses have irrational centres, and the exact
+#: answer each prints; all but the row at oo were refused as floats (exit 2
+#: past the float range or below EPS, exit 3 as a circle of another kind)
+PINCHES = {
+    ("construct", "pinch", "--first", "300,1", "--second", "305,2"): [
+        "horocycle center=(590-sqrt(200))/2 size=(75+5*sqrt(200))/4",
+        "horocycle center=(590+sqrt(200))/2 size=(75-5*sqrt(200))/4",
+    ],
+    ("construct", "pinch", "--first", "-435/8,3/4096", "--second", "2765/8,5/4096"): [
+        "horocycle center=(-83760-sqrt(9830400000))/128 size=327680000+3200*sqrt(9830400000)",
+        "horocycle center=(-83760+sqrt(9830400000))/128 size=327680000-3200*sqrt(9830400000)",
+    ],
+    ("construct", "pinch", "--first", f"{_T},1", "--second", f"{_T + 10},2"): [
+        f"horocycle center=({2 * _T - 20}-sqrt(800))/2 size=(150+5*sqrt(800))/2",
+        f"horocycle center=({2 * _T - 20}+sqrt(800))/2 size=(150-5*sqrt(800))/2",
+    ],
+    # beside a horocycle centred at oo the size is rational
+    ("construct", "pinch", "--first", "oo,2", "--second", "0,1/2"): [
+        "horocycle center=-sqrt(8)/2 size=1",
+        "horocycle center=sqrt(8)/2 size=1",
+    ],
+    # centres and sizes past the float range
+    ("construct", "pinch", "--first", "0,1", "--second", f"{_N},2"): [
+        f"horocycle center=(-{2 * _N}{s}sqrt({8 * _N**2}))/2 "
+        f"size={3 * _N**2 // 4}{t}{_N // 4}*sqrt({8 * _N**2})" for s, t in ("-+", "+-")
+    ],
+    ("construct", "pinch", "--first", f"-{_N},1", "--second", "5,2"): [
+        f"horocycle center=(-{4 * _N + 10}{s}sqrt({8 * _N**2 + 80 * _N + 200}))/2 "
+        f"size=({3 * _N**2 + 30 * _N + 75}{t}{_N + 5}*sqrt({8 * _N**2 + 80 * _N + 200}))/4"
+        for s, t in ("-+", "+-")
+    ],
+    ("construct", "pinch", "--first", "0,1", "--second", f"{_M}/7,2"): [
+        f"horocycle center=(-{14 * _M}{s}sqrt({392 * _M**2}))/98 "
+        f"size=({21 * _M**2 // 4}{t}{_M // 4}*sqrt({392 * _M**2}))/343" for s, t in ("-+", "+-")
+    ],
+}
 
 
-@pytest.mark.parametrize("argv", DEGENERATE_HOROCYCLES, ids=" ".join)
+@pytest.mark.parametrize("argv", PINCHES, ids=" ".join)
 @pytest.mark.parametrize("fmt", ["text", "records"])
-def test_horocycle_construction_of_another_kind_exits_3(capsys, argv, fmt):
+def test_pinch_is_answered_exactly(capsys, argv, fmt):
+    start = time.perf_counter()
     code, out, err = run(capsys, "--format", fmt, *argv)
-    assert code == 3 and out == ""
-    assert err == "degenerate: horocycle construction classifies as hypercycle\n"
+    assert code == 0 and err == "" and time.perf_counter() - start < 1
+    if fmt == "text":
+        assert out.splitlines() == PINCHES[argv]
+    else:
+        recs = [json.loads(line) for line in out.splitlines()]
+        assert [f"{r['kind']} center={r['center']} size={r['size']}" for r in recs] == PINCHES[argv]
 
 
 #: commands with decimal values, each read at its exact value, and the

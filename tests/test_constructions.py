@@ -1,4 +1,5 @@
 import collections
+import decimal
 import itertools
 import math
 import random
@@ -35,11 +36,11 @@ from hyperk import (
     witness_family_search,
 )
 from hyperk import model
-from hyperk.errors import DegenerateResultError, InvalidInputError
+from hyperk.errors import InvalidInputError
 from hyperk.constructions import opposite_sides_of_point
-from hyperk.model import EPS, Curve, GeneralizedCircle, rational_points, straddling_points
+from hyperk.constructions import PinchWitness
+from hyperk.model import Curve, _d2, rational_points, straddling_points
 from hyperk.verify import (
-    _horocycles_nearly_tangent,
     rand_curve,
     rand_boundary,
     rand_distinct_boundary,
@@ -81,6 +82,8 @@ class TestPinchPair:
             assert intersection_pattern(w, h).tangent
 
     def test_matches_the_sqrt_exact_and_float_routine(self):
+        # a rational centre gives the exact curve of the replaced routine,
+        # an irrational one a witness whose floats are the routine's floats
         rng = random.Random(1516)
         counts = {True: 0, False: 0}
         for _ in range(2000):
@@ -91,12 +94,13 @@ class TestPinchPair:
                 continue
             got, want = pinch_pair(h0, h), _oracle_pinch_pair(h0, h)
             for w, o in zip(got, want):
-                assert w.exact == o.exact, (h0, h)
+                assert w.exact == isinstance(o, Curve), (h0, h)
                 counts[w.exact] += 1
                 if w.exact:
                     assert w == o, (h0, h)
-                else:  # unit-norm coefficients
-                    assert max(abs(u - v) for u, v in zip(w.circle.coeffs(), o.circle.coeffs())) < 1e-12
+                else:
+                    cx, cy, r = w.euclidean_center_radius()
+                    assert cy == r and _close(cx, o[0]) and _close(r, o[1]), (h0, h)
         assert min(counts.values()) >= 200
 
     def test_inexact_horocycles(self):
@@ -108,48 +112,48 @@ class TestPinchPair:
         for w in pinch_pair(h0, h):  # rational centres: exact witnesses
             assert w.exact and all(intersection_pattern(w, o).tangent for o in (h0, h))
         h0 = make_horocycle(F(0), 1)
-        for w in pinch_pair(h0, h):  # irrational centres: inexact witnesses
-            assert all(_horocycles_nearly_tangent(w, other) for other in (h0, h))
-            assert w != h  # an inexact curve equals no exact one
+        for w in pinch_pair(h0, h):  # irrational centres: exact in Q(sqrt 200)
+            assert isinstance(w, PinchWitness) and not w.exact
+            assert all(_d2(w.coeffs(), o.circle.coeffs()) == 0 for o in (h0, h))
+            assert w != h  # a witness equals no curve
             with pytest.raises(InvalidInputError, match="^intersection patterns need exact curves$"):
                 pinch_pair(w, h)
 
     def test_returns_only_horocycles_or_refuses(self):
-        # a float witness whose unit-norm circle classifies as another kind
-        # at EPS is refused, never returned as a pinching horocycle; tiny
-        # horocycles far from 0 (the first shape) reach that refusal
+        # tiny horocycles far from 0 (the first shape) once gave float
+        # witnesses that classified as hypercycles at EPS and were refused:
+        # now every disjoint pair is pinched by two horocycles
         rng = random.Random(3967)
         shapes = [
             lambda: (F(rand_q(rng, -512, 512, 8)), Q(rng.randint(1, 8), 4096)),
             lambda: (rand_boundary(rng), abs(rand_q(rng, 1, 4, 6)) + Q(1, 8)),
             lambda: (F(rand_q(rng, -64, 64, 8)), Q(rng.randint(1, 8), 1 << rng.randint(0, 14))),
         ]
-        tally = collections.Counter()
-        while sum(tally.values()) < 4000:
-            h0, h = (make_horocycle(*shapes[sum(tally.values()) % 3]()) for _ in range(2))
+        pinched = 0
+        while pinched < 4000:
+            h0, h = (make_horocycle(*shapes[pinched % 3]()) for _ in range(2))
             if h0.center == h.center or intersection_pattern(h0, h).interior_count:
                 continue
-            try:
-                sols = pinch_pair(h0, h)
-            except (DegenerateResultError, InvalidInputError) as exc:
-                tally[type(exc).__name__] += 1
-                continue
+            sols = pinch_pair(h0, h)
             assert all(w.kind is CurveKind.HOROCYCLE for w in sols), (h0, h, sols)
-            tally["pinched"] += 1
-        assert tally["pinched"] >= 3000 and tally["DegenerateResultError"] >= 100, tally
+            pinched += 1
+
+
+def _close(x, y, tol=1e-12):
+    return math.isclose(x, y, rel_tol=tol, abs_tol=tol)
 
 
 def _oracle_pinch_pair(h0, h):
     """The replaced `pinch_pair` on exact horocycles: each case solved once
-    with `sqrt_exact` and once more in floats when the root is irrational."""
+    with `sqrt_exact`, and when the root is irrational in floats, as the
+    float pair (centre, radius) of the inexact horocycle it built."""
     c0, c1 = h0.center, h.center
     sols = []
 
     def add(p, r):
         if isinstance(p, float):
-            if r > EPS:
-                sols.append(Curve(GeneralizedCircle(1.0, -2.0 * p, -2.0 * float(r), p * p, exact=False)))
-        elif r > 0:
+            sols.append((p, r))
+        else:
             sols.append(make_horocycle(BoundaryPoint.finite(p), r))
 
     if c0.is_infinity or c1.is_infinity:
@@ -179,8 +183,82 @@ def _oracle_pinch_pair(h0, h):
                 fr = math.sqrt(float(B * B - 4 * A * C))
                 for p in ((-float(B) - fr) / (2 * float(A)), (-float(B) + fr) / (2 * float(A))):
                     add(p, (p - float(q0)) ** 2 / (4 * float(r0)))
-    sols.sort(key=lambda c: c.endpoint_floats()[0])
+    sols.sort(key=lambda c: c[0] if isinstance(c, tuple) else c.endpoint_floats()[0])
     return (sols[0], sols[-1])
+
+
+def _decimal_pinch(h0, h, digits):
+    """The centres and sizes of the horocycles tangent to h0 and h, in
+    increasing order of centre, from the closed form in `decimal` at
+    `digits` significant digits: p = q +- sqrt(2 s r) and size s/2 beside
+    the line y = s, else the roots of A p^2 + B p + C and (p - q0)^2 / 4 r0."""
+    def dec(x):
+        return decimal.Decimal(x.numerator) / decimal.Decimal(x.denominator)
+
+    with decimal.localcontext() as ctx:
+        ctx.prec = digits
+        if h0.center.is_infinity or h.center.is_infinity:
+            line, circ = (h0, h) if h0.center.is_infinity else (h, h0)
+            q, root = dec(circ.center.value), dec(2 * line.size * circ.size).sqrt()
+            return [(q - root, dec(line.size) / 2), (q + root, dec(line.size) / 2)]
+        q0, r0, q1, r1 = h0.center.value, h0.size, h.center.value, h.size
+        A, B, C = r1 - r0, -2 * (r1 * q0 - r0 * q1), r1 * q0 * q0 - r0 * q1 * q1
+        if A == 0:
+            ps = [dec(-C / B)]
+        else:
+            root = dec(B * B - 4 * A * C).sqrt()
+            ps = sorted((-dec(B) + s * root) / (2 * dec(A)) for s in (-1, 1))
+        return [(p, (p - dec(q0)) ** 2 / (4 * dec(r0))) for p in ps]
+
+
+def _pinch_corpus(rng, count):
+    """`count` seeded disjoint horocycle pairs of four shapes: small data,
+    one centre at oo, tiny horocycles far from 0, and 2^600-scale data,
+    as centres near 2^600 and as 600-bit fractions (the slowest, one pair
+    in 20)."""
+    big = 1 << 600
+    shapes = [
+        lambda: (F(rand_q(rng)), abs(rand_q(rng, 1, 3)) + Q(1, 8)),
+        lambda: (rng.choice((INFINITY, F(rand_q(rng)))), abs(rand_q(rng, 1, 3)) + Q(1, 8)),
+        lambda: (F(rand_q(rng, -512, 512, 8)), Q(rng.randint(1, 8), 4096)),
+        lambda: (F(big + rng.randint(-64, 64)), Q(rng.randint(1, 64), rng.randint(1, 8))),
+        lambda: (F(Q(rng.getrandbits(600) - big // 2, rng.getrandbits(600) | 1)),
+                 Q(rng.getrandbits(600) | 1, rng.getrandbits(600) | 1)),
+    ]
+    shapes = [shape for shape, k in zip(shapes, (6, 4, 5, 4, 1)) for _ in range(k)]
+    pairs = []
+    while len(pairs) < count:
+        shape = shapes[len(pairs) % len(shapes)]
+        h0, h = make_horocycle(*shape()), make_horocycle(*shape())
+        if h0.center != h.center and not intersection_pattern(h0, h).interior_count:
+            pairs.append((h0, h))
+    return pairs
+
+
+def test_pinch_witnesses_are_exact_on_seeded_pairs():
+    # every pinching horocycle, a curve or an irrational witness, touches
+    # both inputs exactly (D2 = 0), has a positive size, and has floats
+    # within 1e-12 of the closed form evaluated in decimal with 50 digits
+    # to spare over the data's own
+    counts = collections.Counter()
+    for h0, h in _pinch_corpus(random.Random(3411), 4000):
+        sols = pinch_pair(h0, h)
+        bits = max(abs(v).bit_length() for c in (h0, h) for v in c.circle.coeffs())
+        want = _decimal_pinch(h0, h, 50 + bits)
+        for w, (p, r) in zip(sols, want if len(want) == 2 else want * 2):
+            coeffs = w.circle.coeffs() if w.exact else w.coeffs()
+            assert all(_d2(coeffs, o.circle.coeffs()) == 0 for o in (h0, h)), (h0, h, w)
+            if w.exact:
+                assert w.size > 0
+            else:
+                (R, V) = w.size
+                assert R.sign() > 0 and V > 0, (h0, h, w)
+            cx, cy, radius = w.euclidean_center_radius()
+            assert _close(cx, float(p)) and _close(radius, float(r)), (h0, h, w)
+            counts[w.exact, h0.center.is_infinity or h.center.is_infinity] += 1
+            counts["wide"] += bits > 1000
+    assert counts[False, False] >= 2000 and counts[False, True] >= 200, counts
+    assert counts[True, False] >= 50 and counts["wide"] >= 1000, counts
 
 
 class TestWitnesses:

@@ -27,6 +27,7 @@ from hyperk import (
     make_geodesic,
     make_horocycle,
     make_hypercycle,
+    pinch_pair,
     pointwise_image_is_curve,
     tangency_realizability,
 )
@@ -1568,14 +1569,15 @@ def test_shift_does_not_depend_on_the_two_point_normalizer_scale(monkeypatch):
 
 # -- refusals: each names what it refuses ------------------------------------
 
-_INEXACT_FAULT = Curve(GeneralizedCircle(1.0, 0.0, 0.0, -1.0, exact=False))
+#: a horocycle of irrational centre, the one inexact curve
+_INEXACT_FAULT = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[0]
 
 
 @pytest.mark.parametrize("fault, shear, side, message", [
     (make_horocycle(F(0), 1), 2, "left", "earthquake fault must be a geodesic"),
     (Curve(GeneralizedCircle(1, 0, 0, -2)), 2, "left",  # ends at +-sqrt(2)
      "earthquake fault needs rational endpoints"),
-    (_INEXACT_FAULT, 2, "left", "earthquake fault needs rational endpoints"),
+    (_INEXACT_FAULT, 2, "left", "earthquake fault must be a geodesic"),
     (make_geodesic(F(0), INFINITY), 0, "left", "shear must be a positive rational"),
     (make_geodesic(F(0), INFINITY), Q(-1, 2), "left", "shear must be a positive rational"),
     (make_geodesic(F(0), INFINITY), 1, "left", "shear must differ from 1"),

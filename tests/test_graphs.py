@@ -25,6 +25,7 @@ from hyperk import (
     make_hypercycle,
 )
 from hyperk import graphs
+from hyperk.constructions import pinch_pair
 from hyperk.errors import HyperkError, InvalidInputError
 from hyperk.model import (
     GeneralizedCircle, curve_from_coeffs, triple_normalizer,
@@ -55,11 +56,11 @@ class TestBuildGraph:
         assert [g.degree(i) for i in range(4)] == [2, 1, 2, 3]
 
     def test_an_inexact_curve_is_refused(self):
-        # float adjacency is not invariant under isometries: a float copy of
-        # a curve is refused by build_graph and by the matching, on either side
+        # a pinch witness with an irrational centre has no integer data: it
+        # is refused by build_graph and by the matching, on either side
         hs = designed_horocycles()
-        floats = hs[:1] + [curve_from_coeffs(*map(float, hs[1].circle.coeffs()), exact=False)]
-        floats += hs[2:]
+        witness = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[0]
+        floats = hs[:1] + [witness] + hs[2:]
         for call in (lambda: build_graph(floats), lambda: isometry_matching(hs, floats),
                      lambda: isometry_matching(floats, hs)):
             with pytest.raises(InvalidInputError, match="^graph curves must be exact$"):
@@ -748,7 +749,7 @@ def _off_by_one(rng, circle):
     k = list(circle.coeffs())
     k[rng.randrange(4)] += rng.choice((-1, 1))
     try:
-        return GeneralizedCircle(*k, exact=True)
+        return GeneralizedCircle(*k)
     except HyperkError:
         return None
 
@@ -796,7 +797,7 @@ def test_realizing_answers_as_matching_the_images():
 
 
 def test_pair_counts_refuse_inexact_curves():
-    inexact = curve_from_coeffs(1.0, 0.0, -1.0, 0.0, exact=False)
+    inexact = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[1]
     with pytest.raises(InvalidInputError, match="pair_counts needs exact curves"):
         pair_counts([make_horocycle(INFINITY, 1), inexact])
 

@@ -33,6 +33,7 @@ from hyperk import (
     triple_normalizer,
     two_point_normalizer,
 )
+from hyperk.constructions import pinch_pair
 from hyperk.errors import DegenerateResultError, HyperkError, InvalidInputError
 from hyperk.verify import rand_curve, rand_geodesic, rand_isometry, rand_q
 
@@ -104,18 +105,20 @@ class TestClassification:
 
     def test_inexact_horocycle(self):
         # a float size is read at its exact value; only a pinch witness's
-        # irrational centre makes an inexact horocycle
+        # irrational centre makes an inexact horocycle, held exactly as
+        # u + v sqrt(D) over an integer
         h = make_horocycle(F(1), 0.5)
         assert h.exact and h == make_horocycle(F(1), Q(1, 2)) and h.size == Q(1, 2)
         assert make_horocycle(INFINITY, 2.0).size == 2
-        h = model._float_horocycle(1.0, 0.5)
-        assert not h.exact and h.center == F(1) and h.size == pytest.approx(0.5)
-        # at EPS a tiny float horocycle far from 0 reads as a hypercycle: it
-        # is refused, and the error carries the float curve it read
-        with pytest.raises(DegenerateResultError,
-                           match="^horocycle construction classifies as hypercycle$") as err:
-            model._float_horocycle(10.375, 0.00390625)
-        assert repr(err.value.degenerate).startswith("Curve[hypercycle](Circle~(a=0.00912185, ")
+        h = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[1]
+        assert not h.exact and h.kind is CurveKind.HOROCYCLE
+        assert h.center == (model.Surd(-10, 1, 200), 2) and h.size == (model.Surd(75, -5, 200), 4)
+        # a tiny horocycle far from 0, which a float circle read as a
+        # hypercycle at EPS, pinches with another as horocycles
+        tiny = (make_horocycle(F(Q(-435, 8)), Q(3, 4096)), make_horocycle(F(Q(2765, 8)), Q(5, 4096)))
+        for w in pinch_pair(*tiny):
+            assert w.kind is CurveKind.HOROCYCLE and not w.exact
+            assert all(model._d2(w.coeffs(), o.circle.coeffs()) == 0 for o in tiny)
         assert make_horocycle(F(Q(83, 8)), 0.00390625).kind is CurveKind.HOROCYCLE
 
     def test_hypercycle_kind_check_raises_without_assert(self, monkeypatch):
@@ -418,9 +421,8 @@ class TestNormalizerFromImages:
          "normalizer_from_images needs horocycles"),
         (make_horocycle(F(0), Q(1, 2)), make_horocycle(INFINITY, 2),
          "the two horocycles must be tangent"),
-        # inexact horocycles have no intersection pattern
-        (model.Curve(model.GeneralizedCircle(1.0, 0.0, -1.0, 0.0, exact=False)),
-         model.Curve(model.GeneralizedCircle(0.0, 0.0, 1.0, -1.0, exact=False)),
+        # inexact horocycles, the pinch witnesses, have no intersection pattern
+        (*pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2)),
          "intersection patterns need exact curves"),
     ])
     def test_refusals(self, h0, hinf, message):
@@ -469,29 +471,20 @@ def test_invariant_survives_python_O():
 
 
 def test_equal_inexact_objects_hash_equal():
-    # equality within EPS is not transitive, so no hash finer than one per
-    # type agrees with it; the parent hashed inexact circles on round(v, 6)
+    # equality of points within EPS is not transitive, so no hash finer
+    # than one per type agrees with it
     pairs = [(UHPPoint(0.1 + 0.2, 1, exact=False), UHPPoint(0.3, 1, exact=False)),
              (UHPPoint(Q(3, 10), 1), UHPPoint(0.1 + 0.2, 1, exact=False))]
     rng = random.Random(20240)
-    straddles = 0
     for _ in range(2000):
         x, y = rng.uniform(-5, 5), rng.uniform(0.1, 5)
         dx, dy = (rng.uniform(-1.5, 1.5) * model.EPS for _ in "xy")
         pairs.append((UHPPoint(x, y, exact=False), UHPPoint(x + dx, y + dy, exact=False)))
         # an exact point against an inexact one within EPS
         pairs.append((UHPPoint(Q(x), Q(y)), UHPPoint(x + dx, y + dy, exact=False)))
-        # hypercycles: b^2 - 4ad >= 0.02 with the centre above the axis
-        k = [rng.uniform(0.1, 1), rng.uniform(-1, 1), -1.0, rng.uniform(-1, -0.05)]
-        c1 = curve_from_coeffs(*k, exact=False)
-        c2 = curve_from_coeffs(*(v + rng.uniform(-1, 1) * model.EPS for v in k), exact=False)
-        pairs += [(c1, c2), (c1.circle, c2.circle)]
-        if c1 == c2:
-            u, v = c1.circle.coeffs(), c2.circle.coeffs()
-            straddles += any(round(s, 6) != round(t, 6) for s, t in zip(u, v))
     assert pairs[0][0] == pairs[0][1] and pairs[1][0] == pairs[1][1]
     equal = [(a, b) for a, b in pairs if a == b]
-    assert len(equal) > 1000 and straddles > 0, (len(equal), straddles)
+    assert len(equal) > 1000, len(equal)
     for a, b in equal:
         assert hash(a) == hash(b), (a, b)
     # an exact point equals inexact ones, so points share one hash and only
@@ -569,14 +562,16 @@ class TestFloatsOfHugeCoefficients:
             assert all(math.isclose(u, v, rel_tol=1e-15) for u, v in zip(got, want)), (got, want)
 
     def test_inexact_circle_under_entries_past_the_float_range(self):
-        # isometries act on exact curves only: an inexact circle is refused
-        # by small and 2^1100 entries alike, and its exact value is moved
+        # isometries act on exact curves only: a pinch witness is refused by
+        # small and 2^1100 entries alike, and a circle given by floats is
+        # read at its exact value and moved
+        witnesses = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))
         for t in (Isometry.translation(1), Isometry.translation(2**1100)):
-            for k in ((0.0, 0.0, 1.0, -2.5), (0.0, 0.0, 0.3, -0.7)):  # horocycles at oo
-                circle = model.GeneralizedCircle(*k, exact=False)
+            for w in witnesses:
                 with pytest.raises(InvalidInputError, match="^isometries act on exact curves$"):
-                    t.apply_circle(circle)
-                exact = model.GeneralizedCircle(*circle.coeffs())
+                    t.apply_curve(w)
+            for k in ((0.0, 0.0, 1.0, -2.5), (0.0, 0.0, 0.3, -0.7)):  # horocycles at oo
+                exact = model.GeneralizedCircle(*k)
                 assert t.apply_circle(exact) == exact  # a horizontal line
 
     def test_result_past_float_range_raises(self):
@@ -1034,8 +1029,8 @@ def test_normalizer_from_images_does_not_depend_on_the_two_point_normalizer_scal
 
 def _stored_data_corpus():
     """Seeded curves of every kind, horocycles centred at oo and curves
-    ending at oo, curves with irrational endpoints, inexact curves, and the
-    images of the exact ones under 2^600-entry isometries."""
+    ending at oo, curves with irrational endpoints, and their images
+    under 2^600-entry isometries."""
     rng = random.Random(2717)
     curves = [rand_curve(rng) for _ in range(240)]
     curves += [make_horocycle(INFINITY, abs(rand_q(rng)) + 1) for _ in range(20)]
@@ -1047,12 +1042,8 @@ def _stored_data_corpus():
         disc = b * b - 4 * a * d
         if disc > 0 and math.isqrt(disc) ** 2 != disc:
             curves.append(curve_from_coeffs(a, b, rng.choice((0, 0, -1, 1, 2)), d))
-    curves += [model._float_horocycle(float(rand_q(rng)), 0.25 + rng.random()) for _ in range(20)]
-    curves += [curve_from_coeffs(0, 0, 1.0, -0.5 - rng.random(), exact=False) for _ in range(10)]
-    curves += [curve_from_coeffs(1.0, -rng.random(), c, -1.0 - rng.random(), exact=False)
-               for c in (0.0, 0.5) * 10]
     wide = [Isometry(2**600 + k % 9 + 1, 1, 2**600, 1, reversing=k % 2 == 1) for k in range(18)]
-    curves += [wide[k % 18].apply_curve(c) for k, c in enumerate(curves[:360:2]) if c.exact]
+    curves += [wide[k % 18].apply_curve(c) for k, c in enumerate(curves[:360:2])]
     return curves
 
 
@@ -1070,13 +1061,11 @@ def test_stored_curve_data_matches_the_eager_derivation():
         assert circle._norm == circle.nondegeneracy() == b * b + c * c - 4 * a * d
         ends = _oracle_endpoints(curve)
         center, size = _oracle_horodata(curve)
-        # a horocycle keeps its centre, an inexact one's too; every other
-        # curve its endpoints
+        # a horocycle keeps its centre, every other curve its endpoints
         assert curve._boundary == (ends if center is None else (center,)), curve
         assert curve.has_exact_endpoints == (ends is not None)
         if ends is None:
-            why = "irrational endpoints" if curve.exact else "inexact curve"
-            with pytest.raises(InvalidInputError, match=why):
+            with pytest.raises(InvalidInputError, match="irrational endpoints"):
                 curve.endpoints
         else:
             assert curve.endpoints == ends
@@ -1085,11 +1074,9 @@ def test_stored_curve_data_matches_the_eager_derivation():
         assert type(curve.size) is type(size)
         tally[curve.kind, curve.exact, ends is None] += 1
         tally["oo"] += ends is not None and INFINITY in ends
-        tally["wide"] += curve.exact and max(abs(v).bit_length() for v in circle.coeffs()) > 600
+        tally["wide"] += max(abs(v).bit_length() for v in circle.coeffs()) > 600
     for kind in (CurveKind.GEODESIC, CurveKind.HOROCYCLE, CurveKind.HYPERCYCLE):
         assert tally[kind, True, False] >= 60, tally
-    assert tally[CurveKind.HOROCYCLE, False, True] >= 30, tally
-    assert tally[CurveKind.GEODESIC, False, True] >= 10, tally
     assert tally[CurveKind.GEODESIC, True, True] >= 10, tally
     assert tally[CurveKind.HYPERCYCLE, True, True] >= 10, tally
     assert tally["oo"] >= 80 and tally["wide"] >= 150, tally
@@ -1169,18 +1156,3 @@ def test_boundary_points_survive_pickle_and_copy():
             assert type(q) is BoundaryPoint and q == p and repr(q) == repr(p)
     assert copy.deepcopy(curve).endpoints == curve.endpoints
     assert pickle.loads(pickle.dumps(curve)).endpoints == curve.endpoints
-
-
-def test_inexact_curve_endpoints_are_refused_as_inexact():
-    curve = curve_from_coeffs(1.0, 0, 0, -1.0, exact=False)  # ends at -1 and 1
-    with pytest.raises(InvalidInputError, match=r"^inexact curve; use endpoint_floats"):
-        curve.endpoints
-    assert curve.endpoint_floats() == (-1.0, 1.0)
-    # an inexact horocycle keeps its centre, yet has no exact endpoints either
-    for curve in (model._float_horocycle(-3.0, 0.5),
-                  curve_from_coeffs(0, 0, 1.0, -0.5, exact=False),
-                  curve_from_coeffs(1.0, 0, -1.0, -1.0, exact=False)):
-        assert not curve.has_exact_endpoints
-        with pytest.raises(InvalidInputError, match=r"^inexact curve; use endpoint_floats"):
-            curve.endpoints
-    assert model._float_horocycle(-3.0, 0.5).center == (-3, 1)

@@ -43,7 +43,6 @@ from hyperk.errors import (
 )
 from hyperk.model import Curve, Isometry
 from hyperk.verify import (
-    _horocycles_nearly_tangent,
     rand_curve,
     rand_distinct_boundary,
     rand_geodesic,
@@ -249,13 +248,14 @@ class TestInexactPatterns:
 
     def test_pinch_witnesses_tangent_to_both_inputs(self):
         # the witnesses have irrational centres, so they are inexact: they
-        # have no intersection pattern, and touch both inputs numerically
+        # have no intersection pattern, and touch both inputs exactly, by
+        # D2 = 0 on their coefficients in Z[sqrt D]
         h0, h = make_horocycle(F(0), 1), make_horocycle(F(3), Q(1, 2))
         witnesses = pinch_pair(h0, h)
         assert not any(w.exact for w in witnesses)
         for w in witnesses:
             for other in (h0, h):
-                assert _horocycles_nearly_tangent(w, other)
+                assert model._d2(w.coeffs(), other.circle.coeffs()) == 0
                 for pair in ((w, other), (other, w)):
                     with pytest.raises(InvalidInputError,
                                        match="^intersection patterns need exact curves$"):

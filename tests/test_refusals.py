@@ -47,8 +47,8 @@ F = BoundaryPoint.finite
 GEO = make_geodesic(F(0), F(1))
 HORO = make_horocycle(F(0), 1)
 HYPER = make_hypercycle(F(0), F(1), UHPPoint(0, 1))
-INEXACT = curve_from_coeffs(1.0, 0.0, 0.0, -1.0, exact=False)  # ends at -1 and 1
-INEXACT_HORO = curve_from_coeffs(1.0, 0.0, -1.0, 0.0, exact=False)  # at 0, radius 1/2
+#: the inexact curves: pinch witnesses, horocycles of centre -5 -+ 5 sqrt(2)
+INEXACT, INEXACT_HORO = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))
 # (0,2) and (1,3) cross; (4,5) misses both: swapping (0,2) and (4,5) breaks an edge
 GRAPH = build_graph([make_geodesic(F(0), F(2)), make_geodesic(F(1), F(3)),
                      make_geodesic(F(4), F(5))])
@@ -77,14 +77,8 @@ ROWS = [
      "rational sampling needs an exact curve"),
     (lambda: straddling_points(INEXACT, GEO.circle, []), InvalidInputError,
      "straddling points need an exact curve"),
-    (lambda: INEXACT.to_text(), InvalidInputError,
-     "only exact curves have a canonical text form"),
-    (lambda: INEXACT.to_record(), InvalidInputError,
-     "only exact curves have a canonical record form"),
-    (lambda: GeneralizedCircle(0.0, 0.0, 0.0, 0.0, exact=False), DegenerateResultError,
-     "degenerate circle: all coefficients zero"),
-    (lambda: GeneralizedCircle(1e-12, 0.0, 0.0, 1.0, exact=False), DegenerateResultError,
-     "degenerate circle: a = b = c ~ 0"),
+    (lambda: GeneralizedCircle(0.0, 0.0, 0.0, 0.0), DegenerateResultError,
+     "degenerate circle: a = b = c = 0"),
     (lambda: curve_from_coeffs(0, 0, 1, 1), InvalidInputError,  # the line y = -1
      "locus classifies as not_in_upper_half_plane, not a curve"),
     (lambda: rational_points(curve_from_coeffs(1, 0, -1, -2), 3), InvalidInputError,
@@ -116,19 +110,19 @@ ROWS = [
     # read as inexact
     (lambda: build_graph([GEO, HORO, GEO]), InvalidInputError,
      "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"),
-    (lambda: build_graph([INEXACT, HORO, INEXACT]), InvalidInputError,
+    (lambda: build_graph([INEXACT, GEO, INEXACT]), InvalidInputError,
      "curves of mixed kinds; pass allow_mixed=True to build a mixed graph"),
     (lambda: build_graph([GEO, HORO, GEO], allow_mixed=True), InvalidInputError,
      "duplicate curves at indices 0 and 2: geodesic a=1 b=-1 c=0 d=0"),
-    # graphs read exact data only: a float curve is refused, a float copy of
-    # a listed curve too, and on either side of a matching
-    (lambda: build_graph([curve_from_coeffs(1, 0, 0, -1), INEXACT]), InvalidInputError,
+    # graphs read exact data only: a pinch witness is refused, and on
+    # either side of a matching
+    (lambda: build_graph([HORO, INEXACT]), InvalidInputError,
      "graph curves must be exact"),
     (lambda: isometry_matching([GEO], []), InvalidInputError,
      "source and target curve lists differ in length"),
     (lambda: isometry_matching([INEXACT, GEO], [GEO, GEO]), InvalidInputError,
      "graph curves must be exact"),
-    (lambda: isometry_matching([GEO], [INEXACT]), InvalidInputError,
+    (lambda: isometry_matching([HORO], [INEXACT]), InvalidInputError,
      "graph curves must be exact"),
     (lambda: isometry_realizing(GRAPH, GraphAutomorphism((2, 1, 0))), InvalidInputError,
      "permutation is not an automorphism of the graph"),

@@ -12,6 +12,7 @@ from hyperk import (
     UHPPoint,
     make_geodesic,
     make_horocycle,
+    pinch_pair,
     render_panels,
     render_scene,
 )
@@ -28,6 +29,16 @@ def test_scene_refuses_a_window_it_cannot_draw(window):
     x_min, x_max, height = window
     with pytest.raises(InvalidInputError, match="finite x_min < x_max and height > 0"):
         SvgScene(x_min=x_min, x_max=x_max, height=height)
+
+
+def test_pinch_witness_is_drawn_from_its_exact_floats():
+    # the horocycle at 5 sqrt(2) - 5 of size (75 - 5 sqrt(200))/4, tangent
+    # to the horocycles at 0 and 5, is drawn as a circle of that radius
+    w = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[1]
+    cx, cy, r = w.euclidean_center_radius()
+    assert cy == r and (cx, r) == pytest.approx((5 * math.sqrt(2) - 5, 18.75 - 12.5 * math.sqrt(2)))
+    scale = SvgScene().pixels_per_unit
+    assert f'r="{r * scale:.6f}"' in render_scene(SvgScene().add(w))
 
 
 def test_deterministic_output():

@@ -166,7 +166,7 @@ EXPORTED = {
                   "linked pair_type_from_pattern same_endpoints",
     "constructions": "CenterSwap ContinuousFamily DyadicFamily FoliatesComponent "
                      "FourGeodesicConfig HorocycleLimit HypercycleOrGeodesicLimit "
-                     "classify_family_limit disj_family dyadic_family "
+                     "PinchWitness classify_family_limit disj_family dyadic_family "
                      "fixed_endpoint_family four_geodesic_config hyp1_witness "
                      "normalizer_from_images pinch_pair ray_family sigma_center_swap "
                      "witness_family_search",
@@ -184,7 +184,7 @@ EXPORTED = {
 
 def test_every_exported_name_resolves_to_its_home_module():
     homes = {name: module for module, names in EXPORTED.items() for name in names.split()}
-    assert len(homes) == 86
+    assert len(homes) == 87
     assert sorted(hyperk.__all__) == sorted(homes)
     assert set(homes) <= set(dir(hyperk))
     for name, module in homes.items():
@@ -506,6 +506,22 @@ def test_graphs_names_no_float_route():
     names = _names("predicates.py")
     assert len(names) > 100
     assert names & {"EPS", "_int_floats", "_pair_coeffs", "_same_circle"} == set()
+    # a pinch witness is exact in Q(sqrt D): the constructions and the
+    # suites that check them name no float tolerance and no float witness
+    for module in ("constructions.py", "verify.py"):
+        names = _names(module)
+        assert len(names) > 100
+        assert names & {"EPS", "_float_horocycle", "_horocycles_nearly_tangent"} == set()
+
+
+def test_circles_take_no_exact_flag():
+    # every circle is exact: neither constructor switches that off
+    import inspect
+
+    from hyperk.model import GeneralizedCircle, curve_from_coeffs
+
+    for build in (GeneralizedCircle, curve_from_coeffs):
+        assert list(inspect.signature(build).parameters) == ["a", "b", "c", "d"]
 
 
 def test_cli_has_no_inexact_flag():
@@ -708,7 +724,7 @@ def _record_instances():
         HypercycleOrGeodesicLimit, Isometry, LinkCheckResult, PropertyResult, Q, SvgScene,
         dyadic_family, figure_one_configuration, figure_one_images, four_geodesic_config,
         instance_from_horocycles, intersection_pattern, make_geodesic, make_horocycle,
-        pointwise_image_is_curve, tangency_realizability,
+        pinch_pair, pointwise_image_is_curve, tangency_realizability,
     )
 
     F = BoundaryPoint.finite
@@ -736,10 +752,11 @@ def _record_instances():
         (SvgScene(x_min=-1.0).add(h).mark(*dyadic_family(0, -1, 1).tangency_points),
          "x_min x_max height curves points labels pixels_per_unit", False),
         (PropertyResult("order", "a property", False, "why"), "suite name passed detail", False),
+        (pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[0], "center size", True),
     ]
 
 
-@pytest.mark.parametrize("index", range(15))
+@pytest.mark.parametrize("index", range(16))
 def test_record_classes_keep_constructor_repr_eq_and_hash(index):
     record, names, hashable = _record_instances()[index]
     cls, names = type(record), names.split()
