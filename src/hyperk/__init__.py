@@ -23,13 +23,13 @@ _EXPORTS = {
         "NoSolutionError",
     ),
     "model": (
-        "EPS",
         "INFINITY",
         "BoundaryPoint",
         "Curve",
         "CurveKind",
         "GeneralizedCircle",
         "Isometry",
+        "QuadraticPoint",
         "UHPPoint",
         "curve_from_circle",
         "curve_from_coeffs",

@@ -207,8 +207,8 @@ def cmd_construct(args, out: _Output) -> int:
             out.emit(h.to_text(), h.to_record())
         for pt in fam.tangency_points:
             out.emit(
-                f"tangency {q_str(Q(pt.x))} + i*{q_str(Q(pt.y))}",
-                {"tangency": [q_str(Q(pt.x)), q_str(Q(pt.y))]},
+                f"tangency {q_str(pt.x)} + i*{q_str(pt.y)}",
+                {"tangency": [q_str(pt.x), q_str(pt.y)]},
             )
         return EXIT_OK
     if what == "pinch":

@@ -17,7 +17,6 @@ exact in Q(sqrt D), so D2 decides its tangencies too.
 from __future__ import annotations
 
 import functools
-import math
 from typing import Sequence, Tuple
 
 from ._rational import Q, isqrt_exact
@@ -36,6 +35,7 @@ from .model import (
     _d2,
     _lorentz,
     _number,
+    _surd_quotient,
     _within_float_range,
     curve_from_coeffs,
     make_geodesic,
@@ -94,10 +94,11 @@ def _normal_geodesic(h: Curve, p: UHPPoint) -> GeneralizedCircle:
 
 def opposite_sides_of_point(h: Curve, p: UHPPoint, x: UHPPoint, y: UHPPoint) -> bool:
     """Are x and y on opposite sides of p along the arc of h?  All exact:
-    the sides of the normal geodesic at p (`_normal_geodesic`)."""
+    the sides of the normal geodesic at p (`_normal_geodesic`); an
+    irrational point is refused (`QuadraticPoint`)."""
     for q in (p, x, y):
-        if not q.exact or not h.circle.contains_point(q.x, q.y):
-            raise InvalidInputError("points must be exact and lie on the curve")
+        if not h.circle.contains_point(q.x, q.y):
+            raise InvalidInputError("points must lie on the curve")
     n = _normal_geodesic(h, p)
     return n.sign_at(x.x, x.y) * n.sign_at(y.x, y.y) < 0
 
@@ -267,10 +268,9 @@ def _solve_pinch(h0: Curve, h: Curve) -> list:
     sols = []
     for P, W in roots:
         R, V = radius(P, W)
-        if isinstance(P, Surd):
+        if isinstance(P, Surd):  # P/W is in lowest terms: P.v = +-1
             R = Surd(0, 0, P.D) + R  # R is an int beside a line
-            g = math.gcd(R.u, R.v, V)  # P/W is in lowest terms: P.v = +-1
-            sols.append(PinchWitness((P, W), (Surd(R.u // g, R.v // g, P.D), V // g)))
+            sols.append(PinchWitness((P, W), _surd_quotient(R.u, R.v, P.D, V)))
         else:
             sols.append(make_horocycle(BoundaryPoint.finite(Q(P, W)), Q(R, V)))
     return sols

@@ -82,10 +82,10 @@ class EarthquakeMap:
         self._shift = n.inverse().compose(Isometry.scaling(shear)).compose(n)
 
     def side_sign(self, z: Union[UHPPoint, BoundaryPoint]) -> int:
-        """Sign of the fault equation at z (0 on the fault's closure).  An
-        inexact point is decided exactly, at the binary value of its floats."""
+        """Sign of the fault equation at z (0 on the fault's closure), exact;
+        an irrational point is refused (`QuadraticPoint`)."""
         if isinstance(z, UHPPoint):
-            return self.fault.circle.sign_at(Q(z.x), Q(z.y))
+            return self.fault.circle.sign_at(z.x, z.y)
         v = self.fault.circle.evaluate_boundary(z)
         return (v > 0) - (v < 0)
 
@@ -146,7 +146,7 @@ def _cocircular_exact(points: Sequence[UHPPoint]) -> PointwiseImageResult:
     elimination over Q gives, so the pivots and the witness are the same."""
     pivots: List[Tuple[List[int], int, UHPPoint]] = []
     for pt in points:
-        X, Y, W = _homogeneous(Q(pt.x), Q(pt.y))
+        X, Y, W = _homogeneous(pt.x, pt.y)
         row = [X * X + Y * Y, X * W, Y * W, W * W]
         for prow, lead, _src in pivots:
             f = row[lead]

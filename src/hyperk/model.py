@@ -5,8 +5,10 @@ circle a(x^2+y^2) + bx + cy + d = 0 with exact integer coefficients in
 canonical form; all classification reduces to integer sign tests.  Every
 input is read at its exact value, a float at its binary one, so every
 `Curve` is exact, and a pinch witness's irrational data are too, in
-Z[sqrt D] (`Surd`).  Pairs of circles are read through the Lorentz form
-on coefficient vectors (`_lorentz`, `_d2`), exact on both.  Curves also
+Z[sqrt D] (`Surd`), as is an irrational meeting point of two circles
+(`QuadraticPoint`), which every reader of a point's exact value refuses.
+Pairs of circles are read through the Lorentz form on coefficient vectors
+(`_lorentz`, `_d2`), exact on both.  Curves also
 yield exact sample points: `rational_points` spreads them along the curve
 from a rational point on the axis, and `straddling_points` places them on
 both sides of another circle near where the two meet, on chords from an
@@ -46,10 +48,6 @@ from typing import Optional, Tuple
 
 from ._rational import Q, isqrt_exact, q_str
 from .errors import DegenerateResultError, HyperkError, InvalidInputError
-
-#: Tolerance for comparing points with float coordinates, the irrational
-#: meeting points of two circles (`UHPPoint.__eq__`).
-EPS = 1e-9
 
 
 # ---------------------------------------------------------------------------
@@ -122,42 +120,79 @@ def _within_float_range(function):
 
 class UHPPoint:
     """Interior point x+iy, y > 0, its coordinates read at their exact
-    values; inexact (float coordinates) only as an irrational meeting point
-    of two circles (`predicates._line_circle`)."""
+    values.  An irrational meeting point of two circles is a
+    `QuadraticPoint`, the one kind of point that is not `exact`."""
 
-    __slots__ = ("x", "y", "exact")
+    __slots__ = ("x", "y")
 
-    def __init__(self, x, y, exact: bool = True):
-        if exact:
-            x, y = Q(x), Q(y)
-        else:
-            x, y = float(x), float(y)
-        if not (y > 0):
+    exact = True
+
+    def __init__(self, x, y):
+        x, y = Q(x), Q(y)
+        if not y > 0:
             raise InvalidInputError(f"point ({x}, {y}) is not in the open half-plane")
-        self.x, self.y, self.exact = x, y, exact
+        self.x, self.y = x, y
 
     @_within_float_range
     def as_floats(self) -> Tuple[float, float]:
         return float(self.x), float(self.y)
 
     def __eq__(self, other):
-        if not isinstance(other, UHPPoint):
+        if other.__class__ is not self.__class__:
             return NotImplemented
-        if self.exact and other.exact:
-            return self.x == other.x and self.y == other.y
-        ax, ay = self.as_floats()
-        bx, by = other.as_floats()
-        return math.isclose(ax, bx, abs_tol=EPS) and math.isclose(ay, by, abs_tol=EPS)
+        return self.x == other.x and self.y == other.y
 
     def __hash__(self):
-        # an exact point equals the inexact one at its floats, and equality
-        # within EPS is not transitive: only one hash for all agrees with it
-        return hash("uhp")
+        return hash((self.x, self.y))
 
     def __repr__(self):
-        if self.exact:
-            return f"({q_str(self.x)}, {q_str(self.y)})"
-        return f"({self.x:.9g}, {self.y:.9g})~"
+        return f"({q_str(self.x)}, {q_str(self.y)})"
+
+
+class QuadraticPoint(UHPPoint):
+    """An irrational meeting point of two circles (`predicates._line_circle`),
+    held exactly: `coords` is its x and y, each a pair (`Surd`, int > 0) in
+    lowest terms, as `_surd_quotient` gives it, the two sharing one D.
+
+    Equality is by value, and the hash agrees with it.  It is not `exact`:
+    reading `x` or `y` refuses it (InvalidInputError), so does every reader
+    of a point at its exact value.  `as_floats` gives its floats
+    (`_number`), and its repr its exact text."""
+
+    __slots__ = ("coords",)
+
+    exact = False
+
+    def __init__(self, x, y):
+        self.coords = (x, y)
+
+    def __reduce__(self):  # copy and pickle by `coords`, as `x` refuses
+        return QuadraticPoint, self.coords
+
+    @property
+    def x(self):
+        raise InvalidInputError(
+            f"point {self!r} is irrational: it has no exact rational coordinates")
+
+    y = x
+
+    @_within_float_range
+    def as_floats(self) -> Tuple[float, float]:
+        return tuple(_number(P.u, P.v, P.D, W) for P, W in self.coords)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(P * V == R * W for (P, W), (R, V) in zip(self.coords, other.coords))
+
+    def __hash__(self):
+        # u/w and the signed square v|v|D/w^2 of v sqrt(D)/w are the same
+        # for every pair of one value
+        return hash(tuple((Fraction(P.u, W), Fraction(P.v * abs(P.v) * P.D, W * W))
+                          for P, W in self.coords))
+
+    def __repr__(self):
+        return "({}, {})".format(*(P.quotient_text(W) for P, W in self.coords))
 
 
 # ---------------------------------------------------------------------------
@@ -218,7 +253,9 @@ class Surd:
     """The real number u + v sqrt(D) of integers u, v and D > 0, D not a
     square, so that it is 0 only when u = v = 0.  It plus, minus or times
     an int or a `Surd` of the same D (an int times it too) stays in
-    Z[sqrt D], so the Lorentz form (`_lorentz`, `_d2`) of such vectors is exact."""
+    Z[sqrt D], so the Lorentz form (`_lorentz`, `_d2`) of such vectors is exact.
+    Equality is by value, whatever the D: u1 = u2, v1^2 D1 = v2^2 D2, and
+    v1, v2 of one sign; so the hash is u's."""
 
     __slots__ = ("u", "v", "D")
 
@@ -243,10 +280,12 @@ class Surd:
     __rmul__ = __mul__
 
     def __eq__(self, other):
-        return (self.u, self.v) == self._parts(other)
+        u, v = self._parts(other)
+        D = other.D if isinstance(other, Surd) else self.D
+        return self.u == u and self.v * self.v * self.D == v * v * D and (self.v > 0) == (v > 0)
 
     def __hash__(self):
-        return hash(self.u) if not self.v else hash((self.u, self.v, self.D))
+        return hash(self.u)
 
     def sign(self) -> int:
         """-1, 0 or 1 by integer squaring: of u if u^2 > v^2 D, else of v."""
@@ -265,6 +304,15 @@ class Surd:
 
     def __repr__(self):
         return self.quotient_text(1)
+
+
+def _surd_quotient(u: int, v: int, D: int, w: int):
+    """(u + v sqrt(D)) / w, w != 0, as the pair (`Surd`, int > 0) in lowest
+    terms."""
+    g = math.gcd(u, v, w)
+    if w < 0:
+        g = -g
+    return Surd(u // g, v // g, D), w // g
 
 
 class GeneralizedCircle:
@@ -568,8 +616,16 @@ def parse_curve_text(text: str) -> Curve:
 # ---------------------------------------------------------------------------
 
 
+def _require_boundary(name: str, p):
+    """Refuse `p`, the argument `name`, unless it is a `BoundaryPoint`."""
+    if not isinstance(p, BoundaryPoint):
+        raise InvalidInputError(f"{name} must be a BoundaryPoint, not {type(p).__name__}")
+
+
 def make_geodesic(p: BoundaryPoint, q: BoundaryPoint) -> Curve:
     """The unique geodesic with endpoints p != q."""
+    _require_boundary("p", p)
+    _require_boundary("q", q)
     if p == q:
         raise InvalidInputError("geodesic needs two distinct endpoints")
     return curve_from_coeffs(*_geodesic_ints(p, q))
@@ -586,6 +642,7 @@ def _geodesic_ints(p: BoundaryPoint, q: BoundaryPoint):
 def make_horocycle(center: BoundaryPoint, size) -> Curve:
     """Horocycle at `center` of Euclidean radius `size` (line height if
     center oo), the size read at its exact value."""
+    _require_boundary("center", center)
     size = Q(size)
     if not size > 0:
         raise InvalidInputError("horocycle size must be positive")
@@ -600,6 +657,8 @@ def make_horocycle(center: BoundaryPoint, size) -> Curve:
 def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Curve:
     """The unique hypercycle through boundary points p, q and interior point
     through, read at its exact value."""
+    _require_boundary("p", p)
+    _require_boundary("q", q)
     if p == q:
         raise InvalidInputError("hypercycle needs two distinct endpoints")
     circle = _hypercycle_ints(p, q, through)
@@ -619,7 +678,7 @@ def make_hypercycle(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint) -> Cu
 def _hypercycle_ints(p: BoundaryPoint, q: BoundaryPoint, through: UHPPoint):
     """The exact carrier on integers, with `through` at (X/W, Y/W); None
     when `through` lies on the geodesic pq."""
-    X, Y, W = _homogeneous(Q(through.x), Q(through.y))
+    X, Y, W = _homogeneous(through.x, through.y)
     # W Y times the geodesic's carrier k, plus the c y that puts `through`
     # on it: c = -W^2 k(X/W, Y/W)
     k = _geodesic_ints(p, q)
@@ -749,11 +808,12 @@ class Isometry:
         return _reduced(a * x + b * y, c * x + d * y)
 
     def apply_point(self, z: UHPPoint) -> UHPPoint:
-        """The exact image of z, read at its exact value."""
+        """The exact image of the rational point z; an irrational one is
+        refused (`QuadraticPoint`)."""
         a, b, c, d = self._ints()
         # z = (X + iY)/W: (a z + b)(c conj(z) + d) = (u v + a c Y^2 + i det Y W) / W^2
         # with u = a X + b W, v = c X + d W, and |c z + d|^2 W^2 = v^2 + (c Y)^2
-        X, Y, W = _homogeneous(Q(z.x), Q(z.y))
+        X, Y, W = _homogeneous(z.x, z.y)
         if self.reversing:
             X = -X
         u, v = a * X + b * W, c * X + d * W
@@ -883,7 +943,7 @@ def distance_to_geodesic(z: UHPPoint, g: Curve) -> float:
         raise InvalidInputError("distance_to_geodesic needs a geodesic")
     # z = (X/W, Y/W): sinh(dist) = |n| / (W Y sqrt(disc)), n = W^2 times the
     # carrier's value at z
-    X, Y, W = _homogeneous(Q(z.x), Q(z.y))
+    X, Y, W = _homogeneous(z.x, z.y)
     n = _form_at(g.circle.coeffs(), X, Y, W)
     num, den = n * n, (W * Y) ** 2 * g.circle.boundary_disc()
     try:
@@ -1035,6 +1095,10 @@ def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
     B is q itself and u its tangent when q is exact, and otherwise B is the
     base point of `rational_points` on the axis and u = q - B.  A tangency
     has no points on both sides, so it gives no pair.
+
+    An irrational q is read through its floats, so one whose float height
+    underflows to 0 is refused (InvalidInputError): from the axis the search
+    would find nothing, and a crossing would pass without a pair.
     """
     if not curve.exact:
         raise InvalidInputError("straddling points need an exact curve")
@@ -1042,6 +1106,10 @@ def straddling_points(curve: Curve, circle: GeneralizedCircle, near):
     pairs = []
     for q in near:
         x, y = (q.x, q.y) if q.exact else map(Q, q.as_floats())
+        if y == 0:
+            raise InvalidInputError(
+                "straddling points start from a point's floats, and this point's float "
+                "height underflows to 0")
         if a == 0:
             n = b * b + c * c
             bx, by = Q(-b * d, n), Q(-c * d, n)

@@ -8,13 +8,12 @@ witness (`constructions.PinchWitness`), is refused.  The counts of a pair
 come from the signs of the Lorentz Gram matrix of the two coefficient
 vectors (`_gram_counts`), whatever the kinds, with no case for lines or
 for oo; its meeting points are built only when `interior_points` is first
-read (`_meet`); `pair_counts` counts every pair of a list from one Gram
-matrix, and `_iter_pair_counts` yields those counts pair by pair.  Only
-the coordinates of the points may be floats (when the points are
-irrational); the counts never are.  Linkedness reads each boundary point
-as the integer pair it is, oo = (1, 0), and is the sign of one product of
-2x2 determinants, the cross-ratio's, with no case for oo or for a shared
-point.
+read (`_meet`), each exact: a `UHPPoint` when rational, else a
+`QuadraticPoint` in Q(sqrt D); `pair_counts` counts every pair of a list
+from one Gram matrix, and `_iter_pair_counts` yields those counts pair by
+pair.  Linkedness reads each boundary point as the integer pair it is,
+oo = (1, 0), and is the sign of one product of 2x2 determinants, the
+cross-ratio's, with no case for oo or for a shared point.
 """
 
 from __future__ import annotations
@@ -24,10 +23,18 @@ from enum import Enum
 from itertools import combinations
 from typing import Tuple
 
-from ._rational import Q, is_rational
+from ._rational import Q, isqrt_exact
 from ._record import Record
 from .errors import InvalidInputError
-from .model import Curve, CurveKind, UHPPoint, _lorentz, _number
+from .model import (
+    Curve,
+    CurveKind,
+    QuadraticPoint,
+    Surd,
+    UHPPoint,
+    _lorentz,
+    _surd_quotient,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -42,16 +49,13 @@ class IntersectionPattern(Record):
                      as one point)
     tangent          True when the curves touch without crossing
     shared_endpoints number of common boundary endpoints (0, 1, or 2)
-    interior_points  the interior intersection points; exact when rational
+    interior_points  the interior intersection points, in ascending x: a
+                     `UHPPoint` when rational, else a `QuadraticPoint`
     equal            True when the two curves coincide (all other fields void)
 
-    The counts come from integer signs alone, and the points are built when
-    `interior_points` is first read.  So the counts hold for coefficients of
-    any size, while the points may still be refused: under
-    `Isometry(2**600 + 9, 1, 2**600, 1)` the images of
-    `curve_from_coeffs(12, -168, -95, 588)` and `curve_from_coeffs(16, -146,
-    0, 315)` cross twice, at irrational heights near 2^-1200 that round to
-    0.0, and reading their points raises InvalidInputError.
+    The counts come from integer signs alone, and the points are built,
+    exactly, when `interior_points` is first read, so both hold for
+    coefficients of any size.  `to_record` prints the points' floats.
     """
 
     __slots__ = ("interior_count", "tangent", "shared_endpoints", "_points", "equal", "_circles")
@@ -208,8 +212,8 @@ def _line_circle(line, circle):
 
     Which points there are comes from sign tests alone: the discriminant of
     the quadratic the meeting points solve, then the signs of the product
-    and sum of their heights.  A point is exact when the discriminant is a
-    square, and otherwise has float coordinates (`_number`).
+    and sum of their heights.  A point is a `UHPPoint` when the discriminant
+    is a square, and otherwise a `QuadraticPoint` in Q(sqrt(disc)).
     """
     B, C, D = line
     a, b, c, d = circle
@@ -242,12 +246,20 @@ def _line_circle(line, circle):
         # t = (-t1 + s sqrt(disc)) / (2 q2) ascends with s (q2 > 0); the
         # lone point is the higher one
         roots = (-1,) if along_x and falling else (1,)
+    # t = (-t1 + s sqrt(disc)) / (2 q2), u = (beta t1 - 2 q2 D - s beta
+    # sqrt(disc)) / (2 q2 gamma)
+    r = isqrt_exact(disc)
     points = []
     for s in roots:
-        t = _number(-t1, s, disc, 2 * q2)
-        u = _number(beta * t1 - 2 * q2 * D, -s * beta, disc, 2 * q2 * gamma)
-        exact = is_rational(t)
-        points.append(UHPPoint(t, u, exact) if along_x else UHPPoint(u, t, exact))
+        if r is None:
+            point = QuadraticPoint
+            t = Surd(-t1, s, disc), 2 * q2  # in lowest terms, as s = +-1
+            u = _surd_quotient(beta * t1 - 2 * q2 * D, -s * beta, disc, 2 * q2 * gamma)
+        else:
+            point = UHPPoint
+            t = Q(-t1 + s * r, 2 * q2)
+            u = Q(beta * t1 - 2 * q2 * D - s * beta * r, 2 * q2 * gamma)
+        points.append(point(t, u) if along_x else point(u, t))
     if not along_x and falling:
         points.reverse()  # ascending x
     return tuple(points)

@@ -3,6 +3,7 @@
 import math
 
 from hyperk import Q
+from hyperk.errors import InvalidInputError
 
 
 def sqrt_exact(q):
@@ -117,7 +118,9 @@ def _oracle_intersection_pattern(c1, c2):
     counted by Gram signs: meet the two full circles, through their radical
     line for two circles, then count the meeting points by the signs of
     their heights.  A shared finite endpoint is a meeting point at height
-    0, and two lines also share oo."""
+    0, and two lines also share oo.  An irrational point is the pair of
+    its floats, and one whose height rounds to 0.0 is refused, as the
+    routine refused it."""
     k1, k2 = c1.circle.coeffs(), c2.circle.coeffs()
     a1, b1, cc1, d1 = k1
     a2, b2, cc2, d2 = k2
@@ -195,8 +198,13 @@ def _oracle_line_circle(line, circle):
     for s in roots:
         t = _number(-t1, s, disc, 2 * q2)
         u = _number(beta * t1 - 2 * q2 * D, -s * beta, disc, 2 * q2 * gamma)
-        exact = not isinstance(t, float)
-        points.append(UHPPoint(t, u, exact) if along_x else UHPPoint(u, t, exact))
+        x, y = (t, u) if along_x else (u, t)
+        if not isinstance(t, float):
+            points.append(UHPPoint(x, y))
+        elif y > 0:  # an irrational point, as the pair of its floats
+            points.append((x, y))
+        else:
+            raise InvalidInputError(f"point ({x}, {y}) is not in the open half-plane")
     if not along_x and falling:
         points.reverse()
     return n, tangent, tuple(points), on_axis
@@ -208,7 +216,6 @@ def _oracle_isometry_matching(src_curves, dst_curves):
     candidates of `graphs._candidate_isometries`, each verified exactly on
     every curve's circle."""
     from hyperk import Isometry
-    from hyperk.errors import InvalidInputError
     from hyperk.graphs import _candidate_isometries
 
     if len(src_curves) != len(dst_curves):

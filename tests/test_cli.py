@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import math
 import os
@@ -6,6 +7,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -131,6 +133,15 @@ class TestIntersect:
         )
         assert code == 0
         assert "interior_count=1" in out
+
+    def test_irrational_points_print_their_floats(self, capsys):
+        # the geodesics over (-1, 3) and (-3, 1) cross at (0, sqrt(3)),
+        # held exactly: the record prints its floats, x as 0.0 in either order
+        for first, second in (("-1,3", "-3,1"), ("-3,1", "-1,3")):
+            code, out, _ = run(capsys, "--format", "records", "intersect",
+                               "--first-geodesic", first, "--second-geodesic", second)
+            assert code == 0 and json.loads(out)["pattern"]["points"] == [[0.0, math.sqrt(3)]]
+            assert "-0.0" not in out
 
     @pytest.mark.parametrize("first, second", [
         (("--first-hypercycle", "-1,1,0,2"), ("--second-hypercycle", "-1,1,0.0,2.0")),
@@ -414,9 +425,17 @@ MALFORMED = [
     ("classify", "--geodesic", "1e-4000000,1"),
     # an exact meeting point past the float range, which the record prints
     ("intersect", "--first-geodesic", f"{2**1100},oo", "--second-horocycle", "oo,0.5"),
+    # irrational meeting points past the float range (tools/clifuzz.py), which
+    # the record prints: their floats were formed unguarded and raised
+    # OverflowError, exit 1
+    ("--format", "records", "intersect", "--first-hypercycle", "-1,1,1e300,2",
+     "--second-geodesic", "0,oo"),
+    ("--format", "records", "intersect", "--first-hypercycle", f"-1,1,-{10**308},2",
+     "--second-geodesic", "0,oo"),
     ("render", "--x-min", "5", "--x-max", "1", "-o", "a.svg"),
     ("render", "--height", "-1", "-o", "a.svg"),
     ("render", "--x-max", "inf", "-o", "a.svg"),
+    ("render", "--x-min", "-1e308", "-o", "a.svg"),  # a finite window, drawn past the float range
     ("render", "--preset", "dyadic", "--x-min", "5", "--x-max", "1", "-o", "a.svg"),
     ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"),
     # a nonzero distance whose float underflows, once taken as 0
@@ -476,10 +495,15 @@ SAYS = {
         "--geodesic p,q: '1e-4000000' is nonzero but below the float range",
     ("intersect", "--first-geodesic", f"{2**1100},oo", "--second-horocycle", "oo,0.5"):
         "the result is outside the float range",
+    ("--format", "records", "intersect", "--first-hypercycle", "-1,1,1e300,2",
+     "--second-geodesic", "0,oo"): "the result is outside the float range",
+    ("--format", "records", "intersect", "--first-hypercycle", f"-1,1,-{10**308},2",
+     "--second-geodesic", "0,oo"): "the result is outside the float range",
     ("render", "--x-min", "5", "--x-max", "1", "-o", "a.svg"):
         "scene window needs finite x_min < x_max and height > 0, got x_min=5.0, x_max=1.0",
     ("render", "--height", "-1", "-o", "a.svg"): "height > 0, got x_min=-3.0, x_max=3.0, height=-1.0",
     ("render", "--x-max", "inf", "-o", "a.svg"): "x_max=inf",
+    ("render", "--x-min", "-1e308", "-o", "a.svg"): "a scene coordinate is outside the float range",
     ("render", "--preset", "dyadic", "--x-min", "5", "--x-max", "1", "-o", "a.svg"):
         "--x-min does not apply to --preset dyadic",
     ("render", "--preset", "empty", "--height", "2", "-o", "a.svg"):
@@ -735,3 +759,23 @@ def test_render_of_lines_with_huge_coefficients(capsys, tmp_path, text, ends):
     ).groups())
     # the window's corner (-3.25, 3.25) is pixel (0, 0), and a unit is 80 pixels
     assert (x1 / 80 - 3.25, 3.25 - y1 / 80, x2 / 80 - 3.25, 3.25 - y2 / 80) == ends
+
+
+def _clifuzz():
+    path = Path(__file__).resolve().parent.parent / "tools" / "clifuzz.py"
+    spec = importlib.util.spec_from_file_location("clifuzz", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+CLIFUZZ = _clifuzz()
+
+
+@pytest.mark.parametrize("argv", CLIFUZZ.COMMANDS, ids=" ".join)
+@pytest.mark.parametrize("fmt", ["text", "records"])
+def test_every_command_the_fuzzer_mutates_is_answered(capsys, tmp_path, argv, fmt):
+    # the commands of tools/clifuzz.py are valid: each mutant starts from an
+    # answer
+    code, out, err = run(capsys, "--format", fmt, *CLIFUZZ.with_paths(argv, tmp_path))
+    assert code == 0 and out and err == ""

@@ -438,7 +438,7 @@ def _oracle_straddle_near_crossing(h1, h2, pat):
             state[1] = pt
 
     for q in pat.interior_points:
-        qx, qy = float(q.x), float(q.y)
+        qx, qy = q.as_floats()
         state = [None, None]
         if a == 0:
             if c == 0:

@@ -198,7 +198,7 @@ def test_side_sign_matches_fraction_oracle():
             for _ in range(3)
         ]
         points += rational_points(e.fault, 2)  # on the fault
-        points.append(UHPPoint(rng.uniform(-9, 9), rng.uniform(0.1, 9), exact=False))
+        points.append(UHPPoint(rng.uniform(-9, 9), rng.uniform(0.1, 9)))
         points += [INFINITY, *e.fault.endpoints, F(rand_q(rng))]
         for z in points:
             want = _oracle_side_sign(e, z)
@@ -207,9 +207,9 @@ def test_side_sign_matches_fraction_oracle():
     assert sum(signs.values()) >= 2000 and set(signs) == {-1, 0, 1}
     # a fault past the float range once raised OverflowError for an inexact point
     e = EarthquakeMap(make_geodesic(F(Fraction(3**700 + 1, 3**700)), F(-1)), 2)
-    z = UHPPoint(0.5, 2.0, exact=False)
+    z = UHPPoint(0.5, 2.0)
     assert e.side_sign(z) == _oracle_side_sign(e, z) == e.side_sign(UHPPoint(Q(1, 2), 2))
-    inside = UHPPoint(0.25, 0.5, exact=False)
+    inside = UHPPoint(0.25, 0.5)
     assert e.moves(z) and not e.moves(inside) and eq_apply(e, inside) is inside
 
 
@@ -360,8 +360,8 @@ def test_cocircular_rank_test_matches_oracle(monkeypatch):
         line + [UHPPoint(1, 1)],
         circle,
         circle[:3] + circle[:3] + [UHPPoint(0, Q(1, 2))] + circle[3:],
-        [UHPPoint(0.5, 0.25, exact=False), UHPPoint(1.5, 2.0, exact=False),
-         UHPPoint(-3.0, 0.125, exact=False), UHPPoint(7.0, 1.0, exact=False)],
+        [UHPPoint(0.5, 0.25), UHPPoint(1.5, 2.0),
+         UHPPoint(-3.0, 0.125), UHPPoint(7.0, 1.0)],
         circle[:2],
     ]
     results = set()

@@ -24,6 +24,7 @@ from hyperk import (
     curve_from_coeffs,
     distance_to_geodesic,
     equidistant_pair,
+    intersection_pattern,
     make_geodesic,
     make_horocycle,
     make_hypercycle,
@@ -94,14 +95,14 @@ class TestClassification:
             make_hypercycle(F(-1), F(1), UHPPoint(0, 1))
 
     def test_inexact_hypercycle_matches_exact_one(self):
-        # an inexact through-point is read at the exact value of its floats
+        # a through-point given by floats is read at their exact values
         exact = make_hypercycle(F(-1), F(3), UHPPoint(1, 3))
-        inexact = make_hypercycle(F(-1), F(3), UHPPoint(1.0, 3.0, exact=False))
+        inexact = make_hypercycle(F(-1), F(3), UHPPoint(1.0, 3.0))
         assert inexact.exact and inexact == exact
         with pytest.raises(DegenerateResultError):
-            make_hypercycle(F(-1), F(1), UHPPoint(0.0, 1.0, exact=False))
+            make_hypercycle(F(-1), F(1), UHPPoint(0.0, 1.0))
         with pytest.raises(DegenerateResultError):
-            make_hypercycle(F(2), INFINITY, UHPPoint(2.0, 1.0, exact=False))
+            make_hypercycle(F(2), INFINITY, UHPPoint(2.0, 1.0))
 
     def test_inexact_horocycle(self):
         # a float size is read at its exact value; only a pinch witness's
@@ -170,16 +171,16 @@ class TestIsometry:
             Isometry.identity().apply_curve(make_geodesic(F(0), F(1)))
 
     def test_inexact_point_image(self):
-        # an inexact point is moved at the exact value of its floats
+        # a point given by floats is moved at their exact values
         m = Isometry(2, 1, 1, 1)
-        w = m.apply_point(UHPPoint(0.5, 1.5, exact=False))
+        w = m.apply_point(UHPPoint(0.5, 1.5))
         v = m.apply_point(UHPPoint(Q(1, 2), Q(3, 2)))
         assert w.exact and v.exact and (w.x, w.y) == (v.x, v.y)
 
     def test_inexact_point_image_under_huge_entries(self):
         # a*d - b*c taken in floats cancels to 0 for entries near 2^300
         m = Isometry(2**300 + 1, 1, 2**300, 1)
-        w = m.apply_point(UHPPoint(0.25, 2.0, exact=False))
+        w = m.apply_point(UHPPoint(0.25, 2.0))
         assert w.y > 0
 
     def test_equal_isometries_hash_equal(self):
@@ -470,33 +471,86 @@ def test_invariant_survives_python_O():
     assert out.stdout.strip() == "raised"
 
 
-def test_equal_inexact_objects_hash_equal():
-    # equality of points within EPS is not transitive, so no hash finer
-    # than one per type agrees with it
-    pairs = [(UHPPoint(0.1 + 0.2, 1, exact=False), UHPPoint(0.3, 1, exact=False)),
-             (UHPPoint(Q(3, 10), 1), UHPPoint(0.1 + 0.2, 1, exact=False))]
+def test_point_hash_agrees_with_equality():
+    # points are equal by value, rational ones by their Fractions and
+    # irrational ones, pairs (Surd, int) in Q(sqrt D), across D as well
+    S = model.Surd
+    rational = [UHPPoint(Q(3, 10), 1), UHPPoint(0.5, 2.0), UHPPoint(Q(1, 2), 2), UHPPoint(1, 2),
+                UHPPoint(Q(3, 10), Q(10, 10))]
+    quadratic = [
+        model.QuadraticPoint((S(1, 0, 7), 2), (S(0, 1, 7), 2)),  # (1/2, sqrt(7)/2)
+        model.QuadraticPoint((S(1, 0, 28), 2), (S(0, 1, 28), 4)),  # sqrt(28)/4 = sqrt(7)/2
+        model.QuadraticPoint((S(1, 0, 7), 2), (S(0, -1, 7), 2)),
+        model.QuadraticPoint((S(1, 0, 8), 2), (S(0, 1, 8), 2)),
+        model.QuadraticPoint((S(1, 1, 2), 1), (S(1, 1, 2), 1)),
+        model.QuadraticPoint((S(1, 1, 3), 1), (S(1, 1, 3), 1)),
+    ]
     rng = random.Random(20240)
-    for _ in range(2000):
-        x, y = rng.uniform(-5, 5), rng.uniform(0.1, 5)
-        dx, dy = (rng.uniform(-1.5, 1.5) * model.EPS for _ in "xy")
-        pairs.append((UHPPoint(x, y, exact=False), UHPPoint(x + dx, y + dy, exact=False)))
-        # an exact point against an inexact one within EPS
-        pairs.append((UHPPoint(Q(x), Q(y)), UHPPoint(x + dx, y + dy, exact=False)))
-    assert pairs[0][0] == pairs[0][1] and pairs[1][0] == pairs[1][1]
-    equal = [(a, b) for a, b in pairs if a == b]
-    assert len(equal) > 1000, len(equal)
-    for a, b in equal:
-        assert hash(a) == hash(b), (a, b)
-    # an exact point equals inexact ones, so points share one hash and only
-    # equality tells exact points apart; exact curves keep distinct hashes
-    assert UHPPoint(Q(3, 10), 1) != UHPPoint(Q(1, 3), 1)
-    assert hash(make_geodesic(F(0), F(1))) != hash(make_geodesic(F(0), F(3)))
+    for _ in range(120):  # meeting points of seeded curves, met in both orders
+        c1, c2 = rand_curve(rng), rand_curve(rng)
+        rational += rational_points(c1, 1)
+        if c1 != c2:
+            for pair in ((c1, c2), (c2, c1)):
+                for p in intersection_pattern(*pair).interior_points:
+                    (rational if p.exact else quadratic).append(p)
+    assert len(rational) > 120 and len(quadratic) > 100
+
+    def value(p):  # x and y: a rational, or u/w and the signed square of v sqrt(D)/w
+        if p.exact:
+            return p.x, p.y
+        return tuple((Fraction(P.u, W), Fraction(P.v * abs(P.v) * P.D, W * W)) for P, W in p.coords)
+
+    equal = 0
+    for a, b in itertools.product(rational + quadratic, repeat=2):
+        same = a.exact == b.exact and value(a) == value(b)
+        assert (a == b) == (b == a) == same and (a != b) == (not same), (a, b)
+        if same:
+            assert hash(a) == hash(b), (a, b)
+            equal += a is not b
+    assert equal > 50
+    assert rational[0] == rational[4] and rational[1] == rational[2] != rational[3]
+    assert quadratic[0] == quadratic[1] and hash(quadratic[0]) == hash(quadratic[1])
+    assert quadratic[0] != quadratic[2] and quadratic[0] != quadratic[3]
+    assert quadratic[4] != quadratic[5] and rational[1] != quadratic[0]
+    assert len(set(quadratic[:6])) == 5
 
 
 def test_equality_with_another_type_is_left_to_it():
     geo = make_geodesic(F(0), F(1))
-    for value in (UHPPoint(0, 1), geo.circle, geo, Isometry.identity()):
+    S = model.Surd
+    irrational = model.QuadraticPoint((S(1, 0, 7), 2), (S(0, 1, 7), 2))
+    for value in (UHPPoint(0, 1), irrational, geo.circle, geo, Isometry.identity()):
         assert value.__eq__("x") is NotImplemented and value != "x"
+    # a rational point is never an irrational one
+    assert UHPPoint(0, 1).__eq__(irrational) is NotImplemented and UHPPoint(0, 1) != irrational
+
+
+def test_surd_equality_is_by_value():
+    # u1 + v1 sqrt(D1) = u2 + v2 sqrt(D2) iff u1 = u2, v1^2 D1 = v2^2 D2
+    # and v1, v2 have one sign; the hash is u's
+    S = model.Surd
+    rows = [
+        (S(1, 1, 2), S(1, 1, 3), False),  # equal parts, different values
+        (S(0, 1, 8), S(0, 2, 2), True),  # 2 sqrt(2) twice
+        (S(0, 1, 8), S(0, -2, 2), False),
+        (S(-1, 3, 2), S(-1, 1, 18), True),
+        (S(3, 0, 5), S(3, 0, 7), True),
+        (S(3, 0, 5), 3, True),
+        (S(2, 1, 2), 2, False),
+    ]
+    for a, b, equal in rows:
+        assert (a == b) is (b == a) is equal and (a != b) is not equal, (a, b)
+        assert hash(a) == hash(b) or not equal, (a, b)
+    # seeded values, each in two forms: v sqrt(k^2 m) and k v sqrt(m)
+    rng = random.Random(2035)
+    values = []
+    for _ in range(150):
+        u, v, k, m = rng.randint(-4, 4), rng.randint(-3, 3), rng.randint(1, 4), rng.choice((2, 3, 5, 6))
+        values += [S(u, v, k * k * m), S(u, k * v, m)]
+    for a, b in itertools.product(values, repeat=2):
+        near = math.isclose(a.u + a.v * math.sqrt(a.D), b.u + b.v * math.sqrt(b.D), abs_tol=1e-9)
+        assert (a == b) == near, (a, b)
+        assert hash(a) == hash(b) or not near, (a, b)
 
 
 def test_contains_point_off_the_rationals():
@@ -857,14 +911,14 @@ def test_point_action_matches_fraction_oracle():
 
 
 def test_inexact_point_action_is_bit_identical():
-    # an inexact point is moved at the exact value of its floats: the image
-    # is exact and equals the Fraction oracle's, under entries whose floats
+    # a point given by floats is moved at their exact values: the image is
+    # exact and equals the Fraction oracle's, under entries whose floats
     # overflow too
     rng = random.Random(6112)
     done = 0
     unbalanced = [Isometry.translation(2**k) for k in (700, 800, 1100)] * 20
     for iso in _isometry_corpus(rng, 1000) + unbalanced:
-        z = UHPPoint(rng.uniform(-9, 9), rng.uniform(1e-3, 9), exact=False)
+        z = UHPPoint(rng.uniform(-9, 9), rng.uniform(1e-3, 9))
         got, want = iso.apply_point(z), _oracle_apply_point(iso, z)
         assert got.exact and (got.x, got.y) == (want.x, want.y), (iso, z)
         done += 1
@@ -874,7 +928,7 @@ def test_inexact_point_action_is_bit_identical():
 def test_inexact_point_image_past_the_float_range():
     # the exact image of the point's value: x past the largest float and y
     # below the smallest one are exact rationals, not refusals
-    z = UHPPoint(0.5, 1.7, exact=False)
+    z = UHPPoint(0.5, 1.7)
     w = Isometry.translation(2**1100).apply_point(z)
     assert (w.x, w.y) == (Fraction(0.5) + 2**1100, Fraction(1.7))
     n = 3**700
@@ -962,7 +1016,7 @@ def test_inexact_constructors_are_unchanged():
             assert got == _outcome(_oracle_make_horocycle, center, size)
         if p.is_infinity and q.is_infinity:
             continue
-        through = UHPPoint(rng.uniform(-9, 9), rng.uniform(0.01, 9), exact=False)
+        through = UHPPoint(rng.uniform(-9, 9), rng.uniform(0.01, 9))
         got = _outcome(make_hypercycle, p, q, through)
         assert got == _outcome(_oracle_make_hypercycle, p, q, through)
         made += isinstance(got, model.Curve) and got.exact
@@ -1156,3 +1210,14 @@ def test_boundary_points_survive_pickle_and_copy():
             assert type(q) is BoundaryPoint and q == p and repr(q) == repr(p)
     assert copy.deepcopy(curve).endpoints == curve.endpoints
     assert pickle.loads(pickle.dumps(curve)).endpoints == curve.endpoints
+
+
+def test_interior_points_survive_pickle_and_copy():
+    # a rational point, and the meeting point (1/2, sqrt(7)/2) held in Q(sqrt 7)
+    pat = intersection_pattern(curve_from_coeffs(1, 0, 0, -2), curve_from_coeffs(0, 2, 0, -1))
+    for p in (UHPPoint(Q(1, 3), 2), pat.interior_points[0]):
+        copies = [copy.copy(p), copy.deepcopy(p)]  # __slots__ classes pickle from protocol 2
+        copies += [pickle.loads(pickle.dumps(p, k)) for k in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+        for q in copies:
+            assert type(q) is type(p) and q == p and hash(q) == hash(p) and repr(q) == repr(p)
+    assert pickle.loads(pickle.dumps(pat)) == pat

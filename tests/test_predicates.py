@@ -7,7 +7,6 @@ import random
 import pytest
 
 from hyperk import (
-    EPS,
     INFINITY,
     CurveKind,
     HorocycleOrder,
@@ -239,7 +238,7 @@ class TestInexactPatterns:
     def test_float_horocycles_crossing_twice(self):
         p = intersection_pattern(make_horocycle(F(0), 1.5), make_horocycle(F(1), 1.5))
         assert (p.interior_count, p.tangent) == (2, False)
-        assert [round(float(z.x), 9) for z in p.interior_points] == [0.5, 0.5]
+        assert [round(z.as_floats()[0], 9) for z in p.interior_points] == [0.5, 0.5]
 
     def test_rays_share_both_endpoints(self):
         members = _float_members(ray_family())
@@ -266,6 +265,37 @@ class TestInexactPatterns:
 # differential tests against the two implementations intersection_pattern
 # replaced: an exact one on Fractions and a float one with tolerance EPS
 # ---------------------------------------------------------------------------
+
+#: the float oracle's tolerance: it drops points below this height, and its
+#: irrational points, float pairs, match the kernel's floats within it
+EPS = 1e-9
+
+
+def _as_answered(points):
+    """The points as the replaced routine answered them: a rational point
+    itself, an irrational one as the pair of its floats."""
+    return tuple(p if p.exact else p.as_floats() for p in points)
+
+
+def _on_circle(point, k):
+    """Is the point on the circle of coefficients k exactly?  For an
+    irrational point (X/W, Y/V), W^2 V^2 times the circle's equation is a
+    `Surd` of Z[sqrt D], which must be 0."""
+    if point.exact:
+        return model.GeneralizedCircle(*k).sign_at(point.x, point.y) == 0
+    (X, W), (Y, V) = point.coords
+    a, b, c, d = k
+    value = a * (X * X * V * V + Y * Y * W * W) + b * X * W * V * V + c * Y * V * W * W
+    return value + d * W * W * V * V == 0
+
+
+def _matches(point, oracle_point):
+    """The kernel's point against the float oracle's: equal to a rational
+    oracle point, and within EPS of an irrational one, a pair of floats."""
+    if isinstance(oracle_point, UHPPoint):
+        return point == oracle_point
+    return all(math.isclose(u, v, abs_tol=EPS)
+               for u, v in zip(point.as_floats(), oracle_point))
 
 
 def _oracle_interior_meet_exact(c1: Curve, c2: Curve):
@@ -365,7 +395,7 @@ def _oracle_line_circle_exact(line, circle):
         for x in ((-float(p1) - fr) / (2 * float(p2)), (-float(p1) + fr) / (2 * float(p2))):
             y = -(float(B) * x + float(D)) / float(C)
             if y > EPS:
-                points.append(UHPPoint(x, y, exact=False))
+                points.append((x, y))
     assert len(points) == n_pos or root is None
     return n_pos, False, tuple(points)
 
@@ -389,7 +419,7 @@ def _oracle_positive_roots_points(a, c, E, x0):
         return tuple(UHPPoint(x0, y) for y in sorted(ys) if y > 0)
     fr = math.sqrt(float(disc))
     ys = ((-float(c) - fr) / (2 * float(a)), (-float(c) + fr) / (2 * float(a)))
-    return tuple(UHPPoint(float(x0), y, exact=False) for y in sorted(ys) if y > EPS)
+    return tuple((float(x0), y) for y in sorted(ys) if y > EPS)
 
 
 def _oracle_shared_endpoints_exact(c1: Curve, c2: Curve) -> int:
@@ -509,7 +539,8 @@ def test_exact_pairs_match_oracle():
     for c1, c2 in pairs:
         new, old = _pattern(c1, c2), _oracle_pattern(c1, c2)
         assert new[:3] == old[:3], (c1, c2)
-        assert len(new[3]) == len(old[3]) and all(p == q for p, q in zip(new[3], old[3])), (c1, c2)
+        assert len(new[3]) == len(old[3]), (c1, c2)
+        assert all(_matches(p, q) for p, q in zip(new[3], old[3])), (c1, c2)
 
 
 def test_deep_pairs_match_oracle_or_their_small_pair():
@@ -572,7 +603,7 @@ def test_inexact_pairs_match_oracle():
     kinds = set()
     for c1, c2 in pairs:
         new, old = _pattern(c1, c2), _oracle_intersection_pattern(c1, c2)
-        assert new[:3] == old[:3] and new[3] == old[3], (c1, c2)
+        assert new[:3] == old[:3] and _as_answered(new[3]) == old[3], (c1, c2)
         kinds.add(frozenset((c1.kind, c2.kind)))
     assert len(kinds) >= 4
     witness = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5), 2))[0]
@@ -631,7 +662,7 @@ def test_vertical_radical_line_counts_crossing_below_eps():
     g2 = make_geodesic(F(1 - Q(1, 10**20)), F(3))
     p = intersection_pattern(g1, g2)
     assert (p.interior_count, p.tangent, p.shared_endpoints) == (1, False, 0)
-    assert 0 < p.interior_points[0].y < EPS
+    assert 0 < p.interior_points[0].as_floats()[1] < EPS
     assert _oracle_pattern(g1, g2)[0] == 0  # the replaced routine undercounted
 
 
@@ -642,7 +673,12 @@ def test_deep_pair_beyond_float_range():
     d1, d2 = big.apply_curve(c1), big.apply_curve(c2)
     p = intersection_pattern(d1, d2)
     assert (p.interior_count, p.tangent, p.shared_endpoints) == (1, False, 0)
-    assert p.interior_points[0] == big.apply_point(intersection_pattern(c1, c2).interior_points[0])
+    # the meeting point is irrational: exact on both circles, and refused
+    # by the exact isometry action, which rounded it to floats before
+    (point,), (base,) = p.interior_points, intersection_pattern(c1, c2).interior_points
+    assert not point.exact and all(_on_circle(point, d.circle.coeffs()) for d in (d1, d2))
+    with pytest.raises(InvalidInputError, match="is irrational"):
+        big.apply_point(base)
     with pytest.raises(OverflowError):  # the replaced routine took float(disc)
         _oracle_pattern(d1, d2)
 
@@ -726,7 +762,7 @@ def _check_against_oracle(pairs):
             refused += 1
             continue
         assert got == old[:3], (c1, c2)
-        assert pat.interior_points == old[3], (c1, c2)
+        assert _as_answered(pat.interior_points) == old[3], (c1, c2)
     return counts, refused
 
 
@@ -786,6 +822,30 @@ def test_gram_counts_match_oracle_on_600_bit_pairs():
     assert 0 < refused < len(big) // 2
 
 
+def test_600_bit_pairs_give_every_point_exactly():
+    # no pair refuses its points, where the float points refused 91 of the
+    # 406: each pair has interior_count points, each exactly on both
+    # circles, its height positive by an integer sign test
+    seen = collections.Counter()
+    for _, (d1, d2) in _600_bit_pairs():
+        pat = intersection_pattern(d1, d2)
+        points = pat.interior_points
+        assert len(points) == pat.interior_count, (d1, d2)
+        for p in points:
+            assert all(_on_circle(p, d.circle.coeffs()) for d in (d1, d2)), (d1, d2)
+            if p.exact:
+                assert p.y > 0
+            else:
+                (X, W), (Y, V) = p.coords
+                assert X.D == Y.D and W > 0 and V > 0 and Y.sign() > 0, p
+                # lowest terms: no common factor of u, v and the denominator
+                assert all(math.gcd(P.u, P.v, w) == 1 for P, w in p.coords), p
+            seen[p.exact, p.as_floats()[1] > 0] += 1
+    # rational and irrational points, all squeezed to within about 2^-1200
+    # of the axis, below the float range
+    assert set(seen) == {(True, False), (False, False)} and min(seen.values()) > 90, seen
+
+
 def _per_pair_counts(curves):
     """Each pair's counts from a Gram matrix formed anew, as `_gram_counts`
     reads it, and from `intersection_pattern`, which must agree; (0, False,
@@ -832,10 +892,15 @@ def test_counts_past_the_float_range_need_no_points():
     assert (pat.interior_count, pat.tangent, pat.shared_endpoints) == (2, False, 0)
     assert (base.interior_count, base.tangent, base.shared_endpoints) == (2, False, 0)
     assert len(base.interior_points) == 2
-    # the points are irrational: inexact, and shown as floats
-    assert [repr(p)[-1] for p in base.interior_points] == ["~", "~"]
-    with pytest.raises(InvalidInputError, match="not in the open half-plane"):
-        pat.interior_points
+    # the points are irrational, held exactly, and read at any size: the
+    # heights are positive, though their floats round to 0.0
+    assert not any(p.exact for p in base.interior_points + pat.interior_points)
+    assert repr(base.interior_points[0]) == (
+        "((379416192-sqrt(2334803886489600))/76475904, "
+        "(3136368000+39*sqrt(2334803886489600))/4843473920)")
+    for p in pat.interior_points:
+        assert all(_on_circle(p, c.circle.coeffs()) for c in (th, tg))
+        assert p.coords[1][0].sign() > 0 and p.as_floats()[1] == 0.0
     with pytest.raises(InvalidInputError):  # the replaced routine refused the counts too
         _oracle_intersection_pattern(th, tg)
 
@@ -1111,7 +1176,7 @@ def test_exact_curve_beyond_float_range_with_inexact_curve():
         assert (p.interior_count, p.tangent, p.shared_endpoints) == (2, False, 0)
         assert (small.interior_count, small.tangent, small.shared_endpoints) == (2, False, 0)
         for u, v in zip(p.interior_points, small.interior_points):
-            assert u == v
+            assert u.as_floats() == pytest.approx(v.as_floats(), abs=1e-15)
 
 
 def test_exact_curve_of_wide_coefficients_with_inexact_curve():
@@ -1144,7 +1209,7 @@ def test_exact_curve_of_wide_coefficients_with_inexact_curve():
         curve_from_coeffs(0, 1.0, -1.0, 0),  # y = x
         curve_from_coeffs(1.0, 0, 0, -1.0),  # |z| = 1
         make_horocycle(F(0.5), 1.0),
-        make_hypercycle(F(-2.0), F(3.0), UHPPoint(0.5, 1.0, exact=False)),
+        make_hypercycle(F(-2.0), F(3.0), UHPPoint(0.5, 1.0)),
     ]
     assert all(c.exact for c in floats)
     compared = 0

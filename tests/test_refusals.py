@@ -3,8 +3,14 @@ its exact message."""
 
 import pytest
 
-from hyperk.constructions import CenterSwap, disj_family, dyadic_family, pinch_pair
-from hyperk.earthquake import EarthquakeMap, eq_apply, eq_geodesic_image
+from hyperk.constructions import (
+    CenterSwap,
+    disj_family,
+    dyadic_family,
+    pinch_pair,
+    witness_family_search,
+)
+from hyperk.earthquake import EarthquakeMap, eq_apply, eq_geodesic_image, pointwise_image_is_curve
 from hyperk.errors import DegenerateResultError, HyperkError, InvalidInputError, NoSolutionError
 from hyperk.graphs import (
     GraphAutomorphism,
@@ -53,6 +59,15 @@ INEXACT, INEXACT_HORO = pinch_pair(make_horocycle(F(0), 1), make_horocycle(F(5),
 GRAPH = build_graph([make_geodesic(F(0), F(2)), make_geodesic(F(1), F(3)),
                      make_geodesic(F(4), F(5))])
 QUAKE = EarthquakeMap(make_geodesic(F(0), INFINITY), 2)
+#: the irrational meeting point (1/2, sqrt(7)/2) of |z|^2 = 2 and x = 1/2
+IRRATIONAL, = intersection_pattern(curve_from_coeffs(1, 0, 0, -2),
+                                   curve_from_coeffs(0, 2, 0, -1)).interior_points
+IRRATIONAL_SAYS = "point (1/2, sqrt(112)/8) is irrational: it has no exact rational coordinates"
+#: geodesics over (-1, 3) and (0, oo) moved by a 600-bit map: they cross at
+#: an irrational point whose float height underflows to 0
+DEEP = Isometry(2**600 + 9, 1, 2**600, 1)
+DEEP_GEO = DEEP.apply_curve(make_geodesic(F(-1), F(3)))
+DEEP_FAULT = DEEP.apply_curve(make_geodesic(F(0), INFINITY))
 
 ROWS = [
     # model
@@ -63,6 +78,18 @@ ROWS = [
     (lambda: make_hypercycle(F(1), F(1), UHPPoint(0, 1)), InvalidInputError,
      "hypercycle needs two distinct endpoints"),
     (lambda: make_horocycle(F(0), 0), InvalidInputError, "horocycle size must be positive"),
+    # a centre or an endpoint is a BoundaryPoint, not the number it stands for
+    (lambda: make_horocycle(0, 1), InvalidInputError, "center must be a BoundaryPoint, not int"),
+    (lambda: make_geodesic(0, 1), InvalidInputError, "p must be a BoundaryPoint, not int"),
+    (lambda: make_geodesic(F(0), (1, 1)), InvalidInputError,
+     "q must be a BoundaryPoint, not tuple"),
+    (lambda: make_hypercycle(F(0), 1.0, UHPPoint(0, 1)), InvalidInputError,
+     "q must be a BoundaryPoint, not float"),
+    # every reader of a point at its exact value refuses an irrational one
+    (lambda: Isometry(1, 1, 0, 1).apply_point(IRRATIONAL), InvalidInputError, IRRATIONAL_SAYS),
+    (lambda: make_hypercycle(F(0), F(1), IRRATIONAL), InvalidInputError, IRRATIONAL_SAYS),
+    (lambda: distance_to_geodesic(IRRATIONAL, GEO), InvalidInputError, IRRATIONAL_SAYS),
+    (lambda: eq_apply(QUAKE, IRRATIONAL), InvalidInputError, IRRATIONAL_SAYS),
     (lambda: Isometry.scaling(0), InvalidInputError, "scaling factor must be positive"),
     (lambda: two_point_normalizer(F(1), F(1)), InvalidInputError,
      "normalizer needs two distinct boundary points"),
@@ -77,6 +104,11 @@ ROWS = [
      "rational sampling needs an exact curve"),
     (lambda: straddling_points(INEXACT, GEO.circle, []), InvalidInputError,
      "straddling points need an exact curve"),
+    (lambda: straddling_points(DEEP_GEO, DEEP_FAULT.circle,
+                               intersection_pattern(DEEP_GEO, DEEP_FAULT).interior_points),
+     InvalidInputError,
+     "straddling points start from a point's floats, and this point's float height "
+     "underflows to 0"),
     (lambda: GeneralizedCircle(0.0, 0.0, 0.0, 0.0), DegenerateResultError,
      "degenerate circle: a = b = c = 0"),
     (lambda: curve_from_coeffs(0, 0, 1, 1), InvalidInputError,  # the line y = -1
@@ -152,6 +184,10 @@ ROWS = [
     (lambda: disj_family(HORO, GEO), InvalidInputError,
      "disj_family needs a hypercycle as second argument"),
     (lambda: disj_family(INEXACT_HORO, HYPER), InvalidInputError, "disj_family needs exact curves"),
+    # a crossing whose point's float height underflows is refused, not passed
+    (lambda: witness_family_search(DEEP_GEO, DEEP_FAULT), InvalidInputError,
+     "straddling points start from a point's floats, and this point's float height "
+     "underflows to 0"),
     (lambda: CenterSwap(INFINITY, F(0)), InvalidInputError, "center swap needs finite centers"),
     (lambda: CenterSwap(F(0), F(1))(GEO), InvalidInputError, "center swap acts on horocycles"),
     # earthquake
@@ -161,6 +197,9 @@ ROWS = [
      "eq_geodesic_image expects a geodesic"),
     (lambda: eq_geodesic_image(QUAKE, curve_from_coeffs(1, 0, 0, -2)), InvalidInputError,
      "geodesic needs rational endpoints"),  # ends at +-sqrt(2)
+    (lambda: pointwise_image_is_curve(EarthquakeMap(DEEP_FAULT, 2), DEEP_GEO), InvalidInputError,
+     "straddling points start from a point's floats, and this point's float height "
+     "underflows to 0"),
 ]
 
 

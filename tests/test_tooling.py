@@ -157,8 +157,8 @@ def test_cli_graph_cap_default_is_the_graphs_default():
 EXPORTED = {
     "_rational": "Q q_from_str q_str",
     "errors": "DegenerateResultError HyperkError InvalidInputError NoSolutionError",
-    "model": "EPS INFINITY BoundaryPoint Curve CurveKind GeneralizedCircle Isometry "
-             "UHPPoint curve_from_circle curve_from_coeffs distance_to_geodesic "
+    "model": "INFINITY BoundaryPoint Curve CurveKind GeneralizedCircle Isometry "
+             "QuadraticPoint UHPPoint curve_from_circle curve_from_coeffs distance_to_geodesic "
              "equidistant_pair make_geodesic make_horocycle make_hypercycle "
              "parse_curve_text rational_points triple_normalizer two_point_normalizer",
     "predicates": "HorocycleOrder HypercyclePairType IntersectionPattern between_tangent "
@@ -524,6 +524,20 @@ def test_circles_take_no_exact_flag():
         assert list(inspect.signature(build).parameters) == ["a", "b", "c", "d"]
 
 
+def test_points_take_no_exact_flag():
+    # every point is held exactly, an irrational one in Q(sqrt D): no module
+    # names a float tolerance or a float comparison, and a rational point
+    # takes no flag that makes it inexact
+    import inspect
+
+    from hyperk.model import UHPPoint
+
+    assert list(inspect.signature(UHPPoint).parameters) == ["x", "y"]
+    for path in sorted(PACKAGE.glob("*.py")):
+        assert _names(path.name) & {"EPS", "isclose"} == set(), path.name
+        assert "exact=False" not in path.read_text(encoding="utf-8"), path.name
+
+
 def test_cli_has_no_inexact_flag():
     # every decimal is read at its exact value: no flag switches that off
     from hyperk.cli import build_parser
@@ -698,6 +712,14 @@ def _benchmark_uses():
     return uses
 
 
+def test_is_rational_tells_exact_numbers_from_floats():
+    # perfbench/configs.py reads the exactness of realizability radii by it
+    from hyperk._rational import Q, is_rational
+
+    assert is_rational(3) and is_rational(Q(1, 3))
+    assert not is_rational(0.5) and not is_rational("1/3")
+
+
 def test_every_name_the_benchmark_uses_resolves():
     uses = _benchmark_uses()
     # workload imports, tracer targets, and the lazy imports in harness and cli runs
@@ -814,3 +836,31 @@ def test_line_probe_reports_exactly_the_untaken_branch(tmp_path):
     finally:
         probe.stop()
     assert probe.unrun(planted) == [(4, "branch")]
+
+
+def test_cli_fuzz_smoke_run_keeps_the_exit_code_contract(monkeypatch):
+    # a fixed-seed run of the contract fuzzer, which runs 12,000 cases
+    # outside tier-1, and each breach it reports
+    from hyperk import cli
+    from test_cli import CLIFUZZ as clifuzz
+
+    assert len(clifuzz.COMMANDS) == 17
+    assert clifuzz.fuzz(seed=0, cases=200) == []
+
+    def spin(argv):
+        while True:
+            pass
+
+    def overflow(argv):
+        raise OverflowError("integer division result too large for a float")
+
+    def refuse_with_output(argv):
+        print("half an answer")
+        return 2
+
+    monkeypatch.setattr(clifuzz, "LIMIT_S", 0.05)
+    for main, problem in ((lambda argv: 1, "exit 1: "), (overflow, "escaped OverflowError: "),
+                          (refuse_with_output, "exit 2 with stdout 'half an answer\\n'"),
+                          (spin, "over 0.05 s")):
+        monkeypatch.setattr(cli, "main", main)
+        assert clifuzz.run_case(["classify"]).startswith(problem)
